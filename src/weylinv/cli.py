@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import re
 import sys
@@ -686,14 +685,6 @@ def make_parser():
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("WEYL_INV_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print("WEYL_INV_THREADS must be a positive integer", file=sys.stderr)
-            return 1
     ap = make_parser()
     try:
         args = ap.parse_args(argv)
@@ -706,6 +697,12 @@ def main(argv=None) -> int:
         return 1
     except DecMismatchError as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:
+        # internal consistency checks (e.g. a certificate that does not
+        # expand back) raise bare AssertionErrors
+        msg = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"verification failure: {msg}", file=sys.stderr)
         return 2
 
 

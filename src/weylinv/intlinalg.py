@@ -24,6 +24,16 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+def smallest_prime_factor(m: int) -> int:
+    """Smallest prime dividing m >= 2 (m itself exactly when m is prime)."""
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            return p
+        p += 1
+    return m
+
+
 def _row_op(rows, i, j, col):
     """Combine rows i, j so that rows[i][col] becomes gcd and rows[j][col] zero."""
     a, b = rows[i][col], rows[j][col]

@@ -27,6 +27,7 @@ from .intlinalg import (
     hnf,
     inverse_fraction,
     lattice_contains,
+    smallest_prime_factor,
     snf_diagonal,
     snf_with_left,
 )
@@ -652,7 +653,7 @@ def dec_table(model: LatticeModel):
     if k is not None and m == 2 and all(x == "A" for x in kinds):
         mm, nn = ranks[0] + 1, ranks[1] + 1
         # p-primary diagonal mu_k only
-        ps = {p for p in range(2, k + 1) if k % p == 0 and _isprime(p)}
+        ps = {p for p in range(2, k + 1) if k % p == 0 and smallest_prime_factor(p) == p}
         if len(ps) == 1 and mm % k == 0 and nn % k == 0:
             p = ps.pop()
             v2 = lambda x: (x & -x).bit_length() - 1
@@ -708,10 +709,6 @@ def dec_table(model: LatticeModel):
             vals.append(v)
         return diag_rows(vals)
     return None
-
-
-def _isprime(p):
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
 def compute_Dec(model: LatticeModel, height: int = 4,

@@ -7,7 +7,8 @@ stored in [1, m-1]).  All values are immutable; all operations are pure.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+from operator import add
 
 
 class RingMismatchError(ValueError):
@@ -28,7 +29,8 @@ class DivisionPreconditionError(ValueError):
 
 def _normalize(terms, modulus):
     out = {}
-    for exp, c in terms.items() if isinstance(terms, Mapping) else terms:
+    is_map = isinstance(terms, dict) or isinstance(terms, Mapping)
+    for exp, c in terms.items() if is_map else terms:
         if modulus:
             c %= modulus
         if c:
@@ -57,6 +59,19 @@ class LaurentPoly:
         for e in self.terms:
             if len(e) != rank:
                 raise RankMismatchError(f"exponent {e} has length != {rank}")
+
+    @classmethod
+    def _trusted(cls, rank, modulus, terms):
+        """Wrap an already-normal terms dict without re-validating it.
+
+        For arithmetic results only: exponents of length `rank`, coefficients
+        nonzero and, for modulus m, in [1, m-1].  The dict is not copied.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "rank", rank)
+        object.__setattr__(p, "modulus", modulus)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -110,11 +125,12 @@ class LaurentPoly:
                 out[e] = acc
             else:
                 out.pop(e, None)
-        return LaurentPoly(self.rank, m, out)
+        return LaurentPoly._trusted(self.rank, m, out)
 
     def __neg__(self):
         m = self.modulus
-        return LaurentPoly(self.rank, m, {e: (m - c if m else -c) for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.rank, m,
+                                    {e: (m - c if m else -c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -127,7 +143,7 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 acc = out.get(e, 0) + c1 * c2
                 if m:
                     acc %= m
@@ -135,7 +151,7 @@ class LaurentPoly:
                     out[e] = acc
                 else:
                     out.pop(e, None)
-        return LaurentPoly(self.rank, m, out)
+        return LaurentPoly._trusted(self.rank, m, out)
 
     __rmul__ = __mul__
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 
+from .intlinalg import smallest_prime_factor
 from .laurent import (
     LaurentPoly,
     bounded_divide,
@@ -185,15 +186,6 @@ def _trivialize_domain(t, f, n, cert):
             _add_entry(cert, a, b, g.mul_monomial(shift))
 
 
-def _smallest_prime(m):
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            return p
-        p += 1
-    return m
-
-
 def _trivialize(t, f):
     """Dispatch on the ring: domain directly, composite modulus recursively."""
     n = len(t)
@@ -201,7 +193,7 @@ def _trivialize(t, f):
     cert = _empty_cert(n, rank, modulus)
     if all(fi.is_zero() for fi in f):
         return cert
-    p = _smallest_prime(modulus) if modulus else 0
+    p = smallest_prime_factor(modulus) if modulus else 0
     if modulus == 0 or p == modulus:
         _trivialize_domain(t, f, n, cert)
         return cert
@@ -286,28 +278,68 @@ class TransformMatrix:
         )
 
 
-def mat_det(rows) -> LaurentPoly:
+def _minors(rows, one):
+    """Memoised determinants of the bottom rows of `rows` on column subsets.
+
+    Returns det_on(mask): the determinant of the last popcount(mask) rows on
+    the columns in mask, by Laplace expansion along the first of those rows
+    with the minors memoised on the column bitmask (the rows are implied by
+    its popcount).  It only multiplies and adds, so it is valid over Z/m.  It
+    skips zero entries, and a column subset on which the bottom rows have an
+    all-zero column is a zero minor without expansion.  So a block-diagonal
+    matrix only reaches unions of per-block column sets, and the Newton
+    transforms (anti-triangular for type C, anti-Hessenberg for type A) reach
+    polynomially many column subsets instead of 2^n.  `one` is the ring's 1.
+    """
     n = len(rows)
-    rank, modulus = rows[0][0].rank, rows[0][0].modulus
-    acc = LaurentPoly.zero(rank, modulus)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            ln, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                ln += 1
-            if ln % 2 == 0:
-                sign = -sign
-        term = LaurentPoly.const(rank, sign, modulus)
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        acc = acc + term
-    return acc
+    # support[k]: columns where one of the last k rows is nonzero
+    support = [0] * (n + 1)
+    for k in range(1, n + 1):
+        support[k] = support[k - 1] | sum(1 << j for j, a in enumerate(rows[n - k]) if a)
+    zero = LaurentPoly.zero(one.rank, one.modulus)
+    memo = {0: one}
+
+    def det_on(mask):
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        k = mask.bit_count()
+        if mask & ~support[k]:
+            return zero
+        row = rows[n - k]
+        pos = neg = None
+        rest, odd = mask, False
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = row[low.bit_length() - 1]
+            if a:
+                sub = det_on(mask ^ low)
+                if sub:
+                    t = a * sub
+                    if odd:
+                        neg = t if neg is None else neg + t
+                    else:
+                        pos = t if pos is None else pos + t
+            odd = not odd
+        if neg is None:
+            acc = zero if pos is None else pos
+        else:
+            acc = -neg if pos is None else pos - neg
+        memo[mask] = acc
+        return acc
+
+    return det_on
+
+
+def _one(rows):
+    p = rows[0][0]
+    return LaurentPoly.const(p.rank, 1, p.modulus)
+
+
+def mat_det(rows) -> LaurentPoly:
+    """Determinant of a square Laurent matrix, division-free (see `_minors`)."""
+    return _minors(rows, _one(rows))((1 << len(rows)) - 1)
 
 
 def is_unit_monomial(p: LaurentPoly) -> bool:
@@ -349,31 +381,31 @@ def vec_mat(vec, a):
 
 
 def mat_inverse_unit(rows) -> list:
-    """Inverse of a Laurent-matrix with monomial-unit determinant (adjugate)."""
+    """Inverse of a Laurent-matrix with monomial-unit determinant (adjugate).
+
+    The minors that drop row i share one memo over column subsets; the
+    determinant is the Laplace expansion of row 0 against its cofactors.
+    """
     n = len(rows)
-    rank, modulus = rows[0][0].rank, rows[0][0].modulus
-    det = mat_det(rows)
-    if not is_unit_monomial(det):
+    one = _one(rows)
+    full = (1 << n) - 1
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        det_on = _minors(rows[:i] + rows[i + 1:], one)
+        for j in range(n):
+            cof = det_on(full ^ (1 << j))
+            adj[j][i] = -cof if (i + j) % 2 else cof
+    det = None
+    for j in range(n):
+        if rows[0][j] and adj[j][0]:
+            t = rows[0][j] * adj[j][0]
+            det = t if det is None else det + t
+    if det is None or not is_unit_monomial(det):
         raise ValueError("matrix determinant is not a unit monomial")
     ((dexp, dc),) = det.terms.items()
-    if modulus:
-        dc_inv = pow(dc, -1, modulus)
-    else:
-        dc_inv = dc  # +-1
+    dc_inv = pow(dc, -1, one.modulus) if one.modulus else dc  # +-1 over Z
     inv_exp = tuple(-x for x in dexp)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            if minor:
-                cof = mat_det(minor)
-            else:
-                cof = LaurentPoly.const(rank, 1, modulus)
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof.mul_monomial(inv_exp, dc_inv)
-    return out
+    return [[c.mul_monomial(inv_exp, dc_inv) for c in row] for row in adj]
 
 
 def trivialize_generalized(q, transform: TransformMatrix, f) -> SyzygyCertificate:
@@ -634,14 +666,16 @@ def model_transform(model: LatticeModel):
     zero = LaurentPoly.zero(n, 0)
     rows = [[zero] * n for _ in range(n)]
     flat, rho = [], []
+    det = LaurentPoly.const(n, 1, 0)
     for fi, (bflat, btr, brho) in enumerate(blocks):
         off = model.offsets[fi]
+        det = det * embed(btr.det, off)
         for i in range(len(bflat)):
             flat.append(embed(bflat[i], off))
             rho.append(embed(brho[i], off))
             for k in range(len(bflat)):
                 rows[off + k][off + i] = embed(btr.entries[k][i], off)
-    det = mat_det(rows)
+    # block-diagonal: the determinant is the product of the block determinants
     if not is_unit_monomial(det):
         raise AssertionError("block transform determinant is not a unit")
     return tuple(flat), TransformMatrix(tuple(tuple(r) for r in rows), det), tuple(rho)

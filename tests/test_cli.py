@@ -126,6 +126,21 @@ class TestRun:
         data = json.loads(out)
         assert data["combination"] == {"h2[1]": "1"}
 
+    def test_verification_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        import weylinv.cli
+
+        def broken(*args, **kwargs):
+            raise AssertionError("certificate does not expand back to the syzygy")
+
+        monkeypatch.setattr(weylinv.cli, "reduce_to_generators", broken)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(["0"] * 4))
+        code = main(["reduce", "--spec", "(Sp(4) x Sp(4))/mu(2)", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "verification failure: certificate does not expand back to the syzygy"]
+
     def test_table_family(self):
         code, out = run_cli("table", "--family", "prop:typeE")
         assert code == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from weylinv.cli import parse_spec
 from weylinv.generators import (
     build_generators,
     combination_to_tuple,
@@ -25,6 +26,16 @@ def pgsp4():
 def sp4xsp4():
     return compile_spec(GroupSpec(
         (SimpleFactor("C", 2), SimpleFactor("C", 2)), ((1, 1),)))
+
+
+# total rank 8, and a single 7x7 Newton block: the determinant and adjugate
+# of their transforms once expanded over all n! permutations
+def sl4xsl6():
+    return compile_spec(parse_spec("(SL(4) x SL(6)) / mu(2)"))
+
+
+def sl8():
+    return compile_spec(parse_spec("SL(8) / mu(2)"))
 
 
 def spin5xspin5():
@@ -142,7 +153,7 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce_to_generators(m, f, gs)
 
-    @pytest.mark.parametrize("model_fn", [pgsp4, sp4xsp4])
+    @pytest.mark.parametrize("model_fn", [pgsp4, sp4xsp4, sl4xsl6, sl8])
     def test_random_combination_round_trips(self, model_fn):
         model = model_fn()
         gs = build_generators(model)

@@ -1,7 +1,9 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylinv.laurent import LaurentPoly, augmentation, homogeneous_component, reduce_coefficients
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly, orbit_size
@@ -13,6 +15,9 @@ from weylinv.syzygy import (
     degree_one_gcd,
     is_unit_monomial,
     lift_syzygy,
+    mat_det,
+    mat_inverse_unit,
+    mat_mul,
     model_transform,
     newton_transform,
     normalize_coefficients,
@@ -255,3 +260,106 @@ class TestNormalizeCoefficients:
         f = tuple(LaurentPoly.zero(4, 0) for _ in range(4))
         with pytest.raises(FlatnessError):
             normalize_coefficients(m, f)
+
+
+# --------------------------------------------------------------------------
+# Laurent-matrix determinant and inverse against the Leibniz expansion
+
+
+def leibniz_det(rows):
+    """Sum over all n! permutations: the test oracle for mat_det."""
+    n = len(rows)
+    rank, modulus = rows[0][0].rank, rows[0][0].modulus
+    acc = LaurentPoly.zero(rank, modulus)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = LaurentPoly.const(rank, -1 if inversions % 2 else 1, modulus)
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        acc = acc + term
+    return acc
+
+
+MAT_RANK = 2
+
+
+@st.composite
+def laurent_polys(draw, modulus, max_terms=3):
+    exps = st.tuples(*[st.integers(-1, 1)] * MAT_RANK)
+    return P(MAT_RANK, draw(st.dictionaries(exps, st.integers(-3, 3), max_size=max_terms)),
+             modulus)
+
+
+@st.composite
+def laurent_matrices(draw):
+    """Square matrices of size <= 5 over Z, Z/4 or Z/6, of five shapes."""
+    modulus = draw(st.sampled_from([0, 4, 6]))
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["dense", "block", "permuted-block", "singular", "zero-row"]))
+    zero = P(MAT_RANK, {}, modulus)
+    rows = [[draw(laurent_polys(modulus)) for _ in range(n)] for _ in range(n)]
+    if shape in ("block", "permuted-block"):
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+        block = [sum(i >= c for c in cuts) for i in range(n)]
+        rows = [[p if block[i] == block[j] else zero for j, p in enumerate(row)]
+                for i, row in enumerate(rows)]
+        if shape == "permuted-block":
+            rperm = draw(st.permutations(range(n)))
+            cperm = draw(st.permutations(range(n)))
+            rows = [[rows[rperm[i]][cperm[j]] for j in range(n)] for i in range(n)]
+    elif shape == "singular" and n > 1:
+        # the last row is a Laurent combination of two earlier rows
+        a, b = draw(laurent_polys(modulus, 2)), draw(laurent_polys(modulus, 2))
+        i, j = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    elif shape == "zero-row":
+        rows[draw(st.integers(0, n - 1))] = [zero] * n
+    return shape, rows
+
+
+class TestMatDet:
+    @settings(max_examples=150, deadline=None)
+    @given(laurent_matrices())
+    def test_matches_leibniz(self, case):
+        shape, rows = case
+        det = mat_det(rows)
+        assert det == leibniz_det(rows)
+        if shape in ("singular", "zero-row") and len(rows) > 1:
+            assert det.is_zero()
+
+    @staticmethod
+    def _assert_inverse(rows):
+        inv = mat_inverse_unit(rows)
+        n = len(rows)
+        one = LaurentPoly.const(rows[0][0].rank, 1, rows[0][0].modulus)
+        ident = [[one if i == j else one.scale(0) for j in range(n)] for i in range(n)]
+        assert mat_mul(inv, rows) == ident
+        assert mat_mul(rows, inv) == ident
+
+    @pytest.mark.parametrize("kind,lo", [("A", 1), ("C", 2)])
+    @pytest.mark.parametrize("modulus", [0, 2, 4])
+    def test_newton_inverse(self, kind, lo, modulus):
+        for n in range(lo, 7):
+            _, tr, _ = newton_transform(kind, n)
+            if modulus:
+                tr = tr.reduce(modulus)
+            rows = [list(r) for r in tr.entries]
+            assert mat_det(rows) == tr.det
+            self._assert_inverse(rows)
+
+    @pytest.mark.parametrize("modulus", [0, 2, 4])
+    def test_model_transform_inverse(self, modulus):
+        m = compile_spec(GroupSpec(
+            (SimpleFactor("A", 2), SimpleFactor("C", 3), SimpleFactor("A", 1))))
+        _, tr, _ = model_transform(m)
+        if modulus:
+            tr = tr.reduce(modulus)
+        rows = [list(r) for r in tr.entries]
+        # the product of the block determinants is the full determinant
+        assert mat_det(rows) == tr.det
+        self._assert_inverse(rows)
+
+    def test_inverse_rejects_non_unit_determinant(self):
+        two = P(1, {(0,): 2})
+        with pytest.raises(ValueError):
+            mat_inverse_unit([[two]])
