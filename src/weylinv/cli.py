@@ -21,8 +21,8 @@ import random
 import re
 import sys
 
+from .fuzz import random_cert, random_flat_tuple, random_graded_poly, random_poly
 from .generators import build_generators, gcd_chain, reduce_to_generators
-from .intlinalg import inverse_fraction, snf_with_left
 from .invariants import (
     DecMismatchError,
     InvariantLattice,
@@ -34,11 +34,11 @@ from .invariants import (
     pgo8_lambda_prime,
     pgo8_model,
     pgo8_parity_check,
+    quotient_generators,
 )
-from .laurent import LaurentPoly, from_text, is_divisor, to_text
-from .rootdata import GroupSpec, SimpleFactor, compile_spec
+from .laurent import LaurentPoly, from_text, to_text
+from .rootdata import GroupSpec, SimpleFactor, center_order, compile_spec
 from .syzygy import (
-    SyzygyCertificate,
     check_flatness,
     is_unit_monomial,
     lift_syzygy,
@@ -279,17 +279,7 @@ def spec_to_text(spec: GroupSpec) -> str:
     prod = " x ".join(names)
     if shared is None:
         return prod
-    # order of the shared generator
-    order = 1
-    for f, e in zip(spec.factors, shared):
-        grp = (4,) if (f.kind == "D" and f.rank % 2) else \
-            (2, 2) if f.kind == "D" else \
-            (f.rank + 1,) if f.kind == "A" else \
-            (3,) if f.kind == "E6" else (2,)
-        ee = e if isinstance(e, tuple) else (e,)
-        for x, mm in zip(ee, grp):
-            if x % mm:
-                order = math.lcm(order, mm // math.gcd(x, mm))
+    order = math.lcm(*(center_order(f.kind, f.rank, e) for f, e in zip(spec.factors, shared)))
     diag = tuple(_diag_entry(f, order, 0) if _embeddable(f, order) else None
                  for f in spec.factors)
     if diag == shared:
@@ -339,26 +329,14 @@ def _fmt_group(fg):
     return " + ".join(f"Z/{d}" for d in fg.invariant_factors)
 
 
-def _quotient_generators(sub, super_):
-    """[(order, vector)] generating super/sub, from the Smith transform."""
-    dim = super_.dim
-    sup = [list(r) for r in super_.rows]
-    inv = inverse_fraction(sup)
-    coords = []
-    for r in sub.rows:
-        row = [sum(r[k] * inv[k][j] for k in range(dim)) for j in range(dim)]
-        coords.append([int(x) for x in row])
-    cols = [[coords[j][i] for j in range(len(coords))] for i in range(dim)]
-    diag, u = snf_with_left(cols)
-    uinv = inverse_fraction(u)
-    out = []
-    for i, d in enumerate(diag):
-        if d <= 1:
-            continue
-        y = [uinv[j][i] for j in range(dim)]
-        vec = [sum(int(y[k]) * sup[k][j] for k in range(dim)) for j in range(dim)]
-        out.append((d, vec))
-    return out
+_TSV_HEADER = "spec\tQ\tDec\tSdec\tinv_ind\tinv_sd"
+
+
+def _tsv_row(spec_text, rep):
+    def rows(lat):
+        return str([list(r) for r in lat.rows]) if lat else "?"
+    return "\t".join([spec_text, rows(rep.Q), rows(rep.Dec), rows(rep.Sdec),
+                      _fmt_group(rep.inv_ind), _fmt_group(rep.inv_sd)])
 
 
 def run_invariants(args) -> int:
@@ -379,15 +357,8 @@ def run_invariants(args) -> int:
         print(json.dumps(payload, sort_keys=True))
         return 0
     if args.tsv:
-        print("spec\tQ\tDec\tSdec\tinv_ind\tinv_sd")
-        print("\t".join([
-            payload["spec"],
-            str(payload["Q"]["hnf"]),
-            str(payload["Dec"]["hnf"]),
-            str(payload["Sdec"]["hnf"]) if payload["Sdec"] else "?",
-            _fmt_group(rep.inv_ind),
-            _fmt_group(rep.inv_sd),
-        ]))
+        print(_TSV_HEADER)
+        print(_tsv_row(payload["spec"], rep))
         return 0
     print(f"spec: {payload['spec']}")
     print(f"Q:    {payload['Q']['hnf']}")
@@ -401,7 +372,7 @@ def run_invariants(args) -> int:
                                ("Inv3_sd", rep.Dec, rep.Sdec)):
             if sup is None:
                 continue
-            gens = _quotient_generators(sub, sup)
+            gens = quotient_generators(sub, sup)
             pretty = ", ".join(
                 f"(Z/{d})(" + " ".join(f"{c:+d}q{i+1}" for i, c in enumerate(v) if c) + ")"
                 for d, v in gens) or "0"
@@ -435,12 +406,14 @@ def run_generators(args) -> int:
 def run_reduce(args) -> int:
     spec = parse_spec(args.spec)
     model = compile_spec(spec)
-    with open(args.input) as fh:
-        entries = json.load(fh)
-    if not isinstance(entries, list) or len(entries) != model.total_rank:
-        print(f"input must be a JSON array of {model.total_rank} polynomials",
-              file=sys.stderr)
-        return 1
+    try:
+        with open(args.input) as fh:
+            entries = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read --input {args.input!r}: {exc.strerror}") from exc
+    if not isinstance(entries, list) or len(entries) != model.total_rank \
+            or not all(isinstance(e, str) for e in entries):
+        raise ValueError(f"input must be a JSON array of {model.total_rank} polynomial strings")
     f = tuple(from_text(s, model.total_rank, 0) for s in entries)
     gs = build_generators(model)
     combo = reduce_to_generators(model, f, gs)
@@ -482,17 +455,8 @@ def run_fuzz_syzygy(args) -> int:
                 t = tuple(reduce_coefficients(p, modulus) for p in t)
         else:
             rank = rng.randint(2, 4)
-            t = _random_flat_tuple(rng, rank, modulus)
-        rank = t[0].rank
-        entries = {}
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                if rng.random() < 0.5:
-                    g = _random_poly(rng, rank, modulus, 2)
-                    if not g.is_zero():
-                        entries[(i, j)] = g
-        cert_in = SyzygyCertificate(rank, rank, modulus, entries)
-        f = cert_in.expand(t)
+            t = random_flat_tuple(rng, rank, modulus)
+        f = random_cert(rng, t[0].rank, modulus).expand(t)
         try:
             cert = trivialize_syzygy(t, f)
             assert cert.expand(t) == f
@@ -506,39 +470,6 @@ def run_fuzz_syzygy(args) -> int:
             print(f"case {case}: FAIL ({exc})")
     print(f"{args.cases} cases, {failures} failures")
     return 0 if failures == 0 else 2
-
-
-def _random_poly(rng, rank, modulus, nterms, lo=-2, hi=2, clo=-4, chi=4):
-    terms = {}
-    for _ in range(nterms):
-        e = tuple(rng.randint(lo, hi) for _ in range(rank))
-        terms[e] = terms.get(e, 0) + rng.randint(clo, chi)
-    return LaurentPoly(rank, modulus, terms)
-
-
-def _random_flat_tuple(rng, rank, modulus):
-    out = []
-    for i in range(rank):
-        k = rng.randint(0, 2)
-        lead = [0] * rank
-        lead[i] = k
-        for j in range(i):
-            lead[j] = rng.randint(-2, 2)
-        terms = {tuple(lead): 1}
-        for _ in range(rng.randint(0, 3)):
-            e = [0] * rank
-            e[i] = rng.randint(k - 3, k - 1)
-            for j in range(i):
-                e[j] = rng.randint(-2, 2)
-            c = rng.randint(-4, 4)
-            if c:
-                key = tuple(e)
-                terms[key] = terms.get(key, 0) + c
-        p = LaurentPoly(rank, modulus, terms)
-        if p.is_zero() or not is_divisor(p, i):
-            p = LaurentPoly(rank, modulus, {tuple(lead): 1})
-        out.append(p)
-    return tuple(out)
 
 
 def run_pgo8_check(args) -> int:
@@ -559,16 +490,11 @@ def run_pgo8_check(args) -> int:
     zero = LaurentPoly.zero(4, 0)
     bad = 0
     for _ in range(args.cases):
-        g_terms = {}
-        while len(g_terms) < 2:
-            e = tuple(rng.randint(-1, 1) for _ in range(4))
-            if model.grade_of_weight(e) == (0, 0):
-                g_terms[e] = g_terms.get(e, 0) + rng.randint(-2, 2)
-        f = [zero, LaurentPoly(4, 0, g_terms), zero, zero]
+        f = [zero, random_graded_poly(rng, model.grading), zero, zero]
         for i in range(4):
             for j in range(i + 1, 4):
                 if rng.random() < 0.4:
-                    h = _random_poly(rng, 4, 0, 2, lo=-1, hi=1)
+                    h = random_poly(rng, 4, 0, 2, lo=-1, hi=1, clo=-4, chi=4)
                     f[i] = f[i] + h * rho[j]
                     f[j] = f[j] - h * rho[i]
         rep = pgo8_parity_check(tuple(f))
@@ -611,7 +537,7 @@ def run_table(args) -> int:
               file=sys.stderr)
         return 1
     specs = _FAMILIES[args.family](args.max_rank)
-    print("spec\tQ\tDec\tSdec\tinv_ind\tinv_sd")
+    print(_TSV_HEADER)
     code = 0
     for stext in specs:
         spec = parse_spec(stext)
@@ -622,14 +548,7 @@ def run_table(args) -> int:
             print(f"{stext}\tMISMATCH: {exc}")
             code = 2
             continue
-        print("\t".join([
-            stext,
-            str([list(r) for r in rep.Q.rows]),
-            str([list(r) for r in rep.Dec.rows]),
-            str([list(r) for r in rep.Sdec.rows]) if rep.Sdec else "?",
-            _fmt_group(rep.inv_ind),
-            _fmt_group(rep.inv_sd),
-        ]))
+        print(_tsv_row(stext, rep))
     return code
 
 

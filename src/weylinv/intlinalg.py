@@ -53,6 +53,33 @@ def _row_op(rows, i, j, col):
     rows[j] = [-bg * u + ag * v for u, v in zip(ri, rj)]
 
 
+def _echelon(m, ncols):
+    """Reduce the rows of m in place to row HNF on their first ncols columns.
+
+    Pivots become positive and the entries above each pivot are reduced into
+    [0, pivot); any columns past ncols (a transform block) follow the same
+    row operations.  Returns the number of nonzero rows, which come first.
+    """
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        for i in range(r + 1, len(m)):
+            _row_op(m, r, i, col)
+        if m[r][col] != 0:
+            if m[r][col] < 0:
+                m[r] = [-x for x in m[r]]
+            pivots.append(col)
+    for r, c in enumerate(pivots):
+        p = m[r][c]
+        for i in range(r):
+            q = m[i][c] // p
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+    return len(pivots)
+
+
 def hnf(rows: list[list[int]]) -> list[list[int]]:
     """Canonical row Hermite normal form (zero rows dropped).
 
@@ -62,26 +89,7 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     if not rows:
         return []
     m = [list(r) for r in rows]
-    ncols = len(m[0])
-    pivot_row = 0
-    pivots = []
-    for col in range(ncols):
-        if pivot_row == len(m):
-            break
-        for i in range(pivot_row + 1, len(m)):
-            _row_op(m, pivot_row, i, col)
-        if m[pivot_row][col] != 0:
-            if m[pivot_row][col] < 0:
-                m[pivot_row] = [-x for x in m[pivot_row]]
-            pivots.append((pivot_row, col))
-            pivot_row += 1
-    for r, c in pivots:
-        p = m[r][c]
-        for i in range(r):
-            q = m[i][c] // p
-            if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-    return m[: len(pivots)]
+    return m[:_echelon(m, len(m[0]))]
 
 
 def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -91,27 +99,8 @@ def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[lis
         return [], []
     ncols = len(rows[0])
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    pivot_row = 0
-    pivots = []
-    for col in range(ncols):
-        if pivot_row == n:
-            break
-        for i in range(pivot_row + 1, n):
-            _row_op(aug, pivot_row, i, col)
-        if aug[pivot_row][col] != 0:
-            if aug[pivot_row][col] < 0:
-                aug[pivot_row] = [-x for x in aug[pivot_row]]
-            pivots.append((pivot_row, col))
-            pivot_row += 1
-    for r, c in pivots:
-        p = aug[r][c]
-        for i in range(r):
-            q = aug[i][c] // p
-            if q:
-                aug[i] = [x - q * y for x, y in zip(aug[i], aug[r])]
-    h = [row[:ncols] for row in aug]
-    u = [row[ncols:] for row in aug]
-    return h, u
+    _echelon(aug, ncols)
+    return [row[:ncols] for row in aug], [row[ncols:] for row in aug]
 
 
 def kernel(matrix: list[list[int]]) -> list[list[int]]:
@@ -154,79 +143,30 @@ def snf_with_left(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     if not matrix or not matrix[0]:
         n = len(matrix)
         return [], [[int(i == j) for j in range(n)] for i in range(n)]
-    m = [list(r) for r in matrix]
-    nrows, ncols = len(m), len(m[0])
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-
-    def row_combine(i, j, col):
-        a, b = m[i][col], m[j][col]
-        if b == 0:
-            return
-        if a == 0:
-            m[i], m[j] = m[j], m[i]
-            u[i], u[j] = u[j], u[i]
-            return
-        if b % a == 0:
-            q = -(b // a)
-            m[j] = [x + q * y for x, y in zip(m[j], m[i])]
-            u[j] = [x + q * y for x, y in zip(u[j], u[i])]
-            return
-        g, x, y = xgcd(a, b)
-        ag, bg = a // g, b // g
-        mi, mj = m[i], m[j]
-        ui, uj = u[i], u[j]
-        m[i] = [x * p + y * q for p, q in zip(mi, mj)]
-        m[j] = [-bg * p + ag * q for p, q in zip(mi, mj)]
-        u[i] = [x * p + y * q for p, q in zip(ui, uj)]
-        u[j] = [-bg * p + ag * q for p, q in zip(ui, uj)]
-
-    def col_combine(i, j, row):
-        a, b = m[row][i], m[row][j]
-        if b == 0:
-            return
-        if a == 0:
-            for r in m:
-                r[i], r[j] = r[j], r[i]
-            return
-        if b % a == 0:
-            q = -(b // a)
-            for r in m:
-                r[j] += q * r[i]
-            return
-        g, x, y = xgcd(a, b)
-        ag, bg = a // g, b // g
-        for r in m:
-            p, q = r[i], r[j]
-            r[i] = x * p + y * q
-            r[j] = -bg * p + ag * q
+    # [A | U]: row operations act on both blocks, column operations on A only
+    nrows, ncols = len(matrix), len(matrix[0])
+    m = [list(r) + [int(i == j) for j in range(nrows)] for i, r in enumerate(matrix)]
 
     def clear_position(t):
         """Make (t,t) the only nonzero of row t / col t within the submatrix."""
         while True:
-            piv = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    if m[i][j] != 0:
-                        piv = (i, j)
-                        break
-                if piv:
-                    break
+            piv = next(((i, j) for i in range(t, nrows) for j in range(t, ncols) if m[i][j]),
+                       None)
             if piv is None:
                 return False
             pi, pj = piv
-            if pi != t:
-                m[t], m[pi] = m[pi], m[t]
-                u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                for r in m:
-                    r[t], r[pj] = r[pj], r[t]
+            m[t], m[pi] = m[pi], m[t]
+            for r in m:
+                r[t], r[pj] = r[pj], r[t]
             for i in range(t + 1, nrows):
-                row_combine(t, i, t)
+                _row_op(m, t, i, t)
+            # column operations on the A block, as row operations on its transpose
+            at = [list(col) for col in zip(*(r[:ncols] for r in m))]
             for j in range(t + 1, ncols):
-                col_combine(t, j, t)
-            if all(m[i][t] == 0 for i in range(t + 1, nrows)) and all(
-                m[t][j] == 0 for j in range(t + 1, ncols)
-            ):
+                _row_op(at, t, j, t)
+            for r, col_row in zip(m, zip(*at)):
+                r[:ncols] = col_row
+            if not any(m[i][t] for i in range(t + 1, nrows)) and not any(m[t][t + 1:ncols]):
                 return True
 
     rank = 0
@@ -249,10 +189,9 @@ def snf_with_left(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     diag = []
     for t in range(rank):
         if m[t][t] < 0:
-            m[t][t] = -m[t][t]
-            u[t] = [-x for x in u[t]]
+            m[t] = [-x for x in m[t]]
         diag.append(m[t][t])
-    return diag, u
+    return diag, [row[ncols:] for row in m]
 
 
 def snf_diagonal(matrix: list[list[int]]) -> list[int]:

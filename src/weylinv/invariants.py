@@ -28,7 +28,6 @@ from .intlinalg import (
     inverse_fraction,
     lattice_contains,
     smallest_prime_factor,
-    snf_diagonal,
     snf_with_left,
 )
 from .laurent import LaurentPoly, augmentation, graded_components
@@ -36,8 +35,9 @@ from .rootdata import (
     GroupSpec,
     LatticeModel,
     SimpleFactor,
+    center_order,
     compile_spec,
-    killing_coeffs,
+    lattice_grading,
     orbit_poly,
     parabolic_order,
     residue_functionals,
@@ -295,18 +295,19 @@ class FactorGroup:
         return out
 
 
-def factor_group(sub: InvariantLattice, super_: InvariantLattice) -> FactorGroup:
-    """Invariant factors of super/sub (requires sub a finite-index sublattice)."""
+def _smith_coordinates(sub: InvariantLattice, super_: InvariantLattice):
+    """Smith form of sub written in the coordinates of super's basis.
+
+    Returns (diag, U, basis) with super/sub = (+)_i Z/d_i (plus a free part
+    when sub has lower rank); column i of U^-1, read in the basis rows,
+    generates the i-th summand.
+    """
     if not super_.includes(sub):
         raise ValueError("sub is not contained in super")
-    if len(sub.rows) < len(super_.rows):
-        free = len(super_.rows) - len(sub.rows)
-    else:
-        free = 0
-    sup = [list(r) for r in super_.rows]
-    inv = inverse_fraction(_square(sup)) if len(sup) == super_.dim else None
-    if inv is None:
+    basis = [list(r) for r in super_.rows]
+    if len(basis) != super_.dim:
         raise ValueError("factor groups need full-rank lattices")
+    inv = inverse_fraction(basis)
     coords = []
     for r in sub.rows:
         row = [sum(Fraction(r[k]) * inv[k][j] for k in range(super_.dim))
@@ -314,12 +315,29 @@ def factor_group(sub: InvariantLattice, super_: InvariantLattice) -> FactorGroup
         if any(x.denominator != 1 for x in row):
             raise AssertionError("membership solved non-integrally")
         coords.append([int(x) for x in row])
-    diag = snf_diagonal(coords)
+    cols = [[row[j] for row in coords] for j in range(super_.dim)]
+    diag, u = snf_with_left(cols)
+    return diag, u, basis
+
+
+def factor_group(sub: InvariantLattice, super_: InvariantLattice) -> FactorGroup:
+    """Invariant factors of super/sub (requires sub a finite-index sublattice)."""
+    diag, _, _ = _smith_coordinates(sub, super_)
+    free = max(len(super_.rows) - len(sub.rows), 0)
     return FactorGroup(tuple(d for d in diag if d > 1), free)
 
 
-def _square(rows):
-    return [list(r) for r in rows]
+def quotient_generators(sub: InvariantLattice, super_: InvariantLattice) -> list:
+    """[(order, vector)]: one generator of super/sub per nontrivial invariant factor."""
+    diag, u, basis = _smith_coordinates(sub, super_)
+    dim = super_.dim
+    uinv = inverse_fraction(u)
+    out = []
+    for i, d in enumerate(diag):
+        if d > 1:
+            y = [int(uinv[k][i]) for k in range(dim)]
+            out.append((d, [sum(y[k] * basis[k][j] for k in range(dim)) for j in range(dim)]))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -412,28 +430,9 @@ def _factor_gamma(kind: str, rank: int) -> Fraction:
     """
     model = compile_spec(GroupSpec((SimpleFactor(kind, rank),)))
     w1 = tuple(int(i == 0) for i in range(rank))
-    orb = model.orbit_local(0, w1)
-    acc = {}
-    for chi in orb:
-        nz = [i for i, a in enumerate(chi) if a]
-        for ii, i in enumerate(nz):
-            acc[(i, i)] = acc.get((i, i), 0) + chi[i] * chi[i]
-            for j in nz[ii + 1:]:
-                acc[(i, j)] = acc.get((i, j), 0) + 2 * chi[i] * chi[j]
-    qloc = killing_coeffs(kind, rank)
-    ratio = None
-    for key, c in qloc.items():
-        r = Fraction(acc.get(key, 0), c)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            raise AssertionError("orbit form not proportional to the Killing form")
-    for key in acc:
-        if key not in qloc and acc[key]:
-            raise AssertionError("orbit form has terms outside the Killing form")
-    gram = _coroot_gram(kind, rank)
-    v_ref = gram[0][0]
-    return Fraction(ratio, len(orb) * v_ref)
+    # c2_orbit is -1/2 sum chi^2 in units of q
+    ratio = -2 * c2_orbit(model, w1)[0]
+    return Fraction(ratio, len(model.orbit_local(0, w1)) * _coroot_gram(kind, rank)[0][0])
 
 
 @lru_cache(maxsize=None)
@@ -572,16 +571,8 @@ def _is_diag_kernel(model):
     spec = model.spec
     if len(spec.center_kernel) != 1:
         return None
-    gen = spec.center_kernel[0]
-    orders = []
-    for fi, t in enumerate(gen):
-        grp = model._center[fi]
-        tt = model._entry_tuple(t, fi)
-        o = 1
-        for x, mm in zip(tt, grp):
-            if x:
-                o = math.lcm(o, mm // math.gcd(x, mm))
-        orders.append(o)
+    orders = [center_order(f.kind, f.rank, t)
+              for f, t in zip(model.factors, spec.center_kernel[0])]
     if len(set(orders)) == 1 and orders[0] > 1:
         return orders[0]
     return None
@@ -717,6 +708,8 @@ def compute_Dec(model: LatticeModel, height: int = 4,
     m = len(model.factors)
     if mode not in ("enumerate", "table", "both"):
         raise ValueError(f"unknown Dec mode {mode!r}")
+    if height < 1:
+        raise ValueError(f"height must be >= 1, got {height}")
     table_rows = dec_table(model) if mode in ("table", "both") else None
     if mode in ("table", "both") and table_rows is None:
         mode = "enumerate"
@@ -807,7 +800,8 @@ def explicit_elements(model: LatticeModel):
         y = LaurentPoly.monomial(n, shift_weight) * z
         return z, y
 
-    if k == 2 and all(_symplectic_like(f) for f in model.factors):
+    if (k == 2 and all(_symplectic_like(f) for f in model.factors)) or \
+            (k == 4 and all(x == "D" for x in kinds) and all(r % 2 for r in ranks)):
         for i in range(m):
             for j in range(i + 1, m):
                 g = math.gcd(ranks[i], ranks[j])
@@ -821,13 +815,6 @@ def explicit_elements(model: LatticeModel):
                     z, y = shifted_z(i, j, 1, 1, 1, 1,
                                      model.fundamental_weight(i, 1))
                     out.append((f"z[{i + 1},{j + 1}]", z, y))
-    if k == 4 and all(x == "D" for x in kinds) and all(r % 2 for r in ranks):
-        for i in range(m):
-            for j in range(i + 1, m):
-                g = math.gcd(ranks[i], ranks[j])
-                z, y = shifted_z(i, j, 0, 0, ranks[j] // g, ranks[i] // g,
-                                 model.fundamental_weight(i, 0))
-                out.append((f"z[{i + 1},{j + 1}]", z, y))
     return out
 
 
@@ -883,18 +870,15 @@ class QuotientRing:
         basis = congruence_kernel([(list(v), mm) for v, mm in congruences], rank)
         if len(basis) < rank:
             raise ValueError("sublattice is not of finite index")
-        cols = [[basis[j][i] for j in range(rank)] for i in range(rank)]
-        diag, u = snf_with_left(cols)
-        self.moduli = tuple(d for d in diag if d > 1)
-        self._rows = [u[i] for i, d in enumerate(diag) if d > 1]
+        self.grading = lattice_grading(basis)
+        self.moduli = self.grading.moduli
 
     def class_of(self, vec):
-        return tuple(sum(r[j] * vec[j] for j in range(self.rank)) % d
-                     for r, d in zip(self._rows, self.moduli))
+        return self.grading.of_exponent(vec)
 
     @property
     def zero_class(self):
-        return (0,) * len(self.moduli)
+        return self.grading.zero
 
     def reduce(self, f: LaurentPoly) -> dict:
         out = {}
@@ -913,7 +897,7 @@ class QuotientRing:
         out = {}
         for ca, va in a.items():
             for cb, vb in b.items():
-                cls = tuple((x + y) % d for x, y, d in zip(ca, cb, self.moduli))
+                cls = self.grading.add(ca, cb)
                 v = out.get(cls, 0) + va * vb
                 if self.modulus:
                     v %= self.modulus

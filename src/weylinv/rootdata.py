@@ -130,6 +130,15 @@ def center_group(kind: str, n: int):
     raise ValueError(kind)
 
 
+def center_order(kind: str, n: int, entry) -> int:
+    """Order of a kernel entry (an int, or a pair for D-even) in center_group()."""
+    entries = entry if isinstance(entry, tuple) else (entry,)
+    order = 1
+    for x, m in zip(entries, center_group(kind, n)):
+        order = math.lcm(order, m // math.gcd(x, m))
+    return order
+
+
 def residue_functionals(kind: str, n: int) -> list[tuple[list[int], int]]:
     """Linear forms (vector, modulus) computing the center class of a weight.
 
@@ -344,6 +353,22 @@ def parabolic_order(kind: str, rank: int, zeros: frozenset) -> int:
     return total
 
 
+def lattice_grading(basis) -> Grading:
+    """Quotient map Z^n -> Z^n / span(basis) for a full-rank basis of n rows.
+
+    The Smith form of the basis written in columns gives the invariant factors
+    d_i and the rows of its left transform give x -> (U x)_i mod d_i; Z/1
+    summands are dropped.
+    """
+    n = len(basis)
+    cols = [[basis[j][i] for j in range(n)] for i in range(n)]
+    diag, u = snf_with_left(cols)
+    moduli = [d for d in diag if d > 1]
+    rows = [u[i] for i, d in enumerate(diag) if d > 1]
+    return Grading(tuple(moduli),
+                   [tuple(r[j] % d for r, d in zip(rows, moduli)) for j in range(n)])
+
+
 # --------------------------------------------------------------------------
 # the compiled model
 
@@ -373,7 +398,7 @@ class LatticeModel:
             [(list(v), m) for v, m in self.congruences], self.total_rank
         )
         self.tstar_index = abs(det_int(self.tstar_basis)) if self.total_rank else 1
-        self.grading = self._build_grading()
+        self.grading = lattice_grading(self.tstar_basis)
         self.fw_degrees = tuple(
             self.grading.of_exponent(self._basis_vec(i)) for i in range(self.total_rank)
         )
@@ -423,17 +448,6 @@ class LatticeModel:
                 vec = [v % big for v in vec]
             out.append((tuple(vec), big))
         return tuple(out)
-
-    def _build_grading(self):
-        # quotient Z^n / T* from the SNF of the T*-basis written in columns
-        n = self.total_rank
-        cols = [[self.tstar_basis[j][i] for j in range(n)] for i in range(n)]
-        diag, u = snf_with_left(cols)
-        moduli = [d for d in diag if d > 1]
-        rows = [u[i] for i, d in enumerate(diag) if d > 1]
-        images = [tuple(rows[k][j] % moduli[k] for k in range(len(moduli)))
-                  for j in range(n)]
-        return Grading(tuple(moduli), images)
 
     # -- weight utilities ----------------------------------------------------
     def slice_of(self, weight, fi):

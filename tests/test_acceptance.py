@@ -10,6 +10,13 @@ import time
 
 import pytest
 
+from weylinv.fuzz import (
+    random_cert,
+    random_divisor,
+    random_flat_tuple,
+    random_graded_poly,
+    random_poly,
+)
 from weylinv.generators import build_generators, combination_to_tuple, expand_combination, reduce_to_generators
 from weylinv.intlinalg import congruence_kernel
 from weylinv.invariants import (
@@ -32,12 +39,10 @@ from weylinv.laurent import (
     bounded_divide,
     degrees,
     graded_components,
-    is_divisor,
     reduce_coefficients,
 )
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly, orbit_size
 from weylinv.syzygy import (
-    SyzygyCertificate,
     check_flatness,
     is_unit_monomial,
     lift_syzygy,
@@ -57,57 +62,6 @@ def model(*factors, kernel=()):
 
 def lattice_from_congruence(dim, vec, mod):
     return InvariantLattice.from_rows(dim, congruence_kernel([(list(vec), mod)], dim))
-
-
-def _random_poly(rng, rank, modulus, nterms=5, lo=-4, hi=4, clo=-5, chi=5):
-    terms = {}
-    for _ in range(nterms):
-        e = tuple(rng.randint(lo, hi) for _ in range(rank))
-        terms[e] = terms.get(e, 0) + rng.randint(clo, chi)
-    return LaurentPoly(rank, modulus, terms)
-
-
-def _random_divisor(rng, rank, axis, modulus):
-    k = rng.randint(-2, 3)
-    lead = [rng.randint(-3, 3) for _ in range(rank)]
-    lead[axis] = k
-    terms = {tuple(lead): 1}
-    for _ in range(rng.randint(0, 4)):
-        e = [rng.randint(-3, 3) for _ in range(rank)]
-        e[axis] = rng.randint(k - 3, k - 1)
-        c = rng.randint(-5, 5)
-        if c:
-            key = tuple(e)
-            terms[key] = terms.get(key, 0) + c
-    p = LaurentPoly(rank, modulus, terms)
-    if p.is_zero() or not is_divisor(p, axis):
-        p = LaurentPoly(rank, modulus, {tuple(lead): 1})
-    return p
-
-
-def _random_flat_tuple(rng, rank, modulus):
-    out = []
-    for i in range(rank):
-        k = rng.randint(0, 2)
-        lead = [0] * rank
-        lead[i] = k
-        for j in range(i):
-            lead[j] = rng.randint(-2, 2)
-        terms = {tuple(lead): 1}
-        for _ in range(rng.randint(0, 3)):
-            e = [0] * rank
-            e[i] = rng.randint(k - 3, k - 1)
-            for j in range(i):
-                e[j] = rng.randint(-2, 2)
-            c = rng.randint(-4, 4)
-            if c:
-                key = tuple(e)
-                terms[key] = terms.get(key, 0) + c
-        p = LaurentPoly(rank, modulus, terms)
-        if p.is_zero() or not is_divisor(p, i):
-            p = LaurentPoly(rank, modulus, {tuple(lead): 1})
-        out.append(p)
-    return tuple(out)
 
 
 # the specs exercised by criteria 5-9, reused for the global inclusion check
@@ -145,8 +99,8 @@ def test_criterion_1_division_property_suite():
         modulus = rings[cases % 4]
         rank = 2 + (cases % 3)
         axis = rng.randrange(rank)
-        p = _random_divisor(rng, rank, axis, modulus)
-        f = _random_poly(rng, rank, modulus)
+        p = random_divisor(rng, rank, axis, modulus)
+        f = random_poly(rng, rank, modulus)
         if f.is_zero():
             d = rng.randint(-3, 3)
         else:
@@ -176,17 +130,8 @@ def test_criterion_2_syzygy_round_trips():
             if modulus:
                 t = tuple(reduce_coefficients(p, modulus) for p in t)
         else:
-            t = _random_flat_tuple(rng, 2 + cases % 3, modulus)
-        rank = len(t)
-        entries = {}
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                if rng.random() < 0.5:
-                    g = _random_poly(rng, rank, modulus, 2, lo=-2, hi=2, clo=-4, chi=4)
-                    if not g.is_zero():
-                        entries[(i, j)] = g
-        cert_in = SyzygyCertificate(rank, rank, modulus, entries)
-        f = cert_in.expand(t)
+            t = random_flat_tuple(rng, 2 + cases % 3, modulus)
+        f = random_cert(rng, len(t), modulus).expand(t)
         cert = trivialize_syzygy(t, f)
         assert cert.expand(t) == f
         if modulus == 6:
@@ -222,20 +167,12 @@ def test_criterion_4_generator_reduction_executable():
     total = 0
     for md in specs:
         gs = build_generators(md)
-        n = md.total_rank
         labels = [name for name, _ in gs.labeled()]
         for _ in range(50):
             combo_in = {}
             for name in labels:
                 if rng.random() < 0.6:
-                    terms = {}
-                    tries = 0
-                    while len(terms) < 2 and tries < 30:
-                        e = tuple(rng.randint(-1, 1) for _ in range(n))
-                        if md.grade_of_weight(e) == md.grading.zero:
-                            terms[e] = terms.get(e, 0) + rng.randint(-2, 2)
-                        tries += 1
-                    coeff = LaurentPoly(n, 0, terms)
+                    coeff = random_graded_poly(rng, md.grading, max_tries=30)
                     if not coeff.is_zero():
                         combo_in[name] = coeff
             f = combination_to_tuple(gs, combo_in)
@@ -489,16 +426,11 @@ def test_criterion_9_pgo8_suite():
     rng = random.Random(0xD9)
     zero = LaurentPoly.zero(4, 0)
     for _ in range(50):
-        terms = {}
-        while len(terms) < 2:
-            e = tuple(rng.randint(-1, 1) for _ in range(4))
-            if md.grade_of_weight(e) == (0, 0):
-                terms[e] = terms.get(e, 0) + rng.randint(-2, 2)
-        f = [zero, LaurentPoly(4, 0, terms), zero, zero]
+        f = [zero, random_graded_poly(rng, md.grading), zero, zero]
         for i in range(4):
             for j in range(i + 1, 4):
                 if rng.random() < 0.4:
-                    h = _random_poly(rng, 4, 0, 2, lo=-1, hi=1, clo=-2, chi=2)
+                    h = random_poly(rng, 4, 0, 2, lo=-1, hi=1, clo=-2, chi=2)
                     f[i] = f[i] + h * rho[j]
                     f[j] = f[j] - h * rho[i]
         rep = pgo8_parity_check(tuple(f))

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from weylinv.cli import main, parse_spec, spec_to_text, SpecParseError
+from weylinv.intlinalg import lattice_contains
 from weylinv.rootdata import GroupSpec, SimpleFactor
 
 
@@ -140,6 +141,62 @@ class TestRun:
         assert code == 2
         assert err.splitlines() == [
             "verification failure: certificate does not expand back to the syzygy"]
+
+    @pytest.mark.parametrize("height", ["0", "-1"])
+    @pytest.mark.parametrize("spec", ["(Sp(4) x Sp(4))/mu(2)", "(SL(2) x Spin(7))/mu(2)"])
+    def test_height_below_one_is_a_usage_error(self, spec, height, capsys):
+        code = main(["invariants", "--spec", spec, "--height", height])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [f"error: height must be >= 1, got {height}"]
+
+    def test_reduce_missing_input(self, tmp_path, capsys):
+        code = main(["reduce", "--spec", "(Sp(4) x Sp(4))/mu(2)",
+                     "--input", str(tmp_path / "absent.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read")
+
+    def test_reduce_non_string_entries(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([1, 2, 3, 4]))
+        code = main(["reduce", "--spec", "(Sp(4) x Sp(4))/mu(2)", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            "error: input must be a JSON array of 4 polynomial strings"]
+
+    @pytest.mark.parametrize("spec", ["(Spin(10) x Spin(10) x Spin(10)) / mu(4)",
+                                      "(E6 x E6) / mu(3)"])
+    def test_show_generators(self, spec):
+        code, data = run_cli("invariants", "--spec", spec, "--json")
+        assert code == 0
+        lattices = json.loads(data)
+        code, out = run_cli("invariants", "--spec", spec, "--show-generators")
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        dec = lattices["Dec"]["hnf"]
+        dim = len(dec)
+        for name, sup_key, group_key in (("Inv3_ind", "Q", "inv_ind"),
+                                         ("Inv3_sd", "Sdec", "inv_sd")):
+            text = lines[f"{name} generators"]
+            gens = [] if text == "0" else text[1:-1].split("), (")
+            orders = []
+            for g in gens:
+                order_text, vec_text = g.split(")(")
+                order = int(order_text[len("Z/"):])
+                vec = [0] * dim
+                for term in vec_text.split():
+                    coeff, idx = term.split("q")
+                    vec[int(idx) - 1] = int(coeff)
+                assert lattice_contains(lattices[sup_key]["hnf"], vec), (name, g)
+                multiples = [k for k in range(1, order + 1)
+                             if lattice_contains(dec, [k * x for x in vec])]
+                assert multiples[0] == order, (name, g)
+                orders.append(order)
+            assert orders == lattices[group_key]["factors"]
+        if spec == "(E6 x E6) / mu(3)":
+            assert lines["Inv3_ind generators"] == "(Z/2)(+3q1), (Z/6)(+2q1 +1q2)"
 
     def test_table_family(self):
         code, out = run_cli("table", "--family", "prop:typeE")

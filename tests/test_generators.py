@@ -3,6 +3,7 @@ import random
 import pytest
 
 from weylinv.cli import parse_spec
+from weylinv.fuzz import random_graded_poly
 from weylinv.generators import (
     build_generators,
     combination_to_tuple,
@@ -164,14 +165,7 @@ class TestReduce:
             combo_in = {}
             for name in labels:
                 if rng.random() < 0.6:
-                    terms = {}
-                    tries = 0
-                    while len(terms) < 2 and tries < 20:
-                        e = tuple(rng.randint(-1, 1) for _ in range(n))
-                        if model.grade_of_weight(e) == model.grading.zero:
-                            terms[e] = terms.get(e, 0) + rng.randint(-2, 2)
-                        tries += 1
-                    c = LaurentPoly(n, 0, terms)
+                    c = random_graded_poly(rng, model.grading, max_tries=20)
                     if not c.is_zero():
                         combo_in[name] = c
             f = combination_to_tuple(gs, combo_in)

@@ -1,9 +1,12 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from weylinv.intlinalg import (
     congruence_kernel,
     det_int,
     hnf,
+    hnf_with_transform,
     inverse_fraction,
     kernel,
     lattice_contains,
@@ -33,6 +36,27 @@ def test_hnf_canonical():
         # shuffled generators give the same canonical form
         rows2 = rows[::-1] + [[a + b for a, b in zip(rows[0], rows[-1])]]
         assert hnf(rows2) == h
+
+
+@st.composite
+def int_matrices(draw):
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-12, 12), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_hnf_with_transform_matches_hnf(rows):
+    h, u = hnf_with_transform(rows)
+    assert [[sum(a * b for a, b in zip(urow, col)) for col in zip(*rows)]
+            for urow in u] == h
+    assert abs(det_int(u)) == 1
+    assert hnf(rows) == [r for r in h if any(r)]
+    # the zero rows all sit below the nonzero ones
+    nonzero = [any(r) for r in h]
+    assert nonzero == sorted(nonzero, reverse=True)
 
 
 def test_kernel():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from weylinv.fuzz import random_divisor, random_poly
 from weylinv.laurent import (
     DivisionPreconditionError,
     Grading,
@@ -22,33 +23,6 @@ from weylinv.laurent import (
 
 def P(rank, terms, modulus=0):
     return LaurentPoly(rank, modulus, terms)
-
-
-def random_poly(rng, rank, modulus, nterms=5, lo=-4, hi=4, clo=-5, chi=5):
-    terms = {}
-    for _ in range(nterms):
-        e = tuple(rng.randint(lo, hi) for _ in range(rank))
-        terms[e] = terms.get(e, 0) + rng.randint(clo, chi)
-    return LaurentPoly(rank, modulus, terms)
-
-
-def random_divisor(rng, rank, axis, modulus):
-    """Random polynomial that is a divisor with respect to the axis."""
-    k = rng.randint(-2, 3)
-    lead = [rng.randint(-3, 3) for _ in range(rank)]
-    lead[axis] = k
-    terms = {tuple(lead): 1}
-    for _ in range(rng.randint(0, 4)):
-        e = [rng.randint(-3, 3) for _ in range(rank)]
-        e[axis] = rng.randint(k - 3, k - 1)
-        c = rng.randint(-5, 5)
-        if c:
-            key = tuple(e)
-            terms[key] = terms.get(key, 0) + c
-    p = LaurentPoly(rank, modulus, terms)
-    if p.is_zero() or not is_divisor(p, axis):
-        p = LaurentPoly(rank, modulus, {tuple(lead): 1})
-    return p
 
 
 class TestArithmetic:

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylinv.fuzz import random_cert, random_flat_tuple
 from weylinv.laurent import LaurentPoly, augmentation, homogeneous_component, reduce_coefficients
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly, orbit_size
 from weylinv.syzygy import (
@@ -28,51 +29,6 @@ from weylinv.syzygy import (
 
 def P(rank, terms, modulus=0):
     return LaurentPoly(rank, modulus, terms)
-
-
-def random_poly(rng, rank, modulus, nterms=3, lo=-2, hi=2, clo=-4, chi=4):
-    terms = {}
-    for _ in range(nterms):
-        e = tuple(rng.randint(lo, hi) for _ in range(rank))
-        terms[e] = terms.get(e, 0) + rng.randint(clo, chi)
-    return LaurentPoly(rank, modulus, terms)
-
-
-def random_flat_tuple(rng, rank, modulus):
-    from weylinv.laurent import is_divisor
-    out = []
-    for i in range(rank):
-        k = rng.randint(0, 2)
-        lead = [0] * rank
-        lead[i] = k
-        for j in range(i):
-            lead[j] = rng.randint(-2, 2)
-        terms = {tuple(lead): 1}
-        for _ in range(rng.randint(0, 3)):
-            e = [0] * rank
-            e[i] = rng.randint(k - 3, k - 1)
-            for j in range(i):
-                e[j] = rng.randint(-2, 2)
-            c = rng.randint(-4, 4)
-            if c:
-                key = tuple(e)
-                terms[key] = terms.get(key, 0) + c
-        p = LaurentPoly(rank, modulus, terms)
-        if p.is_zero() or not is_divisor(p, i):
-            p = LaurentPoly(rank, modulus, {tuple(lead): 1})
-        out.append(p)
-    return tuple(out)
-
-
-def random_cert(rng, rank, modulus, density=0.5, nterms=2):
-    entries = {}
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            if rng.random() < density:
-                g = random_poly(rng, rank, modulus, nterms)
-                if not g.is_zero():
-                    entries[(i, j)] = g
-    return SyzygyCertificate(rank, rank, modulus, entries)
 
 
 class TestFlatness:
