@@ -543,7 +543,7 @@ def run_table(args) -> int:
         spec = parse_spec(stext)
         model = compile_spec(spec)
         try:
-            rep = invariants_of(model, height=args.height)
+            rep = invariants_of(model)
         except DecMismatchError as exc:
             print(f"{stext}\tMISMATCH: {exc}")
             code = 2
@@ -593,7 +593,6 @@ def make_parser():
     p = sub.add_parser("table", help="emit a family table as TSV")
     p.add_argument("--family", required=True)
     p.add_argument("--max-rank", type=int, default=4)
-    p.add_argument("--height", type=int, default=4)
     p.set_defaults(fn=run_table)
 
     p = sub.add_parser("pgo8-check", help="adjoint D4 verification suite")

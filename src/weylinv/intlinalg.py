@@ -200,26 +200,25 @@ def snf_diagonal(matrix: list[list[int]]) -> list[int]:
     return d
 
 
+def lattice_coordinates(hnf_rows: list[list[int]], vec: list[int]) -> list[int] | None:
+    """Integer x with sum_i x_i * hnf_rows[i] == vec, or None when vec is not
+    in the lattice; the rows are canonical HNF rows, as `hnf` returns them."""
+    v = list(vec)
+    coords = []
+    for r in hnf_rows:
+        col = next(j for j, x in enumerate(r) if x)
+        q, rem = divmod(v[col], r[col])
+        if rem:
+            return None
+        coords.append(q)
+        if q:
+            v = [x - q * y for x, y in zip(v, r)]
+    return None if any(v) else coords
+
+
 def lattice_contains(hnf_rows: list[list[int]], vec: list[int]) -> bool:
     """Membership test for a lattice given by canonical HNF rows."""
-    v = list(vec)
-    n = len(v)
-    pivots = {}
-    for r in hnf_rows:
-        c = next((j for j, x in enumerate(r) if x != 0), None)
-        if c is not None:
-            pivots[c] = r
-    for j in range(n):
-        if v[j] == 0:
-            continue
-        if j not in pivots:
-            return False
-        p = pivots[j][j]
-        if v[j] % p != 0:
-            return False
-        q = v[j] // p
-        v = [x - q * y for x, y in zip(v, pivots[j])]
-    return all(x == 0 for x in v)
+    return lattice_coordinates(hnf_rows, vec) is not None
 
 
 def inverse_fraction(matrix: list[list[int]]) -> list[list[Fraction]]:

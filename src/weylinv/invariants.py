@@ -2,11 +2,11 @@
 
 Pipeline: the degree-2 truncation of the exponential ring map (c2), exact
 computation of Q(G) from integrality of Killing-form coefficients on a T*
-basis, the decomposable subgroup Dec(G) by bounded orbit enumeration with
-closed-form cross-checks, the semi-decomposable subgroup Sdec(G) in three
-modes, factor groups via Smith normal form, reduction homomorphisms onto
-finite quotient group rings, and the parity report used for the adjoint D4
-computation.
+basis, the decomposable subgroup Dec(G) from a Hilbert basis bounded by the
+Davenport constant with closed-form cross-checks, the semi-decomposable
+subgroup Sdec(G) in three modes, factor groups via Smith normal form,
+reduction homomorphisms onto finite quotient group rings, and the parity
+report used for the adjoint D4 computation.
 
 Sign convention: the truncated ring map gives c2(rho-bar(lambda)) =
 +1/2 sum chi^2 while the orbit formula is -1/2 sum chi^2; subgroup
@@ -27,6 +27,7 @@ from .intlinalg import (
     hnf,
     inverse_fraction,
     lattice_contains,
+    lattice_coordinates,
     smallest_prime_factor,
     snf_with_left,
 )
@@ -51,7 +52,7 @@ class KillingDecomposeError(ValueError):
 
 
 class DecMismatchError(AssertionError):
-    """Enumerated and closed-form decomposable groups disagree."""
+    """The Hilbert-basis and closed-form decomposable groups disagree."""
 
 
 # --------------------------------------------------------------------------
@@ -244,43 +245,6 @@ class InvariantLattice:
         return self.rows == other.rows
 
 
-class _Accumulator:
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = []
-        self._pivots = []
-
-    def _refresh(self):
-        self._pivots = []
-        for r in self.rows:
-            col = next(j for j, x in enumerate(r) if x)
-            self._pivots.append((col, r))
-
-    def contains(self, vec):
-        v = list(vec)
-        for col, row in self._pivots:
-            x = v[col]
-            if x:
-                p = row[col]
-                if x % p:
-                    return False
-                q = x // p
-                for j in range(col, self.dim):
-                    v[j] -= q * row[j]
-        return not any(v)
-
-    def add(self, vec):
-        if not any(vec):
-            return
-        if self.contains(vec):
-            return
-        self.rows = hnf(self.rows + [list(vec)])
-        self._refresh()
-
-    def lattice(self, exact, mode):
-        return InvariantLattice.from_rows(self.dim, self.rows, exact, mode)
-
-
 @dataclass(frozen=True)
 class FactorGroup:
     invariant_factors: tuple
@@ -302,19 +266,15 @@ def _smith_coordinates(sub: InvariantLattice, super_: InvariantLattice):
     when sub has lower rank); column i of U^-1, read in the basis rows,
     generates the i-th summand.
     """
-    if not super_.includes(sub):
-        raise ValueError("sub is not contained in super")
     basis = [list(r) for r in super_.rows]
     if len(basis) != super_.dim:
         raise ValueError("factor groups need full-rank lattices")
-    inv = inverse_fraction(basis)
     coords = []
     for r in sub.rows:
-        row = [sum(Fraction(r[k]) * inv[k][j] for k in range(super_.dim))
-               for j in range(super_.dim)]
-        if any(x.denominator != 1 for x in row):
-            raise AssertionError("membership solved non-integrally")
-        coords.append([int(x) for x in row])
+        x = lattice_coordinates(basis, r)
+        if x is None:
+            raise ValueError("sub is not contained in super")
+        coords.append(x)
     cols = [[row[j] for row in coords] for j in range(super_.dim)]
     diag, u = snf_with_left(cols)
     return diag, u, basis
@@ -390,7 +350,7 @@ def compute_Q(model: LatticeModel, basis=None) -> InvariantLattice:
 
 
 # --------------------------------------------------------------------------
-# Dec(G): bounded orbit enumeration with closed-form tables
+# Dec(G): c2 over a bounded Hilbert basis, cross-checked against closed forms
 
 
 @lru_cache(maxsize=None)
@@ -435,135 +395,81 @@ def _factor_gamma(kind: str, rank: int) -> Fraction:
     return Fraction(ratio, len(model.orbit_local(0, w1)) * _coroot_gram(kind, rank)[0][0])
 
 
-@lru_cache(maxsize=None)
-def _factor_scan(kind: str, rank: int, height: int):
-    """Per-factor dominant-orbit data up to the given height.
+def _davenport_bound(moduli) -> int:
+    """Upper bound for the Davenport constant of (+)_i Z/moduli[i].
 
-    Returns {h: {residue: {orbit_size: (t0, gcd_of_t_differences)}}} where t
-    is the integer with c2(rho-bar(lam)) = +- t * q for the orbit of the
-    dominant weight lam; h is the largest coordinate of lam.
+    A minimal zero-sum sequence is at most 1 + sum(d_i - 1) long when the
+    group has rank <= 2 or is a p-group (Olson 1969), and at most as long as
+    the group order in general (pigeonhole on prefix sums).
+    """
+    olson = 1 + sum(d - 1 for d in moduli)
+    if len(moduli) <= 2:
+        return olson
+    order = math.prod(moduli)
+    p = smallest_prime_factor(order)
+    rest = order
+    while rest % p == 0:
+        rest //= p
+    return olson if rest == 1 else order
+
+
+def _bounded_weights(rank: int, cap: int, total: int, prefix: tuple = ()):
+    """Yield prefix + a for every rank-tuple a of naturals with entries <= cap
+    and sum <= total."""
+    if rank == 0:
+        yield prefix
+        return
+    for x in range(min(cap, total) + 1):
+        yield from _bounded_weights(rank - 1, cap, total - x, prefix + (x,))
+
+
+@lru_cache(maxsize=None)
+def _factor_buckets(kind: str, rank: int, cap: int, total: int):
+    """Per-factor orbit data of the dominant weights inside a bound.
+
+    Returns {residue: hnf rows} where the rows (at most two) span the pairs
+    (t, |W lam|) over the dominant local weights lam with centre class
+    `residue`, every coordinate <= cap and coordinate sum <= total, zero
+    included; t is the integer with c2(rho-bar(lam)) = +- t * q.
     """
     gamma = _factor_gamma(kind, rank)
     gram = _coroot_gram(kind, rank)
     resfun = residue_functionals(kind, rank)
     worder = weyl_order(kind, rank)
     gn, gd = gamma.numerator, gamma.denominator * 2
-    out = {h: {} for h in range(1, height + 1)}
-    for a in iproduct(range(height + 1), repeat=rank):
-        h = max(a)
-        if h == 0:
-            continue
+    pairs = {}
+    for a in _bounded_weights(rank, cap, total):
         nz = [i for i, x in enumerate(a) if x]
-        v = 0
-        for i in nz:
-            gi = gram[i]
-            v += a[i] * sum(gi[j] * a[j] for j in nz)
-        zeros = frozenset(i for i, x in enumerate(a) if not x)
-        w = worder // parabolic_order(kind, rank, zeros)
+        v = sum(a[i] * gram[i][j] * a[j] for i in nz for j in nz)
+        w = worder // parabolic_order(kind, rank, frozenset(i for i, x in enumerate(a) if not x))
         num = gn * w * v
         if num % gd:
             raise AssertionError("non-integral c2 multiple in the scan")
-        t = num // gd
         res = tuple(sum(c * x for c, x in zip(vec, a)) % m for vec, m in resfun)
-        bucket = out[h].setdefault(res, {})
-        cur = bucket.get(w)
-        if cur is None:
-            bucket[w] = (t, 0)
-        else:
-            t0, g = cur
-            bucket[w] = (t0, math.gcd(g, abs(t - t0)))
-    return out
+        pairs.setdefault(res, set()).add((num // gd, w))
+    return {res: tuple(tuple(r) for r in hnf(sorted(ps))) for res, ps in pairs.items()}
 
 
-def _merged_buckets(kind, rank, height):
-    scan = _factor_scan(kind, rank, height)
-    merged = {}
-    for h in range(1, height + 1):
-        for res, classes in scan[h].items():
-            tgt = merged.setdefault(res, {})
-            for w, (t0, g) in classes.items():
-                cur = tgt.get(w)
-                if cur is None:
-                    tgt[w] = (t0, g)
-                else:
-                    t00, g0 = cur
-                    tgt[w] = (t00, math.gcd(g0, g, abs(t0 - t00)))
-    return merged
+def _dec_lattice(model: LatticeModel, cap: int, total: int, exact: bool,
+                 mode: str) -> InvariantLattice:
+    """Lattice generated by c2(rho-bar(lam)) over the dominant lam in T* whose
+    factor slices each have coordinates <= cap and coordinate sum <= total.
 
-
-def _enumerate_dec(model: LatticeModel, height: int) -> InvariantLattice:
-    """Lattice generated by c2(rho(lam)) over W-orbits in T* whose dominant
-    representative has coordinates <= h, growing h until stable twice."""
-    m = len(model.factors)
-    prev, prev2 = None, None
-    lat = None
-    for h in range(1, height + 1):
-        acc = _enumerate_dec_with_zero_slices(model, h)
-        lat = acc.lattice(False, f"enumerate(h={h})")
-        if prev is not None and prev2 is not None \
-                and lat.same_rows(prev) and prev.same_rows(prev2):
-            break
-        prev2, prev = prev, lat
-    return lat
-
-
-def _enumerate_dec_with_zero_slices(model, height):
-    """Accumulate generators allowing any subset of factors to carry 0.
-
-    Within one residue combination the axis contributions compress exactly:
-    gcd{g_c * prod_j w_j} over independent class choices factors as the
-    product of per-slot gcds, so only the base vectors need the full loop.
+    The coordinates t_i * prod_{j != i} |W lam_j| are multilinear in the
+    per-factor pairs (t, |W lam|), so within one admissible combination of
+    centre classes the HNF rows of each factor's pairs generate the same
+    lattice as all the pairs do.
     """
-    m = len(model.factors)
-    acc = _Accumulator(m)
-    buckets = []
-    for f in model.factors:
-        b = {res: dict(classes)
-             for res, classes in _merged_buckets(f.kind, f.rank, height).items()}
-        zero_res = tuple(0 for _ in residue_functionals(f.kind, f.rank))
-        zb = b.setdefault(zero_res, {})
-        # the zero weight contributes orbit size 1 and t = 0
-        if 1 in zb:
-            t0, g = zb[1]
-            zb[1] = (0, math.gcd(g, abs(t0)))
-        else:
-            zb[1] = (0, 0)
-        buckets.append(b)
-    res_options = [sorted(b.keys()) for b in buckets]
-    for res_combo in iproduct(*res_options):
+    buckets = [_factor_buckets(f.kind, f.rank, cap, min(total, cap * f.rank))
+               for f in model.factors]
+    vecs = set()
+    for res_combo in iproduct(*(sorted(b) for b in buckets)):
         if not model.residue_allowed(res_combo):
             continue
-        class_lists = [sorted(buckets[i][res_combo[i]].items()) for i in range(m)]
-        w_gcds, g_gcds = [], []
-        for i in range(m):
-            wg = 0
-            gg = 0
-            for w, (_, g) in class_lists[i]:
-                wg = math.gcd(wg, w)
-                gg = math.gcd(gg, g)
-            w_gcds.append(wg)
-            g_gcds.append(gg)
-        for i in range(m):
-            if g_gcds[i]:
-                mag = g_gcds[i]
-                for j in range(m):
-                    if j != i:
-                        mag *= w_gcds[j]
-                vec = [0] * m
-                vec[i] = mag
-                acc.add(vec)
-        for picks in iproduct(*class_lists):
-            # prefix/suffix products of the orbit sizes
-            pre = [1] * (m + 1)
-            for i in range(m):
-                pre[i + 1] = pre[i] * picks[i][0]
-            suf = [1] * (m + 1)
-            for i in range(m - 1, -1, -1):
-                suf[i] = suf[i + 1] * picks[i][0]
-            base = [picks[i][1][0] * pre[i] * suf[i + 1] for i in range(m)]
-            if not acc.contains(base):
-                acc.add(base)
-    return acc
+        for picks in iproduct(*(b[r] for b, r in zip(buckets, res_combo))):
+            vecs.add(tuple(t * math.prod(w for j, (_, w) in enumerate(picks) if j != i)
+                           for i, (t, _) in enumerate(picks)))
+    return InvariantLattice.from_rows(len(buckets), sorted(vecs), exact, mode)
 
 
 def _is_diag_kernel(model):
@@ -704,24 +610,38 @@ def dec_table(model: LatticeModel):
 
 def compute_Dec(model: LatticeModel, height: int = 4,
                 mode: str = "both") -> InvariantLattice:
-    """Decomposable subgroup: bounded enumeration, closed form, or both."""
+    """Decomposable subgroup, generated by c2(rho-bar(lam)) over dominant lam in T*.
+
+    c2 is a ring map, so Dec is generated by the images of a Hilbert basis
+    of the monoid of dominant weights in T*.  A Hilbert basis element is a
+    minimal zero-sum sequence of fundamental weights in Lambda/T*, so its
+    coordinate sum is at most the Davenport constant D of that group; the
+    scan over coordinate sums <= D (mode 'hilbert') is therefore exact.
+    'both' (the default) checks it against the closed form where one exists
+    and raises DecMismatchError on any disagreement; 'table' returns the
+    closed form unchecked.  Without a closed form both return the 'hilbert'
+    lattice.  'enumerate' scans the box of coordinates <= height and is
+    flagged as a lower bound.
+    """
     m = len(model.factors)
     if mode not in ("enumerate", "table", "both"):
         raise ValueError(f"unknown Dec mode {mode!r}")
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
-    table_rows = dec_table(model) if mode in ("table", "both") else None
-    if mode in ("table", "both") and table_rows is None:
-        mode = "enumerate"
-    if mode == "table":
-        return InvariantLattice.from_rows(m, table_rows, True, "table")
-    enum = _enumerate_dec(model, height)
     if mode == "enumerate":
-        return enum
+        return _dec_lattice(model, height, height * model.total_rank, False,
+                            f"enumerate(h={height})")
+    table_rows = dec_table(model)
+    if table_rows is not None and mode == "table":
+        return InvariantLattice.from_rows(m, table_rows, True, "table")
+    bound = _davenport_bound(model.grading.moduli)
+    hilbert = _dec_lattice(model, bound, bound, True, "hilbert")
+    if table_rows is None:
+        return hilbert
     table = InvariantLattice.from_rows(m, table_rows, True, "table")
-    if not table.same_rows(enum):
+    if not table.same_rows(hilbert):
         raise DecMismatchError(
-            f"enumerate {enum.rows} vs table {table.rows} for {model.spec}")
+            f"hilbert {hilbert.rows} vs table {table.rows} for {model.spec}")
     return InvariantLattice(m, table.rows, True, "both")
 
 
@@ -821,14 +741,18 @@ def explicit_elements(model: LatticeModel):
 def compute_Sdec(model: LatticeModel, mode: str = "table",
                  dec: InvariantLattice | None = None,
                  height: int = 4) -> InvariantLattice:
-    """Semi-decomposable subgroup in 'generators', 'elements' or 'table' mode."""
+    """Semi-decomposable subgroup in 'generators', 'elements' or 'table' mode.
+
+    Only 'table' can be exact, and only where a Dec closed form covers the
+    spec too; everywhere else the result is a lower bound.
+    """
     if dec is None:
         dec = compute_Dec(model, height=height)
     if mode == "table":
         out = sdec_table(model, dec)
         if out is None:
             raise ValueError(f"no closed form for Sdec of {model.spec}")
-        return InvariantLattice(out.dim, out.rows, dec.exact, "table")
+        return InvariantLattice(out.dim, out.rows, dec.mode in ("table", "both"), "table")
     if mode == "generators":
         from .generators import build_generators
         if model.grading.moduli != (2,):
@@ -842,7 +766,7 @@ def compute_Sdec(model: LatticeModel, mode: str = "table",
             if tf.c0 != 0 or any(tf.c1):
                 raise AssertionError(f"{name}: nonzero degree <=1 image")
             vecs.append(killing_decompose(model, tf.c2_dict()))
-        return dec.join(vecs, exact=dec.exact, mode="generators")
+        return dec.join(vecs, exact=False, mode="generators")
     if mode == "elements":
         vecs = []
         for name, z, y in explicit_elements(model):

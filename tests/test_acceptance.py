@@ -18,9 +18,7 @@ from weylinv.fuzz import (
     random_poly,
 )
 from weylinv.generators import build_generators, combination_to_tuple, expand_combination, reduce_to_generators
-from weylinv.intlinalg import congruence_kernel
 from weylinv.invariants import (
-    InvariantLattice,
     QuotientRing,
     c2,
     compute_Dec,
@@ -41,7 +39,7 @@ from weylinv.laurent import (
     graded_components,
     reduce_coefficients,
 )
-from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly, orbit_size
+from weylinv.rootdata import SimpleFactor, compile_spec, orbit_poly, orbit_size
 from weylinv.syzygy import (
     check_flatness,
     is_unit_monomial,
@@ -51,17 +49,7 @@ from weylinv.syzygy import (
 )
 from weylinv.cli import parse_spec
 
-
-def fac_c(r):
-    return SimpleFactor("C", r) if r >= 2 else SimpleFactor("A", 1)
-
-
-def model(*factors, kernel=()):
-    return compile_spec(GroupSpec(tuple(factors), tuple(kernel)))
-
-
-def lattice_from_congruence(dim, vec, mod):
-    return InvariantLattice.from_rows(dim, congruence_kernel([(list(vec), mod)], dim))
+from _helpers import fac_c, lattice_from_congruence, model
 
 
 # the specs exercised by criteria 5-9, reused for the global inclusion check

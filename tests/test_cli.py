@@ -76,6 +76,19 @@ class TestRun:
         assert data["inv_ind"]["factors"] == [2]
         assert data["inv_sd"]["factors"] == [2]
 
+    @pytest.mark.parametrize("spec, sdec_mode, factors", [
+        ("(SL(4) x Sp(4))/mu(2)", "generators", [2]),
+        ("(SL(2) x SL(2) x SL(2))/mu(2)", "table", [2, 2])])
+    def test_sdec_stays_lower_bound_without_dec_closed_form(self, spec, sdec_mode, factors):
+        # Dec is exact from the Hilbert-basis scan, but no Dec closed form
+        # covers these specs, so their Sdec is still only a lower bound
+        code, out = run_cli("invariants", "--spec", spec, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", "hilbert")
+        assert (data["Sdec"]["exactness"], data["Sdec"]["mode"]) == ("lower-bound", sdec_mode)
+        assert data["inv_ind"]["factors"] == data["inv_sd"]["factors"] == factors
+
     def test_trivial_simply_connected(self):
         code, out = run_cli("invariants", "--spec", "SL(2)", "--json")
         assert code == 0

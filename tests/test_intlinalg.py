@@ -10,6 +10,7 @@ from weylinv.intlinalg import (
     inverse_fraction,
     kernel,
     lattice_contains,
+    lattice_coordinates,
     snf_diagonal,
     snf_with_left,
     xgcd,
@@ -57,6 +58,25 @@ def test_hnf_with_transform_matches_hnf(rows):
     # the zero rows all sit below the nonzero ones
     nonzero = [any(r) for r in h]
     assert nonzero == sorted(nonzero, reverse=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices(), st.data())
+def test_lattice_coordinates(rows, data):
+    h = hnf(rows)
+    ncols = len(rows[0])
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows)))
+    member = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+    other = data.draw(st.lists(st.integers(-12, 12), min_size=ncols, max_size=ncols))
+    for vec in (member, other):
+        x = lattice_coordinates(h, vec)
+        # vec is in the lattice exactly when adding it leaves the HNF unchanged
+        if hnf(rows + [vec]) == h:
+            assert x is not None and len(x) == len(h)
+            assert [sum(c * r[j] for c, r in zip(x, h)) for j in range(ncols)] == vec
+        else:
+            assert x is None
+        assert lattice_contains(h, vec) == (x is not None)
 
 
 def test_kernel():

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from weylinv.intlinalg import congruence_kernel
+from weylinv.cli import parse_spec
+from weylinv.intlinalg import hnf
 from weylinv.invariants import (
     DecMismatchError,
     InvariantLattice,
     QuotientRing,
     TruncatedForm,
+    _davenport_bound,
     c2,
     c2_orbit,
     compute_Dec,
@@ -21,24 +24,13 @@ from weylinv.invariants import (
     quotient_reduction,
 )
 from weylinv.laurent import LaurentPoly, augmentation
-from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly, orbit_size
+from weylinv.rootdata import SimpleFactor, compile_spec, orbit_poly, orbit_size
 
-
-def model(*factors, kernel=()):
-    return compile_spec(GroupSpec(tuple(factors), tuple(kernel)))
-
-
-def fac_c(r):
-    return SimpleFactor("C", r) if r >= 2 else SimpleFactor("A", 1)
+from _helpers import fac_c, lattice_from_congruence, model
 
 
 def sign_free(vec, expect):
     return tuple(vec) == tuple(expect) or tuple(-x for x in vec) == tuple(expect)
-
-
-def lattice_from_congruence(dim, vec, mod):
-    return InvariantLattice.from_rows(
-        dim, congruence_kernel([(list(vec), mod)], dim))
 
 
 class TestC2:
@@ -198,6 +190,31 @@ class TestComputeDec:
             assert compute_Dec(md, mode="enumerate").rows == rows
 
 
+class TestDecEngine:
+    @pytest.mark.parametrize("text", [
+        "(SL(2)) / mu(2)", "(SL(3)) / mu(3)", "(Spin(5) x Sp(4)) / mu(2)",
+        "(SL(3) x SL(3)) / mu(3)", "(SL(2) x SL(2) x SL(2)) / mu(2)",
+        "(SL(2) x Spin(5) x Sp(4)) / mu(2)", "PGSp(4) x PGSp(4)", "PGL(3) x PGL(3)"])
+    def test_matches_orbit_oracle(self, text):
+        # c2_orbit sums over whole orbits: no gamma, no parabolic counts
+        md = compile_spec(parse_spec(text))
+        box = range(_davenport_bound(md.grading.moduli) + 2)
+        vecs = [c2_orbit(md, lam) for lam in product(box, repeat=md.total_rank)
+                if md.in_tstar(lam)]
+        assert compute_Dec(md).rows == tuple(tuple(r) for r in hnf(vecs))
+
+    def test_davenport_bound(self):
+        for n in range(1, 13):
+            assert _davenport_bound((n,)) == n
+        assert _davenport_bound(()) == 1
+        assert _davenport_bound((2, 2)) == 3
+        assert _davenport_bound((5, 5)) == 9
+        assert _davenport_bound((2, 2, 2)) == 4
+        assert _davenport_bound((2, 6)) == 7
+        # rank 3 and not a p-group: the group order
+        assert _davenport_bound((2, 2, 6)) == 24
+
+
 class TestSdec:
     def test_modes_agree_on_type_c(self):
         for (mm, nn) in [(1, 1), (2, 2), (4, 2), (4, 4)]:
@@ -207,6 +224,13 @@ class TestSdec:
             gen = compute_Sdec(md, "generators", dec=dec)
             elt = compute_Sdec(md, "elements", dec=dec)
             assert tab.same_rows(gen) and tab.same_rows(elt)
+
+    def test_only_table_mode_is_exact(self):
+        md = model(fac_c(2), fac_c(2), kernel=[(1, 1)])
+        dec = compute_Dec(md)
+        assert compute_Sdec(md, "table", dec=dec).exact
+        assert not compute_Sdec(md, "generators", dec=dec).exact
+        assert not compute_Sdec(md, "elements", dec=dec).exact
 
     def test_known_values(self):
         md = model(fac_c(2), fac_c(3), kernel=[(1, 1)])

@@ -6,7 +6,6 @@ from weylinv.fuzz import random_divisor, random_poly
 from weylinv.laurent import (
     DivisionPreconditionError,
     Grading,
-    LaurentPoly,
     ZeroPolynomialError,
     augmentation,
     bounded_divide,
@@ -20,9 +19,7 @@ from weylinv.laurent import (
     to_text,
 )
 
-
-def P(rank, terms, modulus=0):
-    return LaurentPoly(rank, modulus, terms)
+from _helpers import P
 
 
 class TestArithmetic:

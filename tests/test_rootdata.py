@@ -5,10 +5,8 @@ import pytest
 
 from weylinv.laurent import LaurentPoly, augmentation
 from weylinv.rootdata import (
-    GroupSpec,
     SimpleFactor,
     cartan_rows,
-    compile_spec,
     killing_coeffs,
     killing_forms,
     orbit_poly,
@@ -18,9 +16,7 @@ from weylinv.rootdata import (
     weyl_order,
 )
 
-
-def model(*factors, kernel=()):
-    return compile_spec(GroupSpec(tuple(factors), tuple(kernel)))
+from _helpers import model
 
 
 class TestCompile:

@@ -26,9 +26,7 @@ from weylinv.syzygy import (
     trivialize_syzygy,
 )
 
-
-def P(rank, terms, modulus=0):
-    return LaurentPoly(rank, modulus, terms)
+from _helpers import P
 
 
 class TestFlatness:
