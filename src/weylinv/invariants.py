@@ -396,41 +396,52 @@ def _factor_gamma(kind: str, rank: int) -> Fraction:
 
 
 def _davenport_bound(moduli) -> int:
-    """Upper bound for the Davenport constant of (+)_i Z/moduli[i].
+    """Davenport constant 1 + sum(d_i - 1) of (+)_i Z/moduli[i], exact for
+    groups of rank <= 2 (Olson 1969)."""
+    return 1 + sum(d - 1 for d in moduli)
 
-    A minimal zero-sum sequence is at most 1 + sum(d_i - 1) long when the
-    group has rank <= 2 or is a p-group (Olson 1969), and at most as long as
-    the group order in general (pigeonhole on prefix sums).
+
+def _factor_davenport(model: LatticeModel, fi: int) -> int:
+    """Davenport constant of H_i, the image of factor fi's fundamental weights
+    in Lambda/T*.
+
+    A Hilbert basis element of the dominant weights in T* is a minimal
+    zero-sum sequence of fundamental weights in Lambda/T*.  Its factor-fi
+    slice is the whole sequence (a minimal zero-sum sequence in H_i) or a
+    zero-sum-free proper part of it, so the slice's coordinate sum is at most
+    D(H_i).  H_i = Lambda_i / (T* meet Lambda_i) is a quotient of the
+    factor's centre dual, hence of rank <= 2, where Olson's formula is exact.
     """
-    olson = 1 + sum(d - 1 for d in moduli)
-    if len(moduli) <= 2:
-        return olson
-    order = math.prod(moduli)
-    p = smallest_prime_factor(order)
-    rest = order
-    while rest % p == 0:
-        rest //= p
-    return olson if rest == 1 else order
-
-
-def _bounded_weights(rank: int, cap: int, total: int, prefix: tuple = ()):
-    """Yield prefix + a for every rank-tuple a of naturals with entries <= cap
-    and sum <= total."""
-    if rank == 0:
-        yield prefix
-        return
-    for x in range(min(cap, total) + 1):
-        yield from _bounded_weights(rank - 1, cap, total - x, prefix + (x,))
+    off, rank = model.offsets[fi], model.factors[fi].rank
+    return _slice_davenport(rank, tuple((vec[off:off + rank], m) for vec, m in model.congruences))
 
 
 @lru_cache(maxsize=None)
-def _factor_buckets(kind: str, rank: int, cap: int, total: int):
+def _slice_davenport(rank: int, congs: tuple) -> int:
+    """Davenport constant of Z^rank / {a : vec . a == 0 mod m for (vec, m) in congs}."""
+    return _davenport_bound(lattice_grading(congruence_kernel(congs, rank)).moduli)
+
+
+def _bounded_weights(rank: int, cap, total, prefix: tuple = ()):
+    """Yield prefix + a for every rank-tuple a of naturals with entries <= cap
+    and sum <= total; a limit of None is no limit, and one of them is set."""
+    if rank == 0:
+        yield prefix
+        return
+    top = min(x for x in (cap, total) if x is not None)
+    for x in range(top + 1):
+        yield from _bounded_weights(rank - 1, cap, None if total is None else total - x,
+                                    prefix + (x,))
+
+
+@lru_cache(maxsize=None)
+def _factor_buckets(kind: str, rank: int, cap=None, total=None):
     """Per-factor orbit data of the dominant weights inside a bound.
 
     Returns {residue: hnf rows} where the rows (at most two) span the pairs
     (t, |W lam|) over the dominant local weights lam with centre class
-    `residue`, every coordinate <= cap and coordinate sum <= total, zero
-    included; t is the integer with c2(rho-bar(lam)) = +- t * q.
+    `residue`, every coordinate <= cap and coordinate sum <= total (None: no
+    limit), zero included; t is the integer with c2(rho-bar(lam)) = +- t * q.
     """
     gamma = _factor_gamma(kind, rank)
     gram = _coroot_gram(kind, rank)
@@ -450,18 +461,16 @@ def _factor_buckets(kind: str, rank: int, cap: int, total: int):
     return {res: tuple(tuple(r) for r in hnf(sorted(ps))) for res, ps in pairs.items()}
 
 
-def _dec_lattice(model: LatticeModel, cap: int, total: int, exact: bool,
+def _dec_lattice(model: LatticeModel, buckets, exact: bool,
                  mode: str) -> InvariantLattice:
     """Lattice generated by c2(rho-bar(lam)) over the dominant lam in T* whose
-    factor slices each have coordinates <= cap and coordinate sum <= total.
+    factor slices lie in the per-factor `buckets` (from _factor_buckets).
 
     The coordinates t_i * prod_{j != i} |W lam_j| are multilinear in the
     per-factor pairs (t, |W lam|), so within one admissible combination of
     centre classes the HNF rows of each factor's pairs generate the same
     lattice as all the pairs do.
     """
-    buckets = [_factor_buckets(f.kind, f.rank, cap, min(total, cap * f.rank))
-               for f in model.factors]
     vecs = set()
     for res_combo in iproduct(*(sorted(b) for b in buckets)):
         if not model.residue_allowed(res_combo):
@@ -614,9 +623,10 @@ def compute_Dec(model: LatticeModel, height: int = 4,
 
     c2 is a ring map, so Dec is generated by the images of a Hilbert basis
     of the monoid of dominant weights in T*.  A Hilbert basis element is a
-    minimal zero-sum sequence of fundamental weights in Lambda/T*, so its
-    coordinate sum is at most the Davenport constant D of that group; the
-    scan over coordinate sums <= D (mode 'hilbert') is therefore exact.
+    minimal zero-sum sequence of fundamental weights in Lambda/T*, so each
+    of its factor slices has coordinate sum at most the Davenport constant of
+    that factor's image in Lambda/T* (_factor_davenport); the scan over
+    those slices (mode 'hilbert') is therefore exact.
     'both' (the default) checks it against the closed form where one exists
     and raises DecMismatchError on any disagreement; 'table' returns the
     closed form unchecked.  Without a closed form both return the 'hilbert'
@@ -629,13 +639,14 @@ def compute_Dec(model: LatticeModel, height: int = 4,
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
     if mode == "enumerate":
-        return _dec_lattice(model, height, height * model.total_rank, False,
-                            f"enumerate(h={height})")
+        buckets = [_factor_buckets(f.kind, f.rank, cap=height) for f in model.factors]
+        return _dec_lattice(model, buckets, False, f"enumerate(h={height})")
     table_rows = dec_table(model)
     if table_rows is not None and mode == "table":
         return InvariantLattice.from_rows(m, table_rows, True, "table")
-    bound = _davenport_bound(model.grading.moduli)
-    hilbert = _dec_lattice(model, bound, bound, True, "hilbert")
+    buckets = [_factor_buckets(f.kind, f.rank, total=_factor_davenport(model, fi))
+               for fi, f in enumerate(model.factors)]
+    hilbert = _dec_lattice(model, buckets, True, "hilbert")
     if table_rows is None:
         return hilbert
     table = InvariantLattice.from_rows(m, table_rows, True, "table")

@@ -89,6 +89,14 @@ class TestRun:
         assert (data["Sdec"]["exactness"], data["Sdec"]["mode"]) == ("lower-bound", sdec_mode)
         assert data["inv_ind"]["factors"] == data["inv_sd"]["factors"] == factors
 
+    def test_high_rank_factors_scan_their_own_bound(self):
+        # Lambda/T* is (Z/6)^3, but each factor's slice only needs D(Z/6) = 6
+        code, out = run_cli("invariants", "--spec", "PGL(6) x PGL(6) x PGL(6)", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", "hilbert")
+        assert data["Dec"]["hnf"] == [[12, 0, 0], [0, 12, 0], [0, 0, 12]]
+
     def test_trivial_simply_connected(self):
         code, out = run_cli("invariants", "--spec", "SL(2)", "--json")
         assert code == 0

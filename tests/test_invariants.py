@@ -12,6 +12,7 @@ from weylinv.invariants import (
     QuotientRing,
     TruncatedForm,
     _davenport_bound,
+    _factor_davenport,
     c2,
     c2_orbit,
     compute_Dec,
@@ -209,10 +210,19 @@ class TestDecEngine:
         assert _davenport_bound(()) == 1
         assert _davenport_bound((2, 2)) == 3
         assert _davenport_bound((5, 5)) == 9
-        assert _davenport_bound((2, 2, 2)) == 4
         assert _davenport_bound((2, 6)) == 7
-        # rank 3 and not a p-group: the group order
-        assert _davenport_bound((2, 2, 6)) == 24
+
+    @pytest.mark.parametrize("text, bounds", [
+        ("PGL(6) x PGL(6) x PGL(6)", [6, 6, 6]),
+        ("PGL(12) x PGL(12)", [12, 12]),
+        ("(SL(12) x SL(12)) / mu(4)", [4, 4]),
+        ("(SL(4) x SL(2)) / mu(2)", [2, 2]),
+        ("PGO(8)", [3]),
+        ("Spin(8)", [1])])
+    def test_factor_davenport(self, text, bounds):
+        # D of the image of each factor's fundamental weights in Lambda/T*
+        md = compile_spec(parse_spec(text))
+        assert [_factor_davenport(md, fi) for fi in range(len(md.factors))] == bounds
 
 
 class TestSdec:
