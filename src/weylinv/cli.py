@@ -233,6 +233,21 @@ def _factor_name(f: SimpleFactor):
     return f.kind
 
 
+def _quotient_factor_name(f: SimpleFactor, e):
+    """Grammar name of factor f modulo its kernel entry e, or None if it has none."""
+    if f.kind == "A" and e == 1:
+        return f"PGL({f.rank + 1})"
+    if f.kind == "C" and e == 1:
+        return f"PGSp({2 * f.rank})"
+    if f.kind == "B" and e == 1:
+        return f"SO({2 * f.rank + 1})"
+    if f.kind == "D" and e == (2 if f.rank % 2 else (1, 0)):
+        return f"SO({2 * f.rank})"
+    if f.kind == "D" and f.rank % 2 == 0 and e == (0, 1):
+        return f"HSpin({2 * f.rank})"
+    return None
+
+
 def spec_to_text(spec: GroupSpec) -> str:
     """Canonical grammar text with parse(spec_to_text(s)) == s."""
     names = [_factor_name(f) for f in spec.factors]
@@ -245,52 +260,41 @@ def spec_to_text(spec: GroupSpec) -> str:
     def entry_is_zero(f, e):
         return e == _zero_entry(f)
 
-    per_factor = [None] * len(spec.factors)
+    named = [False] * len(spec.factors)
     shared = None
     for gen in kernel:
         support = [i for i, (f, e) in enumerate(zip(spec.factors, gen))
                    if not entry_is_zero(f, e)]
-        if len(support) == 1:
+        if len(support) == 1 and not named[support[0]]:
             i = support[0]
-            if per_factor[i] is not None:
-                raise ValueError("spec not expressible in the grammar")
-            per_factor[i] = gen[support[0]]
-        elif len(support) > 1:
+            name = _quotient_factor_name(spec.factors[i], gen[i])
+            if name is not None:
+                names[i] = name
+                named[i] = True
+                continue
+        # a generator no factor name carries, e.g. the mu(2) of SL(4) / mu(2),
+        # is printed as the centre
+        if support:
             if shared is not None:
                 raise ValueError("spec not expressible in the grammar")
             shared = gen
-    for i, (f, e) in enumerate(zip(spec.factors, per_factor)):
-        if e is None:
-            continue
-        if f.kind == "A" and e == 1:
-            names[i] = f"PGL({f.rank + 1})"
-        elif f.kind == "C" and e == 1:
-            names[i] = f"PGSp({2 * f.rank})"
-        elif f.kind == "B" and e == 1:
-            names[i] = f"SO({2 * f.rank + 1})"
-        elif f.kind == "D" and f.rank % 2 and e == 2:
-            names[i] = f"SO({2 * f.rank})"
-        elif f.kind == "D" and f.rank % 2 == 0 and e == (1, 0):
-            names[i] = f"SO({2 * f.rank})"
-        elif f.kind == "D" and f.rank % 2 == 0 and e == (0, 1):
-            names[i] = f"HSpin({2 * f.rank})"
-        else:
-            raise ValueError("spec not expressible in the grammar")
     prod = " x ".join(names)
     if shared is None:
         return prod
+    if len(names) > 1:
+        prod = f"({prod})"
     order = math.lcm(*(center_order(f.kind, f.rank, e) for f, e in zip(spec.factors, shared)))
     diag = tuple(_diag_entry(f, order, 0) if _embeddable(f, order) else None
                  for f in spec.factors)
     if diag == shared:
-        return f"({prod}) / mu({order})"
+        return f"{prod} / mu({order})"
     vals = []
     for f, e in zip(spec.factors, shared):
         if f.kind == "D" and f.rank % 2 == 0:
             vals.append(str(e[0] * 2 + e[1]))
         else:
             vals.append(str(e))
-    return f"({prod}) / mu({order})[{','.join(vals)}]"
+    return f"{prod} / mu({order})[{','.join(vals)}]"
 
 
 def _embeddable(f, k):

@@ -47,8 +47,8 @@ from .rootdata import (
 )
 
 
-class KillingDecomposeError(ValueError):
-    pass
+class KillingDecomposeError(AssertionError):
+    """A degree-2 image that must lie in the Killing basis does not."""
 
 
 class DecMismatchError(AssertionError):
@@ -304,48 +304,70 @@ def quotient_generators(sub: InvariantLattice, super_: InvariantLattice) -> list
 # Q(G)
 
 
+def _adjugate_rows(h):
+    """(D, X) with D = det(h) and X = D * h^-1, for a full-rank square HNF h.
+
+    h is upper triangular with a positive diagonal, so X solves X h = D I
+    row by row by forward substitution; X is the adjugate of h, hence
+    integral, and every division must be exact.
+    """
+    n = len(h)
+    d = math.prod(h[i][i] for i in range(n))
+    x = []
+    for a in range(n):
+        row = [0] * n
+        for j in range(a, n):
+            num = (d if a == j else 0) - sum(row[k] * h[k][j] for k in range(a, j) if row[k])
+            q, rem = divmod(num, h[j][j])
+            if rem:
+                raise AssertionError("adjugate of the T* basis is not integral")
+            row[j] = q
+        x.append(row)
+    return d, x
+
+
 def compute_Q(model: LatticeModel, basis=None) -> InvariantLattice:
     """Exact S^2(T*)^W as the set of d with sum d_i q_i in S^2(T*).
 
-    Writes each q_i on a Z-basis of T* (rationally) and collects the
-    integrality congruences of the diagonal and doubled off-diagonal
-    coefficients.
+    Q depends only on the lattice T*, so the given basis (default
+    model.tstar_basis) is put in HNF h, with D = det(h) and the integer
+    adjugate X = D h^-1.  A fundamental weight is w_a = sum_j X[a][j] t_j / D
+    over the basis t of T*, so q_i = w^T G_i w (G_i the Gram matrix of the
+    Killing form) has t_j t_k coefficient N[j][k] / (2 D^2) with
+    N = X^T (2 G_i) X on the diagonal and twice it off the diagonal.  Each
+    factor only touches its own rows of X.  The congruences
+    sum_i d_i N_i[j][k] == 0 mod 2 D^2 are reduced by their gcd with 2 D^2
+    and deduplicated before the kernel is taken.
     """
     n = model.total_rank
     m = len(model.factors)
-    b = [list(r) for r in (basis if basis is not None else model.tstar_basis)]
-    binv = inverse_fraction(b)
-    grams = []
+    h = hnf(basis if basis is not None else model.tstar_basis)
+    if len(h) != n:
+        raise ValueError("T* basis is not of full rank")
+    d, x = _adjugate_rows(h)
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in x]
+    nums = []
     for fi, kf in enumerate(model.killing):
         off = model.offsets[fi]
-        g = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), c in kf.as_dict().items():
-            if i == j:
-                g[off + i][off + i] = Fraction(c)
-            else:
-                g[off + i][off + j] = Fraction(c, 2)
-                g[off + j][off + i] = Fraction(c, 2)
-        grams.append(g)
-    congs = []
-    for j in range(n):
-        for k in range(j, n):
-            coeffs = []
-            for g in grams:
-                # (B^-T G B^-1)[j][k]
-                v = Fraction(0)
-                for a in range(n):
-                    if binv[a][j]:
-                        row = g[a]
-                        v += binv[a][j] * sum(row[bb] * binv[bb][k] for bb in range(n)
-                                              if row[bb])
-                if j != k:
-                    v *= 2
-                coeffs.append(v)
-            den = math.lcm(*[x.denominator for x in coeffs]) if coeffs else 1
-            if den == 1:
-                continue
-            congs.append(([int(x * den) % den for x in coeffs], den))
-    rows = congruence_kernel(congs, m)
+        num = {}
+        for (a, b), c in kf.as_dict().items():
+            # the integer matrix 2G_i has 2c at (a, a), and c at (a, b) and (b, a)
+            entries = [(a, a, 2 * c)] if a == b else [(a, b, c), (b, a, c)]
+            for r, s, g in entries:
+                for j, u in sparse[off + r]:
+                    for k, v in sparse[off + s]:
+                        if j <= k:
+                            num[(j, k)] = num.get((j, k), 0) + g * u * v
+        nums.append({jk: v if jk[0] == jk[1] else 2 * v for jk, v in num.items()})
+    den = 2 * d * d
+    congs = set()
+    for jk in set().union(*nums):
+        coeffs = [num.get(jk, 0) for num in nums]
+        common = math.gcd(den, *coeffs)
+        if common != den:
+            mod = den // common
+            congs.add((tuple(c // common % mod for c in coeffs), mod))
+    rows = congruence_kernel(sorted(congs), m)
     return InvariantLattice.from_rows(m, rows, True, "exact")
 
 
@@ -664,8 +686,10 @@ def _symplectic_like(f: SimpleFactor):
     return f.kind == "C" or (f.kind == "A" and f.rank == 1)
 
 
-def sdec_table(model: LatticeModel, dec: InvariantLattice):
-    """Closed-form Sdec where a known case analysis covers the spec."""
+def sdec_table(model: LatticeModel, dec: InvariantLattice,
+               q: InvariantLattice | None = None):
+    """Closed-form Sdec where a known case analysis covers the spec; q is
+    compute_Q(model), computed here when not given and needed."""
     m = len(model.factors)
     kinds = [f.kind for f in model.factors]
     ranks = [f.rank for f in model.factors]
@@ -681,7 +705,8 @@ def sdec_table(model: LatticeModel, dec: InvariantLattice):
     if _per_factor_kernels(model):
         return dec  # kernels do not couple factors; products of simple pieces
     if k is not None and all(x == "A" for x in kinds):
-        q = compute_Q(model)
+        if q is None:
+            q = compute_Q(model)
         return InvariantLattice(m, q.rows, True, "table")  # Q = Sdec, type A diagonal
     if k == 2 and all(x == "B" for x in kinds):
         vecs = []
@@ -751,16 +776,17 @@ def explicit_elements(model: LatticeModel):
 
 def compute_Sdec(model: LatticeModel, mode: str = "table",
                  dec: InvariantLattice | None = None,
-                 height: int = 4) -> InvariantLattice:
+                 height: int = 4, q: InvariantLattice | None = None) -> InvariantLattice:
     """Semi-decomposable subgroup in 'generators', 'elements' or 'table' mode.
 
     Only 'table' can be exact, and only where a Dec closed form covers the
-    spec too; everywhere else the result is a lower bound.
+    spec too; everywhere else the result is a lower bound.  dec and q, when
+    given, are compute_Dec(model, height=height) and compute_Q(model).
     """
     if dec is None:
         dec = compute_Dec(model, height=height)
     if mode == "table":
-        out = sdec_table(model, dec)
+        out = sdec_table(model, dec, q)
         if out is None:
             raise ValueError(f"no closed form for Sdec of {model.spec}")
         return InvariantLattice(out.dim, out.rows, dec.mode in ("table", "both"), "table")
@@ -923,16 +949,16 @@ def invariants_of(model: LatticeModel, height: int = 4,
     sdec = None
     if sdec_mode is None:
         try:
-            sdec = compute_Sdec(model, "table", dec=dec)
+            sdec = compute_Sdec(model, "table", dec=dec, q=q)
         except ValueError:
             for fallback in ("generators", "elements"):
                 try:
-                    sdec = compute_Sdec(model, fallback, dec=dec)
+                    sdec = compute_Sdec(model, fallback, dec=dec, q=q)
                     break
                 except (ValueError, AssertionError):
                     continue
     else:
-        sdec = compute_Sdec(model, sdec_mode, dec=dec)
+        sdec = compute_Sdec(model, sdec_mode, dec=dec, q=q)
     if not q.includes(dec):
         raise AssertionError("Dec is not contained in Q")
     inv_ind = factor_group(dec, q)

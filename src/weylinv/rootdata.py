@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .intlinalg import congruence_kernel, det_int, snf_with_left
+from .intlinalg import congruence_kernel, snf_with_left
 from .laurent import Grading, LaurentPoly
 
 KINDS = ("A", "B", "C", "D", "E6", "E7")
@@ -397,7 +397,8 @@ class LatticeModel:
         self.tstar_basis = congruence_kernel(
             [(list(v), m) for v, m in self.congruences], self.total_rank
         )
-        self.tstar_index = abs(det_int(self.tstar_basis)) if self.total_rank else 1
+        # the HNF basis is upper triangular, so its index is its diagonal product
+        self.tstar_index = math.prod(r[i] for i, r in enumerate(self.tstar_basis))
         self.grading = lattice_grading(self.tstar_basis)
         self.fw_degrees = tuple(
             self.grading.of_exponent(self._basis_vec(i)) for i in range(self.total_rank)
@@ -488,13 +489,13 @@ class LatticeModel:
     def residue_allowed(self, residues):
         """Does a tuple of per-factor center classes satisfy all kernel relations?"""
         for gen in self.spec.center_kernel:
-            tot = Fraction(0)
-            for fi, t in enumerate(gen):
-                tt = self._entry_tuple(t, fi)
-                moduli = [m for _, m in self._residue[fi]]
-                for x, r, m in zip(tt, residues[fi], moduli):
-                    tot += Fraction(x * r, m)
-            if tot.denominator != 1:
+            # sum x * r / m is an integer iff sum x * r * (big / m) == 0 mod big
+            terms = [(x * r, m)
+                     for fi, t in enumerate(gen)
+                     for x, r, (_, m) in zip(self._entry_tuple(t, fi), residues[fi],
+                                             self._residue[fi])]
+            big = math.lcm(*(m for _, m in terms))
+            if sum(xr * (big // m) for xr, m in terms) % big:
                 return False
         return True
 

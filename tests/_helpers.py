@@ -1,6 +1,12 @@
-"""Helpers shared by the test modules: compiled models, lattices, polynomials."""
+"""Helpers shared by the test modules: compiled models, lattices, polynomials,
+reference implementations and the benchmark's spec lists."""
 
-from weylinv.intlinalg import congruence_kernel
+import importlib.util
+import math
+from fractions import Fraction
+from pathlib import Path
+
+from weylinv.intlinalg import congruence_kernel, inverse_fraction
 from weylinv.invariants import InvariantLattice
 from weylinv.laurent import LaurentPoly
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec
@@ -21,3 +27,56 @@ def lattice_from_congruence(dim, vec, mod):
 
 def P(rank, terms, modulus=0):
     return LaurentPoly(rank, modulus, terms)
+
+
+def q_oracle(md, basis=None):
+    """Reference Q(G): each q_i written on the T* basis through the Fraction
+    matrix B^-T G_i B^-1, with integrality of the diagonal and doubled
+    off-diagonal entries as congruences."""
+    n = md.total_rank
+    m = len(md.factors)
+    binv = inverse_fraction([list(r) for r in (basis if basis is not None else md.tstar_basis)])
+    grams = []
+    for fi, kf in enumerate(md.killing):
+        off = md.offsets[fi]
+        g = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), c in kf.as_dict().items():
+            if i == j:
+                g[off + i][off + i] = Fraction(c)
+            else:
+                g[off + i][off + j] = Fraction(c, 2)
+                g[off + j][off + i] = Fraction(c, 2)
+        grams.append(g)
+    congs = []
+    for j in range(n):
+        for k in range(j, n):
+            coeffs = []
+            for g in grams:
+                v = sum(binv[a][j] * g[a][b] * binv[b][k]
+                        for a in range(n) if binv[a][j]
+                        for b in range(n) if g[a][b])
+                coeffs.append(2 * v if j != k else v)
+            den = math.lcm(*[x.denominator for x in coeffs])
+            if den != 1:
+                congs.append(([int(x * den) % den for x in coeffs], den))
+    return InvariantLattice.from_rows(m, congruence_kernel(congs, m), True, "exact")
+
+
+def _bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "weylbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("weylbench_inputs", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def oracle_specs():
+    """The benchmark's invariants_cold anchors, every table_warm family at its
+    rank cap, and specs with several or unusual central quotients."""
+    inputs = _bench_inputs()
+    out = [s for s, _, _ in inputs.ANCHORS]
+    for family, cap in inputs.TABLE_FAMILIES:
+        out.extend(inputs.family_specs(family, cap))
+    out += ["PGL(5) x PGL(5)", "PGL(6) x PGL(6) x PGL(6)", "HSpin(16)",
+            "(SL(4) x Sp(4)) / mu(2)", "(E6 x E6) / mu(3)[1,2]"]
+    return list(dict.fromkeys(out))

@@ -63,7 +63,8 @@ class TestParse:
                      "(E6 x E6) / mu(3)[1,2]", "(E6 x E6) / mu(3)",
                      "PGSp(4) x PGSp(8)", "SO(5) x Spin(7)",
                      "(Sp(4) x Sp(4)) / mu(2)", "HSpin(16)",
-                     "(Spin(10) x Spin(10)) / mu(4)"]:
+                     "(Spin(10) x Spin(10)) / mu(4)", "SL(4) / mu(2)",
+                     "SL(6) / mu(3)"]:
             spec = parse_spec(text)
             assert parse_spec(spec_to_text(spec)) == spec, text
 
@@ -96,6 +97,11 @@ class TestRun:
         data = json.loads(out)
         assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", "hilbert")
         assert data["Dec"]["hnf"] == [[12, 0, 0], [0, 12, 0], [0, 0, 12]]
+
+    def test_single_factor_modulo_part_of_its_centre(self):
+        code, out = run_cli("invariants", "--spec", "SL(4) / mu(2)", "--json")
+        assert code == 0
+        assert json.loads(out)["spec"] == "SL(4) / mu(2)"
 
     def test_trivial_simply_connected(self):
         code, out = run_cli("invariants", "--spec", "SL(2)", "--json")
@@ -162,6 +168,20 @@ class TestRun:
         assert code == 2
         assert err.splitlines() == [
             "verification failure: certificate does not expand back to the syzygy"]
+
+    def test_killing_decompose_failure_exit_code(self, monkeypatch, capsys):
+        import weylinv.invariants
+        from weylinv.invariants import KillingDecomposeError
+
+        def broken(*args, **kwargs):
+            raise KillingDecomposeError("factor 0: block not proportional to its Killing form")
+
+        monkeypatch.setattr(weylinv.invariants, "killing_decompose", broken)
+        code = main(["invariants", "--spec", "(Sp(4) x Sp(4))/mu(2)", "--mode", "elements"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "verification failure: factor 0: block not proportional to its Killing form"]
 
     @pytest.mark.parametrize("height", ["0", "-1"])
     @pytest.mark.parametrize("spec", ["(Sp(4) x Sp(4))/mu(2)", "(SL(2) x Spin(7))/mu(2)"])

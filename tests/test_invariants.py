@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylinv.cli import parse_spec
 from weylinv.intlinalg import hnf
@@ -27,7 +28,7 @@ from weylinv.invariants import (
 from weylinv.laurent import LaurentPoly, augmentation
 from weylinv.rootdata import SimpleFactor, compile_spec, orbit_poly, orbit_size
 
-from _helpers import fac_c, lattice_from_congruence, model
+from _helpers import fac_c, lattice_from_congruence, model, oracle_specs, q_oracle
 
 
 def sign_free(vec, expect):
@@ -149,6 +150,34 @@ class TestComputeQ:
         b[2] = [x + y for x, y in zip(b[2], b[0])]
         q2 = compute_Q(md, basis=b)
         assert q1.same_rows(q2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["(Sp(4) x Sp(6)) / mu(2)", "(SL(4) x SL(6)) / mu(2)",
+                            "(Spin(7) x Spin(10)) / mu(2)", "PGL(3) x PGSp(4)",
+                            "(SL(2) x SL(2) x SL(2)) / mu(2)", "HSpin(8)"]),
+           st.data())
+    def test_basis_independence_random_unimodular(self, text, data):
+        md = compile_spec(parse_spec(text))
+        n = md.total_rank
+        b = [list(r) for r in md.tstar_basis]
+        # U B for a random unimodular U: a word in row additions and swaps
+        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                             st.integers(-3, 3)), max_size=12))
+        for i, j, c in steps:
+            if i == j:
+                b[i] = [-x for x in b[i]]
+            elif c:
+                b[i] = [x + c * y for x, y in zip(b[i], b[j])]
+            else:
+                b[i], b[j] = b[j], b[i]
+        q = compute_Q(md)
+        assert compute_Q(md, basis=b).same_rows(q)
+        assert q_oracle(md, basis=b).same_rows(q)
+
+    @pytest.mark.parametrize("text", oracle_specs())
+    def test_matches_fraction_oracle(self, text):
+        md = compile_spec(parse_spec(text))
+        assert compute_Q(md).rows == q_oracle(md).rows
 
 
 class TestComputeDec:

@@ -1,22 +1,28 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from weylinv.cli import parse_spec
+from weylinv.intlinalg import det_int
 from weylinv.laurent import LaurentPoly, augmentation
 from weylinv.rootdata import (
     SimpleFactor,
     cartan_rows,
+    compile_spec,
     killing_coeffs,
     killing_forms,
     orbit_poly,
     orbit_size,
     parabolic_order,
+    residue_functionals,
     weyl_orbit,
     weyl_order,
 )
 
-from _helpers import model
+from _helpers import model, oracle_specs
 
 
 class TestCompile:
@@ -67,6 +73,30 @@ class TestCompile:
     def test_bad_kernel(self):
         with pytest.raises(ValueError):
             model(SimpleFactor("A", 2), kernel=[(1, 1)])
+
+    @pytest.mark.parametrize("text", oracle_specs())
+    def test_tstar_index_is_the_determinant(self, text):
+        m = compile_spec(parse_spec(text))
+        assert m.tstar_index == abs(det_int(m.tstar_basis))
+
+    @pytest.mark.parametrize("text", [
+        "(SL(4) x SL(6) x SL(2)) / mu(2)", "(Spin(10) x Spin(12)) / mu(2)",
+        "(E6 x E6) / mu(3)[1,2]", "PGL(3) x PGL(3)", "(SL(4) x Spin(10)) / mu(4)",
+        "(SL(4) x SL(8)) / mu(4)", "PGO(8)", "(Spin(8) x E7 x Sp(4)) / mu(2)"])
+    def test_residue_allowed_matches_fraction_sum(self, text):
+        # a class tuple is allowed iff sum x * r / m is an integer for every
+        # kernel generator, over its entries x, the classes r and moduli m
+        m = compile_spec(parse_spec(text))
+        funcs = [residue_functionals(f.kind, f.rank) for f in m.factors]
+        classes = [list(itertools.product(*(range(mod) for _, mod in fs))) for fs in funcs]
+        for residues in itertools.product(*classes):
+            expect = all(
+                sum(Fraction(x * r, mod)
+                    for fi, (t, fs) in enumerate(zip(gen, funcs))
+                    for x, r, (_, mod) in zip(m._entry_tuple(t, fi), residues[fi], fs)
+                    ).denominator == 1
+                for gen in m.spec.center_kernel)
+            assert m.residue_allowed(residues) == expect, residues
 
 
 class TestOrbits:
