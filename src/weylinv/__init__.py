@@ -66,6 +66,10 @@ from .invariants import (
     pgo8_parity_check,
     quotient_reduction,
 )
-from .cli import parse_spec, spec_to_text
+from .spec import parse_spec, spec_to_text
+# Loaded with the package, where weylbench's tracer looks for it.  It is a
+# package, so `python -m weylinv.cli` runs its `__main__` without runpy's
+# double-import warning.
+from . import cli  # noqa: F401
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,7 @@ stored in [1, m-1]).  All values are immutable; all operations are pure.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from operator import add
+from operator import add, mul
 
 
 class RingMismatchError(ValueError):
@@ -262,23 +262,21 @@ def bounded_divide(f: LaurentPoly, p: LaurentPoly, axis: int, d: int):
 class Grading:
     """Homomorphism Z^rank -> (+)_i Z/moduli[i], given on basis vectors."""
 
-    __slots__ = ("moduli", "images")
+    __slots__ = ("moduli", "images", "_forms")
 
     def __init__(self, moduli: tuple[int, ...], images):
         self.moduli = tuple(moduli)
         self.images = tuple(tuple(v) for v in images)
+        # one linear form per modulus: its column of the basis images
+        self._forms = tuple((tuple(img[i] for img in self.images), m)
+                            for i, m in enumerate(self.moduli))
 
     @property
     def zero(self):
         return (0,) * len(self.moduli)
 
     def of_exponent(self, exp) -> tuple[int, ...]:
-        out = [0] * len(self.moduli)
-        for a, img in zip(exp, self.images):
-            if a:
-                for i, v in enumerate(img):
-                    out[i] += a * v
-        return tuple(x % m for x, m in zip(out, self.moduli))
+        return tuple(sum(map(mul, exp, col)) % m for col, m in self._forms)
 
     def add(self, c1, c2):
         return tuple((a + b) % m for a, b, m in zip(c1, c2, self.moduli))

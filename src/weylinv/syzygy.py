@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .intlinalg import smallest_prime_factor
@@ -257,7 +258,7 @@ def lift_syzygy(t, cert: SyzygyCertificate) -> SyzygyCertificate:
 # polynomial matrices over the Laurent ring
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformMatrix:
     """Square matrix over the Laurent ring with unit (monomial) determinant."""
 
@@ -408,12 +409,15 @@ def mat_inverse_unit(rows) -> list:
     return [[c.mul_monomial(inv_exp, dc_inv) for c in row] for row in adj]
 
 
-def trivialize_generalized(q, transform: TransformMatrix, f) -> SyzygyCertificate:
+def trivialize_generalized(q, transform: TransformMatrix, f,
+                           inverse=None) -> SyzygyCertificate:
     """Trivialize a syzygy of q, given (q) * A = flat tuple.
 
     Pushes the syzygy through A^{-1}, trivializes against the flat tuple,
     and pulls the certificate back through the skew decomposition of
-    A M_ij A^T, which keeps every step constructive.
+    A M_ij A^T, which keeps every step constructive.  `inverse` is A^{-1}
+    if the caller has it; otherwise it is computed here.  A wrong inverse
+    cannot pass: the certificate is expanded back against f.
     """
     q = validate_tuple(q)
     f = validate_tuple(f)
@@ -421,7 +425,7 @@ def trivialize_generalized(q, transform: TransformMatrix, f) -> SyzygyCertificat
     a = [list(row) for row in transform.entries]
     n = len(q)
     flat = vec_mat(list(q), a)
-    a_inv = mat_inverse_unit(a)
+    a_inv = mat_inverse_unit(a) if inverse is None else inverse
     # g = A^{-1} f^t  (row convention: g_i = sum_j a_inv[i][j] f_j)
     g = [None] * n
     for i in range(n):
@@ -538,11 +542,14 @@ def _phi_c(poly: LaurentPoly, n: int) -> LaurentPoly:
     return out
 
 
+@lru_cache(maxsize=None)
 def newton_transform(kind: str, n: int):
     """Flat tuple and transform with (rho_1..rho_n) * A = flat, for A or C.
 
     Returns (flat, TransformMatrix, rho) where rho are the augmented orbit
-    sums of the rank-n factor in its fundamental-weight coordinates.
+    sums of the rank-n factor in its fundamental-weight coordinates.  The
+    value is computed, and checked, once per (kind, n) and process; it is
+    immutable, so every caller shares it.
     """
     if kind == "A":
         if n < 1:
@@ -637,15 +644,10 @@ def newton_transform(kind: str, n: int):
 # model-level transforms and coefficient normalization
 
 
-def model_transform(model: LatticeModel):
-    """Block-diagonal transform for all factors of an A/C model.
-
-    Returns (flat tuple, TransformMatrix, rho tuple), all in the model's
-    global coordinates and natural fundamental-weight order.
-    """
-    n = model.total_rank
-    blocks = []
-    for f in model.factors:
+def _blocks(model: LatticeModel):
+    """(kind, rank, offset) of the Newton block of each factor of an A/C model."""
+    out = []
+    for f, off in zip(model.factors, model.offsets):
         kind = f.kind
         if kind not in ("A", "C"):
             raise FlatnessError(
@@ -653,32 +655,72 @@ def model_transform(model: LatticeModel):
             )
         if kind == "C" and f.rank == 1:
             kind = "A"
-        blocks.append(newton_transform(kind, f.rank))
+        out.append((kind, f.rank, off))
+    return out
 
-    def embed(poly, off):
-        terms = {}
-        for e, c in poly.terms.items():
-            e2 = [0] * n
-            e2[off:off + len(e)] = e
-            terms[tuple(e2)] = c
-        return LaurentPoly(n, poly.modulus, terms)
 
-    zero = LaurentPoly.zero(n, 0)
+def _embed(poly, off, n):
+    """poly on a block's axes, moved to axes off.. of a rank-n ring."""
+    terms = {}
+    for e, c in poly.terms.items():
+        e2 = [0] * n
+        e2[off:off + len(e)] = e
+        terms[tuple(e2)] = c
+    return LaurentPoly(n, poly.modulus, terms)
+
+
+def _block_diagonal(model: LatticeModel, block_of, modulus):
+    """The n x n matrix with block_of(kind, rank) placed at each factor's offset."""
+    n = model.total_rank
+    zero = LaurentPoly.zero(n, modulus)
     rows = [[zero] * n for _ in range(n)]
+    for kind, rank, off in _blocks(model):
+        for k, row in enumerate(block_of(kind, rank)):
+            for i, p in enumerate(row):
+                rows[off + k][off + i] = _embed(p, off, n)
+    return rows
+
+
+def model_transform(model: LatticeModel):
+    """Block-diagonal transform for all factors of an A/C model.
+
+    Returns (flat, TransformMatrix, rho tuple), all in the model's
+    global coordinates and natural fundamental-weight order.
+    """
+    n = model.total_rank
     flat, rho = [], []
     det = LaurentPoly.const(n, 1, 0)
-    for fi, (bflat, btr, brho) in enumerate(blocks):
-        off = model.offsets[fi]
-        det = det * embed(btr.det, off)
-        for i in range(len(bflat)):
-            flat.append(embed(bflat[i], off))
-            rho.append(embed(brho[i], off))
-            for k in range(len(bflat)):
-                rows[off + k][off + i] = embed(btr.entries[k][i], off)
+    for kind, rank, off in _blocks(model):
+        bflat, btr, brho = newton_transform(kind, rank)
+        det = det * _embed(btr.det, off, n)
+        flat.extend(_embed(p, off, n) for p in bflat)
+        rho.extend(_embed(p, off, n) for p in brho)
+    rows = _block_diagonal(model, lambda kind, rank: newton_transform(kind, rank)[1].entries, 0)
     # block-diagonal: the determinant is the product of the block determinants
     if not is_unit_monomial(det):
         raise AssertionError("block transform determinant is not a unit")
     return tuple(flat), TransformMatrix(tuple(tuple(r) for r in rows), det), tuple(rho)
+
+
+@lru_cache(maxsize=None)
+def block_inverse_mod(kind: str, n: int, d: int):
+    """(A mod d, (A mod d)^-1) for the Newton block A of (kind, n), as row tuples.
+
+    Computed once per (kind, n, d) and process; both products with the
+    inverse are checked against the identity when the value is computed.
+    """
+    a = newton_transform(kind, n)[1].reduce(d).entries
+    inv = mat_inverse_unit([list(r) for r in a])
+    one = LaurentPoly.const(n, 1, d)
+    ident = [[one if i == j else one.scale(0) for j in range(n)] for i in range(n)]
+    if mat_mul(a, inv) != ident or mat_mul(inv, a) != ident:
+        raise AssertionError("block inverse mod d is not an inverse")
+    return a, tuple(tuple(r) for r in inv)
+
+
+def model_inverse_mod(model: LatticeModel, d: int) -> list:
+    """Inverse of model_transform(model) reduced mod d, assembled block by block."""
+    return _block_diagonal(model, lambda kind, rank: block_inverse_mod(kind, rank, d)[1], d)
 
 
 def degree_one_gcd(model: LatticeModel) -> int:
@@ -723,7 +765,8 @@ def normalize_coefficients(model: LatticeModel, f, transform=None):
         comp = homogeneous_component(f[i], model.grading, want)
         syz.append(reduce_coefficients(comp, d))
     rho_d = tuple(reduce_coefficients(r, d) for r in rho)
-    cert = trivialize_generalized(rho_d, transform.reduce(d), tuple(syz))
+    cert = trivialize_generalized(rho_d, transform.reduce(d), tuple(syz),
+                                  model_inverse_mod(model, d))
     lifted = lift_syzygy(rho_d, cert)
     h = lifted.expand(rho)
     g = tuple(a - b for a, b in zip(f, h))

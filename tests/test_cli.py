@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from weylinv.cli import main, parse_spec, spec_to_text, SpecParseError
 from weylinv.intlinalg import lattice_contains
@@ -67,6 +68,56 @@ class TestParse:
                      "SL(6) / mu(3)"]:
             spec = parse_spec(text)
             assert parse_spec(spec_to_text(spec)) == spec, text
+
+
+SPEC_FACTORS = ["SL(2)", "SL(3)", "SL(4)", "PGL(2)", "PGL(4)", "Sp(4)", "PGSp(6)", "SO(5)",
+                "Spin(7)", "SO(10)", "SO(12)", "HSpin(16)", "Spin(8)", "SO(8)", "HSpin(8)",
+                "PGO(8)", "E6", "E7"]
+
+
+@st.composite
+def parsed_specs(draw):
+    """Specs built by parse_spec from random grammar text."""
+    factors = draw(st.lists(st.sampled_from(SPEC_FACTORS), min_size=1, max_size=3))
+    text = " x ".join(factors)
+    if draw(st.booleans()):
+        text = f"({text}) / mu({draw(st.sampled_from([2, 3, 4]))})"
+        if draw(st.booleans()):
+            text = text[:-1] + f")[{','.join(str(draw(st.integers(0, 3))) for _ in factors)}]"
+    try:
+        return parse_spec(text)
+    except SpecParseError:
+        assume(False)
+
+
+class TestSpecRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(parsed_specs())
+    def test_parsed_specs_round_trip(self, spec):
+        assert parse_spec(spec_to_text(spec)) == spec
+
+    @settings(max_examples=150, deadline=None)
+    @given(parsed_specs(), st.randoms(use_true_random=False))
+    def test_permuted_kernels_round_trip_or_raise(self, spec, rng):
+        kernel = list(spec.center_kernel)
+        rng.shuffle(kernel)
+        permuted = GroupSpec(spec.factors, tuple(kernel))
+        try:
+            text = spec_to_text(permuted)
+        except ValueError as exc:
+            assert str(exc) == "spec not expressible in the grammar"
+            assert tuple(kernel) != spec.center_kernel
+        else:
+            assert parse_spec(text) == permuted
+
+    def test_swapped_adjoint_kernel(self):
+        a1 = SimpleFactor("A", 1)
+        assert spec_to_text(GroupSpec((a1, a1), ((1, 0), (0, 1)))) == "PGL(2) x PGL(2)"
+        swapped = GroupSpec((a1, a1), ((0, 1), (1, 0)))
+        assert spec_to_text(swapped) == "(SL(2) x PGL(2)) / mu(2)[1,0]"
+        assert parse_spec(spec_to_text(swapped)) == swapped
+        with pytest.raises(ValueError, match="not expressible"):
+            spec_to_text(GroupSpec((a1, a1), ((1, 1), (1, 0))))
 
 
 class TestRun:
@@ -169,6 +220,45 @@ class TestRun:
         assert err.splitlines() == [
             "verification failure: certificate does not expand back to the syzygy"]
 
+    def test_reduction_error_after_the_degree_check_is_a_verification_failure(
+            self, tmp_path, monkeypatch, capsys):
+        import weylinv.generators
+        from weylinv.generators import ReductionError
+
+        def broken(poly, k, where):
+            raise ReductionError(f"{where}: coefficient 1 not divisible by {k}")
+
+        from weylinv.generators import build_generators, combination_to_tuple
+        from weylinv.laurent import LaurentPoly, to_text
+        from weylinv.rootdata import compile_spec
+
+        spec = "(Sp(4) x Sp(4))/mu(2)"
+        gs = build_generators(compile_spec(parse_spec(spec)))
+        f = combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(4, 1, 0)})
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([to_text(p) for p in f]))
+        # the input is of degree 0; step 1 then divides by d = 4
+        monkeypatch.setattr(weylinv.generators, "_exact_div", broken)
+        code = main(["reduce", "--spec", spec, "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "verification failure: step 1: coefficient 1 not divisible by 4"]
+
+    @pytest.mark.parametrize("spec,entries,message", [
+        ("(Spin(5) x Spin(5))/mu(2)", ["0"] * 4,
+         "error: generalized flatness is available for types A and C, not B"),
+        ("(Sp(4) x Sp(4))/mu(2)", ["1 * x1", "0", "0", "0"],
+         "error: the combination is not in R[T*]"),
+    ], ids=["non-AC-factor", "not-degree-0"])
+    def test_reduce_bad_input_is_a_usage_error(self, tmp_path, capsys, spec, entries, message):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(entries))
+        code = main(["reduce", "--spec", spec, "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [message]
+
     def test_killing_decompose_failure_exit_code(self, monkeypatch, capsys):
         import weylinv.invariants
         from weylinv.invariants import KillingDecomposeError
@@ -260,6 +350,13 @@ class TestRun:
 
 
 class TestConsoleScript:
+    def test_module_run_is_warning_free(self):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "weylinv.cli", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "usage: weylinv" in proc.stdout
+
     def test_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-c",

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylinv.fuzz import random_divisor, random_poly
 from weylinv.laurent import (
@@ -131,10 +132,37 @@ class TestBoundedDivide:
                         assert h < d + degrees(p, axis)[2]
 
 
+def loop_of_exponent(grading, exp):
+    """The basis-image loop that `Grading.of_exponent` replaced: the test oracle."""
+    out = [0] * len(grading.moduli)
+    for a, img in zip(exp, grading.images):
+        if a:
+            for i, v in enumerate(img):
+                out[i] += a * v
+    return tuple(x % m for x, m in zip(out, grading.moduli))
+
+
+@st.composite
+def gradings_and_exponents(draw):
+    rank = draw(st.integers(0, 6))
+    moduli = draw(st.lists(st.integers(2, 12), max_size=3))
+    images = [[draw(st.integers(-20, 20)) for _ in moduli] for _ in range(rank)]
+    exps = draw(st.lists(st.lists(st.integers(-50, 50), min_size=rank, max_size=rank),
+                         max_size=5))
+    return Grading(tuple(moduli), images), exps
+
+
 class TestGrading:
     def G(self):
         # C2-like: parity of the first coordinate
         return Grading((2,), [(1,), (0,)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(gradings_and_exponents())
+    def test_linear_form_matches_the_loop(self, case):
+        grading, exps = case
+        for e in exps:
+            assert grading.of_exponent(tuple(e)) == loop_of_exponent(grading, e)
 
     def test_components(self):
         g = self.G()

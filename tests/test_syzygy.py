@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import permutations
@@ -8,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from weylinv.fuzz import random_cert, random_flat_tuple
 from weylinv.laurent import LaurentPoly, augmentation, homogeneous_component, reduce_coefficients
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly, orbit_size
+from weylinv.spec import parse_spec
 from weylinv.syzygy import (
     FlatnessError,
     NotASyzygyError,
     SyzygyCertificate,
+    block_inverse_mod,
     check_flatness,
     degree_one_gcd,
     is_unit_monomial,
@@ -19,11 +22,13 @@ from weylinv.syzygy import (
     mat_det,
     mat_inverse_unit,
     mat_mul,
+    model_inverse_mod,
     model_transform,
     newton_transform,
     normalize_coefficients,
     trivialize_generalized,
     trivialize_syzygy,
+    vec_mat,
 )
 
 from _helpers import P
@@ -142,6 +147,45 @@ class TestNewtonTransform:
             f = random_cert(rng, n, 0, density=0.7, nterms=1).expand(rho)
             cert = trivialize_generalized(rho, tr, f)
             assert cert.expand(rho) == f
+
+
+class TestTransformCaches:
+    @pytest.mark.parametrize("kind,n", [("A", n) for n in range(1, 7)]
+                             + [("C", n) for n in range(2, 6)])
+    def test_cached_transform_matches_a_fresh_one(self, kind, n):
+        assert newton_transform(kind, n) == newton_transform.__wrapped__(kind, n)
+        assert newton_transform(kind, n) is newton_transform(kind, n)
+
+    def test_transform_matrix_is_frozen(self):
+        _, tr, _ = newton_transform("C", 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.det = tr.det
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.entries = ()
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("spec", ["(Sp(6) x Sp(6))/mu(2)", "(SL(2) x SL(4))/mu(2)",
+                                      "(Sp(8) x Sp(6))/mu(2)", "(SL(2) x Sp(4))/mu(2)"])
+    def test_blockwise_inverse_mod_d(self, spec, d):
+        # repeated blocks, blocks of one type and two ranks, blocks of both types
+        m = compile_spec(parse_spec(spec))
+        n = m.total_rank
+        flat, tr, _ = model_transform(m)
+        rows = [list(r) for r in tr.reduce(d).entries]
+        # each block sits where it maps the model's own orbit sums to the flat tuple
+        rho = [reduce_coefficients(orbit_poly(m, m._basis_vec(i), augmented=True), d)
+               for i in range(n)]
+        assert vec_mat(rho, rows) == [reduce_coefficients(p, d) for p in flat]
+        inv = model_inverse_mod(m, d)
+        assert inv == mat_inverse_unit(rows)
+        one = LaurentPoly.const(n, 1, d)
+        assert mat_mul(rows, inv) == [[one if i == j else one.scale(0) for j in range(n)]
+                                      for i in range(n)]
+
+    def test_block_inverse_is_the_reduced_block(self):
+        a, inv = block_inverse_mod("C", 3, 4)
+        assert a == newton_transform("C", 3)[1].reduce(4).entries
+        assert inv == tuple(tuple(r) for r in mat_inverse_unit([list(r) for r in a]))
 
 
 class TestNormalizeCoefficients:
