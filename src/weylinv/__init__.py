@@ -2,7 +2,9 @@
 degree-3 invariant groups Q, Dec, Sdec of semisimple group quotients."""
 
 from .laurent import (
+    EXPONENT_LIMIT,
     DivisionPreconditionError,
+    ExponentRangeError,
     Grading,
     LaurentPoly,
     RankMismatchError,

@@ -349,8 +349,8 @@ def _exact_div(poly: LaurentPoly, k: int, where: str) -> LaurentPoly:
     if k == 1:
         return poly
     terms = {}
-    for e, c in poly.terms.items():
+    for key, c in poly._packed.items():
         if c % k:
             raise ReductionError(f"{where}: coefficient {c} not divisible by {k}")
-        terms[e] = c // k
-    return LaurentPoly(poly.rank, poly.modulus, terms)
+        terms[key] = c // k
+    return LaurentPoly._trusted(poly.rank, poly.modulus, terms, poly._bound)

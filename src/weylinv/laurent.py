@@ -3,12 +3,29 @@
 A polynomial is a finite map from integer exponent vectors (length = rank) to
 nonzero coefficients.  Coefficients live in Z (modulus 0) or Z/m (modulus m >= 2,
 stored in [1, m-1]).  All values are immutable; all operations are pure.
+
+Internally each exponent vector is one integer, its Kronecker code
+sum_i e_i * 2^(32 (rank-1-i)): coordinate 0 in the most significant 32-bit
+field, every field a signed digit with |e_i| <= EXPONENT_LIMIT.  Adding two
+codes adds the vectors, so a monomial product is one integer add, and the
+order of the codes is the lexicographic order of the vectors.  Each
+polynomial carries an upper bound on |e_i| over its terms; an operation
+whose result could leave the range raises ExponentRangeError instead of
+letting a field wrap.  `terms` shows the same map keyed by exponent tuples.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from operator import add, mul
+import struct
+from collections.abc import ItemsView, Iterable, Mapping
+from functools import lru_cache
+from operator import mul
+
+_WIDTH = 32
+_HALF = 1 << (_WIDTH - 1)
+_FIELD = (1 << _WIDTH) - 1
+EXPONENT_LIMIT = _HALF - 1
+_MEMO_LIMIT = 1 << 16
 
 
 class RingMismatchError(ValueError):
@@ -19,6 +36,10 @@ class RankMismatchError(ValueError):
     pass
 
 
+class ExponentRangeError(ValueError):
+    """Raised when an exponent could leave [-EXPONENT_LIMIT, EXPONENT_LIMIT]."""
+
+
 class ZeroPolynomialError(ValueError):
     """Raised when degrees of the zero polynomial are requested."""
 
@@ -27,63 +48,165 @@ class DivisionPreconditionError(ValueError):
     pass
 
 
-def _normalize(terms, modulus):
+@lru_cache(maxsize=None)
+def _codec(rank):
+    """(bias with 2^31 in every field, struct of `rank` big-endian int32)."""
+    return sum(_HALF << (_WIDTH * i) for i in range(rank)), struct.Struct(f">{rank}i")
+
+
+def _check_modulus(modulus):
+    if modulus == 1 or modulus < 0:
+        raise ValueError("modulus must be 0 (meaning Z) or >= 2")
+    return modulus
+
+
+def _check_range(bound):
+    if bound > EXPONENT_LIMIT:
+        raise ExponentRangeError(
+            f"exponent bound {bound} exceeds the packed range +-{EXPONENT_LIMIT}")
+    return bound
+
+
+def _pack(exp, rank):
+    """Kronecker code of an in-range exponent vector of length `rank`."""
+    bias, st = _codec(rank)
+    # int32 fields read as one unsigned integer; xor-then-subtract the bias
+    # turns each two's-complement field into a signed digit
+    return (int.from_bytes(st.pack(*exp), "big") ^ bias) - bias
+
+
+def _unpack(key, rank):
+    bias, st = _codec(rank)
+    return st.unpack(((key + bias) ^ bias).to_bytes(4 * rank, "big"))
+
+
+def _field_of(rank, axis):
+    """Map a code to its `axis` coordinate (a signed digit)."""
+    if not -rank <= axis < rank:
+        raise IndexError(f"axis {axis} out of range for rank {rank}")
+    bias = _codec(rank)[0]
+    shift = _WIDTH * (rank - 1 - axis % rank)
+    return lambda key: (((key + bias) >> shift) & _FIELD) - _HALF
+
+
+def _normalize(terms, modulus, rank):
+    """(code -> coefficient, bound) of (exponent, coefficient) pairs."""
     out = {}
-    is_map = isinstance(terms, dict) or isinstance(terms, Mapping)
-    for exp, c in terms.items() if is_map else terms:
-        if modulus:
-            c %= modulus
-        if c:
-            e = tuple(exp)
-            acc = out.get(e, 0) + c
+    exps = []
+    try:
+        for exp, c in terms.items() if isinstance(terms, Mapping) else terms:
+            if modulus:
+                c %= modulus
+            if not c:
+                continue
+            exp = tuple(exp)
+            if len(exp) != rank:
+                raise RankMismatchError(f"exponent {exp} has length != {rank}")
+            exps.append(exp)
+            key = _pack(exp, rank)
+            acc = out.get(key, 0) + c
             if modulus:
                 acc %= modulus
             if acc:
-                out[e] = acc
+                out[key] = acc
             else:
-                out.pop(e, None)
-    return out
+                del out[key]
+    except struct.error:
+        if all(isinstance(a, int) for a in exps[-1]):
+            raise ExponentRangeError(f"exponent {exps[-1]} is outside the packed "
+                                     f"range +-{EXPONENT_LIMIT}") from None
+        raise TypeError(f"exponent {exps[-1]} is not a vector of integers") from None
+    if not (exps and rank):
+        return out, 0
+    return out, _check_range(max(max(map(max, exps)), -min(map(min, exps))))
+
+
+class TermView(Mapping):
+    """Read-only view of a polynomial's terms keyed by exponent tuples."""
+
+    __slots__ = ("_packed", "_rank")
+
+    def __init__(self, packed, rank):
+        self._packed = packed
+        self._rank = rank
+
+    def __len__(self):
+        return len(self._packed)
+
+    def __iter__(self):
+        rank = self._rank
+        return (_unpack(k, rank) for k in self._packed)
+
+    def __getitem__(self, exp):
+        try:
+            key = _pack(exp, self._rank)
+        except (struct.error, TypeError):
+            raise KeyError(exp) from None
+        return self._packed[key]
+
+    def items(self):
+        return _TermItems(self)
+
+    def values(self):
+        return self._packed.values()
+
+    def __repr__(self):
+        return f"TermView({dict(self.items())!r})"
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        view = self._mapping
+        rank = view._rank
+        return ((_unpack(k, rank), c) for k, c in view._packed.items())
 
 
 class LaurentPoly:
     """Immutable Laurent polynomial with exact coefficients."""
 
-    __slots__ = ("rank", "modulus", "terms")
+    __slots__ = ("rank", "modulus", "_packed", "_bound")
 
     def __init__(self, rank: int, modulus: int = 0, terms=()):
-        if modulus == 1 or modulus < 0:
-            raise ValueError("modulus must be 0 (meaning Z) or >= 2")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "terms", _normalize(terms, modulus))
-        for e in self.terms:
-            if len(e) != rank:
-                raise RankMismatchError(f"exponent {e} has length != {rank}")
+        _check_modulus(modulus)
+        packed, bound = _normalize(terms, modulus, rank)
+        _set_rank(self, rank)
+        _set_modulus(self, modulus)
+        _set_packed(self, packed)
+        _set_bound(self, bound)
 
-    @classmethod
-    def _trusted(cls, rank, modulus, terms):
-        """Wrap an already-normal terms dict without re-validating it.
+    @staticmethod
+    def _trusted(rank, modulus, packed, bound):
+        """Wrap an already-normal code -> coefficient dict without re-validating it.
 
-        For arithmetic results only: exponents of length `rank`, coefficients
-        nonzero and, for modulus m, in [1, m-1].  The dict is not copied.
+        For arithmetic results only: codes of in-range rank-`rank` vectors,
+        `bound` >= every |exponent|, coefficients nonzero and, for modulus m,
+        in [1, m-1].  The dict is not copied and must never be mutated.
         """
-        p = object.__new__(cls)
-        object.__setattr__(p, "rank", rank)
-        object.__setattr__(p, "modulus", modulus)
-        object.__setattr__(p, "terms", terms)
+        p = _new(LaurentPoly)
+        _set_rank(p, rank)
+        _set_modulus(p, modulus)
+        _set_packed(p, packed)
+        _set_bound(p, bound)
         return p
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
 
+    @property
+    def terms(self) -> TermView:
+        return TermView(self._packed, self.rank)
+
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero(rank, modulus=0):
-        return LaurentPoly(rank, modulus)
+        return _trusted(rank, _check_modulus(modulus), {}, 0)
 
     @staticmethod
     def const(rank, c, modulus=0):
-        return LaurentPoly(rank, modulus, {(0,) * rank: c})
+        # the zero vector's code is 0
+        if _check_modulus(modulus):
+            c %= modulus
+        return _trusted(rank, modulus, {0: c} if c else {}, 0)
 
     @staticmethod
     def monomial(rank, exp, c=1, modulus=0):
@@ -91,21 +214,21 @@ class LaurentPoly:
 
     # -- basics ------------------------------------------------------------
     def is_zero(self):
-        return not self.terms
+        return not self._packed
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __eq__(self, other):
         return (
             isinstance(other, LaurentPoly)
             and self.rank == other.rank
             and self.modulus == other.modulus
-            and self.terms == other.terms
+            and self._packed == other._packed
         )
 
     def __hash__(self):
-        return hash((self.rank, self.modulus, frozenset(self.terms.items())))
+        return hash((self.rank, self.modulus, frozenset(self._packed.items())))
 
     def _check(self, other):
         if self.modulus != other.modulus:
@@ -113,57 +236,96 @@ class LaurentPoly:
         if self.rank != other.rank:
             raise RankMismatchError(f"{self.rank} vs {other.rank}")
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
+    def _plus(self, other, sign):
+        """self + sign * other, for sign in {1, -1} and a nonzero other."""
+        out = dict(self._packed)
+        get = out.get
         m = self.modulus
-        for e, c in other.terms.items():
-            acc = out.get(e, 0) + c
+        for k, c in other._packed.items():
+            acc = get(k, 0) + sign * c
             if m:
                 acc %= m
             if acc:
-                out[e] = acc
+                out[k] = acc
             else:
-                out.pop(e, None)
-        return LaurentPoly._trusted(self.rank, m, out)
+                del out[k]
+        return _trusted(self.rank, m, out, max(self._bound, other._bound))
+
+    def __add__(self, other):
+        self._check(other)
+        if not other._packed:
+            return self
+        if not self._packed:
+            return other
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        self._check(other)
+        if not other._packed:
+            return self
+        if not self._packed:
+            return -other
+        return self._plus(other, -1)
 
     def __neg__(self):
         m = self.modulus
-        return LaurentPoly._trusted(self.rank, m,
-                                    {e: (m - c if m else -c) for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return _trusted(
+            self.rank, m, {k: (m - c if m else -c) for k, c in self._packed.items()},
+            self._bound)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
         m = self.modulus
+        a, b = self._packed, other._packed
+        if not a or not b:
+            return _trusted(self.rank, m, {}, 0)
+        if len(b) == 1:
+            ((k, c),) = b.items()
+            return self._shift(k, other._bound, c)
+        if len(a) == 1:
+            ((k, c),) = a.items()
+            return other._shift(k, self._bound, c)
+        bound = _check_range(self._bound + other._bound)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                acc = out.get(e, 0) + c1 * c2
+        get = out.get
+        b_items = list(b.items())
+        for k1, c1 in a.items():
+            for k2, c2 in b_items:
+                k = k1 + k2
+                acc = get(k, 0) + c1 * c2
                 if m:
                     acc %= m
                 if acc:
-                    out[e] = acc
+                    out[k] = acc
                 else:
-                    out.pop(e, None)
-        return LaurentPoly._trusted(self.rank, m, out)
+                    out.pop(k, None)
+        return _trusted(self.rank, m, out, bound)
 
     __rmul__ = __mul__
 
+    def _shift(self, key, bound, c=1):
+        """c * e^v * self, for the code `key` of v and bound >= max |v_i|."""
+        m = self.modulus
+        if m:
+            c %= m
+        if not c or not self._packed:
+            return _trusted(self.rank, m, {}, 0)
+        bound = _check_range(self._bound + bound)
+        items = self._packed.items()
+        if m:
+            out = {k + key: r for k, v in items if (r := v * c % m)}
+        else:
+            out = {k + key: v * c for k, v in items}
+        return _trusted(self.rank, m, out, bound)
+
     def scale(self, c: int):
-        return LaurentPoly(self.rank, self.modulus,
-                           {e: v * c for e, v in self.terms.items()})
+        return self._shift(0, 0, c)
 
     def mul_monomial(self, exp: Iterable[int], c: int = 1):
-        exp = tuple(exp)
-        return LaurentPoly(self.rank, self.modulus,
-                           {tuple(a + b for a, b in zip(e, exp)): v * c
-                            for e, v in self.terms.items()})
+        (key,), bound = _normalize(((exp, 1),), 0, self.rank)
+        return self._shift(key, bound, c)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -175,6 +337,13 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({to_text(self)!r})"
+
+
+# slot setters: the instance __setattr__ refuses every assignment
+_new = object.__new__
+_set_rank, _set_modulus, _set_packed, _set_bound = (
+    LaurentPoly.__dict__[name].__set__ for name in LaurentPoly.__slots__)
+_trusted = LaurentPoly._trusted
 
 
 def ring_arithmetic(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
@@ -197,6 +366,15 @@ def ring_arithmetic(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
     raise ValueError(f"unknown op {op!r}")
 
 
+def embed(f: LaurentPoly, rank: int, offset: int) -> LaurentPoly:
+    """f with its axes moved to axes offset.. of a rank-`rank` ring."""
+    if not 0 <= offset <= rank - f.rank:
+        raise RankMismatchError(f"rank {f.rank} at offset {offset} exceeds rank {rank}")
+    shift = _WIDTH * (rank - offset - f.rank)
+    return _trusted(rank, f.modulus,
+                                {k << shift: c for k, c in f._packed.items()}, f._bound)
+
+
 def degrees(f: LaurentPoly, axis: int) -> tuple[int, int, int]:
     """(hdeg, ldeg, wdeg) of f with respect to the given axis (0-based).
 
@@ -204,7 +382,7 @@ def degrees(f: LaurentPoly, axis: int) -> tuple[int, int, int]:
     """
     if f.is_zero():
         raise ZeroPolynomialError("degrees are undefined for the zero polynomial")
-    exps = [e[axis] for e in f.terms]
+    exps = list(map(_field_of(f.rank, axis), f._packed))
     h, l = max(exps), min(exps)
     return h, l, h - l
 
@@ -212,8 +390,9 @@ def degrees(f: LaurentPoly, axis: int) -> tuple[int, int, int]:
 def leading_slice(f: LaurentPoly, axis: int) -> tuple[int, LaurentPoly]:
     """(hdeg, sub-polynomial of terms with maximal axis exponent)."""
     h, _, _ = degrees(f, axis)
-    return h, LaurentPoly(f.rank, f.modulus,
-                          {e: c for e, c in f.terms.items() if e[axis] == h})
+    field = _field_of(f.rank, axis)
+    return h, _trusted(
+        f.rank, f.modulus, {k: c for k, c in f._packed.items() if field(k) == h}, f._bound)
 
 
 def is_divisor(p: LaurentPoly, axis: int) -> bool:
@@ -221,9 +400,9 @@ def is_divisor(p: LaurentPoly, axis: int) -> bool:
     if p.is_zero():
         raise ZeroPolynomialError("the zero polynomial is not a divisor")
     _, lead = leading_slice(p, axis)
-    if len(lead.terms) != 1:
+    if len(lead._packed) != 1:
         return False
-    ((_, c),) = lead.terms.items()
+    ((_, c),) = lead._packed.items()
     return c == 1
 
 
@@ -246,14 +425,13 @@ def bounded_divide(f: LaurentPoly, p: LaurentPoly, axis: int, d: int):
         raise DivisionPreconditionError(f"ldeg {ldeg_f} below bound {d}")
     _, _, wp = degrees(p, axis)
     k, lead = leading_slice(p, axis)
-    ((lead_exp, _),) = lead.terms.items()
-    inv_lead = tuple(-x for x in lead_exp)
+    ((lead_key, _),) = lead._packed.items()
 
     q = LaurentPoly.zero(f.rank, f.modulus)
     cur = f
     while cur and degrees(cur, axis)[0] >= d + wp:
         m, top = leading_slice(cur, axis)
-        q0 = top.mul_monomial(inv_lead)
+        q0 = top._shift(-lead_key, p._bound)
         q = q + q0
         cur = cur - q0 * p
     return q, cur
@@ -262,7 +440,7 @@ def bounded_divide(f: LaurentPoly, p: LaurentPoly, axis: int, d: int):
 class Grading:
     """Homomorphism Z^rank -> (+)_i Z/moduli[i], given on basis vectors."""
 
-    __slots__ = ("moduli", "images", "_forms")
+    __slots__ = ("moduli", "images", "_forms", "_memo")
 
     def __init__(self, moduli: tuple[int, ...], images):
         self.moduli = tuple(moduli)
@@ -270,6 +448,8 @@ class Grading:
         # one linear form per modulus: its column of the basis images
         self._forms = tuple((tuple(img[i] for img in self.images), m)
                             for i, m in enumerate(self.moduli))
+        # exponent code -> class, for polynomials of rank len(images)
+        self._memo = {}
 
     @property
     def zero(self):
@@ -277,6 +457,22 @@ class Grading:
 
     def of_exponent(self, exp) -> tuple[int, ...]:
         return tuple(sum(map(mul, exp, col)) % m for col, m in self._forms)
+
+    def _classifier(self, rank):
+        """(memo.get, miss) on exponent codes of rank `rank`; a class is
+        `get(k) or miss(k)` (an empty class tuple just misses the memo)."""
+        if rank != len(self.images):
+            raise RankMismatchError(f"rank {rank} polynomial under a rank "
+                                    f"{len(self.images)} grading")
+        memo = self._memo
+
+        def miss(key):
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            cls = memo[key] = self.of_exponent(_unpack(key, rank))
+            return cls
+
+        return memo.get, miss
 
     def add(self, c1, c2):
         return tuple((a + b) % m for a, b, m in zip(c1, c2, self.moduli))
@@ -289,22 +485,24 @@ class Grading:
 def homogeneous_component(f: LaurentPoly, grading: Grading, cls) -> LaurentPoly:
     """Sub-polynomial of terms whose exponent maps to the given class."""
     cls = tuple(cls)
-    return LaurentPoly(f.rank, f.modulus,
-                       {e: c for e, c in f.terms.items()
-                        if grading.of_exponent(e) == cls})
+    get, miss = grading._classifier(f.rank)
+    return _trusted(
+        f.rank, f.modulus,
+        {k: c for k, c in f._packed.items() if (get(k) or miss(k)) == cls}, f._bound)
 
 
 def graded_components(f: LaurentPoly, grading: Grading) -> dict:
+    get, miss = grading._classifier(f.rank)
     out = {}
-    for e, c in f.terms.items():
-        cls = grading.of_exponent(e)
-        out.setdefault(cls, {})[e] = c
-    return {cls: LaurentPoly(f.rank, f.modulus, t) for cls, t in out.items()}
+    for k, c in f._packed.items():
+        out.setdefault(get(k) or miss(k), {})[k] = c
+    return {cls: _trusted(f.rank, f.modulus, t, f._bound)
+            for cls, t in out.items()}
 
 
 def augmentation(f: LaurentPoly) -> int:
     """Sum of all coefficients (the trace e^lambda -> 1)."""
-    s = sum(f.terms.values())
+    s = sum(f._packed.values())
     return s % f.modulus if f.modulus else s
 
 
@@ -315,12 +513,13 @@ def reduce_coefficients(f: LaurentPoly, m: int) -> LaurentPoly:
     if f.modulus:
         if f.modulus % m:
             raise RingMismatchError(f"cannot reduce Z/{f.modulus} to Z/{m}")
-    return LaurentPoly(f.rank, m, dict(f.terms))
+    return _trusted(
+        f.rank, m, {k: r for k, c in f._packed.items() if (r := c % m)}, f._bound)
 
 
 def lift_coefficients(f: LaurentPoly) -> LaurentPoly:
     """Canonical lift Z/m -> Z choosing representatives in [0, m)."""
-    return LaurentPoly(f.rank, 0, dict(f.terms))
+    return _trusted(f.rank, 0, f._packed, f._bound)
 
 
 # -- text format -----------------------------------------------------------
@@ -332,11 +531,12 @@ def to_text(f: LaurentPoly) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for e in sorted(f.terms):
-        c = f.terms[e]
+    # code order is the lexicographic order of the exponent vectors
+    for k in sorted(f._packed):
+        c = f._packed[k]
         vars_part = " ".join(
             f"x{i + 1}" if a == 1 else f"x{i + 1}^{a}"
-            for i, a in enumerate(e) if a != 0
+            for i, a in enumerate(_unpack(k, f.rank)) if a != 0
         )
         parts.append(f"{c} * {vars_part}" if vars_part else str(c))
     return " + ".join(parts)

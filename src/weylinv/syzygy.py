@@ -19,6 +19,7 @@ from .laurent import (
     LaurentPoly,
     bounded_divide,
     degrees,
+    embed,
     homogeneous_component,
     is_divisor,
     leading_slice,
@@ -202,7 +203,7 @@ def _trivialize(t, f):
     t_l = tuple(reduce_coefficients(x, ell) for x in t)
     f_l = tuple(reduce_coefficients(x, ell) for x in f)
     cert_l = _trivialize(t_l, f_l)
-    lifted = {k: LaurentPoly(rank, modulus, dict(g.terms))
+    lifted = {k: reduce_coefficients(lift_coefficients(g), modulus)
               for k, g in cert_l.entries.items()}
     cert1 = SyzygyCertificate(n, rank, modulus, lifted)
     residual = [a - b for a, b in zip(f, cert1.expand(t))]
@@ -218,7 +219,7 @@ def _trivialize(t, f):
     cert_p = _trivialize(t_p, tuple(f2))
     for k, g in cert_p.entries.items():
         _add_entry(cert1, k[0], k[1],
-                   LaurentPoly(rank, modulus, dict(g.terms)).scale(ell))
+                   reduce_coefficients(lift_coefficients(g), modulus).scale(ell))
     return cert1
 
 
@@ -659,16 +660,6 @@ def _blocks(model: LatticeModel):
     return out
 
 
-def _embed(poly, off, n):
-    """poly on a block's axes, moved to axes off.. of a rank-n ring."""
-    terms = {}
-    for e, c in poly.terms.items():
-        e2 = [0] * n
-        e2[off:off + len(e)] = e
-        terms[tuple(e2)] = c
-    return LaurentPoly(n, poly.modulus, terms)
-
-
 def _block_diagonal(model: LatticeModel, block_of, modulus):
     """The n x n matrix with block_of(kind, rank) placed at each factor's offset."""
     n = model.total_rank
@@ -677,7 +668,7 @@ def _block_diagonal(model: LatticeModel, block_of, modulus):
     for kind, rank, off in _blocks(model):
         for k, row in enumerate(block_of(kind, rank)):
             for i, p in enumerate(row):
-                rows[off + k][off + i] = _embed(p, off, n)
+                rows[off + k][off + i] = embed(p, n, off)
     return rows
 
 
@@ -692,9 +683,9 @@ def model_transform(model: LatticeModel):
     det = LaurentPoly.const(n, 1, 0)
     for kind, rank, off in _blocks(model):
         bflat, btr, brho = newton_transform(kind, rank)
-        det = det * _embed(btr.det, off, n)
-        flat.extend(_embed(p, off, n) for p in bflat)
-        rho.extend(_embed(p, off, n) for p in brho)
+        det = det * embed(btr.det, n, off)
+        flat.extend(embed(p, n, off) for p in bflat)
+        rho.extend(embed(p, n, off) for p in brho)
     rows = _block_diagonal(model, lambda kind, rank: newton_transform(kind, rank)[1].entries, 0)
     # block-diagonal: the determinant is the product of the block determinants
     if not is_unit_monomial(det):
@@ -765,8 +756,13 @@ def normalize_coefficients(model: LatticeModel, f, transform=None):
         comp = homogeneous_component(f[i], model.grading, want)
         syz.append(reduce_coefficients(comp, d))
     rho_d = tuple(reduce_coefficients(r, d) for r in rho)
-    cert = trivialize_generalized(rho_d, transform.reduce(d), tuple(syz),
-                                  model_inverse_mod(model, d))
+    inverse = model_inverse_mod(model, d)
+    try:
+        cert = trivialize_generalized(rho_d, transform.reduce(d), tuple(syz), inverse)
+    except (NotASyzygyError, FlatnessError) as exc:
+        # the input passed the degree-0 check, so every tuple here is the
+        # library's own: a rejection is a failed verification, not bad input
+        raise AssertionError(f"library-built syzygy rejected: {exc}") from exc
     lifted = lift_syzygy(rho_d, cert)
     h = lifted.expand(rho)
     g = tuple(a - b for a, b in zip(f, h))

@@ -3,6 +3,7 @@ reference implementations and the benchmark's spec lists."""
 
 import importlib.util
 import math
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,3 +81,54 @@ def oracle_specs():
     out += ["PGL(5) x PGL(5)", "PGL(6) x PGL(6) x PGL(6)", "HSpin(16)",
             "(SL(4) x Sp(4)) / mu(2)", "(E6 x E6) / mu(3)[1,2]"]
     return list(dict.fromkeys(out))
+
+
+# -- tuple-keyed reference arithmetic -------------------------------------
+#
+# The exponent-tuple dict arithmetic that the packed Laurent core replaced,
+# kept as the oracle its results are checked against.  Each returns a dict
+# in the term order the old implementation produced.
+
+def ref_normalize(terms, modulus):
+    out = {}
+    for exp, c in terms.items() if isinstance(terms, dict) else terms:
+        if modulus:
+            c %= modulus
+        if c:
+            e = tuple(exp)
+            acc = out.get(e, 0) + c
+            if modulus:
+                acc %= modulus
+            if acc:
+                out[e] = acc
+            else:
+                out.pop(e, None)
+    return out
+
+
+def ref_add(a, b, modulus):
+    out = dict(a)
+    for e, c in b.items():
+        acc = out.get(e, 0) + c
+        if modulus:
+            acc %= modulus
+        if acc:
+            out[e] = acc
+        else:
+            out.pop(e, None)
+    return out
+
+
+def ref_mul(a, b, modulus):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            acc = out.get(e, 0) + c1 * c2
+            if modulus:
+                acc %= modulus
+            if acc:
+                out[e] = acc
+            else:
+                out.pop(e, None)
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -21,6 +22,50 @@ def run_cli(*argv):
     finally:
         sys.stdout = old
     return code, buf.getvalue()
+
+
+# sha256 of stdout, pinned from the tuple-keyed Laurent core: term order and
+# values must not drift with the polynomial representation
+PINNED_OUTPUTS = [
+    (("verify-flatness", "--type", "A", "--rank", "1", "--dump-poly"),
+     "6c87a7b536ccd9a0c2c983f2503c7e358f97ddfdf90d6261d33e62f6ee53c665"),
+    (("verify-flatness", "--type", "A", "--rank", "2", "--dump-poly"),
+     "7f81a50a4e0005bbe6af0356e27340cd7074d433901d76cfbbf13ed42855c2da"),
+    (("verify-flatness", "--type", "A", "--rank", "3", "--dump-poly"),
+     "986368b81fa38641f31f8d9fd6ebff443d2738faab9a22ce008b5b907e511d8e"),
+    (("verify-flatness", "--type", "A", "--rank", "4", "--dump-poly"),
+     "9edb52d11204e434e323d61dfb0f6c18ee13180ae7766bd930365d82d85b1ef0"),
+    (("verify-flatness", "--type", "A", "--rank", "5", "--dump-poly"),
+     "d8ef0f848b166974513480ec1a7719d5df0342441c5e87c43f35f214013dc49a"),
+    (("verify-flatness", "--type", "A", "--rank", "6", "--dump-poly"),
+     "7a451a269212bcbfc3e395806f5734249687f8b18e45be073c5aff30aba13872"),
+    (("verify-flatness", "--type", "C", "--rank", "2", "--dump-poly"),
+     "d63228a27160b8c4e6e867086da441bba352b5f148e532c31aa9de8387e15ae0"),
+    (("verify-flatness", "--type", "C", "--rank", "3", "--dump-poly"),
+     "52d866c703916237cbf6e457a527c7cbfca73ae64352ed01c9ef1510576445f5"),
+    (("verify-flatness", "--type", "C", "--rank", "4", "--dump-poly"),
+     "ab88e893edb6934f9bbc27399e7230635a67c6c4f005666003ee3b8517331396"),
+    (("verify-flatness", "--type", "C", "--rank", "5", "--dump-poly"),
+     "c65ed195126c13f1d1489c2775b890cf04ea91dd47031190eecdbd4a8148bcfc"),
+    (("verify-flatness", "--type", "C", "--rank", "6", "--dump-poly"),
+     "f1996a2514f65af6b9420a414dc0e521f38943d570a6fdc191e7331cdd996aef"),
+    (("generators", "--spec", "PGSp(8)"),
+     "985fdc18eb777ba89ac1f31ec83eb18d3084d03181e16ed072bf28143ba65895"),
+    (("generators", "--spec", "SL(6) / mu(2)"),
+     "d682bf82f239902006837871d258830d6da2c416f7c26d232647363148f54554"),
+    (("generators", "--spec", "(Sp(4) x Sp(6)) / mu(2)"),
+     "c1ec84241a5a82a900ea7045d00e073dc9543b21d58c7462a367c0a3f0d4f9c5"),
+] + [(("fuzz-syzygy", "--seed", str(seed)),
+      "6a03b50c15720cc8f42a308af02229b6b746ba2395141cb4893fd64bd1b49487")
+     for seed in range(4)]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS,
+                         ids=[" ".join(a) for a, _ in PINNED_OUTPUTS])
+def test_pinned_text_outputs(argv, digest):
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestParse:
@@ -245,12 +290,37 @@ class TestRun:
         assert err.splitlines() == [
             "verification failure: step 1: coefficient 1 not divisible by 4"]
 
+    @pytest.mark.parametrize("error", ["NotASyzygyError", "FlatnessError"])
+    def test_rejected_library_syzygy_is_a_verification_failure(
+            self, tmp_path, monkeypatch, capsys, error):
+        import weylinv.syzygy
+        from weylinv.generators import build_generators, combination_to_tuple
+        from weylinv.laurent import LaurentPoly, to_text
+        from weylinv.rootdata import compile_spec
+
+        def broken(*args, **kwargs):
+            raise getattr(weylinv.syzygy, error)("tuple is not a syzygy")
+
+        spec = "(Sp(4) x Sp(4))/mu(2)"
+        gs = build_generators(compile_spec(parse_spec(spec)))
+        f = combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(4, 1, 0)})
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([to_text(p) for p in f]))
+        monkeypatch.setattr(weylinv.syzygy, "trivialize_generalized", broken)
+        code = main(["reduce", "--spec", spec, "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "verification failure: library-built syzygy rejected: tuple is not a syzygy"]
+
     @pytest.mark.parametrize("spec,entries,message", [
         ("(Spin(5) x Spin(5))/mu(2)", ["0"] * 4,
          "error: generalized flatness is available for types A and C, not B"),
         ("(Sp(4) x Sp(4))/mu(2)", ["1 * x1", "0", "0", "0"],
          "error: the combination is not in R[T*]"),
-    ], ids=["non-AC-factor", "not-degree-0"])
+        ("(Sp(4) x Sp(4))/mu(2)", ["1 * x1^4294967296", "0", "0", "0"],
+         "error: exponent (4294967296, 0, 0, 0) is outside the packed range +-2147483647"),
+    ], ids=["non-AC-factor", "not-degree-0", "exponent-out-of-range"])
     def test_reduce_bad_input_is_a_usage_error(self, tmp_path, capsys, spec, entries, message):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(entries))

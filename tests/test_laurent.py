@@ -5,22 +5,28 @@ from hypothesis import given, settings, strategies as st
 
 from weylinv.fuzz import random_divisor, random_poly
 from weylinv.laurent import (
+    EXPONENT_LIMIT,
     DivisionPreconditionError,
+    ExponentRangeError,
     Grading,
+    LaurentPoly,
     ZeroPolynomialError,
     augmentation,
     bounded_divide,
     degrees,
+    embed,
     from_text,
     graded_components,
     homogeneous_component,
     is_divisor,
+    leading_slice,
+    lift_coefficients,
     reduce_coefficients,
     ring_arithmetic,
     to_text,
 )
 
-from _helpers import P
+from _helpers import P, ref_add, ref_mul, ref_normalize
 
 
 class TestArithmetic:
@@ -164,6 +170,14 @@ class TestGrading:
         for e in exps:
             assert grading.of_exponent(tuple(e)) == loop_of_exponent(grading, e)
 
+    def test_each_grading_classifies_its_own_terms(self):
+        f = P(2, {(1, 0): 1, (0, 1): 2, (1, 1): 3})
+        by_first = Grading((2,), [(1,), (0,)])
+        by_second = Grading((2,), [(0,), (1,)])
+        for _ in range(2):   # the second round reads the memoised classes
+            assert homogeneous_component(f, by_first, (1,)) == P(2, {(1, 0): 1, (1, 1): 3})
+            assert homogeneous_component(f, by_second, (1,)) == P(2, {(0, 1): 2, (1, 1): 3})
+
     def test_components(self):
         g = self.G()
         f = P(2, {(1, 0): 1, (1, 1): 1})
@@ -247,3 +261,196 @@ class TestText:
         f = P(2, {(2, -1): 1, (0, 0): -3, (1, 0): 1})
         assert to_text(f) == "-3 + 1 * x1 + 1 * x1^2 x2^-1"
         assert to_text(P(2, {})) == "0"
+
+
+# -- the packed core against the tuple-keyed reference --------------------
+
+MODULI = (0, 2, 4, 6, 7)
+
+
+# small exponents collide and cancel; large ones reach the top bits of each
+# field, yet the sum of two stays in range
+EXPONENTS = st.one_of(st.integers(-6, 6),
+                      st.integers(-(EXPONENT_LIMIT // 2), EXPONENT_LIMIT // 2))
+
+
+@st.composite
+def term_lists(draw, rank, max_terms=8):
+    """(exponent, coefficient) pairs, repeats and zero coefficients included."""
+    exps = st.tuples(*[EXPONENTS] * rank)
+    return draw(st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=max_terms))
+
+
+@st.composite
+def poly_pairs(draw):
+    rank = draw(st.integers(1, 10))
+    modulus = draw(st.sampled_from(MODULI))
+    a = ref_normalize(draw(term_lists(rank)), modulus)
+    b = ref_normalize(draw(term_lists(rank)), modulus)
+    return rank, modulus, a, b
+
+
+def items(p):
+    """The terms of p as a list, in the polynomial's own term order."""
+    return list(p.terms.items())
+
+
+class TestPackedCore:
+    @settings(max_examples=100, deadline=None)
+    @given(poly_pairs())
+    def test_ring_operations_match_the_reference(self, case):
+        rank, m, a, b = case
+        pa, pb = P(rank, a, m), P(rank, b, m)
+        assert items(pa) == list(a.items())
+        assert items(pa + pb) == list(ref_add(a, b, m).items())
+        neg_b = ref_normalize({e: -c for e, c in b.items()}, m)
+        assert items(-pb) == list(neg_b.items())
+        assert items(pa - pb) == list(ref_add(a, neg_b, m).items())
+        assert items(pa * pb) == list(ref_mul(a, b, m).items())
+        assert (pa - pa).is_zero()
+
+    @settings(max_examples=50, deadline=None)
+    @given(poly_pairs(), st.integers(-12, 12), st.data())
+    def test_scale_and_monomial_shift_match_the_reference(self, case, c, data):
+        rank, m, a, _ = case
+        pa = P(rank, a, m)
+        shift = data.draw(st.tuples(*[st.integers(-6, 6)] * rank))
+        assert items(pa.scale(c)) == list(ref_normalize({e: v * c for e, v in a.items()},
+                                                        m).items())
+        moved = {tuple(x + y for x, y in zip(e, shift)): v * c for e, v in a.items()}
+        assert items(pa.mul_monomial(shift, c)) == list(ref_normalize(moved, m).items())
+        assert pa.mul_monomial(shift, c) == pa * P(rank, {shift: c}, m)
+
+    @settings(max_examples=50, deadline=None)
+    @given(poly_pairs(), st.data())
+    def test_graded_pieces_match_the_reference(self, case, data):
+        rank, m, a, b = case
+        gradings = [Grading(tuple(moduli),
+                            [[data.draw(st.integers(-5, 5)) for _ in moduli]
+                             for _ in range(rank)])
+                    for moduli in data.draw(st.lists(
+                        st.lists(st.integers(2, 6), min_size=1, max_size=2),
+                        min_size=2, max_size=2))]
+        # two gradings and every class, on two polynomials sharing exponents
+        for g in gradings:
+            for terms in (a, b, ref_add(a, b, m)):
+                p = P(rank, terms, m)
+                want = {}
+                for e, c in terms.items():
+                    want.setdefault(g.of_exponent(e), {})[e] = c
+                got = graded_components(p, g)
+                assert {cls: items(q) for cls, q in got.items()} == \
+                    {cls: list(t.items()) for cls, t in want.items()}
+                for cls in g.classes():
+                    assert items(homogeneous_component(p, g, cls)) == \
+                        list(want.get(cls, {}).items())
+
+    @settings(max_examples=50, deadline=None)
+    @given(poly_pairs(), st.sampled_from((2, 3, 4, 6, 7)))
+    def test_coefficient_reduction_and_lift_match_the_reference(self, case, k):
+        rank, m, a, _ = case
+        pa = P(rank, a, m)
+        lifted = lift_coefficients(pa)
+        assert lifted.modulus == 0 and items(lifted) == list(a.items())
+        if m == 0 or m % k == 0:
+            assert items(reduce_coefficients(pa, k)) == list(ref_normalize(a, k).items())
+
+    @settings(max_examples=50, deadline=None)
+    @given(poly_pairs(), st.data())
+    def test_embedding_matches_the_reference(self, case, data):
+        rank, m, a, _ = case
+        n = data.draw(st.integers(rank, 12))
+        off = data.draw(st.integers(0, n - rank))
+        pad = ((0,) * off, (0,) * (n - rank - off))
+        want = {pad[0] + e + pad[1]: c for e, c in a.items()}
+        assert items(embed(P(rank, a, m), n, off)) == list(want.items())
+        with pytest.raises(ValueError):
+            embed(P(rank, a, m), n, n - rank + 1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(poly_pairs())
+    def test_degrees_and_leading_slice_match_the_reference(self, case):
+        rank, m, a, _ = case
+        pa = P(rank, a, m)
+        for axis in range(rank):
+            if not a:
+                with pytest.raises(ZeroPolynomialError):
+                    degrees(pa, axis)
+                continue
+            col = [e[axis] for e in a]
+            assert degrees(pa, axis) == (max(col), min(col), max(col) - min(col))
+            h, lead = leading_slice(pa, axis)
+            assert h == max(col)
+            assert items(lead) == [(e, c) for e, c in a.items() if e[axis] == h]
+
+    @settings(max_examples=50, deadline=None)
+    @given(poly_pairs(), st.randoms(use_true_random=False))
+    def test_equality_and_hash_follow_the_terms(self, case, rnd):
+        rank, m, a, b = case
+        shuffled = list(a.items())
+        rnd.shuffle(shuffled)
+        pa, pb, pa2 = P(rank, a, m), P(rank, b, m), P(rank, dict(shuffled), m)
+        assert pa == pa2 and hash(pa) == hash(pa2)
+        assert (pa == pb) == (a == b)
+        assert pa.terms == a and dict(pa.terms) == a
+        assert all(pa.terms[e] == c for e, c in a.items())
+        assert len(pa.terms) == len(a) and set(pa.terms) == set(a)
+        assert from_text(to_text(pa), rank, m) == pa
+
+
+class TestPackedRange:
+    def test_limit_is_at_least_32_bit_fields(self):
+        assert EXPONENT_LIMIT >= 2 ** 31 - 1
+
+    @pytest.mark.parametrize("rank,axis", [(1, 0), (3, 0), (3, 1), (3, 2), (10, 9)])
+    def test_exponents_at_the_limit_round_trip(self, rank, axis):
+        lim = EXPONENT_LIMIT
+        for sign in (1, -1):
+            e = [0] * rank
+            e[axis] = sign * lim
+            others = [(-1) ** i * (lim - i) for i in range(rank)]
+            others[axis] = -sign * lim
+            terms = {tuple(e): 3, tuple(others): -2, (0,) * rank: 1}
+            p = P(rank, terms)
+            assert dict(p.terms) == terms
+            assert degrees(p, axis) == (lim, -lim, 2 * lim)
+            assert from_text(to_text(p), rank) == p
+            # a product that lands exactly on the limit is fine
+            near, unit = list(e), [0] * rank
+            near[axis], unit[axis] = sign * (lim - 1), sign
+            on_limit = P(rank, {tuple(e): 1})
+            assert P(rank, {tuple(near): 1}) * P(rank, {tuple(unit): 1}) == on_limit
+            assert P(rank, {tuple(near): 1}).mul_monomial(unit) == on_limit
+
+    @pytest.mark.parametrize("bad", [EXPONENT_LIMIT + 1, -EXPONENT_LIMIT - 1,
+                                     2 ** 32, -2 ** 32, 2 ** 64])
+    def test_exponents_past_the_limit_raise(self, bad):
+        for rank in (1, 4):
+            e = (0,) * (rank - 1) + (bad,)
+            with pytest.raises(ExponentRangeError):
+                P(rank, {e: 1})
+            with pytest.raises(ValueError):
+                from_text(f"x{rank}^{bad}", rank)
+        assert issubclass(ExponentRangeError, ValueError)
+
+    def test_results_past_the_limit_raise(self):
+        lim = EXPONENT_LIMIT
+        top = P(2, {(lim, 0): 1, (0, 0): 1})
+        with pytest.raises(ExponentRangeError):
+            top * P(2, {(1, 0): 1, (0, 0): 1})
+        with pytest.raises(ExponentRangeError):
+            top.mul_monomial((0, 1))
+        with pytest.raises(ExponentRangeError):
+            P(2, {(0, -lim): 1}) * P(2, {(0, -1): 1})
+        # a sum keeps the larger bound, so it never raises
+        assert (top + top).terms == {(lim, 0): 2, (0, 0): 2}
+
+    def test_terms_are_a_read_only_view(self):
+        p = P(2, {(1, 0): 1, (0, -1): 2})
+        with pytest.raises(TypeError):
+            p.terms[(1, 0)] = 5
+        with pytest.raises(TypeError):
+            del p.terms[(1, 0)]
+        assert (5, 5) not in p.terms and (1, 0, 0) not in p.terms
+        assert p.terms.get((0, -1)) == 2
+        assert isinstance(LaurentPoly.zero(3).terms, type(p.terms))

@@ -163,6 +163,14 @@ class TestTransformCaches:
         with pytest.raises(dataclasses.FrozenInstanceError):
             tr.entries = ()
 
+    def test_cached_polynomial_terms_are_read_only(self):
+        _, tr, _ = newton_transform("A", 2)
+        with pytest.raises(TypeError):
+            tr.entries[0][0].terms[(7, 7)] = 1
+        with pytest.raises(TypeError):
+            del tr.entries[0][0].terms[next(iter(tr.entries[0][0].terms))]
+        assert newton_transform("A", 2) == newton_transform.__wrapped__("A", 2)
+
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("spec", ["(Sp(6) x Sp(6))/mu(2)", "(SL(2) x SL(4))/mu(2)",
                                       "(Sp(8) x Sp(6))/mu(2)", "(SL(2) x Sp(4))/mu(2)"])
