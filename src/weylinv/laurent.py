@@ -17,7 +17,7 @@ letting a field wrap.  `terms` shows the same map keyed by exponent tuples.
 from __future__ import annotations
 
 import struct
-from collections.abc import ItemsView, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from operator import mul
 
@@ -50,8 +50,24 @@ class DivisionPreconditionError(ValueError):
 
 @lru_cache(maxsize=None)
 def _codec(rank):
-    """(bias with 2^31 in every field, struct of `rank` big-endian int32)."""
-    return sum(_HALF << (_WIDTH * i) for i in range(rank)), struct.Struct(f">{rank}i")
+    """(pack, unpack): exponent vector of length `rank` <-> its code.
+
+    `pack` needs every coordinate within the range; it reads the vector's
+    int32 fields as one unsigned integer, and xor-then-subtract of a bias
+    with 2^31 in every field turns each two's-complement field into a
+    signed digit.  `unpack` undoes both steps.
+    """
+    bias = sum(_HALF << (_WIDTH * i) for i in range(rank))
+    st = struct.Struct(f">{rank}i")
+    size = 4 * rank
+
+    def pack(exp):
+        return (int.from_bytes(st.pack(*exp), "big") ^ bias) - bias
+
+    def unpack(key):
+        return st.unpack(((key + bias) ^ bias).to_bytes(size, "big"))
+
+    return pack, unpack
 
 
 def _check_modulus(modulus):
@@ -67,24 +83,12 @@ def _check_range(bound):
     return bound
 
 
-def _pack(exp, rank):
-    """Kronecker code of an in-range exponent vector of length `rank`."""
-    bias, st = _codec(rank)
-    # int32 fields read as one unsigned integer; xor-then-subtract the bias
-    # turns each two's-complement field into a signed digit
-    return (int.from_bytes(st.pack(*exp), "big") ^ bias) - bias
-
-
-def _unpack(key, rank):
-    bias, st = _codec(rank)
-    return st.unpack(((key + bias) ^ bias).to_bytes(4 * rank, "big"))
-
-
+@lru_cache(maxsize=None)
 def _field_of(rank, axis):
     """Map a code to its `axis` coordinate (a signed digit)."""
     if not -rank <= axis < rank:
         raise IndexError(f"axis {axis} out of range for rank {rank}")
-    bias = _codec(rank)[0]
+    bias = sum(_HALF << (_WIDTH * i) for i in range(rank))
     shift = _WIDTH * (rank - 1 - axis % rank)
     return lambda key: (((key + bias) >> shift) & _FIELD) - _HALF
 
@@ -93,8 +97,9 @@ def _normalize(terms, modulus, rank):
     """(code -> coefficient, bound) of (exponent, coefficient) pairs."""
     out = {}
     exps = []
+    pack = _codec(rank)[0]
     try:
-        for exp, c in terms.items() if isinstance(terms, Mapping) else terms:
+        for exp, c in terms.items() if isinstance(terms, (dict, Mapping)) else terms:
             if modulus:
                 c %= modulus
             if not c:
@@ -103,7 +108,7 @@ def _normalize(terms, modulus, rank):
             if len(exp) != rank:
                 raise RankMismatchError(f"exponent {exp} has length != {rank}")
             exps.append(exp)
-            key = _pack(exp, rank)
+            key = pack(exp)
             acc = out.get(key, 0) + c
             if modulus:
                 acc %= modulus
@@ -134,31 +139,24 @@ class TermView(Mapping):
         return len(self._packed)
 
     def __iter__(self):
-        rank = self._rank
-        return (_unpack(k, rank) for k in self._packed)
+        return map(_codec(self._rank)[1], self._packed)
 
     def __getitem__(self, exp):
         try:
-            key = _pack(exp, self._rank)
+            key = _codec(self._rank)[0](exp)
         except (struct.error, TypeError):
             raise KeyError(exp) from None
         return self._packed[key]
 
     def items(self):
-        return _TermItems(self)
+        unpack = _codec(self._rank)[1]
+        return {unpack(k): c for k, c in self._packed.items()}.items()
 
     def values(self):
         return self._packed.values()
 
     def __repr__(self):
         return f"TermView({dict(self.items())!r})"
-
-
-class _TermItems(ItemsView):
-    def __iter__(self):
-        view = self._mapping
-        rank = view._rank
-        return ((_unpack(k, rank), c) for k, c in view._packed.items())
 
 
 class LaurentPoly:
@@ -465,11 +463,12 @@ class Grading:
             raise RankMismatchError(f"rank {rank} polynomial under a rank "
                                     f"{len(self.images)} grading")
         memo = self._memo
+        unpack = _codec(rank)[1]
 
         def miss(key):
             if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
-            cls = memo[key] = self.of_exponent(_unpack(key, rank))
+            cls = memo[key] = self.of_exponent(unpack(key))
             return cls
 
         return memo.get, miss
@@ -531,12 +530,13 @@ def to_text(f: LaurentPoly) -> str:
     if f.is_zero():
         return "0"
     parts = []
+    unpack = _codec(f.rank)[1]
     # code order is the lexicographic order of the exponent vectors
     for k in sorted(f._packed):
         c = f._packed[k]
         vars_part = " ".join(
             f"x{i + 1}" if a == 1 else f"x{i + 1}^{a}"
-            for i, a in enumerate(_unpack(k, f.rank)) if a != 0
+            for i, a in enumerate(unpack(k)) if a != 0
         )
         parts.append(f"{c} * {vars_part}" if vars_part else str(c))
     return " + ".join(parts)
