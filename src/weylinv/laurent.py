@@ -48,6 +48,11 @@ class DivisionPreconditionError(ValueError):
     pass
 
 
+def _bias(rank):
+    """2^31 in each of `rank` fields: sum_i 2^31 * 2^(32 i), a geometric series."""
+    return _HALF * ((1 << (_WIDTH * rank)) - 1) // _FIELD
+
+
 @lru_cache(maxsize=None)
 def _codec(rank):
     """(pack, unpack): exponent vector of length `rank` <-> its code.
@@ -57,7 +62,7 @@ def _codec(rank):
     with 2^31 in every field turns each two's-complement field into a
     signed digit.  `unpack` undoes both steps.
     """
-    bias = sum(_HALF << (_WIDTH * i) for i in range(rank))
+    bias = _bias(rank)
     st = struct.Struct(f">{rank}i")
     size = 4 * rank
 
@@ -88,7 +93,7 @@ def _field_of(rank, axis):
     """Map a code to its `axis` coordinate (a signed digit)."""
     if not -rank <= axis < rank:
         raise IndexError(f"axis {axis} out of range for rank {rank}")
-    bias = sum(_HALF << (_WIDTH * i) for i in range(rank))
+    bias = _bias(rank)
     shift = _WIDTH * (rank - 1 - axis % rank)
     return lambda key: (((key + bias) >> shift) & _FIELD) - _HALF
 
