@@ -445,6 +445,24 @@ class TestPackedRange:
         # a sum keeps the larger bound, so it never raises
         assert (top + top).terms == {(lim, 0): 2, (0, 0): 2}
 
+    @pytest.mark.parametrize("derive", [
+        lambda f: f + P(2, {(0, 0): 1}), lambda f: P(2, {(0, 0): 1}) + f,
+        lambda f: f - P(2, {(1, 0): 1}), lambda f: P(2, {(1, 0): 1}) - f, lambda f: -f,
+        lambda f: f.scale(3), lambda f: f.mul_monomial((0, 0), 3), lambda f: f * P(2, {(0, 0): 2}),
+        lambda f: leading_slice(f, 1)[1], lambda f: reduce_coefficients(f, 4),
+        lambda f: lift_coefficients(reduce_coefficients(f, 4)),
+        lambda f: homogeneous_component(f, Grading((2,), [(1,), (1,)]), (1,)),
+        lambda f: graded_components(f, Grading((2,), [(1,), (0,)]))[(0,)],
+    ], ids=["add", "radd", "sub", "rsub", "neg", "scale", "shift", "mul", "slice",
+            "reduce", "lift", "component", "components"])
+    def test_derived_polynomials_keep_their_bound(self, derive):
+        # the limit sits in the low field, where a wrap would carry silently
+        g = derive(P(2, {(0, EXPONENT_LIMIT): 1, (0, 0): 2}))
+        with pytest.raises(ExponentRangeError):
+            g * P(2, {(0, 1): 1}, g.modulus)
+        with pytest.raises(ExponentRangeError):
+            g.mul_monomial((0, 1))
+
     def test_terms_are_a_read_only_view(self):
         p = P(2, {(1, 0): 1, (0, -1): 2})
         with pytest.raises(TypeError):
