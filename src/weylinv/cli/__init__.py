@@ -12,7 +12,7 @@ import json
 import random
 import sys
 
-from ..fuzz import random_cert, random_flat_tuple, random_graded_poly, random_poly
+from ..fuzz import random_graded_poly, random_poly, syzygy_case
 from ..generators import ReductionError, build_generators, gcd_chain, reduce_to_generators
 from ..invariants import (
     DecMismatchError,
@@ -185,23 +185,13 @@ def run_fuzz_syzygy(args) -> int:
     rng = random.Random(args.seed)
     failures = 0
     for case in range(args.cases):
-        modulus = rng.choice([0, 2, 3, 4, 6, 8])
-        if rng.random() < 0.25:
-            kind = rng.choice(["A", "C"])
-            rank = rng.randint(2 if kind == "C" else 1, 4)
-            t, _, _ = newton_transform(kind, rank)
-            if modulus:
-                t = tuple(reduce_coefficients(p, modulus) for p in t)
-        else:
-            rank = rng.randint(2, 4)
-            t = random_flat_tuple(rng, rank, modulus)
-        f = random_cert(rng, t[0].rank, modulus).expand(t)
+        t, f = syzygy_case(rng)
         try:
             cert = trivialize_syzygy(t, f)
             assert cert.expand(t) == f
-            if modulus:
+            if t[0].modulus:
                 lifted = lift_syzygy(t, cert)
-                back = {k: reduce_coefficients(g, modulus)
+                back = {k: reduce_coefficients(g, t[0].modulus)
                         for k, g in lifted.entries.items()}
                 assert back == cert.entries
         except Exception as exc:  # pragma: no cover - failure report path

@@ -8,7 +8,7 @@ a seed always yields the same inputs.  `weylinv fuzz-syzygy`,
 from __future__ import annotations
 
 from .laurent import LaurentPoly, is_divisor
-from .syzygy import SyzygyCertificate
+from .syzygy import SyzygyCertificate, newton_transform, reduce_coefficients
 
 
 def random_poly(rng, rank, modulus, nterms=5, lo=-4, hi=4, clo=-5, chi=5):
@@ -94,3 +94,17 @@ def random_graded_poly(rng, grading, max_tries=None):
             terms[e] = terms.get(e, 0) + rng.randint(-2, 2)
         tries += 1
     return LaurentPoly(n, 0, terms)
+
+
+def syzygy_case(rng):
+    """(t, f) for one `fuzz-syzygy` case: a flat tuple t (one time in four an A/C
+    Newton block) over a drawn modulus, and f = c.t for a random certificate c."""
+    modulus = rng.choice([0, 2, 3, 4, 6, 8])
+    if rng.random() < 0.25:
+        kind = rng.choice(["A", "C"])
+        t, _, _ = newton_transform(kind, rng.randint(2 if kind == "C" else 1, 4))
+        if modulus:
+            t = tuple(reduce_coefficients(p, modulus) for p in t)
+    else:
+        t = random_flat_tuple(rng, rng.randint(2, 4), modulus)
+    return t, random_cert(rng, t[0].rank, modulus).expand(t)

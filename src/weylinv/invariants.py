@@ -38,11 +38,11 @@ from .rootdata import (
     SimpleFactor,
     center_order,
     compile_spec,
+    killing_gram,
     lattice_grading,
     orbit_poly,
     parabolic_order,
     residue_functionals,
-    cartan_rows,
     weyl_order,
 )
 
@@ -169,6 +169,7 @@ def c2_orbit(model: LatticeModel, weight) -> tuple:
     Enumerates the orbit factor by factor (cross terms vanish because each
     factor orbit sums to zero), asserts the division by 2 is exact, and
     cross-checks against the truncated ring map on the augmented orbit sum.
+    The tests check the closed form of the Dec scan (_dominant_pairs) on it.
     """
     if not model.in_tstar(weight):
         raise ValueError("weight is not in T*")
@@ -332,9 +333,9 @@ def compute_Q(model: LatticeModel, basis=None) -> InvariantLattice:
     Q depends only on the lattice T*, so the given basis (default
     model.tstar_basis) is put in HNF h, with D = det(h) and the integer
     adjugate X = D h^-1.  A fundamental weight is w_a = sum_j X[a][j] t_j / D
-    over the basis t of T*, so q_i = w^T G_i w (G_i the Gram matrix of the
-    Killing form) has t_j t_k coefficient N[j][k] / (2 D^2) with
-    N = X^T (2 G_i) X on the diagonal and twice it off the diagonal.  Each
+    over the basis t of T*, so q_i = w^T K_i w / 2 (K_i = killing_gram, the
+    integer Gram matrix) has t_j t_k coefficient N[j][k] / (2 D^2) with
+    N = X^T K_i X on the diagonal and twice it off the diagonal.  Each
     factor only touches its own rows of X.  The congruences
     sum_i d_i N_i[j][k] == 0 mod 2 D^2 are reduced by their gcd with 2 D^2
     and deduplicated before the kernel is taken.
@@ -347,17 +348,16 @@ def compute_Q(model: LatticeModel, basis=None) -> InvariantLattice:
     d, x = _adjugate_rows(h)
     sparse = [[(j, v) for j, v in enumerate(row) if v] for row in x]
     nums = []
-    for fi, kf in enumerate(model.killing):
+    for fi, f in enumerate(model.factors):
         off = model.offsets[fi]
         num = {}
-        for (a, b), c in kf.as_dict().items():
-            # the integer matrix 2G_i has 2c at (a, a), and c at (a, b) and (b, a)
-            entries = [(a, a, 2 * c)] if a == b else [(a, b, c), (b, a, c)]
-            for r, s, g in entries:
-                for j, u in sparse[off + r]:
-                    for k, v in sparse[off + s]:
-                        if j <= k:
-                            num[(j, k)] = num.get((j, k), 0) + g * u * v
+        for r, row in enumerate(killing_gram(f.kind, f.rank)):
+            for s, g in enumerate(row):
+                if g:
+                    for j, u in sparse[off + r]:
+                        for k, v in sparse[off + s]:
+                            if j <= k:
+                                num[(j, k)] = num.get((j, k), 0) + g * u * v
         nums.append({jk: v if jk[0] == jk[1] else 2 * v for jk, v in num.items()})
     den = 2 * d * d
     congs = set()
@@ -376,45 +376,24 @@ def compute_Q(model: LatticeModel, basis=None) -> InvariantLattice:
 
 
 @lru_cache(maxsize=None)
-def _coroot_gram(kind: str, rank: int):
-    """Gram matrix of a W-invariant quadratic value-form from a coroot orbit."""
-    m = cartan_rows(kind, rank)
-    start = tuple(int(i == 0) for i in range(rank))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in range(rank):
-                pair = sum(m[i][k] * c[k] for k in range(rank) if c[k])
-                if pair:
-                    v = tuple(x - pair * int(k == i) for k, x in enumerate(c))
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-        frontier = nxt
-    g = [[0] * rank for _ in range(rank)]
-    for c in seen:
-        for i in range(rank):
-            if c[i]:
-                for j in range(rank):
-                    if c[j]:
-                        g[i][j] += c[i] * c[j]
-    return tuple(tuple(r) for r in g)
-
-
-@lru_cache(maxsize=None)
-def _factor_gamma(kind: str, rank: int) -> Fraction:
-    """Constant gamma with sum_{chi in W(lam)} chi^2 = gamma*|W(lam)|*v(lam)*q.
-
-    Exists because the reflection representation is rationally irreducible;
-    computed from the orbit of the first fundamental weight.
-    """
-    model = compile_spec(GroupSpec((SimpleFactor(kind, rank),)))
-    w1 = tuple(int(i == 0) for i in range(rank))
-    # c2_orbit is -1/2 sum chi^2 in units of q
-    ratio = -2 * c2_orbit(model, w1)[0]
-    return Fraction(ratio, len(model.orbit_local(0, w1)) * _coroot_gram(kind, rank)[0][0])
+def _killing_adjugate(kind: str, rank: int):
+    """(adj K, det K) for K = killing_gram(kind, rank), by fraction-free (Bareiss)
+    Gauss-Jordan on [K | I], which ends at [det K * I | adj K] with every
+    division exact; K is positive definite, so every pivot is positive."""
+    k = killing_gram(kind, rank)
+    a = [list(row) + [int(i == j) for j in range(rank)] for i, row in enumerate(k)]
+    prev = 1
+    for c in range(rank):
+        if (p := a[c][c]) <= 0:
+            raise AssertionError("Killing Gram matrix is not positive definite")
+        a = [row if i == c else [(p * x - row[c] * y) // prev for x, y in zip(row, a[c])]
+             for i, row in enumerate(a)]
+        prev = p
+    adj = tuple(tuple(row[rank:]) for row in a)
+    if any(sum(k[i][m] * adj[m][j] for m in range(rank)) != prev * (i == j)
+           for i in range(rank) for j in range(rank)):
+        raise AssertionError("K adj(K) != det(K) I")
+    return adj, prev
 
 
 def _davenport_bound(moduli) -> int:
@@ -456,30 +435,35 @@ def _bounded_weights(rank: int, cap, total, prefix: tuple = ()):
                                     prefix + (x,))
 
 
-@lru_cache(maxsize=None)
-def _factor_buckets(kind: str, rank: int, cap=None, total=None):
-    """Per-factor orbit data of the dominant weights inside a bound.
+def _dominant_pairs(kind: str, rank: int, cap=None, total=None):
+    """Yield (lam, centre class, t, |W lam|) with c2(rho-bar(lam)) = +- t * q over
+    the dominant local weights lam (zero included) with every coordinate <= cap
+    and coordinate sum <= total (None: no limit).
 
-    Returns {residue: hnf rows} where the rows (at most two) span the pairs
-    (t, |W lam|) over the dominant local weights lam with centre class
-    `residue`, every coordinate <= cap and coordinate sum <= total (None: no
-    limit), zero included; t is the integer with c2(rho-bar(lam)) = +- t * q.
-    """
-    gamma = _factor_gamma(kind, rank)
-    gram = _coroot_gram(kind, rank)
+    sum_{chi in W lam} chi chi^T is W-invariant and the reflection representation
+    is irreducible, so it is c K / 2 (K = killing_gram); its trace against 2 K^-1
+    gives t = c / 2 = |W lam| lam^T adj(K) lam / (rank det K)."""
+    adj, det = _killing_adjugate(kind, rank)
+    den = rank * det
     resfun = residue_functionals(kind, rank)
     worder = weyl_order(kind, rank)
-    gn, gd = gamma.numerator, gamma.denominator * 2
-    pairs = {}
     for a in _bounded_weights(rank, cap, total):
         nz = [i for i, x in enumerate(a) if x]
-        v = sum(a[i] * gram[i][j] * a[j] for i in nz for j in nz)
+        v = sum(a[i] * adj[i][j] * a[j] for i in nz for j in nz)
         w = worder // parabolic_order(kind, rank, frozenset(i for i, x in enumerate(a) if not x))
-        num = gn * w * v
-        if num % gd:
+        t, rem = divmod(w * v, den)
+        if rem:
             raise AssertionError("non-integral c2 multiple in the scan")
-        res = tuple(sum(c * x for c, x in zip(vec, a)) % m for vec, m in resfun)
-        pairs.setdefault(res, set()).add((num // gd, w))
+        yield a, tuple(sum(c * x for c, x in zip(vec, a)) % m for vec, m in resfun), t, w
+
+
+@lru_cache(maxsize=None)
+def _factor_buckets(kind: str, rank: int, cap=None, total=None):
+    """{residue: hnf rows}: the rows (at most two) span the pairs (t, |W lam|)
+    of _dominant_pairs(kind, rank, cap, total) with centre class residue."""
+    pairs = {}
+    for _, res, t, w in _dominant_pairs(kind, rank, cap, total):
+        pairs.setdefault(res, set()).add((t, w))
     return {res: tuple(tuple(r) for r in hnf(sorted(ps))) for res, ps in pairs.items()}
 
 
@@ -966,5 +950,7 @@ def invariants_of(model: LatticeModel, height: int = 4,
     if sdec is not None:
         if not q.includes(sdec) or not sdec.includes(dec):
             raise AssertionError("inclusion chain Dec <= Sdec <= Q violated")
+        if q.same_rows(dec):  # Dec <= Sdec <= Q leaves no room: Sdec is exact
+            sdec = InvariantLattice(sdec.dim, sdec.rows, True, sdec.mode)
         inv_sd = factor_group(dec, sdec)
     return InvariantReport(model.spec, q, dec, sdec, inv_ind, inv_sd)

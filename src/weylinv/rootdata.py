@@ -199,6 +199,15 @@ def killing_coeffs(kind: str, n: int) -> dict[tuple[int, int], int]:
     return q
 
 
+@lru_cache(maxsize=None)
+def killing_gram(kind: str, n: int) -> tuple:
+    """Integer Gram matrix K of the normalized Killing form, q(x) = x^T K x / 2:
+    2c at (i, i) and c at (i, j) and (j, i) for each killing_coeffs entry c."""
+    q = killing_coeffs(kind, n)
+    return tuple(tuple(2 * q.get((i, i), 0) if i == j else q.get((min(i, j), max(i, j)), 0)
+                       for j in range(n)) for i in range(n))
+
+
 def standard_e_basis(kind: str, n: int):
     """Rows expressing the standard vectors e_i in fundamental-weight symbols.
 

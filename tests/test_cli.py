@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from weylinv.cli import main, parse_spec, spec_to_text, SpecParseError
+from weylinv.fuzz import syzygy_case
 from weylinv.intlinalg import lattice_contains
+from weylinv.laurent import to_text
 from weylinv.rootdata import GroupSpec, SimpleFactor
+from weylinv.syzygy import trivialize_syzygy
 
 
 def run_cli(*argv):
@@ -66,6 +70,32 @@ def test_pinned_text_outputs(argv, digest):
     code, out = run_cli(*argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the 50 `fuzz-syzygy --seed N` cases (tuple, syzygy and the
+# certificate found for it, as text), pinned from the draw the CLI made inline
+# before it moved to weylinv.fuzz.syzygy_case; the stdout digests above see
+# only the summary line
+PINNED_FUZZ_CASES = {
+    0: "3d687618c7a01ef1204c95626b640b00a3d1029de8b65788c0b4fc93fba631ec",
+    1: "39dae74819b217ff0af77b040fe3e6506016285911e739f3b943618cfcac3480",
+    2: "160d9cd6873953a435caeb91d516b7d45acfe81cf77785f548151993ab877491",
+    3: "8028f261811f8010b4e35bccc780640bc31193c936725503af8a1775897345e5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_FUZZ_CASES))
+def test_pinned_fuzz_syzygy_cases(seed):
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(50):
+        t, f = syzygy_case(rng)
+        cert = trivialize_syzygy(t, f)
+        for line in (" | ".join(map(to_text, t)), " | ".join(map(to_text, f)),
+                     " | ".join(f"{i},{j}: {to_text(g)}"
+                                for (i, j), g in sorted(cert.entries.items()))):
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == PINNED_FUZZ_CASES[seed]
 
 
 class TestParse:
@@ -185,6 +215,17 @@ class TestRun:
         assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", "hilbert")
         assert (data["Sdec"]["exactness"], data["Sdec"]["mode"]) == ("lower-bound", sdec_mode)
         assert data["inv_ind"]["factors"] == data["inv_sd"]["factors"] == factors
+
+    @pytest.mark.parametrize("spec", ["PGL(2)", "HSpin(8)"])
+    def test_sdec_exact_when_dec_equals_q(self, spec):
+        # Dec <= Sdec <= Q, so Dec = Q pins Sdec down; the mode stays the one
+        # that produced it
+        code, out = run_cli("invariants", "--spec", spec, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["Dec"]["hnf"] == data["Q"]["hnf"] == data["Sdec"]["hnf"]
+        assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", "hilbert")
+        assert (data["Sdec"]["exactness"], data["Sdec"]["mode"]) == ("exact", "table")
 
     def test_high_rank_factors_scan_their_own_bound(self):
         # Lambda/T* is (Z/6)^3, but each factor's slice only needs D(Z/6) = 6

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,14 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylinv.cli import parse_spec
-from weylinv.intlinalg import hnf
+from weylinv.intlinalg import det_int, hnf
 from weylinv.invariants import (
     DecMismatchError,
     InvariantLattice,
     QuotientRing,
     TruncatedForm,
     _davenport_bound,
+    _dominant_pairs,
     _factor_davenport,
+    _killing_adjugate,
     c2,
     c2_orbit,
     compute_Dec,
@@ -26,7 +29,9 @@ from weylinv.invariants import (
     quotient_reduction,
 )
 from weylinv.laurent import LaurentPoly, augmentation
-from weylinv.rootdata import SimpleFactor, compile_spec, orbit_poly, orbit_size
+from weylinv.rootdata import (
+    GroupSpec, SimpleFactor, compile_spec, killing_gram, orbit_poly, orbit_size,
+)
 
 from _helpers import fac_c, lattice_from_congruence, model, oracle_specs, q_oracle
 
@@ -252,6 +257,36 @@ class TestDecEngine:
         # D of the image of each factor's fundamental weights in Lambda/T*
         md = compile_spec(parse_spec(text))
         assert [_factor_davenport(md, fi) for fi in range(len(md.factors))] == bounds
+
+
+# the factors the closed-form c2 multiple is checked on: A1-A8, B2-B6,
+# C2-C6, D4-D7, E6, E7
+SUPPORTED_FACTORS = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 7)]
+                     + [("C", r) for r in range(2, 7)] + [("D", r) for r in range(4, 8)]
+                     + [("E6", 6), ("E7", 7)])
+
+
+class TestClosedFormC2:
+    @pytest.mark.parametrize("kind, rank", SUPPORTED_FACTORS)
+    def test_matches_c2_orbit(self, kind, rank):
+        # t = |W lam| lam^T adj(K) lam / (rank det K) against whole-orbit sums
+        md = compile_spec(GroupSpec((SimpleFactor(kind, rank),)))
+        # above rank 5 the fundamental weights alone: the oracle walks whole
+        # orbits, and E7's largest fundamental orbit already has 10080 points
+        total = 2 if rank <= 5 else 1
+        pairs = list(_dominant_pairs(kind, rank, total=total))
+        assert len(pairs) == math.comb(rank + total, total)
+        for lam, _, t, w in pairs:
+            assert t == -c2_orbit(md, lam)[0], lam
+
+    @pytest.mark.parametrize("kind, rank", SUPPORTED_FACTORS)
+    def test_adjugate(self, kind, rank):
+        k = killing_gram(kind, rank)
+        adj, det = _killing_adjugate(kind, rank)
+        assert det == det_int([list(r) for r in k]) > 0
+        assert [[sum(k[i][m] * adj[m][j] for m in range(rank)) for j in range(rank)]
+                for i in range(rank)] == [[det * (i == j) for j in range(rank)]
+                                          for i in range(rank)]
 
 
 class TestSdec:

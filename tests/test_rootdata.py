@@ -14,6 +14,7 @@ from weylinv.rootdata import (
     compile_spec,
     killing_coeffs,
     killing_forms,
+    killing_gram,
     orbit_poly,
     orbit_size,
     parabolic_order,
@@ -237,6 +238,18 @@ class TestKillingForms:
             scale = Fraction(1) if kind == "C" else Fraction(1, 2)
             acc = {k: v * scale for k, v in acc.items() if v}
             assert {k: Fraction(v) for k, v in killing_coeffs(kind, rank).items()} == acc
+
+    def test_gram_matrix(self):
+        # q(x) = x^T K x / 2: K is symmetric with 2c on the diagonal, c off it
+        rng = random.Random(5)
+        for kind, rank in [("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 5),
+                           ("E6", 6), ("E7", 7)]:
+            k, q = killing_gram(kind, rank), killing_coeffs(kind, rank)
+            assert all(k[i][j] == k[j][i] for i in range(rank) for j in range(rank))
+            for _ in range(5):
+                x = [rng.randint(-3, 3) for _ in range(rank)]
+                assert sum(x[i] * k[i][j] * x[j] for i in range(rank) for j in range(rank)) \
+                    == 2 * sum(c * x[i] * x[j] for (i, j), c in q.items())
 
     def test_values(self):
         from weylinv.rootdata import killing_value
