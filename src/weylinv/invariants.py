@@ -2,11 +2,11 @@
 
 Pipeline: the degree-2 truncation of the exponential ring map (c2), exact
 computation of Q(G) from integrality of Killing-form coefficients on a T*
-basis, the decomposable subgroup Dec(G) from a Hilbert basis bounded by the
-Davenport constant with closed-form cross-checks, the semi-decomposable
-subgroup Sdec(G) in three modes, factor groups via Smith normal form,
-reduction homomorphisms onto finite quotient group rings, and the parity
-report used for the adjoint D4 computation.
+basis, the decomposable subgroup Dec(G) from a Hilbert basis searched as
+minimal zero-sum sequences in Lambda/T* with closed-form cross-checks, the
+semi-decomposable subgroup Sdec(G) in three modes, factor groups via Smith
+normal form, reduction homomorphisms onto finite quotient group rings, and
+the parity report used for the adjoint D4 computation.
 
 Sign convention: the truncated ring map gives c2(rho-bar(lambda)) =
 +1/2 sum chi^2 while the orbit formula is -1/2 sum chi^2; subgroup
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import mul
+from types import MappingProxyType
 
 from .intlinalg import (
     congruence_kernel,
@@ -31,7 +33,7 @@ from .intlinalg import (
     smallest_prime_factor,
     snf_with_left,
 )
-from .laurent import LaurentPoly, augmentation, graded_components
+from .laurent import Grading, LaurentPoly, augmentation, graded_components
 from .rootdata import (
     GroupSpec,
     LatticeModel,
@@ -42,7 +44,6 @@ from .rootdata import (
     lattice_grading,
     orbit_poly,
     parabolic_order,
-    residue_functionals,
     weyl_order,
 )
 
@@ -372,7 +373,8 @@ def compute_Q(model: LatticeModel, basis=None) -> InvariantLattice:
 
 
 # --------------------------------------------------------------------------
-# Dec(G): c2 over a bounded Hilbert basis, cross-checked against closed forms
+# Dec(G): c2 over a Hilbert basis from zero-sum slices, cross-checked against
+# closed forms
 
 
 @lru_cache(maxsize=None)
@@ -396,75 +398,83 @@ def _killing_adjugate(kind: str, rank: int):
     return adj, prev
 
 
-def _davenport_bound(moduli) -> int:
-    """Davenport constant 1 + sum(d_i - 1) of (+)_i Z/moduli[i], exact for
-    groups of rank <= 2 (Olson 1969)."""
-    return 1 + sum(d - 1 for d in moduli)
+def _zero_sum_slices(grading: Grading) -> list:
+    """Count vectors a of the multisets of basis vectors that can be one
+    factor's slice of a minimal zero-sum sequence over the grading's group,
+    where basis vector j has class grading.images[j]: the empty multiset,
+    every zero-sum-free one and every minimal zero-sum one.
 
-
-def _factor_davenport(model: LatticeModel, fi: int) -> int:
-    """Davenport constant of H_i, the image of factor fi's fundamental weights
-    in Lambda/T*.
-
-    A Hilbert basis element of the dominant weights in T* is a minimal
-    zero-sum sequence of fundamental weights in Lambda/T*.  Its factor-fi
-    slice is the whole sequence (a minimal zero-sum sequence in H_i) or a
-    zero-sum-free proper part of it, so the slice's coordinate sum is at most
-    D(H_i).  H_i = Lambda_i / (T* meet Lambda_i) is a quotient of the
-    factor's centre dual, hence of rank <= 2, where Olson's formula is exact.
+    A proper part of a minimal zero-sum sequence is zero-sum-free, and a
+    zero-sum sequence is minimal exactly when dropping one term leaves it
+    zero-sum-free.  So a depth-first search over nondecreasing index
+    sequences, carrying the running class and the set of nonempty subset sums,
+    extends only the zero-sum-free multisets and stops a branch once 0 is a
+    subset sum.
     """
-    off, rank = model.offsets[fi], model.factors[fi].rank
-    return _slice_davenport(rank, tuple((vec[off:off + rank], m) for vec, m in model.congruences))
+    images = grading.images
+    rank = len(images)
+    # the classes the images generate, numbered from 0 (the zero class), and
+    # plus[j][c] = the number of class c + images[j]
+    elems, number = [grading.zero], {grading.zero: 0}
+    for c in elems:
+        for g in images:
+            if (s := grading.add(c, g)) not in number:
+                number[s] = len(elems)
+                elems.append(s)
+    plus = [[number[grading.add(c, g)] for c in elems] for g in images]
+    negs = [p.index(0) for p in plus]
+    out = []
+
+    def walk(a, start, cls, sums):
+        out.append(a)
+        for j in range(start, rank):
+            p = plus[j]
+            b = a[:j] + (a[j] + 1,) + a[j + 1:]
+            # p[0] is the number of images[j]; 0 becomes a subset sum when it
+            # is the zero class or its negative already is a subset sum
+            if p[0] and negs[j] not in sums:
+                walk(b, j, p[cls], sums.union([p[0]], map(p.__getitem__, sums)))
+            elif p[cls] == 0:  # a zero-sum-free a plus a term that closes it
+                out.append(b)
+
+    walk((0,) * rank, 0, 0, frozenset())
+    return out
 
 
-@lru_cache(maxsize=None)
-def _slice_davenport(rank: int, congs: tuple) -> int:
-    """Davenport constant of Z^rank / {a : vec . a == 0 mod m for (vec, m) in congs}."""
-    return _davenport_bound(lattice_grading(congruence_kernel(congs, rank)).moduli)
-
-
-def _bounded_weights(rank: int, cap, total, prefix: tuple = ()):
-    """Yield prefix + a for every rank-tuple a of naturals with entries <= cap
-    and sum <= total; a limit of None is no limit, and one of them is set."""
-    if rank == 0:
-        yield prefix
-        return
-    top = min(x for x in (cap, total) if x is not None)
-    for x in range(top + 1):
-        yield from _bounded_weights(rank - 1, cap, None if total is None else total - x,
-                                    prefix + (x,))
-
-
-def _dominant_pairs(kind: str, rank: int, cap=None, total=None):
-    """Yield (lam, centre class, t, |W lam|) with c2(rho-bar(lam)) = +- t * q over
-    the dominant local weights lam (zero included) with every coordinate <= cap
-    and coordinate sum <= total (None: no limit).
+def _dominant_pairs(kind: str, rank: int, weights):
+    """Yield (lam, t, |W lam|) with c2(rho-bar(lam)) = +- t * q for each
+    dominant local weight lam in weights.
 
     sum_{chi in W lam} chi chi^T is W-invariant and the reflection representation
     is irreducible, so it is c K / 2 (K = killing_gram); its trace against 2 K^-1
     gives t = c / 2 = |W lam| lam^T adj(K) lam / (rank det K)."""
     adj, det = _killing_adjugate(kind, rank)
     den = rank * det
-    resfun = residue_functionals(kind, rank)
     worder = weyl_order(kind, rank)
-    for a in _bounded_weights(rank, cap, total):
-        nz = [i for i, x in enumerate(a) if x]
-        v = sum(a[i] * adj[i][j] * a[j] for i in nz for j in nz)
+    for a in weights:
+        v = sum(x * sum(map(mul, adj[i], a)) for i, x in enumerate(a) if x)
         w = worder // parabolic_order(kind, rank, frozenset(i for i, x in enumerate(a) if not x))
         t, rem = divmod(w * v, den)
         if rem:
             raise AssertionError("non-integral c2 multiple in the scan")
-        yield a, tuple(sum(c * x for c, x in zip(vec, a)) % m for vec, m in resfun), t, w
+        yield a, t, w
 
 
 @lru_cache(maxsize=None)
-def _factor_buckets(kind: str, rank: int, cap=None, total=None):
-    """{residue: hnf rows}: the rows (at most two) span the pairs (t, |W lam|)
-    of _dominant_pairs(kind, rank, cap, total) with centre class residue."""
+def _factor_buckets(kind: str, rank: int, images: tuple, moduli: tuple, cap=None):
+    """Read-only {class: hnf rows}: the rows (at most two) span the pairs (t, |W lam|) of
+    _dominant_pairs over the factor's weights lam of that class in Lambda/T*,
+    where local fundamental weight j has class images[j] in
+    (+)_i Z/moduli[i].  The weights are the zero-sum slices
+    (_zero_sum_slices) or, given a cap, the box of coordinates <= cap."""
+    grading = Grading(moduli, images)
+    weights = (_zero_sum_slices(grading) if cap is None
+               else iproduct(range(cap + 1), repeat=rank))
     pairs = {}
-    for _, res, t, w in _dominant_pairs(kind, rank, cap, total):
-        pairs.setdefault(res, set()).add((t, w))
-    return {res: tuple(tuple(r) for r in hnf(sorted(ps))) for res, ps in pairs.items()}
+    for lam, t, w in _dominant_pairs(kind, rank, weights):
+        pairs.setdefault(grading.of_exponent(lam), set()).add((t, w))
+    return MappingProxyType({cls: tuple(tuple(r) for r in hnf(sorted(ps)))
+                             for cls, ps in pairs.items()})
 
 
 def _dec_lattice(model: LatticeModel, buckets, exact: bool,
@@ -472,16 +482,24 @@ def _dec_lattice(model: LatticeModel, buckets, exact: bool,
     """Lattice generated by c2(rho-bar(lam)) over the dominant lam in T* whose
     factor slices lie in the per-factor `buckets` (from _factor_buckets).
 
-    The coordinates t_i * prod_{j != i} |W lam_j| are multilinear in the
-    per-factor pairs (t, |W lam|), so within one admissible combination of
-    centre classes the HNF rows of each factor's pairs generate the same
-    lattice as all the pairs do.
+    lam is in T* exactly when the Lambda/T* classes of its slices sum to 0, so
+    only those class combinations are visited: the last factor's class is the
+    negated sum of the others.  The coordinates t_i * prod_{j != i} |W lam_j|
+    are multilinear in the per-factor pairs (t, |W lam|), so within one class
+    combination the HNF rows of each factor's pairs generate the same lattice
+    as all the pairs do.
     """
+    grading = model.grading
     vecs = set()
-    for res_combo in iproduct(*(sorted(b) for b in buckets)):
-        if not model.residue_allowed(res_combo):
+    *head, last = buckets
+    for combo in iproduct(*(b.items() for b in head)):
+        total = grading.zero
+        for cls, _ in combo:
+            total = grading.add(total, cls)
+        rows = last.get(tuple(-x % m for x, m in zip(total, grading.moduli)))
+        if rows is None:
             continue
-        for picks in iproduct(*(b[r] for b, r in zip(buckets, res_combo))):
+        for picks in iproduct(*(r for _, r in combo), rows):
             vecs.add(tuple(t * math.prod(w for j, (_, w) in enumerate(picks) if j != i)
                            for i, (t, _) in enumerate(picks)))
     return InvariantLattice.from_rows(len(buckets), sorted(vecs), exact, mode)
@@ -629,30 +647,34 @@ def compute_Dec(model: LatticeModel, height: int = 4,
 
     c2 is a ring map, so Dec is generated by the images of a Hilbert basis
     of the monoid of dominant weights in T*.  A Hilbert basis element is a
-    minimal zero-sum sequence of fundamental weights in Lambda/T*, so each
-    of its factor slices has coordinate sum at most the Davenport constant of
-    that factor's image in Lambda/T* (_factor_davenport); the scan over
-    those slices (mode 'hilbert') is therefore exact.
-    'both' (the default) checks it against the closed form where one exists
-    and raises DecMismatchError on any disagreement; 'table' returns the
-    closed form unchecked.  Without a closed form both return the 'hilbert'
-    lattice.  'enumerate' scans the box of coordinates <= height and is
-    flagged as a lower bound.
+    minimal zero-sum sequence of fundamental weights in Lambda/T* (classes
+    model.grading.images), so each of its factor slices is empty, zero-sum-free
+    or minimal zero-sum there.  The scan (mode 'hilbert') takes every such
+    slice from a depth-first search per factor (_zero_sum_slices), keys it by
+    its class in Lambda/T*, and combines the classes that sum to 0, so it is
+    exact.  'both' (the default) checks it against the closed form where one
+    exists and raises DecMismatchError on any disagreement; 'table' returns
+    the closed form unchecked.  Without a closed form both return the
+    'hilbert' lattice.  'enumerate' scans the box of coordinates <= height,
+    keyed the same way, and is flagged as a lower bound.
     """
     m = len(model.factors)
     if mode not in ("enumerate", "table", "both"):
         raise ValueError(f"unknown Dec mode {mode!r}")
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
+
+    def buckets(cap=None):
+        images, moduli = model.grading.images, model.grading.moduli
+        return [_factor_buckets(f.kind, f.rank, images[off:off + f.rank], moduli, cap)
+                for f, off in zip(model.factors, model.offsets)]
+
     if mode == "enumerate":
-        buckets = [_factor_buckets(f.kind, f.rank, cap=height) for f in model.factors]
-        return _dec_lattice(model, buckets, False, f"enumerate(h={height})")
+        return _dec_lattice(model, buckets(height), False, f"enumerate(h={height})")
     table_rows = dec_table(model)
     if table_rows is not None and mode == "table":
         return InvariantLattice.from_rows(m, table_rows, True, "table")
-    buckets = [_factor_buckets(f.kind, f.rank, total=_factor_davenport(model, fi))
-               for fi, f in enumerate(model.factors)]
-    hilbert = _dec_lattice(model, buckets, True, "hilbert")
+    hilbert = _dec_lattice(model, buckets(), True, "hilbert")
     if table_rows is None:
         return hilbert
     table = InvariantLattice.from_rows(m, table_rows, True, "table")
@@ -945,6 +967,8 @@ def invariants_of(model: LatticeModel, height: int = 4,
         sdec = compute_Sdec(model, sdec_mode, dec=dec, q=q)
     if not q.includes(dec):
         raise AssertionError("Dec is not contained in Q")
+    if q.same_rows(dec):  # Dec <= Q: a lower bound that reaches Q is exact
+        dec = InvariantLattice(dec.dim, dec.rows, True, dec.mode)
     inv_ind = factor_group(dec, q)
     inv_sd = None
     if sdec is not None:

@@ -115,6 +115,24 @@ def _diag_entry(f: SimpleFactor, k: int, pos: int):
     raise AssertionError
 
 
+def _split_center(c: str):
+    """(k, residues) for c = mu(k) or mu(k)[residues], with k a nonempty run of
+    decimal digits and residues a nonempty run of digits, '-' and ','
+    (residues is None without brackets); None for any other c."""
+    if not c.startswith("mu("):
+        return None
+    k, paren, rest = c[3:].partition(")")
+    if not paren or not k.isdecimal():
+        return None
+    if not rest:
+        return k, None
+    res = rest[1:-1]
+    if len(rest) < 3 or rest[0] != "[" or rest[-1] != "]" \
+            or not all(ch in "-," or ch.isdecimal() for ch in res):
+        return None
+    return k, res
+
+
 def parse_spec(text: str) -> GroupSpec:
     """Parse the group-spec grammar into a GroupSpec."""
     s = text.strip()
@@ -170,15 +188,14 @@ def parse_spec(text: str) -> GroupSpec:
         kernel.append(tuple(gen))
 
     if center_text is not None:
-        c = center_text.replace(" ", "")
-        m = re.match(r"^mu\((\d+)\)(\[([-\d,]+)\])?$", c)
-        if not m:
+        parts = _split_center(center_text.replace(" ", ""))
+        if parts is None:
             raise SpecParseError(f"bad center {center_text!r}")
-        k = int(m.group(1))
+        k = int(parts[0])
         if k < 2:
             raise SpecParseError("mu(k) needs k >= 2")
-        if m.group(3):
-            vals = [int(v) for v in m.group(3).split(",")]
+        if parts[1]:
+            vals = [int(v) for v in parts[1].split(",")]
             if len(vals) != len(factors):
                 raise SpecParseError("residue tuple length != number of factors")
             gen = []

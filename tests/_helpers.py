@@ -5,12 +5,15 @@ import importlib.util
 import math
 import operator
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
-from weylinv.intlinalg import congruence_kernel, inverse_fraction
-from weylinv.invariants import InvariantLattice
+from weylinv.intlinalg import congruence_kernel, hnf, inverse_fraction
+from weylinv.invariants import InvariantLattice, _dominant_pairs
 from weylinv.laurent import LaurentPoly
-from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec
+from weylinv.rootdata import (
+    GroupSpec, SimpleFactor, compile_spec, lattice_grading, residue_functionals,
+)
 
 
 def model(*factors, kernel=()):
@@ -61,6 +64,64 @@ def q_oracle(md, basis=None):
             if den != 1:
                 congs.append(([int(x * den) % den for x in coeffs], den))
     return InvariantLattice.from_rows(m, congruence_kernel(congs, m), True, "exact")
+
+
+# -- the Davenport-box Dec scan ---------------------------------------------
+#
+# The scan the zero-sum slice search replaced, kept as its oracle: every
+# dominant weight whose coordinate sum is at most the Davenport constant of
+# the factor's image in Lambda/T*, bucketed by centre residue and combined
+# under LatticeModel.residue_allowed.
+
+def davenport_bound(moduli):
+    """Davenport constant 1 + sum(d_i - 1) of (+)_i Z/moduli[i], exact for
+    groups of rank <= 2 (Olson 1969)."""
+    return 1 + sum(d - 1 for d in moduli)
+
+
+def factor_davenport(md, fi):
+    """Davenport constant of H_i, the image of factor fi's fundamental weights
+    in Lambda/T*: a Hilbert basis element's factor-fi slice is a minimal
+    zero-sum or zero-sum-free sequence in H_i, so its coordinate sum is at
+    most D(H_i).  H_i is a quotient of the factor's centre dual, of rank
+    <= 2, where Olson's formula is exact."""
+    off, rank = md.offsets[fi], md.factors[fi].rank
+    congs = [(list(vec[off:off + rank]), m) for vec, m in md.congruences]
+    return davenport_bound(lattice_grading(congruence_kernel(congs, rank)).moduli)
+
+
+def bounded_weights(rank, cap, total, prefix=()):
+    """Yield prefix + a for every rank-tuple a of naturals with entries <= cap
+    and sum <= total; a limit of None is no limit, and one of them is set."""
+    if rank == 0:
+        yield prefix
+        return
+    top = min(x for x in (cap, total) if x is not None)
+    for x in range(top + 1):
+        yield from bounded_weights(rank - 1, cap, None if total is None else total - x,
+                                   prefix + (x,))
+
+
+def box_dec_rows(md, cap=None):
+    """HNF rows of Dec from each factor's D(H_i) box, or from the box of
+    coordinates <= cap when cap is given (the enumerate scan)."""
+    buckets = []
+    for fi, f in enumerate(md.factors):
+        total = factor_davenport(md, fi) if cap is None else None
+        resfun = residue_functionals(f.kind, f.rank)
+        pairs = {}
+        for lam, t, w in _dominant_pairs(f.kind, f.rank,
+                                         bounded_weights(f.rank, cap, total)):
+            res = tuple(sum(c * x for c, x in zip(vec, lam)) % m for vec, m in resfun)
+            pairs.setdefault(res, set()).add((t, w))
+        buckets.append({res: hnf(sorted(ps)) for res, ps in pairs.items()})
+    vecs = set()
+    for res_combo in product(*(sorted(b) for b in buckets)):
+        if md.residue_allowed(res_combo):
+            for picks in product(*(b[r] for b, r in zip(buckets, res_combo))):
+                vecs.add(tuple(t * math.prod(w for j, (_, w) in enumerate(picks) if j != i)
+                               for i, (t, _) in enumerate(picks)))
+    return tuple(tuple(r) for r in hnf(sorted(vecs)))
 
 
 def _bench_inputs():

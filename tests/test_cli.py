@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from weylinv.fuzz import syzygy_case
 from weylinv.intlinalg import lattice_contains
 from weylinv.laurent import to_text
 from weylinv.rootdata import GroupSpec, SimpleFactor
+from weylinv import spec as spec_module
 from weylinv.syzygy import trivialize_syzygy
 
 
@@ -98,7 +100,50 @@ def test_pinned_fuzz_syzygy_cases(seed):
     assert h.hexdigest() == PINNED_FUZZ_CASES[seed]
 
 
+# the centre pattern parse_spec matched with a regex before it split the
+# centre with string methods, kept as their oracle
+OLD_CENTER_RE = re.compile(r"^mu\((\d+)\)(\[([-\d,]+)\])?$")
+
+
+def old_split_center(c):
+    m = OLD_CENTER_RE.match(c)
+    return None if m is None else (m.group(1), m.group(3))
+
+
+CENTER_STRINGS = ["mu()", "mu(2)[", "mu(2)[1,,2]", "mu(2)x", "mu(-2)", "mu(2)", "mu(3)[1,2]",
+                  "mu(2)[-1,3]", "mu(02)", "mu(1)", "mu(2)[]", "mu(2))", "mu(2)[1]]", "mu(2",
+                  "mu(2)[1]x", "nu(2)", "mu(x)", "mu(2)[1;2]", "mu(2)[1,2]", "mu(4)[0,1]",
+                  "mu(2)[1-2]", "mu(\u0663)", "mu(2)(3)", "mu()[1,1]", ""]
+
+
+def _parse_outcome(text):
+    try:
+        return parse_spec(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 class TestParse:
+    @pytest.mark.parametrize("c", CENTER_STRINGS)
+    def test_center_split_matches_regex_oracle(self, c, monkeypatch):
+        # the same split, and the same spec or the same error from parse_spec
+        assert spec_module._split_center(c) == old_split_center(c)
+        for prod in ("SL(2)", "(SL(2) x SL(4))"):
+            text = f"{prod} / {c}"
+            new = _parse_outcome(text)
+            with monkeypatch.context() as mp:
+                mp.setattr(spec_module, "_split_center", old_split_center)
+                assert _parse_outcome(text) == new
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(alphabet="mu()[]-,0123x", max_size=14),
+        st.builds(lambda k, res: f"mu({k})" + ("" if res is None else f"[{res}]"),
+                  st.text(alphabet="0123-", max_size=3),
+                  st.none() | st.text(alphabet="0123-,]", max_size=6))))
+    def test_center_split_matches_regex_oracle_random(self, c):
+        assert spec_module._split_center(c) == old_split_center(c)
+
     def test_products_and_diagonal(self):
         spec = parse_spec("(SL(8) x SL(8)) / mu(2)")
         assert spec.factors == (SimpleFactor("A", 7), SimpleFactor("A", 7))
@@ -226,6 +271,19 @@ class TestRun:
         assert data["Dec"]["hnf"] == data["Q"]["hnf"] == data["Sdec"]["hnf"]
         assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", "hilbert")
         assert (data["Sdec"]["exactness"], data["Sdec"]["mode"]) == ("exact", "table")
+
+    def test_enumerate_dec_reaching_q_is_exact(self):
+        # Dec <= Q, so an enumerate-mode lower bound with Q's rows is Dec
+        code, out = run_cli("invariants", "--spec", "PGSp(6)", "--mode", "enumerate", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["Dec"]["hnf"] == data["Q"]["hnf"] == [[4]]
+        assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", "enumerate(h=4)")
+        code, out = run_cli("invariants", "--spec", "(Sp(4) x Sp(4))/mu(2)", "--mode",
+                            "enumerate", "--json")
+        data = json.loads(out)
+        assert data["Dec"]["hnf"] != data["Q"]["hnf"]
+        assert data["Dec"]["exactness"] == "lower-bound"
 
     def test_high_rank_factors_scan_their_own_bound(self):
         # Lambda/T* is (Z/6)^3, but each factor's slice only needs D(Z/6) = 6

@@ -13,10 +13,9 @@ from weylinv.invariants import (
     InvariantLattice,
     QuotientRing,
     TruncatedForm,
-    _davenport_bound,
     _dominant_pairs,
-    _factor_davenport,
     _killing_adjugate,
+    _zero_sum_slices,
     c2,
     c2_orbit,
     compute_Dec,
@@ -33,7 +32,10 @@ from weylinv.rootdata import (
     GroupSpec, SimpleFactor, compile_spec, killing_gram, orbit_poly, orbit_size,
 )
 
-from _helpers import fac_c, lattice_from_congruence, model, oracle_specs, q_oracle
+from _helpers import (
+    bounded_weights, box_dec_rows, davenport_bound, fac_c, factor_davenport,
+    lattice_from_congruence, model, oracle_specs, q_oracle,
+)
 
 
 def sign_free(vec, expect):
@@ -233,18 +235,18 @@ class TestDecEngine:
     def test_matches_orbit_oracle(self, text):
         # c2_orbit sums over whole orbits: no gamma, no parabolic counts
         md = compile_spec(parse_spec(text))
-        box = range(_davenport_bound(md.grading.moduli) + 2)
+        box = range(davenport_bound(md.grading.moduli) + 2)
         vecs = [c2_orbit(md, lam) for lam in product(box, repeat=md.total_rank)
                 if md.in_tstar(lam)]
         assert compute_Dec(md).rows == tuple(tuple(r) for r in hnf(vecs))
 
     def test_davenport_bound(self):
         for n in range(1, 13):
-            assert _davenport_bound((n,)) == n
-        assert _davenport_bound(()) == 1
-        assert _davenport_bound((2, 2)) == 3
-        assert _davenport_bound((5, 5)) == 9
-        assert _davenport_bound((2, 6)) == 7
+            assert davenport_bound((n,)) == n
+        assert davenport_bound(()) == 1
+        assert davenport_bound((2, 2)) == 3
+        assert davenport_bound((5, 5)) == 9
+        assert davenport_bound((2, 6)) == 7
 
     @pytest.mark.parametrize("text, bounds", [
         ("PGL(6) x PGL(6) x PGL(6)", [6, 6, 6]),
@@ -256,7 +258,59 @@ class TestDecEngine:
     def test_factor_davenport(self, text, bounds):
         # D of the image of each factor's fundamental weights in Lambda/T*
         md = compile_spec(parse_spec(text))
-        assert [_factor_davenport(md, fi) for fi in range(len(md.factors))] == bounds
+        assert [factor_davenport(md, fi) for fi in range(len(md.factors))] == bounds
+
+    @pytest.mark.parametrize("text", list(dict.fromkeys(
+        oracle_specs() + [f"PGL({n}) x PGL({n})" for n in range(2, 9)])))
+    def test_matches_davenport_box(self, text):
+        # the zero-sum slices keyed by Lambda/T* class against every weight of
+        # each factor's D(H_i) box keyed by centre residue
+        md = compile_spec(parse_spec(text))
+        assert compute_Dec(md).rows == box_dec_rows(md)
+
+    @pytest.mark.parametrize("text, height", [
+        ("PGSp(6)", 4), ("(SL(6) x SL(6) x SL(6)) / mu(2)", 2),
+        ("(Spin(5) x Sp(4)) / mu(2)", 3), ("(E6 x E6) / mu(3)[1,2]", 1),
+        ("PGL(4) x PGL(4)", 3), ("HSpin(8)", 2)])
+    def test_enumerate_matches_height_box(self, text, height):
+        md = compile_spec(parse_spec(text))
+        assert compute_Dec(md, height=height, mode="enumerate").rows \
+            == box_dec_rows(md, cap=height)
+
+    @pytest.mark.parametrize("n, free, minimal", [(8, 145, 64), (12, 1079, 366),
+                                                  (16, 7235, 2134)])
+    def test_slice_counts(self, n, free, minimal):
+        # ROADMAP's table: the empty slice, the zero-sum-free and the minimal
+        # zero-sum slices of PGL(n), where Lambda/T* = Z/n
+        md = compile_spec(parse_spec(f"PGL({n})"))
+        slices = _zero_sum_slices(md.grading)
+        zero = [a for a in slices if md.grading.of_exponent(a) == md.grading.zero]
+        assert len(slices) == 1 + free + minimal
+        assert len(set(slices)) == len(slices) and len(zero) == 1 + minimal
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_large_pgl_squares(self, n):
+        md = compile_spec(parse_spec(f"PGL({n}) x PGL({n})"))
+        assert compute_Dec(md).rows == ((2 * n, 0), (0, 2 * n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["(SL(6) x SL(6) x SL(6)) / mu(2)", "(SL(4) x Spin(10)) / mu(4)",
+                            "(E6 x E6) / mu(3)[1,2]", "PGO(8)", "(SL(2) x Spin(8)) / mu(2)[1,3]",
+                            "(SL(4) x SL(4) x SL(8)) / mu(4)", "PGL(3) x PGSp(4)",
+                            "(Spin(7) x Sp(6) x SL(2)) / mu(2)"]),
+           st.data())
+    def test_residue_allowed_is_a_class_sum(self, text, data):
+        # T* contains the root lattice, so the kernel relations on centre
+        # residues are the vanishing of a sum of Lambda/T* classes
+        md = compile_spec(parse_spec(text))
+        weight = tuple(data.draw(st.lists(st.integers(-3, 6), min_size=md.total_rank,
+                                          max_size=md.total_rank)))
+        total = md.grading.zero
+        for fi in range(len(md.factors)):
+            local = md.slice_of(weight, fi)
+            total = md.grading.add(total, md.grade_of_weight(md.assemble(
+                [local if fj == fi else (0,) * f.rank for fj, f in enumerate(md.factors)])))
+        assert md.residue_allowed(md.center_residues(weight)) == (total == md.grading.zero)
 
 
 # the factors the closed-form c2 multiple is checked on: A1-A8, B2-B6,
@@ -274,9 +328,9 @@ class TestClosedFormC2:
         # above rank 5 the fundamental weights alone: the oracle walks whole
         # orbits, and E7's largest fundamental orbit already has 10080 points
         total = 2 if rank <= 5 else 1
-        pairs = list(_dominant_pairs(kind, rank, total=total))
+        pairs = list(_dominant_pairs(kind, rank, bounded_weights(rank, None, total)))
         assert len(pairs) == math.comb(rank + total, total)
-        for lam, _, t, w in pairs:
+        for lam, t, w in pairs:
             assert t == -c2_orbit(md, lam)[0], lam
 
     @pytest.mark.parametrize("kind, rank", SUPPORTED_FACTORS)
