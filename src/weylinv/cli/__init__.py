@@ -2,14 +2,12 @@
 
 The spec grammar lives in `weylinv.spec`; its parser and printer are
 re-exported here.  `python -m weylinv.cli` runs `main` through this
-package's `__main__`.
+package's `__main__`.  `argparse`, `json` and `random` are imported by the
+functions that use them, so `import weylinv` does not load them.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import random
 import sys
 
 from ..fuzz import random_graded_poly, random_poly, syzygy_case
@@ -79,6 +77,8 @@ def _tsv_row(spec_text, rep):
 
 
 def run_invariants(args) -> int:
+    import json
+
     spec = parse_spec(args.spec)
     model = compile_spec(spec)
     rep = invariants_of(model, height=args.height,
@@ -143,6 +143,8 @@ def run_generators(args) -> int:
 
 
 def run_reduce(args) -> int:
+    import json
+
     spec = parse_spec(args.spec)
     model = compile_spec(spec)
     try:
@@ -182,6 +184,8 @@ def run_verify_flatness(args) -> int:
 
 
 def run_fuzz_syzygy(args) -> int:
+    import random
+
     rng = random.Random(args.seed)
     failures = 0
     for case in range(args.cases):
@@ -202,6 +206,8 @@ def run_fuzz_syzygy(args) -> int:
 
 
 def run_pgo8_check(args) -> int:
+    import random
+
     model = pgo8_model()
     rng = random.Random(args.seed)
     ring = QuotientRing(4, pgo8_lambda_prime(), 4)
@@ -282,6 +288,8 @@ def run_table(args) -> int:
 
 
 def make_parser():
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="weylinv",
         description="Exact invariant-group and syzygy computations on weight lattices")

@@ -9,7 +9,7 @@ R[T*] as an explicit combination of the generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .intlinalg import xgcd
 from .laurent import LaurentPoly, augmentation, homogeneous_component
@@ -21,19 +21,16 @@ class ReductionError(ValueError):
     pass
 
 
-@dataclass
-class GcdChain:
+class GcdChain(namedtuple("GcdChain", "order nprime sizes d_chain bezout")):
     """gcd chain d_i over the degree-1 orbit sizes with Bezout data.
 
     `order` maps chain position -> fundamental-weight index of the model
-    (degree-1 weights first, then degree-0, each in natural order).
+    (degree-1 weights first, then degree-0, each in natural order).  `sizes`
+    holds s_1..s_{n'} (n' = `nprime`), `d_chain` d_1..d_{n'} and `bezout`
+    the a[i][j] for i <= j (0-based, padded), all as int tuples.
     """
 
-    order: tuple[int, ...]
-    nprime: int
-    sizes: tuple[int, ...]          # s_1..s_{n'}
-    d_chain: tuple[int, ...]        # d_1..d_{n'}
-    bezout: tuple[tuple[int, ...], ...]  # a[i][j] for i <= j (0-based, padded)
+    __slots__ = ()
 
     @property
     def d(self):
@@ -74,21 +71,15 @@ def gcd_chain(model: LatticeModel) -> GcdChain:
     return GcdChain(order, np_, sizes, tuple(d_chain), tuple(tuple(r) for r in bez))
 
 
-@dataclass
-class GeneratorSet:
-    """The h1/h2/h3 generators together with the data they were built from."""
+class GeneratorSet(namedtuple("GeneratorSet",
+                              "model chain lambda0 h1 h2 h3 rho h1_rows h2_rows h3_rows")):
+    """The h1/h2/h3 generators together with the data they were built from.
 
-    model: LatticeModel
-    chain: GcdChain
-    lambda0: tuple[int, ...]
-    h1: tuple[LaurentPoly, ...]
-    h2: tuple[LaurentPoly, ...]
-    h3: tuple[LaurentPoly, ...]
-    rho: tuple[LaurentPoly, ...]     # natural fw order
-    # expansion of each generator over the rho's (natural order)
-    h1_rows: tuple
-    h2_rows: tuple
-    h3_rows: tuple
+    `h1`, `h2`, `h3` and `rho` (natural fw order) are tuples of LaurentPoly;
+    `h*_rows` expand each generator over the rho's (natural order).
+    """
+
+    __slots__ = ()
 
     def labeled(self):
         out = []

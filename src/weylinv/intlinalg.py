@@ -6,8 +6,6 @@ Matrices are row-major; lattices are given by their rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g."""
@@ -221,8 +219,10 @@ def lattice_contains(hnf_rows: list[list[int]], vec: list[int]) -> bool:
     return lattice_coordinates(hnf_rows, vec) is not None
 
 
-def inverse_fraction(matrix: list[list[int]]) -> list[list[Fraction]]:
+def inverse_fraction(matrix: list[list[int]]) -> list[list]:
     """Exact inverse of a nonsingular integer matrix, as Fractions."""
+    from fractions import Fraction
+
     n = len(matrix)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(matrix)]
@@ -242,6 +242,8 @@ def inverse_fraction(matrix: list[list[int]]) -> list[list[Fraction]]:
 
 def det_int(matrix: list[list[int]]) -> int:
     """Determinant of an integer matrix via fraction-free-ish elimination."""
+    from fractions import Fraction
+
     n = len(matrix)
     a = [[Fraction(x) for x in row] for row in matrix]
     det = Fraction(1)

@@ -17,8 +17,7 @@ global sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iproduct
 from operator import mul
@@ -40,6 +39,7 @@ from .rootdata import (
     SimpleFactor,
     center_order,
     compile_spec,
+    frozen_setattr,
     killing_gram,
     lattice_grading,
     orbit_poly,
@@ -60,13 +60,19 @@ class DecMismatchError(AssertionError):
 # truncated characteristic map
 
 
-@dataclass(frozen=True)
-class TruncatedForm:
-    """Element of the symmetric algebra truncated in degree 2."""
+class TruncatedForm(namedtuple("TruncatedForm", "c0 c1 c2")):
+    """Element of the symmetric algebra truncated in degree 2.
 
-    c0: int
-    c1: tuple
-    c2: tuple  # sorted ((i, j), coeff) with i <= j
+    `c0` is an int, `c1` a tuple of ints and `c2` the sorted ((i, j), coeff)
+    with i <= j.
+    """
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = frozen_setattr
+
+    def __rmul__(self, other):
+        # not a sequence: refuse `3 * form` instead of repeating the tuple
+        return NotImplemented
 
     def c2_dict(self):
         return dict(self.c2)
@@ -147,18 +153,17 @@ def killing_decompose(model: LatticeModel, quad) -> tuple:
         off = model.offsets[fi]
         rank = model.factors[fi].rank
         qloc = kf.as_dict()
-        ratio = None
+        num = den = None  # the block is num/den times the Killing form
         for (i, j), c in qloc.items():
             have = quad.pop((off + i, off + j), 0)
-            r = Fraction(have, c)
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
+            if den is None:
+                num, den = have, c
+            elif have * den != num * c:
                 raise KillingDecomposeError(
                     f"factor {fi}: block not proportional to its Killing form")
-        if ratio is None or ratio.denominator != 1:
-            raise KillingDecomposeError(f"factor {fi}: non-integral multiple {ratio}")
-        out.append(int(ratio))
+        if den is None or num % den:
+            raise KillingDecomposeError(f"factor {fi}: non-integral multiple {num}/{den}")
+        out.append(num // den)
     if any(quad.values()):
         raise KillingDecomposeError(f"leftover cross terms: {quad}")
     return tuple(out)
@@ -216,14 +221,12 @@ def c2_orbit(model: LatticeModel, weight) -> tuple:
 # invariant lattices
 
 
-@dataclass(frozen=True)
-class InvariantLattice:
+class InvariantLattice(namedtuple("InvariantLattice", "dim rows exact mode",
+                                  defaults=(True, "exact"))):
     """Subgroup of (+) Z q_i, by canonical HNF rows over the factor index."""
 
-    dim: int
-    rows: tuple
-    exact: bool = True
-    mode: str = "exact"
+    __slots__ = ()
+    __setattr__ = __delattr__ = frozen_setattr
 
     @staticmethod
     def from_rows(dim, rows, exact=True, mode="exact"):
@@ -247,10 +250,9 @@ class InvariantLattice:
         return self.rows == other.rows
 
 
-@dataclass(frozen=True)
-class FactorGroup:
-    invariant_factors: tuple
-    free_rank: int = 0
+class FactorGroup(namedtuple("FactorGroup", "invariant_factors free_rank", defaults=(0,))):
+    __slots__ = ()
+    __setattr__ = __delattr__ = frozen_setattr
 
     def order(self):
         if self.free_rank:
@@ -938,14 +940,11 @@ def pgo8_parity_check(f_tuple) -> dict:
 # top-level pipeline
 
 
-@dataclass
-class InvariantReport:
-    spec: GroupSpec
-    Q: InvariantLattice
-    Dec: InvariantLattice
-    Sdec: InvariantLattice | None
-    inv_ind: FactorGroup
-    inv_sd: FactorGroup | None
+class InvariantReport(namedtuple("InvariantReport", "spec Q Dec Sdec inv_ind inv_sd")):
+    """Q, Dec and Sdec of a GroupSpec (InvariantLattices; Sdec may be None)
+    and the FactorGroups Q/Dec and Sdec/Dec (inv_sd is None with Sdec)."""
+
+    __slots__ = ()
 
 
 def invariants_of(model: LatticeModel, height: int = 4,

@@ -14,8 +14,7 @@ Conventions (fixed, not configurable):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -25,35 +24,49 @@ from .laurent import Grading, LaurentPoly
 KINDS = ("A", "B", "C", "D", "E6", "E7")
 
 
-@dataclass(frozen=True)
-class SimpleFactor:
-    kind: str
-    rank: int
+def frozen_setattr(self, name, *value):
+    """`__setattr__` and `__delattr__` of the frozen record types.
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        lo = {"A": 1, "B": 2, "C": 2, "D": 4, "E6": 6, "E7": 7}[self.kind]
-        if self.rank < lo:
-            raise ValueError(f"rank {self.rank} too small for type {self.kind}")
-        if self.kind in ("E6", "E7") and self.rank != lo:
-            raise ValueError(f"type {self.kind} has fixed rank {lo}")
+    The records are namedtuples, which refuse assignment anyway; this makes the
+    refusal the `dataclasses.FrozenInstanceError` that frozen dataclasses
+    raise, and imports `dataclasses` only on this path.
+    """
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(
+        f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+class SimpleFactor(namedtuple("SimpleFactor", "kind rank")):
+    __slots__ = ()
+    __setattr__ = __delattr__ = frozen_setattr
+
+    def __new__(cls, kind: str, rank: int):
+        if kind not in KINDS:
+            raise ValueError(f"unknown factor kind {kind!r}")
+        lo = {"A": 1, "B": 2, "C": 2, "D": 4, "E6": 6, "E7": 7}[kind]
+        if rank < lo:
+            raise ValueError(f"rank {rank} too small for type {kind}")
+        if kind in ("E6", "E7") and rank != lo:
+            raise ValueError(f"type {kind} has fixed rank {lo}")
+        return tuple.__new__(cls, (kind, rank))
 
     def __str__(self):
         return f"{self.kind}{self.rank}"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "factors center_kernel", defaults=((),))):
     """Product of simple factors with a central kernel.
 
     Each kernel generator assigns to every factor an element of that factor's
     center character group: an int mod (n+1, 2, 2, 4, 3, 2) for types
     (A_n, B, C, D-odd, E6, E7), and a pair (s, v) of bits for D-even.
+    `factors` is a tuple of SimpleFactor, `center_kernel` a tuple of such
+    generators (one entry per factor).
     """
 
-    factors: tuple[SimpleFactor, ...]
-    center_kernel: tuple[tuple, ...] = ()
+    __slots__ = ()
+    __setattr__ = __delattr__ = frozen_setattr
 
     def __str__(self):
         prod = " x ".join(str(f) for f in self.factors)
@@ -252,23 +265,27 @@ def standard_e_basis(kind: str, n: int):
     return rows
 
 
-@dataclass(frozen=True)
-class KillingForm:
-    """Normalized Killing form of one factor, in its local fw coordinates."""
+class KillingForm(namedtuple("KillingForm", "factor_index coeffs")):
+    """Normalized Killing form of one factor, in its local fw coordinates.
 
-    factor_index: int
-    coeffs: tuple  # ((i, j, c), ...) with i <= j
+    `coeffs` is ((i, j, c), ...) with i <= j.
+    """
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = frozen_setattr
 
     def as_dict(self):
         return {(i, j): c for i, j, c in self.coeffs}
 
 
-def killing_value(kind: str, n: int, local_weight) -> Fraction:
-    """Value of the normalized Killing form at a weight (types B, C, D).
+def killing_value(kind: str, n: int, local_weight):
+    """Value of the normalized Killing form at a weight (types B, C, D), a Fraction.
 
     Uses the standard-coordinate expressions: sum e_i^2 for C and
     (sum e_i^2)/2 for B and D, evaluated at the e-coordinates of the weight.
     """
+    from fractions import Fraction
+
     from .intlinalg import inverse_fraction
 
     rows = standard_e_basis(kind, n)

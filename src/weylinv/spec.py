@@ -195,7 +195,10 @@ def parse_spec(text: str) -> GroupSpec:
         if k < 2:
             raise SpecParseError("mu(k) needs k >= 2")
         if parts[1]:
-            vals = [int(v) for v in parts[1].split(",")]
+            try:
+                vals = [int(v) for v in parts[1].split(",")]
+            except ValueError:  # an empty piece, or a '-' inside a number
+                raise SpecParseError(f"bad residues in center {center_text!r}") from None
             if len(vals) != len(factors):
                 raise SpecParseError("residue tuple length != number of factors")
             gen = []

@@ -10,7 +10,7 @@ normalization step used by the generator reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
@@ -26,7 +26,7 @@ from .laurent import (
     lift_coefficients,
     reduce_coefficients,
 )
-from .rootdata import LatticeModel, orbit_size
+from .rootdata import LatticeModel, frozen_setattr, orbit_size
 
 
 class NotASyzygyError(ValueError):
@@ -92,14 +92,14 @@ def _strip_units(t):
     return tuple(out), units
 
 
-@dataclass
-class SyzygyCertificate:
-    """Expression of a syzygy as sum of g_ij * S_ij over pairs i < j."""
+class SyzygyCertificate(namedtuple("SyzygyCertificate", "length rank modulus entries")):
+    """Expression of a syzygy as sum of g_ij * S_ij over pairs i < j.
 
-    length: int
-    rank: int
-    modulus: int
-    entries: dict
+    `entries` maps (i, j) to g_ij, for a syzygy of a `length`-tuple over the
+    Laurent ring of `rank` and `modulus`.
+    """
+
+    __slots__ = ()
 
     def expand(self, t) -> tuple:
         t = validate_tuple(t)
@@ -259,12 +259,14 @@ def lift_syzygy(t, cert: SyzygyCertificate) -> SyzygyCertificate:
 # polynomial matrices over the Laurent ring
 
 
-@dataclass(frozen=True)
-class TransformMatrix:
-    """Square matrix over the Laurent ring with unit (monomial) determinant."""
+class TransformMatrix(namedtuple("TransformMatrix", "entries det")):
+    """Square matrix over the Laurent ring with unit (monomial) determinant.
 
-    entries: tuple  # tuple of tuples of LaurentPoly
-    det: LaurentPoly
+    `entries` is a tuple of row tuples of LaurentPoly, `det` a LaurentPoly.
+    """
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = frozen_setattr
 
     @property
     def size(self):

@@ -179,6 +179,16 @@ class TestParse:
             with pytest.raises(SpecParseError):
                 parse_spec(bad)
 
+    @pytest.mark.parametrize("center", ["mu(2)[1,,1]", "mu(2)[1-2]", "mu(2)[--1]"])
+    def test_bad_residues(self, center, capsys):
+        # digits, '-' and ',' that do not split into integers
+        text = f"(SL(2) x SL(2)) / {center}"
+        with pytest.raises(SpecParseError, match=re.escape(f"bad residues in center ' {center}'")):
+            parse_spec(text)
+        assert main(["invariants", "--spec", text]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad residues in center ' {center}'"]
+
     def test_round_trip(self):
         for text in ["SL(2)", "(SL(8) x SL(8)) / mu(2)", "PGO(8)",
                      "(E6 x E6) / mu(3)[1,2]", "(E6 x E6) / mu(3)",

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from weylinv.intlinalg import det_int, hnf
 from weylinv.invariants import (
     DecMismatchError,
     InvariantLattice,
+    KillingDecomposeError,
     QuotientRing,
     TruncatedForm,
     _dominant_pairs,
@@ -29,7 +31,7 @@ from weylinv.invariants import (
 )
 from weylinv.laurent import LaurentPoly, augmentation
 from weylinv.rootdata import (
-    GroupSpec, SimpleFactor, compile_spec, killing_gram, orbit_poly, orbit_size,
+    GroupSpec, KillingForm, SimpleFactor, compile_spec, killing_gram, orbit_poly, orbit_size,
 )
 
 from _helpers import (
@@ -116,6 +118,68 @@ class TestC2Orbit:
         v = c2_orbit(m, (1, 0, 1, 0))
         s = orbit_size(model(fac_c(2)), (1, 0))
         assert sign_free(v, (s, s))
+
+
+def fraction_killing_decompose(md, quad):
+    """killing_decompose as it was written with Fractions, kept as its oracle."""
+    quad = dict(quad)
+    out = []
+    for fi, kf in enumerate(md.killing):
+        off = md.offsets[fi]
+        ratio = None
+        for (i, j), c in kf.as_dict().items():
+            r = Fraction(quad.pop((off + i, off + j), 0), c)
+            if ratio is None:
+                ratio = r
+            elif r != ratio:
+                raise KillingDecomposeError("not proportional")
+        if ratio is None or ratio.denominator != 1:
+            raise KillingDecomposeError("non-integral")
+        out.append(int(ratio))
+    if any(quad.values()):
+        raise KillingDecomposeError("cross terms")
+    return tuple(out)
+
+
+class TestKillingDecompose:
+    @pytest.mark.parametrize("spec", ["SL(3) x Sp(4)", "E6 x Spin(7)", "(E7 x SL(2)) / mu(2)",
+                                      "(Spin(10) x Sp(6)) / mu(2)"])
+    def test_matches_fraction_oracle(self, spec):
+        md = compile_spec(parse_spec(spec))
+        rng = random.Random(spec)
+        for _ in range(200):
+            quad = {}
+            for fi, kf in enumerate(md.killing):
+                off = md.offsets[fi]
+                num, den = rng.randint(-6, 6), rng.choice((1, 1, 2, 3))
+                for i, j, c in kf.coeffs:
+                    quad[(off + i, off + j)] = c * num // den  # rounds when den does not divide
+                if rng.random() < 0.2:
+                    key = rng.choice(sorted(quad))
+                    quad[key] += rng.choice((-1, 1))
+            if rng.random() < 0.1:
+                quad[(0, md.total_rank - 1)] = 1
+            try:
+                want = fraction_killing_decompose(md, quad)
+            except KillingDecomposeError:
+                with pytest.raises(KillingDecomposeError):
+                    killing_decompose(md, quad)
+            else:
+                assert killing_decompose(md, quad) == want
+
+    def test_non_integral_multiple(self):
+        # every normalized Killing form has a coefficient +-1; a doubled one
+        # makes the odd multiples of half of it proportional but non-integral
+        doubled = SimpleNamespace(killing=[KillingForm(0, ((0, 0, 2), (0, 1, -2), (1, 1, 2)))],
+                                  offsets=[0], factors=[SimpleFactor("A", 2)])
+        for k in range(-5, 6):
+            quad = {(0, 0): k, (0, 1): -k, (1, 1): k}
+            if k % 2:
+                with pytest.raises(KillingDecomposeError, match=f"non-integral multiple {k}/2"):
+                    killing_decompose(doubled, quad)
+            else:
+                assert killing_decompose(doubled, quad) == fraction_killing_decompose(
+                    doubled, quad) == (k // 2,)
 
 
 class TestComputeQ:
