@@ -127,7 +127,6 @@ def test_equality_and_hash_within_a_type():
     assert a == b and hash(a) == hash(b)
     assert a != InvariantLattice(2, ((1, 0), (0, 2)), exact=False)
     assert len({SimpleFactor("A", 1), SimpleFactor("A", 1), SimpleFactor("C", 2)}) == 2
-    assert newton_transform("C", 2) == newton_transform.__wrapped__("C", 2)
 
 
 @pytest.mark.parametrize("index", range(7))
