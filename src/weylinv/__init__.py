@@ -13,6 +13,7 @@ from .laurent import (
     augmentation,
     bounded_divide,
     degrees,
+    dot,
     from_text,
     graded_components,
     homogeneous_component,
@@ -28,6 +29,7 @@ from .rootdata import (
     LatticeModel,
     SimpleFactor,
     compile_spec,
+    fundamental_orbit_sums,
     killing_forms,
     orbit_poly,
     orbit_size,

@@ -12,8 +12,8 @@ import math
 from collections import namedtuple
 
 from .intlinalg import xgcd
-from .laurent import LaurentPoly, augmentation, homogeneous_component
-from .rootdata import LatticeModel, orbit_poly, orbit_size
+from .laurent import LaurentPoly, augmentation, dot, homogeneous_component
+from .rootdata import LatticeModel, fundamental_orbit_sums, orbit_size
 from .syzygy import normalize_coefficients, validate_tuple
 
 
@@ -97,15 +97,12 @@ class GeneratorSet(namedtuple("GeneratorSet",
         return {"h1": self.h1_rows, "h2": self.h2_rows, "h3": self.h3_rows}[fam][k]
 
 
-def _rho_tilde(chain, rho_ord, i):
-    """rho~_i = sum_j a_ij rho_j over chain positions j >= i (0-based i)."""
-    n = rho_ord[0].rank
-    acc = LaurentPoly.zero(n, 0)
-    for j in range(i, chain.nprime):
-        a = chain.bezout[i][j]
-        if a:
-            acc = acc + rho_ord[j].scale(a)
-    return acc
+def _rho_tilde_w(chain, rho_ord, i):
+    """rho~(omega_i) = rho~_i + d_i, a pure degree-1 element, where
+    rho~_i = sum_j a_ij rho_j over chain positions j >= i (0-based i)."""
+    n, np_ = rho_ord[0].rank, chain.nprime
+    return dot([LaurentPoly.const(n, a, 0) for a in chain.bezout[i][i:np_]],
+               rho_ord[i:np_], LaurentPoly.const(n, chain.d_chain[i], 0))
 
 
 def build_generators(model: LatticeModel, chain: GcdChain | None = None,
@@ -115,8 +112,7 @@ def build_generators(model: LatticeModel, chain: GcdChain | None = None,
         chain = gcd_chain(model)
     n = model.total_rank
     np_ = chain.nprime
-    rho_nat = tuple(orbit_poly(model, model._basis_vec(i), augmented=True)
-                    for i in range(n))
+    rho_nat = fundamental_orbit_sums(model)
     rho_ord = tuple(rho_nat[chain.order[k]] for k in range(n))
     rho_w_ord = tuple(rho_ord[k] + LaurentPoly.const(n, s, 0)
                       for k, s in enumerate(chain.sizes)) if np_ else ()
@@ -127,10 +123,6 @@ def build_generators(model: LatticeModel, chain: GcdChain | None = None,
         raise ValueError("lambda0 must have degree 1")
     d = chain.d
 
-    def rho_tilde_w(i):
-        # rho~(omega_i) = rho~_i + d_i, a pure degree-1 element
-        return _rho_tilde(chain, rho_ord, i) + LaurentPoly.const(n, chain.d_chain[i], 0)
-
     e_l0 = LaurentPoly.monomial(n, lambda0)
     h1, h1_rows = [], []
     for i in range(np_ - 1):
@@ -138,7 +130,7 @@ def build_generators(model: LatticeModel, chain: GcdChain | None = None,
         d_next = chain.d_chain[i + 1]
         r_i = s_i * d_next // math.gcd(s_i, d_next)
         gen = e_l0 * (rho_w_ord[i].scale(r_i // s_i)
-                      - rho_tilde_w(i + 1).scale(r_i // d_next))
+                      - _rho_tilde_w(chain, rho_ord, i + 1).scale(r_i // d_next))
         h1.append(gen)
         row = [LaurentPoly.zero(n, 0) for _ in range(n)]
         row[chain.order[i]] = e_l0.scale(r_i // s_i)
@@ -148,9 +140,10 @@ def build_generators(model: LatticeModel, chain: GcdChain | None = None,
                 row[chain.order[j]] = (-e_l0).scale(r_i // d_next * a)
         h1_rows.append(tuple(row))
     h2, h2_rows = [], []
+    rho_tilde_w0 = _rho_tilde_w(chain, rho_ord, 0)
     for i in range(np_):
         s_i = chain.sizes[i]
-        gen = rho_w_ord[i] * rho_tilde_w(0) - LaurentPoly.const(n, d * s_i, 0)
+        gen = rho_w_ord[i] * rho_tilde_w0 - LaurentPoly.const(n, d * s_i, 0)
         h2.append(gen)
         row = [LaurentPoly.zero(n, 0) for _ in range(n)]
         for j in range(np_):
@@ -177,34 +170,24 @@ def build_generators(model: LatticeModel, chain: GcdChain | None = None,
     for name, rows in [("h1", h1_rows), ("h2", h2_rows), ("h3", h3_rows)]:
         fam = {"h1": h1, "h2": h2, "h3": h3}[name]
         for gen, row in zip(fam, rows):
-            acc = LaurentPoly.zero(n, 0)
-            for j in range(n):
-                acc = acc + row[j] * rho_nat[j]
-            if acc != gen:
+            if dot(row, rho_nat) != gen:
                 raise AssertionError(f"{name} expansion over rho is wrong")
     return gs
 
 
 def expand_combination(gs: GeneratorSet, combo: dict) -> LaurentPoly:
     """Evaluate sum coeff * generator for {label: coefficient poly}."""
-    n = gs.model.total_rank
-    acc = LaurentPoly.zero(n, 0)
     by_label = dict(gs.labeled())
-    for name, coeff in combo.items():
-        acc = acc + coeff * by_label[name]
-    return acc
+    return dot(combo.values(), [by_label[name] for name in combo],
+               LaurentPoly.zero(gs.model.total_rank, 0))
 
 
 def combination_to_tuple(gs: GeneratorSet, combo: dict) -> tuple:
     """Rewrite a generator combination as an f-tuple with sum f_i rho_i."""
     n = gs.model.total_rank
-    out = [LaurentPoly.zero(n, 0) for _ in range(n)]
-    for name, coeff in combo.items():
-        rows = gs.rows_for(name)
-        for j in range(n):
-            if rows[j]:
-                out[j] = out[j] + coeff * rows[j]
-    return tuple(out)
+    rows = [gs.rows_for(name) for name in combo]
+    zero = LaurentPoly.zero(n, 0)
+    return tuple(dot(combo.values(), [r[j] for r in rows], zero) for j in range(n))
 
 
 def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None,
@@ -226,13 +209,7 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None,
     d = chain.d
     grading = model.grading
 
-    def combo_of(fs):
-        acc = LaurentPoly.zero(n, 0)
-        for fi, ri in zip(fs, rho):
-            acc = acc + fi * ri
-        return acc
-
-    target = combo_of(f)
+    target = dot(f, rho)
     if homogeneous_component(target, grading, (1,)):
         raise ValueError("the combination is not in R[T*]")
 
@@ -247,10 +224,8 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None,
         result[name] = coeff if cur is None else cur + coeff
 
     def running_check():
-        acc = combo_of(f)
-        for name, coeff in result.items():
-            acc = acc + coeff * by_label[name]
-        if acc != target:
+        gens = [by_label[name] for name in result]
+        if dot([*f, *result.values()], [*rho, *gens]) != target:
             raise AssertionError("running combination equality broken")
 
     # step 1: kill f_i^(0) for chain positions i <= n'
@@ -277,7 +252,7 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None,
         c = _exact_div(comp1, d, "step 2")
         if rho_tilde_w1 is None:
             rho_ord = tuple(rho[chain.order[k]] for k in range(n))
-            rho_tilde_w1 = _rho_tilde(chain, rho_ord, 0) + LaurentPoly.const(n, d, 0)
+            rho_tilde_w1 = _rho_tilde_w(chain, rho_ord, 0)
         add_coeff(f"h3[{i - np_ + 1}]", c * rho_tilde_w1)
         for j in range(np_):
             a = chain.bezout[0][j]
@@ -328,10 +303,7 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None,
             raise ReductionError("nonzero residue at the last degree-1 position")
     if any(not fi.is_zero() for fi in f):
         raise ReductionError("reduction left nonzero coefficients")
-    final = LaurentPoly.zero(n, 0)
-    for name, coeff in result.items():
-        final = final + coeff * by_label[name]
-    if final != target:
+    if expand_combination(gs, result) != target:
         raise AssertionError("final combination does not reproduce the input")
     return result
 

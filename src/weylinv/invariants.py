@@ -26,7 +26,7 @@ from types import MappingProxyType
 from .intlinalg import (
     congruence_kernel,
     hnf,
-    inverse_fraction,
+    hnf_with_transform,
     lattice_contains,
     lattice_coordinates,
     smallest_prime_factor,
@@ -295,11 +295,14 @@ def quotient_generators(sub: InvariantLattice, super_: InvariantLattice) -> list
     """[(order, vector)]: one generator of super/sub per nontrivial invariant factor."""
     diag, u, basis = _smith_coordinates(sub, super_)
     dim = super_.dim
-    uinv = inverse_fraction(u)
+    # U is unimodular, so its HNF is I and the HNF transform is U^-1
+    ident, uinv = hnf_with_transform(u)
+    if ident != [[int(i == j) for j in range(dim)] for i in range(dim)]:
+        raise AssertionError("Smith transform is not unimodular")
     out = []
     for i, d in enumerate(diag):
         if d > 1:
-            y = [int(uinv[k][i]) for k in range(dim)]
+            y = [uinv[k][i] for k in range(dim)]
             out.append((d, [sum(y[k] * basis[k][j] for k in range(dim)) for j in range(dim)]))
     return out
 

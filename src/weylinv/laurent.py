@@ -25,7 +25,6 @@ _WIDTH = 32
 _HALF = 1 << (_WIDTH - 1)
 _FIELD = (1 << _WIDTH) - 1
 EXPONENT_LIMIT = _HALF - 1
-_MEMO_LIMIT = 1 << 16
 
 
 class RingMismatchError(ValueError):
@@ -48,9 +47,14 @@ class DivisionPreconditionError(ValueError):
     pass
 
 
+def _ones(rank):
+    """1 in each of `rank` fields: sum_i 2^(32 i), a geometric series."""
+    return ((1 << (_WIDTH * rank)) - 1) // _FIELD
+
+
 def _bias(rank):
-    """2^31 in each of `rank` fields: sum_i 2^31 * 2^(32 i), a geometric series."""
-    return _HALF * ((1 << (_WIDTH * rank)) - 1) // _FIELD
+    """2^31 in each of `rank` fields."""
+    return _HALF * _ones(rank)
 
 
 @lru_cache(maxsize=None)
@@ -349,6 +353,49 @@ _set_rank, _set_modulus, _set_packed, _set_bound = (
 _trusted = LaurentPoly._trusted
 
 
+def dot(xs, ys, start=None) -> LaurentPoly:
+    """start + sum_i xs[i] * ys[i], in one pass over the term pairs.
+
+    The fold `acc = acc + x * y` from `start` (default: the zero of xs[0]'s
+    ring) gives the same polynomial, and this raises the same errors at the
+    same pair: each pair is checked as `x * y` checks it (rings, then the
+    exponent bound of two nonzero operands) and then against the ring of
+    the accumulator.  Coefficients are summed as integers and reduced once
+    at the end.  With no start, xs must be nonempty.
+    """
+    pairs = list(zip(xs, ys))
+    if start is None:
+        if not pairs:
+            raise ValueError("dot of empty sequences needs a start polynomial")
+        ref, out, bound = pairs[0][0], {}, 0
+    else:
+        ref, out, bound = start, dict(start._packed), start._bound
+    m, rank = ref.modulus, ref.rank
+    get = out.get
+    for x, y in pairs:
+        if x.modulus != y.modulus or x.rank != y.rank:
+            x._check(y)
+        a, b = x._packed, y._packed
+        if a and b and x._bound + y._bound > bound:
+            bound = _check_range(x._bound + y._bound)
+        if x.modulus != m or x.rank != rank:
+            ref._check(x)
+        if not a or not b:
+            continue
+        if len(a) > len(b):
+            a, b = b, a
+        b_items = b.items()
+        for k1, c1 in a.items():
+            for k2, c2 in b_items:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    if m:
+        out = {k: r for k, c in out.items() if (r := c % m)}
+    else:
+        out = {k: c for k, c in out.items() if c}
+    return _trusted(rank, m, out, bound)
+
+
 def ring_arithmetic(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
     """Dispatch wrapper: op in {'add', 'sub', 'mul', 'scale-by-monomial'}.
 
@@ -443,40 +490,54 @@ def bounded_divide(f: LaurentPoly, p: LaurentPoly, axis: int, d: int):
 class Grading:
     """Homomorphism Z^rank -> (+)_i Z/moduli[i], given on basis vectors."""
 
-    __slots__ = ("moduli", "images", "_forms", "_memo")
+    __slots__ = ("moduli", "images", "_forms")
 
     def __init__(self, moduli: tuple[int, ...], images):
         self.moduli = tuple(moduli)
         self.images = tuple(tuple(v) for v in images)
-        # one linear form per modulus: its column of the basis images
-        self._forms = tuple((tuple(img[i] for img in self.images), m)
-                            for i, m in enumerate(self.moduli))
-        # exponent code -> class, for polynomials of rank len(images)
-        self._memo = {}
+        # one linear form per modulus, its column of the basis images reduced
+        # into [0, m), with the same form as one multiplier on codes
+        cols = [(tuple(img[i] % m for img in self.images), m)
+                for i, m in enumerate(self.moduli)]
+        self._forms = tuple((col, m, sum(c << (_WIDTH * j) for j, c in enumerate(col)))
+                            for col, m in cols)
 
     @property
     def zero(self):
         return (0,) * len(self.moduli)
 
     def of_exponent(self, exp) -> tuple[int, ...]:
-        return tuple(sum(map(mul, exp, col)) % m for col, m in self._forms)
+        return tuple(sum(map(mul, exp, col)) % m for col, m, _ in self._forms)
 
-    def _classifier(self, rank):
-        """(memo.get, miss) on exponent codes of rank `rank`; a class is
-        `get(k) or miss(k)` (an empty class tuple just misses the memo)."""
+    def _digits(self, rank, bound):
+        """(lift, shift, ((multiplier, offset, m), ...)) that read the class of
+        a code by arithmetic, for codes of rank `rank` with every |e_i| <=
+        bound; None when the reading could carry.
+
+        Adding lift (bound in every field) makes every digit e_i + bound lie
+        in [0, 2 bound].  Multiplying by a form's multiplier
+        sum_j c_j 2^(32 j), with c_j in [0, m), leaves sum_j c_j (e_j + bound)
+        in field rank-1, and no field carries while
+        rank * 2 bound * (m - 1) < 2^32.  That field minus
+        offset = bound * sum_j c_j is the form's value.
+        """
         if rank != len(self.images):
             raise RankMismatchError(f"rank {rank} polynomial under a rank "
                                     f"{len(self.images)} grading")
-        memo = self._memo
-        unpack = _codec(rank)[1]
+        if rank * 2 * bound * (max(self.moduli, default=1) - 1) > _FIELD:
+            return None
+        return (bound * _ones(rank), _WIDTH * (rank - 1),
+                tuple((mult, bound * sum(col), m) for col, m, mult in self._forms))
 
-        def miss(key):
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            cls = memo[key] = self.of_exponent(unpack(key))
-            return cls
-
-        return memo.get, miss
+    def _classifier(self, rank, bound):
+        """Map from the codes of rank `rank` with every |e_i| <= bound to classes."""
+        digits = self._digits(rank, bound)
+        if digits is None:
+            unpack, of_exponent = _codec(rank)[1], self.of_exponent
+            return lambda key: of_exponent(unpack(key))
+        lift, shift, forms = digits
+        return lambda key: tuple(((((key + lift) * mult) >> shift & _FIELD) - off) % m
+                                 for mult, off, m in forms)
 
     def add(self, c1, c2):
         return tuple((a + b) % m for a, b, m in zip(c1, c2, self.moduli))
@@ -489,17 +550,24 @@ class Grading:
 def homogeneous_component(f: LaurentPoly, grading: Grading, cls) -> LaurentPoly:
     """Sub-polynomial of terms whose exponent maps to the given class."""
     cls = tuple(cls)
-    get, miss = grading._classifier(f.rank)
-    return _trusted(
-        f.rank, f.modulus,
-        {k: c for k, c in f._packed.items() if (get(k) or miss(k)) == cls}, f._bound)
+    items = f._packed.items()
+    digits = grading._digits(f.rank, f._bound)
+    if digits is not None and len(digits[2]) == 1 == len(cls):
+        # one modulus: compare the field itself with the class it must have
+        lift, shift, ((mult, off, m),) = digits
+        want = (cls[0] + off) % m
+        kept = {k: c for k, c in items if (((k + lift) * mult) >> shift & _FIELD) % m == want}
+    else:
+        class_of = grading._classifier(f.rank, f._bound)
+        kept = {k: c for k, c in items if class_of(k) == cls}
+    return _trusted(f.rank, f.modulus, kept, f._bound)
 
 
 def graded_components(f: LaurentPoly, grading: Grading) -> dict:
-    get, miss = grading._classifier(f.rank)
+    class_of = grading._classifier(f.rank, f._bound)
     out = {}
     for k, c in f._packed.items():
-        out.setdefault(get(k) or miss(k), {})[k] = c
+        out.setdefault(class_of(k), {})[k] = c
     return {cls: _trusted(f.rank, f.modulus, t, f._bound)
             for cls, t in out.items()}
 

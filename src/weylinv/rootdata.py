@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .intlinalg import congruence_kernel, snf_with_left
-from .laurent import Grading, LaurentPoly
+from .laurent import Grading, LaurentPoly, embed
 
 KINDS = ("A", "B", "C", "D", "E6", "E7")
 
@@ -605,3 +605,25 @@ def orbit_poly(model: LatticeModel, weight, augmented: bool = False) -> LaurentP
     if augmented:
         terms[zero] = terms.get(zero, 0) - len(orb)
     return LaurentPoly(model.total_rank, 0, terms)
+
+
+@lru_cache(maxsize=None)
+def factor_orbit_sums(kind: str, rank: int) -> tuple:
+    """Augmented orbit sums rho(w_i) - |W w_i| of the fundamental weights of
+    one (kind, rank) factor, in its local coordinates.
+
+    Computed once per (kind, rank) and process; the polynomials are
+    immutable, so every caller shares them.
+    """
+    local = LatticeModel(GroupSpec((SimpleFactor(kind, rank),)))
+    return tuple(orbit_poly(local, local._basis_vec(i), augmented=True) for i in range(rank))
+
+
+def fundamental_orbit_sums(model: LatticeModel) -> tuple:
+    """The augmented orbit sum of every fundamental weight of the model, in
+    natural order: the orbit of a weight on one factor is that factor's local
+    orbit, embedded at the factor's offset."""
+    n = model.total_rank
+    return tuple(embed(p, n, off)
+                 for f, off in zip(model.factors, model.offsets)
+                 for p in factor_orbit_sums(f.kind, f.rank))

@@ -15,7 +15,6 @@ in the (spinor, vector) coordinates of the center character group.
 from __future__ import annotations
 
 import math
-import re
 
 from .rootdata import GroupSpec, SimpleFactor, center_order
 
@@ -24,18 +23,20 @@ class SpecParseError(ValueError):
     pass
 
 
-_FACTOR_RE = re.compile(r"^(SL|Spin|Sp|PGL|PGSp|SO|PGO|HSpin)\((\d+)\)$|^(E6|E7)$")
+_FACTOR_NAMES = ("SL", "Spin", "Sp", "PGL", "PGSp", "SO", "PGO", "HSpin")
 
 
 def _factor_token(tok: str, pos: int):
-    """(SimpleFactor, per-factor kernel entry or None) for one grammar token."""
-    m = _FACTOR_RE.match(tok)
-    if not m:
+    """(SimpleFactor, per-factor kernel entry or None) for one grammar token:
+    E6, E7, or a factor name with a nonempty run of decimal digits in
+    parentheses."""
+    if tok in ("E6", "E7"):
+        return SimpleFactor(tok, int(tok[1])), None
+    name, paren, rest = tok.partition("(")
+    digits = rest[:-1]
+    if not (paren and name in _FACTOR_NAMES and rest.endswith(")") and digits.isdecimal()):
         raise SpecParseError(f"bad factor {tok!r} at position {pos}")
-    if m.group(3):
-        kind = m.group(3)
-        return SimpleFactor(kind, 6 if kind == "E6" else 7), None
-    name, num = m.group(1), int(m.group(2))
+    num = int(digits)
 
     def spin_factor(n):
         if n == 3:

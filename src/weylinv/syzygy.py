@@ -19,6 +19,7 @@ from .laurent import (
     LaurentPoly,
     bounded_divide,
     degrees,
+    dot,
     embed,
     homogeneous_component,
     is_divisor,
@@ -26,7 +27,13 @@ from .laurent import (
     lift_coefficients,
     reduce_coefficients,
 )
-from .rootdata import LatticeModel, frozen_setattr, orbit_size
+from .rootdata import (
+    LatticeModel,
+    factor_orbit_sums,
+    frozen_setattr,
+    fundamental_orbit_sums,
+    orbit_size,
+)
 
 
 class NotASyzygyError(ValueError):
@@ -105,11 +112,16 @@ class SyzygyCertificate(namedtuple("SyzygyCertificate", "length rank modulus ent
         t = validate_tuple(t)
         if len(t) != self.length:
             raise ValueError("tuple length mismatch")
-        out = [LaurentPoly.zero(self.rank, self.modulus) for _ in range(self.length)]
+        # entry (i, j) adds g t_j at i and -g t_i at j
+        xs = [[] for _ in range(self.length)]
+        ys = [[] for _ in range(self.length)]
         for (i, j), g in self.entries.items():
-            out[i] = out[i] + g * t[j]
-            out[j] = out[j] - g * t[i]
-        return tuple(out)
+            xs[i].append(g)
+            ys[i].append(t[j])
+            xs[j].append(-g)
+            ys[j].append(t[i])
+        zero = LaurentPoly.zero(self.rank, self.modulus)
+        return tuple(dot(x, y, zero) for x, y in zip(xs, ys))
 
     def is_empty(self):
         return all(g.is_zero() for g in self.entries.values())
@@ -128,10 +140,7 @@ def _add_entry(cert, i, j, g):
 
 
 def _check_syzygy(t, f):
-    acc = LaurentPoly.zero(t[0].rank, t[0].modulus)
-    for fi, ti in zip(f, t):
-        acc = acc + fi * ti
-    if not acc.is_zero():
+    if dot(f, t, LaurentPoly.zero(t[0].rank, t[0].modulus)):
         raise NotASyzygyError("tuple is not a syzygy")
 
 
@@ -358,30 +367,16 @@ def is_unit_monomial(p: LaurentPoly) -> bool:
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     rank, modulus = a[0][0].rank, a[0][0].modulus
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = LaurentPoly.zero(rank, modulus)
-            for s in range(k):
-                if a[i][s] and b[s][j]:
-                    acc = acc + a[i][s] * b[s][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    zero = LaurentPoly.zero(rank, modulus)
+    return [[dot(a[i], [b[s][j] for s in range(k)], zero) for j in range(m)]
+            for i in range(n)]
 
 
 def vec_mat(vec, a):
     n, m = len(a), len(a[0])
     rank, modulus = a[0][0].rank, a[0][0].modulus
-    out = []
-    for j in range(m):
-        acc = LaurentPoly.zero(rank, modulus)
-        for i in range(n):
-            if vec[i] and a[i][j]:
-                acc = acc + vec[i] * a[i][j]
-        out.append(acc)
-    return out
+    zero = LaurentPoly.zero(rank, modulus)
+    return [dot(vec, [a[i][j] for i in range(n)], zero) for j in range(m)]
 
 
 def mat_inverse_unit(rows) -> list:
@@ -430,13 +425,8 @@ def trivialize_generalized(q, transform: TransformMatrix, f,
     flat = vec_mat(list(q), a)
     a_inv = mat_inverse_unit(a) if inverse is None else inverse
     # g = A^{-1} f^t  (row convention: g_i = sum_j a_inv[i][j] f_j)
-    g = [None] * n
-    for i in range(n):
-        acc = LaurentPoly.zero(q[0].rank, q[0].modulus)
-        for j in range(n):
-            if a_inv[i][j] and f[j]:
-                acc = acc + a_inv[i][j] * f[j]
-        g[i] = acc
+    zero = LaurentPoly.zero(q[0].rank, q[0].modulus)
+    g = [dot(a_inv[i], f, zero) for i in range(n)]
     cert_r = trivialize_syzygy(tuple(flat), tuple(g))
     out = _empty_cert(n, q[0].rank, q[0].modulus)
     for (i, j), c in cert_r.entries.items():
@@ -613,6 +603,8 @@ def newton_transform(kind: str, n: int):
         s_i = c_shift ** i * math.comb(nv, i)
         im = phi(sig[i], n)
         rho.append(im - LaurentPoly.const(n, s_i, 0))
+    if tuple(rho) != factor_orbit_sums(kind, n):
+        raise AssertionError("phi(sigma_i) - s_i differs from the orbit sum of w_i")
 
     # columns of the final square matrix: column for r_i is the column of
     # tau(G_{nv + 1 - i}); for type A that drops the G_1 column (= r_{n+1}).
@@ -670,7 +662,8 @@ def _block_diagonal(model: LatticeModel, block_of, modulus):
     for kind, rank, off in _blocks(model):
         for k, row in enumerate(block_of(kind, rank)):
             for i, p in enumerate(row):
-                rows[off + k][off + i] = embed(p, n, off)
+                if p:
+                    rows[off + k][off + i] = embed(p, n, off)
     return rows
 
 
@@ -681,18 +674,19 @@ def model_transform(model: LatticeModel):
     global coordinates and natural fundamental-weight order.
     """
     n = model.total_rank
-    flat, rho = [], []
+    flat = []
     det = LaurentPoly.const(n, 1, 0)
     for kind, rank, off in _blocks(model):
-        bflat, btr, brho = newton_transform(kind, rank)
+        bflat, btr, _ = newton_transform(kind, rank)
         det = det * embed(btr.det, n, off)
         flat.extend(embed(p, n, off) for p in bflat)
-        rho.extend(embed(p, n, off) for p in brho)
     rows = _block_diagonal(model, lambda kind, rank: newton_transform(kind, rank)[1].entries, 0)
     # block-diagonal: the determinant is the product of the block determinants
     if not is_unit_monomial(det):
         raise AssertionError("block transform determinant is not a unit")
-    return tuple(flat), TransformMatrix(tuple(tuple(r) for r in rows), det), tuple(rho)
+    # each block's rho is its factor's orbit sums (checked in newton_transform)
+    return (tuple(flat), TransformMatrix(tuple(tuple(r) for r in rows), det),
+            fundamental_orbit_sums(model))
 
 
 @lru_cache(maxsize=None)
@@ -709,6 +703,16 @@ def block_inverse_mod(kind: str, n: int, d: int):
     if mat_mul(a, inv) != ident or mat_mul(inv, a) != ident:
         raise AssertionError("block inverse mod d is not an inverse")
     return a, tuple(tuple(r) for r in inv)
+
+
+def model_transform_mod(model: LatticeModel, d: int) -> TransformMatrix:
+    """model_transform(model)'s matrix reduced mod d, assembled block by block."""
+    n = model.total_rank
+    det = LaurentPoly.const(n, 1, d)
+    for kind, rank, off in _blocks(model):
+        det = det * embed(reduce_coefficients(newton_transform(kind, rank)[1].det, d), n, off)
+    rows = _block_diagonal(model, lambda kind, rank: block_inverse_mod(kind, rank, d)[0], d)
+    return TransformMatrix(tuple(map(tuple, rows)), det)
 
 
 def model_inverse_mod(model: LatticeModel, d: int) -> list:
@@ -732,6 +736,9 @@ def normalize_coefficients(model: LatticeModel, f, transform=None):
 
     Given deg(sum f_i rho_i) = 0, returns (g_i) with the same combination and
     g_i^{(1-|i|)} == 0 mod d, where d is the gcd of degree-1 orbit sizes.
+    Only the rho of `transform` (model_transform(model), if the caller has
+    it) is read: the transform mod d and its inverse are assembled from the
+    cached blocks.
     """
     if model.grading.moduli != (2,):
         raise ValueError("coefficient normalization needs an index-2 grading")
@@ -741,14 +748,10 @@ def normalize_coefficients(model: LatticeModel, f, transform=None):
     n = model.total_rank
     if len(f) != n:
         raise ValueError("tuple length must equal the model rank")
-    if transform is None:
-        flat, transform, rho = model_transform(model)
-    else:
-        flat, transform, rho = transform
+    rho = fundamental_orbit_sums(model) if transform is None else transform[2]
     d = degree_one_gcd(model)
-    combo = LaurentPoly.zero(n, 0)
-    for fi, ri in zip(f, rho):
-        combo = combo + fi * ri
+    transform_d = model_transform_mod(model, d)  # FlatnessError unless types A and C
+    combo = dot(f, rho)
     if homogeneous_component(combo, model.grading, (1,)):
         raise ValueError("the combination is not of degree 0")
 
@@ -758,9 +761,9 @@ def normalize_coefficients(model: LatticeModel, f, transform=None):
         comp = homogeneous_component(f[i], model.grading, want)
         syz.append(reduce_coefficients(comp, d))
     rho_d = tuple(reduce_coefficients(r, d) for r in rho)
-    inverse = model_inverse_mod(model, d)
     try:
-        cert = trivialize_generalized(rho_d, transform.reduce(d), tuple(syz), inverse)
+        cert = trivialize_generalized(rho_d, transform_d, tuple(syz),
+                                      model_inverse_mod(model, d))
     except (NotASyzygyError, FlatnessError) as exc:
         # the input passed the degree-0 check, so every tuple here is the
         # library's own: a rejection is a failed verification, not bad input
@@ -768,10 +771,7 @@ def normalize_coefficients(model: LatticeModel, f, transform=None):
     lifted = lift_syzygy(rho_d, cert)
     h = lifted.expand(rho)
     g = tuple(a - b for a, b in zip(f, h))
-    combo2 = LaurentPoly.zero(n, 0)
-    for gi, ri in zip(g, rho):
-        combo2 = combo2 + gi * ri
-    if combo2 != combo:
+    if dot(g, rho) != combo:
         raise AssertionError("normalization changed the combination")
     for i in range(n):
         want = ((1 - model.fw_degrees[i][0]) % 2,)

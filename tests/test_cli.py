@@ -116,6 +116,27 @@ CENTER_STRINGS = ["mu()", "mu(2)[", "mu(2)[1,,2]", "mu(2)x", "mu(-2)", "mu(2)", 
                   "mu(2)[1-2]", "mu(\u0663)", "mu(2)(3)", "mu()[1,1]", ""]
 
 
+# the factor pattern parse_spec matched with a regex before it parsed the
+# token with string methods, kept as their oracle (as a full match: its `$`
+# also let a token end in a newline, which the parser now rejects)
+OLD_FACTOR_RE = re.compile(r"^(SL|Spin|Sp|PGL|PGSp|SO|PGO|HSpin)\((\d+)\)$|^(E6|E7)$")
+
+FACTOR_NAMES = ("SL", "Spin", "Sp", "PGL", "PGSp", "SO", "PGO", "HSpin")
+ACCEPTED_TOKENS = [f"{name}({num})" for name in FACTOR_NAMES
+                   for num in ("0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "16",
+                               "02", "\u0663")] + ["E6", "E7"]
+MALFORMED_TOKENS = ["", "SL", "SL()", "SL(2", "SL2)", "SL(2))", "SL((2))", "sl(2)", "SL(-2)",
+                    "SL(+2)", "SL(2.0)", "SL(2)(3)", "SL(\u00b2)", "SL(2)\n", "E7\n", "SL(2)\t",
+                    "E8", "E6(1)", "E", "(2)", "PGO", "Spin(8", "HSpin)8(", "SL(2,3)", "SL(2 )"]
+
+
+def _token_outcome(tok):
+    try:
+        return spec_module._factor_token(tok, 0)
+    except ValueError as exc:   # SL(1), PGL(0), ... fail past the token shape
+        return str(exc)
+
+
 def _parse_outcome(text):
     try:
         return parse_spec(text)
@@ -143,6 +164,18 @@ class TestParse:
                   st.none() | st.text(alphabet="0123-,]", max_size=6))))
     def test_center_split_matches_regex_oracle_random(self, c):
         assert spec_module._split_center(c) == old_split_center(c)
+
+    @pytest.mark.parametrize("tok", ACCEPTED_TOKENS + MALFORMED_TOKENS)
+    def test_factor_token_matches_regex_oracle(self, tok):
+        bad = f"bad factor {tok!r} at position 0"
+        assert (_token_outcome(tok) == bad) == (OLD_FACTOR_RE.fullmatch(tok) is None)
+        assert (OLD_FACTOR_RE.fullmatch(tok) is None) == (tok in MALFORMED_TOKENS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="SLpinGOHE67()0129\n", max_size=9))
+    def test_factor_token_matches_regex_oracle_random(self, tok):
+        bad = f"bad factor {tok!r} at position 0"
+        assert (_token_outcome(tok) == bad) == (OLD_FACTOR_RE.fullmatch(tok) is None)
 
     def test_products_and_diagonal(self):
         spec = parse_spec("(SL(8) x SL(8)) / mu(2)")

@@ -13,7 +13,10 @@ from weylinv.laurent import (
     ZeroPolynomialError,
     augmentation,
     bounded_divide,
+    _FIELD,
+    _codec,
     degrees,
+    dot,
     embed,
     from_text,
     graded_components,
@@ -174,7 +177,7 @@ class TestGrading:
         f = P(2, {(1, 0): 1, (0, 1): 2, (1, 1): 3})
         by_first = Grading((2,), [(1,), (0,)])
         by_second = Grading((2,), [(0,), (1,)])
-        for _ in range(2):   # the second round reads the memoised classes
+        for _ in range(2):   # the same codes twice, under two gradings
             assert homogeneous_component(f, by_first, (1,)) == P(2, {(1, 0): 1, (1, 1): 3})
             assert homogeneous_component(f, by_second, (1,)) == P(2, {(0, 1): 2, (1, 1): 3})
 
@@ -472,3 +475,149 @@ class TestPackedRange:
         assert (5, 5) not in p.terms and (1, 0, 0) not in p.terms
         assert p.terms.get((0, -1)) == 2
         assert isinstance(LaurentPoly.zero(3).terms, type(p.terms))
+
+
+def fold(xs, ys, start):
+    """The loop `dot` replaced, kept as its oracle."""
+    acc = start
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def outcome(fn):
+    try:
+        p = fn()
+    except ValueError as exc:
+        return type(exc)
+    return p.rank, p.modulus, dict(p.terms)
+
+
+@st.composite
+def dot_cases(draw):
+    """(xs, ys) of one ring; `cancel` appends the negated pairs, so the sum is 0."""
+    rank = draw(st.integers(1, 6))
+    modulus = draw(st.sampled_from(MODULI))
+    k = draw(st.integers(1, 5))
+    xs = [P(rank, draw(term_lists(rank)), modulus) for _ in range(k)]
+    ys = [P(rank, draw(term_lists(rank)), modulus) for _ in range(k)]
+    if draw(st.booleans()):
+        xs, ys = xs + [-x for x in xs], ys + ys
+    return xs, ys
+
+
+# every operand draws its own ring, so some pairs mismatch and some do not
+RINGS = ((1, 0), (1, 2), (2, 0), (2, 3))
+
+
+@st.composite
+def mixed_dot_cases(draw):
+    xs, ys = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        for side in (xs, ys):
+            rank, modulus = draw(st.sampled_from(RINGS))
+            big = st.sampled_from((EXPONENT_LIMIT, EXPONENT_LIMIT - 1, 1 - EXPONENT_LIMIT))
+            e = st.one_of(st.integers(-3, 3), big)
+            terms = draw(st.lists(st.tuples(st.tuples(*[e] * rank), st.integers(-3, 3)),
+                                  max_size=3))
+            side.append(P(rank, terms, modulus))
+    return xs, ys
+
+
+class TestDot:
+    @settings(max_examples=100, deadline=None)
+    @given(dot_cases(), st.booleans())
+    def test_matches_the_fold(self, case, with_start):
+        xs, ys = case
+        zero = LaurentPoly.zero(xs[0].rank, xs[0].modulus)
+        start = (xs[0] - ys[-1]) if with_start else None
+        got = dot(xs, ys, start)
+        want = fold(xs, ys, zero if start is None else start)
+        # the same terms (their order may differ) in normal form
+        assert got == want
+        m = got.modulus
+        assert all(c and (not m or 0 < c < m) for c in got.terms.values())
+
+    def test_full_cancellation_is_zero(self):
+        x, y = P(2, {(1, 0): 3, (0, -1): 1}, 7), P(2, {(1, 1): 5, (0, 0): 2}, 7)
+        assert dot([x, x], [y, -y]).is_zero()
+        # 2 * 2 = 0 mod 4: nonzero operands with a zero product
+        assert dot([P(1, {(1,): 2}, 4)], [P(1, {(0,): 2}, 4)]).is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_dot_cases())
+    def test_errors_match_the_fold(self, case):
+        xs, ys = case
+        zero = LaurentPoly.zero(xs[0].rank, xs[0].modulus)
+        assert outcome(lambda: dot(xs, ys)) == outcome(lambda: fold(xs, ys, zero))
+
+    def test_range_error_and_bound(self):
+        lim = EXPONENT_LIMIT
+        top = P(2, {(lim, 0): 1, (0, 0): 1})
+        one = P(2, {(1, 0): 1, (0, 0): 1})
+        with pytest.raises(ExponentRangeError):
+            dot([one, top], [one, one])
+        # a zero operand makes no product, as in `x * y`
+        assert dot([top, top], [LaurentPoly.zero(2), one.scale(0)]).is_zero()
+        # the result's bound is a product's, so its products raise as a fold's would
+        g = dot([P(2, {(0, lim - 1): 1})], [P(2, {(0, 1): 1})])
+        with pytest.raises(ExponentRangeError):
+            g.mul_monomial((0, 1))
+
+    def test_empty(self):
+        with pytest.raises(ValueError):
+            dot([], [])
+        start = P(3, {(1, 2, 3): 4}, 5)
+        assert dot([], [], start) == start
+
+
+@st.composite
+def classifier_cases(draw):
+    """A grading with 1-3 moduli, a bound up to the limit, exponents within it."""
+    rank = draw(st.integers(1, 7))
+    moduli = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    images = [[draw(st.integers(-30, 30)) for _ in moduli] for _ in range(rank)]
+    bound = draw(st.one_of(st.integers(0, 40), st.integers(0, 1 << 20),
+                           st.integers(0, EXPONENT_LIMIT)))
+    coord = st.one_of(st.integers(-bound, bound), st.sampled_from((bound, -bound)))
+    exps = draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=6))
+    return Grading(tuple(moduli), images), bound, exps
+
+
+class TestArithmeticClassifier:
+    @settings(max_examples=250, deadline=None)
+    @given(classifier_cases(), st.integers(1, 5))
+    def test_matches_of_exponent(self, case, c):
+        grading, bound, exps = case
+        rank = len(grading.images)
+        pack = _codec(rank)[0]
+        class_of = grading._classifier(rank, bound)
+        for e in exps:
+            assert class_of(pack(e)) == grading.of_exponent(e)
+        # a polynomial whose bound is `bound`, read through both entry points
+        terms = {pack(e): c for e in exps}
+        f = LaurentPoly._trusted(rank, 0, terms, bound)
+        classes = {grading.of_exponent(e) for e in exps}
+        for cls in classes | {grading.zero}:
+            want = {pack(e): c for e in exps if grading.of_exponent(e) == cls}
+            assert homogeneous_component(f, grading, cls)._packed == want
+        assert {k: v._packed for k, v in graded_components(f, grading).items()} == {
+            cls: {pack(e): c for e in exps if grading.of_exponent(e) == cls}
+            for cls in classes}
+
+    def test_both_paths_run(self):
+        g = Grading((3, 5), [(1, 2), (4, 0), (2, 3)])
+        assert g._digits(3, 1000) is not None
+        assert g._digits(3, EXPONENT_LIMIT) is None
+        # the largest bound without carries, and the next one
+        m = 5
+        edge = _FIELD // (3 * 2 * (m - 1))
+        assert g._digits(3, edge) is not None and g._digits(3, edge + 1) is None
+        pack = _codec(3)[0]
+        for bound in (edge, edge + 1):
+            e = (bound, -bound, bound)
+            assert g._classifier(3, bound)(pack(e)) == g.of_exponent(e)
+
+    def test_rank_mismatch(self):
+        with pytest.raises(ValueError):
+            homogeneous_component(P(3, {(0, 0, 0): 1}), Grading((2,), [(1,), (0,)]), (0,))

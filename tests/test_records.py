@@ -3,11 +3,13 @@ replaced, and `import weylinv` loads no module that no computation needs."""
 
 import ast
 import dataclasses
+import os
 import subprocess
 import sys
 
 import pytest
 
+import weylinv
 from weylinv import (
     FactorGroup,
     GcdChain,
@@ -188,3 +190,33 @@ def test_import_footprint():
     assert proc.returncode == 0, proc.stderr
     assert ast.literal_eval(proc.stdout) == {"import": [], "invariants_of": [],
                                              "reduce_to_generators": []}
+
+
+def test_import_does_not_load_re():
+    # -S: no site hooks, which may load `re` before weylinv does
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(weylinv.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; import weylinv; print(sorted(m for m in ('re', 'enum') if m in sys.modules))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+SHOW_GENERATORS_SCRIPT = """
+import contextlib, io, sys
+preloaded = set(sys.modules)
+from weylinv.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["invariants", "--spec", "PGO(8)", "--show-generators"])
+print(code, "Inv3_ind generators: (Z/2)(+2q1)" in out.getvalue().splitlines(),
+      [m for m in ("fractions", "decimal") if m in sys.modules and m not in preloaded])
+"""
+
+
+def test_show_generators_without_fractions():
+    # the unimodular Smith transform is inverted in integers
+    proc = subprocess.run([sys.executable, "-c", SHOW_GENERATORS_SCRIPT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "[]"]

@@ -12,6 +12,8 @@ from weylinv.rootdata import (
     SimpleFactor,
     cartan_rows,
     compile_spec,
+    factor_orbit_sums,
+    fundamental_orbit_sums,
     killing_coeffs,
     killing_forms,
     killing_gram,
@@ -180,6 +182,38 @@ class TestOrbitPoly:
         p = orbit_poly(m, m.fundamental_weight(0, 1))
         assert augmentation(p) == 4
         assert augmentation(orbit_poly(m, m.fundamental_weight(0, 1), augmented=True)) == 0
+
+
+# every factor the orbit sums are cached for: A1-A8, B2-B6, C2-C6, D4-D7, E6, E7
+ORBIT_FACTORS = ([SimpleFactor("A", r) for r in range(1, 9)]
+                 + [SimpleFactor(k, r) for k in "BC" for r in range(2, 7)]
+                 + [SimpleFactor("D", r) for r in range(4, 8)]
+                 + [SimpleFactor("E6", 6), SimpleFactor("E7", 7)])
+
+
+def _orbit_sum_models():
+    """Each factor alone, then seeded products of two and three of them."""
+    rng = random.Random(11)
+    out = [(f,) for f in ORBIT_FACTORS]
+    out += [tuple(rng.sample(ORBIT_FACTORS, 2)) for _ in range(8)]
+    out += [tuple(rng.choice(ORBIT_FACTORS) for _ in range(3)) for _ in range(6)]
+    return out
+
+
+class TestFundamentalOrbitSums:
+    @pytest.mark.parametrize("factors", _orbit_sum_models(),
+                             ids=lambda fs: "x".join(map(str, fs)))
+    def test_equal_orbit_poly(self, factors):
+        m = model(*factors)
+        want = tuple(orbit_poly(m, m._basis_vec(i), augmented=True)
+                     for i in range(m.total_rank))
+        assert fundamental_orbit_sums(m) == want
+
+    def test_quotients_share_the_factor_sums(self):
+        m = compile_spec(parse_spec("(SL(4) x Sp(6)) / mu(2)"))
+        assert fundamental_orbit_sums(m) == tuple(
+            orbit_poly(m, m._basis_vec(i), augmented=True) for i in range(m.total_rank))
+        assert factor_orbit_sums("A", 3) is factor_orbit_sums("A", 3)
 
 
 class TestGradingWeights:

@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylinv import syzygy as syzygy_module
 from weylinv.fuzz import random_cert, random_flat_tuple
 from weylinv.laurent import LaurentPoly, augmentation, homogeneous_component, reduce_coefficients
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly, orbit_size
@@ -24,6 +25,7 @@ from weylinv.syzygy import (
     mat_mul,
     model_inverse_mod,
     model_transform,
+    model_transform_mod,
     newton_transform,
     normalize_coefficients,
     trivialize_generalized,
@@ -156,6 +158,17 @@ class TestTransformCaches:
         assert newton_transform(kind, n) == newton_transform.__wrapped__(kind, n)
         assert newton_transform(kind, n) is newton_transform(kind, n)
 
+    def test_rho_is_the_orbit_sums_of_the_factor(self, monkeypatch):
+        for kind, n in [("A", 3), ("C", 3)]:
+            m = compile_spec(GroupSpec((SimpleFactor(kind, n),)))
+            assert newton_transform(kind, n)[2] == tuple(
+                orbit_poly(m, m._basis_vec(i), augmented=True) for i in range(n))
+        # the check runs on every fresh transform
+        monkeypatch.setattr(syzygy_module, "factor_orbit_sums",
+                            lambda kind, n: tuple(LaurentPoly.zero(n) for _ in range(n)))
+        with pytest.raises(AssertionError, match="orbit sum"):
+            newton_transform.__wrapped__("A", 2)
+
     def test_transform_matrix_is_frozen(self):
         _, tr, _ = newton_transform("C", 2)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -180,6 +193,7 @@ class TestTransformCaches:
         n = m.total_rank
         flat, tr, _ = model_transform(m)
         rows = [list(r) for r in tr.reduce(d).entries]
+        assert model_transform_mod(m, d) == tr.reduce(d)
         # each block sits where it maps the model's own orbit sums to the flat tuple
         rho = [reduce_coefficients(orbit_poly(m, m._basis_vec(i), augmented=True), d)
                for i in range(n)]
