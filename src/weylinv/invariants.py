@@ -32,7 +32,7 @@ from .intlinalg import (
     smallest_prime_factor,
     snf_with_left,
 )
-from .laurent import Grading, LaurentPoly, augmentation, graded_components
+from .laurent import Grading, LaurentPoly, augmentation, dot, graded_components
 from .rootdata import (
     GroupSpec,
     LatticeModel,
@@ -40,6 +40,7 @@ from .rootdata import (
     center_order,
     compile_spec,
     frozen_setattr,
+    fundamental_orbit_sums,
     killing_gram,
     lattice_grading,
     orbit_poly,
@@ -914,11 +915,7 @@ def pgo8_parity_check(f_tuple) -> dict:
     f_tuple = tuple(f_tuple)
     if len(f_tuple) != 4:
         raise ValueError("expected a 4-tuple")
-    rho = [orbit_poly(model, model.fundamental_weight(0, i), augmented=True)
-           for i in range(4)]
-    x = LaurentPoly.zero(n, 0)
-    for fi, ri in zip(f_tuple, rho):
-        x = x + fi * ri
+    x = dot(f_tuple, fundamental_orbit_sums(model), LaurentPoly.zero(n, 0))
     comps = graded_components(x, model.grading)
     in_tstar = set(comps) <= {model.grading.zero}
     report = {

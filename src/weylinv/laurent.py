@@ -490,24 +490,24 @@ def bounded_divide(f: LaurentPoly, p: LaurentPoly, axis: int, d: int):
 class Grading:
     """Homomorphism Z^rank -> (+)_i Z/moduli[i], given on basis vectors."""
 
-    __slots__ = ("moduli", "images", "_forms")
+    __slots__ = ("moduli", "images", "_forms", "_multipliers")
 
     def __init__(self, moduli: tuple[int, ...], images):
         self.moduli = tuple(moduli)
         self.images = tuple(tuple(v) for v in images)
         # one linear form per modulus, its column of the basis images reduced
-        # into [0, m), with the same form as one multiplier on codes
-        cols = [(tuple(img[i] % m for img in self.images), m)
-                for i, m in enumerate(self.moduli)]
-        self._forms = tuple((col, m, sum(c << (_WIDTH * j) for j, c in enumerate(col)))
-                            for col, m in cols)
+        # into [0, m), and the same form as one multiplier on codes
+        self._forms = tuple((tuple(img[i] % m for img in self.images), m)
+                            for i, m in enumerate(self.moduli))
+        self._multipliers = tuple(sum(c << (_WIDTH * j) for j, c in enumerate(col))
+                                  for col, _ in self._forms)
 
     @property
     def zero(self):
         return (0,) * len(self.moduli)
 
     def of_exponent(self, exp) -> tuple[int, ...]:
-        return tuple(sum(map(mul, exp, col)) % m for col, m, _ in self._forms)
+        return tuple(sum(map(mul, exp, col)) % m for col, m in self._forms)
 
     def _digits(self, rank, bound):
         """(lift, shift, ((multiplier, offset, m), ...)) that read the class of
@@ -527,7 +527,8 @@ class Grading:
         if rank * 2 * bound * (max(self.moduli, default=1) - 1) > _FIELD:
             return None
         return (bound * _ones(rank), _WIDTH * (rank - 1),
-                tuple((mult, bound * sum(col), m) for col, m, mult in self._forms))
+                tuple((mult, bound * sum(col), m)
+                      for (col, m), mult in zip(self._forms, self._multipliers)))
 
     def _classifier(self, rank, bound):
         """Map from the codes of rank `rank` with every |e_i| <= bound to classes."""

@@ -166,15 +166,13 @@ def _trivialize_domain(t, f, n, cert):
     d = min(degrees(f[i], axis)[1] for i in live)
     tn = t[n - 1]
     wp = degrees(tn, axis)[2]
-    hs = []
-    new_fn = f[n - 1]
+    gs, hs = [], []
     for i in range(n - 1):
         g_i, h_i = bounded_divide(f[i], tn, axis, d)
         _add_entry(cert, i, n - 1, g_i)
+        gs.append(g_i)
         hs.append(h_i)
-        if g_i:
-            new_fn = new_fn + g_i * t[i]
-    if not new_fn.is_zero():
+    if dot(gs, t, f[n - 1]):
         raise AssertionError(
             "internal degree argument violated: residual last entry nonzero"
         )
