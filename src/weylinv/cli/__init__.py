@@ -81,9 +81,7 @@ def run_invariants(args) -> int:
 
     spec = parse_spec(args.spec)
     model = compile_spec(spec)
-    rep = invariants_of(model, height=args.height,
-                        dec_mode=args.mode if args.mode in ("enumerate", "table", "both") else "both",
-                        sdec_mode=args.mode if args.mode in ("generators", "elements") else None)
+    rep = invariants_of(model, sdec_mode=args.mode)
     payload = {
         "spec": spec_to_text(spec),
         "Q": _lattice_json(rep.Q),
@@ -297,9 +295,7 @@ def make_parser():
 
     p = sub.add_parser("invariants", help="compute Q, Dec, Sdec and factor groups")
     p.add_argument("--spec", required=True)
-    p.add_argument("--height", type=int, default=4)
-    p.add_argument("--mode", default=None,
-                   choices=["enumerate", "table", "both", "generators", "elements"])
+    p.add_argument("--mode", default=None, choices=["generators", "elements"])
     p.add_argument("--json", action="store_true")
     p.add_argument("--tsv", action="store_true")
     p.add_argument("--show-generators", action="store_true")

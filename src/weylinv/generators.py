@@ -190,8 +190,7 @@ def combination_to_tuple(gs: GeneratorSet, combo: dict) -> tuple:
     return tuple(dot(combo.values(), [r[j] for r in rows], zero) for j in range(n))
 
 
-def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None,
-                         transform=None) -> dict:
+def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None) -> dict:
     """Express sum f_i rho_i (in R[T*]) as a generator combination.
 
     Runs the coefficient normalization and then the four elimination steps,
@@ -213,7 +212,7 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None,
     if homogeneous_component(target, grading, (1,)):
         raise ValueError("the combination is not in R[T*]")
 
-    f = list(normalize_coefficients(model, tuple(f), transform))
+    f = list(normalize_coefficients(model, tuple(f)))
     result: dict[str, LaurentPoly] = {}
     by_label = dict(gs.labeled())
 

@@ -467,26 +467,22 @@ def _dominant_pairs(kind: str, rank: int, weights):
 
 
 @lru_cache(maxsize=None)
-def _factor_buckets(kind: str, rank: int, images: tuple, moduli: tuple, cap=None):
+def _factor_buckets(kind: str, rank: int, images: tuple, moduli: tuple):
     """Read-only {class: hnf rows}: the rows (at most two) span the pairs (t, |W lam|) of
-    _dominant_pairs over the factor's weights lam of that class in Lambda/T*,
-    where local fundamental weight j has class images[j] in
-    (+)_i Z/moduli[i].  The weights are the zero-sum slices
-    (_zero_sum_slices) or, given a cap, the box of coordinates <= cap."""
+    _dominant_pairs over the factor's zero-sum slices lam (_zero_sum_slices)
+    of that class in Lambda/T*, where local fundamental weight j has class
+    images[j] in (+)_i Z/moduli[i]."""
     grading = Grading(moduli, images)
-    weights = (_zero_sum_slices(grading) if cap is None
-               else iproduct(range(cap + 1), repeat=rank))
     pairs = {}
-    for lam, t, w in _dominant_pairs(kind, rank, weights):
+    for lam, t, w in _dominant_pairs(kind, rank, _zero_sum_slices(grading)):
         pairs.setdefault(grading.of_exponent(lam), set()).add((t, w))
     return MappingProxyType({cls: tuple(tuple(r) for r in hnf(sorted(ps)))
                              for cls, ps in pairs.items()})
 
 
-def _dec_lattice(model: LatticeModel, buckets, exact: bool,
-                 mode: str) -> InvariantLattice:
+def _dec_lattice(model: LatticeModel) -> InvariantLattice:
     """Lattice generated by c2(rho-bar(lam)) over the dominant lam in T* whose
-    factor slices lie in the per-factor `buckets` (from _factor_buckets).
+    factor slices are zero-sum slices, bucketed per factor by _factor_buckets.
 
     lam is in T* exactly when the Lambda/T* classes of its slices sum to 0, so
     only those class combinations are visited: the last factor's class is the
@@ -496,8 +492,10 @@ def _dec_lattice(model: LatticeModel, buckets, exact: bool,
     as all the pairs do.
     """
     grading = model.grading
+    *head, last = [_factor_buckets(f.kind, f.rank, grading.images[off:off + f.rank],
+                                   grading.moduli)
+                   for f, off in zip(model.factors, model.offsets)]
     vecs = set()
-    *head, last = buckets
     for combo in iproduct(*(b.items() for b in head)):
         total = grading.zero
         for cls, _ in combo:
@@ -508,7 +506,7 @@ def _dec_lattice(model: LatticeModel, buckets, exact: bool,
         for picks in iproduct(*(r for _, r in combo), rows):
             vecs.add(tuple(t * math.prod(w for j, (_, w) in enumerate(picks) if j != i)
                            for i, (t, _) in enumerate(picks)))
-    return InvariantLattice.from_rows(len(buckets), sorted(vecs), exact, mode)
+    return InvariantLattice.from_rows(len(model.factors), sorted(vecs), True, "hilbert")
 
 
 def _is_diag_kernel(model):
@@ -647,47 +645,29 @@ def dec_table(model: LatticeModel):
     return None
 
 
-def compute_Dec(model: LatticeModel, height: int = 4,
-                mode: str = "both") -> InvariantLattice:
+def compute_Dec(model: LatticeModel) -> InvariantLattice:
     """Decomposable subgroup, generated by c2(rho-bar(lam)) over dominant lam in T*.
 
     c2 is a ring map, so Dec is generated by the images of a Hilbert basis
     of the monoid of dominant weights in T*.  A Hilbert basis element is a
     minimal zero-sum sequence of fundamental weights in Lambda/T* (classes
     model.grading.images), so each of its factor slices is empty, zero-sum-free
-    or minimal zero-sum there.  The scan (mode 'hilbert') takes every such
-    slice from a depth-first search per factor (_zero_sum_slices), keys it by
-    its class in Lambda/T*, and combines the classes that sum to 0, so it is
-    exact.  'both' (the default) checks it against the closed form where one
-    exists and raises DecMismatchError on any disagreement; 'table' returns
-    the closed form unchecked.  Without a closed form both return the
-    'hilbert' lattice.  'enumerate' scans the box of coordinates <= height,
-    keyed the same way, and is flagged as a lower bound.
+    or minimal zero-sum there.  The scan takes every such slice from a
+    depth-first search per factor (_zero_sum_slices), keys it by its class in
+    Lambda/T*, and combines the classes that sum to 0, so it is exact: mode
+    'hilbert'.  Where dec_table has a closed form for the spec, the scan is
+    checked against it: DecMismatchError on any disagreement, mode 'both' on
+    agreement.
     """
-    m = len(model.factors)
-    if mode not in ("enumerate", "table", "both"):
-        raise ValueError(f"unknown Dec mode {mode!r}")
-    if height < 1:
-        raise ValueError(f"height must be >= 1, got {height}")
-
-    def buckets(cap=None):
-        images, moduli = model.grading.images, model.grading.moduli
-        return [_factor_buckets(f.kind, f.rank, images[off:off + f.rank], moduli, cap)
-                for f, off in zip(model.factors, model.offsets)]
-
-    if mode == "enumerate":
-        return _dec_lattice(model, buckets(height), False, f"enumerate(h={height})")
+    hilbert = _dec_lattice(model)
     table_rows = dec_table(model)
-    if table_rows is not None and mode == "table":
-        return InvariantLattice.from_rows(m, table_rows, True, "table")
-    hilbert = _dec_lattice(model, buckets(), True, "hilbert")
     if table_rows is None:
         return hilbert
-    table = InvariantLattice.from_rows(m, table_rows, True, "table")
+    table = InvariantLattice.from_rows(hilbert.dim, table_rows, True, "table")
     if not table.same_rows(hilbert):
         raise DecMismatchError(
             f"hilbert {hilbert.rows} vs table {table.rows} for {model.spec}")
-    return InvariantLattice(m, table.rows, True, "both")
+    return InvariantLattice(hilbert.dim, table.rows, True, "both")
 
 
 # --------------------------------------------------------------------------
@@ -788,20 +768,20 @@ def explicit_elements(model: LatticeModel):
 
 def compute_Sdec(model: LatticeModel, mode: str = "table",
                  dec: InvariantLattice | None = None,
-                 height: int = 4, q: InvariantLattice | None = None) -> InvariantLattice:
+                 q: InvariantLattice | None = None) -> InvariantLattice:
     """Semi-decomposable subgroup in 'generators', 'elements' or 'table' mode.
 
-    Only 'table' can be exact, and only where a Dec closed form covers the
-    spec too; everywhere else the result is a lower bound.  dec and q, when
-    given, are compute_Dec(model, height=height) and compute_Q(model).
+    Only 'table' can be exact, and only where compute_Dec checked Dec against
+    a closed form too (Dec mode 'both'); everywhere else the result is a lower
+    bound.  dec and q, when given, are compute_Dec(model) and compute_Q(model).
     """
     if dec is None:
-        dec = compute_Dec(model, height=height)
+        dec = compute_Dec(model)
     if mode == "table":
         out = sdec_table(model, dec, q)
         if out is None:
             raise ValueError(f"no closed form for Sdec of {model.spec}")
-        return InvariantLattice(out.dim, out.rows, dec.mode in ("table", "both"), "table")
+        return InvariantLattice(out.dim, out.rows, dec.mode == "both", "table")
     if mode == "generators":
         from .generators import build_generators
         if model.grading.moduli != (2,):
@@ -947,10 +927,9 @@ class InvariantReport(namedtuple("InvariantReport", "spec Q Dec Sdec inv_ind inv
     __slots__ = ()
 
 
-def invariants_of(model: LatticeModel, height: int = 4,
-                  dec_mode: str = "both", sdec_mode: str | None = None) -> InvariantReport:
+def invariants_of(model: LatticeModel, sdec_mode: str | None = None) -> InvariantReport:
     q = compute_Q(model)
-    dec = compute_Dec(model, height=height, mode=dec_mode)
+    dec = compute_Dec(model)
     sdec = None
     if sdec_mode is None:
         try:
@@ -960,14 +939,12 @@ def invariants_of(model: LatticeModel, height: int = 4,
                 try:
                     sdec = compute_Sdec(model, fallback, dec=dec, q=q)
                     break
-                except (ValueError, AssertionError):
+                except ValueError:
                     continue
     else:
         sdec = compute_Sdec(model, sdec_mode, dec=dec, q=q)
     if not q.includes(dec):
         raise AssertionError("Dec is not contained in Q")
-    if q.same_rows(dec):  # Dec <= Q: a lower bound that reaches Q is exact
-        dec = InvariantLattice(dec.dim, dec.rows, True, dec.mode)
     inv_ind = factor_group(dec, q)
     inv_sd = None
     if sdec is not None:

@@ -729,14 +729,13 @@ def degree_one_gcd(model: LatticeModel) -> int:
     return math.gcd(*sizes)
 
 
-def normalize_coefficients(model: LatticeModel, f, transform=None):
+def normalize_coefficients(model: LatticeModel, f):
     """Rewrite (f_i) so the reduction mod d of each wrong-degree component dies.
 
     Given deg(sum f_i rho_i) = 0, returns (g_i) with the same combination and
     g_i^{(1-|i|)} == 0 mod d, where d is the gcd of degree-1 orbit sizes.
-    Only the rho of `transform` (model_transform(model), if the caller has
-    it) is read: the transform mod d and its inverse are assembled from the
-    cached blocks.
+    rho is fundamental_orbit_sums(model); the transform mod d and its inverse
+    are assembled from the cached blocks.
     """
     if model.grading.moduli != (2,):
         raise ValueError("coefficient normalization needs an index-2 grading")
@@ -746,7 +745,7 @@ def normalize_coefficients(model: LatticeModel, f, transform=None):
     n = model.total_rank
     if len(f) != n:
         raise ValueError("tuple length must equal the model rank")
-    rho = fundamental_orbit_sums(model) if transform is None else transform[2]
+    rho = fundamental_orbit_sums(model)
     d = degree_one_gcd(model)
     transform_d = model_transform_mod(model, d)  # FlatnessError unless types A and C
     combo = dot(f, rho)

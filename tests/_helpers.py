@@ -90,28 +90,24 @@ def factor_davenport(md, fi):
     return davenport_bound(lattice_grading(congruence_kernel(congs, rank)).moduli)
 
 
-def bounded_weights(rank, cap, total, prefix=()):
-    """Yield prefix + a for every rank-tuple a of naturals with entries <= cap
-    and sum <= total; a limit of None is no limit, and one of them is set."""
+def bounded_weights(rank, total, prefix=()):
+    """Yield prefix + a for every rank-tuple a of naturals with sum <= total."""
     if rank == 0:
         yield prefix
         return
-    top = min(x for x in (cap, total) if x is not None)
-    for x in range(top + 1):
-        yield from bounded_weights(rank - 1, cap, None if total is None else total - x,
-                                   prefix + (x,))
+    for x in range(total + 1):
+        yield from bounded_weights(rank - 1, total - x, prefix + (x,))
 
 
-def box_dec_rows(md, cap=None):
-    """HNF rows of Dec from each factor's D(H_i) box, or from the box of
-    coordinates <= cap when cap is given (the enumerate scan)."""
+def box_dec_rows(md):
+    """HNF rows of Dec from each factor's D(H_i) box."""
     buckets = []
     for fi, f in enumerate(md.factors):
-        total = factor_davenport(md, fi) if cap is None else None
+        total = factor_davenport(md, fi)
         resfun = residue_functionals(f.kind, f.rank)
         pairs = {}
         for lam, t, w in _dominant_pairs(f.kind, f.rank,
-                                         bounded_weights(f.rank, cap, total)):
+                                         bounded_weights(f.rank, total)):
             res = tuple(sum(c * x for c, x in zip(vec, lam)) % m for vec, m in resfun)
             pairs.setdefault(res, set()).add((t, w))
         buckets.append({res: hnf(sorted(ps)) for res, ps in pairs.items()})

@@ -315,19 +315,6 @@ class TestRun:
         assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", "hilbert")
         assert (data["Sdec"]["exactness"], data["Sdec"]["mode"]) == ("exact", "table")
 
-    def test_enumerate_dec_reaching_q_is_exact(self):
-        # Dec <= Q, so an enumerate-mode lower bound with Q's rows is Dec
-        code, out = run_cli("invariants", "--spec", "PGSp(6)", "--mode", "enumerate", "--json")
-        assert code == 0
-        data = json.loads(out)
-        assert data["Dec"]["hnf"] == data["Q"]["hnf"] == [[4]]
-        assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", "enumerate(h=4)")
-        code, out = run_cli("invariants", "--spec", "(Sp(4) x Sp(4))/mu(2)", "--mode",
-                            "enumerate", "--json")
-        data = json.loads(out)
-        assert data["Dec"]["hnf"] != data["Q"]["hnf"]
-        assert data["Dec"]["exactness"] == "lower-bound"
-
     def test_high_rank_factors_scan_their_own_bound(self):
         # Lambda/T* is (Z/6)^3, but each factor's slice only needs D(Z/6) = 6
         code, out = run_cli("invariants", "--spec", "PGL(6) x PGL(6) x PGL(6)", "--json")
@@ -488,10 +475,39 @@ class TestRun:
     @pytest.mark.parametrize("height", ["0", "-1"])
     @pytest.mark.parametrize("spec", ["(Sp(4) x Sp(4))/mu(2)", "(SL(2) x Spin(7))/mu(2)"])
     def test_height_below_one_is_a_usage_error(self, spec, height, capsys):
+        # Dec has one exact path and no height: every --height is unknown
         code = main(["invariants", "--spec", spec, "--height", height])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.splitlines() == [f"error: height must be >= 1, got {height}"]
+        assert err.splitlines()[-1] == f"weylinv: error: unrecognized arguments: --height {height}"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--height", "4"], "weylinv: error: unrecognized arguments: --height 4"),
+        (["--mode", "enumerate"], "error: argument --mode: invalid choice: 'enumerate'"),
+        (["--mode", "table"], "error: argument --mode: invalid choice: 'table'"),
+        (["--mode", "both"], "error: argument --mode: invalid choice: 'both'")],
+        ids=["height", "enumerate", "table", "both"])
+    def test_removed_dec_knobs_are_usage_errors(self, flags, message, capsys):
+        code = main(["invariants", "--spec", "(Sp(4) x Sp(4))/mu(2)", *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines()[0].startswith("usage: weylinv")
+        assert message in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    def test_sdec_fallback_does_not_swallow_failed_checks(self, monkeypatch, capsys):
+        # no Sdec closed form covers this spec, so the chain reaches generators,
+        # whose failed internal check must surface instead of being skipped
+        import weylinv.generators
+
+        def broken(*args, **kwargs):
+            raise AssertionError("generator check failed")
+
+        monkeypatch.setattr(weylinv.generators, "build_generators", broken)
+        code = main(["invariants", "--spec", "(SL(4) x Sp(4))/mu(2)"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["verification failure: generator check failed"]
 
     def test_reduce_missing_input(self, tmp_path, capsys):
         code = main(["reduce", "--spec", "(Sp(4) x Sp(4))/mu(2)",

@@ -251,6 +251,11 @@ class TestComputeQ:
         assert compute_Q(md).rows == q_oracle(md).rows
 
 
+_SYMPLECTIC = ["SL(2)"] + [f"Sp({2 * a})" for a in range(1, 7)]
+_SL_PRIMARY = [(k, m, n) for k, top in ((2, 6), (3, 6), (4, 8))
+               for m in range(k, top + 1, k) for n in range(k, top + 1, k)]
+
+
 class TestComputeDec:
     def test_enumerate_equals_table_sample(self):
         cases = [
@@ -261,13 +266,35 @@ class TestComputeDec:
             model(SimpleFactor("D", 5), SimpleFactor("D", 5), kernel=[(1, 1)]),
         ]
         for md in cases:
-            lat = compute_Dec(md, mode="both")
+            lat = compute_Dec(md)
             assert lat.exact and lat.mode == "both"
 
-    def test_enumerate_is_lower_bound_flagged(self):
-        md = model(fac_c(2), fac_c(2), kernel=[(1, 1)])
-        lat = compute_Dec(md, mode="enumerate")
-        assert not lat.exact
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        # prop:typec: Sp/SL(2) pairs mod mu(2)
+        st.tuples(st.sampled_from(_SYMPLECTIC), st.sampled_from(_SYMPLECTIC))
+        .map(lambda ab: f"({ab[0]} x {ab[1]}) / mu(2)"),
+        # propB: Spin(odd) pairs mod mu(2)
+        st.tuples(st.integers(2, 5), st.integers(2, 5))
+        .map(lambda ab: f"(Spin({2 * ab[0] + 1}) x Spin({2 * ab[1] + 1})) / mu(2)"),
+        # Ddiagonal: Spin(even) pairs of equal parity mod mu(2), odd ranks mod mu(4)
+        st.tuples(st.integers(4, 7), st.integers(4, 7)).filter(lambda ab: (ab[0] + ab[1]) % 2 == 0)
+        .map(lambda ab: f"(Spin({2 * ab[0]}) x Spin({2 * ab[1]})) / mu(2)"),
+        st.tuples(st.sampled_from([5, 7]), st.sampled_from([5, 7]))
+        .map(lambda ab: f"(Spin({2 * ab[0]}) x Spin({2 * ab[1]})) / mu(4)"),
+        st.just("(Spin(10) x Spin(10) x Spin(10)) / mu(4)"),
+        # lem:primaryindexA: SL(m) x SL(n) mod a p-primary diagonal mu(k), k | m, n
+        st.sampled_from(_SL_PRIMARY)
+        .map(lambda kmn: f"(SL({kmn[1]}) x SL({kmn[2]})) / mu({kmn[0]})"),
+        # E-type products, with or without a central quotient
+        st.sampled_from(["E6", "E7", "E6 x E6", "E6 x E7", "E7 x E7", "(E6 x E6) / mu(3)",
+                         "(E6 x E6) / mu(3)[1,2]", "(E7 x E7) / mu(2)",
+                         "(E6 x E6 x E6) / mu(3)"])))
+    def test_closed_form_families_agree_with_hilbert(self, text):
+        # the closed form covers every spec of these families, and compute_Dec
+        # raises DecMismatchError unless it equals the Hilbert-basis lattice
+        lat = compute_Dec(compile_spec(parse_spec(text)))
+        assert lat.exact and lat.mode == "both", text
 
     def test_mismatch_raises(self, monkeypatch):
         import weylinv.invariants as inv
@@ -275,7 +302,7 @@ class TestComputeDec:
         assert dec_table(md) is not None
         monkeypatch.setattr(inv, "dec_table", lambda m: [[8, 0], [0, 8]])
         with pytest.raises(DecMismatchError):
-            inv.compute_Dec(md, mode="both")
+            inv.compute_Dec(md)
 
     def test_single_factor_values(self):
         expectations = [
@@ -288,7 +315,7 @@ class TestComputeDec:
             (model(SimpleFactor("A", 1)), ((1,),)),         # SL2
         ]
         for md, rows in expectations:
-            assert compute_Dec(md, mode="enumerate").rows == rows
+            assert compute_Dec(md).rows == rows
 
 
 class TestDecEngine:
@@ -331,15 +358,6 @@ class TestDecEngine:
         # each factor's D(H_i) box keyed by centre residue
         md = compile_spec(parse_spec(text))
         assert compute_Dec(md).rows == box_dec_rows(md)
-
-    @pytest.mark.parametrize("text, height", [
-        ("PGSp(6)", 4), ("(SL(6) x SL(6) x SL(6)) / mu(2)", 2),
-        ("(Spin(5) x Sp(4)) / mu(2)", 3), ("(E6 x E6) / mu(3)[1,2]", 1),
-        ("PGL(4) x PGL(4)", 3), ("HSpin(8)", 2)])
-    def test_enumerate_matches_height_box(self, text, height):
-        md = compile_spec(parse_spec(text))
-        assert compute_Dec(md, height=height, mode="enumerate").rows \
-            == box_dec_rows(md, cap=height)
 
     @pytest.mark.parametrize("n, free, minimal", [(8, 145, 64), (12, 1079, 366),
                                                   (16, 7235, 2134)])
@@ -392,7 +410,7 @@ class TestClosedFormC2:
         # above rank 5 the fundamental weights alone: the oracle walks whole
         # orbits, and E7's largest fundamental orbit already has 10080 points
         total = 2 if rank <= 5 else 1
-        pairs = list(_dominant_pairs(kind, rank, bounded_weights(rank, None, total)))
+        pairs = list(_dominant_pairs(kind, rank, bounded_weights(rank, total)))
         assert len(pairs) == math.comb(rank + total, total)
         for lam, t, w in pairs:
             assert t == -c2_orbit(md, lam)[0], lam

@@ -245,8 +245,7 @@ class TestNormalizeCoefficients:
         m = self._model()
         n = m.total_rank
         d = degree_one_gcd(m)
-        transform = model_transform(m)
-        rho = transform[2]
+        _, _, rho = model_transform(m)
         gs = build_generators(m)
         labels = [name for name, _ in gs.labeled()]
         for _ in range(5):
@@ -264,7 +263,7 @@ class TestNormalizeCoefficients:
             combo = LaurentPoly.zero(n, 0)
             for fi, ri in zip(f, rho):
                 combo = combo + fi * ri
-            g = normalize_coefficients(m, f, transform)
+            g = normalize_coefficients(m, f)
             combo2 = LaurentPoly.zero(n, 0)
             for gi, ri in zip(g, rho):
                 combo2 = combo2 + gi * ri
