@@ -42,9 +42,7 @@ from ..syzygy import (
 # output helpers
 
 
-def _lattice_json(lat: InvariantLattice | None):
-    if lat is None:
-        return None
+def _lattice_json(lat: InvariantLattice):
     return {
         "hnf": [list(r) for r in lat.rows],
         "exactness": "exact" if lat.exact else "lower-bound",
@@ -53,14 +51,10 @@ def _lattice_json(lat: InvariantLattice | None):
 
 
 def _group_json(fg):
-    if fg is None:
-        return None
     return {"factors": list(fg.invariant_factors)}
 
 
 def _fmt_group(fg):
-    if fg is None:
-        return "?"
     if not fg.invariant_factors:
         return "0"
     return " + ".join(f"Z/{d}" for d in fg.invariant_factors)
@@ -71,7 +65,7 @@ _TSV_HEADER = "spec\tQ\tDec\tSdec\tinv_ind\tinv_sd"
 
 def _tsv_row(spec_text, rep):
     def rows(lat):
-        return str([list(r) for r in lat.rows]) if lat else "?"
+        return str([list(r) for r in lat.rows])
     return "\t".join([spec_text, rows(rep.Q), rows(rep.Dec), rows(rep.Sdec),
                       _fmt_group(rep.inv_ind), _fmt_group(rep.inv_sd)])
 
@@ -81,7 +75,7 @@ def run_invariants(args) -> int:
 
     spec = parse_spec(args.spec)
     model = compile_spec(spec)
-    rep = invariants_of(model, sdec_mode=args.mode)
+    rep = invariants_of(model)
     payload = {
         "spec": spec_to_text(spec),
         "Q": _lattice_json(rep.Q),
@@ -100,15 +94,12 @@ def run_invariants(args) -> int:
     print(f"spec: {payload['spec']}")
     print(f"Q:    {payload['Q']['hnf']}")
     print(f"Dec:  {payload['Dec']['hnf']} ({payload['Dec']['exactness']}, {rep.Dec.mode})")
-    if rep.Sdec is not None:
-        print(f"Sdec: {payload['Sdec']['hnf']} ({payload['Sdec']['exactness']}, {rep.Sdec.mode})")
+    print(f"Sdec: {payload['Sdec']['hnf']} ({payload['Sdec']['exactness']}, {rep.Sdec.mode})")
     print(f"Inv3_ind: {_fmt_group(rep.inv_ind)}")
     print(f"Inv3_sd:  {_fmt_group(rep.inv_sd)}")
     if args.show_generators:
         for name, sub, sup in (("Inv3_ind", rep.Dec, rep.Q),
                                ("Inv3_sd", rep.Dec, rep.Sdec)):
-            if sup is None:
-                continue
             gens = quotient_generators(sub, sup)
             pretty = ", ".join(
                 f"(Z/{d})(" + " ".join(f"{c:+d}q{i+1}" for i, c in enumerate(v) if c) + ")"
@@ -235,7 +226,7 @@ def run_pgo8_check(args) -> int:
             bad += 1
     print(f"parity check on {args.cases} tuples: {args.cases - bad} ok, {bad} failures")
     dec = compute_Dec(model)
-    sdec = compute_Sdec(model, "table", dec=dec)
+    sdec = compute_Sdec(model, dec)
     conc = dec.rows == ((4,),) and sdec.rows == ((4,),)
     print(f"Dec = Sdec = 4Zq: {'ok' if conc else 'FAIL'}")
     return 0 if ok and bad == 0 and conc else 2
@@ -295,7 +286,6 @@ def make_parser():
 
     p = sub.add_parser("invariants", help="compute Q, Dec, Sdec and factor groups")
     p.add_argument("--spec", required=True)
-    p.add_argument("--mode", default=None, choices=["generators", "elements"])
     p.add_argument("--json", action="store_true")
     p.add_argument("--tsv", action="store_true")
     p.add_argument("--show-generators", action="store_true")

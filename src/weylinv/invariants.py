@@ -4,9 +4,10 @@ Pipeline: the degree-2 truncation of the exponential ring map (c2), exact
 computation of Q(G) from integrality of Killing-form coefficients on a T*
 basis, the decomposable subgroup Dec(G) from a Hilbert basis searched as
 minimal zero-sum sequences in Lambda/T* with closed-form cross-checks, the
-semi-decomposable subgroup Sdec(G) in three modes, factor groups via Smith
-normal form, reduction homomorphisms onto finite quotient group rings, and
-the parity report used for the adjoint D4 computation.
+semi-decomposable subgroup Sdec(G) on one path (a closed form, else a lower
+bound from the index-2 generator set or Dec itself), factor groups via Smith
+normal form, reduction homomorphisms onto finite quotient group rings, and the
+parity report used for the adjoint D4 computation.
 
 Sign convention: the truncated ring map gives c2(rho-bar(lambda)) =
 +1/2 sum chi^2 while the orbit formula is -1/2 sum chi^2; subgroup
@@ -240,12 +241,10 @@ class InvariantLattice(namedtuple("InvariantLattice", "dim rows exact mode",
     def includes(self, other: "InvariantLattice"):
         return all(self.contains(r) for r in other.rows)
 
-    def join(self, vectors, exact=None, mode=None):
-        rows = [list(r) for r in self.rows] + [list(v) for v in vectors]
-        return InvariantLattice.from_rows(
-            self.dim, rows,
-            self.exact if exact is None else exact,
-            self.mode if mode is None else mode)
+    def join(self, vectors):
+        """The lattice spanned by self and vectors, with self's labels."""
+        return InvariantLattice.from_rows(self.dim, [*self.rows, *vectors],
+                                          self.exact, self.mode)
 
     def same_rows(self, other):
         return self.rows == other.rows
@@ -573,14 +572,9 @@ def dec_table(model: LatticeModel):
     if all(k == "E7" for k in kinds):
         return diag_rows([12] * m)
 
-    # PGO8 = D4 / full center
-    if m == 1 and kinds[0] == "D" and ranks[0] == 4 \
-            and len(spec.center_kernel) == 2:
-        classes = set()
-        for gen in spec.center_kernel:
-            classes.add(model._entry_tuple(gen[0], 0))
-        if classes == {(1, 0), (0, 1)} or len(classes) == 2:
-            return [[4]]
+    # PGO8 = D4 / full center: the kernel is all of (Z/2)^2, of order |Lambda/T*|
+    if m == 1 and kinds[0] == "D" and ranks[0] == 4 and model.tstar_index == 4:
+        return [[4]]
 
     k = _is_diag_kernel(model)
 
@@ -689,11 +683,8 @@ def sdec_table(model: LatticeModel, dec: InvariantLattice,
 
     if all(x in ("E6", "E7") for x in kinds):
         return dec
-    if m == 1 and kinds[0] == "D" and ranks[0] == 4 \
-            and len(model.spec.center_kernel) == 2:
-        return dec  # PGO8: semi-decomposable = decomposable
     if m == 1:
-        return dec  # simple groups: Sdec = Dec
+        return dec  # simple groups, PGO8 among them: Sdec = Dec
     if _per_factor_kernels(model):
         return dec  # kernels do not couple factors; products of simple pieces
     if k is not None and all(x == "A" for x in kinds):
@@ -708,7 +699,7 @@ def sdec_table(model: LatticeModel, dec: InvariantLattice,
                     v = [0] * m
                     v[i], v[j] = 1, -1
                     vecs.append(v)
-        return dec.join(vecs, exact=dec.exact, mode="table")
+        return dec.join(vecs)
     if k == 2 and all(_symplectic_like(f) for f in model.factors):
         vecs = []
         for i in range(m):
@@ -717,7 +708,7 @@ def sdec_table(model: LatticeModel, dec: InvariantLattice,
                 v = [0] * m
                 v[i], v[j] = ranks[j] // g, -(ranks[i] // g)
                 vecs.append(v)
-        return dec.join(vecs, exact=dec.exact, mode="table")
+        return dec.join(vecs)
     if all(x == "D" for x in kinds) and k is not None:
         if k == 2:
             return dec
@@ -728,86 +719,38 @@ def sdec_table(model: LatticeModel, dec: InvariantLattice,
                 v = [0] * m
                 v[0], v[i] = 2 * (ranks[i] // g), -2 * (ranks[0] // g)
                 vecs.append(v)
-            return dec.join(vecs, exact=dec.exact, mode="table")
+            return dec.join(vecs)
     return None
 
 
-def explicit_elements(model: LatticeModel):
-    """Explicit semi-decomposable elements (the pairwise z's) for C/B2/D pairs."""
-    out = []
-    m = len(model.factors)
-    kinds = [f.kind for f in model.factors]
-    ranks = [f.rank for f in model.factors]
-    k = _is_diag_kernel(model)
-    n = model.total_rank
-
-    def shifted_z(i, j, wt_idx_i, wt_idx_j, ci, cj, shift_weight):
-        zi = orbit_poly(model, model.fundamental_weight(i, wt_idx_i), augmented=True)
-        zj = orbit_poly(model, model.fundamental_weight(j, wt_idx_j), augmented=True)
-        z = zi.scale(ci) - zj.scale(cj)
-        y = LaurentPoly.monomial(n, shift_weight) * z
-        return z, y
-
-    if (k == 2 and all(_symplectic_like(f) for f in model.factors)) or \
-            (k == 4 and all(x == "D" for x in kinds) and all(r % 2 for r in ranks)):
-        for i in range(m):
-            for j in range(i + 1, m):
-                g = math.gcd(ranks[i], ranks[j])
-                z, y = shifted_z(i, j, 0, 0, ranks[j] // g, ranks[i] // g,
-                                 model.fundamental_weight(i, 0))
-                out.append((f"z[{i + 1},{j + 1}]", z, y))
-    if k == 2 and all(x == "B" for x in kinds):
-        for i in range(m):
-            for j in range(i + 1, m):
-                if ranks[i] == 2 and ranks[j] == 2:
-                    z, y = shifted_z(i, j, 1, 1, 1, 1,
-                                     model.fundamental_weight(i, 1))
-                    out.append((f"z[{i + 1},{j + 1}]", z, y))
-    return out
-
-
-def compute_Sdec(model: LatticeModel, mode: str = "table",
-                 dec: InvariantLattice | None = None,
+def compute_Sdec(model: LatticeModel, dec: InvariantLattice | None = None,
                  q: InvariantLattice | None = None) -> InvariantLattice:
-    """Semi-decomposable subgroup in 'generators', 'elements' or 'table' mode.
+    """Semi-decomposable subgroup, by the first case that applies:
 
-    Only 'table' can be exact, and only where compute_Dec checked Dec against
-    a closed form too (Dec mode 'both'); everywhere else the result is a lower
-    bound.  dec and q, when given, are compute_Dec(model) and compute_Q(model).
+    - sdec_table has a closed form: mode 'table', exact only where compute_Dec
+      checked Dec against a closed form too (Dec mode 'both');
+    - an index-2 grading with every factor of type A or C: Dec joined with the
+      c2 images of the build_generators set, mode 'generators';
+    - otherwise Dec itself, mode 'dec'.
+
+    Only the first can be exact; the other two are lower bounds.  dec and q,
+    when given, are compute_Dec(model) and compute_Q(model).
     """
     if dec is None:
         dec = compute_Dec(model)
-    if mode == "table":
-        out = sdec_table(model, dec, q)
-        if out is None:
-            raise ValueError(f"no closed form for Sdec of {model.spec}")
-        return InvariantLattice(out.dim, out.rows, dec.mode == "both", "table")
-    if mode == "generators":
-        from .generators import build_generators
-        if model.grading.moduli != (2,):
-            raise ValueError("generators mode needs an index-2 grading")
-        if not all(f.kind in ("A", "C") for f in model.factors):
-            raise ValueError("generators mode needs type A/C factors")
-        gs = build_generators(model)
-        vecs = []
-        for name, h in gs.labeled():
-            tf = c2(h)
-            if tf.c0 != 0 or any(tf.c1):
-                raise AssertionError(f"{name}: nonzero degree <=1 image")
-            vecs.append(killing_decompose(model, tf.c2_dict()))
-        return dec.join(vecs, exact=False, mode="generators")
-    if mode == "elements":
-        vecs = []
-        for name, z, y in explicit_elements(model):
-            comps = graded_components(y, model.grading)
-            if set(comps) - {model.grading.zero}:
-                raise AssertionError(f"{name}: shifted element leaves Z[T*]")
-            if augmentation(z) != 0:
-                raise AssertionError(f"{name}: element is not augmented")
-            tf = c2(z)
-            vecs.append(killing_decompose(model, tf.c2_dict()))
-        return dec.join(vecs, exact=False, mode="elements")
-    raise ValueError(f"unknown Sdec mode {mode!r}")
+    table = sdec_table(model, dec, q)
+    if table is not None:
+        return InvariantLattice(table.dim, table.rows, dec.mode == "both", "table")
+    if model.grading.moduli != (2,) or any(f.kind not in ("A", "C") for f in model.factors):
+        return InvariantLattice(dec.dim, dec.rows, False, "dec")
+    from .generators import build_generators
+    vecs = []
+    for name, h in build_generators(model).labeled():
+        tf = c2(h)
+        if tf.c0 != 0 or any(tf.c1):
+            raise AssertionError(f"{name}: nonzero degree <=1 image")
+        vecs.append(killing_decompose(model, tf.c2_dict()))
+    return InvariantLattice(dec.dim, dec.join(vecs).rows, False, "generators")
 
 
 # --------------------------------------------------------------------------
@@ -921,36 +864,21 @@ def pgo8_parity_check(f_tuple) -> dict:
 
 
 class InvariantReport(namedtuple("InvariantReport", "spec Q Dec Sdec inv_ind inv_sd")):
-    """Q, Dec and Sdec of a GroupSpec (InvariantLattices; Sdec may be None)
-    and the FactorGroups Q/Dec and Sdec/Dec (inv_sd is None with Sdec)."""
+    """Q, Dec and Sdec of a GroupSpec (InvariantLattices) and the FactorGroups
+    Q/Dec and Sdec/Dec."""
 
     __slots__ = ()
 
 
-def invariants_of(model: LatticeModel, sdec_mode: str | None = None) -> InvariantReport:
+def invariants_of(model: LatticeModel) -> InvariantReport:
     q = compute_Q(model)
     dec = compute_Dec(model)
-    sdec = None
-    if sdec_mode is None:
-        try:
-            sdec = compute_Sdec(model, "table", dec=dec, q=q)
-        except ValueError:
-            for fallback in ("generators", "elements"):
-                try:
-                    sdec = compute_Sdec(model, fallback, dec=dec, q=q)
-                    break
-                except ValueError:
-                    continue
-    else:
-        sdec = compute_Sdec(model, sdec_mode, dec=dec, q=q)
+    sdec = compute_Sdec(model, dec, q)
     if not q.includes(dec):
         raise AssertionError("Dec is not contained in Q")
-    inv_ind = factor_group(dec, q)
-    inv_sd = None
-    if sdec is not None:
-        if not q.includes(sdec) or not sdec.includes(dec):
-            raise AssertionError("inclusion chain Dec <= Sdec <= Q violated")
-        if q.same_rows(dec):  # Dec <= Sdec <= Q leaves no room: Sdec is exact
-            sdec = InvariantLattice(sdec.dim, sdec.rows, True, sdec.mode)
-        inv_sd = factor_group(dec, sdec)
-    return InvariantReport(model.spec, q, dec, sdec, inv_ind, inv_sd)
+    if not q.includes(sdec) or not sdec.includes(dec):
+        raise AssertionError("inclusion chain Dec <= Sdec <= Q violated")
+    if q.same_rows(dec):  # Dec <= Sdec <= Q leaves no room: Sdec is exact
+        sdec = InvariantLattice(sdec.dim, sdec.rows, True, sdec.mode)
+    return InvariantReport(model.spec, q, dec, sdec, factor_group(dec, q),
+                           factor_group(dec, sdec))

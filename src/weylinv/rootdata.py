@@ -221,50 +221,6 @@ def killing_gram(kind: str, n: int) -> tuple:
                        for j in range(n)) for i in range(n))
 
 
-def standard_e_basis(kind: str, n: int):
-    """Rows expressing the standard vectors e_i in fundamental-weight symbols.
-
-    Defined for the types whose presentations use standard coordinates
-    (B, C, D); the expressions are integral in all three cases.
-    """
-    rows = []
-    if kind == "C":
-        for i in range(n):
-            r = [0] * n
-            r[i] = 1
-            if i:
-                r[i - 1] = -1
-            rows.append(r)
-    elif kind == "B":
-        for i in range(n - 1):
-            r = [0] * n
-            r[i] = 1
-            if i:
-                r[i - 1] = -1
-            rows.append(r)
-        r = [0] * n
-        r[n - 1], r[n - 2] = 2, -1
-        rows.append(r)
-    elif kind == "D":
-        for i in range(n - 2):
-            r = [0] * n
-            r[i] = 1
-            if i:
-                r[i - 1] = -1
-            rows.append(r)
-        r = [0] * n
-        r[n - 2], r[n - 1] = 1, 1
-        if n > 2:
-            r[n - 3] = -1
-        rows.append(list(r))
-        r = [0] * n
-        r[n - 2], r[n - 1] = -1, 1
-        rows.append(r)
-    else:
-        raise ValueError(f"no standard-coordinate presentation for type {kind}")
-    return rows
-
-
 class KillingForm(namedtuple("KillingForm", "factor_index coeffs")):
     """Normalized Killing form of one factor, in its local fw coordinates.
 
@@ -276,24 +232,6 @@ class KillingForm(namedtuple("KillingForm", "factor_index coeffs")):
 
     def as_dict(self):
         return {(i, j): c for i, j, c in self.coeffs}
-
-
-def killing_value(kind: str, n: int, local_weight):
-    """Value of the normalized Killing form at a weight (types B, C, D), a Fraction.
-
-    Uses the standard-coordinate expressions: sum e_i^2 for C and
-    (sum e_i^2)/2 for B and D, evaluated at the e-coordinates of the weight.
-    """
-    from fractions import Fraction
-
-    from .intlinalg import inverse_fraction
-
-    rows = standard_e_basis(kind, n)
-    inv = inverse_fraction(rows)
-    b = [sum(Fraction(local_weight[j]) * inv[j][i] for j in range(n))
-         for i in range(n)]
-    total = sum(x * x for x in b)
-    return total if kind == "C" else total / 2
 
 
 def killing_forms(spec: GroupSpec) -> list[KillingForm]:
@@ -501,39 +439,7 @@ class LatticeModel:
             for vec, m in self.congruences
         )
 
-    def center_residues(self, weight):
-        """Per-factor center classes of the weight, as tuples."""
-        out = []
-        for fi in range(len(self.factors)):
-            loc = self.slice_of(weight, fi)
-            out.append(tuple(
-                sum(c * a for c, a in zip(vec, loc)) % m
-                for vec, m in self._residue[fi]
-            ))
-        return tuple(out)
-
-    def residue_allowed(self, residues):
-        """Does a tuple of per-factor center classes satisfy all kernel relations?"""
-        for gen in self.spec.center_kernel:
-            # sum x * r / m is an integer iff sum x * r * (big / m) == 0 mod big
-            terms = [(x * r, m)
-                     for fi, t in enumerate(gen)
-                     for x, r, (_, m) in zip(self._entry_tuple(t, fi), residues[fi],
-                                             self._residue[fi])]
-            big = math.lcm(*(m for _, m in terms))
-            if sum(xr * (big // m) for xr, m in terms) % big:
-                return False
-        return True
-
     # -- Weyl group action ---------------------------------------------------
-    def reflect_local(self, fi, local, i):
-        a_i = local[i]
-        if a_i == 0:
-            return tuple(local)
-        row = self._cartan[fi][i]
-        return tuple(a - a_i * row[j] if row[j] else a
-                     for j, a in enumerate(local))
-
     def dominant_local(self, fi, local):
         cur = list(local)
         rows = self._cartan[fi]

@@ -641,14 +641,11 @@ def _blocks(model: LatticeModel):
     """(kind, rank, offset) of the Newton block of each factor of an A/C model."""
     out = []
     for f, off in zip(model.factors, model.offsets):
-        kind = f.kind
-        if kind not in ("A", "C"):
+        if f.kind not in ("A", "C"):
             raise FlatnessError(
-                f"generalized flatness is available for types A and C, not {kind}"
+                f"generalized flatness is available for types A and C, not {f.kind}"
             )
-        if kind == "C" and f.rank == 1:
-            kind = "A"
-        out.append((kind, f.rank, off))
+        out.append((f.kind, f.rank, off))
     return out
 
 

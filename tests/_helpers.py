@@ -9,10 +9,13 @@ from itertools import product
 from pathlib import Path
 
 from weylinv.intlinalg import congruence_kernel, hnf, inverse_fraction
-from weylinv.invariants import InvariantLattice, _dominant_pairs
-from weylinv.laurent import LaurentPoly
+from weylinv.invariants import (
+    InvariantLattice, _dominant_pairs, _is_diag_kernel, _symplectic_like, c2, killing_decompose,
+)
+from weylinv.laurent import LaurentPoly, augmentation, graded_components
 from weylinv.rootdata import (
-    GroupSpec, SimpleFactor, compile_spec, lattice_grading, residue_functionals,
+    GroupSpec, SimpleFactor, cartan_rows, compile_spec, lattice_grading, orbit_poly,
+    residue_functionals,
 )
 
 
@@ -66,12 +69,134 @@ def q_oracle(md, basis=None):
     return InvariantLattice.from_rows(m, congruence_kernel(congs, m), True, "exact")
 
 
+# -- centre residues and local reflections --------------------------------
+
+def center_residues(md, weight):
+    """Per-factor centre classes of a weight, as tuples."""
+    return tuple(
+        tuple(sum(c * a for c, a in zip(vec, md.slice_of(weight, fi))) % m
+              for vec, m in residue_functionals(f.kind, f.rank))
+        for fi, f in enumerate(md.factors))
+
+
+def residue_allowed(md, residues):
+    """Does a tuple of per-factor centre classes satisfy all kernel relations?"""
+    funcs = [residue_functionals(f.kind, f.rank) for f in md.factors]
+    for gen in md.spec.center_kernel:
+        # sum x * r / m is an integer iff sum x * r * (big / m) == 0 mod big
+        terms = [(x * r, m)
+                 for fi, t in enumerate(gen)
+                 for x, r, (_, m) in zip(md._entry_tuple(t, fi), residues[fi], funcs[fi])]
+        big = math.lcm(*(m for _, m in terms))
+        if sum(xr * (big // m) for xr, m in terms) % big:
+            return False
+    return True
+
+
+def reflect_local(md, fi, local, i):
+    """Simple reflection s_i of a local weight of factor fi."""
+    f = md.factors[fi]
+    a_i, row = local[i], cartan_rows(f.kind, f.rank)[i]
+    return tuple(a - a_i * r for a, r in zip(local, row))
+
+
+# -- Killing-form values in standard coordinates ---------------------------
+
+def standard_e_basis(kind, n):
+    """Rows expressing the standard vectors e_i in fundamental-weight symbols,
+    for the types whose presentations use standard coordinates (B, C, D); the
+    expressions are integral in all three cases."""
+    def step(i):
+        r = [0] * n
+        r[i] = 1
+        if i:
+            r[i - 1] = -1
+        return r
+
+    if kind == "C":
+        return [step(i) for i in range(n)]
+    if kind == "B":
+        last = [0] * n
+        last[n - 1], last[n - 2] = 2, -1
+        return [step(i) for i in range(n - 1)] + [last]
+    if kind == "D":
+        plus, minus = [0] * n, [0] * n
+        plus[n - 2], plus[n - 1], plus[n - 3] = 1, 1, -1
+        minus[n - 2], minus[n - 1] = -1, 1
+        return [step(i) for i in range(n - 2)] + [plus, minus]
+    raise ValueError(f"no standard-coordinate presentation for type {kind}")
+
+
+def killing_value(kind, n, local_weight):
+    """Value of the normalized Killing form at a weight (types B, C, D), a
+    Fraction: sum e_i^2 for C and (sum e_i^2)/2 for B and D, evaluated at the
+    e-coordinates of the weight."""
+    inv = inverse_fraction(standard_e_basis(kind, n))
+    total = sum(sum(Fraction(local_weight[j]) * inv[j][i] for j in range(n)) ** 2
+                for i in range(n))
+    return total if kind == "C" else total / 2
+
+
+# -- semi-decomposable witnesses -------------------------------------------
+
+def explicit_elements(md):
+    """The pairwise semi-decomposable elements z[i,j] behind sdec_table's
+    C/A1, B2 and D-odd mu(4) vectors: [(name, z, y)] with z = c_i rho-bar_i -
+    c_j rho-bar_j an augmented element and y = e^lam z, which lies in Z[T*]."""
+    out = []
+    m = len(md.factors)
+    kinds = [f.kind for f in md.factors]
+    ranks = [f.rank for f in md.factors]
+    k = _is_diag_kernel(md)
+
+    def shifted_z(i, j, wt, ci, cj):
+        zi = orbit_poly(md, md.fundamental_weight(i, wt), augmented=True)
+        zj = orbit_poly(md, md.fundamental_weight(j, wt), augmented=True)
+        z = zi.scale(ci) - zj.scale(cj)
+        return z, LaurentPoly.monomial(md.total_rank, md.fundamental_weight(i, wt)) * z
+
+    if (k == 2 and all(_symplectic_like(f) for f in md.factors)) or \
+            (k == 4 and all(x == "D" for x in kinds) and all(r % 2 for r in ranks)):
+        for i in range(m):
+            for j in range(i + 1, m):
+                g = math.gcd(ranks[i], ranks[j])
+                out.append((f"z[{i + 1},{j + 1}]",
+                            *shifted_z(i, j, 0, ranks[j] // g, ranks[i] // g)))
+    if k == 2 and all(x == "B" for x in kinds):
+        for i in range(m):
+            for j in range(i + 1, m):
+                if ranks[i] == 2 and ranks[j] == 2:
+                    out.append((f"z[{i + 1},{j + 1}]", *shifted_z(i, j, 1, 1, 1)))
+    return out
+
+
+def witness_rows(md, dec, witnesses):
+    """HNF rows of Dec joined with c2 of each (name, h) witness, an element
+    with no image in degree <= 1, in Killing coordinates."""
+    vecs = []
+    for name, h in witnesses:
+        tf = c2(h)
+        assert tf.c0 == 0 and not any(tf.c1), name
+        vecs.append(killing_decompose(md, tf.c2_dict()))
+    return dec.join(vecs).rows
+
+
+def element_rows(md, dec):
+    """witness_rows over explicit_elements, after checking that each y lies in
+    Z[T*] and each z is augmented."""
+    elements = explicit_elements(md)
+    for name, z, y in elements:
+        assert set(graded_components(y, md.grading)) <= {md.grading.zero}, name
+        assert augmentation(z) == 0, name
+    return witness_rows(md, dec, [(name, z) for name, z, _ in elements])
+
+
 # -- the Davenport-box Dec scan ---------------------------------------------
 #
 # The scan the zero-sum slice search replaced, kept as its oracle: every
 # dominant weight whose coordinate sum is at most the Davenport constant of
 # the factor's image in Lambda/T*, bucketed by centre residue and combined
-# under LatticeModel.residue_allowed.
+# under residue_allowed.
 
 def davenport_bound(moduli):
     """Davenport constant 1 + sum(d_i - 1) of (+)_i Z/moduli[i], exact for
@@ -113,7 +238,7 @@ def box_dec_rows(md):
         buckets.append({res: hnf(sorted(ps)) for res, ps in pairs.items()})
     vecs = set()
     for res_combo in product(*(sorted(b) for b in buckets)):
-        if md.residue_allowed(res_combo):
+        if residue_allowed(md, res_combo):
             for picks in product(*(b[r] for b, r in zip(buckets, res_combo))):
                 vecs.add(tuple(t * math.prod(w for j, (_, w) in enumerate(picks) if j != i)
                                for i, (t, _) in enumerate(picks)))

@@ -466,7 +466,9 @@ class TestRun:
             raise KillingDecomposeError("factor 0: block not proportional to its Killing form")
 
         monkeypatch.setattr(weylinv.invariants, "killing_decompose", broken)
-        code = main(["invariants", "--spec", "(Sp(4) x Sp(4))/mu(2)", "--mode", "elements"])
+        # no closed form covers this spec, so its Sdec is the generator witness,
+        # whose c2 images go through killing_decompose
+        code = main(["invariants", "--spec", "(SL(4) x Sp(4))/mu(2)"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.splitlines() == [
@@ -483,10 +485,12 @@ class TestRun:
 
     @pytest.mark.parametrize("flags, message", [
         (["--height", "4"], "weylinv: error: unrecognized arguments: --height 4"),
-        (["--mode", "enumerate"], "error: argument --mode: invalid choice: 'enumerate'"),
-        (["--mode", "table"], "error: argument --mode: invalid choice: 'table'"),
-        (["--mode", "both"], "error: argument --mode: invalid choice: 'both'")],
-        ids=["height", "enumerate", "table", "both"])
+        (["--mode", "enumerate"], "weylinv: error: unrecognized arguments: --mode enumerate"),
+        (["--mode", "table"], "weylinv: error: unrecognized arguments: --mode table"),
+        (["--mode", "both"], "weylinv: error: unrecognized arguments: --mode both"),
+        (["--mode", "generators"], "weylinv: error: unrecognized arguments: --mode generators"),
+        (["--mode", "elements"], "weylinv: error: unrecognized arguments: --mode elements")],
+        ids=["height", "enumerate", "table", "both", "generators", "elements"])
     def test_removed_dec_knobs_are_usage_errors(self, flags, message, capsys):
         code = main(["invariants", "--spec", "(Sp(4) x Sp(4))/mu(2)", *flags])
         err = capsys.readouterr().err

@@ -19,6 +19,8 @@ from weylinv.laurent import (
 )
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly
 
+from _helpers import reflect_local
+
 
 def pgsp4():
     return compile_spec(GroupSpec((SimpleFactor("C", 2),), ((1,),)))
@@ -124,7 +126,7 @@ class TestBuildGenerators:
                     reflected = set()
                     for e in p.terms:
                         loc = m.slice_of(e, fi)
-                        r = m.reflect_local(fi, loc, i)
+                        r = reflect_local(m, fi, loc, i)
                         reflected.add(e[:m.offsets[fi]] + r + e[m.offsets[fi] + 2:])
                     assert reflected == set(p.terms)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylinv.cli import parse_spec
+from weylinv.generators import build_generators
 from weylinv.intlinalg import det_int, hnf
 from weylinv.invariants import (
     DecMismatchError,
@@ -35,8 +36,9 @@ from weylinv.rootdata import (
 )
 
 from _helpers import (
-    bounded_weights, box_dec_rows, davenport_bound, fac_c, factor_davenport,
-    lattice_from_congruence, model, oracle_specs, q_oracle,
+    bounded_weights, box_dec_rows, center_residues, davenport_bound, element_rows,
+    explicit_elements, fac_c, factor_davenport, lattice_from_congruence, model, oracle_specs,
+    q_oracle, residue_allowed, witness_rows,
 )
 
 
@@ -304,6 +306,17 @@ class TestComputeDec:
         with pytest.raises(DecMismatchError):
             inv.compute_Dec(md)
 
+    def test_pgo8_closed_form_needs_the_whole_centre(self):
+        # a redundant trivial kernel generator leaves SO(8), which the PGO(8)
+        # closed form must not match; two distinct nontrivial ones give PGO(8)
+        so8 = compute_Dec(compile_spec(GroupSpec((SimpleFactor("D", 4),),
+                                                 (((0, 0),), ((1, 0),)))))
+        assert (so8.rows, so8.mode) == (((2,),), "hilbert")
+        assert compute_Dec(compile_spec(parse_spec("SO(8)"))).rows == so8.rows
+        pgo8 = compute_Dec(compile_spec(GroupSpec((SimpleFactor("D", 4),),
+                                                  (((1, 0),), ((1, 1),)))))
+        assert (pgo8.rows, pgo8.mode) == (((4,),), "both")
+
     def test_single_factor_values(self):
         expectations = [
             (model(SimpleFactor("E6", 6)), ((6,),)),
@@ -392,7 +405,7 @@ class TestDecEngine:
             local = md.slice_of(weight, fi)
             total = md.grading.add(total, md.grade_of_weight(md.assemble(
                 [local if fj == fi else (0,) * f.rank for fj, f in enumerate(md.factors)])))
-        assert md.residue_allowed(md.center_residues(weight)) == (total == md.grading.zero)
+        assert residue_allowed(md, center_residues(md, weight)) == (total == md.grading.zero)
 
 
 # the factors the closed-form c2 multiple is checked on: A1-A8, B2-B6,
@@ -425,43 +438,92 @@ class TestClosedFormC2:
                                           for i in range(rank)]
 
 
+def _index2_type_ac(md):
+    return md.grading.moduli == (2,) and all(f.kind in ("A", "C") for f in md.factors)
+
+
+# specs on which the witnesses are checked against compute_Sdec: those with
+# explicit elements, and the index-2 A/C specs with every C factor of rank <= 5
+# (the Sp(12) pairs alone take 1.9 s to build generators for)
+_ORACLE_MODELS = {text: compile_spec(parse_spec(text)) for text in oracle_specs()}
+_ELEMENT_SPECS = [text for text, md in _ORACLE_MODELS.items() if explicit_elements(md)]
+_GENERATOR_SPECS = [text for text, md in _ORACLE_MODELS.items()
+                    if _index2_type_ac(md) and all(f.kind == "A" or f.rank <= 5 for f in md.factors)]
+
+# where Dec joined with c2 of the generator set stops short of the closed form
+# Sdec = Q of a diagonal type-A quotient: the witness has index 2 in it
+_GENERATOR_GAPS = {"(SL(8) x SL(8)) / mu(2)": ((1, 1), (0, 2))}
+
+
 class TestSdec:
     def test_modes_agree_on_type_c(self):
+        # the closed form, Dec joined with c2 of the pairwise elements and Dec
+        # joined with c2 of the generator set are one lattice
         for (mm, nn) in [(1, 1), (2, 2), (4, 2), (4, 4)]:
             md = model(fac_c(mm), fac_c(nn), kernel=[(1, 1)])
             dec = compute_Dec(md)
-            tab = compute_Sdec(md, "table", dec=dec)
-            gen = compute_Sdec(md, "generators", dec=dec)
-            elt = compute_Sdec(md, "elements", dec=dec)
-            assert tab.same_rows(gen) and tab.same_rows(elt)
+            tab = compute_Sdec(md, dec)
+            assert tab.mode == "table"
+            assert tab.rows == element_rows(md, dec)
+            assert tab.rows == witness_rows(md, dec, build_generators(md).labeled())
 
     def test_only_table_mode_is_exact(self):
-        md = model(fac_c(2), fac_c(2), kernel=[(1, 1)])
-        dec = compute_Dec(md)
-        assert compute_Sdec(md, "table", dec=dec).exact
-        assert not compute_Sdec(md, "generators", dec=dec).exact
-        assert not compute_Sdec(md, "elements", dec=dec).exact
+        for text, labels in [("(Sp(4) x Sp(4))/mu(2)", (True, "table")),
+                             ("(SL(4) x Sp(4))/mu(2)", (False, "generators")),
+                             ("(Spin(5) x Sp(4))/mu(2)", (False, "dec"))]:
+            sd = invariants_of(compile_spec(parse_spec(text))).Sdec
+            assert (sd.exact, sd.mode) == labels, text
 
     def test_known_values(self):
         md = model(fac_c(2), fac_c(3), kernel=[(1, 1)])
         dec = compute_Dec(md)
-        sd = compute_Sdec(md, "elements", dec=dec)
+        sd = compute_Sdec(md, dec)
         # c2(y) = (n/g)q - (m/g)q' with (m, n) = (2, 3): adds (3, -2)
-        assert sd.contains((3, -2))
+        assert sd.contains((3, -2)) and sd.rows == element_rows(md, dec)
         md = model(SimpleFactor("B", 2), SimpleFactor("B", 2), kernel=[(1, 1)])
-        sd = compute_Sdec(md, "table", dec=compute_Dec(md))
-        assert sd.contains((1, -1))
+        dec = compute_Dec(md)
+        sd = compute_Sdec(md, dec)
+        assert sd.contains((1, -1)) and sd.rows == element_rows(md, dec)
 
     def test_b_large_ranks_decomposable(self):
         md = model(SimpleFactor("B", 3), SimpleFactor("B", 4), kernel=[(1, 1)])
         dec = compute_Dec(md)
-        sd = compute_Sdec(md, "table", dec=dec)
+        sd = compute_Sdec(md, dec)
         assert sd.same_rows(dec)
 
-    def test_generators_mode_rejects_wrong_models(self):
-        md = model(SimpleFactor("B", 2), SimpleFactor("B", 2), kernel=[(1, 1)])
-        with pytest.raises(ValueError):
-            compute_Sdec(md, "generators", dec=compute_Dec(md))
+    def test_witness_specs_cover_each_family(self):
+        kinds = {tuple(sorted({f.kind for f in _ORACLE_MODELS[t].factors}))
+                 for t in _ELEMENT_SPECS}
+        assert {("A",), ("C",), ("B",), ("D",)} <= kinds
+        assert set(_GENERATOR_GAPS) <= set(_GENERATOR_SPECS)
+
+
+class TestSdecWitnesses:
+    @pytest.mark.parametrize("text", _ELEMENT_SPECS)
+    def test_table_equals_element_witness(self, text):
+        md = _ORACLE_MODELS[text]
+        dec = compute_Dec(md)
+        sd = compute_Sdec(md, dec)
+        assert sd.mode == "table"
+        assert sd.rows == element_rows(md, dec)
+
+    @pytest.mark.parametrize("text", _GENERATOR_SPECS)
+    def test_sdec_equals_generator_witness(self, text):
+        md = _ORACLE_MODELS[text]
+        dec = compute_Dec(md)
+        sd = compute_Sdec(md, dec)
+        rows = witness_rows(md, dec, build_generators(md).labeled())
+        assert sd.includes(InvariantLattice.from_rows(dec.dim, rows))
+        assert rows == _GENERATOR_GAPS.get(text, sd.rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.sampled_from(["SL(2)", "SL(4)", "SL(6)", "Sp(4)", "Sp(6)"]),
+                    min_size=2, max_size=3))
+    def test_index2_type_ac_takes_table_or_generators(self, names):
+        # the generator witness runs unguarded: any error in it propagates
+        rep = invariants_of(compile_spec(parse_spec(f"({' x '.join(names)}) / mu(2)")))
+        assert rep.Q.includes(rep.Sdec) and rep.Sdec.includes(rep.Dec)
+        assert rep.Sdec.mode in ("table", "generators")
 
 
 class TestFactorGroup:
