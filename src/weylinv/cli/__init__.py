@@ -8,10 +8,11 @@ functions that use them, so `import weylinv` does not load them.
 
 from __future__ import annotations
 
+import os
 import sys
 
 from ..fuzz import random_graded_poly, random_poly, syzygy_case
-from ..generators import ReductionError, build_generators, gcd_chain, reduce_to_generators
+from ..generators import ReductionError, build_generators, reduce_to_generators
 from ..invariants import (
     DecMismatchError,
     InvariantLattice,
@@ -19,14 +20,13 @@ from ..invariants import (
     compute_Dec,
     compute_Sdec,
     invariants_of,
-    orbit_poly,
     pgo8_lambda_prime,
     pgo8_model,
     pgo8_parity_check,
     quotient_generators,
 )
 from ..laurent import LaurentPoly, from_text, to_text
-from ..rootdata import compile_spec
+from ..rootdata import compile_spec, fundamental_orbit_sums
 from ..spec import SpecParseError, parse_spec, spec_to_text
 from ..syzygy import (
     check_flatness,
@@ -111,7 +111,6 @@ def run_invariants(args) -> int:
 def run_generators(args) -> int:
     spec = parse_spec(args.spec)
     model = compile_spec(spec)
-    chain = gcd_chain(model)
     lambda0 = None
     if args.lambda0 is not None:
         idx = args.lambda0 - 1
@@ -119,12 +118,12 @@ def run_generators(args) -> int:
             print(f"lambda0 index out of range 1..{model.total_rank}", file=sys.stderr)
             return 1
         lambda0 = model._basis_vec(idx)
-    gs = build_generators(model, chain, lambda0)
+    gs = build_generators(model, lambda0)
     print(f"spec: {spec_to_text(spec)}")
     print(f"reindexing (fundamental weights, degree-1 first): "
-          f"{[i + 1 for i in chain.order]}")
-    print(f"orbit sizes s: {list(chain.sizes)}")
-    print(f"gcd chain d:   {list(chain.d_chain)}")
+          f"{[i + 1 for i in gs.chain.order]}")
+    print(f"orbit sizes s: {list(gs.chain.sizes)}")
+    print(f"gcd chain d:   {list(gs.chain.d_chain)}")
     print(f"lambda0: x{gs.lambda0.index(1) + 1}")
     for name, h in gs.labeled():
         print(f"{name} = {to_text(h)}")
@@ -200,8 +199,7 @@ def run_pgo8_check(args) -> int:
     model = pgo8_model()
     rng = random.Random(args.seed)
     ring = QuotientRing(4, pgo8_lambda_prime(), 4)
-    rho = [orbit_poly(model, model.fundamental_weight(0, i), augmented=True)
-           for i in range(4)]
+    rho = fundamental_orbit_sums(model)
     e1 = (1, 0, 0, 0)
     e2 = (-1, 1, 0, 0)
     img1 = ring.reduce(rho[0])
@@ -332,7 +330,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`... | head -1`): send what is left
+        # to devnull so the flush at exit does not raise again, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DecMismatchError as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return 2

@@ -105,11 +105,9 @@ def _rho_tilde_w(chain, rho_ord, i):
                rho_ord[i:np_], LaurentPoly.const(n, chain.d_chain[i], 0))
 
 
-def build_generators(model: LatticeModel, chain: GcdChain | None = None,
-                     lambda0=None) -> GeneratorSet:
+def build_generators(model: LatticeModel, lambda0=None) -> GeneratorSet:
     """Generator families per the gcd-chain definition, verified degree 0."""
-    if chain is None:
-        chain = gcd_chain(model)
+    chain = gcd_chain(model)
     n = model.total_rank
     np_ = chain.nprime
     rho_nat = fundamental_orbit_sums(model)

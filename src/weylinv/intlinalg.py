@@ -6,6 +6,8 @@ Matrices are row-major; lattices are given by their rows.
 
 from __future__ import annotations
 
+import math
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g."""
@@ -219,46 +221,57 @@ def lattice_contains(hnf_rows: list[list[int]], vec: list[int]) -> bool:
     return lattice_coordinates(hnf_rows, vec) is not None
 
 
-def inverse_fraction(matrix: list[list[int]]) -> list[list]:
-    """Exact inverse of a nonsingular integer matrix, as Fractions."""
-    from fractions import Fraction
+def det_adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det M, adj M) of a square integer matrix M; adj is None when det M = 0.
 
+    An upper-triangular M with a nonzero diagonal (every full-rank HNF basis)
+    gives d = det M as its diagonal product and X = adj M from X M = d I,
+    row by row by forward substitution.  Any other M goes through
+    fraction-free (Bareiss) Gauss-Jordan on [M | I] with row pivoting, which
+    ends at [c I | c M^-1] with c = +-det M, the sign of the row swaps.  Every
+    division is exact in both paths.
+    """
     n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+    if all(matrix[i][i] and not any(matrix[i][:i]) for i in range(n)):
+        d = math.prod(matrix[i][i] for i in range(n))
+        x = []
+        for a in range(n):
+            row = [0] * n
+            for j in range(a, n):
+                num = (d if a == j else 0) - sum(row[k] * matrix[k][j]
+                                                 for k in range(a, j) if row[k])
+                q, rem = divmod(num, matrix[j][j])
+                if rem:
+                    raise AssertionError("adjugate of a triangular matrix is not integral")
+                row[j] = q
+            x.append(row)
+        return d, x
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev, sign = 1, 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
         if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+            return 0, None
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        p = a[c][c]
+        a = [row if i == c else [(p * x - row[c] * y) // prev for x, y in zip(row, a[c])]
+             for i, row in enumerate(a)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def det_int(matrix: list[list[int]]) -> int:
-    """Determinant of an integer matrix via fraction-free-ish elimination."""
+    """Determinant of a square integer matrix."""
+    return det_adjugate(matrix)[0]
+
+
+def inverse_fraction(matrix: list[list[int]]) -> list[list]:
+    """Exact inverse adj M / det M of a nonsingular integer matrix, as Fractions."""
     from fractions import Fraction
 
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    assert det.denominator == 1
-    return int(det)
+    det, adj = det_adjugate(matrix)
+    if adj is None:
+        raise ValueError("singular matrix")
+    return [[Fraction(x, det) for x in row] for row in adj]

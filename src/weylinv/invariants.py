@@ -26,8 +26,9 @@ from types import MappingProxyType
 
 from .intlinalg import (
     congruence_kernel,
+    det_adjugate,
+    det_int,
     hnf,
-    hnf_with_transform,
     lattice_contains,
     lattice_coordinates,
     smallest_prime_factor,
@@ -295,14 +296,14 @@ def quotient_generators(sub: InvariantLattice, super_: InvariantLattice) -> list
     """[(order, vector)]: one generator of super/sub per nontrivial invariant factor."""
     diag, u, basis = _smith_coordinates(sub, super_)
     dim = super_.dim
-    # U is unimodular, so its HNF is I and the HNF transform is U^-1
-    ident, uinv = hnf_with_transform(u)
-    if ident != [[int(i == j) for j in range(dim)] for i in range(dim)]:
+    # U is unimodular, so U^-1 = adj U / det U = det U * adj U
+    det, adj = det_adjugate(u)
+    if det not in (1, -1):
         raise AssertionError("Smith transform is not unimodular")
     out = []
     for i, d in enumerate(diag):
         if d > 1:
-            y = [uinv[k][i] for k in range(dim)]
+            y = [det * adj[k][i] for k in range(dim)]
             out.append((d, [sum(y[k] * basis[k][j] for k in range(dim)) for j in range(dim)]))
     return out
 
@@ -311,34 +312,13 @@ def quotient_generators(sub: InvariantLattice, super_: InvariantLattice) -> list
 # Q(G)
 
 
-def _adjugate_rows(h):
-    """(D, X) with D = det(h) and X = D * h^-1, for a full-rank square HNF h.
-
-    h is upper triangular with a positive diagonal, so X solves X h = D I
-    row by row by forward substitution; X is the adjugate of h, hence
-    integral, and every division must be exact.
-    """
-    n = len(h)
-    d = math.prod(h[i][i] for i in range(n))
-    x = []
-    for a in range(n):
-        row = [0] * n
-        for j in range(a, n):
-            num = (d if a == j else 0) - sum(row[k] * h[k][j] for k in range(a, j) if row[k])
-            q, rem = divmod(num, h[j][j])
-            if rem:
-                raise AssertionError("adjugate of the T* basis is not integral")
-            row[j] = q
-        x.append(row)
-    return d, x
-
-
 def compute_Q(model: LatticeModel, basis=None) -> InvariantLattice:
     """Exact S^2(T*)^W as the set of d with sum d_i q_i in S^2(T*).
 
     Q depends only on the lattice T*, so the given basis (default
     model.tstar_basis) is put in HNF h, with D = det(h) and the integer
-    adjugate X = D h^-1.  A fundamental weight is w_a = sum_j X[a][j] t_j / D
+    adjugate X = D h^-1 from det_adjugate (forward substitution: h is upper
+    triangular).  A fundamental weight is w_a = sum_j X[a][j] t_j / D
     over the basis t of T*, so q_i = w^T K_i w / 2 (K_i = killing_gram, the
     integer Gram matrix) has t_j t_k coefficient N[j][k] / (2 D^2) with
     N = X^T K_i X on the diagonal and twice it off the diagonal.  Each
@@ -351,7 +331,7 @@ def compute_Q(model: LatticeModel, basis=None) -> InvariantLattice:
     h = hnf(basis if basis is not None else model.tstar_basis)
     if len(h) != n:
         raise ValueError("T* basis is not of full rank")
-    d, x = _adjugate_rows(h)
+    d, x = det_adjugate(h)
     sparse = [[(j, v) for j, v in enumerate(row) if v] for row in x]
     nums = []
     for fi, f in enumerate(model.factors):
@@ -384,23 +364,18 @@ def compute_Q(model: LatticeModel, basis=None) -> InvariantLattice:
 
 @lru_cache(maxsize=None)
 def _killing_adjugate(kind: str, rank: int):
-    """(adj K, det K) for K = killing_gram(kind, rank), by fraction-free (Bareiss)
-    Gauss-Jordan on [K | I], which ends at [det K * I | adj K] with every
-    division exact; K is positive definite, so every pivot is positive."""
+    """(adj K, det K) for K = killing_gram(kind, rank), from det_adjugate.
+
+    K must be positive definite, that is (Sylvester's criterion) every leading
+    principal minor is positive, and K adj K = det K I is checked."""
     k = killing_gram(kind, rank)
-    a = [list(row) + [int(i == j) for j in range(rank)] for i, row in enumerate(k)]
-    prev = 1
-    for c in range(rank):
-        if (p := a[c][c]) <= 0:
-            raise AssertionError("Killing Gram matrix is not positive definite")
-        a = [row if i == c else [(p * x - row[c] * y) // prev for x, y in zip(row, a[c])]
-             for i, row in enumerate(a)]
-        prev = p
-    adj = tuple(tuple(row[rank:]) for row in a)
-    if any(sum(k[i][m] * adj[m][j] for m in range(rank)) != prev * (i == j)
+    det, adj = det_adjugate(k)
+    if det <= 0 or any(det_int([row[:j] for row in k[:j]]) <= 0 for j in range(1, rank)):
+        raise AssertionError("Killing Gram matrix is not positive definite")
+    if any(sum(k[i][m] * adj[m][j] for m in range(rank)) != det * (i == j)
            for i in range(rank) for j in range(rank)):
         raise AssertionError("K adj(K) != det(K) I")
-    return adj, prev
+    return tuple(map(tuple, adj)), det
 
 
 def _zero_sum_slices(grading: Grading) -> list:
@@ -553,6 +528,8 @@ def _single_factor_dec(kind, rank, kernel_entry, model, fi):
         return 2      # SO(2r+1)
     if kind == "C" and tt == (1,):
         return 4 // math.gcd(2, rank)  # PGSp(2r)
+    if kind == "A" and rank == 1 and tt == (1,):
+        return 4      # PGL(2) = PGSp(2): 4 // gcd(2, r) at r = 1
     return None
 
 
@@ -777,16 +754,15 @@ class QuotientRing:
         return self.grading.zero
 
     def reduce(self, f: LaurentPoly) -> dict:
+        """{class: nonzero coefficient}: the image of f, each class's stored
+        coefficients summed and reduced mod the ring's modulus."""
         out = {}
-        for e, c in f.terms.items():
-            cls = self.class_of(e)
-            v = out.get(cls, 0) + c
+        for cls, comp in graded_components(f, self.grading).items():
+            v = sum(comp.terms.values())
             if self.modulus:
                 v %= self.modulus
             if v:
                 out[cls] = v
-            else:
-                out.pop(cls, None)
         return out
 
     def mul(self, a: dict, b: dict) -> dict:
@@ -853,9 +829,9 @@ def pgo8_parity_check(f_tuple) -> dict:
             sums[cls] = augmentation(comp)
         comp_sums.append(sums)
     report["component_sums"] = tuple(comp_sums)
-    ring = QuotientRing(n, model.congruences, 16)
-    img = ring.reduce(x)
-    report["z16_constant"] = set(img) <= {ring.zero_class}
+    # the image of x in (Z/16)[Lambda/T*] is constant
+    report["z16_constant"] = all(augmentation(comp) % 16 == 0
+                                 for cls, comp in comps.items() if cls != model.grading.zero)
     return report
 
 

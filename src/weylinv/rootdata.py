@@ -349,9 +349,6 @@ class LatticeModel:
             self.offsets.append(off)
             off += f.rank
         self.total_rank = off
-        self.fundamental_weights = tuple(
-            (fi, j) for fi, f in enumerate(self.factors) for j in range(f.rank)
-        )
         self._cartan = [cartan_rows(f.kind, f.rank) for f in self.factors]
         self.killing = killing_forms(spec)
         self._residue = [residue_functionals(f.kind, f.rank) for f in self.factors]

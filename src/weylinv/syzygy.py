@@ -275,13 +275,6 @@ class TransformMatrix(namedtuple("TransformMatrix", "entries det")):
     __slots__ = ()
     __setattr__ = __delattr__ = frozen_setattr
 
-    @property
-    def size(self):
-        return len(self.entries)
-
-    def column(self, j):
-        return [row[j] for row in self.entries]
-
     def reduce(self, m):
         return TransformMatrix(
             tuple(tuple(reduce_coefficients(p, m) for p in row) for row in self.entries),
@@ -405,14 +398,12 @@ def mat_inverse_unit(rows) -> list:
     return [[c.mul_monomial(inv_exp, dc_inv) for c in row] for row in adj]
 
 
-def trivialize_generalized(q, transform: TransformMatrix, f,
-                           inverse=None) -> SyzygyCertificate:
-    """Trivialize a syzygy of q, given (q) * A = flat tuple.
+def trivialize_generalized(q, transform: TransformMatrix, f, inverse) -> SyzygyCertificate:
+    """Trivialize a syzygy of q, given (q) * A = flat tuple and inverse = A^{-1}.
 
     Pushes the syzygy through A^{-1}, trivializes against the flat tuple,
     and pulls the certificate back through the skew decomposition of
-    A M_ij A^T, which keeps every step constructive.  `inverse` is A^{-1}
-    if the caller has it; otherwise it is computed here.  A wrong inverse
+    A M_ij A^T, which keeps every step constructive.  A wrong inverse
     cannot pass: the certificate is expanded back against f.
     """
     q = validate_tuple(q)
@@ -421,10 +412,9 @@ def trivialize_generalized(q, transform: TransformMatrix, f,
     a = [list(row) for row in transform.entries]
     n = len(q)
     flat = vec_mat(list(q), a)
-    a_inv = mat_inverse_unit(a) if inverse is None else inverse
-    # g = A^{-1} f^t  (row convention: g_i = sum_j a_inv[i][j] f_j)
+    # g = A^{-1} f^t  (row convention: g_i = sum_j inverse[i][j] f_j)
     zero = LaurentPoly.zero(q[0].rank, q[0].modulus)
-    g = [dot(a_inv[i], f, zero) for i in range(n)]
+    g = [dot(inverse[i], f, zero) for i in range(n)]
     cert_r = trivialize_syzygy(tuple(flat), tuple(g))
     out = _empty_cert(n, q[0].rank, q[0].modulus)
     for (i, j), c in cert_r.entries.items():
@@ -464,73 +454,25 @@ def _complete(rank, k, nvars, modulus=0):
     return LaurentPoly(rank, modulus, terms)
 
 
-def _tau(poly: LaurentPoly, c: int) -> LaurentPoly:
-    """Substitute y_i -> c - y_i (polynomial exponents only)."""
-    rank, modulus = poly.rank, poly.modulus
-    out = LaurentPoly.zero(rank, modulus)
-    base = {}
-    for e, coeff in poly.terms.items():
-        term = LaurentPoly.const(rank, coeff, modulus)
+def _substitute(poly: LaurentPoly, images) -> LaurentPoly:
+    """poly with y_i -> images[i] (polynomial exponents only), in the images'
+    ring; each image's powers are computed once per call."""
+    one = LaurentPoly.const(images[0].rank, 1, images[0].modulus)
+    powers = [[one] for _ in images]
+    coeffs, terms = [], []
+    for e, c in poly.terms.items():
+        if min(e) < 0:
+            raise ValueError("substitution needs polynomial exponents")
+        term = one
         for i, a in enumerate(e):
-            if a < 0:
-                raise ValueError("tau needs polynomial exponents")
-            for _ in range(a):
-                fac = LaurentPoly(rank, modulus, {
-                    (0,) * rank: c,
-                    tuple(int(k == i) for k in range(rank)): -1,
-                })
-                term = term * fac
-        out = out + term
-    return out
-
-
-def _phi_a(poly: LaurentPoly, n: int) -> LaurentPoly:
-    """Quotient-presentation map for type A: y-monomials to x-monomials."""
-    images = []
-    for j in range(n + 1):
-        v = [0] * n
-        if j == 0:
-            v[0] = 1
-        elif j < n:
-            v[j - 1] -= 1
-            v[j] += 1
-        else:
-            v[n - 1] -= 1
-        images.append(tuple(v))
-    terms = {}
-    for e, c in poly.terms.items():
-        out = [0] * n
-        for j, a in enumerate(e):
             if a:
-                for k in range(n):
-                    out[k] += a * images[j][k]
-        key = tuple(out)
-        terms[key] = terms.get(key, 0) + c
-    return LaurentPoly(n, poly.modulus, terms)
-
-
-def _phi_c(poly: LaurentPoly, n: int) -> LaurentPoly:
-    """Type C map y_j -> e^{e_j} + e^{-e_j} in fundamental-weight coordinates."""
-    evecs = []
-    for j in range(n):
-        v = [0] * n
-        v[j] = 1
-        if j > 0:
-            v[j - 1] = -1
-        evecs.append(tuple(v))
-    out = LaurentPoly.zero(n, poly.modulus)
-    for e, c in poly.terms.items():
-        term = LaurentPoly.const(n, c, poly.modulus)
-        for j, a in enumerate(e):
-            if a:
-                fac = LaurentPoly(n, poly.modulus, {
-                    evecs[j]: 1,
-                    tuple(-x for x in evecs[j]): 1,
-                })
-                for _ in range(a):
-                    term = term * fac
-        out = out + term
-    return out
+                p = powers[i]
+                while len(p) <= a:
+                    p.append(p[-1] * images[i])
+                term = term * p[a]
+        coeffs.append(one.scale(c))
+        terms.append(term)
+    return dot(coeffs, terms, one.scale(0))
 
 
 @lru_cache(maxsize=None)
@@ -545,13 +487,21 @@ def newton_transform(kind: str, n: int):
     if kind == "A":
         if n < 1:
             raise ValueError("type A needs rank >= 1")
-        nv, c_shift, phi = n + 1, 1, _phi_a
+        nv, c_shift = n + 1, 1
     elif kind == "C":
         if n < 2:
             raise ValueError("type C needs rank >= 2")
-        nv, c_shift, phi = n, 2, _phi_c
+        nv, c_shift = n, 2
     else:
         raise ValueError("generalized flatness transform exists for types A and C only")
+    # tau: y_i -> c - y_i.  phi, in fundamental-weight coordinates with
+    # v_j = w_{j+1} - w_j (w_0 = w_{n+1} = 0): y_j -> e^{v_j} for type A (the
+    # quotient presentation), y_j -> e^{v_j} + e^{-v_j} for type C
+    tau = [LaurentPoly(nv, 0, {(0,) * nv: c_shift, tuple(int(k == i) for k in range(nv)): -1})
+           for i in range(nv)]
+    vs = [tuple(int(k == j) - int(k == j - 1) for k in range(n)) for j in range(nv)]
+    phi = [LaurentPoly(n, 0, {v: 1} if kind == "A" else {v: 1, tuple(-x for x in v): 1})
+           for v in vs]
 
     sig = [_sigma(nv, k, nv) for k in range(nv + 1)]
     big_g = [None] + [_complete(nv, j, nv + 1 - j) for j in range(1, nv + 1)]
@@ -572,7 +522,7 @@ def newton_transform(kind: str, n: int):
         if acc != sig[i]:
             raise AssertionError("Newton identity failed; convention bug")
 
-    tau_atil = [[_tau(p, c_shift) for p in row] for row in atil]
+    tau_atil = [[_substitute(p, tau) for p in row] for row in atil]
 
     # W with (tau E) = (sigma - s) * W
     w = [[LaurentPoly.zero(nv, 0) for _ in range(nv)] for _ in range(nv)]
@@ -599,7 +549,7 @@ def newton_transform(kind: str, n: int):
     rho = []
     for i in range(1, n + 1):
         s_i = c_shift ** i * math.comb(nv, i)
-        im = phi(sig[i], n)
+        im = _substitute(sig[i], phi)
         rho.append(im - LaurentPoly.const(n, s_i, 0))
     if tuple(rho) != factor_orbit_sums(kind, n):
         raise AssertionError("phi(sigma_i) - s_i differs from the orbit sum of w_i")
@@ -610,7 +560,7 @@ def newton_transform(kind: str, n: int):
     a_out = [[None] * n for _ in range(n)]
     flat = []
     for out_i, col in enumerate(cols):
-        r = phi(_tau(big_g[col + 1], c_shift), n)
+        r = _substitute(_substitute(big_g[col + 1], tau), phi)
         # make the leading axis coefficient monic
         axis = out_i
         _, lead = leading_slice(r, axis)
@@ -620,7 +570,7 @@ def newton_transform(kind: str, n: int):
             raise AssertionError("unexpected leading coefficient in flat entry")
         flat.append(r if sign == 1 else -r)
         for k in range(n):
-            entry = phi(m_full[k][col], n)
+            entry = _substitute(m_full[k][col], phi)
             a_out[k][out_i] = entry if sign == 1 else -entry
     det = mat_det(a_out)
     if not is_unit_monomial(det):

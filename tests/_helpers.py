@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from weylinv.intlinalg import congruence_kernel, hnf, inverse_fraction
+from weylinv.intlinalg import congruence_kernel, hnf
 from weylinv.invariants import (
     InvariantLattice, _dominant_pairs, _is_diag_kernel, _symplectic_like, c2, killing_decompose,
 )
@@ -36,13 +36,60 @@ def P(rank, terms, modulus=0):
     return LaurentPoly(rank, modulus, terms)
 
 
+# -- Fraction elimination ----------------------------------------------------
+#
+# The Gauss-Jordan inverse and the determinant elimination over Fractions that
+# intlinalg.det_adjugate replaced, kept as its oracle.
+
+def fraction_inverse(matrix):
+    """Exact inverse of a nonsingular integer matrix, as Fractions; ValueError
+    on a singular one."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
+
+
+def fraction_det(matrix):
+    """Determinant of an integer matrix by elimination over Fractions."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for i in range(col + 1, n):
+            if a[i][col] != 0:
+                f = a[i][col] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    assert det.denominator == 1
+    return int(det)
+
+
 def q_oracle(md, basis=None):
     """Reference Q(G): each q_i written on the T* basis through the Fraction
     matrix B^-T G_i B^-1, with integrality of the diagonal and doubled
     off-diagonal entries as congruences."""
     n = md.total_rank
     m = len(md.factors)
-    binv = inverse_fraction([list(r) for r in (basis if basis is not None else md.tstar_basis)])
+    binv = fraction_inverse([list(r) for r in (basis if basis is not None else md.tstar_basis)])
     grams = []
     for fi, kf in enumerate(md.killing):
         off = md.offsets[fi]
@@ -131,7 +178,7 @@ def killing_value(kind, n, local_weight):
     """Value of the normalized Killing form at a weight (types B, C, D), a
     Fraction: sum e_i^2 for C and (sum e_i^2)/2 for B and D, evaluated at the
     e-coordinates of the weight."""
-    inv = inverse_fraction(standard_e_basis(kind, n))
+    inv = fraction_inverse(standard_e_basis(kind, n))
     total = sum(sum(Fraction(local_weight[j]) * inv[j][i] for j in range(n)) ** 2
                 for i in range(n))
     return total if kind == "C" else total / 2

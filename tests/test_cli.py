@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -28,6 +29,25 @@ def run_cli(*argv):
     finally:
         sys.stdout = old
     return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-flatness", "--type", "C", "--rank", "6", "--dump-poly"),  # fails in a print
+    ("invariants", "--spec", "SL(2)")])  # fits the buffer: fails in the final flush
+def test_closed_stdout_exits_1_without_traceback(argv, capsys):
+    # stdout is a pipe whose reader has gone, as in `weylinv ... | head -1`
+    r, w = os.pipe()
+    os.close(r)
+    out = os.fdopen(w, "w")
+    old = sys.stdout
+    sys.stdout = out
+    try:
+        code = main(list(argv))
+    finally:
+        sys.stdout = old
+        out.close()
+    assert code == 1
+    assert capsys.readouterr().err == ""
 
 
 # sha256 of stdout, pinned from the tuple-keyed Laurent core: term order and
@@ -307,13 +327,27 @@ class TestRun:
     @pytest.mark.parametrize("spec", ["PGL(2)", "HSpin(8)"])
     def test_sdec_exact_when_dec_equals_q(self, spec):
         # Dec <= Sdec <= Q, so Dec = Q pins Sdec down; the mode stays the one
-        # that produced it
+        # that produced it.  PGL(2) = PGSp(2) has a Dec closed form, HSpin(8)
+        # none, so only its exact Sdec label comes from Dec = Q
         code, out = run_cli("invariants", "--spec", spec, "--json")
         assert code == 0
         data = json.loads(out)
+        dec_mode = {"PGL(2)": "both", "HSpin(8)": "hilbert"}[spec]
         assert data["Dec"]["hnf"] == data["Q"]["hnf"] == data["Sdec"]["hnf"]
-        assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", "hilbert")
+        assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", dec_mode)
         assert (data["Sdec"]["exactness"], data["Sdec"]["mode"]) == ("exact", "table")
+
+    def test_pgl2_factor_has_a_dec_closed_form(self):
+        # PGL(2) = PGSp(2) is PGSp(2r) at r = 1: Dec = 4 // gcd(2, 1) q = 4q.
+        # The closed form checks the Hilbert-basis Dec, and the per-factor
+        # Sdec = Dec is then exact, as for PGSp(4) x PGSp(8)
+        code, out = run_cli("invariants", "--spec", "PGL(2) x PGSp(8)", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["Dec"] == {"exactness": "exact", "hnf": [[4, 0], [0, 2]], "mode": "both"}
+        assert data["Sdec"] == {"exactness": "exact", "hnf": [[4, 0], [0, 2]], "mode": "table"}
+        assert data["inv_ind"]["factors"] == [2]
+        assert data["inv_sd"]["factors"] == []
 
     def test_high_rank_factors_scan_their_own_bound(self):
         # Lambda/T* is (Z/6)^3, but each factor's slice only needs D(Z/6) = 6

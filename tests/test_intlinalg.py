@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylinv.intlinalg import (
     congruence_kernel,
+    det_adjugate,
     det_int,
     hnf,
     hnf_with_transform,
@@ -15,6 +18,8 @@ from weylinv.intlinalg import (
     snf_with_left,
     xgcd,
 )
+
+from _helpers import fraction_det, fraction_inverse
 
 
 def test_xgcd():
@@ -127,3 +132,51 @@ def test_inverse_fraction():
     a = [[2, 1], [1, 1]]
     inv = inverse_fraction(a)
     assert inv == [[1, -1], [-1, 2]]
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n matrices, n <= 6, entries in [-9, 9]: general ones, upper
+    triangular ones with a diagonal of either sign, rank-deficient ones (the
+    last row a combination of the others) and ones whose first pivot needs a
+    row swap."""
+    n = draw(st.integers(0, 6))
+    m = [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["general", "triangular", "rank-deficient", "swap"]))
+    if shape == "triangular":
+        m = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
+        for i in range(n):
+            m[i][i] = draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1]))
+    elif shape == "rank-deficient" and n:
+        c = [draw(st.integers(-2, 2)) for _ in range(n - 1)]
+        m[-1] = [sum(ci * m[i][j] for i, ci in enumerate(c)) for j in range(n)]
+    elif shape == "swap" and n >= 2:
+        m[0][0] = 0
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices())
+def test_det_adjugate_matches_fraction_oracle(m):
+    n = len(m)
+    det, adj = det_adjugate(m)
+    assert det == fraction_det(m) == det_int(m)
+    if det == 0:
+        assert adj is None
+        with pytest.raises(ValueError):
+            inverse_fraction(m)
+        return
+    assert [[sum(m[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[det * (i == j) for j in range(n)] for i in range(n)]
+    assert inverse_fraction(m) == fraction_inverse(m) == [[Fraction(x, det) for x in row]
+                                                          for row in adj]
+
+
+def test_det_adjugate_edge_cases():
+    assert det_adjugate([]) == (1, [])
+    assert det_adjugate([[0]]) == (0, None)
+    assert det_adjugate([[-3]]) == (-3, [[1]])
+    # triangular path, negative diagonal
+    assert det_adjugate([[-2, 1], [0, 3]]) == (-6, [[3, -1], [0, -2]])
+    # Bareiss path with one row swap
+    assert det_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylinv.cli import parse_spec
 from weylinv.generators import build_generators
-from weylinv.intlinalg import det_int, hnf
+from weylinv.intlinalg import hnf
 from weylinv.invariants import (
     DecMismatchError,
     InvariantLattice,
@@ -28,17 +28,20 @@ from weylinv.invariants import (
     factor_group,
     invariants_of,
     killing_decompose,
+    pgo8_model,
+    pgo8_parity_check,
     quotient_reduction,
 )
-from weylinv.laurent import LaurentPoly, augmentation
+from weylinv.laurent import LaurentPoly, augmentation, dot
 from weylinv.rootdata import (
-    GroupSpec, KillingForm, SimpleFactor, compile_spec, killing_gram, orbit_poly, orbit_size,
+    GroupSpec, KillingForm, SimpleFactor, compile_spec, fundamental_orbit_sums, killing_gram,
+    orbit_poly, orbit_size,
 )
 
 from _helpers import (
     bounded_weights, box_dec_rows, center_residues, davenport_bound, element_rows,
-    explicit_elements, fac_c, factor_davenport, lattice_from_congruence, model, oracle_specs,
-    q_oracle, residue_allowed, witness_rows,
+    explicit_elements, fac_c, factor_davenport, fraction_det, lattice_from_congruence, model,
+    oracle_specs, q_oracle, residue_allowed, witness_rows,
 )
 
 
@@ -432,7 +435,7 @@ class TestClosedFormC2:
     def test_adjugate(self, kind, rank):
         k = killing_gram(kind, rank)
         adj, det = _killing_adjugate(kind, rank)
-        assert det == det_int([list(r) for r in k]) > 0
+        assert det == fraction_det(k) > 0
         assert [[sum(k[i][m] * adj[m][j] for m in range(rank)) for j in range(rank)]
                 for i in range(rank)] == [[det * (i == j) for j in range(rank)]
                                           for i in range(rank)]
@@ -545,7 +548,55 @@ class TestFactorGroup:
             factor_group(big, small)
 
 
+def reduce_oracle(ring, f):
+    """QuotientRing.reduce as it was written, one term at a time, kept as its
+    oracle."""
+    out = {}
+    for e, c in f.terms.items():
+        cls = ring.class_of(e)
+        v = out.get(cls, 0) + c
+        if ring.modulus:
+            v %= ring.modulus
+        if v:
+            out[cls] = v
+        else:
+            out.pop(cls, None)
+    return out
+
+
 class TestQuotientReduction:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reduce_matches_term_loop(self, data):
+        # over Z and over Z/k, into rings of modulus 0 and 2..16; exponents up
+        # to 2^30 also take the classifier's unpacking path
+        rank = data.draw(st.integers(1, 3))
+        congs = data.draw(st.lists(
+            st.tuples(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                      st.integers(2, 6)), min_size=1, max_size=rank + 1))
+        ring = QuotientRing(rank, congs, data.draw(st.sampled_from([0, *range(2, 17)])))
+        exp = st.one_of(st.integers(-4, 4), st.sampled_from([-2 ** 30, 2 ** 30 - 1, 99991]))
+        terms = data.draw(st.dictionaries(st.tuples(*[exp] * rank), st.integers(-40, 40),
+                                          max_size=12))
+        f = LaurentPoly(rank, data.draw(st.sampled_from([0, *range(2, 17)])), terms)
+        assert ring.reduce(f) == reduce_oracle(ring, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_pgo8_z16_constant_matches_quotient_ring(self, data):
+        # the check reads the (Z/16)[Lambda/T*] image off the graded components
+        # of x = sum f_i rho_i; a QuotientRing with the model's grading is its oracle
+        md = pgo8_model()
+        ring = QuotientRing(4, md.congruences, 16)
+        assert ring.grading.images == md.grading.images
+        scale = data.draw(st.sampled_from([1, 16]))
+        exps = st.tuples(*[st.integers(-1, 1)] * 4)
+        f = tuple(LaurentPoly(4, 0, data.draw(st.dictionaries(exps, st.integers(-20, 20),
+                                                              max_size=3))).scale(scale)
+                  for _ in range(4))
+        img = reduce_oracle(ring, dot(f, fundamental_orbit_sums(md)))
+        assert pgo8_parity_check(f)["z16_constant"] == (set(img) <= {ring.zero_class})
+
     def test_constants(self):
         f = LaurentPoly.const(2, 5, 0)
         img, ring = quotient_reduction(f, [([1, 0], 2), ([0, 1], 2)], 3)

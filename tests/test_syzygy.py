@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 from itertools import permutations
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylinv import syzygy as syzygy_module
 from weylinv.fuzz import random_cert, random_flat_tuple
-from weylinv.laurent import LaurentPoly, augmentation, homogeneous_component, reduce_coefficients
+from weylinv.laurent import LaurentPoly, homogeneous_component, reduce_coefficients, to_text
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly, orbit_size
 from weylinv.spec import parse_spec
 from weylinv.syzygy import (
@@ -147,8 +148,50 @@ class TestNewtonTransform:
         for kind, n in [("A", 2), ("C", 3)]:
             flat, tr, rho = newton_transform(kind, n)
             f = random_cert(rng, n, 0, density=0.7, nterms=1).expand(rho)
-            cert = trivialize_generalized(rho, tr, f)
+            cert = trivialize_generalized(rho, tr, f, mat_inverse_unit(tr.entries))
             assert cert.expand(rho) == f
+
+
+# sha256 of each Newton transform as text (the flat tuple, the matrix entries
+# row by row, the determinant), pinned from the per-map substitutions (tau,
+# phi for type A, phi for type C) that _substitute replaced
+PINNED_TRANSFORMS = {
+    ("A", 1): "c885baa0d7d0c8b52bd45689c7612df73c57bd57bb78039ac265eceb2946beec",
+    ("A", 2): "41b240fc9f8c2f11c8bee7ae646bd8c16c823f4e98e94d2e77d277687083e243",
+    ("A", 3): "66d56aeae4b23a1c453b05af9f673e700e2a6750b467f47890aa1a08f6b3151b",
+    ("A", 4): "ed2e5b220c26e23e7a1d886a806f432cb0a979d37ed37dfb4c25e2d5dacb4ef6",
+    ("A", 5): "c16919aee2913a642cb3390b5314a52335b37cae69225dd3fcbbf3c97176c4d1",
+    ("A", 6): "6eb9aa1ebd584263bbcd890389141aeab447155f3a8a02da77d35be83f7d6658",
+    ("A", 7): "469ec329a0c0953dcbd3197dcd399290559966b8f046d474935a83a942040c12",
+    ("A", 8): "f43d11653a99e2a1f299835e908c8aacf3cc794d61e7b4d4422991a28df40b4d",
+    ("C", 2): "b42c90bde916cc8a5c2439b33cd0a5a5b5a2cf4a1fdecf859bf0fcbbb53d8eba",
+    ("C", 3): "78e6918d33ed5d8740ac09d896dfec69cc8ecfb2c7bd62f579f87b0b3bb665d5",
+    ("C", 4): "1844e30e27e0fa1525e5e139afc146fdd28c4740ab863acd5ee505a1c53de58c",
+    ("C", 5): "673bf9a94d1a9ecc380937e0ef757e06c8c18e7c9c9d89b90153cd2717dd5bbd",
+    ("C", 6): "1b7d55f31983f8067e450b55c18b6398ea9d67a8259e7d77c469b95ce67a1776",
+    ("C", 7): "02fa74beb40fa5aee39b1c639ceac7f01bc0d47c795debe0df23b11136f85c78",
+    ("C", 8): "d1adce94d6e3837bf9103e9e4faf55eeac783f4711c68a05344b53399853197c",
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(PINNED_TRANSFORMS))
+def test_pinned_newton_transform(kind, n):
+    flat, tr, _ = newton_transform(kind, n)
+    h = hashlib.sha256()
+    for line in (*map(to_text, flat), *(" | ".join(map(to_text, row)) for row in tr.entries),
+                 to_text(tr.det)):
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == PINNED_TRANSFORMS[kind, n]
+
+
+def test_substitute():
+    x = LaurentPoly.monomial(1, (1,))
+    one = LaurentPoly.const(1, 1)
+    # y1^2 y2 + 3 with y1 -> x + 1, y2 -> 2: zero exponents are skipped
+    poly = LaurentPoly(2, 0, {(2, 1): 1, (0, 0): 3})
+    assert syzygy_module._substitute(poly, [x + one, one.scale(2)]) == (x + one) ** 2 * 2 + one * 3
+    with pytest.raises(ValueError):
+        syzygy_module._substitute(LaurentPoly.monomial(2, (1, -1)), [x, x])
 
 
 class TestTransformCaches:
