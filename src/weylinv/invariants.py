@@ -2,8 +2,8 @@
 
 Pipeline: the degree-2 truncation of the exponential ring map (c2), exact
 computation of Q(G) from integrality of Killing-form coefficients on a T*
-basis, the decomposable subgroup Dec(G) from a Hilbert basis searched as
-minimal zero-sum sequences in Lambda/T* with closed-form cross-checks, the
+basis, the decomposable subgroup Dec(G) from per-factor minimal zero-sum
+sequences in Lambda/T* folded over the factors, with closed-form checks, the
 semi-decomposable subgroup Sdec(G) on one path (a closed form, else a lower
 bound from the index-2 generator set or Dec itself), factor groups via Smith
 normal form, reduction homomorphisms onto finite quotient group rings, and the
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product as iproduct
 from operator import mul
 from types import MappingProxyType
 
@@ -455,32 +454,32 @@ def _factor_buckets(kind: str, rank: int, images: tuple, moduli: tuple):
 
 
 def _dec_lattice(model: LatticeModel) -> InvariantLattice:
-    """Lattice generated by c2(rho-bar(lam)) over the dominant lam in T* whose
-    factor slices are zero-sum slices, bucketed per factor by _factor_buckets.
-
-    lam is in T* exactly when the Lambda/T* classes of its slices sum to 0, so
-    only those class combinations are visited: the last factor's class is the
-    negated sum of the others.  The coordinates t_i * prod_{j != i} |W lam_j|
-    are multilinear in the per-factor pairs (t, |W lam|), so within one class
-    combination the HNF rows of each factor's pairs generate the same lattice
-    as all the pairs do.
-    """
+    """c2(rho-bar(lam)) over the dominant lam in T* with zero-sum factor slices
+    (_factor_buckets), folded over the factors: per partial class sum in
+    Lambda/T*, vectors (W, v) over the factors so far, W = prod_j |W lam_j| and
+    v_i = t_i W / |W lam_i|, from (1) in class 0, in HNF once they outnumber
+    their coordinates.  A bucket row (t, w) maps (W, v) to (W w, v w, W t), the
+    last factor's into class 0 only; W is then dropped.  The map is bilinear,
+    so HNF rows lose nothing: exact, one small HNF per class and factor.  The
+    buckets are keyed by the coordinates a factor's images touch, not its place."""
     grading = model.grading
-    *head, last = [_factor_buckets(f.kind, f.rank, grading.images[off:off + f.rank],
-                                   grading.moduli)
-                   for f, off in zip(model.factors, model.offsets)]
-    vecs = set()
-    for combo in iproduct(*(b.items() for b in head)):
-        total = grading.zero
-        for cls, _ in combo:
-            total = grading.add(total, cls)
-        rows = last.get(tuple(-x % m for x, m in zip(total, grading.moduli)))
-        if rows is None:
-            continue
-        for picks in iproduct(*(r for _, r in combo), rows):
-            vecs.add(tuple(t * math.prod(w for j, (_, w) in enumerate(picks) if j != i)
-                           for i, (t, _) in enumerate(picks)))
-    return InvariantLattice.from_rows(len(model.factors), sorted(vecs), True, "hilbert")
+    zero, last = grading.zero, len(model.factors) - 1
+    vecs = {zero: {(1,)}}
+    for s, (f, off) in enumerate(zip(model.factors, model.offsets)):
+        images = grading.images[off:off + f.rank]
+        keep = [i for i in range(len(zero)) if any(g[i] for g in images)]
+        buckets = _factor_buckets(f.kind, f.rank, tuple(tuple(g[i] for i in keep) for g in images),
+                                  tuple(grading.moduli[i] for i in keep))
+        states = {c: hnf(vs) if len(vs) > s + 1 else vs for c, vs in vecs.items()}
+        vecs = {}
+        for local, rows in buckets.items():
+            cls = tuple(dict(zip(keep, local)).get(i, 0) for i in range(len(zero)))
+            for c, state in states.items():
+                total = grading.add(c, cls)
+                if s < last or total == zero:
+                    vecs.setdefault(total, set()).update((big * w, *(x * w for x in v), big * t)
+                                                         for big, *v in state for t, w in rows)
+    return InvariantLattice.from_rows(last + 1, [r[1:] for r in vecs[zero]], True, "hilbert")
 
 
 def _is_diag_kernel(model):
@@ -625,10 +624,10 @@ def compute_Dec(model: LatticeModel) -> InvariantLattice:
     model.grading.images), so each of its factor slices is empty, zero-sum-free
     or minimal zero-sum there.  The scan takes every such slice from a
     depth-first search per factor (_zero_sum_slices), keys it by its class in
-    Lambda/T*, and combines the classes that sum to 0, so it is exact: mode
-    'hilbert'.  Where dec_table has a closed form for the spec, the scan is
-    checked against it: DecMismatchError on any disagreement, mode 'both' on
-    agreement.
+    Lambda/T*, and folds the factors over partial class sums (_dec_lattice):
+    exact, mode 'hilbert', and polynomial in the number of factors.  Where
+    dec_table has a closed form for the spec, the scan is checked against it:
+    DecMismatchError on any disagreement, mode 'both' on agreement.
     """
     hilbert = _dec_lattice(model)
     table_rows = dec_table(model)

@@ -623,6 +623,23 @@ class TestConsoleScript:
         assert proc.stderr == ""
         assert "usage: weylinv" in proc.stdout
 
+    @pytest.mark.parametrize("n, k", [(2, 12), (2, 24), (6, 6)])
+    def test_many_factors_modulo_the_diagonal(self, n, k):
+        # (SL(n)^k)/mu(n): Dec is spanned by n e_i + n e_k (i < k) and 2n e_k,
+        # so Q/Dec = (Z/n)^(k-1).  The Dec fold is polynomial in k; the
+        # former class-combination loop took seconds at k = 12 (n = 2) and
+        # k = 6 (n = 6)
+        spec = f"({' x '.join([f'SL({n})'] * k)}) / mu({n})"
+        proc = subprocess.run([sys.executable, "-m", "weylinv.cli", "invariants",
+                               "--spec", spec, "--json"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        rows = [[n * (j in (i, k - 1)) for j in range(k)] for i in range(k - 1)]
+        assert data["Dec"] == {"exactness": "exact", "hnf": rows + [[0] * (k - 1) + [2 * n]],
+                               "mode": "hilbert"}
+        assert data["inv_ind"]["factors"] == [n] * (k - 1)
+
     def test_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-c",

@@ -17,6 +17,7 @@ from weylinv.invariants import (
     QuotientRing,
     TruncatedForm,
     _dominant_pairs,
+    _factor_buckets,
     _killing_adjugate,
     _zero_sum_slices,
     c2,
@@ -43,6 +44,14 @@ from _helpers import (
     explicit_elements, fac_c, factor_davenport, fraction_det, lattice_from_congruence, model,
     oracle_specs, q_oracle, residue_allowed, witness_rows,
 )
+
+
+# name -> (factor, orders k of a diagonal mu(k) in its centre, centre order)
+SMALL_FACTORS = {"SL(2)": (SimpleFactor("A", 1), (2,), 2),
+                 "SL(3)": (SimpleFactor("A", 2), (3,), 3),
+                 "SL(4)": (SimpleFactor("A", 3), (2, 4), 4),
+                 "Sp(4)": (SimpleFactor("C", 2), (2,), 2),
+                 "Spin(5)": (SimpleFactor("B", 2), (2,), 2)}
 
 
 def sign_free(vec, expect):
@@ -374,6 +383,32 @@ class TestDecEngine:
         # each factor's D(H_i) box keyed by centre residue
         md = compile_spec(parse_spec(text))
         assert compute_Dec(md).rows == box_dec_rows(md)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(SMALL_FACTORS)), min_size=2, max_size=5),
+           st.data())
+    def test_matches_davenport_box_on_random_products(self, names, data):
+        # a diagonal mu(k) where one embeds in every factor, else one kernel
+        # generator per factor, of any order (0: none)
+        factors = [SMALL_FACTORS[n][0] for n in names]
+        orders = set.intersection(*(set(SMALL_FACTORS[n][1]) for n in names))
+        if orders and data.draw(st.booleans()):
+            k = data.draw(st.sampled_from(sorted(orders)))
+            md = compile_spec(parse_spec(f"({' x '.join(names)}) / mu({k})"))
+        else:
+            entries = [data.draw(st.integers(0, center - 1))
+                       for center in (SMALL_FACTORS[n][2] for n in names)]
+            md = model(*factors, kernel=[tuple(e if j == i else 0 for j in range(len(names)))
+                                         for i, e in enumerate(entries) if e])
+        assert compute_Dec(md).rows == box_dec_rows(md)
+
+    def test_equal_factors_share_one_bucket_search(self):
+        # each factor's buckets are keyed by the Lambda/T* coordinates its
+        # images touch, not by where it sits in the product
+        _factor_buckets.cache_clear()
+        compute_Dec(compile_spec(parse_spec("PGL(8) x PGL(8)")))
+        info = _factor_buckets.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("n, free, minimal", [(8, 145, 64), (12, 1079, 366),
                                                   (16, 7235, 2134)])
