@@ -2,6 +2,11 @@
 
 Everything works on lists of lists of Python ints (arbitrary precision).
 Matrices are row-major; lattices are given by their rows.
+
+One elimination core, `_echelon` (a row HNF carrying any transform columns
+along), does every reduction: the kernels take one HNF, the Smith form
+alternates row and column HNFs and then fixes divisibility by a gcd/lcm step.
+Determinants and adjugates are a separate routine, `det_adjugate`.
 """
 
 from __future__ import annotations
@@ -107,29 +112,26 @@ def kernel(matrix: list[list[int]]) -> list[list[int]]:
     """HNF basis of {x in Z^n : matrix @ x == 0} for a k x n integer matrix."""
     if not matrix:
         return []
-    k = len(matrix)
-    n = len(matrix[0])
-    t = [[matrix[i][j] for i in range(k)] for j in range(n)]
-    h, u = hnf_with_transform(t)
-    ker = [u[i] for i in range(n) if all(x == 0 for x in h[i])]
-    return hnf(ker)
+    return congruence_kernel([(row, 0) for row in matrix], len(matrix[0]))
 
 
 def congruence_kernel(congruences: list[tuple[list[int], int]], n: int) -> list[list[int]]:
     """HNF basis of {a in Z^n : vec . a == 0 mod m for each (vec, m)}.
 
-    Moduli must be >= 1; modulus-1 rows are vacuous.
+    Moduli are >= 0: modulus 0 means vec . a == 0, modulus 1 is vacuous.  The
+    lattice of (C a + M y, a) over a in Z^n, y in Z^k (C the k x n matrix of
+    vecs, M = diag(moduli)) meets 0 x Z^n exactly in 0 x (the kernel).  One
+    row HNF of its generators (column j of C, e_j) and (m_i e_i, 0) puts the
+    rows with pivots past column k, a basis of that intersection, last; their
+    tails are the kernel's HNF basis.
     """
     rows = [(v, m) for v, m in congruences if m != 1]
-    if not rows:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
     k = len(rows)
-    # a is in the lattice iff C a + M y = 0 is solvable, M = diag(moduli)
-    big = []
-    for i, (v, m) in enumerate(rows):
-        big.append(list(v) + [m * int(i == j) for j in range(k)])
-    ker = kernel(big)
-    return hnf([row[:n] for row in ker])
+    gens = [[v[j] for v, _ in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    gens += [[m * int(i == j) for j in range(k)] + [0] * n
+             for i, (_, m) in enumerate(rows) if m]
+    r = _echelon(gens, k + n)
+    return [row[k:] for row in gens[:r] if not any(row[:k])]
 
 
 def snf_with_left(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -139,59 +141,38 @@ def snf_with_left(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     unimodular V; d_1 | d_2 | ... | d_r > 0.  The rows of U realize the
     quotient map Z^n / colspan(A) = (+)_i Z/d_i via x -> (U x)_i mod d_i
     (rows past r correspond to free summands).
+
+    A row HNF of [A | U] (U following A's row operations) alternates with a
+    column HNF of A's nonzero rows (a row HNF of their transpose; V is not
+    kept) until A is diagonal (Kannan-Bachem).  Then each pair i < j with
+    d_i not dividing d_j becomes (g, d_i d_j / g), g = gcd = x d_i + y d_j,
+    by the unimodular row step [[x, y], [-d_j/g, d_i/g]] on rows i, j of U.
     """
+    nrows = len(matrix)
     if not matrix or not matrix[0]:
-        n = len(matrix)
-        return [], [[int(i == j) for j in range(n)] for i in range(n)]
-    # [A | U]: row operations act on both blocks, column operations on A only
-    nrows, ncols = len(matrix), len(matrix[0])
+        return [], [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    ncols = len(matrix[0])
     m = [list(r) + [int(i == j) for j in range(nrows)] for i, r in enumerate(matrix)]
-
-    def clear_position(t):
-        """Make (t,t) the only nonzero of row t / col t within the submatrix."""
-        while True:
-            piv = next(((i, j) for i in range(t, nrows) for j in range(t, ncols) if m[i][j]),
-                       None)
-            if piv is None:
-                return False
-            pi, pj = piv
-            m[t], m[pi] = m[pi], m[t]
-            for r in m:
-                r[t], r[pj] = r[pj], r[t]
-            for i in range(t + 1, nrows):
-                _row_op(m, t, i, t)
-            # column operations on the A block, as row operations on its transpose
-            at = [list(col) for col in zip(*(r[:ncols] for r in m))]
-            for j in range(t + 1, ncols):
-                _row_op(at, t, j, t)
-            for r, col_row in zip(m, zip(*at)):
-                r[:ncols] = col_row
-            if not any(m[i][t] for i in range(t + 1, nrows)) and not any(m[t][t + 1:ncols]):
-                return True
-
-    rank = 0
-    for t in range(min(nrows, ncols)):
-        if not clear_position(t):
+    while True:
+        rank = _echelon(m, ncols)
+        at = [list(col) for col in zip(*(row[:ncols] for row in m[:rank]))]
+        _echelon(at, rank)
+        if not any(any(at[i][i + 1:]) for i in range(rank)):
             break
-        rank += 1
-
-    changed = True
-    while changed:
-        changed = False
-        for t in range(rank - 1):
-            a, b = m[t][t], m[t + 1][t + 1]
-            if b % a != 0:
-                for r in m:
-                    r[t] += r[t + 1]
-                clear_position(t)
-                changed = True
-
-    diag = []
-    for t in range(rank):
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-        diag.append(m[t][t])
-    return diag, [row[ncols:] for row in m]
+        for i in range(rank):
+            m[i][:ncols] = [at[j][i] for j in range(ncols)]
+    diag = [at[i][i] for i in range(rank)]
+    u = [row[ncols:] for row in m]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            di, dj = diag[i], diag[j]
+            if dj % di:
+                g, x, y = xgcd(di, dj)
+                ui, uj = u[i], u[j]
+                u[i] = [x * a + y * b for a, b in zip(ui, uj)]
+                u[j] = [(di * b - dj * a) // g for a, b in zip(ui, uj)]
+                diag[i], diag[j] = g, di * dj // g
+    return diag, u
 
 
 def snf_diagonal(matrix: list[list[int]]) -> list[int]:

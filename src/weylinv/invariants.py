@@ -311,12 +311,11 @@ def quotient_generators(sub: InvariantLattice, super_: InvariantLattice) -> list
 # Q(G)
 
 
-def compute_Q(model: LatticeModel, basis=None) -> InvariantLattice:
+def compute_Q(model: LatticeModel) -> InvariantLattice:
     """Exact S^2(T*)^W as the set of d with sum d_i q_i in S^2(T*).
 
-    Q depends only on the lattice T*, so the given basis (default
-    model.tstar_basis) is put in HNF h, with D = det(h) and the integer
-    adjugate X = D h^-1 from det_adjugate (forward substitution: h is upper
+    h = model.tstar_basis is an HNF, so D = det(h) and the integer adjugate
+    X = D h^-1 come from det_adjugate by forward substitution (h is upper
     triangular).  A fundamental weight is w_a = sum_j X[a][j] t_j / D
     over the basis t of T*, so q_i = w^T K_i w / 2 (K_i = killing_gram, the
     integer Gram matrix) has t_j t_k coefficient N[j][k] / (2 D^2) with
@@ -327,7 +326,7 @@ def compute_Q(model: LatticeModel, basis=None) -> InvariantLattice:
     """
     n = model.total_rank
     m = len(model.factors)
-    h = hnf(basis if basis is not None else model.tstar_basis)
+    h = model.tstar_basis
     if len(h) != n:
         raise ValueError("T* basis is not of full rank")
     d, x = det_adjugate(h)

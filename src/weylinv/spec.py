@@ -7,9 +7,10 @@ Grammar:  product [ "/" center ]
           center  := mu(k) [ "[" residue "," ... "]" ]   (default: diagonal)
 
 Adjoint/special factor forms expand to per-factor kernel generators; a mu(k)
-center adds one kernel generator across the whole product.  For factors of
-type D with even rank, a residue integer r encodes the pair (r // 2, r % 2)
-in the (spinor, vector) coordinates of the center character group.
+center adds one kernel generator across the whole product, and explicit
+residues must have an order dividing k.  For factors of type D with even
+rank, a residue integer r encodes the pair (r // 2, r % 2) in the (spinor,
+vector) coordinates of the center character group.
 """
 
 from __future__ import annotations
@@ -208,6 +209,11 @@ def parse_spec(text: str) -> GroupSpec:
                     gen.append((v // 2 % 2, v % 2))
                 else:
                     gen.append(v)
+            order = math.lcm(*(center_order(f.kind, f.rank, e) for f, e in zip(factors, gen)))
+            if k % order:
+                raise SpecParseError(
+                    f"mu({k})[{parts[1]}] is not a map from mu({k}): "
+                    f"its residues have order {order}")
             kernel.append(tuple(gen))
         else:
             kernel.append(tuple(_diag_entry(f, k, 0) for f in factors))

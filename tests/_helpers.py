@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from weylinv.intlinalg import congruence_kernel, hnf
+from weylinv.intlinalg import congruence_kernel, hnf, hnf_with_transform
 from weylinv.invariants import (
     InvariantLattice, _dominant_pairs, _is_diag_kernel, _symplectic_like, c2, killing_decompose,
 )
@@ -81,6 +81,32 @@ def fraction_det(matrix):
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     assert det.denominator == 1
     return int(det)
+
+
+# -- the three-HNF kernels -----------------------------------------------------
+#
+# The route intlinalg.kernel and congruence_kernel took before they became one
+# row HNF, kept as their oracle: the kernel of [C | M] (M the diagonal of the
+# moduli) from an HNF with transform of its transpose, in HNF, then the HNF of
+# its first n coordinates.
+
+def three_hnf_kernel(matrix):
+    """HNF basis of {x : matrix @ x == 0}: the transform rows that the HNF of
+    the transpose sends to zero."""
+    n = len(matrix[0])
+    h, u = hnf_with_transform([list(col) for col in zip(*matrix)])
+    return hnf([u[i] for i in range(n) if not any(h[i])])
+
+
+def three_hnf_congruence_kernel(congruences, n):
+    """HNF basis of {a in Z^n : vec . a == 0 mod m for each (vec, m)}, m >= 0."""
+    rows = [(v, m) for v, m in congruences if m != 1]
+    if not rows:
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    # a is in the lattice iff C a + M y = 0 is solvable
+    big = [list(v) + [m * int(i == j) for j in range(len(rows))]
+           for i, (v, m) in enumerate(rows)]
+    return hnf([row[:n] for row in three_hnf_kernel(big)])
 
 
 def q_oracle(md, basis=None):

@@ -228,9 +228,18 @@ class TestParse:
     def test_errors(self):
         for bad in ["SL(1)", "Spin(4)", "Sp(3)", "PGO(10)", "HSpin(10)",
                     "(SL(4) x SL(4)) / mu(3)", "(Spin(8) x Spin(8)) / mu(4)",
-                    "Q(8)", "SL(4) /", "(E6 x E6) / mu(3)[1]"]:
+                    "Q(8)", "SL(4) /", "(E6 x E6) / mu(3)[1]", "SL(3) / mu(2)[1]"]:
             with pytest.raises(SpecParseError):
                 parse_spec(bad)
+
+    def test_residues_not_from_mu_k(self, capsys):
+        # a residue of order 3 defines no map from mu(2)
+        assert main(["invariants", "--spec", "SL(3) / mu(2)[1]"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: mu(2)[1] is not a map from mu(2): its residues have order 3"]
+        for ok in ["SL(2) / mu(2)[0]", "SL(2) / mu(2)[2]", "(E6 x E6) / mu(3)[1,2]",
+                   "(SL(2) x Spin(8)) / mu(2)[1,3]"]:
+            assert main(["invariants", "--spec", ok]) == 0, ok
 
     @pytest.mark.parametrize("center", ["mu(2)[1,,1]", "mu(2)[1-2]", "mu(2)[--1]"])
     def test_bad_residues(self, center, capsys):
@@ -593,7 +602,7 @@ class TestRun:
                 orders.append(order)
             assert orders == lattices[group_key]["factors"]
         if spec == "(E6 x E6) / mu(3)":
-            assert lines["Inv3_ind generators"] == "(Z/2)(+3q1), (Z/6)(+2q1 +1q2)"
+            assert lines["Inv3_ind generators"] == "(Z/2)(+3q1), (Z/6)(-1q1 +1q2)"
 
     def test_table_family(self):
         code, out = run_cli("table", "--family", "prop:typeE")

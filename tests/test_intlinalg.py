@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,9 @@ from weylinv.intlinalg import (
     xgcd,
 )
 
-from _helpers import fraction_det, fraction_inverse
+from _helpers import (
+    fraction_det, fraction_inverse, three_hnf_congruence_kernel, three_hnf_kernel,
+)
 
 
 def test_xgcd():
@@ -126,6 +130,95 @@ def test_snf_left_transform_is_unimodular():
         a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         diag, u = snf_with_left(a)
         assert abs(det_int(u)) == 1
+
+
+@st.composite
+def smith_matrices(draw):
+    """Matrices up to 5 x 5, entries in [-12, 12]: general ones, ones whose
+    last row is a combination of the others, and ones with a zero row or a
+    zero column."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a = [[draw(st.integers(-12, 12)) for _ in range(ncols)] for _ in range(nrows)]
+    shape = draw(st.sampled_from(["general", "rank-deficient", "zero row", "zero column"]))
+    if shape == "rank-deficient" and nrows > 1:
+        c = [draw(st.integers(-2, 2)) for _ in range(nrows - 1)]
+        a[-1] = [sum(ci * a[i][j] for i, ci in enumerate(c)) for j in range(ncols)]
+    elif shape == "zero row":
+        a[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    elif shape == "zero column":
+        j = draw(st.integers(0, ncols - 1))
+        for row in a:
+            row[j] = 0
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(smith_matrices())
+def test_snf_with_left_matches_minors(a):
+    nrows, ncols = len(a), len(a[0])
+    diag, u = snf_with_left(a)
+    r = len(diag)
+    # d_1 ... d_k is the gcd of the k x k minors; det_int (Bareiss) shares
+    # no code with the HNF elimination
+    for k in range(1, min(nrows, ncols) + 1):
+        g = math.gcd(*(det_int([[a[i][j] for j in cols] for i in rows])
+                       for rows in combinations(range(nrows), k)
+                       for cols in combinations(range(ncols), k)))
+        assert g == (math.prod(diag[:k]) if k <= r else 0)
+    assert abs(det_int(u)) == 1
+    for i, row in enumerate(u):
+        ua = [sum(x * a[k][j] for k, x in enumerate(row)) for j in range(ncols)]
+        assert all(v % diag[i] == 0 for v in ua) if i < r else not any(ua)
+
+
+@st.composite
+def congruence_systems(draw):
+    """(congruences, n) for n <= 4 and up to 4 rows with moduli 0-12, some
+    rows repeated."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+    congs = draw(st.lists(st.tuples(vec, st.integers(0, 12)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        congs.append(congs[draw(st.integers(0, len(congs) - 1))])
+    return congs, n
+
+
+def _box_agrees(rows, congs, n):
+    for x in product(range(-3, 4), repeat=n):
+        dots = [(sum(a * b for a, b in zip(v, x)), m) for v, m in congs]
+        solves = all((d % m if m else d) == 0 for d, m in dots)
+        assert lattice_contains(rows, list(x)) == solves, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(congruence_systems())
+def test_congruence_kernel_matches_congruences(system):
+    congs, n = system
+    rows = congruence_kernel(congs, n)
+    assert rows == three_hnf_congruence_kernel(congs, n)
+    _box_agrees(rows, congs, n)
+    if all(m for _, m in congs):
+        # full rank, of index the size of the image of Z^n in (+)_i Z/m_i
+        image = {tuple([0] * len(congs))}
+        for j in range(n):
+            gen = [v[j] % m for v, m in congs]
+            while True:
+                grown = image | {tuple((x + g) % m for x, g, (_, m) in zip(p, gen, congs))
+                                 for p in image}
+                if grown == image:
+                    break
+                image = grown
+        assert abs(det_int(rows)) == len(image)
+
+
+@settings(max_examples=200, deadline=None)
+@given(congruence_systems())
+def test_kernel_matches_equations(system):
+    congs, n = system
+    matrix = [v for v, _ in congs]
+    rows = kernel(matrix)
+    assert rows == three_hnf_kernel(matrix) == congruence_kernel([(v, 0) for v in matrix], n)
+    _box_agrees(rows, [(v, 0) for v in matrix], n)
 
 
 def test_inverse_fraction():
