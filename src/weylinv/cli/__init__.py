@@ -282,10 +282,18 @@ def make_parser():
         description="Exact invariant-group and syzygy computations on weight lattices")
     sub = ap.add_subparsers(dest="verb", required=True)
 
+    def at_least(lo):
+        def integer(text):  # argparse names it in "invalid integer value: 'x'"
+            if int(text) < lo:
+                raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text}")
+            return int(text)
+        return integer
+
     p = sub.add_parser("invariants", help="compute Q, Dec, Sdec and factor groups")
     p.add_argument("--spec", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--tsv", action="store_true")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true")
+    out.add_argument("--tsv", action="store_true")
     p.add_argument("--show-generators", action="store_true")
     p.set_defaults(fn=run_invariants)
 
@@ -307,17 +315,17 @@ def make_parser():
     p.set_defaults(fn=run_verify_flatness)
 
     p = sub.add_parser("fuzz-syzygy", help="randomized trivialization round-trips")
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=at_least(0), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=run_fuzz_syzygy)
 
     p = sub.add_parser("table", help="emit a family table as TSV")
     p.add_argument("--family", required=True)
-    p.add_argument("--max-rank", type=int, default=4)
+    p.add_argument("--max-rank", type=at_least(1), default=4)
     p.set_defaults(fn=run_table)
 
     p = sub.add_parser("pgo8-check", help="adjoint D4 verification suite")
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=at_least(0), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=run_pgo8_check)
     return ap

@@ -13,8 +13,8 @@ from collections import namedtuple
 
 from .intlinalg import xgcd
 from .laurent import LaurentPoly, augmentation, dot, homogeneous_component
-from .rootdata import LatticeModel, fundamental_orbit_sums, orbit_size
-from .syzygy import normalize_coefficients, validate_tuple
+from .rootdata import LatticeModel, fundamental_orbit_sums
+from .syzygy import degree_one_orbits, normalize_coefficients, validate_tuple
 
 
 class ReductionError(ValueError):
@@ -41,11 +41,9 @@ def gcd_chain(model: LatticeModel) -> GcdChain:
     """Compute the chain d_i = gcd(s_i..s_n') and small Bezout coefficients."""
     if model.grading.moduli != (2,):
         raise ValueError("gcd chain requires an index-2 grading")
-    deg1 = [i for i in range(model.total_rank) if model.fw_degrees[i] == (1,)]
-    deg0 = [i for i in range(model.total_rank) if model.fw_degrees[i] == (0,)]
-    order = tuple(deg1 + deg0)
+    deg1, sizes = degree_one_orbits(model)
+    order = deg1 + tuple(i for i in range(model.total_rank) if model.fw_degrees[i] == (0,))
     np_ = len(deg1)
-    sizes = tuple(orbit_size(model, model._basis_vec(i)) for i in deg1)
     d_chain = [0] * np_
     bez = [[0] * np_ for _ in range(np_)]
     d_chain[np_ - 1] = sizes[np_ - 1]

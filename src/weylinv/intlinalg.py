@@ -6,7 +6,8 @@ Matrices are row-major; lattices are given by their rows.
 One elimination core, `_echelon` (a row HNF carrying any transform columns
 along), does every reduction: the kernels take one HNF, the Smith form
 alternates row and column HNFs and then fixes divisibility by a gcd/lcm step.
-Determinants and adjugates are a separate routine, `det_adjugate`.
+Determinants, adjugates and leading principal minors are a separate
+routine, `_eliminate`, behind `det_adjugate`.
 """
 
 from __future__ import annotations
@@ -202,19 +203,22 @@ def lattice_contains(hnf_rows: list[list[int]], vec: list[int]) -> bool:
     return lattice_coordinates(hnf_rows, vec) is not None
 
 
-def det_adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]] | None]:
-    """(det M, adj M) of a square integer matrix M; adj is None when det M = 0.
+def _eliminate(matrix: list[list[int]]):
+    """(det M, adj M, minors) of a square integer matrix M: adj is None when
+    det M = 0, minors the leading principal minors of M, or None when a row
+    was swapped.
 
     An upper-triangular M with a nonzero diagonal (every full-rank HNF basis)
     gives d = det M as its diagonal product and X = adj M from X M = d I,
     row by row by forward substitution.  Any other M goes through
     fraction-free (Bareiss) Gauss-Jordan on [M | I] with row pivoting, which
-    ends at [c I | c M^-1] with c = +-det M, the sign of the row swaps.  Every
-    division is exact in both paths.
+    ends at [c I | c M^-1] with c = +-det M, the sign of the row swaps; before
+    any swap, pivot k is the leading (k+1)-minor.  Every division is exact.
     """
     n = len(matrix)
     if all(matrix[i][i] and not any(matrix[i][:i]) for i in range(n)):
-        d = math.prod(matrix[i][i] for i in range(n))
+        minors = [math.prod(matrix[i][i] for i in range(k + 1)) for k in range(n)]
+        d = minors[-1] if n else 1
         x = []
         for a in range(n):
             row = [0] * n
@@ -226,21 +230,28 @@ def det_adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]] | None]:
                     raise AssertionError("adjugate of a triangular matrix is not integral")
                 row[j] = q
             x.append(row)
-        return d, x
+        return d, x, minors
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    prev, sign = 1, 1
+    prev, sign, minors = 1, 1, []
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c]), None)
         if piv is None:
-            return 0, None
+            return 0, None, None
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
-            sign = -sign
+            sign, minors = -sign, None
         p = a[c][c]
+        if minors is not None:
+            minors.append(p)
         a = [row if i == c else [(p * x - row[c] * y) // prev for x, y in zip(row, a[c])]
              for i, row in enumerate(a)]
         prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+    return sign * prev, [[sign * x for x in row[n:]] for row in a], minors
+
+
+def det_adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det M, adj M) of a square integer matrix M; adj is None when det M = 0."""
+    return _eliminate(matrix)[:2]
 
 
 def det_int(matrix: list[list[int]]) -> int:

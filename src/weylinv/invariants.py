@@ -24,9 +24,9 @@ from operator import mul
 from types import MappingProxyType
 
 from .intlinalg import (
+    _eliminate,
     congruence_kernel,
     det_adjugate,
-    det_int,
     hnf,
     lattice_contains,
     lattice_coordinates,
@@ -362,13 +362,13 @@ def compute_Q(model: LatticeModel) -> InvariantLattice:
 
 @lru_cache(maxsize=None)
 def _killing_adjugate(kind: str, rank: int):
-    """(adj K, det K) for K = killing_gram(kind, rank), from det_adjugate.
+    """(adj K, det K) for K = killing_gram(kind, rank), from one elimination.
 
-    K must be positive definite, that is (Sylvester's criterion) every leading
-    principal minor is positive, and K adj K = det K I is checked."""
+    K must be positive definite: (Sylvester) every leading principal minor, as
+    the elimination gives them with no row swap, is positive; K adj K = det K I."""
     k = killing_gram(kind, rank)
-    det, adj = det_adjugate(k)
-    if det <= 0 or any(det_int([row[:j] for row in k[:j]]) <= 0 for j in range(1, rank)):
+    det, adj, minors = _eliminate(k)
+    if minors is None or min(minors) <= 0:
         raise AssertionError("Killing Gram matrix is not positive definite")
     if any(sum(k[i][m] * adj[m][j] for m in range(rank)) != det * (i == j)
            for i in range(rank) for j in range(rank)):

@@ -92,7 +92,7 @@ def _zero_entry(f: SimpleFactor):
     return (0, 0) if f.kind == "D" and f.rank % 2 == 0 else 0
 
 
-def _diag_entry(f: SimpleFactor, k: int, pos: int):
+def _diag_entry(f: SimpleFactor, k: int):
     if f.kind == "A":
         if (f.rank + 1) % k:
             raise SpecParseError(f"mu({k}) does not embed in the center of {f}")
@@ -216,7 +216,7 @@ def parse_spec(text: str) -> GroupSpec:
                     f"its residues have order {order}")
             kernel.append(tuple(gen))
         else:
-            kernel.append(tuple(_diag_entry(f, k, 0) for f in factors))
+            kernel.append(tuple(_diag_entry(f, k) for f in factors))
     return GroupSpec(tuple(factors), tuple(kernel))
 
 
@@ -302,7 +302,7 @@ def _render(spec: GroupSpec) -> str:
     # residues that kill the centre, as in SL(2) / mu(2)[2], print under mu(2)
     order = max(2, math.lcm(*(center_order(f.kind, f.rank, e)
                               for f, e in zip(spec.factors, shared))))
-    diag = tuple(_diag_entry(f, order, 0) if _embeddable(f, order) else None
+    diag = tuple(_diag_entry(f, order) if _embeddable(f, order) else None
                  for f in spec.factors)
     if diag == shared:
         return f"{prod} / mu({order})"
@@ -317,7 +317,7 @@ def _render(spec: GroupSpec) -> str:
 
 def _embeddable(f, k):
     try:
-        _diag_entry(f, k, 0)
+        _diag_entry(f, k)
         return True
     except SpecParseError:
         return False

@@ -432,26 +432,16 @@ def trivialize_generalized(q, transform: TransformMatrix, f, inverse) -> SyzygyC
 # Newton-relation transforms (types A and C)
 
 
-def _sigma(rank, k, nvars, modulus=0):
-    """Elementary symmetric polynomial sigma_k(y_1..y_nvars)."""
+def _monomial_sum(choose, rank, k, nvars):
+    """Sum of the monomials y_c1..y_ck over choose(range(nvars), k): sigma_k(y_1..y_nvars)
+    for `combinations`, h_k(y_1..y_nvars) for `combinations_with_replacement`."""
     terms = {}
-    for comb in combinations(range(nvars), k):
-        e = [0] * rank
-        for i in comb:
-            e[i] = 1
-        terms[tuple(e)] = 1
-    return LaurentPoly(rank, modulus, terms)
-
-
-def _complete(rank, k, nvars, modulus=0):
-    """Complete homogeneous sum g_k(y_1..y_nvars)."""
-    terms = {}
-    for comb in combinations_with_replacement(range(nvars), k):
+    for comb in choose(range(nvars), k):
         e = [0] * rank
         for i in comb:
             e[i] += 1
-        terms[tuple(e)] = terms.get(tuple(e), 0) + 1
-    return LaurentPoly(rank, modulus, terms)
+        terms[tuple(e)] = 1
+    return LaurentPoly(rank, 0, terms)
 
 
 def _substitute(poly: LaurentPoly, images) -> LaurentPoly:
@@ -503,26 +493,22 @@ def newton_transform(kind: str, n: int):
     phi = [LaurentPoly(n, 0, {v: 1} if kind == "A" else {v: 1, tuple(-x for x in v): 1})
            for v in vs]
 
-    sig = [_sigma(nv, k, nv) for k in range(nv + 1)]
-    big_g = [None] + [_complete(nv, j, nv + 1 - j) for j in range(1, nv + 1)]
-
-    # A-tilde: E = G * A~ with A~[j][i] = (-1)^(j-1) sigma_{i-j}(y_1..y_{nv-j})
-    atil = [[LaurentPoly.zero(nv, 0) for _ in range(nv)] for _ in range(nv)]
-    for j in range(1, nv + 1):
-        for i in range(j, nv + 1):
-            s = _sigma(nv, i - j, nv - j)
-            if (j - 1) % 2:
-                s = -s
-            atil[j - 1][i - 1] = s
-    # sanity: the Newton-style identity E_i = sum_j G_j A~[j][i]
+    # E = G * A~ for E_i = sigma_i(y_1..y_nv), G_j = h_j(y_1..y_{nv+1-j}) and the
+    # triangular A~[j][i] = (-1)^(j-1) sigma_{i-j}(y_1..y_{nv-j}), whose inverse is
+    # H[j][i] = (-1)^(j-1) h_{i-j}(y_1..y_{nv-i+1}): G = E * H is a finite form of
+    # sum_r (-1)^r e_r h_{k-r} = 0 (Macdonald, Symmetric Functions, ch. I §2).
+    sig = [_monomial_sum(combinations, nv, k, nv) for k in range(nv + 1)]
+    big_g = [None] + [_monomial_sum(combinations_with_replacement, nv, j, nv + 1 - j)
+                      for j in range(1, nv + 1)]
+    h = [[LaurentPoly.zero(nv, 0)] * nv for _ in range(nv)]
     for i in range(1, nv + 1):
-        acc = LaurentPoly.zero(nv, 0)
         for j in range(1, i + 1):
-            acc = acc + big_g[j] * atil[j - 1][i - 1]
-        if acc != sig[i]:
+            p = _monomial_sum(combinations_with_replacement, nv, i - j, nv - i + 1)
+            h[j - 1][i - 1] = -p if (j - 1) % 2 else p
+    # sanity: the Newton identity G_i = sum_j E_j H[j][i]
+    for i in range(1, nv + 1):
+        if dot(sig[1:i + 1], [h[j][i - 1] for j in range(i)]) != big_g[i]:
             raise AssertionError("Newton identity failed; convention bug")
-
-    tau_atil = [[_substitute(p, tau) for p in row] for row in atil]
 
     # W with (tau E) = (sigma - s) * W
     w = [[LaurentPoly.zero(nv, 0) for _ in range(nv)] for _ in range(nv)]
@@ -532,19 +518,8 @@ def newton_transform(kind: str, n: int):
             if val:
                 w[k - 1][i - 1] = LaurentPoly.const(nv, val, 0)
 
-    # invert the upper-unitriangular tau(A~) by back substitution
-    x = [[LaurentPoly.zero(nv, 0) for _ in range(nv)] for _ in range(nv)]
-    for j in range(nv - 1, -1, -1):
-        dj = tau_atil[j][j]
-        ((_, dcoef),) = dj.terms.items()
-        x[j][j] = LaurentPoly.const(nv, dcoef, 0)  # +-1
-        for k in range(j + 1, nv):
-            acc = LaurentPoly.zero(nv, 0)
-            for l in range(j + 1, k + 1):
-                if tau_atil[j][l] and x[l][k]:
-                    acc = acc + tau_atil[j][l] * x[l][k]
-            x[j][k] = (-acc).scale(dcoef)
-    m_full = mat_mul(w, x)
+    # tau is a ring map, so tau(H) = tau(A~)^-1
+    m_full = mat_mul(w, [[_substitute(p, tau) for p in row] for row in h])
 
     rho = []
     for i in range(1, n + 1):
@@ -665,12 +640,17 @@ def model_inverse_mod(model: LatticeModel, d: int) -> list:
     return _block_diagonal(model, lambda kind, rank: block_inverse_mod(kind, rank, d)[1], d)
 
 
+def degree_one_orbits(model: LatticeModel) -> tuple:
+    """(indices, orbit sizes) of the degree-1 fundamental weights, in index order."""
+    deg1 = tuple(i for i in range(model.total_rank) if model.fw_degrees[i] == (1,))
+    return deg1, tuple(orbit_size(model, model._basis_vec(i)) for i in deg1)
+
+
 def degree_one_gcd(model: LatticeModel) -> int:
     """gcd of the orbit sizes of the degree-1 fundamental weights."""
     if model.grading.moduli != (2,):
         raise ValueError("model grading is not Z/2")
-    sizes = [orbit_size(model, model._basis_vec(i))
-             for i in range(model.total_rank) if model.fw_degrees[i] == (1,)]
+    _, sizes = degree_one_orbits(model)
     if not sizes:
         raise ValueError("no degree-1 fundamental weights")
     return math.gcd(*sizes)

@@ -542,6 +542,25 @@ class TestRun:
         assert message in err.splitlines()[-1]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["invariants", "--spec", "SL(2)", "--json", "--tsv"],
+         "weylinv invariants: error: argument --tsv: not allowed with argument --json"),
+        (["fuzz-syzygy", "--cases", "-1"],
+         "weylinv fuzz-syzygy: error: argument --cases: must be at least 0, got -1"),
+        (["pgo8-check", "--cases", "-1"],
+         "weylinv pgo8-check: error: argument --cases: must be at least 0, got -1"),
+        (["table", "--family", "cor:typeA", "--max-rank", "0"],
+         "weylinv table: error: argument --max-rank: must be at least 1, got 0")],
+        ids=["json-and-tsv", "fuzz-negative-cases", "pgo8-negative-cases", "max-rank-0"])
+    def test_out_of_range_options_are_usage_errors(self, argv, message, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == message
+
+    def test_zero_cases(self):
+        assert run_cli("fuzz-syzygy", "--cases", "0") == (0, "0 cases, 0 failures\n")
+
     def test_sdec_fallback_does_not_swallow_failed_checks(self, monkeypatch, capsys):
         # no Sdec closed form covers this spec, so the chain reaches generators,
         # whose failed internal check must surface instead of being skipped

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylinv.intlinalg import (
+    _eliminate,
     congruence_kernel,
     det_adjugate,
     det_int,
@@ -263,6 +264,32 @@ def test_det_adjugate_matches_fraction_oracle(m):
             for i in range(n)] == [[det * (i == j) for j in range(n)] for i in range(n)]
     assert inverse_fraction(m) == fraction_inverse(m) == [[Fraction(x, det) for x in row]
                                                           for row in adj]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.integers(-9, 9), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)
+    .map(lambda xs: (n, xs))), st.booleans())
+def test_elimination_minors_are_the_leading_principal_minors(entries, dominant):
+    # random symmetric matrices, positive definite when dominant (a positive
+    # diagonal that dominates each row)
+    n, xs = entries
+    it = iter(xs)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(it)
+        if dominant:
+            m[i][i] = abs(m[i][i]) + 9 * n
+    det, adj, minors = _eliminate(m)
+    assert (det, adj) == det_adjugate(m)
+    leading = [det_int([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+    if minors is not None:
+        assert minors == leading
+    # a pivot is a leading minor until the first swap, so the elimination
+    # swaps rows only if a leading minor is 0
+    if all(leading):
+        assert minors == leading
 
 
 def test_det_adjugate_edge_cases():

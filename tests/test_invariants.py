@@ -464,6 +464,17 @@ class TestClosedFormC2:
         for lam, t, w in pairs:
             assert t == -c2_orbit(md, lam)[0], lam
 
+    @pytest.mark.parametrize("gram", [
+        [[-1, 0], [0, -1]],  # triangular: minors -1, 1
+        [[-1, 1], [1, -2]],  # Bareiss with no row swap: minors -1, 1
+        [[0, 1, 0], [1, 0, 0], [0, 0, -1]],  # a row swap: minors 0, -1, 1
+    ])
+    def test_positive_determinant_is_not_enough(self, gram, monkeypatch):
+        import weylinv.invariants as inv
+        monkeypatch.setattr(inv, "killing_gram", lambda kind, rank: gram)
+        with pytest.raises(AssertionError, match="not positive definite"):
+            inv._killing_adjugate.__wrapped__("A", len(gram))
+
     @pytest.mark.parametrize("kind, rank", SUPPORTED_FACTORS)
     def test_adjugate(self, kind, rank):
         k = killing_gram(kind, rank)

@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,7 +154,8 @@ class TestNewtonTransform:
 
 # sha256 of each Newton transform as text (the flat tuple, the matrix entries
 # row by row, the determinant), pinned from the per-map substitutions (tau,
-# phi for type A, phi for type C) that _substitute replaced
+# phi for type A, phi for type C) that _substitute replaced; A9 and C9 from
+# the inversion of tau(A~) by back substitution that the closed form H replaced
 PINNED_TRANSFORMS = {
     ("A", 1): "c885baa0d7d0c8b52bd45689c7612df73c57bd57bb78039ac265eceb2946beec",
     ("A", 2): "41b240fc9f8c2f11c8bee7ae646bd8c16c823f4e98e94d2e77d277687083e243",
@@ -164,6 +165,7 @@ PINNED_TRANSFORMS = {
     ("A", 6): "6eb9aa1ebd584263bbcd890389141aeab447155f3a8a02da77d35be83f7d6658",
     ("A", 7): "469ec329a0c0953dcbd3197dcd399290559966b8f046d474935a83a942040c12",
     ("A", 8): "f43d11653a99e2a1f299835e908c8aacf3cc794d61e7b4d4422991a28df40b4d",
+    ("A", 9): "822ed09daf4ef0cf7893526601db45aec0b1812cc55ec3555aba72c65cdef98c",
     ("C", 2): "b42c90bde916cc8a5c2439b33cd0a5a5b5a2cf4a1fdecf859bf0fcbbb53d8eba",
     ("C", 3): "78e6918d33ed5d8740ac09d896dfec69cc8ecfb2c7bd62f579f87b0b3bb665d5",
     ("C", 4): "1844e30e27e0fa1525e5e139afc146fdd28c4740ab863acd5ee505a1c53de58c",
@@ -171,6 +173,7 @@ PINNED_TRANSFORMS = {
     ("C", 6): "1b7d55f31983f8067e450b55c18b6398ea9d67a8259e7d77c469b95ce67a1776",
     ("C", 7): "02fa74beb40fa5aee39b1c639ceac7f01bc0d47c795debe0df23b11136f85c78",
     ("C", 8): "d1adce94d6e3837bf9103e9e4faf55eeac783f4711c68a05344b53399853197c",
+    ("C", 9): "4225ea294c46bf651e66ed1fc2a5239590523832d668ef925f01b794304fafb9",
 }
 
 
@@ -182,6 +185,22 @@ def test_pinned_newton_transform(kind, n):
                  to_text(tr.det)):
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == PINNED_TRANSFORMS[kind, n]
+
+
+@pytest.mark.parametrize("nv", range(1, 11))
+def test_newton_factor_inverse(nv):
+    # A~[j][i] = (-1)^(j-1) sigma_{i-j}(y_1..y_{nv-j}) and its closed-form
+    # inverse H[j][i] = (-1)^(j-1) h_{i-j}(y_1..y_{nv-i+1}), 1-based, i >= j
+    sigma = lambda k, nvars: syzygy_module._monomial_sum(combinations, nv, k, nvars)
+    h = lambda k, nvars: syzygy_module._monomial_sum(combinations_with_replacement, nv, k, nvars)
+    zero = LaurentPoly.zero(nv)
+    atil = [[(-1) ** j * sigma(i - j, nv - j - 1) if i >= j else zero for i in range(nv)]
+            for j in range(nv)]
+    inv = [[(-1) ** j * h(i - j, nv - i) if i >= j else zero for i in range(nv)]
+           for j in range(nv)]
+    ident = [[LaurentPoly.const(nv, int(i == j)) for j in range(nv)] for i in range(nv)]
+    assert mat_mul(atil, inv) == ident
+    assert mat_mul(inv, atil) == ident
 
 
 def test_substitute():
