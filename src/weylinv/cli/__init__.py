@@ -8,6 +8,7 @@ functions that use them, so `import weylinv` does not load them.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 
@@ -258,7 +259,13 @@ def run_table(args) -> int:
         print(f"unknown family {args.family!r}; known: {sorted(_FAMILIES)}",
               file=sys.stderr)
         return 1
-    specs = _FAMILIES[args.family](args.max_rank)
+    family = _FAMILIES[args.family]
+    specs = family(args.max_rank)
+    if not specs:
+        first = next(r for r in itertools.count(args.max_rank + 1) if family(r))
+        print(f"weylinv table: error: family {args.family!r} starts at rank {first}, "
+              f"above --max-rank {args.max_rank}", file=sys.stderr)
+        return 1
     print(_TSV_HEADER)
     code = 0
     for stext in specs:

@@ -11,62 +11,19 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .intlinalg import xgcd
 from .laurent import LaurentPoly, augmentation, dot, homogeneous_component
-from .rootdata import LatticeModel, fundamental_orbit_sums
-from .syzygy import degree_one_orbits, normalize_coefficients, validate_tuple
+from .rootdata import LatticeModel
+from .syzygy import (  # noqa: F401  (GcdChain and gcd_chain are public here too)
+    GcdChain,
+    gcd_chain,
+    normalize_coefficients,
+    reduction_data,
+    validate_tuple,
+)
 
 
 class ReductionError(ValueError):
     pass
-
-
-class GcdChain(namedtuple("GcdChain", "order nprime sizes d_chain bezout")):
-    """gcd chain d_i over the degree-1 orbit sizes with Bezout data.
-
-    `order` maps chain position -> fundamental-weight index of the model
-    (degree-1 weights first, then degree-0, each in natural order).  `sizes`
-    holds s_1..s_{n'} (n' = `nprime`), `d_chain` d_1..d_{n'} and `bezout`
-    the a[i][j] for i <= j (0-based, padded), all as int tuples.
-    """
-
-    __slots__ = ()
-
-    @property
-    def d(self):
-        return self.d_chain[0]
-
-
-def gcd_chain(model: LatticeModel) -> GcdChain:
-    """Compute the chain d_i = gcd(s_i..s_n') and small Bezout coefficients."""
-    if model.grading.moduli != (2,):
-        raise ValueError("gcd chain requires an index-2 grading")
-    deg1, sizes = degree_one_orbits(model)
-    order = deg1 + tuple(i for i in range(model.total_rank) if model.fw_degrees[i] == (0,))
-    np_ = len(deg1)
-    d_chain = [0] * np_
-    bez = [[0] * np_ for _ in range(np_)]
-    d_chain[np_ - 1] = sizes[np_ - 1]
-    bez[np_ - 1][np_ - 1] = 1
-    for i in range(np_ - 2, -1, -1):
-        g, alpha, beta = xgcd(sizes[i], d_chain[i + 1])
-        d_chain[i] = g
-        bez[i][i] = alpha
-        for j in range(i + 1, np_):
-            bez[i][j] = beta * bez[i + 1][j]
-        # rebalance so the tail coefficients stay small: shifting the pair
-        # (a_ii, a_ij) by (s_j/g', -s_i/g') keeps the combination fixed
-        for j in range(i + 1, np_):
-            gij = math.gcd(sizes[i], sizes[j])
-            step = sizes[i] // gij
-            if abs(bez[i][j]) > step // 2 and step:
-                t = (bez[i][j] + step // 2) // step if step else 0
-                bez[i][j] -= t * step
-                bez[i][i] += t * (sizes[j] // gij)
-        assert sum(bez[i][j] * sizes[j] for j in range(i, np_)) == d_chain[i]
-    for i in range(np_ - 1):
-        assert d_chain[i + 1] % d_chain[i] == 0
-    return GcdChain(order, np_, sizes, tuple(d_chain), tuple(tuple(r) for r in bez))
 
 
 class GeneratorSet(namedtuple("GeneratorSet",
@@ -105,10 +62,9 @@ def _rho_tilde_w(chain, rho_ord, i):
 
 def build_generators(model: LatticeModel, lambda0=None) -> GeneratorSet:
     """Generator families per the gcd-chain definition, verified degree 0."""
-    chain = gcd_chain(model)
+    chain, rho_nat = reduction_data(model)
     n = model.total_rank
     np_ = chain.nprime
-    rho_nat = fundamental_orbit_sums(model)
     rho_ord = tuple(rho_nat[chain.order[k]] for k in range(n))
     rho_w_ord = tuple(rho_ord[k] + LaurentPoly.const(n, s, 0)
                       for k, s in enumerate(chain.sizes)) if np_ else ()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 from .intlinalg import congruence_kernel, snf_with_left
 from .laurent import Grading, LaurentPoly, embed
@@ -338,32 +338,36 @@ def lattice_grading(basis) -> Grading:
 
 
 class LatticeModel:
-    """A group spec compiled to a concrete weight-lattice model."""
+    """A group spec compiled to a concrete weight-lattice model.
+
+    Immutable once constructed (`compile_spec` hands one model to every
+    caller of a spec): assignment and deletion raise
+    `dataclasses.FrozenInstanceError`, and the per-factor data are tuples.
+    """
+
+    __setattr__ = __delattr__ = frozen_setattr
 
     def __init__(self, spec: GroupSpec):
-        self.spec = spec
-        self.factors = spec.factors
-        self.offsets = []
-        off = 0
-        for f in self.factors:
-            self.offsets.append(off)
-            off += f.rank
-        self.total_rank = off
-        self._cartan = [cartan_rows(f.kind, f.rank) for f in self.factors]
-        self.killing = killing_forms(spec)
-        self._residue = [residue_functionals(f.kind, f.rank) for f in self.factors]
-        self._center = [center_group(f.kind, f.rank) for f in self.factors]
+        put = self.__dict__.update   # the instance refuses attribute assignment
+        factors = tuple(spec.factors)
+        ends = tuple(accumulate((f.rank for f in factors), initial=0))
+        put(spec=spec, factors=factors, offsets=ends[:-1], total_rank=ends[-1],
+            _cartan=tuple(tuple(map(tuple, cartan_rows(f.kind, f.rank))) for f in factors),
+            killing=tuple(killing_forms(spec)),
+            _residue=tuple(tuple((tuple(v), m) for v, m in residue_functionals(f.kind, f.rank))
+                           for f in factors),
+            _center=tuple(center_group(f.kind, f.rank) for f in factors))
         self._validate_kernel()
-        self.congruences = self._build_congruences()
-        self.tstar_basis = congruence_kernel(
-            [(list(v), m) for v, m in self.congruences], self.total_rank
-        )
+        put(congruences=self._build_congruences())
+        tstar_basis = tuple(map(tuple, congruence_kernel(
+            [(list(v), m) for v, m in self.congruences], self.total_rank)))
+        grading = lattice_grading(tstar_basis)
         # the HNF basis is upper triangular, so its index is its diagonal product
-        self.tstar_index = math.prod(r[i] for i, r in enumerate(self.tstar_basis))
-        self.grading = lattice_grading(self.tstar_basis)
-        self.fw_degrees = tuple(
-            self.grading.of_exponent(self._basis_vec(i)) for i in range(self.total_rank)
-        )
+        put(tstar_basis=tstar_basis,
+            tstar_index=math.prod(r[i] for i, r in enumerate(tstar_basis)),
+            grading=grading,
+            fw_degrees=tuple(grading.of_exponent(self._basis_vec(i))
+                             for i in range(self.total_rank)))
 
     # -- construction helpers ----------------------------------------------
     def _basis_vec(self, i):
@@ -483,7 +487,21 @@ class LatticeModel:
 
 
 def compile_spec(spec: GroupSpec) -> LatticeModel:
-    return LatticeModel(spec)
+    """The model of `spec`, compiled once per spec and process.
+
+    The spec's sequences are read as tuples first, so equal specs share one
+    model (immutable, see `LatticeModel`) whether they were built from tuples
+    or lists.
+    """
+    spec = GroupSpec(tuple(spec.factors), tuple(map(tuple, spec.center_kernel)))
+    try:
+        hash(spec)
+    except TypeError:   # an unhashable kernel entry, which the model rejects
+        return LatticeModel(spec)
+    return _compiled(spec)
+
+
+_compiled = lru_cache(maxsize=None)(LatticeModel)
 
 
 def weyl_orbit(model: LatticeModel, weight) -> set:

@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .intlinalg import smallest_prime_factor
+from .intlinalg import smallest_prime_factor, xgcd
 from .laurent import (
     LaurentPoly,
     bounded_divide,
@@ -230,17 +230,18 @@ def _trivialize(t, f):
     return cert1
 
 
-def trivialize_syzygy(t, f) -> SyzygyCertificate:
-    """Express a syzygy f of a flat tuple t as a combination of the S_ij."""
-    t = validate_tuple(t)
-    f = validate_tuple(f)
-    if len(t) != len(f) or t[0].rank != f[0].rank or t[0].modulus != f[0].modulus:
-        raise ValueError("shape mismatch between tuple and syzygy")
+def _flat_form(t):
+    """(stripped tuple, units) of a flat tuple t: raises FlatnessError unless t
+    is flat, then divides out each entry's higher-axis unit (`_strip_units`)."""
     ok, notes = check_flatness(t)
     if not ok:
         raise FlatnessError("; ".join(notes))
+    return _strip_units(t)
+
+
+def _trivialize_flat(t, stripped, units, f) -> SyzygyCertificate:
+    """Trivialize the syzygy f of the flat tuple t, given `_flat_form(t)`."""
     _check_syzygy(t, f)
-    stripped, units = _strip_units(t)
     f_adj = tuple(fi.mul_monomial(u) for fi, u in zip(f, units))
     cert = _trivialize(stripped, f_adj)
     # undo the unit scaling: d_ij = c_ij * mu_i^-1 * mu_j^-1
@@ -252,6 +253,15 @@ def trivialize_syzygy(t, f) -> SyzygyCertificate:
     if out.expand(t) != tuple(f):
         raise AssertionError("certificate does not expand back to the syzygy")
     return out
+
+
+def trivialize_syzygy(t, f) -> SyzygyCertificate:
+    """Express a syzygy f of a flat tuple t as a combination of the S_ij."""
+    t = validate_tuple(t)
+    f = validate_tuple(f)
+    if len(t) != len(f) or t[0].rank != f[0].rank or t[0].modulus != f[0].modulus:
+        raise ValueError("shape mismatch between tuple and syzygy")
+    return _trivialize_flat(t, *_flat_form(t), f)
 
 
 def lift_syzygy(t, cert: SyzygyCertificate) -> SyzygyCertificate:
@@ -398,6 +408,20 @@ def mat_inverse_unit(rows) -> list:
     return [[c.mul_monomial(inv_exp, dc_inv) for c in row] for row in adj]
 
 
+@lru_cache(maxsize=64)
+def _flat_image(q, a):
+    """(flat, stripped, units) for flat = q * A, A given by its row tuples: the
+    flat tuple, checked flat (FlatnessError otherwise), with its units divided
+    out (`_flat_form`).
+
+    Computed and checked once per (q, A) value; `normalize_coefficients` passes
+    the same per-model tuple and transform on every call.  Bounded, because
+    any caller of `trivialize_generalized` fills it.
+    """
+    flat = tuple(vec_mat(q, a))
+    return (flat, *_flat_form(flat))
+
+
 def trivialize_generalized(q, transform: TransformMatrix, f, inverse) -> SyzygyCertificate:
     """Trivialize a syzygy of q, given (q) * A = flat tuple and inverse = A^{-1}.
 
@@ -409,13 +433,13 @@ def trivialize_generalized(q, transform: TransformMatrix, f, inverse) -> SyzygyC
     q = validate_tuple(q)
     f = validate_tuple(f)
     _check_syzygy(q, f)
-    a = [list(row) for row in transform.entries]
+    a = tuple(map(tuple, transform.entries))
     n = len(q)
-    flat = vec_mat(list(q), a)
+    flat, stripped, units = _flat_image(q, a)
     # g = A^{-1} f^t  (row convention: g_i = sum_j inverse[i][j] f_j)
     zero = LaurentPoly.zero(q[0].rank, q[0].modulus)
-    g = [dot(inverse[i], f, zero) for i in range(n)]
-    cert_r = trivialize_syzygy(tuple(flat), tuple(g))
+    g = tuple(dot(inverse[i], f, zero) for i in range(n))
+    cert_r = _trivialize_flat(flat, stripped, units, g)
     out = _empty_cert(n, q[0].rank, q[0].modulus)
     for (i, j), c in cert_r.entries.items():
         for k in range(n):
@@ -646,6 +670,54 @@ def degree_one_orbits(model: LatticeModel) -> tuple:
     return deg1, tuple(orbit_size(model, model._basis_vec(i)) for i in deg1)
 
 
+class GcdChain(namedtuple("GcdChain", "order nprime sizes d_chain bezout")):
+    """gcd chain d_i over the degree-1 orbit sizes with Bezout data.
+
+    `order` maps chain position -> fundamental-weight index of the model
+    (degree-1 weights first, then degree-0, each in natural order).  `sizes`
+    holds s_1..s_{n'} (n' = `nprime`), `d_chain` d_1..d_{n'} and `bezout`
+    the a[i][j] for i <= j (0-based, padded), all as int tuples.
+    """
+
+    __slots__ = ()
+
+    @property
+    def d(self):
+        return self.d_chain[0]
+
+
+def gcd_chain(model: LatticeModel) -> GcdChain:
+    """Compute the chain d_i = gcd(s_i..s_n') and small Bezout coefficients."""
+    if model.grading.moduli != (2,):
+        raise ValueError("gcd chain requires an index-2 grading")
+    deg1, sizes = degree_one_orbits(model)
+    order = deg1 + tuple(i for i in range(model.total_rank) if model.fw_degrees[i] == (0,))
+    np_ = len(deg1)
+    d_chain = [0] * np_
+    bez = [[0] * np_ for _ in range(np_)]
+    d_chain[np_ - 1] = sizes[np_ - 1]
+    bez[np_ - 1][np_ - 1] = 1
+    for i in range(np_ - 2, -1, -1):
+        g, alpha, beta = xgcd(sizes[i], d_chain[i + 1])
+        d_chain[i] = g
+        bez[i][i] = alpha
+        for j in range(i + 1, np_):
+            bez[i][j] = beta * bez[i + 1][j]
+        # rebalance so the tail coefficients stay small: shifting the pair
+        # (a_ii, a_ij) by (s_j/g', -s_i/g') keeps the combination fixed
+        for j in range(i + 1, np_):
+            gij = math.gcd(sizes[i], sizes[j])
+            step = sizes[i] // gij
+            if abs(bez[i][j]) > step // 2 and step:
+                t = (bez[i][j] + step // 2) // step if step else 0
+                bez[i][j] -= t * step
+                bez[i][i] += t * (sizes[j] // gij)
+        assert sum(bez[i][j] * sizes[j] for j in range(i, np_)) == d_chain[i]
+    for i in range(np_ - 1):
+        assert d_chain[i + 1] % d_chain[i] == 0
+    return GcdChain(order, np_, sizes, tuple(d_chain), tuple(tuple(r) for r in bez))
+
+
 def degree_one_gcd(model: LatticeModel) -> int:
     """gcd of the orbit sizes of the degree-1 fundamental weights."""
     if model.grading.moduli != (2,):
@@ -656,13 +728,41 @@ def degree_one_gcd(model: LatticeModel) -> int:
     return math.gcd(*sizes)
 
 
+@lru_cache(maxsize=None)
+def reduction_data(model: LatticeModel) -> tuple:
+    """(chain, rho) of an index-2 model: `gcd_chain(model)`, whose d is the
+    reduction's modulus, and `fundamental_orbit_sums(model)`.
+
+    What `build_generators` and `normalize_coefficients` read of the model,
+    computed once per model and process (`compile_spec` gives one model per
+    spec); the gcd chain's asserts run when it is filled.
+    """
+    return gcd_chain(model), fundamental_orbit_sums(model)
+
+
+@lru_cache(maxsize=None)
+def modular_transform(model: LatticeModel) -> tuple:
+    """(rho_d, transform, inverse) of an A/C model mod d, the d of its gcd
+    chain: rho mod d, `model_transform_mod(model, d)` and its inverse as row
+    tuples (FlatnessError unless every factor is of type A or C).
+
+    Computed once per model and process.  The blocks and their inverses are
+    checked in `block_inverse_mod`, the flat tuple rho_d * A_d in
+    `trivialize_generalized`.
+    """
+    chain, rho = reduction_data(model)
+    d = chain.d
+    return (tuple(reduce_coefficients(r, d) for r in rho), model_transform_mod(model, d),
+            tuple(map(tuple, model_inverse_mod(model, d))))
+
+
 def normalize_coefficients(model: LatticeModel, f):
     """Rewrite (f_i) so the reduction mod d of each wrong-degree component dies.
 
     Given deg(sum f_i rho_i) = 0, returns (g_i) with the same combination and
     g_i^{(1-|i|)} == 0 mod d, where d is the gcd of degree-1 orbit sizes.
-    rho is fundamental_orbit_sums(model); the transform mod d and its inverse
-    are assembled from the cached blocks.
+    rho and d come from `reduction_data(model)`, the transform mod d and its
+    inverse from `modular_transform(model)`.
     """
     if model.grading.moduli != (2,):
         raise ValueError("coefficient normalization needs an index-2 grading")
@@ -672,9 +772,9 @@ def normalize_coefficients(model: LatticeModel, f):
     n = model.total_rank
     if len(f) != n:
         raise ValueError("tuple length must equal the model rank")
-    rho = fundamental_orbit_sums(model)
-    d = degree_one_gcd(model)
-    transform_d = model_transform_mod(model, d)  # FlatnessError unless types A and C
+    chain, rho = reduction_data(model)
+    d = chain.d
+    rho_d, transform_d, inverse_d = modular_transform(model)  # FlatnessError unless A/C
     combo = dot(f, rho)
     if homogeneous_component(combo, model.grading, (1,)):
         raise ValueError("the combination is not of degree 0")
@@ -684,10 +784,8 @@ def normalize_coefficients(model: LatticeModel, f):
         want = ((1 - model.fw_degrees[i][0]) % 2,)
         comp = homogeneous_component(f[i], model.grading, want)
         syz.append(reduce_coefficients(comp, d))
-    rho_d = tuple(reduce_coefficients(r, d) for r in rho)
     try:
-        cert = trivialize_generalized(rho_d, transform_d, tuple(syz),
-                                      model_inverse_mod(model, d))
+        cert = trivialize_generalized(rho_d, transform_d, tuple(syz), inverse_d)
     except (NotASyzygyError, FlatnessError) as exc:
         # the input passed the degree-0 check, so every tuple here is the
         # library's own: a rejection is a failed verification, not bad input

@@ -485,6 +485,37 @@ class TestRun:
         assert err.splitlines() == [
             "verification failure: library-built syzygy rejected: tuple is not a syzygy"]
 
+    @pytest.mark.parametrize("module, name, error, prefix", [
+        ("syzygy", "trivialize_generalized", "NotASyzygyError", "library-built syzygy rejected: "),
+        ("generators", "_exact_div", "ReductionError", "")], ids=["syzygy", "step-1"])
+    def test_verification_failure_on_warm_caches(
+            self, tmp_path, monkeypatch, capsys, module, name, error, prefix):
+        # the first run caches the model and its reduction data; the per-call
+        # checks of the second run still go through the library
+        import importlib
+
+        from weylinv.generators import build_generators, combination_to_tuple
+        from weylinv.laurent import LaurentPoly, to_text
+        from weylinv.rootdata import compile_spec
+
+        mod = importlib.import_module(f"weylinv.{module}")
+
+        def broken(*args, **kwargs):
+            raise getattr(mod, error)("injected")
+
+        spec = "(Sp(4) x Sp(4))/mu(2)"
+        gs = build_generators(compile_spec(parse_spec(spec)))
+        f = combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(4, 1, 0)})
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([to_text(p) for p in f]))
+        assert main(["reduce", "--spec", spec, "--input", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(mod, name, broken)
+        code = main(["reduce", "--spec", spec, "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"verification failure: {prefix}injected"]
+
     @pytest.mark.parametrize("spec,entries,message", [
         ("(Spin(5) x Spin(5))/mu(2)", ["0"] * 4,
          "error: generalized flatness is available for types A and C, not B"),
@@ -637,6 +668,19 @@ class TestRun:
         code, out = run_cli("table", "--family", "pgo8")
         assert code == 0
         assert "[[4]]\t[[4]]\tZ/2\t0" in out
+
+    @pytest.mark.parametrize("family, first", [("propB", 2), ("Ddiagonal", 4),
+                                               ("cor:typeD", 5)])
+    def test_max_rank_below_the_first_rank_is_a_usage_error(self, family, first, capsys):
+        for cap in sorted({1, first - 1}):
+            code = main(["table", "--family", family, "--max-rank", str(cap)])
+            out, err = capsys.readouterr()
+            assert (code, out) == (1, "")
+            assert err.splitlines() == [
+                f"weylinv table: error: family {family!r} starts at rank {first}, "
+                f"above --max-rank {cap}"]
+        assert main(["table", "--family", family, "--max-rank", str(first)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_unknown_family(self):
         code, _ = run_cli("table", "--family", "nope")

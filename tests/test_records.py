@@ -17,6 +17,7 @@ from weylinv import (
     GroupSpec,
     InvariantLattice,
     KillingForm,
+    LatticeModel,
     SimpleFactor,
     SyzygyCertificate,
     TransformMatrix,
@@ -63,6 +64,29 @@ def test_fields_and_defaults(cls, fields, defaults, frozen):
     assert cls._field_defaults == defaults
     assert cls.__slots__ == ()
     assert (cls.__setattr__ is frozen_setattr) == frozen
+
+
+def test_lattice_model_is_immutable():
+    # compile_spec hands one model to every caller of a spec
+    model = compile_spec(parse_spec("(SL(2) x Spin(10)) / mu(2)"))
+    assert LatticeModel.__setattr__ is LatticeModel.__delattr__ is frozen_setattr
+    assert model.offsets == (0, 1)
+    assert model._cartan[1][3] == (0, 0, -1, 2, 0)
+    assert model.killing[0] == KillingForm(0, ((0, 0, 1),))
+    assert model._residue == ((((1,), 2),), (((2, 0, 2, 1, 3), 4),))
+    assert model._center == ((2,), (4,))
+    for name in ("offsets", "_cartan", "killing", "_residue", "_center", "factors",
+                 "tstar_basis", "congruences", "fw_degrees"):
+        value = getattr(model, name)
+        assert isinstance(value, tuple), name
+        assert all(not isinstance(x, (list, dict, set)) for x in value), name
+    for name in ("offsets", "grading", "spec", "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"cannot assign to field {name!r}"):
+            setattr(model, name, ())
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'offsets'"):
+        del model.offsets
+    assert model.offsets == (0, 1)
 
 
 # repr text as the dataclasses printed it

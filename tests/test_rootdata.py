@@ -9,6 +9,8 @@ from weylinv.cli import parse_spec
 from weylinv.intlinalg import det_int
 from weylinv.laurent import LaurentPoly, augmentation
 from weylinv.rootdata import (
+    GroupSpec,
+    LatticeModel,
     SimpleFactor,
     cartan_rows,
     compile_spec,
@@ -32,6 +34,27 @@ from _helpers import (
 
 
 class TestCompile:
+    def test_equal_specs_share_one_model(self):
+        text = "(SL(2) x Sp(4)) / mu(2)"
+        assert compile_spec(parse_spec(text)) is compile_spec(parse_spec(text))
+        tupled = GroupSpec((SimpleFactor("A", 1),) * 2, ((1, 1),))
+        listed = GroupSpec([SimpleFactor("A", 1)] * 2, [(1, 1)])
+        assert compile_spec(listed) is compile_spec(tupled)
+        m, fresh = compile_spec(listed), LatticeModel(listed)
+        assert m is not fresh
+        assert m.tstar_basis == fresh.tstar_basis == ((1, 1), (0, 2))
+        assert m.grading.moduli == fresh.grading.moduli == (2,)
+        assert m.fw_degrees == fresh.fw_degrees == ((1,), (1,))
+
+    def test_invalid_specs_are_rejected_as_before(self):
+        # a list kernel entry cannot be a cache key; the model still rejects it
+        d4 = (SimpleFactor("D", 4),)
+        with pytest.raises(ValueError, match=r"kernel entry \[1, 0\] must be a 2-tuple"):
+            compile_spec(GroupSpec(d4, [[[1, 0]]]))
+        assert compile_spec(GroupSpec(d4, [[(1, 0)]])).tstar_index == 2
+        with pytest.raises(ValueError, match="kernel tuple length"):
+            compile_spec(GroupSpec(d4, [(0, 1)]))
+
     def test_simply_connected_trivial(self):
         m = model(SimpleFactor("C", 2))
         assert m.congruences == ()

@@ -16,6 +16,7 @@ from weylinv.syzygy import (
     FlatnessError,
     NotASyzygyError,
     SyzygyCertificate,
+    TransformMatrix,
     block_inverse_mod,
     check_flatness,
     degree_one_gcd,
@@ -25,10 +26,12 @@ from weylinv.syzygy import (
     mat_inverse_unit,
     mat_mul,
     model_inverse_mod,
+    modular_transform,
     model_transform,
     model_transform_mod,
     newton_transform,
     normalize_coefficients,
+    reduction_data,
     trivialize_generalized,
     trivialize_syzygy,
     vec_mat,
@@ -341,6 +344,70 @@ class TestNormalizeCoefficients:
         f = tuple(LaurentPoly.zero(4, 0) for _ in range(4))
         with pytest.raises(FlatnessError):
             normalize_coefficients(m, f)
+
+
+class TestReductionData:
+    SPEC = "(Sp(4) x Sp(6)) / mu(2)"
+
+    def test_fields(self):
+        from weylinv.generators import gcd_chain
+        from weylinv.rootdata import fundamental_orbit_sums
+
+        m = compile_spec(parse_spec(self.SPEC))
+        chain, rho = reduction_data(m)
+        rho_d, transform, inverse = modular_transform(m)
+        d = chain.d
+        assert chain == gcd_chain(m) and d == degree_one_gcd(m) == 2
+        assert rho == fundamental_orbit_sums(m)
+        assert rho_d == tuple(reduce_coefficients(r, d) for r in rho)
+        assert transform == model_transform_mod(m, d)
+        assert inverse == tuple(map(tuple, model_inverse_mod(m, d)))
+        # the generator data of a model with a factor of type B; no Newton transform
+        b = compile_spec(parse_spec("(Spin(5) x Spin(5)) / mu(2)"))
+        assert reduction_data(b)[0] == gcd_chain(b)
+        with pytest.raises(FlatnessError, match="types A and C, not B"):
+            modular_transform(b)
+
+    def test_filled_once_per_spec(self):
+        from weylinv.generators import build_generators, combination_to_tuple, reduce_to_generators
+
+        reduction_data.cache_clear()
+        modular_transform.cache_clear()
+        m = compile_spec(parse_spec(self.SPEC))
+        f = combination_to_tuple(build_generators(m),
+                                 {"h2[1]": LaurentPoly.const(5, 1, 0),
+                                  "h3[1]": LaurentPoly.const(5, 2, 0)})
+        for _ in range(3):
+            reduce_to_generators(compile_spec(parse_spec(self.SPEC)), f)
+        # four build_generators calls, three normalize_coefficients calls and
+        # the one fill of modular_transform read reduction_data
+        info = reduction_data.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
+        info = modular_transform.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_fill_time_checks_fire_on_a_fresh_fill(self, monkeypatch):
+        m = compile_spec(parse_spec(self.SPEC))
+        rho_d, transform, _ = modular_transform(m)
+        n, d = m.total_rank, reduction_data(m)[0].d
+        one, zero = LaurentPoly.const(n, 1, d), LaurentPoly.zero(n, d)
+        ident = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        # rho_d is not flat, so rho_d * I is rejected when its flat image is computed
+        with pytest.raises(FlatnessError, match="entry 0: uses higher axes"):
+            syzygy_module._flat_image.__wrapped__(rho_d, ident)
+        with pytest.raises(FlatnessError, match="entry 0: uses higher axes"):
+            trivialize_generalized(rho_d, TransformMatrix(ident, one),
+                                   (zero,) * n, ident)
+        # the cached flat image of the model's own transform is the checked one
+        flat, stripped, units = syzygy_module._flat_image(rho_d, transform.entries)
+        assert flat == tuple(vec_mat(rho_d, transform.entries))
+        assert check_flatness(flat)[0]
+        assert (stripped, units) == syzygy_module._strip_units(flat)
+        # a wrong block inverse fails the check made when the block is filled
+        monkeypatch.setattr(syzygy_module, "mat_inverse_unit",
+                            lambda rows: [[p.scale(0) for p in r] for r in rows])
+        with pytest.raises(AssertionError, match="block inverse mod d is not an inverse"):
+            block_inverse_mod.__wrapped__("C", 2, 2)
 
 
 # --------------------------------------------------------------------------
