@@ -366,3 +366,6 @@ def main(argv=None) -> int:
     except (SpecParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:   # e.g. the n x n Cartan matrix of SL(99999999999)
+        print("error: out of memory; is a rank too large?", file=sys.stderr)
+        return 1

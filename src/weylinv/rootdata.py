@@ -5,8 +5,11 @@ Conventions (fixed, not configurable):
     tuple over the concatenated bases of the factors), so all arithmetic is
     integral even for spin weights;
   * type A_{n} models SL(n+1) on the quotient presentation of Z^{n+1};
-  * types B/C/D use the usual e_i presentations only implicitly (through the
-    Cartan matrices and the hardcoded residue/Killing data);
+  * the per-type data are two tables, the Dynkin diagram (`diagram_edges`,
+    with the direction of the B/C double bond in `cartan_rows`) and the
+    centre's residue forms (`residue_functionals`); the Cartan matrix, the
+    Killing form, the centre and the Weyl order derive from them, and types
+    B/C/D use the usual e_i presentations only implicitly through these;
   * E6/E7 use the node numbering in which the Killing form has cross terms
     exactly on diagram edges (chain 1-3-4-5-6(-7) with node 2 hanging off 4).
 """
@@ -76,33 +79,9 @@ class GroupSpec(namedtuple("GroupSpec", "factors center_kernel", defaults=((),))
 
 
 # --------------------------------------------------------------------------
-# per-type static data
-
-
-def cartan_rows(kind: str, n: int) -> list[list[int]]:
-    """M[i][j] = <alpha_i, alpha_j^vee>; row i gives alpha_i in fw coordinates."""
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 2
-    if kind in ("A", "B", "C"):
-        for i in range(n - 1):
-            m[i][i + 1] = -1
-            m[i + 1][i] = -1
-        if kind == "B" and n >= 2:
-            m[n - 2][n - 1] = -2
-        if kind == "C" and n >= 2:
-            m[n - 1][n - 2] = -2
-    elif kind == "D":
-        for i in range(n - 2):
-            m[i][i + 1] = -1
-            m[i + 1][i] = -1
-        m[n - 3][n - 1] = -1
-        m[n - 1][n - 3] = -1
-    else:
-        for i, j in diagram_edges(kind, n):
-            m[i][j] = -1
-            m[j][i] = -1
-    return m
+# per-type static data: the Dynkin diagram and the centre's residue forms;
+# the Cartan matrix, the Killing form, the centre and the Weyl order derive
+# from them (Bourbaki, Lie Groups, ch. VI, Plates I-VII)
 
 
 def diagram_edges(kind: str, n: int) -> list[tuple[int, int]]:
@@ -117,30 +96,32 @@ def diagram_edges(kind: str, n: int) -> list[tuple[int, int]]:
     raise ValueError(kind)
 
 
-_E_ORDERS = {"E6": 51840, "E7": 2903040}
+def cartan_rows(kind: str, n: int) -> list[list[int]]:
+    """M[i][j] = <alpha_i, alpha_j^vee>; row i gives alpha_i in fw coordinates.
+
+    2I minus the adjacency matrix of the diagram; the B/C double bond between
+    the last two nodes is -2 at (n-2, n-1) for B and at (n-1, n-2) for C.
+    """
+    m = [[0] * n for _ in range(n)]   # a huge rank fails here, before any loop
+    for i in range(n):
+        m[i][i] = 2
+    for i, j in diagram_edges(kind, n):
+        m[i][j] = m[j][i] = -1
+    if kind in ("B", "C") and n >= 2:
+        i, j = (n - 2, n - 1) if kind == "B" else (n - 1, n - 2)
+        m[i][j] = -2
+    return m
 
 
 def weyl_order(kind: str, n: int) -> int:
-    if kind == "A":
-        return math.factorial(n + 1)
-    if kind in ("B", "C"):
-        return (1 << n) * math.factorial(n)
-    if kind == "D":
-        return (1 << (n - 1)) * math.factorial(n)
-    return _E_ORDERS[kind]
+    """Order of the Weyl group: that of the whole diagram's component."""
+    return _component_order(kind, n, frozenset(range(n)))
 
 
 def center_group(kind: str, n: int):
-    """Invariant factors of the center character group of the factor."""
-    if kind == "A":
-        return (n + 1,)
-    if kind in ("B", "C", "E7"):
-        return (2,)
-    if kind == "E6":
-        return (3,)
-    if kind == "D":
-        return (4,) if n % 2 else (2, 2)
-    raise ValueError(kind)
+    """Invariant factors of the center character group of the factor: the
+    moduli of residue_functionals()."""
+    return tuple(m for _, m in residue_functionals(kind, n))
 
 
 def center_order(kind: str, n: int, entry) -> int:
@@ -159,66 +140,54 @@ def residue_functionals(kind: str, n: int) -> list[tuple[list[int], int]]:
     vec . a mod m over the returned rows, in the same coordinates as
     center_group().  Conventions follow the worked congruences of the source
     results (type A: sum i*a_i; B: a_m; C: alternating sum; D as below).
+    Every vector is allocated whole, so a huge rank fails at once.
     """
     if kind == "A":
-        return [([i + 1 for i in range(n)], n + 1)]
+        return [(list(range(1, n + 1)), n + 1)]
     if kind == "B":
         return [([0] * (n - 1) + [1], 2)]
     if kind == "C":
-        return [([(i + 1) % 2 for i in range(n)], 2)]
+        return [(([1, 0] * n)[:n], 2)]
     if kind == "E6":
         return [([1, 0, -1, 0, 1, -1], 3)]
     if kind == "E7":
         return [([0, 1, 0, 0, 1, 0, 1], 2)]
     if kind == "D":
         if n % 2:
-            vec = [2 * ((i + 1) % 2) for i in range(n - 2)] + [1, 3]
-            return [(vec, 4)]
+            return [(([2, 0] * n)[:n - 2] + [1, 3], 4)]
         rs = [0] * (n - 2) + [1, 1]
-        rv = [(i + 1) % 2 for i in range(n - 2)] + [(n // 2 - 1) % 2, (n // 2) % 2]
+        rv = ([1, 0] * n)[:n - 2] + [(n // 2 - 1) % 2, (n // 2) % 2]
         return [(rs, 2), (rv, 2)]
     raise ValueError(kind)
 
 
-def killing_coeffs(kind: str, n: int) -> dict[tuple[int, int], int]:
-    """Normalized Killing form as {(i, j): c} with i <= j, fw coordinates.
-
-    Simply-laced types: sum w_i^2 minus the product over each diagram edge.
-    Type B: extra 2*w_m^2 with doubled last cross term; type C: doubled
-    squares except the last (the expansion of sum e_i^2).
-    """
-    q = {}
-    if kind in ("A", "D", "E6", "E7"):
-        for i in range(n):
-            q[(i, i)] = 1
-        for i, j in diagram_edges(kind, n):
-            a, b = min(i, j), max(i, j)
-            q[(a, b)] = -1
-    elif kind == "B":
-        for i in range(n - 1):
-            q[(i, i)] = 1
-        q[(n - 1, n - 1)] = 2
-        for i in range(n - 2):
-            q[(i, i + 1)] = -1
-        q[(n - 2, n - 1)] = -2
-    elif kind == "C":
-        for i in range(n - 1):
-            q[(i, i)] = 2
-        q[(n - 1, n - 1)] = 1
-        for i in range(n - 1):
-            q[(i, i + 1)] = -2
-    else:
-        raise ValueError(kind)
-    return q
-
-
 @lru_cache(maxsize=None)
 def killing_gram(kind: str, n: int) -> tuple:
-    """Integer Gram matrix K of the normalized Killing form, q(x) = x^T K x / 2:
-    2c at (i, i) and c at (i, j) and (j, i) for each killing_coeffs entry c."""
-    q = killing_coeffs(kind, n)
-    return tuple(tuple(2 * q.get((i, i), 0) if i == j else q.get((min(i, j), max(i, j)), 0)
-                       for j in range(n)) for i in range(n))
+    """Integer Gram matrix K of the normalized Killing form, q(x) = x^T K x / 2.
+
+    K = D C is the symmetrised Cartan matrix: C = cartan_rows and D the
+    diagonal of the smallest positive integers d with d_i c_ij = d_j c_ji.
+    The diagram is a tree whose edge list reaches one new node per edge, so d
+    spreads from node 0 along it.
+    """
+    c = cartan_rows(kind, n)
+    d = [1] + [0] * (n - 1)
+    for a, b in diagram_edges(kind, n):
+        i, j = (a, b) if d[a] else (b, a)   # i is reached, j is new
+        # d_j / d_i = c_ij / c_ji: scale the reached nodes by -c_ji, then set d_j
+        di = d[i]
+        d = [x * -c[j][i] for x in d]
+        d[j] = di * -c[i][j]
+    g = math.gcd(*d)
+    return tuple(tuple(d[i] // g * x for x in row) for i, row in enumerate(c))
+
+
+def killing_coeffs(kind: str, n: int) -> dict[tuple[int, int], int]:
+    """Normalized Killing form as {(i, j): c} with i <= j, fw coordinates:
+    K_ii / 2 on the diagonal and K_ij above it, for K = killing_gram."""
+    k = killing_gram(kind, n)
+    return {(i, j): k[i][j] // 2 if i == j else k[i][j]
+            for i in range(n) for j in range(i, n) if k[i][j]}
 
 
 class KillingForm(namedtuple("KillingForm", "factor_index coeffs")):
@@ -283,9 +252,9 @@ def _component_order(kind: str, rank: int, comp: frozenset) -> int:
     if lengths[0] == 1 and lengths[1] == 1:
         return (1 << (size - 1)) * math.factorial(size)
     if lengths == [1, 2, 2]:
-        return _E_ORDERS["E6"]
+        return 51840     # E6
     if lengths == [1, 2, 3]:
-        return _E_ORDERS["E7"]
+        return 2903040   # E7
     raise ValueError(f"unrecognized diagram component {sorted(comp)}")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .rootdata import GroupSpec, SimpleFactor, center_order
+from .rootdata import GroupSpec, SimpleFactor, center_group, center_order
 
 
 class SpecParseError(ValueError):
@@ -42,48 +42,33 @@ def _factor_token(tok: str, pos: int):
     def spin_factor(n):
         if n == 3:
             return SimpleFactor("A", 1)
-        if n % 2:
-            if n < 5:
-                raise SpecParseError(f"Spin({n}) not supported at position {pos}")
-            return SimpleFactor("B", (n - 1) // 2)
-        if n < 8:
-            raise SpecParseError(f"Spin({n}) not supported at position {pos}")
-        return SimpleFactor("D", n // 2)
+        if n < (5 if n % 2 else 8):
+            raise SpecParseError(f"{tok} not supported at position {pos}")
+        return SimpleFactor("B", (n - 1) // 2) if n % 2 else SimpleFactor("D", n // 2)
 
-    if name == "SL":
+    if name in ("SL", "PGL"):
         if num < 2:
-            raise SpecParseError(f"SL({num}) needs n >= 2")
-        return SimpleFactor("A", num - 1), None
-    if name == "Sp":
+            raise SpecParseError(f"{tok} needs n >= 2 at position {pos}")
+        return SimpleFactor("A", num - 1), (1 if name == "PGL" else None)
+    if name in ("Sp", "PGSp"):
         if num % 2 or num < 2:
-            raise SpecParseError(f"Sp({num}) needs an even argument >= 2")
+            raise SpecParseError(f"{tok} needs an even argument >= 2 at position {pos}")
         r = num // 2
-        return (SimpleFactor("A", 1) if r == 1 else SimpleFactor("C", r)), None
+        f = SimpleFactor("A", 1) if r == 1 else SimpleFactor("C", r)
+        return f, (1 if name == "PGSp" else None)
     if name == "Spin":
         return spin_factor(num), None
-    if name == "PGL":
-        f = SimpleFactor("A", num - 1)
-        return f, 1
-    if name == "PGSp":
-        if num % 2:
-            raise SpecParseError(f"PGSp({num}) needs an even argument")
-        r = num // 2
-        return (SimpleFactor("A", 1) if r == 1 else SimpleFactor("C", r)), 1
     if name == "SO":
         f = spin_factor(num)
-        if f.kind == "A":
-            return f, 1
-        if f.kind == "B":
-            return f, 1
-        return f, ((1, 0) if f.rank % 2 == 0 else 2)
+        return f, _diag_entry(f, 2)
     if name == "PGO":
         if num != 8:
-            raise SpecParseError("only PGO(8) is supported")
+            raise SpecParseError(f"{tok} not supported at position {pos}: only PGO(8) is")
         return SimpleFactor("D", 4), "full"
     if name == "HSpin":
         f = spin_factor(num)
         if f.kind != "D" or f.rank % 2:
-            raise SpecParseError(f"HSpin({num}) needs 2n with n even, n >= 4")
+            raise SpecParseError(f"{tok} needs 2n with n even, n >= 4 at position {pos}")
         return f, (0, 1)
     raise SpecParseError(f"bad factor {tok!r}")
 
@@ -93,28 +78,15 @@ def _zero_entry(f: SimpleFactor):
 
 
 def _diag_entry(f: SimpleFactor, k: int):
-    if f.kind == "A":
-        if (f.rank + 1) % k:
-            raise SpecParseError(f"mu({k}) does not embed in the center of {f}")
-        return (f.rank + 1) // k
-    if f.kind in ("B", "C", "E7"):
-        if k != 2:
-            raise SpecParseError(f"mu({k}) does not embed in the center of {f}")
-        return 1
-    if f.kind == "E6":
-        if k != 3:
-            raise SpecParseError(f"mu({k}) does not embed in the center of {f}")
-        return 1
-    if f.kind == "D":
-        if f.rank % 2:
-            if k not in (2, 4):
-                raise SpecParseError(f"mu({k}) does not embed in the center of {f}")
-            return 4 // k
-        if k != 2:
-            raise SpecParseError(
-                f"mu({k}) does not embed in the center of {f} (center is 2x2)")
+    """Kernel entry of f under the diagonal mu(k): N // k on a cyclic centre
+    Z/N with k | N, and (1, 0) for k = 2 on the 2x2 centre of D-even."""
+    grp = center_group(f.kind, f.rank)
+    if len(grp) == 1 and grp[0] % k == 0:
+        return grp[0] // k
+    if len(grp) == 2 and k == 2:
         return (1, 0)
-    raise AssertionError
+    raise SpecParseError(f"mu({k}) does not embed in the center of {f}"
+                         + (" (center is 2x2)" if len(grp) == 2 else ""))
 
 
 def _split_center(c: str):
@@ -238,10 +210,8 @@ def _quotient_factor_name(f: SimpleFactor, e):
         return f"PGL({f.rank + 1})"
     if f.kind == "C" and e == 1:
         return f"PGSp({2 * f.rank})"
-    if f.kind == "B" and e == 1:
-        return f"SO({2 * f.rank + 1})"
-    if f.kind == "D" and e == (2 if f.rank % 2 else (1, 0)):
-        return f"SO({2 * f.rank})"
+    if f.kind in ("B", "D") and e == _diag_entry(f, 2):
+        return _factor_name(f).replace("Spin", "SO")
     if f.kind == "D" and f.rank % 2 == 0 and e == (0, 1):
         return f"HSpin({2 * f.rank})"
     return None

@@ -14,9 +14,10 @@ from weylinv.invariants import (
 )
 from weylinv.laurent import LaurentPoly, augmentation, graded_components
 from weylinv.rootdata import (
-    GroupSpec, SimpleFactor, cartan_rows, compile_spec, lattice_grading, orbit_poly,
-    residue_functionals,
+    GroupSpec, SimpleFactor, cartan_rows, compile_spec, diagram_edges, lattice_grading,
+    orbit_poly, residue_functionals,
 )
+from weylinv.spec import SpecParseError
 
 
 def model(*factors, kernel=()):
@@ -140,6 +141,127 @@ def q_oracle(md, basis=None):
             if den != 1:
                 congs.append(([int(x * den) % den for x in coeffs], den))
     return InvariantLattice.from_rows(m, congruence_kernel(congs, m), True, "exact")
+
+
+# -- closed-form root data ---------------------------------------------------
+#
+# The hand-written per-type tables that the derivations from the Dynkin diagram
+# (diagram_edges) and the residue forms replaced in rootdata and spec, kept as
+# their oracle.
+
+def table_cartan_rows(kind, n):
+    """M[i][j] = <alpha_i, alpha_j^vee>, written out per type."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = 2
+    if kind in ("A", "B", "C"):
+        for i in range(n - 1):
+            m[i][i + 1] = -1
+            m[i + 1][i] = -1
+        if kind == "B" and n >= 2:
+            m[n - 2][n - 1] = -2
+        if kind == "C" and n >= 2:
+            m[n - 1][n - 2] = -2
+    elif kind == "D":
+        for i in range(n - 2):
+            m[i][i + 1] = -1
+            m[i + 1][i] = -1
+        m[n - 3][n - 1] = -1
+        m[n - 1][n - 3] = -1
+    else:
+        for i, j in diagram_edges(kind, n):
+            m[i][j] = -1
+            m[j][i] = -1
+    return m
+
+
+def table_killing_coeffs(kind, n):
+    """Normalized Killing form as {(i, j): c} with i <= j, fw coordinates.
+
+    Simply-laced types: sum w_i^2 minus the product over each diagram edge.
+    Type B: extra 2*w_m^2 with doubled last cross term; type C: doubled
+    squares except the last (the expansion of sum e_i^2).
+    """
+    q = {}
+    if kind in ("A", "D", "E6", "E7"):
+        for i in range(n):
+            q[(i, i)] = 1
+        for i, j in diagram_edges(kind, n):
+            a, b = min(i, j), max(i, j)
+            q[(a, b)] = -1
+    elif kind == "B":
+        for i in range(n - 1):
+            q[(i, i)] = 1
+        q[(n - 1, n - 1)] = 2
+        for i in range(n - 2):
+            q[(i, i + 1)] = -1
+        q[(n - 2, n - 1)] = -2
+    elif kind == "C":
+        for i in range(n - 1):
+            q[(i, i)] = 2
+        q[(n - 1, n - 1)] = 1
+        for i in range(n - 1):
+            q[(i, i + 1)] = -2
+    else:
+        raise ValueError(kind)
+    return q
+
+
+def table_center_group(kind, n):
+    """Invariant factors of the center character group of the factor."""
+    if kind == "A":
+        return (n + 1,)
+    if kind in ("B", "C", "E7"):
+        return (2,)
+    if kind == "E6":
+        return (3,)
+    if kind == "D":
+        return (4,) if n % 2 else (2, 2)
+    raise ValueError(kind)
+
+
+def table_weyl_order(kind, n):
+    """|W| from the closed formulas."""
+    if kind == "A":
+        return math.factorial(n + 1)
+    if kind in ("B", "C"):
+        return (1 << n) * math.factorial(n)
+    if kind == "D":
+        return (1 << (n - 1)) * math.factorial(n)
+    return {"E6": 51840, "E7": 2903040}[kind]
+
+
+def table_diag_entry(f, k):
+    """Kernel entry of factor f under the diagonal mu(k), per type."""
+    if f.kind == "A":
+        if (f.rank + 1) % k:
+            raise SpecParseError(f"mu({k}) does not embed in the center of {f}")
+        return (f.rank + 1) // k
+    if f.kind in ("B", "C", "E7"):
+        if k != 2:
+            raise SpecParseError(f"mu({k}) does not embed in the center of {f}")
+        return 1
+    if f.kind == "E6":
+        if k != 3:
+            raise SpecParseError(f"mu({k}) does not embed in the center of {f}")
+        return 1
+    if f.kind == "D":
+        if f.rank % 2:
+            if k not in (2, 4):
+                raise SpecParseError(f"mu({k}) does not embed in the center of {f}")
+            return 4 // k
+        if k != 2:
+            raise SpecParseError(
+                f"mu({k}) does not embed in the center of {f} (center is 2x2)")
+        return (1, 0)
+    raise AssertionError
+
+
+def oracle_factors():
+    """Every kind A-D at every rank from its smallest up to 16, and E6, E7."""
+    lo = {"A": 1, "B": 2, "C": 2, "D": 4}
+    return ([SimpleFactor(kind, r) for kind in "ABCD" for r in range(lo[kind], 17)]
+            + [SimpleFactor("E6", 6), SimpleFactor("E7", 7)])
 
 
 # -- centre residues and local reflections --------------------------------

@@ -50,6 +50,16 @@ def test_closed_stdout_exits_1_without_traceback(argv, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_out_of_memory_exits_1_without_traceback(monkeypatch, capsys):
+    # as `invariants --spec "SL(99999999999)"` does in its n x n Cartan matrix
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr("weylinv.cli.compile_spec", exhausted)
+    assert main(["invariants", "--spec", "SL(2)"]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory; is a rank too large?\n")
+
+
 # sha256 of stdout, pinned from the tuple-keyed Laurent core: term order and
 # values must not drift with the polynomial representation
 PINNED_OUTPUTS = [
@@ -231,6 +241,19 @@ class TestParse:
                     "Q(8)", "SL(4) /", "(E6 x E6) / mu(3)[1]", "SL(3) / mu(2)[1]"]:
             with pytest.raises(SpecParseError):
                 parse_spec(bad)
+
+    @pytest.mark.parametrize("text, message", [
+        ("SO(4)", "SO(4) not supported at position 0"),
+        ("HSpin(4)", "HSpin(4) not supported at position 0"),
+        ("SL(2) x SO(1)", "SO(1) not supported at position 1"),
+        ("PGL(1)", "PGL(1) needs n >= 2 at position 0"),
+        ("SL(2) x PGSp(0)", "PGSp(0) needs an even argument >= 2 at position 1"),
+        ("SL(2) x SO(04)", "SO(04) not supported at position 1")])
+    def test_errors_name_the_token_as_typed(self, text, message, capsys):
+        with pytest.raises(SpecParseError, match=re.escape(message) + "$"):
+            parse_spec(text)
+        assert main(["invariants", "--spec", text]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_residues_not_from_mu_k(self, capsys):
         # a residue of order 3 defines no map from mu(2)

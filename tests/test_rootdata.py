@@ -8,11 +8,13 @@ import pytest
 from weylinv.cli import parse_spec
 from weylinv.intlinalg import det_int
 from weylinv.laurent import LaurentPoly, augmentation
+from weylinv import spec as spec_module
 from weylinv.rootdata import (
     GroupSpec,
     LatticeModel,
     SimpleFactor,
     cartan_rows,
+    center_group,
     compile_spec,
     factor_orbit_sums,
     fundamental_orbit_sums,
@@ -28,9 +30,39 @@ from weylinv.rootdata import (
 )
 
 from _helpers import (
-    center_residues, killing_value, model, oracle_specs, reflect_local, residue_allowed,
-    standard_e_basis,
+    center_residues, killing_value, model, oracle_factors, oracle_specs, reflect_local,
+    residue_allowed, standard_e_basis, table_cartan_rows, table_center_group, table_diag_entry,
+    table_killing_coeffs, table_weyl_order,
 )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestClosedFormTables:
+    """The data derived from the Dynkin diagram and the residue forms equal
+    the hand-written per-type tables they replaced (tests/_helpers.py)."""
+
+    @pytest.mark.parametrize("f", oracle_factors(), ids=str)
+    def test_derived_data_equal_the_tables(self, f):
+        kind, n = f
+        assert cartan_rows(kind, n) == table_cartan_rows(kind, n)
+        q = table_killing_coeffs(kind, n)
+        assert killing_coeffs(kind, n) == q
+        assert killing_gram(kind, n) == tuple(
+            tuple(2 * q[(i, i)] if i == j else q.get((min(i, j), max(i, j)), 0)
+                  for j in range(n)) for i in range(n))
+        assert center_group(kind, n) == table_center_group(kind, n)
+        assert weyl_order(kind, n) == table_weyl_order(kind, n)
+
+    @pytest.mark.parametrize("f", oracle_factors(), ids=str)
+    def test_diagonal_entries_equal_the_table(self, f):
+        for k in range(2, 21):
+            assert _outcome(spec_module._diag_entry, f, k) == _outcome(table_diag_entry, f, k), k
 
 
 class TestCompile:
@@ -169,6 +201,9 @@ class TestOrbits:
         assert len(weyl_orbit(m, w)) == orbit_size(m, w) == 10080
 
     def test_parabolic_order_full(self):
+        # weyl_order is the order of the whole diagram's component, so this
+        # checks only the component split; TestClosedFormTables checks the
+        # orders against the closed formulas
         assert parabolic_order("E7", 7, frozenset(range(7))) == weyl_order("E7", 7)
         assert parabolic_order("B", 4, frozenset(range(4))) == weyl_order("B", 4)
         assert parabolic_order("D", 5, frozenset(range(5))) == weyl_order("D", 5)
