@@ -15,8 +15,8 @@ from .laurent import LaurentPoly, augmentation, dot, homogeneous_component
 from .rootdata import LatticeModel
 from .syzygy import (  # noqa: F401  (GcdChain and gcd_chain are public here too)
     GcdChain,
+    _normalized,
     gcd_chain,
-    normalize_coefficients,
     reduction_data,
     validate_tuple,
 )
@@ -146,7 +146,10 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     """Express sum f_i rho_i (in R[T*]) as a generator combination.
 
     Runs the coefficient normalization and then the four elimination steps,
-    asserting the running equality after each one.  Returns {label: coeff}.
+    asserting the running equality after each step that changed the state:
+    a step that changed nothing leaves the state the previous check (or the
+    normalization's own check) verified.  After the last step the final
+    re-expansion is that check.  Returns {label: coeff}.
     """
     if gs is None:
         gs = build_generators(model)
@@ -164,17 +167,25 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     if homogeneous_component(target, grading, (1,)):
         raise ValueError("the combination is not in R[T*]")
 
-    f = list(normalize_coefficients(model, tuple(f)))
+    f = list(_normalized(model, tuple(f), target))
     result: dict[str, LaurentPoly] = {}
     by_label = dict(gs.labeled())
+    changed = False  # since the last verified state
 
+    # every step that changes f adds a nonzero coefficient (Z[T*] is a domain)
     def add_coeff(name, coeff):
+        nonlocal changed
         if coeff.is_zero():
             return
+        changed = True
         cur = result.get(name)
         result[name] = coeff if cur is None else cur + coeff
 
     def running_check():
+        nonlocal changed
+        if not changed:
+            return
+        changed = False
         gens = [by_label[name] for name in result]
         if dot([*f, *result.values()], [*rho, *gens]) != target:
             raise AssertionError("running combination equality broken")
@@ -245,15 +256,14 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
                 f[j] = f[j] - c * rows[j]
         if not f[gi].is_zero():
             raise AssertionError("step 4 failed to clear the position")
-    running_check()
 
-    # the last degree-1 position must now vanish identically
-    if np_:
-        gi = chain.order[np_ - 1]
-        if not f[gi].is_zero():
-            raise ReductionError("nonzero residue at the last degree-1 position")
+    # the steps must leave f = 0, the last degree-1 position included
     if any(not fi.is_zero() for fi in f):
+        running_check()
+        if np_ and not f[chain.order[np_ - 1]].is_zero():
+            raise ReductionError("nonzero residue at the last degree-1 position")
         raise ReductionError("reduction left nonzero coefficients")
+    # with f = 0 the running equality is the final re-expansion
     if expand_combination(gs, result) != target:
         raise AssertionError("final combination does not reproduce the input")
     return result

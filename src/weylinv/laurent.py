@@ -490,17 +490,25 @@ def bounded_divide(f: LaurentPoly, p: LaurentPoly, axis: int, d: int):
 class Grading:
     """Homomorphism Z^rank -> (+)_i Z/moduli[i], given on basis vectors."""
 
-    __slots__ = ("moduli", "images", "_forms", "_multipliers")
+    __slots__ = ("moduli", "images", "_forms", "_multipliers", "_ones", "_parity")
 
     def __init__(self, moduli: tuple[int, ...], images):
         self.moduli = tuple(moduli)
         self.images = tuple(tuple(v) for v in images)
+        rank = len(self.images)
         # one linear form per modulus, its column of the basis images reduced
         # into [0, m), and the same form as one multiplier on codes
         self._forms = tuple((tuple(img[i] % m for img in self.images), m)
                             for i, m in enumerate(self.moduli))
         self._multipliers = tuple(sum(c << (_WIDTH * j) for j, c in enumerate(col))
                                   for col, _ in self._forms)
+        self._ones = _ones(rank)
+        # mod 2: (mask, weight), the low bit of each field whose coefficient is
+        # odd and how many such fields there are
+        self._parity = None
+        if self.moduli == (2,):
+            odd = [j for j, c in enumerate(self._forms[0][0]) if c]
+            self._parity = (sum(1 << (_WIDTH * (rank - 1 - j)) for j in odd), len(odd))
 
     @property
     def zero(self):
@@ -508,6 +516,28 @@ class Grading:
 
     def of_exponent(self, exp) -> tuple[int, ...]:
         return tuple(sum(map(mul, exp, col)) % m for col, m in self._forms)
+
+    def _check_rank(self, rank):
+        if rank != len(self.images):
+            raise RankMismatchError(f"rank {rank} polynomial under a rank "
+                                    f"{len(self.images)} grading")
+
+    def _parity_reader(self, rank, bound):
+        """(lift, mask, flip) that read the class of a code mod 2, for codes of
+        rank `rank` with every |e_i| <= bound; None unless the grading is one
+        Z/2.
+
+        Adding lift (bound in every field) makes every digit e_i + bound lie
+        in [0, 2 bound], inside a field at every bound in range, so no field
+        carries.  The parity of the mask's bits in the sum is
+        sum_j c_j (e_j + bound) mod 2, and xor with flip = bound * weight mod 2
+        leaves the form's value.
+        """
+        self._check_rank(rank)
+        if self._parity is None:
+            return None
+        mask, weight = self._parity
+        return bound * self._ones, mask, bound * weight & 1
 
     def _digits(self, rank, bound):
         """(lift, shift, ((multiplier, offset, m), ...)) that read the class of
@@ -521,17 +551,19 @@ class Grading:
         rank * 2 bound * (m - 1) < 2^32.  That field minus
         offset = bound * sum_j c_j is the form's value.
         """
-        if rank != len(self.images):
-            raise RankMismatchError(f"rank {rank} polynomial under a rank "
-                                    f"{len(self.images)} grading")
+        self._check_rank(rank)
         if rank * 2 * bound * (max(self.moduli, default=1) - 1) > _FIELD:
             return None
-        return (bound * _ones(rank), _WIDTH * (rank - 1),
+        return (bound * self._ones, _WIDTH * (rank - 1),
                 tuple((mult, bound * sum(col), m)
                       for (col, m), mult in zip(self._forms, self._multipliers)))
 
     def _classifier(self, rank, bound):
         """Map from the codes of rank `rank` with every |e_i| <= bound to classes."""
+        parity = self._parity_reader(rank, bound)
+        if parity is not None:
+            lift, mask, flip = parity
+            return lambda key: ((((key + lift) & mask).bit_count() ^ flip) & 1,)
         digits = self._digits(rank, bound)
         if digits is None:
             unpack, of_exponent = _codec(rank)[1], self.of_exponent
@@ -552,6 +584,13 @@ def homogeneous_component(f: LaurentPoly, grading: Grading, cls) -> LaurentPoly:
     """Sub-polynomial of terms whose exponent maps to the given class."""
     cls = tuple(cls)
     items = f._packed.items()
+    parity = grading._parity_reader(f.rank, f._bound)
+    if parity is not None and len(cls) == 1:
+        # mod 2: compare the parity of the masked bits with the one it must have
+        lift, mask, flip = parity
+        want = (cls[0] + flip) & 1
+        kept = {k: c for k, c in items if ((k + lift) & mask).bit_count() & 1 == want}
+        return _trusted(f.rank, f.modulus, kept, f._bound)
     digits = grading._digits(f.rank, f._bound)
     if digits is not None and len(digits[2]) == 1 == len(cls):
         # one modulus: compare the field itself with the class it must have

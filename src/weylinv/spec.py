@@ -77,15 +77,17 @@ def _zero_entry(f: SimpleFactor):
     return (0, 0) if f.kind == "D" and f.rank % 2 == 0 else 0
 
 
-def _diag_entry(f: SimpleFactor, k: int):
+def _diag_entry(f: SimpleFactor, k: int, name=None):
     """Kernel entry of f under the diagonal mu(k): N // k on a cyclic centre
-    Z/N with k | N, and (1, 0) for k = 2 on the 2x2 centre of D-even."""
+    Z/N with k | N, and (1, 0) for k = 2 on the 2x2 centre of D-even.
+
+    The error names the factor as `name` (default: f)."""
     grp = center_group(f.kind, f.rank)
     if len(grp) == 1 and grp[0] % k == 0:
         return grp[0] // k
     if len(grp) == 2 and k == 2:
         return (1, 0)
-    raise SpecParseError(f"mu({k}) does not embed in the center of {f}"
+    raise SpecParseError(f"mu({k}) does not embed in the center of {name or f}"
                          + (" (center is 2x2)" if len(grp) == 2 else ""))
 
 
@@ -188,7 +190,8 @@ def parse_spec(text: str) -> GroupSpec:
                     f"its residues have order {order}")
             kernel.append(tuple(gen))
         else:
-            kernel.append(tuple(_diag_entry(f, k) for f in factors))
+            kernel.append(tuple(_diag_entry(f, k, f"{tok} at position {i}")
+                                for i, (f, tok) in enumerate(zip(factors, toks))))
     return GroupSpec(tuple(factors), tuple(kernel))
 
 

@@ -772,13 +772,25 @@ def normalize_coefficients(model: LatticeModel, f):
     n = model.total_rank
     if len(f) != n:
         raise ValueError("tuple length must equal the model rank")
-    chain, rho = reduction_data(model)
-    d = chain.d
-    rho_d, transform_d, inverse_d = modular_transform(model)  # FlatnessError unless A/C
+    rho = reduction_data(model)[1]
+    modular_transform(model)  # FlatnessError unless A/C
     combo = dot(f, rho)
     if homogeneous_component(combo, model.grading, (1,)):
         raise ValueError("the combination is not of degree 0")
+    return _normalized(model, f, combo)
 
+
+def _normalized(model: LatticeModel, f: tuple, combo: LaurentPoly) -> tuple:
+    """`normalize_coefficients` past its input checks: f is an integral
+    tuple of the model's length and combo = sum f_i rho_i has degree 0.
+
+    Checks its own output: the same combination, and every wrong-degree
+    component zero mod d.
+    """
+    n = model.total_rank
+    chain, rho = reduction_data(model)
+    d = chain.d
+    rho_d, transform_d, inverse_d = modular_transform(model)
     syz = []
     for i in range(n):
         want = ((1 - model.fw_degrees[i][0]) % 2,)

@@ -248,7 +248,12 @@ class TestParse:
         ("SL(2) x SO(1)", "SO(1) not supported at position 1"),
         ("PGL(1)", "PGL(1) needs n >= 2 at position 0"),
         ("SL(2) x PGSp(0)", "PGSp(0) needs an even argument >= 2 at position 1"),
-        ("SL(2) x SO(04)", "SO(04) not supported at position 1")])
+        ("SL(2) x SO(04)", "SO(04) not supported at position 1"),
+        ("SL(2)/mu(4)", "mu(4) does not embed in the center of SL(2) at position 0"),
+        ("(SL(4) x SL(4)) / mu(3)", "mu(3) does not embed in the center of SL(4) at position 0"),
+        ("(SL(4) x SL(2)) / mu(4)", "mu(4) does not embed in the center of SL(2) at position 1"),
+        ("(Spin(8) x Spin(8)) / mu(4)",
+         "mu(4) does not embed in the center of Spin(8) at position 0 (center is 2x2)")])
     def test_errors_name_the_token_as_typed(self, text, message, capsys):
         with pytest.raises(SpecParseError, match=re.escape(message) + "$"):
             parse_spec(text)

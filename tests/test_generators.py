@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from weylinv import generators
 from weylinv.cli import parse_spec
 from weylinv.fuzz import random_graded_poly
 from weylinv.generators import (
@@ -14,6 +15,7 @@ from weylinv.generators import (
 from weylinv.laurent import (
     LaurentPoly,
     augmentation,
+    dot,
     graded_components,
     homogeneous_component,
 )
@@ -185,3 +187,63 @@ class TestReduce:
                 rows = gs_src.rows_for(name)
                 combo = reduce_to_generators(m, rows, gs_dst)
                 assert expand_combination(gs_dst, combo) == h, (name,)
+
+
+class TestChecksFire:
+    """A step that changes the state with corrupted data trips the check after it.
+
+    Each case reduces sum_h c_h h over (Sp(4) x Sp(4)) / mu(2) with a
+    combination that makes the named step act, and corrupts what that step
+    reads: a generator, its row over rho, or the degree-0 element of step 2.
+    """
+
+    def _case(self, combo):
+        m = sp4xsp4()
+        gs = build_generators(m)
+        return m, gs, combination_to_tuple(gs, combo)
+
+    def test_step1_row(self):
+        one = LaurentPoly.const(4, 1, 0)
+        m, gs, f = self._case({"h2[1]": one})
+        row = list(gs.h2_rows[0])
+        j = next(j for j, r in enumerate(row) if r)
+        row[j] = row[j] + one
+        bad = gs._replace(h2_rows=(tuple(row),) + gs.h2_rows[1:])
+        with pytest.raises(AssertionError, match="running combination equality broken"):
+            reduce_to_generators(m, f, bad)
+
+    def test_step2_coefficient(self, monkeypatch):
+        m = sp4xsp4()
+        gs = build_generators(m)
+        n, chain = m.total_rank, gs.chain
+        # c rho_k rho~(omega_1) = sum_j c a_0j rho_k rho_j + c d rho_k, written
+        # with the degree-1 part c d at the h3 position k, which step 2 kills
+        c = LaurentPoly.monomial(n, gs.lambda0)
+        k = chain.order[chain.nprime]
+        f = [LaurentPoly.zero(n, 0)] * n
+        f[k] = c.scale(chain.d)
+        for j in range(chain.nprime):
+            f[chain.order[j]] = (c * gs.rho[k]).scale(chain.bezout[0][j])
+        combo = reduce_to_generators(m, f, gs)
+        assert list(combo) == ["h3[1]"]
+        assert expand_combination(gs, combo) == dot(f, gs.rho)
+        real = generators._rho_tilde_w
+        monkeypatch.setattr(generators, "_rho_tilde_w",
+                            lambda *a: real(*a) + LaurentPoly.const(n, 1, 0))
+        with pytest.raises(AssertionError, match="running combination equality broken"):
+            reduce_to_generators(m, f, gs)
+
+    def test_step3_generator(self):
+        one = LaurentPoly.const(4, 1, 0)
+        m, gs, f = self._case({"h3[1]": one})
+        bad = gs._replace(h3=tuple(h + one for h in gs.h3))
+        with pytest.raises(AssertionError, match="running combination equality broken"):
+            reduce_to_generators(m, f, bad)
+
+    def test_last_step_generator(self):
+        one = LaurentPoly.const(4, 1, 0)
+        m, gs, f = self._case({"h1[1]": one})
+        bad = gs._replace(h1=tuple(h + one for h in gs.h1))
+        with pytest.raises(AssertionError,
+                           match="final combination does not reproduce the input"):
+            reduce_to_generators(m, f, bad)

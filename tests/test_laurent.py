@@ -584,26 +584,31 @@ def classifier_cases(draw):
     return Grading(tuple(moduli), images), bound, exps
 
 
+def assert_reads_like_of_exponent(grading, bound, exps, c):
+    """The classifier, homogeneous_component and graded_components agree with
+    Grading.of_exponent on every exponent of a polynomial whose bound is `bound`."""
+    rank = len(grading.images)
+    pack = _codec(rank)[0]
+    class_of = grading._classifier(rank, bound)
+    for e in exps:
+        assert class_of(pack(e)) == grading.of_exponent(e)
+    # a polynomial whose bound is `bound`, read through both entry points
+    terms = {pack(e): c for e in exps}
+    f = LaurentPoly._trusted(rank, 0, terms, bound)
+    classes = {grading.of_exponent(e) for e in exps}
+    for cls in classes | {grading.zero}:
+        want = {pack(e): c for e in exps if grading.of_exponent(e) == cls}
+        assert homogeneous_component(f, grading, cls)._packed == want
+    assert {k: v._packed for k, v in graded_components(f, grading).items()} == {
+        cls: {pack(e): c for e in exps if grading.of_exponent(e) == cls}
+        for cls in classes}
+
+
 class TestArithmeticClassifier:
     @settings(max_examples=250, deadline=None)
     @given(classifier_cases(), st.integers(1, 5))
     def test_matches_of_exponent(self, case, c):
-        grading, bound, exps = case
-        rank = len(grading.images)
-        pack = _codec(rank)[0]
-        class_of = grading._classifier(rank, bound)
-        for e in exps:
-            assert class_of(pack(e)) == grading.of_exponent(e)
-        # a polynomial whose bound is `bound`, read through both entry points
-        terms = {pack(e): c for e in exps}
-        f = LaurentPoly._trusted(rank, 0, terms, bound)
-        classes = {grading.of_exponent(e) for e in exps}
-        for cls in classes | {grading.zero}:
-            want = {pack(e): c for e in exps if grading.of_exponent(e) == cls}
-            assert homogeneous_component(f, grading, cls)._packed == want
-        assert {k: v._packed for k, v in graded_components(f, grading).items()} == {
-            cls: {pack(e): c for e in exps if grading.of_exponent(e) == cls}
-            for cls in classes}
+        assert_reads_like_of_exponent(*case, c)
 
     def test_both_paths_run(self):
         g = Grading((3, 5), [(1, 2), (4, 0), (2, 3)])
@@ -621,3 +626,31 @@ class TestArithmeticClassifier:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             homogeneous_component(P(3, {(0, 0, 0): 1}), Grading((2,), [(1,), (0,)]), (0,))
+
+
+@st.composite
+def graded_cases(draw, moduli):
+    """A grading with the given moduli, a bound up to the limit, often past the
+    multiply reader's carry limit rank * 2 bound * (m - 1) >= 2^32, and
+    exponents within it."""
+    rank = draw(st.integers(2, 8))  # at rank 1 mod 2 every bound is below it
+    images = [[draw(st.integers(-7, 7)) for _ in moduli] for _ in range(rank)]
+    carry = _FIELD // (rank * 2 * (max(moduli) - 1)) + 1
+    bound = draw(st.one_of(st.integers(0, 40), st.integers(carry, EXPONENT_LIMIT),
+                           st.sampled_from((carry - 1, carry, EXPONENT_LIMIT))))
+    coord = st.one_of(st.integers(-bound, bound), st.sampled_from((bound, -bound)))
+    exps = draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=8))
+    return Grading(moduli, images), bound, exps
+
+
+class TestParityReader:
+    @pytest.mark.parametrize("moduli", [(2,), (3,), (2, 2)])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), c=st.integers(1, 5))
+    def test_matches_of_exponent(self, moduli, data, c):
+        grading, bound, exps = data.draw(graded_cases(moduli))
+        rank = len(grading.images)
+        # mod 2 reads parities at every bound; other moduli keep the multiply
+        # reader up to its carry limit and unpack past it
+        assert (grading._parity_reader(rank, bound) is None) == (moduli != (2,))
+        assert_reads_like_of_exponent(grading, bound, exps, c)

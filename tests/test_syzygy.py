@@ -345,6 +345,20 @@ class TestNormalizeCoefficients:
         with pytest.raises(FlatnessError):
             normalize_coefficients(m, f)
 
+    def test_checks_its_input(self):
+        m = self._model()
+        n = m.total_rank
+        zero = LaurentPoly.zero(n, 0)
+        deg1 = next(i for i in range(n) if m.fw_degrees[i] == (1,))
+        # 1 * rho_i of a degree-1 fundamental weight is a degree-1 combination
+        f = tuple(LaurentPoly.const(n, 1, 0) if i == deg1 else zero for i in range(n))
+        with pytest.raises(ValueError, match="the combination is not of degree 0"):
+            normalize_coefficients(m, f)
+        with pytest.raises(ValueError, match="expected integral coefficients"):
+            normalize_coefficients(m, tuple(LaurentPoly.zero(n, 3) for _ in range(n)))
+        with pytest.raises(ValueError, match="tuple length must equal the model rank"):
+            normalize_coefficients(m, (zero,) * (n - 1))
+
 
 class TestReductionData:
     SPEC = "(Sp(4) x Sp(6)) / mu(2)"
