@@ -15,10 +15,10 @@ from .laurent import LaurentPoly, augmentation, dot, homogeneous_component
 from .rootdata import LatticeModel
 from .syzygy import (  # noqa: F401  (GcdChain and gcd_chain are public here too)
     GcdChain,
+    _model_tuple,
     _normalized,
     gcd_chain,
     reduction_data,
-    validate_tuple,
 )
 
 
@@ -156,9 +156,7 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     chain = gs.chain
     n = model.total_rank
     np_ = chain.nprime
-    f = list(validate_tuple(f))
-    if len(f) != n:
-        raise ValueError("tuple length must equal the model rank")
+    f = list(_model_tuple(model, f))
     rho = gs.rho
     d = chain.d
     grading = model.grading

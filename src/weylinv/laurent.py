@@ -490,18 +490,16 @@ def bounded_divide(f: LaurentPoly, p: LaurentPoly, axis: int, d: int):
 class Grading:
     """Homomorphism Z^rank -> (+)_i Z/moduli[i], given on basis vectors."""
 
-    __slots__ = ("moduli", "images", "_forms", "_multipliers", "_ones", "_parity")
+    __slots__ = ("moduli", "images", "_forms", "_ones", "_parity")
 
     def __init__(self, moduli: tuple[int, ...], images):
         self.moduli = tuple(moduli)
         self.images = tuple(tuple(v) for v in images)
         rank = len(self.images)
         # one linear form per modulus, its column of the basis images reduced
-        # into [0, m), and the same form as one multiplier on codes
+        # into [0, m)
         self._forms = tuple((tuple(img[i] % m for img in self.images), m)
                             for i, m in enumerate(self.moduli))
-        self._multipliers = tuple(sum(c << (_WIDTH * j) for j, c in enumerate(col))
-                                  for col, _ in self._forms)
         self._ones = _ones(rank)
         # mod 2: (mask, weight), the low bit of each field whose coefficient is
         # odd and how many such fields there are
@@ -517,15 +515,11 @@ class Grading:
     def of_exponent(self, exp) -> tuple[int, ...]:
         return tuple(sum(map(mul, exp, col)) % m for col, m in self._forms)
 
-    def _check_rank(self, rank):
-        if rank != len(self.images):
-            raise RankMismatchError(f"rank {rank} polynomial under a rank "
-                                    f"{len(self.images)} grading")
-
     def _parity_reader(self, rank, bound):
         """(lift, mask, flip) that read the class of a code mod 2, for codes of
         rank `rank` with every |e_i| <= bound; None unless the grading is one
-        Z/2.
+        Z/2.  RankMismatchError unless `rank` is the grading's: every read of
+        a class passes through here first.
 
         Adding lift (bound in every field) makes every digit e_i + bound lie
         in [0, 2 bound], inside a field at every bound in range, so no field
@@ -533,44 +527,23 @@ class Grading:
         sum_j c_j (e_j + bound) mod 2, and xor with flip = bound * weight mod 2
         leaves the form's value.
         """
-        self._check_rank(rank)
+        if rank != len(self.images):
+            raise RankMismatchError(f"rank {rank} polynomial under a rank "
+                                    f"{len(self.images)} grading")
         if self._parity is None:
             return None
         mask, weight = self._parity
         return bound * self._ones, mask, bound * weight & 1
 
-    def _digits(self, rank, bound):
-        """(lift, shift, ((multiplier, offset, m), ...)) that read the class of
-        a code by arithmetic, for codes of rank `rank` with every |e_i| <=
-        bound; None when the reading could carry.
-
-        Adding lift (bound in every field) makes every digit e_i + bound lie
-        in [0, 2 bound].  Multiplying by a form's multiplier
-        sum_j c_j 2^(32 j), with c_j in [0, m), leaves sum_j c_j (e_j + bound)
-        in field rank-1, and no field carries while
-        rank * 2 bound * (m - 1) < 2^32.  That field minus
-        offset = bound * sum_j c_j is the form's value.
-        """
-        self._check_rank(rank)
-        if rank * 2 * bound * (max(self.moduli, default=1) - 1) > _FIELD:
-            return None
-        return (bound * self._ones, _WIDTH * (rank - 1),
-                tuple((mult, bound * sum(col), m)
-                      for (col, m), mult in zip(self._forms, self._multipliers)))
-
     def _classifier(self, rank, bound):
-        """Map from the codes of rank `rank` with every |e_i| <= bound to classes."""
+        """Map from the codes of rank `rank` with every |e_i| <= bound to classes:
+        by parity on one Z/2, else `of_exponent` on the unpacked code."""
         parity = self._parity_reader(rank, bound)
         if parity is not None:
             lift, mask, flip = parity
             return lambda key: ((((key + lift) & mask).bit_count() ^ flip) & 1,)
-        digits = self._digits(rank, bound)
-        if digits is None:
-            unpack, of_exponent = _codec(rank)[1], self.of_exponent
-            return lambda key: of_exponent(unpack(key))
-        lift, shift, forms = digits
-        return lambda key: tuple(((((key + lift) * mult) >> shift & _FIELD) - off) % m
-                                 for mult, off, m in forms)
+        unpack, of_exponent = _codec(rank)[1], self.of_exponent
+        return lambda key: of_exponent(unpack(key))
 
     def add(self, c1, c2):
         return tuple((a + b) % m for a, b, m in zip(c1, c2, self.moduli))
@@ -581,25 +554,25 @@ class Grading:
 
 
 def homogeneous_component(f: LaurentPoly, grading: Grading, cls) -> LaurentPoly:
-    """Sub-polynomial of terms whose exponent maps to the given class."""
+    """Sub-polynomial of terms whose exponent maps to the given class.
+
+    ValueError unless `cls` is a class of the grading: one entry per modulus
+    m, each in [0, m).
+    """
     cls = tuple(cls)
     items = f._packed.items()
     parity = grading._parity_reader(f.rank, f._bound)
-    if parity is not None and len(cls) == 1:
+    if len(cls) != len(grading.moduli) or not all(
+            0 <= c < m for c, m in zip(cls, grading.moduli)):
+        raise ValueError(f"{cls} is not a class of a grading with moduli {grading.moduli}")
+    if parity is not None:
         # mod 2: compare the parity of the masked bits with the one it must have
         lift, mask, flip = parity
         want = (cls[0] + flip) & 1
         kept = {k: c for k, c in items if ((k + lift) & mask).bit_count() & 1 == want}
         return _trusted(f.rank, f.modulus, kept, f._bound)
-    digits = grading._digits(f.rank, f._bound)
-    if digits is not None and len(digits[2]) == 1 == len(cls):
-        # one modulus: compare the field itself with the class it must have
-        lift, shift, ((mult, off, m),) = digits
-        want = (cls[0] + off) % m
-        kept = {k: c for k, c in items if (((k + lift) * mult) >> shift & _FIELD) % m == want}
-    else:
-        class_of = grading._classifier(f.rank, f._bound)
-        kept = {k: c for k, c in items if class_of(k) == cls}
+    class_of = grading._classifier(f.rank, f._bound)
+    kept = {k: c for k, c in items if class_of(k) == cls}
     return _trusted(f.rank, f.modulus, kept, f._bound)
 
 

@@ -756,6 +756,18 @@ def modular_transform(model: LatticeModel) -> tuple:
             tuple(map(tuple, model_inverse_mod(model, d))))
 
 
+def _model_tuple(model: LatticeModel, f) -> tuple:
+    """f as a tuple of integral polynomials in one ring, one per fundamental
+    weight of the model: the input check of `normalize_coefficients` and
+    `reduce_to_generators`."""
+    f = validate_tuple(f)
+    if f[0].modulus != 0:
+        raise ValueError("expected integral coefficients")
+    if len(f) != model.total_rank:
+        raise ValueError("tuple length must equal the model rank")
+    return f
+
+
 def normalize_coefficients(model: LatticeModel, f):
     """Rewrite (f_i) so the reduction mod d of each wrong-degree component dies.
 
@@ -766,12 +778,7 @@ def normalize_coefficients(model: LatticeModel, f):
     """
     if model.grading.moduli != (2,):
         raise ValueError("coefficient normalization needs an index-2 grading")
-    f = validate_tuple(f)
-    if f[0].modulus != 0:
-        raise ValueError("expected integral coefficients")
-    n = model.total_rank
-    if len(f) != n:
-        raise ValueError("tuple length must equal the model rank")
+    f = _model_tuple(model, f)
     rho = reduction_data(model)[1]
     modular_transform(model)  # FlatnessError unless A/C
     combo = dot(f, rho)

@@ -20,6 +20,7 @@ from weylinv.laurent import (
     homogeneous_component,
 )
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly
+from weylinv.syzygy import normalize_coefficients
 
 from _helpers import reflect_local
 
@@ -157,6 +158,22 @@ class TestReduce:
         f = (LaurentPoly.const(2, 1, 0), LaurentPoly.zero(2, 0))
         with pytest.raises(ValueError):
             reduce_to_generators(m, f, gs)
+
+    def test_checks_the_tuple_as_normalization_does(self):
+        # both entry points run one check of the tuple, with the same errors
+        m = pgsp4()
+        zero = LaurentPoly.zero(2, 0)
+        cases = [
+            ((LaurentPoly.const(2, 1, 3), LaurentPoly.const(2, 2, 3)),
+             "expected integral coefficients"),
+            ((zero, LaurentPoly.zero(3, 0)), "mixed rings/ranks in tuple"),
+            ((zero,), "tuple length must equal the model rank"),
+            ((), "empty tuple"),
+        ]
+        for f, msg in cases:
+            for entry in (reduce_to_generators, normalize_coefficients):
+                with pytest.raises(ValueError, match=msg):
+                    entry(m, f)
 
     @pytest.mark.parametrize("model_fn", [pgsp4, sp4xsp4, sl4xsl6, sl8])
     def test_random_combination_round_trips(self, model_fn):

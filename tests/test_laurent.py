@@ -10,6 +10,7 @@ from weylinv.laurent import (
     ExponentRangeError,
     Grading,
     LaurentPoly,
+    RankMismatchError,
     ZeroPolynomialError,
     augmentation,
     bounded_divide,
@@ -610,29 +611,41 @@ class TestArithmeticClassifier:
     def test_matches_of_exponent(self, case, c):
         assert_reads_like_of_exponent(*case, c)
 
-    def test_both_paths_run(self):
-        g = Grading((3, 5), [(1, 2), (4, 0), (2, 3)])
-        assert g._digits(3, 1000) is not None
-        assert g._digits(3, EXPONENT_LIMIT) is None
-        # the largest bound without carries, and the next one
-        m = 5
-        edge = _FIELD // (3 * 2 * (m - 1))
-        assert g._digits(3, edge) is not None and g._digits(3, edge + 1) is None
-        pack = _codec(3)[0]
-        for bound in (edge, edge + 1):
-            e = (bound, -bound, bound)
-            assert g._classifier(3, bound)(pack(e)) == g.of_exponent(e)
-
     def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            homogeneous_component(P(3, {(0, 0, 0): 1}), Grading((2,), [(1,), (0,)]), (0,))
+        # the rank is checked before any class is read, on every kind of grading
+        f = P(3, {(0, 0, 0): 1})
+        for moduli in [(2,), (3,), (2, 2)]:
+            g = Grading(moduli, [(1,) * len(moduli), (0,) * len(moduli)])
+            with pytest.raises(RankMismatchError):
+                homogeneous_component(f, g, g.zero)
+            with pytest.raises(RankMismatchError):
+                graded_components(f, g)
+
+    @pytest.mark.parametrize("moduli,bad", [
+        ((2,), [(2,), (3,), (-1,), (0, 0), ()]),
+        ((3,), [(3,), (4,), (-1,), (0, 0)]),
+        ((2, 2), [(2, 0), (0, 2), (-1, 1), (0,), (0, 0, 0)]),
+    ], ids=["Z2", "Z3", "Z2xZ2"])
+    def test_rejects_classes_outside_the_grading(self, moduli, bad):
+        g = Grading(moduli, [(1,) * len(moduli), (0,) * len(moduli)])
+        f = P(2, {(0, 0): 1, (1, 0): 2, (2, 0): 3})
+        # the answer does not depend on the polynomial's exponent bound
+        far = f + P(2, {(0, 1 << 30): 1})
+        for cls in bad:
+            for h in (f, far):
+                with pytest.raises(ValueError, match="is not a class"):
+                    homogeneous_component(h, g, cls)
+        for cls in g.classes():
+            want = {e: c for e, c in f.terms.items() if g.of_exponent(e) == cls}
+            assert homogeneous_component(f, g, cls) == P(2, want)
 
 
 @st.composite
 def graded_cases(draw, moduli):
-    """A grading with the given moduli, a bound up to the limit, often past the
-    multiply reader's carry limit rank * 2 bound * (m - 1) >= 2^32, and
-    exponents within it."""
+    """A grading with the given moduli, a bound up to the limit, and exponents
+    within it.  Bounds are drawn small, large, and at the edge where
+    rank * 2 bound * (m - 1) reaches 2^32: a reading that multiplies codes by
+    the form would carry from there, so a reader must hold on both sides."""
     rank = draw(st.integers(2, 8))  # at rank 1 mod 2 every bound is below it
     images = [[draw(st.integers(-7, 7)) for _ in moduli] for _ in range(rank)]
     carry = _FIELD // (rank * 2 * (max(moduli) - 1)) + 1
@@ -650,7 +663,7 @@ class TestParityReader:
     def test_matches_of_exponent(self, moduli, data, c):
         grading, bound, exps = data.draw(graded_cases(moduli))
         rank = len(grading.images)
-        # mod 2 reads parities at every bound; other moduli keep the multiply
-        # reader up to its carry limit and unpack past it
+        # mod 2 reads parities at every bound; other moduli unpack the code
+        # and apply of_exponent
         assert (grading._parity_reader(rank, bound) is None) == (moduli != (2,))
         assert_reads_like_of_exponent(grading, bound, exps, c)
