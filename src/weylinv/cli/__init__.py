@@ -116,8 +116,7 @@ def run_generators(args) -> int:
     if args.lambda0 is not None:
         idx = args.lambda0 - 1
         if not 0 <= idx < model.total_rank:
-            print(f"lambda0 index out of range 1..{model.total_rank}", file=sys.stderr)
-            return 1
+            raise ValueError(f"lambda0 index out of range 1..{model.total_rank}")
         lambda0 = model._basis_vec(idx)
     gs = build_generators(model, lambda0)
     print(f"spec: {spec_to_text(spec)}")
@@ -256,9 +255,7 @@ _FAMILIES = {
 
 def run_table(args) -> int:
     if args.family not in _FAMILIES:
-        print(f"unknown family {args.family!r}; known: {sorted(_FAMILIES)}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown family {args.family!r}; known: {sorted(_FAMILIES)}")
     family = _FAMILIES[args.family]
     specs = family(args.max_rank)
     if not specs:

@@ -3,13 +3,15 @@
 Builds, for an index-2 character lattice, the three families of generators
 (h1 / h2 / h3) from the gcd chain of degree-1 orbit sizes, and implements the
 four-step reduction that rewrites any combination sum f_i rho_i lying in
-R[T*] as an explicit combination of the generators.
+R[T*] as an explicit combination of the generators.  Only h1 depends on the
+degree-1 weight lambda0: the rest is built and checked once per model.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from .laurent import LaurentPoly, augmentation, dot, homogeneous_component
 from .rootdata import LatticeModel
@@ -60,44 +62,57 @@ def _rho_tilde_w(chain, rho_ord, i):
                rho_ord[i:np_], LaurentPoly.const(n, chain.d_chain[i], 0))
 
 
-def build_generators(model: LatticeModel, lambda0=None) -> GeneratorSet:
-    """Generator families per the gcd-chain definition, verified degree 0."""
+def _check_family(name, gens, rows, rho, grading):
+    """Each generator of the family is homogeneous of degree 0, has
+    augmentation 0 and equals its row's expansion over rho."""
+    for k, h in enumerate(gens):
+        if homogeneous_component(h, grading, (1,)):
+            raise AssertionError(f"generator {name}[{k + 1}] is not homogeneous of degree 0")
+        if augmentation(h) != 0:
+            raise AssertionError(f"generator {name}[{k + 1}] has nonzero augmentation")
+    for gen, row in zip(gens, rows):
+        if dot(row, rho) != gen:
+            raise AssertionError(f"{name} expansion over rho is wrong")
+
+
+@lru_cache(maxsize=None)
+def _model_generators(model: LatticeModel) -> tuple:
+    """(chain, rho, h1_cores, h2, h3, h2_rows, h3_rows): what `build_generators`
+    reads of the model, computed and checked once per model and process.
+
+    h1[i] is e^{lambda0} * P_i for the lambda0-free core
+    P_i = (r_i/s_i) rho_w(i) - (r_i/d_{i+1}) rho~_w(i+1); `h1_cores[i]` is
+    (P_i, c) with h1_rows[i][j] = c[j] e^{lambda0}.  The h2 and h3 families
+    do not depend on lambda0 and are checked here; h1 is checked per call.
+    """
     chain, rho_nat = reduction_data(model)
     n = model.total_rank
     np_ = chain.nprime
     rho_ord = tuple(rho_nat[chain.order[k]] for k in range(n))
     rho_w_ord = tuple(rho_ord[k] + LaurentPoly.const(n, s, 0)
                       for k, s in enumerate(chain.sizes)) if np_ else ()
-    if lambda0 is None:
-        lambda0 = model._basis_vec(chain.order[0])
-    lambda0 = tuple(lambda0)
-    if model.grade_of_weight(lambda0) != (1,):
-        raise ValueError("lambda0 must have degree 1")
     d = chain.d
+    zero = LaurentPoly.zero(n, 0)
 
-    e_l0 = LaurentPoly.monomial(n, lambda0)
-    h1, h1_rows = [], []
+    h1_cores = []
     for i in range(np_ - 1):
         s_i = chain.sizes[i]
         d_next = chain.d_chain[i + 1]
         r_i = s_i * d_next // math.gcd(s_i, d_next)
-        gen = e_l0 * (rho_w_ord[i].scale(r_i // s_i)
-                      - _rho_tilde_w(chain, rho_ord, i + 1).scale(r_i // d_next))
-        h1.append(gen)
-        row = [LaurentPoly.zero(n, 0) for _ in range(n)]
-        row[chain.order[i]] = e_l0.scale(r_i // s_i)
+        core = (rho_w_ord[i].scale(r_i // s_i)
+                - _rho_tilde_w(chain, rho_ord, i + 1).scale(r_i // d_next))
+        coeffs = [0] * n
+        coeffs[chain.order[i]] = r_i // s_i
         for j in range(i + 1, np_):
-            a = chain.bezout[i + 1][j]
-            if a:
-                row[chain.order[j]] = (-e_l0).scale(r_i // d_next * a)
-        h1_rows.append(tuple(row))
+            coeffs[chain.order[j]] = -(r_i // d_next) * chain.bezout[i + 1][j]
+        h1_cores.append((core, tuple(coeffs)))
     h2, h2_rows = [], []
     rho_tilde_w0 = _rho_tilde_w(chain, rho_ord, 0)
     for i in range(np_):
         s_i = chain.sizes[i]
         gen = rho_w_ord[i] * rho_tilde_w0 - LaurentPoly.const(n, d * s_i, 0)
         h2.append(gen)
-        row = [LaurentPoly.zero(n, 0) for _ in range(n)]
+        row = [zero] * n
         for j in range(np_):
             a = chain.bezout[0][j]
             if a:
@@ -108,23 +123,37 @@ def build_generators(model: LatticeModel, lambda0=None) -> GeneratorSet:
     for k in range(np_, n):
         gen = rho_ord[k]
         h3.append(gen)
-        row = [LaurentPoly.zero(n, 0) for _ in range(n)]
+        row = [zero] * n
         row[chain.order[k]] = LaurentPoly.const(n, 1, 0)
         h3_rows.append(tuple(row))
 
-    gs = GeneratorSet(model, chain, lambda0, tuple(h1), tuple(h2), tuple(h3),
-                      rho_nat, tuple(h1_rows), tuple(h2_rows), tuple(h3_rows))
-    for name, h in gs.labeled():
-        if homogeneous_component(h, model.grading, (1,)):
-            raise AssertionError(f"generator {name} is not homogeneous of degree 0")
-        if augmentation(h) != 0:
-            raise AssertionError(f"generator {name} has nonzero augmentation")
-    for name, rows in [("h1", h1_rows), ("h2", h2_rows), ("h3", h3_rows)]:
-        fam = {"h1": h1, "h2": h2, "h3": h3}[name]
-        for gen, row in zip(fam, rows):
-            if dot(row, rho_nat) != gen:
-                raise AssertionError(f"{name} expansion over rho is wrong")
-    return gs
+    _check_family("h2", h2, h2_rows, rho_nat, model.grading)
+    _check_family("h3", h3, h3_rows, rho_nat, model.grading)
+    return (chain, rho_nat, tuple(h1_cores), tuple(h2), tuple(h3),
+            tuple(h2_rows), tuple(h3_rows))
+
+
+def build_generators(model: LatticeModel, lambda0=None) -> GeneratorSet:
+    """Generator families per the gcd-chain definition, verified degree 0.
+
+    The h2 and h3 families and the h1 cores come from `_model_generators`;
+    each call twists the cores by e^{lambda0} and checks the h1 family.
+    """
+    chain, rho, h1_cores, h2, h3, h2_rows, h3_rows = _model_generators(model)
+    n = model.total_rank
+    if lambda0 is None:
+        lambda0 = model._basis_vec(chain.order[0])
+    lambda0 = tuple(lambda0)
+    if model.grade_of_weight(lambda0) != (1,):
+        raise ValueError("lambda0 must have degree 1")
+
+    e_l0 = LaurentPoly.monomial(n, lambda0)
+    zero = LaurentPoly.zero(n, 0)
+    h1 = tuple(e_l0 * core for core, _ in h1_cores)
+    h1_rows = tuple(tuple(e_l0.scale(c) if c else zero for c in coeffs)
+                    for _, coeffs in h1_cores)
+    _check_family("h1", h1, h1_rows, rho, model.grading)
+    return GeneratorSet(model, chain, lambda0, h1, h2, h3, rho, h1_rows, h2_rows, h3_rows)
 
 
 def expand_combination(gs: GeneratorSet, combo: dict) -> LaurentPoly:

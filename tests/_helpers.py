@@ -8,16 +8,20 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+from weylinv.generators import GeneratorSet, _rho_tilde_w
 from weylinv.intlinalg import congruence_kernel, hnf, hnf_with_transform
 from weylinv.invariants import (
     InvariantLattice, _dominant_pairs, _is_diag_kernel, _symplectic_like, c2, killing_decompose,
 )
-from weylinv.laurent import LaurentPoly, augmentation, graded_components
+from weylinv.laurent import (
+    LaurentPoly, augmentation, dot, graded_components, homogeneous_component,
+)
 from weylinv.rootdata import (
     GroupSpec, SimpleFactor, cartan_rows, compile_spec, diagram_edges, lattice_grading,
     orbit_poly, residue_functionals,
 )
 from weylinv.spec import SpecParseError
+from weylinv.syzygy import reduction_data
 
 
 def model(*factors, kernel=()):
@@ -509,3 +513,75 @@ def ref_mul(a, b, modulus):
             else:
                 out.pop(e, None)
     return out
+
+
+# -- the per-call generator build --------------------------------------------
+#
+# build_generators as it was before its model-only part was cached per model:
+# every family, row and check is computed on each call.  Kept as the oracle
+# of the cached build.
+
+def dense_build_generators(model, lambda0=None):
+    chain, rho_nat = reduction_data(model)
+    n = model.total_rank
+    np_ = chain.nprime
+    rho_ord = tuple(rho_nat[chain.order[k]] for k in range(n))
+    rho_w_ord = tuple(rho_ord[k] + LaurentPoly.const(n, s, 0)
+                      for k, s in enumerate(chain.sizes)) if np_ else ()
+    if lambda0 is None:
+        lambda0 = model._basis_vec(chain.order[0])
+    lambda0 = tuple(lambda0)
+    if model.grade_of_weight(lambda0) != (1,):
+        raise ValueError("lambda0 must have degree 1")
+    d = chain.d
+
+    e_l0 = LaurentPoly.monomial(n, lambda0)
+    h1, h1_rows = [], []
+    for i in range(np_ - 1):
+        s_i = chain.sizes[i]
+        d_next = chain.d_chain[i + 1]
+        r_i = s_i * d_next // math.gcd(s_i, d_next)
+        gen = e_l0 * (rho_w_ord[i].scale(r_i // s_i)
+                      - _rho_tilde_w(chain, rho_ord, i + 1).scale(r_i // d_next))
+        h1.append(gen)
+        row = [LaurentPoly.zero(n, 0) for _ in range(n)]
+        row[chain.order[i]] = e_l0.scale(r_i // s_i)
+        for j in range(i + 1, np_):
+            a = chain.bezout[i + 1][j]
+            if a:
+                row[chain.order[j]] = (-e_l0).scale(r_i // d_next * a)
+        h1_rows.append(tuple(row))
+    h2, h2_rows = [], []
+    rho_tilde_w0 = _rho_tilde_w(chain, rho_ord, 0)
+    for i in range(np_):
+        s_i = chain.sizes[i]
+        gen = rho_w_ord[i] * rho_tilde_w0 - LaurentPoly.const(n, d * s_i, 0)
+        h2.append(gen)
+        row = [LaurentPoly.zero(n, 0) for _ in range(n)]
+        for j in range(np_):
+            a = chain.bezout[0][j]
+            if a:
+                row[chain.order[j]] = rho_w_ord[i].scale(a)
+        row[chain.order[i]] = row[chain.order[i]] + LaurentPoly.const(n, d, 0)
+        h2_rows.append(tuple(row))
+    h3, h3_rows = [], []
+    for k in range(np_, n):
+        gen = rho_ord[k]
+        h3.append(gen)
+        row = [LaurentPoly.zero(n, 0) for _ in range(n)]
+        row[chain.order[k]] = LaurentPoly.const(n, 1, 0)
+        h3_rows.append(tuple(row))
+
+    gs = GeneratorSet(model, chain, lambda0, tuple(h1), tuple(h2), tuple(h3),
+                      rho_nat, tuple(h1_rows), tuple(h2_rows), tuple(h3_rows))
+    for name, h in gs.labeled():
+        if homogeneous_component(h, model.grading, (1,)):
+            raise AssertionError(f"generator {name} is not homogeneous of degree 0")
+        if augmentation(h) != 0:
+            raise AssertionError(f"generator {name} has nonzero augmentation")
+    for name, rows in [("h1", h1_rows), ("h2", h2_rows), ("h3", h3_rows)]:
+        fam = {"h1": h1, "h2": h2, "h3": h3}[name]
+        for gen, row in zip(fam, rows):
+            if dot(row, rho_nat) != gen:
+                raise AssertionError(f"{name} expansion over rho is wrong")
+    return gs

@@ -617,6 +617,21 @@ class TestRun:
         assert (code, out) == (1, "")
         assert err.splitlines()[-1] == message
 
+    @pytest.mark.parametrize("argv, message", [
+        (["generators", "--spec", "PGSp(4)", "--lambda0", "3"],
+         "error: lambda0 index out of range 1..2"),
+        (["generators", "--spec", "PGSp(4)", "--lambda0", "2"],
+         "error: lambda0 must have degree 1"),
+        (["table", "--family", "typeZ"],
+         "error: unknown family 'typeZ'; known: ['Ddiagonal', 'cor:typeA', 'cor:typeD', "
+         "'cor:typec', 'pgo8', 'prop:typeE', 'prop:typec', 'propB']")],
+        ids=["lambda0-out-of-range", "lambda0-degree-0", "unknown-family"])
+    def test_bad_values_are_usage_errors(self, argv, message, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [message]
+
     def test_zero_cases(self):
         assert run_cli("fuzz-syzygy", "--cases", "0") == (0, "0 cases, 0 failures\n")
 

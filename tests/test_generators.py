@@ -6,6 +6,8 @@ from weylinv import generators
 from weylinv.cli import parse_spec
 from weylinv.fuzz import random_graded_poly
 from weylinv.generators import (
+    GeneratorSet,
+    _model_generators,
     build_generators,
     combination_to_tuple,
     expand_combination,
@@ -22,7 +24,9 @@ from weylinv.laurent import (
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly
 from weylinv.syzygy import normalize_coefficients
 
-from _helpers import reflect_local
+from _helpers import _bench_inputs, dense_build_generators, reflect_local
+
+REDUCE_SPECS = [spec for spec, _ in _bench_inputs().REDUCE_SPECS]
 
 
 def pgsp4():
@@ -137,6 +141,54 @@ class TestBuildGenerators:
         m = pgsp4()
         with pytest.raises(ValueError):
             build_generators(m, lambda0=(0, 1))
+
+
+class TestModelGenerators:
+    """The per-model fill and the per-call twist by e^{lambda0} give the
+    generator set that the dense per-call build gives."""
+
+    @pytest.mark.parametrize("spec", REDUCE_SPECS)
+    def test_matches_the_dense_build(self, spec):
+        m = compile_spec(parse_spec(spec))
+        ones = [m._basis_vec(k) for k in range(m.total_rank)
+                if m.grade_of_weight(m._basis_vec(k)) == (1,)]
+        lambdas = [None] + ones + [tuple(-x for x in v) for v in ones]
+        for lambda0 in lambdas:
+            gs, oracle = build_generators(m, lambda0), dense_build_generators(m, lambda0)
+            for field in GeneratorSet._fields:
+                assert getattr(gs, field) == getattr(oracle, field), (lambda0, field)
+
+    @staticmethod
+    def _degree_one_augmented(m):
+        """e^{lambda0} - e^{-lambda0}: of degree 1 and augmentation 0."""
+        n, lambda0 = m.total_rank, build_generators(m).lambda0
+        return LaurentPoly.monomial(n, lambda0) - LaurentPoly.monomial(n, [-x for x in lambda0])
+
+    def test_fill_checks_fire_on_a_fresh_fill(self, monkeypatch):
+        # rho~(omega_1) gains y: each h2 generator stays of degree 0 and
+        # augmentation 0 but no longer equals its row's expansion over rho
+        m = sp4xsp4()
+        y = self._degree_one_augmented(m)
+        real = generators._rho_tilde_w
+
+        def corrupted(chain, rho_ord, i):
+            return real(chain, rho_ord, i) + y if i == 0 else real(chain, rho_ord, i)
+
+        monkeypatch.setattr(generators, "_rho_tilde_w", corrupted)
+        with pytest.raises(AssertionError, match="h2 expansion over rho is wrong"):
+            _model_generators.__wrapped__(m)
+
+    def test_call_checks_fire_on_warm_caches(self, monkeypatch):
+        # a core P gains y: e^{lambda0} P keeps degree 0 and augmentation 0
+        # but no longer equals its row's expansion over rho
+        m = sp4xsp4()
+        y = self._degree_one_augmented(m)
+        fill = _model_generators(m)
+        cores = tuple((core + y, coeffs) for core, coeffs in fill[2])
+        monkeypatch.setattr(generators, "_model_generators",
+                            lambda model: fill[:2] + (cores,) + fill[3:])
+        with pytest.raises(AssertionError, match="h1 expansion over rho is wrong"):
+            build_generators(m)
 
 
 class TestReduce:

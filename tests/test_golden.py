@@ -1,6 +1,7 @@
 """Golden outputs: the stdout and exit code of `weylinv invariants --json` on
 a fixed spec list, of `weylinv table` on every family, of `weylinv
-generators` on the reduce workload's specs, of `weylinv reduce` on fixed
+generators` on the reduce workload's specs (on four of them also with each
+degree-1 `--lambda0`), of `weylinv reduce` on fixed
 f-tuples, of `weylinv pgo8-check` and `weylinv fuzz-syzygy` at seed 0 and of
 `weylinv verify-flatness --dump-poly` on A1-A8 and C2-C8 must stay
 byte-identical.  The `verify-flatness` outputs are held as sha256 digests of

@@ -383,20 +383,27 @@ class TestReductionData:
             modular_transform(b)
 
     def test_filled_once_per_spec(self):
-        from weylinv.generators import build_generators, combination_to_tuple, reduce_to_generators
+        from weylinv.generators import (
+            _model_generators, build_generators, combination_to_tuple, reduce_to_generators,
+        )
 
         reduction_data.cache_clear()
         modular_transform.cache_clear()
+        _model_generators.cache_clear()
         m = compile_spec(parse_spec(self.SPEC))
-        f = combination_to_tuple(build_generators(m),
-                                 {"h2[1]": LaurentPoly.const(5, 1, 0),
-                                  "h3[1]": LaurentPoly.const(5, 2, 0)})
+        gs = build_generators(m, m._basis_vec(2))
+        assert gs.lambda0 != build_generators(m).lambda0
+        f = combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(5, 1, 0),
+                                      "h3[1]": LaurentPoly.const(5, 2, 0)})
         for _ in range(3):
             reduce_to_generators(compile_spec(parse_spec(self.SPEC)), f)
-        # four build_generators calls, three normalize_coefficients calls and
-        # the one fill of modular_transform read reduction_data
+        # five build_generators calls, with two lambda0, share one generator fill
+        info = _model_generators.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+        # that fill, the three normalizations and the one fill of
+        # modular_transform read reduction_data
         info = reduction_data.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
         info = modular_transform.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
