@@ -112,6 +112,9 @@ class SyzygyCertificate(namedtuple("SyzygyCertificate", "length rank modulus ent
         t = validate_tuple(t)
         if len(t) != self.length:
             raise ValueError("tuple length mismatch")
+        zero = LaurentPoly.zero(self.rank, self.modulus)
+        if not self.entries:
+            return (zero,) * self.length
         # entry (i, j) adds g t_j at i and -g t_i at j
         xs = [[] for _ in range(self.length)]
         ys = [[] for _ in range(self.length)]
@@ -120,7 +123,6 @@ class SyzygyCertificate(namedtuple("SyzygyCertificate", "length rank modulus ent
             ys[i].append(t[j])
             xs[j].append(-g)
             ys[j].append(t[i])
-        zero = LaurentPoly.zero(self.rank, self.modulus)
         return tuple(dot(x, y, zero) for x, y in zip(xs, ys))
 
     def is_empty(self):
@@ -792,7 +794,11 @@ def _normalized(model: LatticeModel, f: tuple, combo: LaurentPoly) -> tuple:
     tuple of the model's length and combo = sum f_i rho_i has degree 0.
 
     Checks its own output: the same combination, and every wrong-degree
-    component zero mod d.
+    component zero mod d.  A zero mod-d syzygy returns f itself, and no
+    check is skipped: its certificate is empty and lifts to h = 0, so g
+    is f; both callers computed combo as sum f_i rho_i, so the combination
+    check would compare combo with a recomputation of itself; and the
+    component check on g is the syzygy just found to be zero.
     """
     n = model.total_rank
     chain, rho = reduction_data(model)
@@ -803,6 +809,8 @@ def _normalized(model: LatticeModel, f: tuple, combo: LaurentPoly) -> tuple:
         want = ((1 - model.fw_degrees[i][0]) % 2,)
         comp = homogeneous_component(f[i], model.grading, want)
         syz.append(reduce_coefficients(comp, d))
+    if all(s.is_zero() for s in syz):
+        return f
     try:
         cert = trivialize_generalized(rho_d, transform_d, tuple(syz), inverse_d)
     except (NotASyzygyError, FlatnessError) as exc:

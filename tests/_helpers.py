@@ -14,14 +14,17 @@ from weylinv.invariants import (
     InvariantLattice, _dominant_pairs, _is_diag_kernel, _symplectic_like, c2, killing_decompose,
 )
 from weylinv.laurent import (
-    LaurentPoly, augmentation, dot, graded_components, homogeneous_component,
+    LaurentPoly, augmentation, dot, graded_components, homogeneous_component, reduce_coefficients,
 )
 from weylinv.rootdata import (
     GroupSpec, SimpleFactor, cartan_rows, compile_spec, diagram_edges, lattice_grading,
     orbit_poly, residue_functionals,
 )
 from weylinv.spec import SpecParseError
-from weylinv.syzygy import reduction_data
+from weylinv.syzygy import (
+    FlatnessError, NotASyzygyError, lift_syzygy, modular_transform, reduction_data,
+    trivialize_generalized,
+)
 
 
 def model(*factors, kernel=()):
@@ -585,3 +588,38 @@ def dense_build_generators(model, lambda0=None):
             if dot(row, rho_nat) != gen:
                 raise AssertionError(f"{name} expansion over rho is wrong")
     return gs
+
+
+# -- the full coefficient normalization --------------------------------------
+#
+# syzygy._normalized as it was before a zero mod-d syzygy returned f at once:
+# every input is trivialized, lifted and expanded, and the combination and
+# component checks run on the result.  Kept as the oracle of the shortcut.
+# It binds trivialize_generalized at import, so a wrapper patched into
+# weylinv.syzygy counts the library's calls only.
+
+def full_normalized(model, f, combo):
+    n = model.total_rank
+    chain, rho = reduction_data(model)
+    d = chain.d
+    rho_d, transform_d, inverse_d = modular_transform(model)
+    syz = []
+    for i in range(n):
+        want = ((1 - model.fw_degrees[i][0]) % 2,)
+        comp = homogeneous_component(f[i], model.grading, want)
+        syz.append(reduce_coefficients(comp, d))
+    try:
+        cert = trivialize_generalized(rho_d, transform_d, tuple(syz), inverse_d)
+    except (NotASyzygyError, FlatnessError) as exc:
+        raise AssertionError(f"library-built syzygy rejected: {exc}") from exc
+    lifted = lift_syzygy(rho_d, cert)
+    h = lifted.expand(rho)
+    g = tuple(a - b for a, b in zip(f, h))
+    if dot(g, rho) != combo:
+        raise AssertionError("normalization changed the combination")
+    for i in range(n):
+        want = ((1 - model.fw_degrees[i][0]) % 2,)
+        comp = homogeneous_component(g[i], model.grading, want)
+        if not reduce_coefficients(comp, d).is_zero():
+            raise AssertionError("normalized component does not vanish mod d")
+    return g

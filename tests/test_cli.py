@@ -340,6 +340,23 @@ class TestSpecRoundTrip:
             spec_to_text(GroupSpec((a1, a1), ((1, 1), (1, 0))))
 
 
+def koszul_input(tmp_path):
+    """(spec, path) of an f-tuple whose mod-d syzygy is nonzero, so that its
+    normalization runs the trivialization: the tuple of h2[1] with
+    f_0 += rho_1 and f_1 -= rho_0, which leaves sum f_i rho_i unchanged."""
+    from weylinv.generators import build_generators, combination_to_tuple
+    from weylinv.laurent import LaurentPoly
+    from weylinv.rootdata import compile_spec
+
+    spec = "(Sp(4) x Sp(4))/mu(2)"
+    gs = build_generators(compile_spec(parse_spec(spec)))
+    f = list(combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(4, 1, 0)}))
+    f[0], f[1] = f[0] + gs.rho[1], f[1] - gs.rho[0]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([to_text(p) for p in f]))
+    return spec, path
+
+
 class TestRun:
     def test_invariants_json(self):
         code, out = run_cli("invariants", "--spec", "(Sp(4) x Sp(4))/mu(2)", "--json")
@@ -494,18 +511,11 @@ class TestRun:
     def test_rejected_library_syzygy_is_a_verification_failure(
             self, tmp_path, monkeypatch, capsys, error):
         import weylinv.syzygy
-        from weylinv.generators import build_generators, combination_to_tuple
-        from weylinv.laurent import LaurentPoly, to_text
-        from weylinv.rootdata import compile_spec
 
         def broken(*args, **kwargs):
             raise getattr(weylinv.syzygy, error)("tuple is not a syzygy")
 
-        spec = "(Sp(4) x Sp(4))/mu(2)"
-        gs = build_generators(compile_spec(parse_spec(spec)))
-        f = combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(4, 1, 0)})
-        path = tmp_path / "f.json"
-        path.write_text(json.dumps([to_text(p) for p in f]))
+        spec, path = koszul_input(tmp_path)
         monkeypatch.setattr(weylinv.syzygy, "trivialize_generalized", broken)
         code = main(["reduce", "--spec", spec, "--input", str(path)])
         err = capsys.readouterr().err
@@ -522,20 +532,12 @@ class TestRun:
         # checks of the second run still go through the library
         import importlib
 
-        from weylinv.generators import build_generators, combination_to_tuple
-        from weylinv.laurent import LaurentPoly, to_text
-        from weylinv.rootdata import compile_spec
-
         mod = importlib.import_module(f"weylinv.{module}")
 
         def broken(*args, **kwargs):
             raise getattr(mod, error)("injected")
 
-        spec = "(Sp(4) x Sp(4))/mu(2)"
-        gs = build_generators(compile_spec(parse_spec(spec)))
-        f = combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(4, 1, 0)})
-        path = tmp_path / "f.json"
-        path.write_text(json.dumps([to_text(p) for p in f]))
+        spec, path = koszul_input(tmp_path)
         assert main(["reduce", "--spec", spec, "--input", str(path)]) == 0
         capsys.readouterr()
         monkeypatch.setattr(mod, name, broken)

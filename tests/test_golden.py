@@ -9,7 +9,10 @@ stdout (`stdout_sha256`), since C8 alone prints about 260 KB.
 
 The data file holds each command line with its output, so the spec list does
 not move with the benchmark's inputs.  The f-tuples are the reduce
-workload's ops of seed 1, pass 0, one JSON file each under `data/reduce/`;
+workload's ops of seed 1, pass 0 (`opNN.json`), whose mod-d syzygies are
+all zero, and four tuples with a nonzero one (`koszulN.json`: the h2[1]
+tuple plus a Koszul pair f_i += rho_j, f_j -= rho_i), which run the
+normalization's trivialization; one JSON file each under `data/reduce/`;
 command lines name them relative to the repository root, where every
 command runs.  After a deliberate output change,
 re-record with `PYTHONPATH=src python tests/test_golden.py` and list the

@@ -1,15 +1,20 @@
 import dataclasses
 import hashlib
+import json
 import math
 import random
 from itertools import combinations, combinations_with_replacement, permutations
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylinv import syzygy as syzygy_module
 from weylinv.fuzz import random_cert, random_flat_tuple
-from weylinv.laurent import LaurentPoly, homogeneous_component, reduce_coefficients, to_text
+from weylinv.laurent import (
+    LaurentPoly, dot, from_text, homogeneous_component, reduce_coefficients, to_text,
+)
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly, orbit_size
 from weylinv.spec import parse_spec
 from weylinv.syzygy import (
@@ -37,7 +42,7 @@ from weylinv.syzygy import (
     vec_mat,
 )
 
-from _helpers import P
+from _helpers import P, _bench_inputs, full_normalized
 
 
 class TestFlatness:
@@ -64,6 +69,18 @@ class TestTrivialize:
         t = random_flat_tuple(random.Random(0), 3, 0)
         z = tuple(P(3, {}) for _ in range(3))
         assert trivialize_syzygy(t, z).is_empty()
+
+    @pytest.mark.parametrize("modulus", [0, 6])
+    def test_empty_certificate_expands_to_zero(self, modulus):
+        t = random_flat_tuple(random.Random(0), 3, modulus)
+        cert = SyzygyCertificate(3, 3, modulus, {})
+        zero = LaurentPoly.zero(3, modulus)
+        out = cert.expand(t)
+        # what the per-position sums give when there are no entries
+        assert out == tuple(dot([], [], zero) for _ in range(3)) == (zero,) * 3
+        assert all((p.rank, p.modulus) == (3, modulus) for p in out)
+        with pytest.raises(ValueError, match="tuple length mismatch"):
+            cert.expand(t[:2])
 
     def test_generator_round_trip(self):
         t = random_flat_tuple(random.Random(1), 3, 0)
@@ -358,6 +375,91 @@ class TestNormalizeCoefficients:
             normalize_coefficients(m, tuple(LaurentPoly.zero(n, 3) for _ in range(n)))
         with pytest.raises(ValueError, match="tuple length must equal the model rank"):
             normalize_coefficients(m, (zero,) * (n - 1))
+
+
+def golden_reduce_inputs():
+    """(spec, f) of every `weylinv reduce` golden entry: the reduce workload's
+    ops of seed 1, pass 0, and the Koszul-perturbed tuples."""
+    data = Path(__file__).resolve().parent / "data"
+    out = []
+    for case in json.loads((data / "golden_outputs.json").read_text()):
+        argv = case["argv"]
+        if argv[0] == "reduce":
+            spec = argv[argv.index("--spec") + 1]
+            texts = json.loads((data.parents[1] / argv[argv.index("--input") + 1]).read_text())
+            out.append((spec, tuple(from_text(t, len(texts)) for t in texts)))
+    return out
+
+
+def syzygy_is_zero(m, f):
+    """Whether every wrong-degree component of f vanishes mod d."""
+    d = reduction_data(m)[0].d
+    return all(reduce_coefficients(homogeneous_component(
+        f[i], m.grading, ((1 - m.fw_degrees[i][0]) % 2,)), d).is_zero()
+        for i in range(m.total_rank))
+
+
+@st.composite
+def koszul_perturbed(draw):
+    """(model, f): a generator combination of a reduce-workload spec, drawn
+    as the workload draws it, plus up to three Koszul terms
+    c e^mu (rho_j at i, -rho_i at j), which leave sum f_i rho_i unchanged."""
+    from weylinv.generators import build_generators, combination_to_tuple
+
+    inputs = _bench_inputs()
+    spec = draw(st.sampled_from([spec for spec, _ in inputs.REDUCE_SPECS]))
+    m = compile_spec(parse_spec(spec))
+    n = m.total_rank
+    gs = build_generators(m)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    combo = inputs.random_combination(rng, m, [name for name, _ in gs.labeled()])
+    f = list(combination_to_tuple(gs, combo))
+    index = st.integers(0, n - 1)
+    for i, j, c, mu in draw(st.lists(st.tuples(
+            index, index, st.integers(-3, 3), st.lists(st.integers(-1, 1), min_size=n,
+                                                       max_size=n)), max_size=3)):
+        if i != j:
+            coeff = LaurentPoly.monomial(n, mu, c)
+            f[i], f[j] = f[i] + coeff * gs.rho[j], f[j] - coeff * gs.rho[i]
+    return m, tuple(f)
+
+
+class TestNormalizedShortcut:
+    """`_normalized` returns what the full normalization returns, and runs
+    the trivialization exactly when the mod-d syzygy is nonzero."""
+
+    @staticmethod
+    def normalized_and_calls(m, f):
+        calls = []
+        real = syzygy_module.trivialize_generalized
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        combo = dot(f, reduction_data(m)[1])
+        with mock.patch.object(syzygy_module, "trivialize_generalized", counting):
+            g = syzygy_module._normalized(m, f, combo)
+        assert g == full_normalized(m, f, combo)
+        assert len(calls) == (0 if syzygy_is_zero(m, f) else 1)
+        return g, len(calls)
+
+    def test_golden_reduce_inputs(self):
+        cases = golden_reduce_inputs()
+        calls = [self.normalized_and_calls(compile_spec(parse_spec(spec)), f)[1]
+                 for spec, f in cases]
+        # the workload's 49 ops have zero syzygies, the 4 Koszul tuples not
+        assert (len(cases), calls.count(0), calls.count(1)) == (53, 49, 4)
+
+    def test_zero_syzygy_returns_f_itself(self):
+        spec, f = golden_reduce_inputs()[0]
+        g, calls = self.normalized_and_calls(compile_spec(parse_spec(spec)), f)
+        assert calls == 0 and g is f
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(koszul_perturbed())
+    def test_koszul_perturbed_combinations(self, case):
+        self.normalized_and_calls(*case)
 
 
 class TestReductionData:
