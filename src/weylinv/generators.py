@@ -189,6 +189,10 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     rho = gs.rho
     d = chain.d
     grading = model.grading
+    # the normalization's shortcut reads target as sum f_i rho_i over the
+    # model's own rho; a genuine gs holds that very tuple
+    if rho != reduction_data(model)[1]:
+        raise ValueError("the generator set's rho is not the model's")
 
     target = dot(f, rho)
     if homogeneous_component(target, grading, (1,)):

@@ -112,9 +112,6 @@ class SyzygyCertificate(namedtuple("SyzygyCertificate", "length rank modulus ent
         t = validate_tuple(t)
         if len(t) != self.length:
             raise ValueError("tuple length mismatch")
-        zero = LaurentPoly.zero(self.rank, self.modulus)
-        if not self.entries:
-            return (zero,) * self.length
         # entry (i, j) adds g t_j at i and -g t_i at j
         xs = [[] for _ in range(self.length)]
         ys = [[] for _ in range(self.length)]
@@ -123,6 +120,7 @@ class SyzygyCertificate(namedtuple("SyzygyCertificate", "length rank modulus ent
             ys[i].append(t[j])
             xs[j].append(-g)
             ys[j].append(t[i])
+        zero = LaurentPoly.zero(self.rank, self.modulus)
         return tuple(dot(x, y, zero) for x, y in zip(xs, ys))
 
     def is_empty(self):
@@ -796,9 +794,11 @@ def _normalized(model: LatticeModel, f: tuple, combo: LaurentPoly) -> tuple:
     Checks its own output: the same combination, and every wrong-degree
     component zero mod d.  A zero mod-d syzygy returns f itself, and no
     check is skipped: its certificate is empty and lifts to h = 0, so g
-    is f; both callers computed combo as sum f_i rho_i, so the combination
-    check would compare combo with a recomputation of itself; and the
-    component check on g is the syzygy just found to be zero.
+    is f; both callers computed combo as sum f_i rho_i over the model's rho
+    (`reduce_to_generators` checks that its generator set holds that rho),
+    so the combination check would compare combo with a recomputation of
+    itself; and the component check on g is the syzygy just found to be
+    zero.
     """
     n = model.total_rank
     chain, rho = reduction_data(model)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weylinv import generators
+from weylinv import generators, syzygy
 from weylinv.cli import parse_spec
 from weylinv.fuzz import random_graded_poly
 from weylinv.generators import (
@@ -308,6 +308,19 @@ class TestChecksFire:
         bad = gs._replace(h3=tuple(h + one for h in gs.h3))
         with pytest.raises(AssertionError, match="running combination equality broken"):
             reduce_to_generators(m, f, bad)
+
+    def test_foreign_rho_with_a_zero_syzygy(self):
+        # a generator combination has a zero normalization syzygy, so the
+        # normalization returns f without its combination check; the rho
+        # check on the generator set stands in for it
+        one = LaurentPoly.const(4, 1, 0)
+        m, gs, f = self._case({"h2[1]": one})
+        assert syzygy._normalized(m, f, dot(f, gs.rho)) is f
+        bad = gs._replace(rho=(gs.rho[0] + one,) + gs.rho[1:])
+        other = build_generators(compile_spec(parse_spec("(SL(2) x SL(4)) / mu(2)")))
+        for foreign in (bad, other):
+            with pytest.raises(ValueError, match="rho is not the model's"):
+                reduce_to_generators(m, f, foreign)
 
     def test_last_step_generator(self):
         one = LaurentPoly.const(4, 1, 0)
