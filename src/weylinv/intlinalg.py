@@ -7,12 +7,11 @@ One elimination core, `_echelon` (a row HNF carrying any transform columns
 along), does every reduction: the kernels take one HNF, the Smith form
 alternates row and column HNFs and then fixes divisibility by a gcd/lcm step.
 Determinants, adjugates and leading principal minors are a separate
-routine, `_eliminate`, behind `det_adjugate`.
+routine, `_eliminate` (fraction-free Bareiss Gauss-Jordan, for every square
+matrix), behind `det_adjugate`.
 """
 
 from __future__ import annotations
-
-import math
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -208,29 +207,11 @@ def _eliminate(matrix: list[list[int]]):
     det M = 0, minors the leading principal minors of M, or None when a row
     was swapped.
 
-    An upper-triangular M with a nonzero diagonal (every full-rank HNF basis)
-    gives d = det M as its diagonal product and X = adj M from X M = d I,
-    row by row by forward substitution.  Any other M goes through
-    fraction-free (Bareiss) Gauss-Jordan on [M | I] with row pivoting, which
-    ends at [c I | c M^-1] with c = +-det M, the sign of the row swaps; before
-    any swap, pivot k is the leading (k+1)-minor.  Every division is exact.
+    Fraction-free (Bareiss) Gauss-Jordan on [M | I] with row pivoting ends at
+    [c I | c M^-1] with c = +-det M, the sign of the row swaps; before any
+    swap, pivot k is the leading (k+1)-minor.  Every division is exact.
     """
     n = len(matrix)
-    if all(matrix[i][i] and not any(matrix[i][:i]) for i in range(n)):
-        minors = [math.prod(matrix[i][i] for i in range(k + 1)) for k in range(n)]
-        d = minors[-1] if n else 1
-        x = []
-        for a in range(n):
-            row = [0] * n
-            for j in range(a, n):
-                num = (d if a == j else 0) - sum(row[k] * matrix[k][j]
-                                                 for k in range(a, j) if row[k])
-                q, rem = divmod(num, matrix[j][j])
-                if rem:
-                    raise AssertionError("adjugate of a triangular matrix is not integral")
-                row[j] = q
-            x.append(row)
-        return d, x, minors
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     prev, sign, minors = 1, 1, []
     for c in range(n):

@@ -1,13 +1,14 @@
 """Degree-3 invariant groups of a compiled lattice model.
 
 Pipeline: the degree-2 truncation of the exponential ring map (c2), exact
-computation of Q(G) from integrality of Killing-form coefficients on a T*
-basis, the decomposable subgroup Dec(G) from per-factor minimal zero-sum
-sequences in Lambda/T* folded over the factors, with closed-form checks, the
-semi-decomposable subgroup Sdec(G) on one path (a closed form, else a lower
-bound from the index-2 generator set or Dec itself), factor groups via Smith
-normal form, reduction homomorphisms onto finite quotient group rings, and the
-parity report used for the adjoint D4 computation.
+computation of Q(G) from integrality of the Killing forms on generators of
+the cocharacter lattice, the decomposable subgroup Dec(G) from per-factor
+minimal zero-sum sequences in Lambda/T* folded over the factors, with
+closed-form checks, the semi-decomposable subgroup Sdec(G) on one path (a
+closed form, else a lower bound from the index-2 generator set or Dec
+itself), factor groups via Smith normal form, reduction homomorphisms onto
+finite quotient group rings, and the parity report used for the adjoint D4
+computation.
 
 Sign convention: the truncated ring map gives c2(rho-bar(lambda)) =
 +1/2 sum chi^2 while the orbit formula is -1/2 sum chi^2; subgroup
@@ -40,10 +41,10 @@ from .rootdata import (
     SimpleFactor,
     center_order,
     compile_spec,
+    congruence_grading,
     frozen_setattr,
     fundamental_orbit_sums,
     killing_gram,
-    lattice_grading,
     orbit_poly,
     parabolic_order,
     weyl_order,
@@ -314,44 +315,47 @@ def quotient_generators(sub: InvariantLattice, super_: InvariantLattice) -> list
 def compute_Q(model: LatticeModel) -> InvariantLattice:
     """Exact S^2(T*)^W as the set of d with sum d_i q_i in S^2(T*).
 
-    h = model.tstar_basis is an HNF, so D = det(h) and the integer adjugate
-    X = D h^-1 come from det_adjugate by forward substitution (h is upper
-    triangular).  A fundamental weight is w_a = sum_j X[a][j] t_j / D
-    over the basis t of T*, so q_i = w^T K_i w / 2 (K_i = killing_gram, the
-    integer Gram matrix) has t_j t_k coefficient N[j][k] / (2 D^2) with
-    N = X^T K_i X on the diagonal and twice it off the diagonal.  Each
-    factor only touches its own rows of X.  The congruences
-    sum_i d_i N_i[j][k] == 0 mod 2 D^2 are reduced by their gcd with 2 D^2
-    and deduplicated before the kernel is taken.
+    S^2(T*) is the group of quadratic forms with integer values on the
+    cocharacter lattice T, the dual of T*.  T* is cut out of the weight
+    lattice Z^n by the congruences v_c . lambda == 0 mod m_c, so T is spanned
+    by Z^n and u_c = v_c / m_c, one per congruence; a form is integral on a
+    lattice iff it and its polar form B are integral on a generating set.
+    q = sum d_i q_i with q_i(x) = x_i^T K_i x_i / 2 (K_i = killing_gram, even
+    diagonal) is integral on Z^n, and B(e_a, e_b) is an entry of some K_i,
+    so the conditions are, with v_ci the slice of v_c on factor i:
+      B(e_a, u_c) over a in factor i: d_i gcd(m_c, K_i v_ci) == 0 mod m_c;
+      q(u_c):      sum_i d_i v_ci . K_i v_ci == 0 mod 2 m_c^2;
+      B(u_c, u_c'): sum_i d_i v_ci . K_i v_c'i == 0 mod m_c m_c'.
+    Each is reduced by the gcd of its coefficients with its modulus and
+    deduplicated before the kernel is taken.
     """
-    n = model.total_rank
     m = len(model.factors)
-    h = model.tstar_basis
-    if len(h) != n:
-        raise ValueError("T* basis is not of full rank")
-    d, x = det_adjugate(h)
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in x]
-    nums = []
-    for fi, f in enumerate(model.factors):
-        off = model.offsets[fi]
-        num = {}
-        for r, row in enumerate(killing_gram(f.kind, f.rank)):
-            for s, g in enumerate(row):
-                if g:
-                    for j, u in sparse[off + r]:
-                        for k, v in sparse[off + s]:
-                            if j <= k:
-                                num[(j, k)] = num.get((j, k), 0) + g * u * v
-        nums.append({jk: v if jk[0] == jk[1] else 2 * v for jk, v in num.items()})
-    den = 2 * d * d
-    congs = set()
-    for jk in set().union(*nums):
-        coeffs = [num.get(jk, 0) for num in nums]
-        common = math.gcd(den, *coeffs)
-        if common != den:
-            mod = den // common
-            congs.add((tuple(c // common % mod for c in coeffs), mod))
-    rows = congruence_kernel(sorted(congs), m)
+    congs = model.congruences
+    if any(mod < 2 for _, mod in congs):
+        raise ValueError("T* is not of full rank: a congruence modulus is below 2")
+    slices = []   # per congruence, per factor: (v_ci, K_i v_ci)
+    for v, _ in congs:
+        row = []
+        for f, off in zip(model.factors, model.offsets):
+            s = v[off:off + f.rank]
+            row.append((s, [sum(map(mul, k, s)) for k in killing_gram(f.kind, f.rank)]))
+        slices.append(row)
+    out = set()
+
+    def add(coeffs, mod):
+        common = math.gcd(mod, *coeffs)
+        if common != mod:
+            red = mod // common
+            out.add((tuple(c // common % red for c in coeffs), red))
+
+    for c, (_, mc) in enumerate(congs):
+        for i, (_, kv) in enumerate(slices[c]):
+            g = math.gcd(mc, *kv)
+            add([g * (j == i) for j in range(m)], mc)
+        for c2 in range(c, len(congs)):
+            mod = 2 * mc * mc if c2 == c else mc * congs[c2][1]
+            add([sum(map(mul, s, kv)) for (s, _), (_, kv) in zip(slices[c], slices[c2])], mod)
+    rows = congruence_kernel(sorted(out), m)
     return InvariantLattice.from_rows(m, rows, True, "exact")
 
 
@@ -738,10 +742,7 @@ class QuotientRing:
     def __init__(self, rank: int, congruences, modulus: int = 0):
         self.rank = rank
         self.modulus = modulus
-        basis = congruence_kernel([(list(v), mm) for v, mm in congruences], rank)
-        if len(basis) < rank:
-            raise ValueError("sublattice is not of finite index")
-        self.grading = lattice_grading(basis)
+        self.grading = congruence_grading(congruences, rank)
         self.moduli = self.grading.moduli
 
     def class_of(self, vec):

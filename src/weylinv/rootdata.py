@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, product as iproduct
+from operator import mul
 
-from .intlinalg import congruence_kernel, snf_with_left
+from .intlinalg import congruence_kernel, hnf, lattice_coordinates, snf_with_left
 from .laurent import Grading, LaurentPoly, embed
 
 KINDS = ("A", "B", "C", "D", "E6", "E7")
@@ -286,20 +287,32 @@ def parabolic_order(kind: str, rank: int, zeros: frozenset) -> int:
     return total
 
 
-def lattice_grading(basis) -> Grading:
-    """Quotient map Z^n -> Z^n / span(basis) for a full-rank basis of n rows.
+def congruence_grading(congruences, n: int) -> Grading:
+    """Quotient map Z^n -> Z^n / L for L = {a : v . a == 0 mod m for each (v, m)}.
 
-    The Smith form of the basis written in columns gives the invariant factors
-    d_i and the rows of its left transform give x -> (U x)_i mod d_i; Z/1
-    summands are dropped.
+    With C the k x n matrix of the vectors and M = diag(moduli), a -> C a
+    identifies Z^n / L with S / M Z^k, S = C Z^n + M Z^k.  On the HNF basis P
+    of S the columns of M have coordinates R, a k x k matrix whose Smith form
+    U R V = diag(d) gives S / M Z^k = (+)_i Z/d_i, and e_j goes to
+    U coords_P(C e_j) mod d_i.  Z/1 summands are dropped.  This is O(n k^2)
+    work for k congruences, where a basis of L and its Smith form are n x n.
+    ValueError when L is not of finite index (a modulus-0 row whose vector is
+    not 0).
     """
-    n = len(basis)
-    cols = [[basis[j][i] for j in range(n)] for i in range(n)]
-    diag, u = snf_with_left(cols)
-    moduli = [d for d in diag if d > 1]
-    rows = [u[i] for i, d in enumerate(diag) if d > 1]
-    return Grading(tuple(moduli),
-                   [tuple(r[j] % d for r, d in zip(rows, moduli)) for j in range(n)])
+    cols = [[v[j] for v, _ in congruences] for j in range(n)]
+    mcols = [[m * (i == c) for i in range(len(congruences))]
+             for c, (_, m) in enumerate(congruences)]
+    basis = hnf(cols + mcols)
+    r = [lattice_coordinates(basis, col) for col in mcols]
+    diag, u = snf_with_left([list(row) for row in zip(*r)])
+    if len(diag) < len(basis):
+        raise ValueError("sublattice is not of finite index")
+    forms = [(row, d) for row, d in zip(u, diag) if d > 1]
+    images = []
+    for col in cols:
+        x = lattice_coordinates(basis, col)
+        images.append(tuple(sum(map(mul, row, x)) % d for row, d in forms))
+    return Grading(tuple(d for _, d in forms), images)
 
 
 # --------------------------------------------------------------------------
@@ -328,15 +341,17 @@ class LatticeModel:
             _center=tuple(center_group(f.kind, f.rank) for f in factors))
         self._validate_kernel()
         put(congruences=self._build_congruences())
-        tstar_basis = tuple(map(tuple, congruence_kernel(
+        grading = congruence_grading(self.congruences, self.total_rank)
+        put(grading=grading, tstar_index=math.prod(grading.moduli),
+            fw_degrees=grading.images)
+
+    @cached_property
+    def tstar_basis(self):
+        """HNF basis of T*, the kernel of the congruences, built on first read
+        (into the instance's `__dict__`, past the frozen `__setattr__`); the
+        grading, Q and Dec do not read it."""
+        return tuple(map(tuple, congruence_kernel(
             [(list(v), m) for v, m in self.congruences], self.total_rank)))
-        grading = lattice_grading(tstar_basis)
-        # the HNF basis is upper triangular, so its index is its diagonal product
-        put(tstar_basis=tstar_basis,
-            tstar_index=math.prod(r[i] for i, r in enumerate(tstar_basis)),
-            grading=grading,
-            fw_degrees=tuple(grading.of_exponent(self._basis_vec(i))
-                             for i in range(self.total_rank)))
 
     # -- construction helpers ----------------------------------------------
     def _basis_vec(self, i):

@@ -9,15 +9,16 @@ from itertools import product
 from pathlib import Path
 
 from weylinv.generators import GeneratorSet, _rho_tilde_w
-from weylinv.intlinalg import congruence_kernel, hnf, hnf_with_transform
+from weylinv.intlinalg import congruence_kernel, hnf, hnf_with_transform, snf_with_left
 from weylinv.invariants import (
     InvariantLattice, _dominant_pairs, _is_diag_kernel, _symplectic_like, c2, killing_decompose,
 )
 from weylinv.laurent import (
-    LaurentPoly, augmentation, dot, graded_components, homogeneous_component, reduce_coefficients,
+    Grading, LaurentPoly, augmentation, dot, graded_components, homogeneous_component,
+    reduce_coefficients,
 )
 from weylinv.rootdata import (
-    GroupSpec, SimpleFactor, cartan_rows, compile_spec, diagram_edges, lattice_grading,
+    GroupSpec, SimpleFactor, cartan_rows, compile_spec, diagram_edges,
     orbit_poly, residue_functionals,
 )
 from weylinv.spec import SpecParseError
@@ -115,6 +116,27 @@ def three_hnf_congruence_kernel(congruences, n):
     big = [list(v) + [m * int(i == j) for j in range(len(rows))]
            for i, (v, m) in enumerate(rows)]
     return hnf([row[:n] for row in three_hnf_kernel(big)])
+
+
+# -- the Smith-form grading ---------------------------------------------------
+#
+# The route LatticeModel and QuotientRing took to Lambda/T* before
+# rootdata.congruence_grading read it off the congruences, kept as its oracle.
+
+def lattice_grading(basis) -> Grading:
+    """Quotient map Z^n -> Z^n / span(basis) for a full-rank basis of n rows.
+
+    The Smith form of the basis written in columns gives the invariant factors
+    d_i and the rows of its left transform give x -> (U x)_i mod d_i; Z/1
+    summands are dropped.
+    """
+    n = len(basis)
+    cols = [[basis[j][i] for j in range(n)] for i in range(n)]
+    diag, u = snf_with_left(cols)
+    moduli = [d for d in diag if d > 1]
+    rows = [u[i] for i, d in enumerate(diag) if d > 1]
+    return Grading(tuple(moduli),
+                   [tuple(r[j] % d for r, d in zip(rows, moduli)) for j in range(n)])
 
 
 def q_oracle(md, basis=None):

@@ -296,7 +296,7 @@ def test_det_adjugate_edge_cases():
     assert det_adjugate([]) == (1, [])
     assert det_adjugate([[0]]) == (0, None)
     assert det_adjugate([[-3]]) == (-3, [[1]])
-    # triangular path, negative diagonal
+    # triangular, negative diagonal
     assert det_adjugate([[-2, 1], [0, 3]]) == (-6, [[3, -1], [0, -2]])
     # Bareiss path with one row swap
     assert det_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])

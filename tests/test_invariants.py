@@ -5,8 +5,9 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from weylinv import intlinalg, invariants, rootdata
 from weylinv.cli import parse_spec
 from weylinv.generators import build_generators
 from weylinv.intlinalg import hnf
@@ -35,8 +36,8 @@ from weylinv.invariants import (
 )
 from weylinv.laurent import LaurentPoly, augmentation, dot
 from weylinv.rootdata import (
-    GroupSpec, KillingForm, SimpleFactor, compile_spec, fundamental_orbit_sums, killing_gram,
-    orbit_poly, orbit_size,
+    GroupSpec, KillingForm, LatticeModel, SimpleFactor, center_group, compile_spec,
+    fundamental_orbit_sums, killing_gram, orbit_poly, orbit_size,
 )
 
 from _helpers import (
@@ -196,6 +197,23 @@ class TestKillingDecompose:
                     doubled, quad) == (k // 2,)
 
 
+@st.composite
+def random_specs(draw):
+    """One to three factors of types A-D of rank <= 5 and up to three kernel
+    generators, each a random element of the centre's character group."""
+    kinds = [("A", r) for r in range(1, 6)] + [(k, r) for k in "BC" for r in range(2, 6)]
+    factors = [SimpleFactor(*f) for f in draw(st.lists(
+        st.sampled_from(kinds + [("D", 4), ("D", 5)]), min_size=1, max_size=3))]
+
+    def entry(f):
+        grp = center_group(f.kind, f.rank)
+        xs = tuple(draw(st.integers(0, m - 1)) for m in grp)
+        return xs if len(grp) > 1 else xs[0]
+
+    gens = [tuple(entry(f) for f in factors) for _ in range(draw(st.integers(0, 3)))]
+    return GroupSpec(tuple(factors), tuple(gens))
+
+
 class TestComputeQ:
     def test_qgc(self):
         for (mm, nn) in [(1, 1), (2, 2), (2, 3), (4, 4), (3, 5), (6, 6)]:
@@ -261,6 +279,41 @@ class TestComputeQ:
     def test_matches_fraction_oracle(self, text):
         md = compile_spec(parse_spec(text))
         assert compute_Q(md).rows == q_oracle(md).rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_specs())
+    @example(parse_spec("PGL(3) x PGSp(4)"))
+    @example(parse_spec("PGO(8)"))
+    @example(parse_spec("(Spin(8) x Spin(8)) / mu(2)[1,2]"))
+    @example(parse_spec("(HSpin(8) x Spin(12)) / mu(2)[3,1]"))
+    def test_random_kernels_match_fraction_oracle(self, spec):
+        md = compile_spec(spec)
+        assert compute_Q(md).rows == q_oracle(md).rows
+
+    @pytest.mark.parametrize("text", ["(Sp(4) x Sp(6)) / mu(2)", "PGL(3) x PGSp(4)", "PGO(8)",
+                                      "(Spin(10) x Spin(10)) / mu(4)"])
+    def test_no_lattice_algebra_in_the_weight_rank(self, text, monkeypatch):
+        # the model and Q read T* off its congruences: no adjugate, and no
+        # kernel over the total rank, which differs from the factor count here
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args):
+                calls.append((fn.__name__, args))
+                return fn(*args)
+            return wrapper
+
+        for name in ("det_adjugate", "congruence_kernel"):
+            for mod in (intlinalg, invariants, rootdata):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting(getattr(intlinalg, name)))
+        md = LatticeModel(parse_spec(text))
+        invariants_of(md)
+        assert "tstar_basis" not in md.__dict__
+        assert len(md.factors) != md.total_rank
+        assert not [args for name, args in calls
+                    if name == "det_adjugate" or args[1] == md.total_rank]
+        assert calls   # the wrappers are reached: Q's kernel over the factors
 
 
 _SYMPLECTIC = ["SL(2)"] + [f"Sp({2 * a})" for a in range(1, 7)]
@@ -655,6 +708,10 @@ class TestQuotientReduction:
             b = LaurentPoly(2, 0, {tuple(rng.randint(-3, 3) for _ in range(2)):
                                    rng.randint(-4, 4) for _ in range(3)})
             assert ring.reduce(a * b) == ring.mul(ring.reduce(a), ring.reduce(b))
+
+    def test_infinite_index_is_rejected(self):
+        with pytest.raises(ValueError, match="sublattice is not of finite index"):
+            QuotientRing(2, [([1, -1], 0)], 3)
 
     def test_sp_quotient_algebra(self):
         md = model(SimpleFactor("C", 3))

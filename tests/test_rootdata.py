@@ -2,11 +2,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylinv.cli import parse_spec
-from weylinv.intlinalg import det_int
+from weylinv.intlinalg import congruence_kernel, det_int
 from weylinv.laurent import LaurentPoly, augmentation
 from weylinv import spec as spec_module
 from weylinv.rootdata import (
@@ -16,6 +18,7 @@ from weylinv.rootdata import (
     cartan_rows,
     center_group,
     compile_spec,
+    congruence_grading,
     factor_orbit_sums,
     fundamental_orbit_sums,
     killing_coeffs,
@@ -30,9 +33,9 @@ from weylinv.rootdata import (
 )
 
 from _helpers import (
-    center_residues, killing_value, model, oracle_factors, oracle_specs, reflect_local,
-    residue_allowed, standard_e_basis, table_cartan_rows, table_center_group, table_diag_entry,
-    table_killing_coeffs, table_weyl_order,
+    center_residues, killing_value, lattice_grading, model, oracle_factors, oracle_specs,
+    reflect_local, residue_allowed, standard_e_basis, table_cartan_rows, table_center_group,
+    table_diag_entry, table_killing_coeffs, table_weyl_order,
 )
 
 
@@ -63,6 +66,55 @@ class TestClosedFormTables:
     def test_diagonal_entries_equal_the_table(self, f):
         for k in range(2, 21):
             assert _outcome(spec_module._diag_entry, f, k) == _outcome(table_diag_entry, f, k), k
+
+
+@st.composite
+def congruence_systems(draw):
+    """(n, congruences) on Z^n, n in 1..6: one to three rows with moduli
+    2..12, plus at most one vacuous modulus-1 row and one vacuous modulus-0
+    row (a zero vector), in any order."""
+    n = draw(st.integers(1, 6))
+    vec = st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+    rows = draw(st.lists(st.tuples(vec, st.integers(2, 12)), min_size=1, max_size=3))
+    rows += draw(st.lists(st.tuples(vec, st.just(1)), max_size=1))
+    rows += draw(st.lists(st.just(([0] * n, 0)), max_size=1))
+    return n, draw(st.permutations(rows))
+
+
+class TestCongruenceGrading:
+    @settings(max_examples=200, deadline=None)
+    @given(congruence_systems(), st.lists(st.lists(st.integers(-30, 30), min_size=6,
+                                                   max_size=6), max_size=20))
+    def test_matches_the_smith_form_oracle(self, system, vectors):
+        n, congs = system
+        basis = congruence_kernel(congs, n)
+        old, new = lattice_grading(basis), congruence_grading(congs, n)
+        assert new.moduli == old.moduli
+        assert math.prod(new.moduli) == abs(det_int(basis))
+        # class 0 iff every congruence holds: the basis of the kernel is in
+        # class 0, and so is nothing else
+        for a in [*basis, *(v[:n] for v in vectors)]:
+            dots = [(sum(map(mul, v, a)), m) for v, m in congs]
+            holds = all((s % m if m else s) == 0 for s, m in dots)
+            assert (new.of_exponent(a) == new.zero) == holds
+        # psi(new class of e_j) = old class of e_j extends to a group isomorphism
+        psi = {new.zero: old.zero}
+        queue = [new.zero]
+        for c in queue:
+            for a, b in zip(new.images, old.images):
+                c2, o2 = new.add(c, a), old.add(psi[c], b)
+                if c2 in psi:
+                    assert psi[c2] == o2
+                else:
+                    psi[c2] = o2
+                    queue.append(c2)
+        assert len(psi) == len(set(psi.values())) == math.prod(new.moduli)
+
+    def test_infinite_index_is_rejected(self):
+        with pytest.raises(ValueError, match="sublattice is not of finite index"):
+            congruence_grading([([1, 1], 0)], 2)
+        assert congruence_grading([([0, 0], 0)], 2).moduli == ()
+        assert congruence_grading([], 3).images == ((), (), ())
 
 
 class TestCompile:
@@ -139,6 +191,10 @@ class TestCompile:
     def test_tstar_index_is_the_determinant(self, text):
         m = compile_spec(parse_spec(text))
         assert m.tstar_index == abs(det_int(m.tstar_basis))
+        # the grading has the Smith-form oracle's moduli and kills T*, so its
+        # kernel, of index tstar_index, is T*
+        assert m.grading.moduli == lattice_grading(m.tstar_basis).moduli
+        assert all(m.grade_of_weight(r) == m.grading.zero for r in m.tstar_basis)
 
     @pytest.mark.parametrize("text", [
         "(SL(4) x SL(6) x SL(2)) / mu(2)", "(Spin(10) x Spin(12)) / mu(2)",
