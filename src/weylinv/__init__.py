@@ -20,7 +20,6 @@ from .laurent import (
     is_divisor,
     lift_coefficients,
     reduce_coefficients,
-    ring_arithmetic,
     to_text,
 )
 from .rootdata import (
@@ -61,14 +60,12 @@ from .invariants import (
     QuotientRing,
     TruncatedForm,
     c2,
-    c2_orbit,
     compute_Dec,
     compute_Q,
     compute_Sdec,
     factor_group,
     invariants_of,
     pgo8_parity_check,
-    quotient_reduction,
 )
 from .spec import parse_spec, spec_to_text
 # Loaded with the package, where weylbench's tracer looks for it.  It is a

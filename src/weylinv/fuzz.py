@@ -1,8 +1,8 @@
 """Seeded random fixtures for the division and syzygy round-trip checks.
 
 Each function draws from the caller's `random.Random` in a fixed order, so
-a seed always yields the same inputs.  `weylinv fuzz-syzygy`,
-`weylinv pgo8-check` and the test suite share them.
+a seed always yields the same inputs.  `weylinv fuzz-syzygy` and
+`weylinv pgo8-check` draw their cases from them, and so do the tests.
 """
 
 from __future__ import annotations
@@ -26,22 +26,6 @@ def _divisor_or_lead(rank, modulus, terms, lead, axis):
     if p.is_zero() or not is_divisor(p, axis):
         p = LaurentPoly(rank, modulus, {tuple(lead): 1})
     return p
-
-
-def random_divisor(rng, rank, axis, modulus):
-    """Random polynomial that is a divisor with respect to the axis."""
-    k = rng.randint(-2, 3)
-    lead = [rng.randint(-3, 3) for _ in range(rank)]
-    lead[axis] = k
-    terms = {tuple(lead): 1}
-    for _ in range(rng.randint(0, 4)):
-        e = [rng.randint(-3, 3) for _ in range(rank)]
-        e[axis] = rng.randint(k - 3, k - 1)
-        c = rng.randint(-5, 5)
-        if c:
-            key = tuple(e)
-            terms[key] = terms.get(key, 0) + c
-    return _divisor_or_lead(rank, modulus, terms, lead, axis)
 
 
 def random_flat_tuple(rng, rank, modulus):

@@ -108,13 +108,6 @@ def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[lis
     return [row[:ncols] for row in aug], [row[ncols:] for row in aug]
 
 
-def kernel(matrix: list[list[int]]) -> list[list[int]]:
-    """HNF basis of {x in Z^n : matrix @ x == 0} for a k x n integer matrix."""
-    if not matrix:
-        return []
-    return congruence_kernel([(row, 0) for row in matrix], len(matrix[0]))
-
-
 def congruence_kernel(congruences: list[tuple[list[int], int]], n: int) -> list[list[int]]:
     """HNF basis of {a in Z^n : vec . a == 0 mod m for each (vec, m)}.
 

@@ -6,14 +6,13 @@ the cocharacter lattice, the decomposable subgroup Dec(G) from per-factor
 minimal zero-sum sequences in Lambda/T* folded over the factors, with
 closed-form checks, the semi-decomposable subgroup Sdec(G) on one path (a
 closed form, else a lower bound from the index-2 generator set or Dec
-itself), factor groups via Smith normal form, reduction homomorphisms onto
-finite quotient group rings, and the parity report used for the adjoint D4
-computation.
+itself), factor groups via Smith normal form, and the adjoint D4 check: its
+parity report and the quotient group ring (Z/m)[Lambda/Lambda'] it reads.
 
 Sign convention: the truncated ring map gives c2(rho-bar(lambda)) =
-+1/2 sum chi^2 while the orbit formula is -1/2 sum chi^2; subgroup
-computations are sign-insensitive, single-value checks compare up to a
-global sign.
++1/2 sum chi^2 while the orbit formula (the tests' c2_orbit) is
+-1/2 sum chi^2; subgroup computations are sign-insensitive, single-value
+checks compare up to a global sign.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .rootdata import (
     frozen_setattr,
     fundamental_orbit_sums,
     killing_gram,
-    orbit_poly,
     parabolic_order,
     weyl_order,
 )
@@ -172,54 +170,6 @@ def killing_decompose(model: LatticeModel, quad) -> tuple:
     return tuple(out)
 
 
-def c2_orbit(model: LatticeModel, weight) -> tuple:
-    """Killing-basis vector of c2(rho(weight)) = -1/2 sum_chi chi^2.
-
-    Enumerates the orbit factor by factor (cross terms vanish because each
-    factor orbit sums to zero), asserts the division by 2 is exact, and
-    cross-checks against the truncated ring map on the augmented orbit sum.
-    The tests check the closed form of the Dec scan (_dominant_pairs) on it.
-    """
-    if not model.in_tstar(weight):
-        raise ValueError("weight is not in T*")
-    per, sizes = [], []
-    for fi in range(len(model.factors)):
-        loc = model.slice_of(weight, fi)
-        orb = model.orbit_local(fi, loc)
-        sizes.append(len(orb))
-        acc = {}
-        for chi in orb:
-            nz = [i for i, a in enumerate(chi) if a]
-            for ii, i in enumerate(nz):
-                acc[(i, i)] = acc.get((i, i), 0) + chi[i] * chi[i]
-                for j in nz[ii + 1:]:
-                    acc[(i, j)] = acc.get((i, j), 0) + 2 * chi[i] * chi[j]
-        per.append(acc)
-    total = {}
-    for fi, acc in enumerate(per):
-        mult = 1
-        for fj, s in enumerate(sizes):
-            if fj != fi:
-                mult *= s
-        off = model.offsets[fi]
-        for (i, j), v in acc.items():
-            if v:
-                total[(off + i, off + j)] = v * mult
-    half = {}
-    for k, v in total.items():
-        if v % 2:
-            raise AssertionError("sum of squared orbit weights is odd")
-        if v // 2:
-            half[k] = v // 2
-    ring = c2(orbit_poly(model, weight, augmented=True))
-    if any(ring.c1):
-        raise AssertionError("augmented orbit sum has a degree-1 image")
-    if ring.c2_dict() != half:
-        raise AssertionError("ring-map and orbit-formula c2 disagree beyond sign")
-    vec = killing_decompose(model, half)
-    return tuple(-x for x in vec)
-
-
 # --------------------------------------------------------------------------
 # invariant lattices
 
@@ -318,12 +268,15 @@ def compute_Q(model: LatticeModel) -> InvariantLattice:
     S^2(T*) is the group of quadratic forms with integer values on the
     cocharacter lattice T, the dual of T*.  T* is cut out of the weight
     lattice Z^n by the congruences v_c . lambda == 0 mod m_c, so T is spanned
-    by Z^n and u_c = v_c / m_c, one per congruence; a form is integral on a
-    lattice iff it and its polar form B are integral on a generating set.
-    q = sum d_i q_i with q_i(x) = x_i^T K_i x_i / 2 (K_i = killing_gram, even
-    diagonal) is integral on Z^n, and B(e_a, e_b) is an entry of some K_i,
-    so the conditions are, with v_ci the slice of v_c on factor i:
-      B(e_a, u_c) over a in factor i: d_i gcd(m_c, K_i v_ci) == 0 mod m_c;
+    by the coroot lattice Z^n and u_c = v_c / m_c, one per congruence; a form
+    is integral on a lattice iff it and its polar form B are integral on a
+    generating set.  q = sum d_i q_i with q_i(x) = x_i^T K_i x_i / 2
+    (K_i = killing_gram, even diagonal) is integral on Z^n, and B(e_a, e_b)
+    is an entry of some K_i.  B(e_a, u_c) is integral too, for every d: T*
+    contains the root lattice, so u_c is a coweight, and for a coroot
+    alpha^v and any x, W-invariance gives B(alpha^v, x) =
+    q(alpha^v) <alpha, x>, where q(e_a) = (K_i)_aa / 2 is an integer.  So the
+    conditions are, with v_ci the slice of v_c on factor i:
       q(u_c):      sum_i d_i v_ci . K_i v_ci == 0 mod 2 m_c^2;
       B(u_c, u_c'): sum_i d_i v_ci . K_i v_c'i == 0 mod m_c m_c'.
     Each is reduced by the gcd of its coefficients with its modulus and
@@ -349,9 +302,6 @@ def compute_Q(model: LatticeModel) -> InvariantLattice:
             out.add((tuple(c // common % red for c in coeffs), red))
 
     for c, (_, mc) in enumerate(congs):
-        for i, (_, kv) in enumerate(slices[c]):
-            g = math.gcd(mc, *kv)
-            add([g * (j == i) for j in range(m)], mc)
         for c2 in range(c, len(congs)):
             mod = 2 * mc * mc if c2 == c else mc * congs[c2][1]
             add([sum(map(mul, s, kv)) for (s, _), (_, kv) in zip(slices[c], slices[c2])], mod)
@@ -733,7 +683,7 @@ def compute_Sdec(model: LatticeModel, dec: InvariantLattice | None = None,
 
 
 # --------------------------------------------------------------------------
-# quotient reduction homomorphisms
+# the quotient group ring
 
 
 class QuotientRing:
@@ -748,10 +698,6 @@ class QuotientRing:
     def class_of(self, vec):
         return self.grading.of_exponent(vec)
 
-    @property
-    def zero_class(self):
-        return self.grading.zero
-
     def reduce(self, f: LaurentPoly) -> dict:
         """{class: nonzero coefficient}: the image of f, each class's stored
         coefficients summed and reduced mod the ring's modulus."""
@@ -763,27 +709,6 @@ class QuotientRing:
             if v:
                 out[cls] = v
         return out
-
-    def mul(self, a: dict, b: dict) -> dict:
-        out = {}
-        for ca, va in a.items():
-            for cb, vb in b.items():
-                cls = self.grading.add(ca, cb)
-                v = out.get(cls, 0) + va * vb
-                if self.modulus:
-                    v %= self.modulus
-                if v:
-                    out[cls] = v
-                else:
-                    out.pop(cls, None)
-        return out
-
-
-def quotient_reduction(f: LaurentPoly, congruences, modulus: int,
-                       rank: int | None = None):
-    """Image of f in (Z/modulus)[Lambda/Lambda'] for the congruence sublattice."""
-    ring = QuotientRing(rank if rank is not None else f.rank, congruences, modulus)
-    return ring.reduce(f), ring
 
 
 # --------------------------------------------------------------------------

@@ -396,26 +396,6 @@ def dot(xs, ys, start=None) -> LaurentPoly:
     return _trusted(rank, m, out, bound)
 
 
-def ring_arithmetic(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    """Dispatch wrapper: op in {'add', 'sub', 'mul', 'scale-by-monomial'}.
-
-    For 'scale-by-monomial', b must be a single monomial; a is multiplied by it.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale-by-monomial":
-        if len(b.terms) != 1:
-            raise ValueError("scale-by-monomial needs a monomial second operand")
-        a._check(b)
-        ((e, c),) = b.terms.items()
-        return a.mul_monomial(e, c)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def embed(f: LaurentPoly, rank: int, offset: int) -> LaurentPoly:
     """f with its axes moved to axes offset.. of a rank-`rank` ring."""
     if not 0 <= offset <= rank - f.rank:
@@ -547,10 +527,6 @@ class Grading:
 
     def add(self, c1, c2):
         return tuple((a + b) % m for a, b, m in zip(c1, c2, self.moduli))
-
-    def classes(self):
-        from itertools import product
-        return [tuple(c) for c in product(*(range(m) for m in self.moduli))]
 
 
 def homogeneous_component(f: LaurentPoly, grading: Grading, cls) -> LaurentPoly:

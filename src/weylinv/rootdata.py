@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, product as iproduct
 from operator import mul
 
-from .intlinalg import congruence_kernel, hnf, lattice_coordinates, snf_with_left
+from .intlinalg import hnf, lattice_coordinates, snf_with_left
 from .laurent import Grading, LaurentPoly, embed
 
 KINDS = ("A", "B", "C", "D", "E6", "E7")
@@ -345,14 +345,6 @@ class LatticeModel:
         put(grading=grading, tstar_index=math.prod(grading.moduli),
             fw_degrees=grading.images)
 
-    @cached_property
-    def tstar_basis(self):
-        """HNF basis of T*, the kernel of the congruences, built on first read
-        (into the instance's `__dict__`, past the frozen `__setattr__`); the
-        grading, Q and Dec do not read it."""
-        return tuple(map(tuple, congruence_kernel(
-            [(list(v), m) for v, m in self.congruences], self.total_rank)))
-
     # -- construction helpers ----------------------------------------------
     def _basis_vec(self, i):
         return tuple(int(j == i) for j in range(self.total_rank))
@@ -410,19 +402,8 @@ class LatticeModel:
             out.extend(w)
         return tuple(out)
 
-    def fundamental_weight(self, fi, j):
-        """Global fw vector for local index j (0-based) of factor fi."""
-        off = self.offsets[fi]
-        return tuple(int(k == off + j) for k in range(self.total_rank))
-
     def grade_of_weight(self, weight):
         return self.grading.of_exponent(weight)
-
-    def in_tstar(self, weight):
-        return all(
-            sum(c * a for c, a in zip(vec, weight)) % m == 0
-            for vec, m in self.congruences
-        )
 
     # -- Weyl group action ---------------------------------------------------
     def dominant_local(self, fi, local):

@@ -6,6 +6,10 @@ Grammar:  product [ "/" center ]
                    | PGL(n) | PGSp(2n) | SO(n) | PGO(8) | HSpin(2n)
           center  := mu(k) [ "[" residue "," ... "]" ]   (default: diagonal)
 
+Spin(3) is SL(2) and SO(3) is PGL(2); Spin(6) is SL(4) and SO(6) is
+SL(4) / mu(2).  Spin(n) and SO(n) need n = 3, n = 6, odd n >= 5 or even
+n >= 8.
+
 Adjoint/special factor forms expand to per-factor kernel generators; a mu(k)
 center adds one kernel generator across the whole product, and explicit
 residues must have an order dividing k.  For factors of type D with even
@@ -40,8 +44,8 @@ def _factor_token(tok: str, pos: int):
     num = int(digits)
 
     def spin_factor(n):
-        if n == 3:
-            return SimpleFactor("A", 1)
+        if n in (3, 6):   # Spin(3) = SL(2), Spin(6) = SL(4)
+            return SimpleFactor("A", n // 2)
         if n < (5 if n % 2 else 8):
             raise SpecParseError(f"{tok} not supported at position {pos}")
         return SimpleFactor("B", (n - 1) // 2) if n % 2 else SimpleFactor("D", n // 2)
@@ -215,6 +219,8 @@ def _quotient_factor_name(f: SimpleFactor, e):
         return f"PGSp({2 * f.rank})"
     if f.kind in ("B", "D") and e == _diag_entry(f, 2):
         return _factor_name(f).replace("Spin", "SO")
+    if f.kind == "A" and f.rank == 3 and e == 2:
+        return "SO(6)"
     if f.kind == "D" and f.rank % 2 == 0 and e == (0, 1):
         return f"HSpin({2 * f.rank})"
     return None
@@ -258,6 +264,10 @@ def _render(spec: GroupSpec) -> str:
             if name == "SO(8)" and kernel[k:k + 1] == (gen[:i] + ((0, 1),) + gen[i + 1:],) \
                     and (len(spec.factors) == 1 or k + 1 < len(kernel)):
                 name, k = "PGO(8)", k + 1
+            # SO(6) is SL(4) / mu(2), which prints as the centre unless a
+            # later generator takes it: (SO(6) x Sp(4)) / mu(2)
+            if name == "SO(6)" and k == len(kernel):
+                name = None
             if name is not None:
                 names[i] = name
                 last_named = i

@@ -123,9 +123,6 @@ class SyzygyCertificate(namedtuple("SyzygyCertificate", "length rank modulus ent
         zero = LaurentPoly.zero(self.rank, self.modulus)
         return tuple(dot(x, y, zero) for x, y in zip(xs, ys))
 
-    def is_empty(self):
-        return all(g.is_zero() for g in self.entries.values())
-
 
 def _empty_cert(n, rank, modulus):
     return SyzygyCertificate(n, rank, modulus, {})
@@ -716,16 +713,6 @@ def gcd_chain(model: LatticeModel) -> GcdChain:
     for i in range(np_ - 1):
         assert d_chain[i + 1] % d_chain[i] == 0
     return GcdChain(order, np_, sizes, tuple(d_chain), tuple(tuple(r) for r in bez))
-
-
-def degree_one_gcd(model: LatticeModel) -> int:
-    """gcd of the orbit sizes of the degree-1 fundamental weights."""
-    if model.grading.moduli != (2,):
-        raise ValueError("model grading is not Z/2")
-    _, sizes = degree_one_orbits(model)
-    if not sizes:
-        raise ValueError("no degree-1 fundamental weights")
-    return math.gcd(*sizes)
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,12 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+from weylinv.fuzz import _divisor_or_lead
 from weylinv.generators import GeneratorSet, _rho_tilde_w
 from weylinv.intlinalg import congruence_kernel, hnf, hnf_with_transform, snf_with_left
 from weylinv.invariants import (
-    InvariantLattice, _dominant_pairs, _is_diag_kernel, _symplectic_like, c2, killing_decompose,
+    InvariantLattice, QuotientRing, _dominant_pairs, _is_diag_kernel, _symplectic_like, c2,
+    killing_decompose,
 )
 from weylinv.laurent import (
     Grading, LaurentPoly, augmentation, dot, graded_components, homogeneous_component,
@@ -23,8 +25,8 @@ from weylinv.rootdata import (
 )
 from weylinv.spec import SpecParseError
 from weylinv.syzygy import (
-    FlatnessError, NotASyzygyError, lift_syzygy, modular_transform, reduction_data,
-    trivialize_generalized,
+    FlatnessError, NotASyzygyError, degree_one_orbits, lift_syzygy, modular_transform,
+    reduction_data, trivialize_generalized,
 )
 
 
@@ -145,7 +147,7 @@ def q_oracle(md, basis=None):
     off-diagonal entries as congruences."""
     n = md.total_rank
     m = len(md.factors)
-    binv = fraction_inverse([list(r) for r in (basis if basis is not None else md.tstar_basis)])
+    binv = fraction_inverse([list(r) for r in (basis if basis is not None else tstar_basis(md))])
     grams = []
     for fi, kf in enumerate(md.killing):
         off = md.offsets[fi]
@@ -374,10 +376,10 @@ def explicit_elements(md):
     k = _is_diag_kernel(md)
 
     def shifted_z(i, j, wt, ci, cj):
-        zi = orbit_poly(md, md.fundamental_weight(i, wt), augmented=True)
-        zj = orbit_poly(md, md.fundamental_weight(j, wt), augmented=True)
+        zi = orbit_poly(md, fundamental_weight(md, i, wt), augmented=True)
+        zj = orbit_poly(md, fundamental_weight(md, j, wt), augmented=True)
         z = zi.scale(ci) - zj.scale(cj)
-        return z, LaurentPoly.monomial(md.total_rank, md.fundamental_weight(i, wt)) * z
+        return z, LaurentPoly.monomial(md.total_rank, fundamental_weight(md, i, wt)) * z
 
     if (k == 2 and all(_symplectic_like(f) for f in md.factors)) or \
             (k == 4 and all(x == "D" for x in kinds) and all(r % 2 for r in ranks)):
@@ -645,3 +647,164 @@ def full_normalized(model, f, combo):
         if not reduce_coefficients(comp, d).is_zero():
             raise AssertionError("normalized component does not vanish mod d")
     return g
+
+
+# -- readers only the tests call ---------------------------------------------
+#
+# Routines of models, gradings, rings and certificates that no library code
+# calls.  tests/test_source_scan.py keeps such routines out of src.
+
+def tstar_basis(md):
+    """HNF basis of T*, the kernel of the model's congruences; the grading, Q
+    and Dec do not read it."""
+    return tuple(map(tuple, congruence_kernel(
+        [(list(v), m) for v, m in md.congruences], md.total_rank)))
+
+
+def fundamental_weight(md, fi, j):
+    """Global fw vector for local index j (0-based) of factor fi."""
+    off = md.offsets[fi]
+    return tuple(int(k == off + j) for k in range(md.total_rank))
+
+
+def in_tstar(md, weight):
+    return all(
+        sum(c * a for c, a in zip(vec, weight)) % m == 0
+        for vec, m in md.congruences
+    )
+
+
+def classes(grading):
+    """Every class of the grading's group, in product order."""
+    return [tuple(c) for c in product(*(range(m) for m in grading.moduli))]
+
+
+def kernel(matrix):
+    """HNF basis of {x in Z^n : matrix @ x == 0} for a k x n integer matrix."""
+    if not matrix:
+        return []
+    return congruence_kernel([(row, 0) for row in matrix], len(matrix[0]))
+
+
+def ring_arithmetic(a, b, op):
+    """Dispatch wrapper: op in {'add', 'sub', 'mul', 'scale-by-monomial'}.
+
+    For 'scale-by-monomial', b must be a single monomial; a is multiplied by it.
+    """
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "scale-by-monomial":
+        if len(b.terms) != 1:
+            raise ValueError("scale-by-monomial needs a monomial second operand")
+        a._check(b)
+        ((e, c),) = b.terms.items()
+        return a.mul_monomial(e, c)
+    raise ValueError(f"unknown op {op!r}")
+
+
+def random_divisor(rng, rank, axis, modulus):
+    """Random polynomial that is a divisor with respect to the axis."""
+    k = rng.randint(-2, 3)
+    lead = [rng.randint(-3, 3) for _ in range(rank)]
+    lead[axis] = k
+    terms = {tuple(lead): 1}
+    for _ in range(rng.randint(0, 4)):
+        e = [rng.randint(-3, 3) for _ in range(rank)]
+        e[axis] = rng.randint(k - 3, k - 1)
+        c = rng.randint(-5, 5)
+        if c:
+            key = tuple(e)
+            terms[key] = terms.get(key, 0) + c
+    return _divisor_or_lead(rank, modulus, terms, lead, axis)
+
+
+def is_empty(cert):
+    return all(g.is_zero() for g in cert.entries.values())
+
+
+def degree_one_gcd(md):
+    """gcd of the orbit sizes of the degree-1 fundamental weights."""
+    if md.grading.moduli != (2,):
+        raise ValueError("model grading is not Z/2")
+    _, sizes = degree_one_orbits(md)
+    if not sizes:
+        raise ValueError("no degree-1 fundamental weights")
+    return math.gcd(*sizes)
+
+
+def zero_class(ring):
+    return ring.grading.zero
+
+
+def quotient_mul(ring, a, b):
+    """Product of two images {class: coefficient} in the ring."""
+    out = {}
+    for ca, va in a.items():
+        for cb, vb in b.items():
+            cls = ring.grading.add(ca, cb)
+            v = out.get(cls, 0) + va * vb
+            if ring.modulus:
+                v %= ring.modulus
+            if v:
+                out[cls] = v
+            else:
+                out.pop(cls, None)
+    return out
+
+
+def quotient_reduction(f, congruences, modulus, rank=None):
+    """Image of f in (Z/modulus)[Lambda/Lambda'] for the congruence sublattice."""
+    ring = QuotientRing(rank if rank is not None else f.rank, congruences, modulus)
+    return ring.reduce(f), ring
+
+
+def c2_orbit(md, weight):
+    """Killing-basis vector of c2(rho(weight)) = -1/2 sum_chi chi^2.
+
+    Enumerates the orbit factor by factor (cross terms vanish because each
+    factor orbit sums to zero), asserts the division by 2 is exact, and
+    cross-checks against the truncated ring map on the augmented orbit sum.
+    The tests check the closed form of the Dec scan (_dominant_pairs) on it.
+    """
+    if not in_tstar(md, weight):
+        raise ValueError("weight is not in T*")
+    per, sizes = [], []
+    for fi in range(len(md.factors)):
+        loc = md.slice_of(weight, fi)
+        orb = md.orbit_local(fi, loc)
+        sizes.append(len(orb))
+        acc = {}
+        for chi in orb:
+            nz = [i for i, a in enumerate(chi) if a]
+            for ii, i in enumerate(nz):
+                acc[(i, i)] = acc.get((i, i), 0) + chi[i] * chi[i]
+                for j in nz[ii + 1:]:
+                    acc[(i, j)] = acc.get((i, j), 0) + 2 * chi[i] * chi[j]
+        per.append(acc)
+    total = {}
+    for fi, acc in enumerate(per):
+        mult = 1
+        for fj, s in enumerate(sizes):
+            if fj != fi:
+                mult *= s
+        off = md.offsets[fi]
+        for (i, j), v in acc.items():
+            if v:
+                total[(off + i, off + j)] = v * mult
+    half = {}
+    for k, v in total.items():
+        if v % 2:
+            raise AssertionError("sum of squared orbit weights is odd")
+        if v // 2:
+            half[k] = v // 2
+    ring = c2(orbit_poly(md, weight, augmented=True))
+    if any(ring.c1):
+        raise AssertionError("augmented orbit sum has a degree-1 image")
+    if ring.c2_dict() != half:
+        raise AssertionError("ring-map and orbit-formula c2 disagree beyond sign")
+    vec = killing_decompose(md, half)
+    return tuple(-x for x in vec)

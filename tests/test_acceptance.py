@@ -12,7 +12,6 @@ import pytest
 
 from weylinv.fuzz import (
     random_cert,
-    random_divisor,
     random_flat_tuple,
     random_graded_poly,
     random_poly,
@@ -49,7 +48,9 @@ from weylinv.syzygy import (
 )
 from weylinv.cli import parse_spec
 
-from _helpers import fac_c, lattice_from_congruence, model, reflect_local
+from _helpers import (
+    fac_c, fundamental_weight, lattice_from_congruence, model, random_divisor, reflect_local,
+)
 
 
 # the specs exercised by criteria 5-9, reused for the global inclusion check
@@ -367,20 +368,20 @@ def test_criterion_8_semidecomposable_elements():
     for (mm, nn) in [(1, 1), (2, 3), (4, 4)]:
         md = model(fac_c(mm), fac_c(nn), kernel=[(1, 1)])
         g = math.gcd(mm, nn)
-        z = orbit_poly(md, md.fundamental_weight(0, 0), augmented=True).scale(nn // g) \
-            - orbit_poly(md, md.fundamental_weight(1, 0), augmented=True).scale(mm // g)
+        z = orbit_poly(md, fundamental_weight(md, 0, 0), augmented=True).scale(nn // g) \
+            - orbit_poly(md, fundamental_weight(md, 1, 0), augmented=True).scale(mm // g)
         tf = c2(z)
         assert tf.c0 == 0 and not any(tf.c1)
         vec = killing_decompose(md, tf.c2_dict())
         expect = (nn // g, -(mm // g))
         assert vec == expect or vec == tuple(-x for x in expect), (mm, nn, vec)
         # membership of y = e^{e1} z in Z[T*], via the grading
-        y = LaurentPoly.monomial(md.total_rank, md.fundamental_weight(0, 0)) * z
+        y = LaurentPoly.monomial(md.total_rank, fundamental_weight(md, 0, 0)) * z
         assert set(graded_components(y, md.grading)) <= {md.grading.zero}
         assert augmentation(y) == 0
         # W-invariance of the building blocks
         for fi in (0, 1):
-            p = orbit_poly(md, md.fundamental_weight(fi, 0))
+            p = orbit_poly(md, fundamental_weight(md, fi, 0))
             rank_f = md.factors[fi].rank
             off = md.offsets[fi]
             for i in range(rank_f):
@@ -407,7 +408,7 @@ def test_criterion_9_pgo8_suite():
     md = pgo8_model()
     ring = QuotientRing(4, pgo8_lambda_prime(), 4)
     assert sorted(ring.moduli) == [2, 4]
-    rho = [orbit_poly(md, md.fundamental_weight(0, i), augmented=True)
+    rho = [orbit_poly(md, fundamental_weight(md, 0, i), augmented=True)
            for i in range(4)]
     img = ring.reduce(rho[0])
     assert img == {ring.class_of((1, 0, 0, 0)): 2, ring.class_of((-1, 1, 0, 0)): 2}

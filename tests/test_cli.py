@@ -230,6 +230,8 @@ class TestParse:
         assert parse_spec("HSpin(16)").center_kernel == (((0, 1),),)
         assert parse_spec("Sp(2)").factors == (SimpleFactor("A", 1),)
         assert parse_spec("Spin(3)").factors == (SimpleFactor("A", 1),)
+        assert parse_spec("Spin(6)") == parse_spec("SL(4)")
+        assert parse_spec("SO(6)") == parse_spec("SL(4) / mu(2)")
 
     def test_mixed_parity_d_mu2(self):
         spec = parse_spec("(Spin(10) x Spin(12)) / mu(2)")
@@ -285,14 +287,14 @@ class TestParse:
                      "PGSp(4) x PGSp(8)", "SO(5) x Spin(7)",
                      "(Sp(4) x Sp(4)) / mu(2)", "HSpin(16)",
                      "(Spin(10) x Spin(10)) / mu(4)", "SL(4) / mu(2)",
-                     "SL(6) / mu(3)"]:
+                     "SL(6) / mu(3)", "(SO(6) x Sp(4)) / mu(2)"]:
             spec = parse_spec(text)
             assert parse_spec(spec_to_text(spec)) == spec, text
 
 
 SPEC_FACTORS = ["SL(2)", "SL(3)", "SL(4)", "PGL(2)", "PGL(4)", "Sp(4)", "PGSp(6)", "SO(5)",
                 "Spin(7)", "SO(10)", "SO(12)", "HSpin(16)", "Spin(8)", "SO(8)", "HSpin(8)",
-                "PGO(8)", "E6", "E7"]
+                "PGO(8)", "E6", "E7", "Spin(6)", "SO(6)"]
 
 
 @st.composite
@@ -415,6 +417,13 @@ class TestRun:
         code, out = run_cli("invariants", "--spec", "SL(4) / mu(2)", "--json")
         assert code == 0
         assert json.loads(out)["spec"] == "SL(4) / mu(2)"
+
+    @pytest.mark.parametrize("alias, name", [("Spin(6)", "SL(4)"), ("SO(6)", "SL(4) / mu(2)")])
+    def test_a3_aliases_print_as_a3(self, alias, name):
+        # D3 = A3: the alias's --json output is the A3 spec's, byte for byte
+        code, out = run_cli("invariants", "--spec", alias, "--json")
+        assert code == 0
+        assert (code, out) == run_cli("invariants", "--spec", name, "--json")
 
     def test_trivial_simply_connected(self):
         code, out = run_cli("invariants", "--spec", "SL(2)", "--json")

@@ -14,7 +14,6 @@ from weylinv.intlinalg import (
     hnf,
     hnf_with_transform,
     inverse_fraction,
-    kernel,
     lattice_contains,
     lattice_coordinates,
     snf_diagonal,
@@ -23,7 +22,7 @@ from weylinv.intlinalg import (
 )
 
 from _helpers import (
-    fraction_det, fraction_inverse, three_hnf_congruence_kernel, three_hnf_kernel,
+    fraction_det, fraction_inverse, kernel, three_hnf_congruence_kernel, three_hnf_kernel,
 )
 
 

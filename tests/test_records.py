@@ -76,7 +76,7 @@ def test_lattice_model_is_immutable():
     assert model._residue == ((((1,), 2),), (((2, 0, 2, 1, 3), 4),))
     assert model._center == ((2,), (4,))
     for name in ("offsets", "_cartan", "killing", "_residue", "_center", "factors",
-                 "tstar_basis", "congruences", "fw_degrees"):
+                 "congruences", "fw_degrees"):
         value = getattr(model, name)
         assert isinstance(value, tuple), name
         assert all(not isinstance(x, (list, dict, set)) for x in value), name

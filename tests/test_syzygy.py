@@ -24,7 +24,6 @@ from weylinv.syzygy import (
     TransformMatrix,
     block_inverse_mod,
     check_flatness,
-    degree_one_gcd,
     is_unit_monomial,
     lift_syzygy,
     mat_det,
@@ -42,7 +41,7 @@ from weylinv.syzygy import (
     vec_mat,
 )
 
-from _helpers import P, _bench_inputs, full_normalized
+from _helpers import P, _bench_inputs, degree_one_gcd, full_normalized, fundamental_weight, is_empty
 
 
 class TestFlatness:
@@ -68,7 +67,7 @@ class TestTrivialize:
     def test_zero_syzygy(self):
         t = random_flat_tuple(random.Random(0), 3, 0)
         z = tuple(P(3, {}) for _ in range(3))
-        assert trivialize_syzygy(t, z).is_empty()
+        assert is_empty(trivialize_syzygy(t, z))
 
     def test_generator_round_trip(self):
         t = random_flat_tuple(random.Random(1), 3, 0)
@@ -143,7 +142,7 @@ class TestNewtonTransform:
             m = compile_spec(GroupSpec((SimpleFactor(kind, n),)))
             _, _, rho = newton_transform(kind, n)
             for i in range(n):
-                assert rho[i] == orbit_poly(m, m.fundamental_weight(0, i), augmented=True)
+                assert rho[i] == orbit_poly(m, fundamental_weight(m, 0, i), augmented=True)
 
     def test_rank_bounds(self):
         with pytest.raises(ValueError):
