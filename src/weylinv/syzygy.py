@@ -228,12 +228,12 @@ def _trivialize(t, f):
 
 
 def _flat_form(t):
-    """(stripped tuple, units) of a flat tuple t: raises FlatnessError unless t
-    is flat, then divides out each entry's higher-axis unit (`_strip_units`)."""
+    """(t, stripped tuple, units) of a flat tuple t: raises FlatnessError unless
+    t is flat, then divides out each entry's higher-axis unit (`_strip_units`)."""
     ok, notes = check_flatness(t)
     if not ok:
         raise FlatnessError("; ".join(notes))
-    return _strip_units(t)
+    return (t, *_strip_units(t))
 
 
 def _trivialize_flat(t, stripped, units, f) -> SyzygyCertificate:
@@ -258,7 +258,7 @@ def trivialize_syzygy(t, f) -> SyzygyCertificate:
     f = validate_tuple(f)
     if len(t) != len(f) or t[0].rank != f[0].rank or t[0].modulus != f[0].modulus:
         raise ValueError("shape mismatch between tuple and syzygy")
-    return _trivialize_flat(t, *_flat_form(t), f)
+    return _trivialize_flat(*_flat_form(t), f)
 
 
 def lift_syzygy(t, cert: SyzygyCertificate) -> SyzygyCertificate:
@@ -405,38 +405,33 @@ def mat_inverse_unit(rows) -> list:
     return [[c.mul_monomial(inv_exp, dc_inv) for c in row] for row in adj]
 
 
-@lru_cache(maxsize=64)
-def _flat_image(q, a):
-    """(flat, stripped, units) for flat = q * A, A given by its row tuples: the
-    flat tuple, checked flat (FlatnessError otherwise), with its units divided
-    out (`_flat_form`).
-
-    Computed and checked once per (q, A) value; `normalize_coefficients` passes
-    the same per-model tuple and transform on every call.  Bounded, because
-    any caller of `trivialize_generalized` fills it.
-    """
-    flat = tuple(vec_mat(q, a))
-    return (flat, *_flat_form(flat))
-
-
 def trivialize_generalized(q, transform: TransformMatrix, f, inverse) -> SyzygyCertificate:
     """Trivialize a syzygy of q, given (q) * A = flat tuple and inverse = A^{-1}.
+
+    Forms and checks the flat tuple q * A on every call, then runs
+    `_trivialize_through`.
+    """
+    q = validate_tuple(q)
+    f = validate_tuple(f)
+    a = tuple(map(tuple, transform.entries))
+    return _trivialize_through(q, a, inverse, _flat_form(tuple(vec_mat(q, a))), f)
+
+
+def _trivialize_through(q, a, inverse, image, f) -> SyzygyCertificate:
+    """Trivialize the syzygy f of q through A (row tuples `a`), its inverse and
+    image = `_flat_form(q * A)`.
 
     Pushes the syzygy through A^{-1}, trivializes against the flat tuple,
     and pulls the certificate back through the skew decomposition of
     A M_ij A^T, which keeps every step constructive.  A wrong inverse
     cannot pass: the certificate is expanded back against f.
     """
-    q = validate_tuple(q)
-    f = validate_tuple(f)
     _check_syzygy(q, f)
-    a = tuple(map(tuple, transform.entries))
     n = len(q)
-    flat, stripped, units = _flat_image(q, a)
     # g = A^{-1} f^t  (row convention: g_i = sum_j inverse[i][j] f_j)
     zero = LaurentPoly.zero(q[0].rank, q[0].modulus)
     g = tuple(dot(inverse[i], f, zero) for i in range(n))
-    cert_r = _trivialize_flat(flat, stripped, units, g)
+    cert_r = _trivialize_flat(*image, g)
     out = _empty_cert(n, q[0].rank, q[0].modulus)
     for (i, j), c in cert_r.entries.items():
         for k in range(n):
@@ -596,7 +591,8 @@ def _blocks(model: LatticeModel):
 
 
 def _block_diagonal(model: LatticeModel, block_of, modulus):
-    """The n x n matrix with block_of(kind, rank) placed at each factor's offset."""
+    """The n x n matrix, as row tuples, with block_of(kind, rank) placed at each
+    factor's offset."""
     n = model.total_rank
     zero = LaurentPoly.zero(n, modulus)
     rows = [[zero] * n for _ in range(n)]
@@ -605,7 +601,7 @@ def _block_diagonal(model: LatticeModel, block_of, modulus):
             for i, p in enumerate(row):
                 if p:
                     rows[off + k][off + i] = embed(p, n, off)
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def model_transform(model: LatticeModel):
@@ -626,7 +622,7 @@ def model_transform(model: LatticeModel):
     if not is_unit_monomial(det):
         raise AssertionError("block transform determinant is not a unit")
     # each block's rho is its factor's orbit sums (checked in newton_transform)
-    return (tuple(flat), TransformMatrix(tuple(tuple(r) for r in rows), det),
+    return (tuple(flat), TransformMatrix(rows, det),
             fundamental_orbit_sums(model))
 
 
@@ -644,21 +640,6 @@ def block_inverse_mod(kind: str, n: int, d: int):
     if mat_mul(a, inv) != ident or mat_mul(inv, a) != ident:
         raise AssertionError("block inverse mod d is not an inverse")
     return a, tuple(tuple(r) for r in inv)
-
-
-def model_transform_mod(model: LatticeModel, d: int) -> TransformMatrix:
-    """model_transform(model)'s matrix reduced mod d, assembled block by block."""
-    n = model.total_rank
-    det = LaurentPoly.const(n, 1, d)
-    for kind, rank, off in _blocks(model):
-        det = det * embed(reduce_coefficients(newton_transform(kind, rank)[1].det, d), n, off)
-    rows = _block_diagonal(model, lambda kind, rank: block_inverse_mod(kind, rank, d)[0], d)
-    return TransformMatrix(tuple(map(tuple, rows)), det)
-
-
-def model_inverse_mod(model: LatticeModel, d: int) -> list:
-    """Inverse of model_transform(model) reduced mod d, assembled block by block."""
-    return _block_diagonal(model, lambda kind, rank: block_inverse_mod(kind, rank, d)[1], d)
 
 
 def degree_one_orbits(model: LatticeModel) -> tuple:
@@ -729,18 +710,22 @@ def reduction_data(model: LatticeModel) -> tuple:
 
 @lru_cache(maxsize=None)
 def modular_transform(model: LatticeModel) -> tuple:
-    """(rho_d, transform, inverse) of an A/C model mod d, the d of its gcd
-    chain: rho mod d, `model_transform_mod(model, d)` and its inverse as row
-    tuples (FlatnessError unless every factor is of type A or C).
+    """(rho_d, rows, inverse, image) of an A/C model mod d, the d of its gcd
+    chain: rho mod d, the block-diagonal transform A_d = model_transform(model)
+    mod d and its inverse, as row tuples assembled from `block_inverse_mod`,
+    and `_flat_form(rho_d * A_d)`.
 
-    Computed once per model and process.  The blocks and their inverses are
-    checked in `block_inverse_mod`, the flat tuple rho_d * A_d in
-    `trivialize_generalized`.
+    Computed once per model and process, by the first nonzero normalization
+    syzygy; a zero one reads none of it.  The Newton blocks are checked in
+    `newton_transform`, their inverses in `block_inverse_mod`, and the flat
+    tuple rho_d * A_d when it is formed here (FlatnessError otherwise).
     """
     chain, rho = reduction_data(model)
     d = chain.d
-    return (tuple(reduce_coefficients(r, d) for r in rho), model_transform_mod(model, d),
-            tuple(map(tuple, model_inverse_mod(model, d))))
+    rho_d = tuple(reduce_coefficients(r, d) for r in rho)
+    rows = _block_diagonal(model, lambda kind, rank: block_inverse_mod(kind, rank, d)[0], d)
+    inverse = _block_diagonal(model, lambda kind, rank: block_inverse_mod(kind, rank, d)[1], d)
+    return rho_d, rows, inverse, _flat_form(tuple(vec_mat(rho_d, rows)))
 
 
 def _model_tuple(model: LatticeModel, f) -> tuple:
@@ -761,57 +746,62 @@ def normalize_coefficients(model: LatticeModel, f):
     Given deg(sum f_i rho_i) = 0, returns (g_i) with the same combination and
     g_i^{(1-|i|)} == 0 mod d, where d is the gcd of degree-1 orbit sizes.
     rho and d come from `reduction_data(model)`, the transform mod d and its
-    inverse from `modular_transform(model)`.
+    inverse, when the syzygy is nonzero, from `modular_transform(model)`.
     """
     if model.grading.moduli != (2,):
         raise ValueError("coefficient normalization needs an index-2 grading")
     f = _model_tuple(model, f)
     rho = reduction_data(model)[1]
-    modular_transform(model)  # FlatnessError unless A/C
+    _blocks(model)  # FlatnessError unless A/C
     combo = dot(f, rho)
     if homogeneous_component(combo, model.grading, (1,)):
         raise ValueError("the combination is not of degree 0")
     return _normalized(model, f, combo)
 
 
+def _wrong_degree_mod(model: LatticeModel, f, d) -> tuple:
+    """(f_i^{(1-|i|)} mod d)_i: each entry's component of the degree its
+    weight's class does not call for, reduced mod d."""
+    return tuple(
+        reduce_coefficients(homogeneous_component(
+            p, model.grading, ((1 - model.fw_degrees[i][0]) % 2,)), d)
+        for i, p in enumerate(f))
+
+
 def _normalized(model: LatticeModel, f: tuple, combo: LaurentPoly) -> tuple:
     """`normalize_coefficients` past its input checks: f is an integral
     tuple of the model's length and combo = sum f_i rho_i has degree 0.
 
-    Checks its own output: the same combination, and every wrong-degree
-    component zero mod d.  A zero mod-d syzygy returns f itself, and no
+    Raises FlatnessError unless the model is A/C, before anything is filled.
+    A zero mod-d syzygy returns f itself and reads no transform, and no
     check is skipped: its certificate is empty and lifts to h = 0, so g
     is f; both callers computed combo as sum f_i rho_i over the model's rho
     (`reduce_to_generators` checks that its generator set holds that rho),
     so the combination check would compare combo with a recomputation of
     itself; and the component check on g is the syzygy just found to be
-    zero.
+    zero.  A nonzero syzygy reads `modular_transform(model)`, whose fill-time
+    checks then run once per model, and checks the output: the same
+    combination, and every wrong-degree component zero mod d.
     """
-    n = model.total_rank
+    _blocks(model)  # FlatnessError unless A/C
     chain, rho = reduction_data(model)
     d = chain.d
-    rho_d, transform_d, inverse_d = modular_transform(model)
-    syz = []
-    for i in range(n):
-        want = ((1 - model.fw_degrees[i][0]) % 2,)
-        comp = homogeneous_component(f[i], model.grading, want)
-        syz.append(reduce_coefficients(comp, d))
+    syz = _wrong_degree_mod(model, f, d)
     if all(s.is_zero() for s in syz):
         return f
     try:
-        cert = trivialize_generalized(rho_d, transform_d, tuple(syz), inverse_d)
+        rho_d, rows, inverse, image = modular_transform(model)
+        cert = _trivialize_through(rho_d, rows, inverse, image, syz)
     except (NotASyzygyError, FlatnessError) as exc:
-        # the input passed the degree-0 check, so every tuple here is the
-        # library's own: a rejection is a failed verification, not bad input
+        # the input passed the degree-0 check and the model is A/C, so every
+        # tuple here is the library's own: a rejection, the flatness check of
+        # the transform's fill included, is a failed verification, not bad input
         raise AssertionError(f"library-built syzygy rejected: {exc}") from exc
     lifted = lift_syzygy(rho_d, cert)
     h = lifted.expand(rho)
     g = tuple(a - b for a, b in zip(f, h))
     if dot(g, rho) != combo:
         raise AssertionError("normalization changed the combination")
-    for i in range(n):
-        want = ((1 - model.fw_degrees[i][0]) % 2,)
-        comp = homogeneous_component(g[i], model.grading, want)
-        if not reduce_coefficients(comp, d).is_zero():
-            raise AssertionError("normalized component does not vanish mod d")
+    if not all(s.is_zero() for s in _wrong_degree_mod(model, g, d)):
+        raise AssertionError("normalized component does not vanish mod d")
     return g

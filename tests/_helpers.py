@@ -25,8 +25,8 @@ from weylinv.rootdata import (
 )
 from weylinv.spec import SpecParseError
 from weylinv.syzygy import (
-    FlatnessError, NotASyzygyError, degree_one_orbits, lift_syzygy, modular_transform,
-    reduction_data, trivialize_generalized,
+    FlatnessError, NotASyzygyError, degree_one_orbits, lift_syzygy, model_transform,
+    modular_transform, reduction_data, trivialize_generalized,
 )
 
 
@@ -619,14 +619,16 @@ def dense_build_generators(model, lambda0=None):
 # syzygy._normalized as it was before a zero mod-d syzygy returned f at once:
 # every input is trivialized, lifted and expanded, and the combination and
 # component checks run on the result.  Kept as the oracle of the shortcut.
-# It binds trivialize_generalized at import, so a wrapper patched into
-# weylinv.syzygy counts the library's calls only.
+# It goes through the public trivialize_generalized with model_transform(model)
+# reduced mod d, so the flat tuple is formed and checked on every call, and
+# it reads only the inverse of modular_transform(model).
 
 def full_normalized(model, f, combo):
     n = model.total_rank
     chain, rho = reduction_data(model)
     d = chain.d
-    rho_d, transform_d, inverse_d = modular_transform(model)
+    rho_d, _, inverse_d, _ = modular_transform(model)
+    transform_d = model_transform(model)[1].reduce(d)
     syz = []
     for i in range(n):
         want = ((1 - model.fw_degrees[i][0]) % 2,)

@@ -525,15 +525,44 @@ class TestRun:
             raise getattr(weylinv.syzygy, error)("tuple is not a syzygy")
 
         spec, path = koszul_input(tmp_path)
-        monkeypatch.setattr(weylinv.syzygy, "trivialize_generalized", broken)
+        monkeypatch.setattr(weylinv.syzygy, "_trivialize_through", broken)
         code = main(["reduce", "--spec", spec, "--input", str(path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.splitlines() == [
             "verification failure: library-built syzygy rejected: tuple is not a syzygy"]
 
+    @pytest.mark.parametrize("name, message", [
+        ("_flat_form", "library-built syzygy rejected: entry 0: uses higher axes"),
+        ("mat_inverse_unit", "block inverse mod d is not an inverse"),
+    ], ids=["flat-image", "block-inverse"])
+    def test_failed_transform_fill_is_a_verification_failure(
+            self, tmp_path, monkeypatch, capsys, name, message):
+        # a nonzero syzygy fills the model's transform mod d; a check that
+        # fails in that fill is the library's, whatever error it raises
+        import weylinv.syzygy
+        from weylinv.syzygy import block_inverse_mod, modular_transform
+
+        def non_flat(t):
+            raise weylinv.syzygy.FlatnessError("entry 0: uses higher axes")
+
+        def zero_inverse(rows):
+            return [[p.scale(0) for p in row] for row in rows]
+
+        spec, path = koszul_input(tmp_path)
+        modular_transform.cache_clear()
+        block_inverse_mod.cache_clear()
+        monkeypatch.setattr(weylinv.syzygy, name,
+                            {"_flat_form": non_flat, "mat_inverse_unit": zero_inverse}[name])
+        code = main(["reduce", "--spec", spec, "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"verification failure: {message}"]
+        monkeypatch.undo()
+        assert main(["reduce", "--spec", spec, "--input", str(path)]) == 0
+
     @pytest.mark.parametrize("module, name, error, prefix", [
-        ("syzygy", "trivialize_generalized", "NotASyzygyError", "library-built syzygy rejected: "),
+        ("syzygy", "_trivialize_through", "NotASyzygyError", "library-built syzygy rejected: "),
         ("generators", "_exact_div", "ReductionError", "")], ids=["syzygy", "step-1"])
     def test_verification_failure_on_warm_caches(
             self, tmp_path, monkeypatch, capsys, module, name, error, prefix):
