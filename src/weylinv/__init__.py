@@ -24,12 +24,10 @@ from .laurent import (
 )
 from .rootdata import (
     GroupSpec,
-    KillingForm,
     LatticeModel,
     SimpleFactor,
     compile_spec,
     fundamental_orbit_sums,
-    killing_forms,
     orbit_poly,
     orbit_size,
     weyl_orbit,

@@ -180,12 +180,14 @@ def run_fuzz_syzygy(args) -> int:
         t, f = syzygy_case(rng)
         try:
             cert = trivialize_syzygy(t, f)
-            assert cert.expand(t) == f
+            if cert.expand(t) != f:
+                raise AssertionError("the certificate does not expand to f")
             if t[0].modulus:
                 lifted = lift_syzygy(t, cert)
                 back = {k: reduce_coefficients(g, t[0].modulus)
                         for k, g in lifted.entries.items()}
-                assert back == cert.entries
+                if back != cert.entries:
+                    raise AssertionError("the lifted certificate does not reduce to the original")
         except Exception as exc:  # pragma: no cover - failure report path
             failures += 1
             print(f"case {case}: FAIL ({exc})")

@@ -43,6 +43,7 @@ from .rootdata import (
     congruence_grading,
     frozen_setattr,
     fundamental_orbit_sums,
+    killing_coeffs,
     killing_gram,
     parabolic_order,
     weyl_order,
@@ -143,19 +144,17 @@ def c2(f: LaurentPoly) -> TruncatedForm:
 
 
 def killing_decompose(model: LatticeModel, quad) -> tuple:
-    """Express a degree-2 coefficient table as sum d_i q_i, exactly.
+    """Express a degree-2 coefficient table as sum d_i q_i, exactly, with q_i
+    the factor's killing_coeffs at its offset.
 
     Raises KillingDecomposeError when the table has cross-factor terms or a
     factor block is not an integer multiple of that factor's Killing form.
     """
     quad = dict(quad)
     out = []
-    for fi, kf in enumerate(model.killing):
-        off = model.offsets[fi]
-        rank = model.factors[fi].rank
-        qloc = kf.as_dict()
+    for fi, (f, off) in enumerate(zip(model.factors, model.offsets)):
         num = den = None  # the block is num/den times the Killing form
-        for (i, j), c in qloc.items():
+        for (i, j), c in killing_coeffs(f.kind, f.rank).items():
             have = quad.pop((off + i, off + j), 0)
             if den is None:
                 num, den = have, c
@@ -652,6 +651,23 @@ def sdec_table(model: LatticeModel, dec: InvariantLattice,
     return None
 
 
+def _generator_images(model: LatticeModel, gs) -> list:
+    """Killing coordinates of c2 of each generator of gs, in gs.labeled() order.
+
+    g = sum_j row_j rho-bar_j (build_generators checks it), and c2 is additive
+    and multiplicative modulo degree 3; with c0 = c1 = 0 on each rho-bar_j
+    (checked here), c2(g) = sum_j aug(row_j) c2(rho-bar_j)."""
+    per_rho = []
+    for j, r in enumerate(gs.rho):
+        tf = c2(r)
+        if tf.c0 != 0 or any(tf.c1):
+            raise AssertionError(f"rho[{j + 1}]: nonzero degree <=1 image")
+        per_rho.append(killing_decompose(model, tf.c2_dict()))
+    return [tuple(sum(augmentation(c) * v[i] for c, v in zip(row, per_rho))
+                  for i in range(len(model.factors)))
+            for row in gs.h1_rows + gs.h2_rows + gs.h3_rows]
+
+
 def compute_Sdec(model: LatticeModel, dec: InvariantLattice | None = None,
                  q: InvariantLattice | None = None) -> InvariantLattice:
     """Semi-decomposable subgroup, by the first case that applies:
@@ -659,7 +675,8 @@ def compute_Sdec(model: LatticeModel, dec: InvariantLattice | None = None,
     - sdec_table has a closed form: mode 'table', exact only where compute_Dec
       checked Dec against a closed form too (Dec mode 'both');
     - an index-2 grading with every factor of type A or C: Dec joined with the
-      c2 images of the build_generators set, mode 'generators';
+      c2 images of the build_generators set, read off c2 of the orbit sums
+      (_generator_images), mode 'generators';
     - otherwise Dec itself, mode 'dec'.
 
     Only the first can be exact; the other two are lower bounds.  dec and q,
@@ -673,12 +690,7 @@ def compute_Sdec(model: LatticeModel, dec: InvariantLattice | None = None,
     if model.grading.moduli != (2,) or any(f.kind not in ("A", "C") for f in model.factors):
         return InvariantLattice(dec.dim, dec.rows, False, "dec")
     from .generators import build_generators
-    vecs = []
-    for name, h in build_generators(model).labeled():
-        tf = c2(h)
-        if tf.c0 != 0 or any(tf.c1):
-            raise AssertionError(f"{name}: nonzero degree <=1 image")
-        vecs.append(killing_decompose(model, tf.c2_dict()))
+    vecs = _generator_images(model, build_generators(model))
     return InvariantLattice(dec.dim, dec.join(vecs).rows, False, "generators")
 
 

@@ -191,27 +191,6 @@ def killing_coeffs(kind: str, n: int) -> dict[tuple[int, int], int]:
             for i in range(n) for j in range(i, n) if k[i][j]}
 
 
-class KillingForm(namedtuple("KillingForm", "factor_index coeffs")):
-    """Normalized Killing form of one factor, in its local fw coordinates.
-
-    `coeffs` is ((i, j, c), ...) with i <= j.
-    """
-
-    __slots__ = ()
-    __setattr__ = __delattr__ = frozen_setattr
-
-    def as_dict(self):
-        return {(i, j): c for i, j, c in self.coeffs}
-
-
-def killing_forms(spec: GroupSpec) -> list[KillingForm]:
-    out = []
-    for fi, f in enumerate(spec.factors):
-        q = killing_coeffs(f.kind, f.rank)
-        out.append(KillingForm(fi, tuple(sorted((i, j, c) for (i, j), c in q.items()))))
-    return out
-
-
 # --------------------------------------------------------------------------
 # parabolic subgroup orders (stabilizers of dominant weights)
 
@@ -335,7 +314,6 @@ class LatticeModel:
         ends = tuple(accumulate((f.rank for f in factors), initial=0))
         put(spec=spec, factors=factors, offsets=ends[:-1], total_rank=ends[-1],
             _cartan=tuple(tuple(map(tuple, cartan_rows(f.kind, f.rank))) for f in factors),
-            killing=tuple(killing_forms(spec)),
             _residue=tuple(tuple((tuple(v), m) for v, m in residue_functionals(f.kind, f.rank))
                            for f in factors),
             _center=tuple(center_group(f.kind, f.rank) for f in factors))

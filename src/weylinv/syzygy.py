@@ -690,9 +690,11 @@ def gcd_chain(model: LatticeModel) -> GcdChain:
                 t = (bez[i][j] + step // 2) // step if step else 0
                 bez[i][j] -= t * step
                 bez[i][i] += t * (sizes[j] // gij)
-        assert sum(bez[i][j] * sizes[j] for j in range(i, np_)) == d_chain[i]
+        if sum(bez[i][j] * sizes[j] for j in range(i, np_)) != d_chain[i]:
+            raise AssertionError(f"gcd chain: Bezout sum {i} is not d_{i}")
     for i in range(np_ - 1):
-        assert d_chain[i + 1] % d_chain[i] == 0
+        if d_chain[i + 1] % d_chain[i]:
+            raise AssertionError(f"gcd chain: d_{i} does not divide d_{i + 1}")
     return GcdChain(order, np_, sizes, tuple(d_chain), tuple(tuple(r) for r in bez))
 
 
@@ -703,7 +705,7 @@ def reduction_data(model: LatticeModel) -> tuple:
 
     What `build_generators` and `normalize_coefficients` read of the model,
     computed once per model and process (`compile_spec` gives one model per
-    spec); the gcd chain's asserts run when it is filled.
+    spec); the gcd chain's checks run when it is filled.
     """
     return gcd_chain(model), fundamental_orbit_sums(model)
 

@@ -20,7 +20,7 @@ from weylinv.laurent import (
     reduce_coefficients,
 )
 from weylinv.rootdata import (
-    GroupSpec, SimpleFactor, cartan_rows, compile_spec, diagram_edges,
+    GroupSpec, SimpleFactor, cartan_rows, compile_spec, diagram_edges, killing_coeffs,
     orbit_poly, residue_functionals,
 )
 from weylinv.spec import SpecParseError
@@ -149,10 +149,9 @@ def q_oracle(md, basis=None):
     m = len(md.factors)
     binv = fraction_inverse([list(r) for r in (basis if basis is not None else tstar_basis(md))])
     grams = []
-    for fi, kf in enumerate(md.killing):
-        off = md.offsets[fi]
+    for f, off in zip(md.factors, md.offsets):
         g = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), c in kf.as_dict().items():
+        for (i, j), c in killing_coeffs(f.kind, f.rank).items():
             if i == j:
                 g[off + i][off + i] = Fraction(c)
             else:

@@ -795,6 +795,17 @@ class TestConsoleScript:
                                "mode": "hilbert"}
         assert data["inv_ind"]["factors"] == [n] * (k - 1)
 
+    def test_fuzz_syzygy_checks_the_lift_under_optimize(self):
+        # the lift round trip raises its AssertionError explicitly, so
+        # `python -O` keeps it: a lift that loses the certificate exits 2
+        script = ("import sys, types, weylinv.cli as cli; "
+                  "cli.lift_syzygy = lambda t, cert: types.SimpleNamespace(entries={}); "
+                  "sys.exit(cli.main(['fuzz-syzygy', '--seed', '0', '--cases', '20']))")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "the lifted certificate does not reduce to the original" in proc.stdout
+
     def test_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-c",

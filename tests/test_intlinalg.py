@@ -202,12 +202,12 @@ def test_congruence_kernel_matches_congruences(system):
         image = {tuple([0] * len(congs))}
         for j in range(n):
             gen = [v[j] % m for v, m in congs]
-            while True:
-                grown = image | {tuple((x + g) % m for x, g, (_, m) in zip(p, gen, congs))
-                                 for p in image}
-                if grown == image:
-                    break
-                image = grown
+            # extend by gen from the points added last round only
+            frontier = image
+            while frontier:
+                frontier = {tuple((x + g) % m for x, g, (_, m) in zip(p, gen, congs))
+                            for p in frontier} - image
+                image |= frontier
         assert abs(det_int(rows)) == len(image)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weylinv import intlinalg, invariants, rootdata
-from weylinv.cli import parse_spec
+from weylinv.cli import main, parse_spec
 from weylinv.generators import build_generators
 from weylinv.intlinalg import hnf
 from weylinv.invariants import (
@@ -34,15 +34,15 @@ from weylinv.invariants import (
 )
 from weylinv.laurent import LaurentPoly, augmentation, dot
 from weylinv.rootdata import (
-    GroupSpec, KillingForm, LatticeModel, SimpleFactor, center_group, compile_spec,
-    fundamental_orbit_sums, killing_gram, orbit_poly, orbit_size,
+    GroupSpec, LatticeModel, SimpleFactor, center_group, compile_spec,
+    fundamental_orbit_sums, killing_coeffs, killing_gram, orbit_poly, orbit_size,
 )
 
 from _helpers import (
-    bounded_weights, box_dec_rows, c2_orbit, center_residues, davenport_bound, element_rows,
-    explicit_elements, fac_c, factor_davenport, fraction_det, fundamental_weight, in_tstar,
-    lattice_from_congruence, model, oracle_specs, q_oracle, quotient_mul, quotient_reduction,
-    residue_allowed, tstar_basis, witness_rows, zero_class,
+    _bench_inputs, bounded_weights, box_dec_rows, c2_orbit, center_residues, davenport_bound,
+    element_rows, explicit_elements, fac_c, factor_davenport, fraction_det, fundamental_weight,
+    in_tstar, lattice_from_congruence, model, oracle_specs, q_oracle, quotient_mul,
+    quotient_reduction, residue_allowed, tstar_basis, witness_rows, zero_class,
 )
 
 
@@ -134,14 +134,14 @@ class TestC2Orbit:
         assert sign_free(v, (s, s))
 
 
-def fraction_killing_decompose(md, quad):
-    """killing_decompose as it was written with Fractions, kept as its oracle."""
+def fraction_killing_decompose(md, quad, coeffs=killing_coeffs):
+    """killing_decompose as it was written with Fractions, kept as its oracle;
+    coeffs(kind, rank) is the factor's normalized Killing form."""
     quad = dict(quad)
     out = []
-    for fi, kf in enumerate(md.killing):
-        off = md.offsets[fi]
+    for f, off in zip(md.factors, md.offsets):
         ratio = None
-        for (i, j), c in kf.as_dict().items():
+        for (i, j), c in coeffs(f.kind, f.rank).items():
             r = Fraction(quad.pop((off + i, off + j), 0), c)
             if ratio is None:
                 ratio = r
@@ -163,10 +163,9 @@ class TestKillingDecompose:
         rng = random.Random(spec)
         for _ in range(200):
             quad = {}
-            for fi, kf in enumerate(md.killing):
-                off = md.offsets[fi]
+            for f, off in zip(md.factors, md.offsets):
                 num, den = rng.randint(-6, 6), rng.choice((1, 1, 2, 3))
-                for i, j, c in kf.coeffs:
+                for (i, j), c in killing_coeffs(f.kind, f.rank).items():
                     quad[(off + i, off + j)] = c * num // den  # rounds when den does not divide
                 if rng.random() < 0.2:
                     key = rng.choice(sorted(quad))
@@ -181,19 +180,23 @@ class TestKillingDecompose:
             else:
                 assert killing_decompose(md, quad) == want
 
-    def test_non_integral_multiple(self):
+    def test_non_integral_multiple(self, monkeypatch):
         # every normalized Killing form has a coefficient +-1; a doubled one
         # makes the odd multiples of half of it proportional but non-integral
-        doubled = SimpleNamespace(killing=[KillingForm(0, ((0, 0, 2), (0, 1, -2), (1, 1, 2)))],
-                                  offsets=[0], factors=[SimpleFactor("A", 2)])
+        def doubled(kind, rank):
+            return {key: 2 * c for key, c in killing_coeffs(kind, rank).items()}
+
+        monkeypatch.setattr(invariants, "killing_coeffs", doubled)
+        a2 = SimpleNamespace(offsets=[0], factors=[SimpleFactor("A", 2)])
+        assert doubled("A", 2) == {(0, 0): 2, (0, 1): -2, (1, 1): 2}
         for k in range(-5, 6):
             quad = {(0, 0): k, (0, 1): -k, (1, 1): k}
             if k % 2:
                 with pytest.raises(KillingDecomposeError, match=f"non-integral multiple {k}/2"):
-                    killing_decompose(doubled, quad)
+                    killing_decompose(a2, quad)
             else:
-                assert killing_decompose(doubled, quad) == fraction_killing_decompose(
-                    doubled, quad) == (k // 2,)
+                assert killing_decompose(a2, quad) == fraction_killing_decompose(
+                    a2, quad, doubled) == (k // 2,)
 
 
 @st.composite
@@ -561,6 +564,13 @@ _ELEMENT_SPECS = [text for text, md in _ORACLE_MODELS.items() if explicit_elemen
 _GENERATOR_SPECS = [text for text, md in _ORACLE_MODELS.items()
                     if _index2_type_ac(md) and all(f.kind == "A" or f.rank <= 5 for f in md.factors)]
 
+# where each generator's Killing vector is checked against c2 of the dense
+# generator: the generator-witness specs, the reduce workload's specs and an
+# A x C pair past both
+_VECTOR_SPECS = list(dict.fromkeys(
+    _GENERATOR_SPECS + [spec for spec, _ in _bench_inputs().REDUCE_SPECS]
+    + ["(Sp(8) x SL(10)) / mu(2)"]))
+
 # where Dec joined with c2 of the generator set stops short of the closed form
 # Sdec = Q of a diagonal type-A quotient: the witness has index 2 in it
 _GENERATOR_GAPS = {"(SL(8) x SL(8)) / mu(2)": ((1, 1), (0, 2))}
@@ -626,6 +636,37 @@ class TestSdecWitnesses:
         rows = witness_rows(md, dec, build_generators(md).labeled())
         assert sd.includes(InvariantLattice.from_rows(dec.dim, rows))
         assert rows == _GENERATOR_GAPS.get(text, sd.rows)
+
+    @pytest.mark.parametrize("text", _VECTOR_SPECS)
+    def test_generator_images_match_dense_c2(self, text):
+        # the vectors, not just the lattice they span with Dec
+        md = compile_spec(parse_spec(text))
+        gs = build_generators(md)
+        dense = []
+        for name, h in gs.labeled():
+            tf = c2(h)
+            assert tf.c0 == 0 and not any(tf.c1), name
+            dense.append(killing_decompose(md, tf.c2_dict()))
+        assert invariants._generator_images(md, gs) == dense
+
+    def test_a_degree_one_image_of_an_orbit_sum_is_refused(self, monkeypatch, capsys):
+        text = "(SL(4) x Sp(4)) / mu(2)"
+        md = compile_spec(parse_spec(text))
+        rho2, real = fundamental_orbit_sums(md)[1], invariants.c2
+
+        def skewed(f):
+            # rho[2] gets c1 = (1, 0, ...) on top of its true image
+            tf = real(f)
+            if f != rho2:
+                return tf
+            return TruncatedForm(tf.c0, tuple(x + (i == 0) for i, x in enumerate(tf.c1)), tf.c2)
+
+        monkeypatch.setattr(invariants, "c2", skewed)
+        with pytest.raises(AssertionError, match=r"^rho\[2\]: nonzero degree <=1 image$"):
+            compute_Sdec(md)
+        assert main(["invariants", "--spec", text, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "rho[2]: nonzero degree <=1 image" in err
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.sampled_from(["SL(2)", "SL(4)", "SL(6)", "Sp(4)", "Sp(6)"]),

@@ -16,7 +16,6 @@ from weylinv import (
     GeneratorSet,
     GroupSpec,
     InvariantLattice,
-    KillingForm,
     LatticeModel,
     SimpleFactor,
     SyzygyCertificate,
@@ -35,7 +34,6 @@ from weylinv.rootdata import frozen_setattr
 RECORDS = [
     (SimpleFactor, ("kind", "rank"), {}, True),
     (GroupSpec, ("factors", "center_kernel"), {"center_kernel": ()}, True),
-    (KillingForm, ("factor_index", "coeffs"), {}, True),
     (TruncatedForm, ("c0", "c1", "c2"), {}, True),
     (InvariantLattice, ("dim", "rows", "exact", "mode"), {"exact": True, "mode": "exact"}, True),
     (FactorGroup, ("invariant_factors", "free_rank"), {"free_rank": 0}, True),
@@ -51,9 +49,8 @@ RECORDS = [
 def _samples():
     """One instance of each frozen record type, built as the package builds them."""
     spec = parse_spec("(SL(2) x Spin(10)) / mu(2)")
-    model = compile_spec(spec)
     _, tr, _ = newton_transform("C", 2)
-    return [spec.factors[1], spec, model.killing[0], TruncatedForm(1, (0, 2), (((0, 1), 3),)),
+    return [spec.factors[1], spec, TruncatedForm(1, (0, 2), (((0, 1), 3),)),
             InvariantLattice(2, ((1, 0), (0, 1))), FactorGroup((2,)), tr]
 
 
@@ -72,10 +69,9 @@ def test_lattice_model_is_immutable():
     assert LatticeModel.__setattr__ is LatticeModel.__delattr__ is frozen_setattr
     assert model.offsets == (0, 1)
     assert model._cartan[1][3] == (0, 0, -1, 2, 0)
-    assert model.killing[0] == KillingForm(0, ((0, 0, 1),))
     assert model._residue == ((((1,), 2),), (((2, 0, 2, 1, 3), 4),))
     assert model._center == ((2,), (4,))
-    for name in ("offsets", "_cartan", "killing", "_residue", "_center", "factors",
+    for name in ("offsets", "_cartan", "_residue", "_center", "factors",
                  "congruences", "fw_degrees"):
         value = getattr(model, name)
         assert isinstance(value, tuple), name
@@ -104,8 +100,6 @@ PINNED_REPRS = [
      "GroupSpec(factors=(SimpleFactor(kind='A', rank=1), SimpleFactor(kind='D', rank=5)), "
      "center_kernel=((1, 2),))"),
     (TruncatedForm(1, (0, 2), (((0, 1), 3),)), "TruncatedForm(c0=1, c1=(0, 2), c2=(((0, 1), 3),))"),
-    (KillingForm(0, ((0, 0, 2), (0, 1, -1))),
-     "KillingForm(factor_index=0, coeffs=((0, 0, 2), (0, 1, -1)))"),
     (SyzygyCertificate(2, 1, 0, {}), "SyzygyCertificate(length=2, rank=1, modulus=0, entries={})"),
     (gcd_chain(compile_spec(parse_spec("PGSp(4)"))),
      "GcdChain(order=(0, 1), nprime=1, sizes=(4,), d_chain=(4,), bezout=((1,),))"),
@@ -155,7 +149,7 @@ def test_equality_and_hash_within_a_type():
     assert len({SimpleFactor("A", 1), SimpleFactor("A", 1), SimpleFactor("C", 2)}) == 2
 
 
-@pytest.mark.parametrize("index", range(7))
+@pytest.mark.parametrize("index", range(6))
 def test_frozen_types_refuse_assignment(index):
     rec = _samples()[index]
     name = type(rec)._fields[0]

@@ -22,7 +22,6 @@ from weylinv.rootdata import (
     factor_orbit_sums,
     fundamental_orbit_sums,
     killing_coeffs,
-    killing_forms,
     killing_gram,
     orbit_poly,
     orbit_size,

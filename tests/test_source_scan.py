@@ -7,6 +7,9 @@ runs only for the tests, and belongs in `tests/_helpers.py`.  Exempt are the
 names the benchmark reads (`weylbench/spans.py`'s `LAYERS` and the
 `from weylinv... import` lines of `weylbench/*.py`) and the console script
 named in `pyproject.toml`.
+
+No `src` check is an `assert` statement, which `python -O` strips: each one
+raises its AssertionError explicitly.
 """
 
 import ast
@@ -159,6 +162,12 @@ def unused_imports(modules):
     return sorted(out)
 
 
+def assert_statements(modules):
+    """Sorted 'module:line' of the assert statements in the package."""
+    return sorted(f"{module}:{node.lineno}" for module, (_, tree) in modules.items()
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
 def test_every_src_routine_has_a_src_caller():
     assert unreferenced(_modules()) == []
 
@@ -173,6 +182,18 @@ def test_the_scan_sees_an_uncalled_routine_and_an_unread_import():
     modules[f"{PACKAGE}.intlinalg"] = (source, ast.parse(source))
     assert unreferenced(modules) == [f"{PACKAGE}.intlinalg._uncalled"]
     assert unused_imports(modules) == [f"{PACKAGE}.intlinalg: json"]
+
+
+def test_no_src_check_is_an_assert_statement():
+    assert assert_statements(_modules()) == []
+
+
+def test_the_scan_sees_an_assert_statement():
+    modules = _modules()
+    source = modules[f"{PACKAGE}.intlinalg"][0]
+    source += "\n\ndef _checked(x):\n    assert x\n"
+    modules[f"{PACKAGE}.intlinalg"] = (source, ast.parse(source))
+    assert assert_statements(modules) == [f"{PACKAGE}.intlinalg:{len(source.splitlines())}"]
 
 
 def test_the_exemptions_come_from_the_benchmark_and_the_console_script():
