@@ -77,13 +77,16 @@ def _check_family(name, gens, rows, rho, grading):
 
 @lru_cache(maxsize=None)
 def _model_generators(model: LatticeModel) -> tuple:
-    """(chain, rho, h1_cores, h2, h3, h2_rows, h3_rows): what `build_generators`
-    reads of the model, computed and checked once per model and process.
+    """(chain, rho, h1_cores, h2, h3, h2_rows, h3_rows, h1, h1_rows): what
+    `build_generators` and `reduce_to_generators` read of the model, computed
+    and checked once per model and process.
 
     h1[i] is e^{lambda0} * P_i for the lambda0-free core
     P_i = (r_i/s_i) rho_w(i) - (r_i/d_{i+1}) rho~_w(i+1); `h1_cores[i]` is
     (P_i, c) with h1_rows[i][j] = c[j] e^{lambda0}.  The h2 and h3 families
-    do not depend on lambda0 and are checked here; h1 is checked per call.
+    do not depend on lambda0 and are checked here; so is the h1 family of the
+    default lambda0 (the last two fields), which `build_generators` twists
+    and checks again per call.
     """
     chain, rho_nat = reduction_data(model)
     n = model.total_rank
@@ -127,10 +130,26 @@ def _model_generators(model: LatticeModel) -> tuple:
         row[chain.order[k]] = LaurentPoly.const(n, 1, 0)
         h3_rows.append(tuple(row))
 
+    h1, h1_rows = _twist(n, _default_lambda0(model, chain), h1_cores)
+    _check_family("h1", h1, h1_rows, rho_nat, model.grading)
     _check_family("h2", h2, h2_rows, rho_nat, model.grading)
     _check_family("h3", h3, h3_rows, rho_nat, model.grading)
     return (chain, rho_nat, tuple(h1_cores), tuple(h2), tuple(h3),
-            tuple(h2_rows), tuple(h3_rows))
+            tuple(h2_rows), tuple(h3_rows), h1, h1_rows)
+
+
+def _default_lambda0(model, chain):
+    return model._basis_vec(chain.order[0])
+
+
+def _twist(n, lambda0, h1_cores):
+    """(h1, h1_rows): the h1 cores and their rows times e^{lambda0}."""
+    e_l0 = LaurentPoly.monomial(n, lambda0)
+    zero = LaurentPoly.zero(n, 0)
+    h1 = tuple(e_l0 * core for core, _ in h1_cores)
+    h1_rows = tuple(tuple(e_l0.scale(c) if c else zero for c in coeffs)
+                    for _, coeffs in h1_cores)
+    return h1, h1_rows
 
 
 def build_generators(model: LatticeModel, lambda0=None) -> GeneratorSet:
@@ -139,19 +158,14 @@ def build_generators(model: LatticeModel, lambda0=None) -> GeneratorSet:
     The h2 and h3 families and the h1 cores come from `_model_generators`;
     each call twists the cores by e^{lambda0} and checks the h1 family.
     """
-    chain, rho, h1_cores, h2, h3, h2_rows, h3_rows = _model_generators(model)
-    n = model.total_rank
+    chain, rho, h1_cores, h2, h3, h2_rows, h3_rows, *_ = _model_generators(model)
     if lambda0 is None:
-        lambda0 = model._basis_vec(chain.order[0])
+        lambda0 = _default_lambda0(model, chain)
     lambda0 = tuple(lambda0)
     if model.grade_of_weight(lambda0) != (1,):
         raise ValueError("lambda0 must have degree 1")
 
-    e_l0 = LaurentPoly.monomial(n, lambda0)
-    zero = LaurentPoly.zero(n, 0)
-    h1 = tuple(e_l0 * core for core, _ in h1_cores)
-    h1_rows = tuple(tuple(e_l0.scale(c) if c else zero for c in coeffs)
-                    for _, coeffs in h1_cores)
+    h1, h1_rows = _twist(model.total_rank, lambda0, h1_cores)
     _check_family("h1", h1, h1_rows, rho, model.grading)
     return GeneratorSet(model, chain, lambda0, h1, h2, h3, rho, h1_rows, h2_rows, h3_rows)
 
@@ -171,14 +185,41 @@ def combination_to_tuple(gs: GeneratorSet, combo: dict) -> tuple:
     return tuple(dot(combo.values(), [r[j] for r in rows], zero) for j in range(n))
 
 
+def _rows_checked(model: LatticeModel, gs: GeneratorSet) -> bool:
+    """Whether every row of gs is one this process checked against rho: the
+    h2 and h3 tuples of the model's fill themselves, and its default-lambda0
+    h1 family."""
+    _, _, _, h2, h3, h2_rows, h3_rows, h1, h1_rows = _model_generators(model)
+    return (gs.h2 is h2 and gs.h3 is h3 and gs.h2_rows is h2_rows
+            and gs.h3_rows is h3_rows and gs.h1 == h1 and gs.h1_rows == h1_rows)
+
+
+def _tuple_proves(gs: GeneratorSet, f, combo: dict, g0: tuple) -> bool:
+    """Whether F_j = f_j + sum_g c_g row_g[j] equals g0_j for every j."""
+    rows = [gs.rows_for(name) for name in combo]
+    coeffs = list(combo.values())
+    return all(dot(coeffs, [r[j] for r in rows], fj) == gj
+               for j, (fj, gj) in enumerate(zip(f, g0)))
+
+
 def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None) -> dict:
     """Express sum f_i rho_i (in R[T*]) as a generator combination.
 
     Runs the coefficient normalization and then the four elimination steps,
-    asserting the running equality after each step that changed the state:
-    a step that changed nothing leaves the state the previous check (or the
-    normalization's own check) verified.  After the last step the final
-    re-expansion is that check.  Returns {label: coeff}.
+    asserting the running equality sum f_i rho_i + sum c_g g = target after
+    each step that changed the state: a step that changed nothing leaves the
+    state the previous check (or the normalization's own check) verified.
+    After the last step the final re-expansion is that check.
+
+    Each check first forms F = f + sum_g c_g row_g, entry by entry, and
+    compares it with g0, the normalized tuple.  If gs holds rows this
+    process checked (`_rows_checked`) and F == g0, the identity is proved:
+    sum f_i rho_i + sum c_g g = sum F_j rho_j = sum g0_j rho_j = target, since
+    each such row expands to its generator over rho (`_check_family`) and g0
+    either is f or passed the normalization's combination check.  Otherwise
+    the identity is evaluated densely and a mismatch raises.  Steps 1, 3 and
+    4 leave F unchanged; step 2 adds a Koszul term, so the checks after it
+    are dense.  Returns {label: coeff}.
     """
     if gs is None:
         gs = build_generators(model)
@@ -198,8 +239,10 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     if homogeneous_component(target, grading, (1,)):
         raise ValueError("the combination is not in R[T*]")
 
-    f = list(_normalized(model, tuple(f), target))
+    g0 = _normalized(model, tuple(f), target)
+    f = list(g0)
     result: dict[str, LaurentPoly] = {}
+    rows_checked = _rows_checked(model, gs)
     by_label = dict(gs.labeled())
     changed = False  # since the last verified state
 
@@ -217,6 +260,8 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
         if not changed:
             return
         changed = False
+        if rows_checked and _tuple_proves(gs, f, result, g0):
+            return
         gens = [by_label[name] for name in result]
         if dot([*f, *result.values()], [*rho, *gens]) != target:
             raise AssertionError("running combination equality broken")
@@ -295,6 +340,8 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
             raise ReductionError("nonzero residue at the last degree-1 position")
         raise ReductionError("reduction left nonzero coefficients")
     # with f = 0 the running equality is the final re-expansion
+    if rows_checked and _tuple_proves(gs, f, result, g0):
+        return result
     if expand_combination(gs, result) != target:
         raise AssertionError("final combination does not reproduce the input")
     return result

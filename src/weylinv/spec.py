@@ -3,12 +3,12 @@
 Grammar:  product [ "/" center ]
           product := factor ("x" factor)*
           factor  := SL(n) | Spin(n) | Sp(2n) | E6 | E7
-                   | PGL(n) | PGSp(2n) | SO(n) | PGO(8) | HSpin(2n)
+                   | PGL(n) | PGSp(2n) | SO(n) | PSO(6) | PGO(8) | HSpin(2n)
           center  := mu(k) [ "[" residue "," ... "]" ]   (default: diagonal)
 
-Spin(3) is SL(2) and SO(3) is PGL(2); Spin(6) is SL(4) and SO(6) is
-SL(4) / mu(2).  Spin(n) and SO(n) need n = 3, n = 6, odd n >= 5 or even
-n >= 8.
+Spin(3) is SL(2) and SO(3) is PGL(2); Spin(6) is SL(4), SO(6) is
+SL(4) / mu(2) and PSO(6) is SL(4) / mu(4), that is PGL(4).  Spin(n) and
+SO(n) need n = 3, n = 6, odd n >= 5 or even n >= 8; PSO(n) needs n = 6.
 
 Adjoint/special factor forms expand to per-factor kernel generators; a mu(k)
 center adds one kernel generator across the whole product, and explicit
@@ -28,7 +28,7 @@ class SpecParseError(ValueError):
     pass
 
 
-_FACTOR_NAMES = ("SL", "Spin", "Sp", "PGL", "PGSp", "SO", "PGO", "HSpin")
+_FACTOR_NAMES = ("SL", "Spin", "Sp", "PGL", "PGSp", "SO", "PSO", "PGO", "HSpin")
 
 
 def _factor_token(tok: str, pos: int):
@@ -65,6 +65,10 @@ def _factor_token(tok: str, pos: int):
     if name == "SO":
         f = spin_factor(num)
         return f, _diag_entry(f, 2)
+    if name == "PSO":
+        if num != 6:
+            raise SpecParseError(f"{tok} not supported at position {pos}: only PSO(6) is")
+        return SimpleFactor("A", 3), 1   # SL(4) / mu(4), the kernel of PGL(4)
     if name == "PGO":
         if num != 8:
             raise SpecParseError(f"{tok} not supported at position {pos}: only PGO(8) is")

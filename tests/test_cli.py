@@ -148,10 +148,11 @@ CENTER_STRINGS = ["mu()", "mu(2)[", "mu(2)[1,,2]", "mu(2)x", "mu(-2)", "mu(2)", 
 
 # the factor pattern parse_spec matched with a regex before it parsed the
 # token with string methods, kept as their oracle (as a full match: its `$`
-# also let a token end in a newline, which the parser now rejects)
-OLD_FACTOR_RE = re.compile(r"^(SL|Spin|Sp|PGL|PGSp|SO|PGO|HSpin)\((\d+)\)$|^(E6|E7)$")
+# also let a token end in a newline, which the parser now rejects), with the
+# PSO name added since
+OLD_FACTOR_RE = re.compile(r"^(SL|Spin|Sp|PGL|PGSp|SO|PSO|PGO|HSpin)\((\d+)\)$|^(E6|E7)$")
 
-FACTOR_NAMES = ("SL", "Spin", "Sp", "PGL", "PGSp", "SO", "PGO", "HSpin")
+FACTOR_NAMES = ("SL", "Spin", "Sp", "PGL", "PGSp", "SO", "PSO", "PGO", "HSpin")
 ACCEPTED_TOKENS = [f"{name}({num})" for name in FACTOR_NAMES
                    for num in ("0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "16",
                                "02", "\u0663")] + ["E6", "E7"]
@@ -232,6 +233,7 @@ class TestParse:
         assert parse_spec("Spin(3)").factors == (SimpleFactor("A", 1),)
         assert parse_spec("Spin(6)") == parse_spec("SL(4)")
         assert parse_spec("SO(6)") == parse_spec("SL(4) / mu(2)")
+        assert parse_spec("PSO(6)") == parse_spec("SL(4) / mu(4)") == parse_spec("PGL(4)")
 
     def test_mixed_parity_d_mu2(self):
         spec = parse_spec("(Spin(10) x Spin(12)) / mu(2)")
@@ -246,6 +248,8 @@ class TestParse:
 
     @pytest.mark.parametrize("text, message", [
         ("SO(4)", "SO(4) not supported at position 0"),
+        ("PSO(8)", "PSO(8) not supported at position 0: only PSO(6) is"),
+        ("SL(2) x PSO(4)", "PSO(4) not supported at position 1: only PSO(6) is"),
         ("HSpin(4)", "HSpin(4) not supported at position 0"),
         ("SL(2) x SO(1)", "SO(1) not supported at position 1"),
         ("PGL(1)", "PGL(1) needs n >= 2 at position 0"),
@@ -294,7 +298,7 @@ class TestParse:
 
 SPEC_FACTORS = ["SL(2)", "SL(3)", "SL(4)", "PGL(2)", "PGL(4)", "Sp(4)", "PGSp(6)", "SO(5)",
                 "Spin(7)", "SO(10)", "SO(12)", "HSpin(16)", "Spin(8)", "SO(8)", "HSpin(8)",
-                "PGO(8)", "E6", "E7", "Spin(6)", "SO(6)"]
+                "PGO(8)", "E6", "E7", "Spin(6)", "SO(6)", "PSO(6)"]
 
 
 @st.composite
@@ -418,7 +422,8 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["spec"] == "SL(4) / mu(2)"
 
-    @pytest.mark.parametrize("alias, name", [("Spin(6)", "SL(4)"), ("SO(6)", "SL(4) / mu(2)")])
+    @pytest.mark.parametrize("alias, name", [("Spin(6)", "SL(4)"), ("SO(6)", "SL(4) / mu(2)"),
+                                             ("PSO(6)", "PGL(4)")])
     def test_a3_aliases_print_as_a3(self, alias, name):
         # D3 = A3: the alias's --json output is the A3 spec's, byte for byte
         code, out = run_cli("invariants", "--spec", alias, "--json")

@@ -1,6 +1,9 @@
+import inspect
 import random
+import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylinv import generators, syzygy
 from weylinv.cli import parse_spec
@@ -329,3 +332,153 @@ class TestChecksFire:
         with pytest.raises(AssertionError,
                            match="final combination does not reproduce the input"):
             reduce_to_generators(m, f, bad)
+
+
+def _reduce_variant(old, new):
+    """(reduce_to_generators with `old` in its source replaced by `new`, its
+    globals): a copy of the function, run in a copy of the module namespace."""
+    src = textwrap.dedent(inspect.getsource(generators.reduce_to_generators))
+    assert src.count(old) == 1, old
+    ns = dict(vars(generators))
+    exec(compile(src.replace(old, new), generators.__file__, "exec"), ns)
+    return ns["reduce_to_generators"], ns
+
+
+# every check evaluated densely: the reduction as it was before the tuple proof
+dense_reduce, _ = _reduce_variant("rows_checked = _rows_checked(model, gs)",
+                                  "rows_checked = False")
+
+
+def _dense_identity(gs, f, combo, target):
+    by_label = dict(gs.labeled())
+    return dot([*f, *combo.values()], [*gs.rho, *(by_label[k] for k in combo)],
+               LaurentPoly.zero(len(f), 0)) == target
+
+
+def _recording(real):
+    """(wrapper of the tuple verdict `real`, its log): the wrapper logs each
+    state it is asked about as (gs, f, combo, verdict)."""
+    log = []
+
+    def recording(gs, f, combo, g0):
+        verdict = real(gs, f, combo, g0)
+        log.append((gs, tuple(f), dict(combo), verdict))
+        return verdict
+
+    return recording, log
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTupleProof:
+    """With a generator set whose rows this process checked, the running
+    checks and the final re-expansion compare F = f + sum_g c_g row_g with
+    the normalized tuple, and evaluate the identity densely only when they
+    differ; every other generator set takes the dense path throughout."""
+
+    def _agrees_with_dense(self, monkeypatch, model, f):
+        gs = build_generators(model)
+        recording, log = _recording(generators._tuple_proves)
+        monkeypatch.setattr(generators, "_tuple_proves", recording)
+        target = dot(f, gs.rho)
+        out = reduce_to_generators(model, f, gs)
+        assert log or not out
+        for state_gs, state_f, combo, verdict in log:
+            assert state_gs is gs
+            assert verdict == _dense_identity(gs, state_f, combo, target)
+        assert out == dense_reduce(model, f, gs)
+
+    @pytest.mark.parametrize("spec", REDUCE_SPECS)
+    def test_verdict_matches_the_dense_identity(self, spec, monkeypatch):
+        m = compile_spec(parse_spec(spec))
+        inputs = _bench_inputs()
+        labels = [name for name, _ in build_generators(m).labeled()]
+        rng = random.Random(spec)
+        for _ in range(4):
+            f = combination_to_tuple(build_generators(m),
+                                     inputs.random_combination(rng, m, labels))
+            with monkeypatch.context() as mp:
+                self._agrees_with_dense(mp, m, f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(REDUCE_SPECS[:-1]), st.integers(0, 2 ** 32))
+    def test_verdict_matches_the_dense_identity_random(self, spec, seed):
+        m = compile_spec(parse_spec(spec))
+        gs = build_generators(m)
+        combo = _bench_inputs().random_combination(
+            random.Random(seed), m, [name for name, _ in gs.labeled()])
+        with pytest.MonkeyPatch.context() as mp:
+            self._agrees_with_dense(mp, m, combination_to_tuple(gs, combo))
+
+    @staticmethod
+    def _koszul_row(gs, m):
+        """gs with h2[1]'s row plus the Koszul pair (rho_b at a, -rho_a at b):
+        a row that still expands to h2[1], but not one of the fill's."""
+        a, b = 0, 1
+        row = list(gs.h2_rows[0])
+        row[a], row[b] = row[a] + gs.rho[b], row[b] - gs.rho[a]
+        assert dot(row, gs.rho) == gs.h2[0]
+        return gs._replace(h2_rows=(tuple(row),) + gs.h2_rows[1:])
+
+    def test_other_sets_take_the_dense_path(self, monkeypatch):
+        m = sp4xsp4()
+        gs = build_generators(m)
+        ones = [m._basis_vec(k) for k in range(m.total_rank)
+                if m.grade_of_weight(m._basis_vec(k)) == (1,)]
+        assert build_generators(m, ones[1]).lambda0 != gs.lambda0
+        rng = random.Random(3)
+        labels = [name for name, _ in gs.labeled()]
+        combos = [{"h2[1]": LaurentPoly.const(4, 1, 0)}] + [
+            _bench_inputs().random_combination(rng, m, labels) for _ in range(6)]
+        recording, log = _recording(generators._tuple_proves)
+        monkeypatch.setattr(generators, "_tuple_proves", recording)
+        # equal rows in a new tuple are not the fill's own
+        copied = gs._replace(h2_rows=tuple(row for row in gs.h2_rows))
+        reduced = 0
+        for other in (self._koszul_row(gs, m), copied, build_generators(m, ones[1]),
+                      build_generators(m, [-x for x in ones[0]])):
+            for combo in combos:
+                f = combination_to_tuple(gs, combo)
+                out = _outcome(reduce_to_generators, m, f, other)
+                assert out == _outcome(dense_reduce, m, f, other)
+                if isinstance(out, dict):
+                    assert expand_combination(other, out) == dot(f, gs.rho)
+                    reduced += 1
+        # every set but the Koszul one reduces every combination; that one
+        # meets a step-2 coefficient that d does not divide, on both paths
+        assert log == [] and reduced == 3 * len(combos)
+
+    @pytest.mark.parametrize("old, new, combo, message", [
+        # step 1 subtracts c * row[j + 1] at position j
+        ("rows = gs.h2_rows[i]", "rows = gs.h2_rows[i][1:] + gs.h2_rows[i][:1]",
+         {"h2[1]": 1}, "running combination equality broken"),
+        # step 1 credits the other h2 generator
+        ('add_coeff(f"h2[{i + 1}]", c)', 'add_coeff(f"h2[{(i + 1) % np_ + 1}]", c)',
+         {"h2[1]": 1}, "running combination equality broken"),
+        # step 3 credits h2[1]
+        ('add_coeff(f"h3[{i - np_ + 1}]", f[gi])', 'add_coeff("h2[1]", f[gi])',
+         {"h3[1]": 1}, "running combination equality broken"),
+        # step 4 credits h2[i + 1]
+        ('add_coeff(f"h1[{i + 1}]", c)', 'add_coeff(f"h2[{i + 1}]", c)',
+         {"h1[1]": 1}, "final combination does not reproduce the input"),
+    ])
+    def test_a_wrong_step_still_raises(self, old, new, combo, message):
+        m = sp4xsp4()
+        gs = build_generators(m)
+        f = combination_to_tuple(gs, {k: LaurentPoly.const(4, c, 0) for k, c in combo.items()})
+        mutant, ns = _reduce_variant(old, new)
+        ns["_tuple_proves"], log = _recording(ns["_tuple_proves"])
+        with pytest.raises(AssertionError, match=message):
+            mutant(m, f, gs)
+        # the tuples differed, so the dense evaluation ran and raised
+        assert log and log[-1][3] is False
+        # the same input passes the unmutated reduction on the tuple path
+        ref, ns = _reduce_variant(old, old)
+        ns["_tuple_proves"], log = _recording(ns["_tuple_proves"])
+        ref(m, f, gs)
+        assert log and all(verdict for *_, verdict in log)

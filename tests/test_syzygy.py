@@ -520,9 +520,10 @@ class TestReductionData:
                                       "h3[1]": LaurentPoly.const(5, 2, 0)})
         for _ in range(3):
             reduce_to_generators(compile_spec(parse_spec(self.SPEC)), f)
-        # five build_generators calls, with two lambda0, share one generator fill
+        # five build_generators calls, with two lambda0, and the three
+        # reductions' reads of the checked rows share one generator fill
         info = _model_generators.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
         # that fill, the three reductions' rho checks and the three
         # normalizations read reduction_data; a zero syzygy reads no transform
         info = reduction_data.cache_info()
