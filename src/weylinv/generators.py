@@ -20,6 +20,7 @@ from .syzygy import (  # noqa: F401  (GcdChain and gcd_chain are public here too
     _model_tuple,
     _normalized,
     gcd_chain,
+    graded_parts,
     reduction_data,
 )
 
@@ -85,10 +86,10 @@ def _model_generators(model: LatticeModel) -> tuple:
     P_i = (r_i/s_i) rho_w(i) - (r_i/d_{i+1}) rho~_w(i+1); `h1_cores[i]` is
     (P_i, c) with h1_rows[i][j] = c[j] e^{lambda0}.  The h2 and h3 families
     do not depend on lambda0 and are checked here; so is the h1 family of the
-    default lambda0 (the last two fields), which `build_generators` twists
-    and checks again per call.
+    default lambda0 (the last two fields), which `build_generators` returns
+    when its twist equals it.
     """
-    chain, rho_nat = reduction_data(model)
+    chain, rho_nat, _ = reduction_data(model)
     n = model.total_rank
     np_ = chain.nprime
     rho_ord = tuple(rho_nat[chain.order[k]] for k in range(n))
@@ -156,9 +157,12 @@ def build_generators(model: LatticeModel, lambda0=None) -> GeneratorSet:
     """Generator families per the gcd-chain definition, verified degree 0.
 
     The h2 and h3 families and the h1 cores come from `_model_generators`;
-    each call twists the cores by e^{lambda0} and checks the h1 family.
+    each call twists the cores by e^{lambda0}.  A twist equal to the fill's
+    default-lambda0 family returns the fill's own tuples, which the fill
+    checked; any other h1 family is checked here.
     """
-    chain, rho, h1_cores, h2, h3, h2_rows, h3_rows, *_ = _model_generators(model)
+    (chain, rho, h1_cores, h2, h3, h2_rows, h3_rows,
+     h1_default, h1_rows_default) = _model_generators(model)
     if lambda0 is None:
         lambda0 = _default_lambda0(model, chain)
     lambda0 = tuple(lambda0)
@@ -166,7 +170,10 @@ def build_generators(model: LatticeModel, lambda0=None) -> GeneratorSet:
         raise ValueError("lambda0 must have degree 1")
 
     h1, h1_rows = _twist(model.total_rank, lambda0, h1_cores)
-    _check_family("h1", h1, h1_rows, rho, model.grading)
+    if h1 == h1_default and h1_rows == h1_rows_default:
+        h1, h1_rows = h1_default, h1_rows_default
+    else:
+        _check_family("h1", h1, h1_rows, rho, model.grading)
     return GeneratorSet(model, chain, lambda0, h1, h2, h3, rho, h1_rows, h2_rows, h3_rows)
 
 
@@ -187,19 +194,28 @@ def combination_to_tuple(gs: GeneratorSet, combo: dict) -> tuple:
 
 def _rows_checked(model: LatticeModel, gs: GeneratorSet) -> bool:
     """Whether every row of gs is one this process checked against rho: the
-    h2 and h3 tuples of the model's fill themselves, and its default-lambda0
-    h1 family."""
+    tuples of the model's fill themselves, its default-lambda0 h1 family
+    included (`build_generators` returns those for the default twist)."""
     _, _, _, h2, h3, h2_rows, h3_rows, h1, h1_rows = _model_generators(model)
     return (gs.h2 is h2 and gs.h3 is h3 and gs.h2_rows is h2_rows
-            and gs.h3_rows is h3_rows and gs.h1 == h1 and gs.h1_rows == h1_rows)
+            and gs.h3_rows is h3_rows and gs.h1 is h1 and gs.h1_rows is h1_rows)
 
 
 def _tuple_proves(gs: GeneratorSet, f, combo: dict, g0: tuple) -> bool:
-    """Whether F_j = f_j + sum_g c_g row_g[j] equals g0_j for every j."""
-    rows = [gs.rows_for(name) for name in combo]
-    coeffs = list(combo.values())
-    return all(dot(coeffs, [r[j] for r in rows], fj) == gj
-               for j, (fj, gj) in enumerate(zip(f, g0)))
+    """Whether F_j = f_j + sum_g c_g row_g[j] equals g0_j for every j.
+
+    One pass over each row's nonzero entries sorts the pairs (c_g, row_g[j])
+    by position; each position's pairs are then summed onto f_j by `dot`,
+    with its ring and exponent-range checks.
+    """
+    xs, ys = [[] for _ in f], [[] for _ in f]
+    for name, c in combo.items():
+        for j, r in enumerate(gs.rows_for(name)):
+            if r:
+                xs[j].append(c)
+                ys[j].append(r)
+    return all((dot(x, y, fj) if x else fj) == gj
+               for x, y, fj, gj in zip(xs, ys, f, g0))
 
 
 def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None) -> dict:
@@ -211,40 +227,55 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     state the previous check (or the normalization's own check) verified.
     After the last step the final re-expansion is that check.
 
+    The degree test, deg_1(sum f_i rho_i) = 0, runs on every call, on the
+    graded parts (`syzygy.graded_parts`): deg_1 = sum_i f_i^(0) rho_i^(1) +
+    f_i^(1) rho_i^(0), exact without forming target = sum f_i rho_i.
+
     Each check first forms F = f + sum_g c_g row_g, entry by entry, and
     compares it with g0, the normalized tuple.  If gs holds rows this
     process checked (`_rows_checked`) and F == g0, the identity is proved:
     sum f_i rho_i + sum c_g g = sum F_j rho_j = sum g0_j rho_j = target, since
     each such row expands to its generator over rho (`_check_family`) and g0
     either is f or passed the normalization's combination check.  Otherwise
-    the identity is evaluated densely and a mismatch raises.  Steps 1, 3 and
-    4 leave F unchanged; step 2 adds a Koszul term, so the checks after it
-    are dense.  Returns {label: coeff}.
+    the identity is evaluated densely against target, which is formed then,
+    once per call: after a failed tuple proof, so after step 2 (which adds
+    a Koszul term to F; steps 1, 3 and 4 leave F unchanged), or for a
+    generator set that is not the fill's.  A mismatch raises.  Returns
+    {label: coeff}.
     """
     if gs is None:
         gs = build_generators(model)
     chain = gs.chain
     n = model.total_rank
     np_ = chain.nprime
-    f = list(_model_tuple(model, f))
+    f_in = _model_tuple(model, f)
     rho = gs.rho
     d = chain.d
     grading = model.grading
-    # the normalization's shortcut reads target as sum f_i rho_i over the
-    # model's own rho; a genuine gs holds that very tuple
-    if rho != reduction_data(model)[1]:
+    # the tuple proof reads target as sum f_i rho_i over the model's own rho,
+    # and the degree test reads the model's wrong-degree parts of it; a
+    # genuine gs holds that very tuple
+    _, rho_model, rho_wrong = reduction_data(model)
+    if rho != rho_model:
         raise ValueError("the generator set's rho is not the model's")
 
-    target = dot(f, rho)
-    if homogeneous_component(target, grading, (1,)):
+    deg1, wrong = graded_parts(model, f_in, rho, rho_wrong)
+    if deg1:
         raise ValueError("the combination is not in R[T*]")
 
-    g0 = _normalized(model, tuple(f), target)
+    g0 = _normalized(model, f_in, wrong)
     f = list(g0)
     result: dict[str, LaurentPoly] = {}
     rows_checked = _rows_checked(model, gs)
-    by_label = dict(gs.labeled())
     changed = False  # since the last verified state
+    target = None
+
+    def input_combination():
+        """target = sum f_i rho_i of the input, formed on first read."""
+        nonlocal target
+        if target is None:
+            target = dot(f_in, rho)
+        return target
 
     # every step that changes f adds a nonzero coefficient (Z[T*] is a domain)
     def add_coeff(name, coeff):
@@ -262,8 +293,9 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
         changed = False
         if rows_checked and _tuple_proves(gs, f, result, g0):
             return
+        by_label = dict(gs.labeled())
         gens = [by_label[name] for name in result]
-        if dot([*f, *result.values()], [*rho, *gens]) != target:
+        if dot([*f, *result.values()], [*rho, *gens]) != input_combination():
             raise AssertionError("running combination equality broken")
 
     # step 1: kill f_i^(0) for chain positions i <= n'
@@ -342,7 +374,7 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     # with f = 0 the running equality is the final re-expansion
     if rows_checked and _tuple_proves(gs, f, result, g0):
         return result
-    if expand_combination(gs, result) != target:
+    if expand_combination(gs, result) != input_combination():
         raise AssertionError("final combination does not reproduce the input")
     return result
 

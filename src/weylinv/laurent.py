@@ -396,6 +396,23 @@ def dot(xs, ys, start=None) -> LaurentPoly:
     return _trusted(rank, m, out, bound)
 
 
+def check_dot(xs, ys) -> None:
+    """Raise what `dot(xs, ys)` raises, at the pair where it raises, without
+    forming a product: dot's multiplications raise nothing, so its errors are
+    the checks of its pairs, run here in its order."""
+    pairs = list(zip(xs, ys))
+    if not pairs:
+        raise ValueError("dot of empty sequences needs a start polynomial")
+    ref = pairs[0][0]
+    for x, y in pairs:
+        if x.modulus != y.modulus or x.rank != y.rank:
+            x._check(y)
+        if x._packed and y._packed:
+            _check_range(x._bound + y._bound)
+        if x.modulus != ref.modulus or x.rank != ref.rank:
+            ref._check(x)
+
+
 def embed(f: LaurentPoly, rank: int, offset: int) -> LaurentPoly:
     """f with its axes moved to axes offset.. of a rank-`rank` ring."""
     if not 0 <= offset <= rank - f.rank:
@@ -550,6 +567,19 @@ def homogeneous_component(f: LaurentPoly, grading: Grading, cls) -> LaurentPoly:
     class_of = grading._classifier(f.rank, f._bound)
     kept = {k: c for k, c in items if class_of(k) == cls}
     return _trusted(f.rank, f.modulus, kept, f._bound)
+
+
+def parity_split(f: LaurentPoly, grading: Grading) -> tuple:
+    """(f^(0), f^(1)): the components of f of class 0 and 1 under a grading
+    by one Z/2, in one pass over its terms.  ValueError for another grading."""
+    parity = grading._parity_reader(f.rank, f._bound)
+    if parity is None:
+        raise ValueError(f"a parity split needs one Z/2, not moduli {grading.moduli}")
+    lift, mask, flip = parity
+    parts = ({}, {})
+    for k, c in f._packed.items():
+        parts[(((k + lift) & mask).bit_count() ^ flip) & 1][k] = c
+    return tuple(_trusted(f.rank, f.modulus, t, f._bound) for t in parts)
 
 
 def graded_components(f: LaurentPoly, grading: Grading) -> dict:

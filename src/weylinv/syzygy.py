@@ -18,6 +18,7 @@ from .intlinalg import smallest_prime_factor, xgcd
 from .laurent import (
     LaurentPoly,
     bounded_divide,
+    check_dot,
     degrees,
     dot,
     embed,
@@ -25,6 +26,7 @@ from .laurent import (
     is_divisor,
     leading_slice,
     lift_coefficients,
+    parity_split,
     reduce_coefficients,
 )
 from .rootdata import (
@@ -700,14 +702,22 @@ def gcd_chain(model: LatticeModel) -> GcdChain:
 
 @lru_cache(maxsize=None)
 def reduction_data(model: LatticeModel) -> tuple:
-    """(chain, rho) of an index-2 model: `gcd_chain(model)`, whose d is the
-    reduction's modulus, and `fundamental_orbit_sums(model)`.
+    """(chain, rho, rho_wrong) of an index-2 model: `gcd_chain(model)`, whose
+    d is the reduction's modulus, `fundamental_orbit_sums(model)`, and each
+    rho_i's component of the degree its weight's class does not call for,
+    rho_i^(1-|i|).
 
-    What `build_generators` and `normalize_coefficients` read of the model,
-    computed once per model and process (`compile_spec` gives one model per
-    spec); the gcd chain's checks run when it is filled.
+    What `build_generators`, `reduce_to_generators` and
+    `normalize_coefficients` read of the model, computed once per model and
+    process (`compile_spec` gives one model per spec); the gcd chain's checks
+    run when it is filled.  W fixes the classes of Lambda/T*, so rho_i is an
+    orbit sum of omega_i's class minus the constant |W omega_i|, and
+    rho_i^(1-|i|) is -|W omega_i| for a degree-1 weight and 0 otherwise.
     """
-    return gcd_chain(model), fundamental_orbit_sums(model)
+    chain, rho = gcd_chain(model), fundamental_orbit_sums(model)
+    rho_wrong = tuple(homogeneous_component(r, model.grading, ((1 - deg) % 2,))
+                      for r, (deg,) in zip(rho, model.fw_degrees))
+    return chain, rho, rho_wrong
 
 
 @lru_cache(maxsize=None)
@@ -722,7 +732,7 @@ def modular_transform(model: LatticeModel) -> tuple:
     `newton_transform`, their inverses in `block_inverse_mod`, and the flat
     tuple rho_d * A_d when it is formed here (FlatnessError otherwise).
     """
-    chain, rho = reduction_data(model)
+    chain, rho, _ = reduction_data(model)
     d = chain.d
     rho_d = tuple(reduce_coefficients(r, d) for r in rho)
     rows = _block_diagonal(model, lambda kind, rank: block_inverse_mod(kind, rank, d)[0], d)
@@ -749,16 +759,45 @@ def normalize_coefficients(model: LatticeModel, f):
     g_i^{(1-|i|)} == 0 mod d, where d is the gcd of degree-1 orbit sizes.
     rho and d come from `reduction_data(model)`, the transform mod d and its
     inverse, when the syzygy is nonzero, from `modular_transform(model)`.
+
+    The degree test reads the degree-1 component of sum f_i rho_i off the
+    graded parts (`graded_parts`); the sum itself is never formed.
     """
     if model.grading.moduli != (2,):
         raise ValueError("coefficient normalization needs an index-2 grading")
     f = _model_tuple(model, f)
-    rho = reduction_data(model)[1]
+    _, rho, rho_wrong = reduction_data(model)
     _blocks(model)  # FlatnessError unless A/C
-    combo = dot(f, rho)
-    if homogeneous_component(combo, model.grading, (1,)):
+    deg1, wrong = graded_parts(model, f, rho, rho_wrong)
+    if deg1:
         raise ValueError("the combination is not of degree 0")
-    return _normalized(model, f, combo)
+    return _normalized(model, f, wrong)
+
+
+def graded_parts(model: LatticeModel, f: tuple, rho: tuple, rho_wrong: tuple) -> tuple:
+    """(deg_1(sum f_i rho_i), wrong) for an integral tuple f of the model's
+    length, without forming the sum; rho and rho_wrong are the model's
+    (`reduction_data`).
+
+    The class-c component of x y is sum_{a+b=c} x^(a) y^(b) for any grading.
+    With w_i = f_i^(1-|i|), f_i's wrong-degree component, and
+    s_i = rho_i^(1-|i|), so that rho_i^(|i|) = rho_i - s_i,
+      deg_1(f_i rho_i) = w_i rho_i^(|i|) + f_i^(|i|) s_i
+                       = w_i rho_i + (f_i^(|i|) - w_i) s_i,
+    from one parity split of each f_i.  One factor of each product is w_i,
+    small, or s_i, a constant or zero.  `wrong` is (w_i)_i, the tuple the
+    normalization reduces mod d.  Raises first what `dot(f, rho)` raises
+    (rings, exponent range), at the pair where it raises.
+    """
+    check_dot(f, rho)
+    xs, ys, wrong = [], [], []
+    for p, r, s, (deg,) in zip(f, rho, rho_wrong, model.fw_degrees):
+        p0, p1 = parity_split(p, model.grading)
+        w, right = (p1, p0) if deg == 0 else (p0, p1)
+        xs += (w, right - w)
+        ys += (r, s)
+        wrong.append(w)
+    return dot(xs, ys), tuple(wrong)
 
 
 def _wrong_degree_mod(model: LatticeModel, f, d) -> tuple:
@@ -770,25 +809,25 @@ def _wrong_degree_mod(model: LatticeModel, f, d) -> tuple:
         for i, p in enumerate(f))
 
 
-def _normalized(model: LatticeModel, f: tuple, combo: LaurentPoly) -> tuple:
+def _normalized(model: LatticeModel, f: tuple, wrong: tuple) -> tuple:
     """`normalize_coefficients` past its input checks: f is an integral
-    tuple of the model's length and combo = sum f_i rho_i has degree 0.
+    tuple of the model's length with deg(sum f_i rho_i) = 0, and `wrong` is
+    its tuple of wrong-degree components f_i^(1-|i|) (`graded_parts`).
 
     Raises FlatnessError unless the model is A/C, before anything is filled.
-    A zero mod-d syzygy returns f itself and reads no transform, and no
-    check is skipped: its certificate is empty and lifts to h = 0, so g
-    is f; both callers computed combo as sum f_i rho_i over the model's rho
-    (`reduce_to_generators` checks that its generator set holds that rho),
-    so the combination check would compare combo with a recomputation of
-    itself; and the component check on g is the syzygy just found to be
-    zero.  A nonzero syzygy reads `modular_transform(model)`, whose fill-time
-    checks then run once per model, and checks the output: the same
-    combination, and every wrong-degree component zero mod d.
+    The mod-d syzygy is `wrong` reduced mod d.  A zero one returns f itself
+    and reads no transform, and no check is skipped: its certificate is
+    empty and lifts to h = 0, so g is f, which has the same combination;
+    and the component check on g is the syzygy just found to be zero.  A
+    nonzero syzygy reads `modular_transform(model)`, whose fill-time checks
+    then run once per model, and checks the output: the same combination,
+    as sum h_i rho_i = 0 for g = f - h, which needs no sum f_i rho_i, and
+    every wrong-degree component zero mod d.
     """
     _blocks(model)  # FlatnessError unless A/C
-    chain, rho = reduction_data(model)
+    chain, rho, _ = reduction_data(model)
     d = chain.d
-    syz = _wrong_degree_mod(model, f, d)
+    syz = tuple(reduce_coefficients(w, d) for w in wrong)
     if all(s.is_zero() for s in syz):
         return f
     try:
@@ -802,7 +841,7 @@ def _normalized(model: LatticeModel, f: tuple, combo: LaurentPoly) -> tuple:
     lifted = lift_syzygy(rho_d, cert)
     h = lifted.expand(rho)
     g = tuple(a - b for a, b in zip(f, h))
-    if dot(g, rho) != combo:
+    if dot(h, rho):
         raise AssertionError("normalization changed the combination")
     if not all(s.is_zero() for s in _wrong_degree_mod(model, g, d)):
         raise AssertionError("normalized component does not vanish mod d")

@@ -548,7 +548,7 @@ def ref_mul(a, b, modulus):
 # of the cached build.
 
 def dense_build_generators(model, lambda0=None):
-    chain, rho_nat = reduction_data(model)
+    chain, rho_nat, _ = reduction_data(model)
     n = model.total_rank
     np_ = chain.nprime
     rho_ord = tuple(rho_nat[chain.order[k]] for k in range(n))
@@ -624,7 +624,7 @@ def dense_build_generators(model, lambda0=None):
 
 def full_normalized(model, f, combo):
     n = model.total_rank
-    chain, rho = reduction_data(model)
+    chain, rho, _ = reduction_data(model)
     d = chain.d
     rho_d, _, inverse_d, _ = modular_transform(model)
     transform_d = model_transform(model)[1].reduce(d)

@@ -18,14 +18,17 @@ from weylinv.generators import (
     reduce_to_generators,
 )
 from weylinv.laurent import (
+    EXPONENT_LIMIT,
+    ExponentRangeError,
     LaurentPoly,
+    RankMismatchError,
     augmentation,
     dot,
     graded_components,
     homogeneous_component,
 )
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly
-from weylinv.syzygy import normalize_coefficients
+from weylinv.syzygy import FlatnessError, normalize_coefficients, reduction_data
 
 from _helpers import _bench_inputs, dense_build_generators, reflect_local
 
@@ -193,6 +196,29 @@ class TestModelGenerators:
         with pytest.raises(AssertionError, match="h1 expansion over rho is wrong"):
             build_generators(m)
 
+    def test_the_default_twist_returns_the_checked_fill(self, monkeypatch):
+        # the twist runs on every call; a family equal to the fill's checked
+        # default-lambda0 one is returned as the fill's own tuples, unchecked
+        m = sp4xsp4()
+        fill = _model_generators(m)
+        checked = []
+        real = generators._check_family
+
+        def spy(name, *args):
+            checked.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(generators, "_check_family", spy)
+        gs = build_generators(m)
+        again = build_generators(m, gs.lambda0)
+        assert (gs.h1, gs.h1_rows) == (again.h1, again.h1_rows)
+        assert gs.h1 is again.h1 is fill[7] and gs.h1_rows is again.h1_rows is fill[8]
+        assert checked == []
+        ones = [m._basis_vec(k) for k in range(m.total_rank)
+                if m.grade_of_weight(m._basis_vec(k)) == (1,)]
+        other = build_generators(m, ones[1])
+        assert checked == ["h1"] and other.h1 != fill[7]
+
 
 class TestReduce:
     def test_zero(self):
@@ -261,6 +287,98 @@ class TestReduce:
                 assert expand_combination(gs_dst, combo) == h, (name,)
 
 
+class TestErrorOrder:
+    """Both entry points raise what they raised when the degree test formed
+    sum f_i rho_i densely: the range and ring errors of `dot(f, rho)` first,
+    then the degree error, then, in the normalization of a non-A/C model,
+    FlatnessError.  `normalize_coefficients` checks the type before the
+    degree, as it always has."""
+
+    ENTRIES = (reduce_to_generators, normalize_coefficients)
+
+    def test_out_of_range_exponent(self):
+        m = pgsp4()
+        rho = reduction_data(m)[1]
+        top, zero = LaurentPoly.monomial(2, (EXPONENT_LIMIT, 0)), LaurentPoly.zero(2, 0)
+        # e^{lim omega_1} has degree 1, so these tuples are outside R[T*] too;
+        # e^{lim omega_2} at the degree-0 position meets rho_2^(1) = 0, so no
+        # graded product pairs it with a nonzero factor
+        top2 = LaurentPoly.monomial(2, (0, EXPONENT_LIMIT))
+        for f in [(top, zero), (zero, top), (top, top), (zero, top2)]:
+            with pytest.raises(ExponentRangeError) as dense:
+                dot(f, rho)
+            for entry in self.ENTRIES:
+                with pytest.raises(ExponentRangeError) as got:
+                    entry(m, f)
+                assert str(got.value) == str(dense.value)
+
+    def test_ring_of_another_rank(self):
+        m = pgsp4()
+        f = (LaurentPoly.const(3, 1, 0), LaurentPoly.zero(3, 0))
+        for entry in self.ENTRIES:
+            with pytest.raises(RankMismatchError, match="^3 vs 2$"):
+                entry(m, f)
+
+    def test_non_ac_model(self):
+        b = spin5xspin5()
+        n = b.total_rank
+        zero = LaurentPoly.zero(n, 0)
+        deg1 = next(i for i in range(n) if b.fw_degrees[i] == (1,))
+        outside = tuple(LaurentPoly.const(n, 1, 0) if i == deg1 else zero for i in range(n))
+        top = tuple(LaurentPoly.monomial(n, (EXPONENT_LIMIT,) + (0,) * (n - 1)) if i == deg1
+                    else zero for i in range(n))
+        with pytest.raises(ValueError, match="the combination is not in R\\[T\\*\\]"):
+            reduce_to_generators(b, outside)
+        with pytest.raises(ExponentRangeError):
+            reduce_to_generators(b, top)
+        for f in (outside, top):
+            with pytest.raises(FlatnessError, match="types A and C, not B"):
+                normalize_coefficients(b, f)
+
+
+class TestNoDenseTarget:
+    """On the proved path the degree test reads the graded parts and the
+    checks compare tuples: no `dot` takes the input tuple against rho."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        for module in (generators, syzygy):
+            def spy(xs, ys, start=None, real=module.dot):
+                xs, ys = list(xs), list(ys)
+                calls.append((xs, ys))
+                return real(xs, ys, start)
+
+            monkeypatch.setattr(module, "dot", spy)
+        return calls
+
+    @pytest.mark.parametrize("spec", REDUCE_SPECS)
+    def test_no_dot_against_rho(self, spec, monkeypatch):
+        m = compile_spec(parse_spec(spec))
+        gs = build_generators(m)
+        labels = [name for name, _ in gs.labeled()]
+        rng = random.Random(spec)
+        tuples = [combination_to_tuple(gs, _bench_inputs().random_combination(rng, m, labels))
+                  for _ in range(3)]
+        recording, log = _recording(generators._tuple_proves)
+        monkeypatch.setattr(generators, "_tuple_proves", recording)
+        calls = self._spy(monkeypatch)
+        for f in tuples:
+            reduce_to_generators(m, f, gs)
+        assert log and all(verdict for *_, verdict in log)
+        assert calls and not any(ys == list(gs.rho) for _, ys in calls)
+
+    def test_the_dense_path_forms_it(self, monkeypatch):
+        # the spy sees sum f_i rho_i where a set other than the fill's reads it
+        m = sp4xsp4()
+        gs = build_generators(m)
+        f = combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(4, 1, 0)})
+        other = build_generators(m, [-x for x in gs.lambda0])
+        calls = self._spy(monkeypatch)
+        reduce_to_generators(m, f, other)
+        assert calls.count((list(f), list(gs.rho))) == 1
+
+
 class TestChecksFire:
     """A step that changes the state with corrupted data trips the check after it.
 
@@ -318,7 +436,8 @@ class TestChecksFire:
         # check on the generator set stands in for it
         one = LaurentPoly.const(4, 1, 0)
         m, gs, f = self._case({"h2[1]": one})
-        assert syzygy._normalized(m, f, dot(f, gs.rho)) is f
+        wrong = syzygy.graded_parts(m, f, *reduction_data(m)[1:])[1]
+        assert syzygy._normalized(m, f, wrong) is f
         bad = gs._replace(rho=(gs.rho[0] + one,) + gs.rho[1:])
         other = build_generators(compile_spec(parse_spec("(SL(2) x SL(4)) / mu(2)")))
         for foreign in (bad, other):

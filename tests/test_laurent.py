@@ -16,6 +16,7 @@ from weylinv.laurent import (
     bounded_divide,
     _FIELD,
     _codec,
+    check_dot,
     degrees,
     dot,
     embed,
@@ -25,6 +26,7 @@ from weylinv.laurent import (
     is_divisor,
     leading_slice,
     lift_coefficients,
+    parity_split,
     reduce_coefficients,
     to_text,
 )
@@ -551,6 +553,22 @@ class TestDot:
         zero = LaurentPoly.zero(xs[0].rank, xs[0].modulus)
         assert outcome(lambda: dot(xs, ys)) == outcome(lambda: fold(xs, ys, zero))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(mixed_dot_cases(), dot_cases()))
+    def test_check_dot_raises_what_dot_raises(self, case):
+        # the same error and message, from the same pair, or none at all
+        xs, ys = case
+
+        def raised(fn):
+            try:
+                fn()
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return None
+
+        assert raised(lambda: check_dot(xs, ys)) == raised(lambda: dot(xs, ys))
+        assert raised(lambda: check_dot([], [])) == raised(lambda: dot([], []))
+
     def test_range_error_and_bound(self):
         lim = EXPONENT_LIMIT
         top = P(2, {(lim, 0): 1, (0, 0): 1})
@@ -585,8 +603,9 @@ def classifier_cases(draw):
 
 
 def assert_reads_like_of_exponent(grading, bound, exps, c):
-    """The classifier, homogeneous_component and graded_components agree with
-    Grading.of_exponent on every exponent of a polynomial whose bound is `bound`."""
+    """The classifier, homogeneous_component, graded_components and, under
+    one Z/2, parity_split agree with Grading.of_exponent on every exponent of
+    a polynomial whose bound is `bound`."""
     rank = len(grading.images)
     pack = _codec(rank)[0]
     class_of = grading._classifier(rank, bound)
@@ -602,6 +621,13 @@ def assert_reads_like_of_exponent(grading, bound, exps, c):
     assert {k: v._packed for k, v in graded_components(f, grading).items()} == {
         cls: {pack(e): c for e in exps if grading.of_exponent(e) == cls}
         for cls in classes}
+    if grading.moduli == (2,):
+        assert [p._packed for p in parity_split(f, grading)] == [
+            {pack(e): c for e in exps if grading.of_exponent(e) == cls}
+            for cls in ((0,), (1,))]
+    else:
+        with pytest.raises(ValueError, match="a parity split needs one Z/2"):
+            parity_split(f, grading)
 
 
 class TestArithmeticClassifier:
@@ -619,6 +645,8 @@ class TestArithmeticClassifier:
                 homogeneous_component(f, g, g.zero)
             with pytest.raises(RankMismatchError):
                 graded_components(f, g)
+            with pytest.raises(RankMismatchError):
+                parity_split(f, g)
 
     @pytest.mark.parametrize("moduli,bad", [
         ((2,), [(2,), (3,), (-1,), (0, 0), ()]),

@@ -426,9 +426,11 @@ class TestNormalizedShortcut:
             calls.append(args)
             return real(*args)
 
-        combo = dot(f, reduction_data(m)[1])
+        _, rho, rho_wrong = reduction_data(m)
+        combo = dot(f, rho)
+        wrong = syzygy_module.graded_parts(m, f, rho, rho_wrong)[1]
         with mock.patch.object(syzygy_module, "_trivialize_through", counting):
-            g = syzygy_module._normalized(m, f, combo)
+            g = syzygy_module._normalized(m, f, wrong)
         assert g == full_normalized(m, f, combo)
         assert len(calls) == (0 if syzygy_is_zero(m, f) else 1)
         return g, len(calls)
@@ -461,7 +463,100 @@ class TestNormalizedShortcut:
         monkeypatch.setattr(syzygy_module, "lift_syzygy",
                             lambda t, cert: SyzygyCertificate(n, n, 0, {}))
         with pytest.raises(AssertionError, match="normalized component does not vanish mod d"):
-            syzygy_module._normalized(m, f, dot(f, reduction_data(m)[1]))
+            syzygy_module._normalized(
+                m, f, syzygy_module.graded_parts(m, f, *reduction_data(m)[1:])[1])
+
+
+# the reduce workload's A/C specs and an index-2 model of type B
+GRADED_PARTS_SPECS = [spec for spec, _ in _bench_inputs().REDUCE_SPECS] + [
+    "(Spin(5) x Spin(5)) / mu(2)"]
+
+
+@st.composite
+def graded_parts_tuples(draw, m):
+    """A tuple of the model's length and ring: either random sparse entries of
+    both degrees, mostly outside R[T*], or a generator combination, in R[T*],
+    plus random entries at up to two positions."""
+    from weylinv.generators import build_generators, combination_to_tuple
+
+    n = m.total_rank
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    entry = st.builds(lambda terms: P(n, terms), st.dictionaries(exps, st.integers(-3, 3),
+                                                                 max_size=4))
+    if not draw(st.booleans()):
+        return tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+    gs = build_generators(m)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    f = list(combination_to_tuple(gs, _bench_inputs().random_combination(
+        rng, m, [name for name, _ in gs.labeled()])))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        f[i] = f[i] + draw(entry)
+    return tuple(f)
+
+
+class TestGradedParts:
+    """The degree test's graded identity: the degree-1 component of
+    sum f_i rho_i read off the parity split of each f_i and rho_i equals the
+    component of the dense product, and the wrong-degree tuple is each
+    entry's component of the degree its weight's class does not call for."""
+
+    @pytest.mark.parametrize("spec", GRADED_PARTS_SPECS)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_dense_product(self, spec, data):
+        m = compile_spec(parse_spec(spec))
+        f = data.draw(graded_parts_tuples(m))
+        _, rho, rho_wrong = reduction_data(m)
+        deg1, wrong = syzygy_module.graded_parts(m, f, rho, rho_wrong)
+        assert deg1 == homogeneous_component(dot(f, rho), m.grading, (1,))
+        assert wrong == tuple(
+            homogeneous_component(p, m.grading, ((1 - m.fw_degrees[i][0]) % 2,))
+            for i, p in enumerate(f))
+
+    @pytest.mark.parametrize("spec", GRADED_PARTS_SPECS)
+    def test_the_wrong_degree_part_of_each_orbit_sum_is_constant_or_zero(self, spec):
+        # W fixes the classes of Lambda/T*: rho_i is an orbit sum of omega_i's
+        # class minus |W omega_i|
+        m = compile_spec(parse_spec(spec))
+        _, rho, rho_wrong = reduction_data(m)
+        for i, (r, s) in enumerate(zip(rho, rho_wrong)):
+            assert s == homogeneous_component(r, m.grading, ((1 - m.fw_degrees[i][0]) % 2,))
+            size = orbit_size(m, m._basis_vec(i))
+            want = -size if m.fw_degrees[i] == (1,) else 0
+            assert s == LaurentPoly.const(m.total_rank, want, 0)
+
+
+def test_a_corrupted_lift_still_raises():
+    # koszul3.json has a nonzero mod-d syzygy, so both entry points lift it;
+    # the lift's expansion gains e^{omega_0} at position 0, a term of the
+    # degree that position calls for: the wrong-degree components keep
+    # vanishing mod d, and only sum h_i rho_i = 0 can see the change
+    from weylinv.generators import reduce_to_generators
+
+    texts = json.loads((Path(__file__).resolve().parent / "data" / "reduce"
+                        / "koszul3.json").read_text())
+    m = compile_spec(parse_spec("SL(6) / mu(2)"))
+    n = m.total_rank
+    f = tuple(from_text(t, n) for t in texts)
+    assert not syzygy_is_zero(m, f)
+    real = syzygy_module.lift_syzygy
+    extra = LaurentPoly.monomial(n, m._basis_vec(0))
+
+    class Corrupted:
+        def __init__(self, cert):
+            self.cert = cert
+
+        def expand(self, t):
+            h = self.cert.expand(t)
+            return (h[0] + extra,) + h[1:]
+
+    g = normalize_coefficients(m, f)
+    assert syzygy_is_zero(m, (g[0] - extra,) + g[1:])
+    with mock.patch.object(syzygy_module, "lift_syzygy",
+                           lambda q, cert: Corrupted(real(q, cert))):
+        for entry in (reduce_to_generators, normalize_coefficients):
+            with pytest.raises(AssertionError, match="normalization changed the combination"):
+                entry(m, f)
 
 
 def clear_transform_caches():
@@ -482,11 +577,14 @@ class TestReductionData:
 
         m = compile_spec(parse_spec(self.SPEC))
         n = m.total_rank
-        chain, rho = reduction_data(m)
+        chain, rho, rho_wrong = reduction_data(m)
         rho_d, rows, inverse, (flat, stripped, units) = modular_transform(m)
         d = chain.d
         assert chain == gcd_chain(m) and d == degree_one_gcd(m) == 2
         assert rho == fundamental_orbit_sums(m)
+        assert rho_wrong == tuple(
+            homogeneous_component(r, m.grading, ((1 - m.fw_degrees[i][0]) % 2,))
+            for i, r in enumerate(rho))
         assert rho_d == tuple(reduce_coefficients(r, d) for r in rho)
         # the transform over Z reduced mod d, its inverse, and the checked flat image
         flat_z, tr, _ = model_transform(m)
