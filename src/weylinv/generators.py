@@ -17,6 +17,8 @@ from .laurent import LaurentPoly, augmentation, dot, homogeneous_component
 from .rootdata import LatticeModel
 from .syzygy import (  # noqa: F401  (GcdChain and gcd_chain are public here too)
     GcdChain,
+    _add_entry,
+    _empty_cert,
     _model_tuple,
     _normalized,
     gcd_chain,
@@ -78,7 +80,7 @@ def _check_family(name, gens, rows, rho, grading):
 
 @lru_cache(maxsize=None)
 def _model_generators(model: LatticeModel) -> tuple:
-    """(chain, rho, h1_cores, h2, h3, h2_rows, h3_rows, h1, h1_rows): what
+    """(chain, rho, h1_cores, h2, h3, h2_rows, h3_rows, h1, h1_rows, lambda0): what
     `build_generators` and `reduce_to_generators` read of the model, computed
     and checked once per model and process.
 
@@ -86,7 +88,7 @@ def _model_generators(model: LatticeModel) -> tuple:
     P_i = (r_i/s_i) rho_w(i) - (r_i/d_{i+1}) rho~_w(i+1); `h1_cores[i]` is
     (P_i, c) with h1_rows[i][j] = c[j] e^{lambda0}.  The h2 and h3 families
     do not depend on lambda0 and are checked here; so is the h1 family of the
-    default lambda0 (the last two fields), which `build_generators` returns
+    default lambda0 (the last three fields), which `build_generators` returns
     when its twist equals it.
     """
     chain, rho_nat, _ = reduction_data(model)
@@ -131,16 +133,13 @@ def _model_generators(model: LatticeModel) -> tuple:
         row[chain.order[k]] = LaurentPoly.const(n, 1, 0)
         h3_rows.append(tuple(row))
 
-    h1, h1_rows = _twist(n, _default_lambda0(model, chain), h1_cores)
+    lambda0 = model._basis_vec(chain.order[0])
+    h1, h1_rows = _twist(n, lambda0, h1_cores)
     _check_family("h1", h1, h1_rows, rho_nat, model.grading)
     _check_family("h2", h2, h2_rows, rho_nat, model.grading)
     _check_family("h3", h3, h3_rows, rho_nat, model.grading)
     return (chain, rho_nat, tuple(h1_cores), tuple(h2), tuple(h3),
-            tuple(h2_rows), tuple(h3_rows), h1, h1_rows)
-
-
-def _default_lambda0(model, chain):
-    return model._basis_vec(chain.order[0])
+            tuple(h2_rows), tuple(h3_rows), h1, h1_rows, lambda0)
 
 
 def _twist(n, lambda0, h1_cores):
@@ -162,9 +161,9 @@ def build_generators(model: LatticeModel, lambda0=None) -> GeneratorSet:
     checked; any other h1 family is checked here.
     """
     (chain, rho, h1_cores, h2, h3, h2_rows, h3_rows,
-     h1_default, h1_rows_default) = _model_generators(model)
+     h1_default, h1_rows_default, lambda0_default) = _model_generators(model)
     if lambda0 is None:
-        lambda0 = _default_lambda0(model, chain)
+        lambda0 = lambda0_default
     lambda0 = tuple(lambda0)
     if model.grade_of_weight(lambda0) != (1,):
         raise ValueError("lambda0 must have degree 1")
@@ -192,17 +191,8 @@ def combination_to_tuple(gs: GeneratorSet, combo: dict) -> tuple:
     return tuple(dot(combo.values(), [r[j] for r in rows], zero) for j in range(n))
 
 
-def _rows_checked(model: LatticeModel, gs: GeneratorSet) -> bool:
-    """Whether every row of gs is one this process checked against rho: the
-    tuples of the model's fill themselves, its default-lambda0 h1 family
-    included (`build_generators` returns those for the default twist)."""
-    _, _, _, h2, h3, h2_rows, h3_rows, h1, h1_rows = _model_generators(model)
-    return (gs.h2 is h2 and gs.h3 is h3 and gs.h2_rows is h2_rows
-            and gs.h3_rows is h3_rows and gs.h1 is h1 and gs.h1_rows is h1_rows)
-
-
-def _tuple_proves(gs: GeneratorSet, f, combo: dict, g0: tuple) -> bool:
-    """Whether F_j = f_j + sum_g c_g row_g[j] equals g0_j for every j.
+def _tuple_proves(gs: GeneratorSet, f, combo: dict, goal: tuple) -> bool:
+    """Whether F_j = f_j + sum_g c_g row_g[j] equals goal_j for every j.
 
     One pass over each row's nonzero entries sorts the pairs (c_g, row_g[j])
     by position; each position's pairs are then summed onto f_j by `dot`,
@@ -215,36 +205,46 @@ def _tuple_proves(gs: GeneratorSet, f, combo: dict, g0: tuple) -> bool:
                 xs[j].append(c)
                 ys[j].append(r)
     return all((dot(x, y, fj) if x else fj) == gj
-               for x, y, fj, gj in zip(xs, ys, f, g0))
+               for x, y, fj, gj in zip(xs, ys, f, goal))
+
+
+def _accepted(model: LatticeModel, gs: GeneratorSet | None) -> GeneratorSet:
+    """The generator set a reduction reads: `build_generators(model)` for
+    None, else gs if it equals `build_generators(model, gs.lambda0)`, and
+    ValueError if not.  The default set holds the fill's own objects, so it
+    equals the fill's fields by identity tests, without a second build."""
+    if gs is None:
+        return build_generators(model)
+    chain, rho, _, h2, h3, h2_rows, h3_rows, h1, h1_rows, lambda0 = _model_generators(model)
+    if (gs != (model, chain, lambda0, h1, h2, h3, rho, h1_rows, h2_rows, h3_rows)
+            and (gs.model is not model or gs != build_generators(model, gs.lambda0))):
+        raise ValueError("the generator set is not the model's")
+    return gs
 
 
 def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None) -> dict:
     """Express sum f_i rho_i (in R[T*]) as a generator combination.
 
-    Runs the coefficient normalization and then the four elimination steps,
-    asserting the running equality sum f_i rho_i + sum c_g g = target after
-    each step that changed the state: a step that changed nothing leaves the
-    state the previous check (or the normalization's own check) verified.
-    After the last step the final re-expansion is that check.
-
-    The degree test, deg_1(sum f_i rho_i) = 0, runs on every call, on the
-    graded parts (`syzygy.graded_parts`): deg_1 = sum_i f_i^(0) rho_i^(1) +
-    f_i^(1) rho_i^(0), exact without forming target = sum f_i rho_i.
-
-    Each check first forms F = f + sum_g c_g row_g, entry by entry, and
-    compares it with g0, the normalized tuple.  If gs holds rows this
-    process checked (`_rows_checked`) and F == g0, the identity is proved:
-    sum f_i rho_i + sum c_g g = sum F_j rho_j = sum g0_j rho_j = target, since
-    each such row expands to its generator over rho (`_check_family`) and g0
-    either is f or passed the normalization's combination check.  Otherwise
-    the identity is evaluated densely against target, which is formed then,
-    once per call: after a failed tuple proof, so after step 2 (which adds
-    a Koszul term to F; steps 1, 3 and 4 leave F unchanged), or for a
-    generator set that is not the fill's.  A mismatch raises.  Returns
+    gs must equal `build_generators(model, lambda0)` for some lambda0
+    (ValueError otherwise); None reads the default set.  After the degree
+    test, read off the graded parts (`syzygy.graded_parts`), and the
+    coefficient normalization to g0, four elimination steps take f to 0.
+    After each step that changed the state, and as the final re-expansion,
+    one tuple equality proves sum f_i rho_i + sum c_g g = sum g0_i rho_i; a
+    failed proof raises.  A step that changed nothing leaves the state the
+    previous check (or the normalization's own) verified.  Returns
     {label: coeff}.
+
+    The proof: F = f + sum_g c_g row_g equals g0 + K(rho), for the Koszul
+    certificate K that step 2 records.  Step 2 writes c d rho_k as
+    c rho~ rho_k - sum_j c a_j rho_{o_j} rho_k, so it moves F by K(rho) for
+    K = sum_j c a_j S_(k, o_j); steps 1, 3 and 4 leave F unchanged.  Each
+    row of gs expands to its generator over rho (`build_generators` checks
+    every family it returns) and K(rho) . rho = 0, so sum f_i rho_i +
+    sum c_g g = sum F_j rho_j = sum g0_j rho_j, the input's sum: g0 is f or
+    passed the normalization's combination check.
     """
-    if gs is None:
-        gs = build_generators(model)
+    gs = _accepted(model, gs)
     chain = gs.chain
     n = model.total_rank
     np_ = chain.nprime
@@ -252,30 +252,15 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     rho = gs.rho
     d = chain.d
     grading = model.grading
-    # the tuple proof reads target as sum f_i rho_i over the model's own rho,
-    # and the degree test reads the model's wrong-degree parts of it; a
-    # genuine gs holds that very tuple
-    _, rho_model, rho_wrong = reduction_data(model)
-    if rho != rho_model:
-        raise ValueError("the generator set's rho is not the model's")
 
-    deg1, wrong = graded_parts(model, f_in, rho, rho_wrong)
+    deg1, wrong = graded_parts(model, f_in, rho, reduction_data(model)[2])
     if deg1:
         raise ValueError("the combination is not in R[T*]")
 
-    g0 = _normalized(model, f_in, wrong)
-    f = list(g0)
+    goal = _normalized(model, f_in, wrong)
+    f = list(goal)
     result: dict[str, LaurentPoly] = {}
-    rows_checked = _rows_checked(model, gs)
     changed = False  # since the last verified state
-    target = None
-
-    def input_combination():
-        """target = sum f_i rho_i of the input, formed on first read."""
-        nonlocal target
-        if target is None:
-            target = dot(f_in, rho)
-        return target
 
     # every step that changes f adds a nonzero coefficient (Z[T*] is a domain)
     def add_coeff(name, coeff):
@@ -288,15 +273,9 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
 
     def running_check():
         nonlocal changed
-        if not changed:
-            return
-        changed = False
-        if rows_checked and _tuple_proves(gs, f, result, g0):
-            return
-        by_label = dict(gs.labeled())
-        gens = [by_label[name] for name in result]
-        if dot([*f, *result.values()], [*rho, *gens]) != input_combination():
+        if changed and not _tuple_proves(gs, f, result, goal):
             raise AssertionError("running combination equality broken")
+        changed = False
 
     # step 1: kill f_i^(0) for chain positions i <= n'
     for i in range(np_):
@@ -312,23 +291,30 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
                 f[j] = f[j] - c * rows[j]
     running_check()
 
-    # step 2: kill f_i^(1) for chain positions i > n'
-    rho_tilde_w1 = None
+    # step 2: kill f_i^(1) for chain positions i > n'.  c d rho_k is
+    # c rho~ rho_k - sum_j c a_j rho_{o_j} rho_k: F moves by the Koszul pairs
+    # (k, o_j) with c a_j, which K records
+    koszul = None
     for i in range(np_, n):
         gi = chain.order[i]
         comp1 = homogeneous_component(f[gi], grading, (1,))
         if comp1.is_zero():
             continue
         c = _exact_div(comp1, d, "step 2")
-        if rho_tilde_w1 is None:
+        if koszul is None:
             rho_ord = tuple(rho[chain.order[k]] for k in range(n))
             rho_tilde_w1 = _rho_tilde_w(chain, rho_ord, 0)
+            koszul = _empty_cert(n, n, 0)
         add_coeff(f"h3[{i - np_ + 1}]", c * rho_tilde_w1)
         for j in range(np_):
             a = chain.bezout[0][j]
             if a:
-                f[chain.order[j]] = f[chain.order[j]] - (c * rho[gi]).scale(a)
+                oj = chain.order[j]
+                f[oj] = f[oj] - (c * rho[gi]).scale(a)
+                _add_entry(koszul, gi, oj, c.scale(a))
         f[gi] = f[gi] - c.scale(d)
+    if koszul is not None:
+        goal = tuple(g + k for g, k in zip(goal, koszul.expand(rho)))
     running_check()
 
     # step 3: absorb the remaining degree-0 coefficients of the h3 positions
@@ -372,9 +358,7 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
             raise ReductionError("nonzero residue at the last degree-1 position")
         raise ReductionError("reduction left nonzero coefficients")
     # with f = 0 the running equality is the final re-expansion
-    if rows_checked and _tuple_proves(gs, f, result, g0):
-        return result
-    if expand_combination(gs, result) != input_combination():
+    if not _tuple_proves(gs, f, result, goal):
         raise AssertionError("final combination does not reproduce the input")
     return result
 

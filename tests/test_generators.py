@@ -1,6 +1,8 @@
 import inspect
+import json
 import random
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from weylinv.laurent import (
     RankMismatchError,
     augmentation,
     dot,
+    from_text,
     graded_components,
     homogeneous_component,
 )
@@ -33,6 +36,9 @@ from weylinv.syzygy import FlatnessError, normalize_coefficients, reduction_data
 from _helpers import _bench_inputs, dense_build_generators, reflect_local
 
 REDUCE_SPECS = [spec for spec, _ in _bench_inputs().REDUCE_SPECS]
+# the specs with an h3 position, a degree-0 fundamental weight, where step 2 can act
+STEP2_SPECS = [spec for spec in REDUCE_SPECS
+               if (0,) in compile_spec(parse_spec(spec)).fw_degrees]
 
 
 def pgsp4():
@@ -336,9 +342,30 @@ class TestErrorOrder:
                 normalize_coefficients(b, f)
 
 
+def _step2_tuple(gs, c, k):
+    """f with sum f_i rho_i = c rho_k rho~(omega_1) at the h3 position k:
+    c d at k and c a_0j rho_k at each chain position j <= n'.  For c of
+    degree 1, step 2 kills its degree-1 part c d at k."""
+    n, chain = len(gs.rho), gs.chain
+    f = [LaurentPoly.zero(n, 0)] * n
+    f[k] = c.scale(chain.d)
+    for j in range(chain.nprime):
+        f[chain.order[j]] = (c * gs.rho[k]).scale(chain.bezout[0][j])
+    return f
+
+
+def _step2_input(m, gs, rng):
+    """`_step2_tuple` at the first h3 position with c = e^{lambda0}, plus a
+    generator combination of rng: the recipe of the `step2_N.json` inputs."""
+    c = LaurentPoly.monomial(m.total_rank, gs.lambda0)
+    f = _step2_tuple(gs, c, gs.chain.order[gs.chain.nprime])
+    combo = _bench_inputs().random_combination(rng, m, [name for name, _ in gs.labeled()])
+    return tuple(a + b for a, b in zip(f, combination_to_tuple(gs, combo)))
+
+
 class TestNoDenseTarget:
-    """On the proved path the degree test reads the graded parts and the
-    checks compare tuples: no `dot` takes the input tuple against rho."""
+    """The degree test reads the graded parts and every check compares
+    tuples: no `dot` takes the input tuple against rho, on any set or input."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -360,6 +387,8 @@ class TestNoDenseTarget:
         rng = random.Random(spec)
         tuples = [combination_to_tuple(gs, _bench_inputs().random_combination(rng, m, labels))
                   for _ in range(3)]
+        if gs.h3:
+            tuples += [_step2_input(m, gs, rng) for _ in range(2)]
         recording, log = _recording(generators._tuple_proves)
         monkeypatch.setattr(generators, "_tuple_proves", recording)
         calls = self._spy(monkeypatch)
@@ -368,24 +397,49 @@ class TestNoDenseTarget:
         assert log and all(verdict for *_, verdict in log)
         assert calls and not any(ys == list(gs.rho) for _, ys in calls)
 
-    def test_the_dense_path_forms_it(self, monkeypatch):
-        # the spy sees sum f_i rho_i where a set other than the fill's reads it
+    def test_the_spy_sees_a_dot_against_rho(self, monkeypatch):
+        # positive control: a Koszul pair gives a nonzero normalization
+        # syzygy, whose check sum h_i rho_i = 0 is a dot against rho
         m = sp4xsp4()
         gs = build_generators(m)
-        f = combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(4, 1, 0)})
-        other = build_generators(m, [-x for x in gs.lambda0])
+        f = list(combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(4, 1, 0)}))
+        f[0], f[1] = f[0] + gs.rho[1], f[1] - gs.rho[0]
         calls = self._spy(monkeypatch)
-        reduce_to_generators(m, f, other)
-        assert calls.count((list(f), list(gs.rho))) == 1
+        reduce_to_generators(m, f, gs)
+        against_rho = [xs for xs, ys in calls if ys == list(gs.rho)]
+        assert against_rho and f not in against_rho
+
+    def test_another_lambda0_forms_no_sum(self, monkeypatch):
+        # a set of another lambda0 is proved by tuples too, step 2 included
+        m = sp4xsp4()
+        gs = build_generators(m)
+        other = build_generators(m, [-x for x in gs.lambda0])
+        one = LaurentPoly.const(4, 1, 0)
+        k = gs.chain.order[gs.chain.nprime]
+        tuples = [combination_to_tuple(gs, {"h2[1]": one}),
+                  _step2_tuple(gs, LaurentPoly.monomial(4, gs.lambda0), k)]
+        recording, log = _recording(generators._tuple_proves)
+        monkeypatch.setattr(generators, "_tuple_proves", recording)
+        calls = self._spy(monkeypatch)
+        for f in tuples:
+            reduce_to_generators(m, f, other)
+            assert calls.count((list(f), list(gs.rho))) == 0
+        assert log and all(state_gs is other and verdict for state_gs, *_, verdict in log)
 
 
 class TestChecksFire:
-    """A step that changes the state with corrupted data trips the check after it.
+    """A generator set that `build_generators` did not return is rejected on
+    entry, and a step that changes the state with corrupted data trips the
+    check after it.
 
     Each case reduces sum_h c_h h over (Sp(4) x Sp(4)) / mu(2) with a
     combination that makes the named step act, and corrupts what that step
-    reads: a generator, its row over rho, or the degree-0 element of step 2.
+    reads: a generator or its row over rho, which the entry check rejects,
+    or the degree-1 element rho~(omega_1) of step 2, which the running
+    check after step 2 catches.
     """
+
+    ENTRY = "the generator set is not the model's"
 
     def _case(self, combo):
         m = sp4xsp4()
@@ -399,21 +453,17 @@ class TestChecksFire:
         j = next(j for j, r in enumerate(row) if r)
         row[j] = row[j] + one
         bad = gs._replace(h2_rows=(tuple(row),) + gs.h2_rows[1:])
-        with pytest.raises(AssertionError, match="running combination equality broken"):
+        with pytest.raises(ValueError, match=self.ENTRY):
             reduce_to_generators(m, f, bad)
 
     def test_step2_coefficient(self, monkeypatch):
         m = sp4xsp4()
         gs = build_generators(m)
-        n, chain = m.total_rank, gs.chain
+        n = m.total_rank
         # c rho_k rho~(omega_1) = sum_j c a_0j rho_k rho_j + c d rho_k, written
         # with the degree-1 part c d at the h3 position k, which step 2 kills
-        c = LaurentPoly.monomial(n, gs.lambda0)
-        k = chain.order[chain.nprime]
-        f = [LaurentPoly.zero(n, 0)] * n
-        f[k] = c.scale(chain.d)
-        for j in range(chain.nprime):
-            f[chain.order[j]] = (c * gs.rho[k]).scale(chain.bezout[0][j])
+        f = _step2_tuple(gs, LaurentPoly.monomial(n, gs.lambda0),
+                         gs.chain.order[gs.chain.nprime])
         combo = reduce_to_generators(m, f, gs)
         assert list(combo) == ["h3[1]"]
         assert expand_combination(gs, combo) == dot(f, gs.rho)
@@ -427,13 +477,13 @@ class TestChecksFire:
         one = LaurentPoly.const(4, 1, 0)
         m, gs, f = self._case({"h3[1]": one})
         bad = gs._replace(h3=tuple(h + one for h in gs.h3))
-        with pytest.raises(AssertionError, match="running combination equality broken"):
+        with pytest.raises(ValueError, match=self.ENTRY):
             reduce_to_generators(m, f, bad)
 
     def test_foreign_rho_with_a_zero_syzygy(self):
         # a generator combination has a zero normalization syzygy, so the
-        # normalization returns f without its combination check; the rho
-        # check on the generator set stands in for it
+        # normalization returns f without its combination check; the entry
+        # check on the generator set, rho included, stands in for it
         one = LaurentPoly.const(4, 1, 0)
         m, gs, f = self._case({"h2[1]": one})
         wrong = syzygy.graded_parts(m, f, *reduction_data(m)[1:])[1]
@@ -441,15 +491,14 @@ class TestChecksFire:
         bad = gs._replace(rho=(gs.rho[0] + one,) + gs.rho[1:])
         other = build_generators(compile_spec(parse_spec("(SL(2) x SL(4)) / mu(2)")))
         for foreign in (bad, other):
-            with pytest.raises(ValueError, match="rho is not the model's"):
+            with pytest.raises(ValueError, match=self.ENTRY):
                 reduce_to_generators(m, f, foreign)
 
     def test_last_step_generator(self):
         one = LaurentPoly.const(4, 1, 0)
         m, gs, f = self._case({"h1[1]": one})
         bad = gs._replace(h1=tuple(h + one for h in gs.h1))
-        with pytest.raises(AssertionError,
-                           match="final combination does not reproduce the input"):
+        with pytest.raises(ValueError, match=self.ENTRY):
             reduce_to_generators(m, f, bad)
 
 
@@ -463,11 +512,6 @@ def _reduce_variant(old, new):
     return ns["reduce_to_generators"], ns
 
 
-# every check evaluated densely: the reduction as it was before the tuple proof
-dense_reduce, _ = _reduce_variant("rows_checked = _rows_checked(model, gs)",
-                                  "rows_checked = False")
-
-
 def _dense_identity(gs, f, combo, target):
     by_label = dict(gs.labeled())
     return dot([*f, *combo.values()], [*gs.rho, *(by_label[k] for k in combo)],
@@ -479,8 +523,8 @@ def _recording(real):
     state it is asked about as (gs, f, combo, verdict)."""
     log = []
 
-    def recording(gs, f, combo, g0):
-        verdict = real(gs, f, combo, g0)
+    def recording(gs, f, combo, goal):
+        verdict = real(gs, f, combo, goal)
         log.append((gs, tuple(f), dict(combo), verdict))
         return verdict
 
@@ -495,13 +539,13 @@ def _outcome(fn, *args):
 
 
 class TestTupleProof:
-    """With a generator set whose rows this process checked, the running
-    checks and the final re-expansion compare F = f + sum_g c_g row_g with
-    the normalized tuple, and evaluate the identity densely only when they
-    differ; every other generator set takes the dense path throughout."""
+    """The running checks and the final re-expansion compare F = f +
+    sum_g c_g row_g with g0 + K(rho), for the normalized tuple g0 and the
+    Koszul certificate K of step 2, on every accepted generator set; each
+    verdict equals the dense identity sum f_i rho_i + sum c_g g = target."""
 
-    def _agrees_with_dense(self, monkeypatch, model, f):
-        gs = build_generators(model)
+    def _agrees_with_dense(self, monkeypatch, model, f, gs=None):
+        gs = gs or build_generators(model)
         recording, log = _recording(generators._tuple_proves)
         monkeypatch.setattr(generators, "_tuple_proves", recording)
         target = dot(f, gs.rho)
@@ -510,7 +554,8 @@ class TestTupleProof:
         for state_gs, state_f, combo, verdict in log:
             assert state_gs is gs
             assert verdict == _dense_identity(gs, state_f, combo, target)
-        assert out == dense_reduce(model, f, gs)
+        assert expand_combination(gs, out) == target
+        return log
 
     @pytest.mark.parametrize("spec", REDUCE_SPECS)
     def test_verdict_matches_the_dense_identity(self, spec, monkeypatch):
@@ -534,6 +579,53 @@ class TestTupleProof:
         with pytest.MonkeyPatch.context() as mp:
             self._agrees_with_dense(mp, m, combination_to_tuple(gs, combo))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(STEP2_SPECS), st.integers(0, 2 ** 32))
+    def test_step2_verdict_matches_the_dense_identity(self, spec, seed):
+        # a random degree-1 c at a random h3 position, plus a combination:
+        # step 2 acts, and the Koszul term it records completes each proof
+        m = compile_spec(parse_spec(spec))
+        gs = build_generators(m)
+        n, chain, rng = m.total_rank, gs.chain, random.Random(seed)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(-1, 1) for _ in range(n))
+            if m.grade_of_weight(e) == (1,):
+                terms[e] = terms.get(e, 0) + rng.choice([-2, -1, 1, 2])
+        c = LaurentPoly(n, 0, terms)
+        if c.is_zero():
+            c = LaurentPoly.monomial(n, gs.lambda0)
+        k = chain.order[rng.randrange(chain.nprime, n)]
+        combo = _bench_inputs().random_combination(rng, m, [name for name, _ in gs.labeled()])
+        f = tuple(a + b for a, b in zip(_step2_tuple(gs, c, k), combination_to_tuple(gs, combo)))
+        with pytest.MonkeyPatch.context() as mp:
+            log = self._agrees_with_dense(mp, m, f)
+        assert log and all(verdict for *_, verdict in log)
+
+    @pytest.mark.parametrize("name, spec", [("step2_0", "(Sp(4) x Sp(4)) / mu(2)"),
+                                            ("step2_1", "SL(6) / mu(2)")])
+    def test_golden_step2_inputs(self, name, spec, monkeypatch):
+        # the recorded inputs follow `_step2_input` with random.Random(0)
+        m = compile_spec(parse_spec(spec))
+        gs = build_generators(m)
+        path = Path(__file__).resolve().parent / "data" / "reduce" / f"{name}.json"
+        f = tuple(from_text(t, m.total_rank, 0) for t in json.loads(path.read_text()))
+        assert f == _step2_input(m, gs, random.Random(0))
+        log = self._agrees_with_dense(monkeypatch, m, f)
+        assert log and all(verdict for *_, verdict in log)
+
+    def test_the_default_set_is_accepted_without_a_build(self, monkeypatch):
+        m = sp4xsp4()
+        gs = build_generators(m)
+        f = combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(4, 1, 0)})
+        builds = []
+        monkeypatch.setattr(generators, "build_generators",
+                            lambda *args: builds.append(args) or build_generators(*args))
+        reduce_to_generators(m, f, gs)
+        assert builds == []
+        reduce_to_generators(m, f, build_generators(m, [-x for x in gs.lambda0]))
+        assert builds == [(m, tuple(-x for x in gs.lambda0))]
+
     @staticmethod
     def _koszul_row(gs, m):
         """gs with h2[1]'s row plus the Koszul pair (rho_b at a, -rho_a at b):
@@ -544,7 +636,10 @@ class TestTupleProof:
         assert dot(row, gs.rho) == gs.h2[0]
         return gs._replace(h2_rows=(tuple(row),) + gs.h2_rows[1:])
 
-    def test_other_sets_take_the_dense_path(self, monkeypatch):
+    def test_other_sets(self, monkeypatch):
+        # a set that build_generators did not return is rejected on entry; a
+        # copy of the default set and the sets of other lambda0 are proved
+        # by tuples, with every verdict the dense identity's and True
         m = sp4xsp4()
         gs = build_generators(m)
         ones = [m._basis_vec(k) for k in range(m.total_rank)
@@ -554,23 +649,18 @@ class TestTupleProof:
         labels = [name for name, _ in gs.labeled()]
         combos = [{"h2[1]": LaurentPoly.const(4, 1, 0)}] + [
             _bench_inputs().random_combination(rng, m, labels) for _ in range(6)]
-        recording, log = _recording(generators._tuple_proves)
-        monkeypatch.setattr(generators, "_tuple_proves", recording)
+        tuples = [combination_to_tuple(gs, combo) for combo in combos]
+        with pytest.raises(ValueError, match="the generator set is not the model's"):
+            reduce_to_generators(m, tuples[0], self._koszul_row(gs, m))
         # equal rows in a new tuple are not the fill's own
         copied = gs._replace(h2_rows=tuple(row for row in gs.h2_rows))
-        reduced = 0
-        for other in (self._koszul_row(gs, m), copied, build_generators(m, ones[1]),
+        assert copied.h2_rows is not gs.h2_rows
+        for other in (copied, build_generators(m, ones[1]),
                       build_generators(m, [-x for x in ones[0]])):
-            for combo in combos:
-                f = combination_to_tuple(gs, combo)
-                out = _outcome(reduce_to_generators, m, f, other)
-                assert out == _outcome(dense_reduce, m, f, other)
-                if isinstance(out, dict):
-                    assert expand_combination(other, out) == dot(f, gs.rho)
-                    reduced += 1
-        # every set but the Koszul one reduces every combination; that one
-        # meets a step-2 coefficient that d does not divide, on both paths
-        assert log == [] and reduced == 3 * len(combos)
+            for f in tuples:
+                with monkeypatch.context() as mp:
+                    log = self._agrees_with_dense(mp, m, f, other)
+                assert log and all(verdict for *_, verdict in log)
 
     @pytest.mark.parametrize("old, new, combo, message", [
         # step 1 subtracts c * row[j + 1] at position j
@@ -579,6 +669,9 @@ class TestTupleProof:
         # step 1 credits the other h2 generator
         ('add_coeff(f"h2[{i + 1}]", c)', 'add_coeff(f"h2[{(i + 1) % np_ + 1}]", c)',
          {"h2[1]": 1}, "running combination equality broken"),
+        # step 2 records no Koszul pair (None: the step-2 tuple of c = e^{lambda0})
+        ("_add_entry(koszul, gi, oj, c.scale(a))", "pass",
+         None, "running combination equality broken"),
         # step 3 credits h2[1]
         ('add_coeff(f"h3[{i - np_ + 1}]", f[gi])', 'add_coeff("h2[1]", f[gi])',
          {"h3[1]": 1}, "running combination equality broken"),
@@ -589,14 +682,19 @@ class TestTupleProof:
     def test_a_wrong_step_still_raises(self, old, new, combo, message):
         m = sp4xsp4()
         gs = build_generators(m)
-        f = combination_to_tuple(gs, {k: LaurentPoly.const(4, c, 0) for k, c in combo.items()})
+        if combo is None:
+            f = _step2_tuple(gs, LaurentPoly.monomial(4, gs.lambda0),
+                             gs.chain.order[gs.chain.nprime])
+        else:
+            f = combination_to_tuple(
+                gs, {k: LaurentPoly.const(4, c, 0) for k, c in combo.items()})
         mutant, ns = _reduce_variant(old, new)
         ns["_tuple_proves"], log = _recording(ns["_tuple_proves"])
         with pytest.raises(AssertionError, match=message):
             mutant(m, f, gs)
-        # the tuples differed, so the dense evaluation ran and raised
+        # the tuples differed, so the proof failed and raised
         assert log and log[-1][3] is False
-        # the same input passes the unmutated reduction on the tuple path
+        # the same input passes the unmutated reduction
         ref, ns = _reduce_variant(old, old)
         ns["_tuple_proves"], log = _recording(ns["_tuple_proves"])
         ref(m, f, gs)

@@ -12,8 +12,11 @@ not move with the benchmark's inputs.  The f-tuples are the reduce
 workload's ops of seed 1, pass 0 (`opNN.json`), whose mod-d syzygies are
 all zero, and four tuples with a nonzero one (`koszulN.json`: the h2[1]
 tuple plus a Koszul pair f_i += rho_j, f_j -= rho_i), which run the
-normalization's trivialization, and a degree-0 tuple of `SL(12) / mu(2)`
-(`sl12_deg0.json`), whose zero syzygy reads no transform; one JSON file
+normalization's trivialization, a degree-0 tuple of `SL(12) / mu(2)`
+(`sl12_deg0.json`), whose zero syzygy reads no transform, and two tuples
+that reach the reduction's step 2 (`step2_N.json`: c = e^{lambda0} times
+d at the first h3 position k and c a_0j rho_k at each chain position j,
+plus a generator combination of `random.Random(0)`); one JSON file
 each under `data/reduce/`;
 command lines name them relative to the repository root, where every
 command runs.  After a deliberate output change,

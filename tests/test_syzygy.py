@@ -441,8 +441,9 @@ class TestNormalizedShortcut:
         cases = [(spec, f) for spec, f in golden_reduce_inputs() if spec != "SL(12) / mu(2)"]
         calls = [self.normalized_and_calls(compile_spec(parse_spec(spec)), f)[1]
                  for spec, f in cases]
-        # the workload's 49 ops have zero syzygies, the 4 Koszul tuples not
-        assert (len(cases), calls.count(0), calls.count(1)) == (53, 49, 4)
+        # the workload's 49 ops and the 2 step-2 tuples have zero syzygies,
+        # the 4 Koszul tuples not
+        assert (len(cases), calls.count(0), calls.count(1)) == (55, 51, 4)
 
     def test_zero_syzygy_returns_f_itself(self):
         spec, f = golden_reduce_inputs()[0]
@@ -618,11 +619,12 @@ class TestReductionData:
                                       "h3[1]": LaurentPoly.const(5, 2, 0)})
         for _ in range(3):
             reduce_to_generators(compile_spec(parse_spec(self.SPEC)), f)
-        # five build_generators calls, with two lambda0, and the three
-        # reductions' reads of the checked rows share one generator fill
+        # five build_generators calls, with two lambda0, share one generator
+        # fill: a reduction given no set builds the default one and reads the
+        # fill no further
         info = _model_generators.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
-        # that fill, the three reductions' rho checks and the three
+        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+        # that fill, the three reductions' degree tests and the three
         # normalizations read reduction_data; a zero syzygy reads no transform
         info = reduction_data.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 6, 1)
@@ -639,7 +641,7 @@ class TestReductionData:
             reduce_to_generators(compile_spec(parse_spec(self.SPEC)), k)
         info = modular_transform.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-        # three rho checks, three normalizations and the one transform fill
+        # three degree tests, three normalizations and the one transform fill
         assert reduction_data.cache_info().hits == hits + 7
 
     def test_zero_syzygy_golden_inputs_fill_no_transform(self):
@@ -650,8 +652,8 @@ class TestReductionData:
         clear_transform_caches()
         for spec, f in cases:
             reduce_to_generators(compile_spec(parse_spec(spec)), f)
-        # the workload's 49 ops and the degree-0 SL(12) tuple
-        assert len(cases) == 50
+        # the workload's 49 ops, the 2 step-2 tuples and the degree-0 SL(12) tuple
+        assert len(cases) == 52
         assert [misses(c) for c in (modular_transform, newton_transform,
                                     block_inverse_mod)] == [0, 0, 0]
 
