@@ -24,7 +24,6 @@ from operator import mul
 from types import MappingProxyType
 
 from .intlinalg import (
-    _eliminate,
     congruence_kernel,
     det_adjugate,
     hnf,
@@ -32,6 +31,7 @@ from .intlinalg import (
     lattice_coordinates,
     smallest_prime_factor,
     snf_with_left,
+    xgcd,
 )
 from .laurent import Grading, LaurentPoly, augmentation, dot, graded_components
 from .rootdata import (
@@ -45,7 +45,7 @@ from .rootdata import (
     fundamental_orbit_sums,
     killing_coeffs,
     killing_gram,
-    parabolic_order,
+    stabilizer_order,
     weyl_order,
 )
 
@@ -315,25 +315,97 @@ def compute_Q(model: LatticeModel) -> InvariantLattice:
 
 @lru_cache(maxsize=None)
 def _killing_adjugate(kind: str, rank: int):
-    """(adj K, det K) for K = killing_gram(kind, rank), from one elimination.
+    """(adj K, det K) for K = killing_gram(kind, rank), by elimination along
+    the forest that K's nonzero off-diagonal entries span, leaves first.
 
-    K must be positive definite: (Sylvester) every leading principal minor, as
-    the elimination gives them with no row swap, is positive; K adj K = det K I."""
+    Each component is rooted at its least node; a neighbour met twice closes
+    a cycle, which raises.  For an edge (j, u), S(j->u) is det K on the side
+    of u once the edge is cut, and P_u the product of S(u->w) over the
+    neighbours w of u.  Leaves first, expanding along v,
+        S(parent->v) = K_vv R_v - sum_c K_vc^2 R_c R_v / S(v->c),
+    R_v the product over the children c of v of S(v->c): the pivot of v
+    times R_v, so K is positive definite exactly when each of these is
+    positive.  Root first, cutting the edge (p, v) splits det K of the
+    component as S(v->p) S(p->v) - K_pv^2 (P_p / S(p->v)) R_v.  Cofactors
+    sum over the paths from i to j of (-1)^length, the path's entries and
+    det K off the path.  A forest has one path or none, so adj_ij = 0 across
+    components, adj_ii = P_i det K / (det K on i's component), and
+        adj_iu = -K_ju adj_ij (P_u / S(u->j)) / S(j->u)
+    for u a neighbour of j beyond it from i; every division is exact.
+    K adj K = det K I is checked over K's nonzero entries: O(rank^2).
+    """
     k = killing_gram(kind, rank)
-    det, adj, minors = _eliminate(k)
-    if minors is None or min(minors) <= 0:
-        raise AssertionError("Killing Gram matrix is not positive definite")
-    if any(sum(k[i][m] * adj[m][j] for m in range(rank)) != det * (i == j)
-           for i in range(rank) for j in range(rank)):
-        raise AssertionError("K adj(K) != det(K) I")
+    nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(k)]
+    if any(k[j][i] != k[i][j] for i, js in enumerate(nbrs) for j in js):
+        raise AssertionError("Killing Gram matrix is not symmetric")
+    parent, comp, order, roots = [None] * rank, [None] * rank, [], []
+    for r in range(rank):
+        if comp[r] is not None:
+            continue
+        comp[r], parent[r], stack = len(roots), -1, [r]
+        roots.append(r)
+        while stack:
+            v = stack.pop()
+            order.append(v)   # every node after its parent
+            for u in nbrs[v]:
+                if u != parent[v]:
+                    if comp[u] is not None:
+                        raise AssertionError("the graph of the Killing Gram matrix has a cycle")
+                    comp[u], parent[u] = comp[r], v
+                    stack.append(u)
+    down, kids = [0] * rank, [1] * rank   # S(parent->v) and R_v
+    for v in reversed(order):
+        r, p = kids[v], parent[v]
+        down[v] = k[v][v] * r - sum(k[v][c] ** 2 * kids[c] * (r // down[c])
+                                    for c in nbrs[v] if c != p)
+        if down[v] <= 0:
+            raise AssertionError("Killing Gram matrix is not positive definite")
+        if p >= 0:
+            kids[p] *= down[v]
+    comp_det = [down[r] for r in roots]
+    det = math.prod(comp_det)
+    up, every = [1] * rank, [0] * rank   # S(v->parent) and P_v
+    for v in order:
+        p = parent[v]
+        if p >= 0:
+            up[v] = (comp_det[comp[v]] + k[p][v] ** 2 * (every[p] // down[v]) * kids[v]) // down[v]
+        every[v] = kids[v] * up[v]
+    steps = []   # per j: (u, -K_ju, P_u / S(u->j), S(j->u)) over its neighbours u
+    for j, js in enumerate(nbrs):
+        steps.append([(u, -k[j][u], every[u] // up[u], down[u]) if parent[u] == j
+                      else (u, -k[j][u], every[u] // down[j], up[j]) for u in js])
+    adj = []
+    for i in range(rank):
+        row = [0] * rank
+        row[i] = every[i] * (det // comp_det[comp[i]])
+        stack = [(i, -1)]
+        while stack:
+            j, back = stack.pop()
+            x = row[j]
+            for u, c, t, s in steps[j]:
+                if u != back:
+                    row[u] = c * x * t // s
+                    stack.append((u, j))
+        adj.append(row)
+    for i, js in enumerate(nbrs):
+        acc = [k[i][i] * x for x in adj[i]]
+        for j in js:
+            c = k[i][j]
+            acc = [a + c * x for a, x in zip(acc, adj[j])]
+        acc[i] -= det
+        if any(acc):
+            raise AssertionError("K adj(K) != det(K) I")
     return tuple(map(tuple, adj)), det
 
 
-def _zero_sum_slices(grading: Grading) -> list:
-    """Count vectors a of the multisets of basis vectors that can be one
+def _slice_walk(grading: Grading):
+    """(classes, slices) for the multisets of basis vectors that can be one
     factor's slice of a minimal zero-sum sequence over the grading's group,
     where basis vector j has class grading.images[j]: the empty multiset,
-    every zero-sum-free one and every minimal zero-sum one.
+    every zero-sum-free one and every minimal zero-sum one.  `classes` lists
+    the classes the images generate, the zero class first; a slice is the
+    number of its class there and its support, the increasing tuple of the
+    pairs (j, a_j) with a_j > 0.
 
     A proper part of a minimal zero-sum sequence is zero-sum-free, and a
     zero-sum sequence is minimal exactly when dropping one term leaves it
@@ -346,63 +418,83 @@ def _zero_sum_slices(grading: Grading) -> list:
     rank = len(images)
     # the classes the images generate, numbered from 0 (the zero class), and
     # plus[j][c] = the number of class c + images[j]
-    elems, number = [grading.zero], {grading.zero: 0}
+    elems, number, rows = [grading.zero], {grading.zero: 0}, []
     for c in elems:
+        row = []
         for g in images:
             if (s := grading.add(c, g)) not in number:
                 number[s] = len(elems)
                 elems.append(s)
-    plus = [[number[grading.add(c, g)] for c in elems] for g in images]
+            row.append(number[s])
+        rows.append(row)
+    plus = list(zip(*rows))
     negs = [p.index(0) for p in plus]
     out = []
 
-    def walk(a, start, cls, sums):
-        out.append(a)
+    def walk(supp, start, cls, sums):
+        out.append((cls, supp))
         for j in range(start, rank):
             p = plus[j]
-            b = a[:j] + (a[j] + 1,) + a[j + 1:]
             # p[0] is the number of images[j]; 0 becomes a subset sum when it
             # is the zero class or its negative already is a subset sum
-            if p[0] and negs[j] not in sums:
-                walk(b, j, p[cls], sums.union([p[0]], map(p.__getitem__, sums)))
-            elif p[cls] == 0:  # a zero-sum-free a plus a term that closes it
-                out.append(b)
+            grow = p[0] and negs[j] not in sums
+            if grow or p[cls] == 0:   # else the closed sequence is not minimal
+                b = (supp[:-1] + ((j, supp[-1][1] + 1),) if supp and j == start
+                     else supp + ((j, 1),))
+                if grow:
+                    walk(b, j, p[cls], sums.union([p[0]], map(p.__getitem__, sums)))
+                else:  # a zero-sum-free multiset plus a term that closes it
+                    out.append((0, b))
 
-    walk((0,) * rank, 0, 0, frozenset())
-    return out
-
-
-def _dominant_pairs(kind: str, rank: int, weights):
-    """Yield (lam, t, |W lam|) with c2(rho-bar(lam)) = +- t * q for each
-    dominant local weight lam in weights.
-
-    sum_{chi in W lam} chi chi^T is W-invariant and the reflection representation
-    is irreducible, so it is c K / 2 (K = killing_gram); its trace against 2 K^-1
-    gives t = c / 2 = |W lam| lam^T adj(K) lam / (rank det K)."""
-    adj, det = _killing_adjugate(kind, rank)
-    den = rank * det
-    worder = weyl_order(kind, rank)
-    for a in weights:
-        v = sum(x * sum(map(mul, adj[i], a)) for i, x in enumerate(a) if x)
-        w = worder // parabolic_order(kind, rank, frozenset(i for i, x in enumerate(a) if not x))
-        t, rem = divmod(w * v, den)
-        if rem:
-            raise AssertionError("non-integral c2 multiple in the scan")
-        yield a, t, w
+    walk((), 0, 0, frozenset())
+    return elems, out
 
 
 @lru_cache(maxsize=None)
 def _factor_buckets(kind: str, rank: int, images: tuple, moduli: tuple):
-    """Read-only {class: hnf rows}: the rows (at most two) span the pairs (t, |W lam|) of
-    _dominant_pairs over the factor's zero-sum slices lam (_zero_sum_slices)
-    of that class in Lambda/T*, where local fundamental weight j has class
-    images[j] in (+)_i Z/moduli[i]."""
-    grading = Grading(moduli, images)
+    """Read-only {class: hnf rows}: the rows (at most two, _pair_hnf) span
+    the pairs (t, |W lam|) over the factor's zero-sum slices lam
+    (_slice_walk) of that class in Lambda/T*, where local fundamental weight
+    j has class images[j] in (+)_i Z/moduli[i], and c2(rho-bar(lam)) = +- t q.
+
+    sum_{chi in W lam} chi chi^T is W-invariant and the reflection
+    representation is irreducible, so it is c K / 2 (K = killing_gram); its
+    trace against 2 K^-1 gives t = c / 2 = |W lam| lam^T adj(K) lam / (rank
+    det K).  Both factors are read over the support of lam: lam^T adj(K) lam
+    in O(|support|^2), and |W lam| = |W| / stabilizer_order."""
+    adj, det = _killing_adjugate(kind, rank)
+    den = rank * det
+    worder = weyl_order(kind, rank)
+    classes, slices = _slice_walk(Grading(moduli, images))
     pairs = {}
-    for lam, t, w in _dominant_pairs(kind, rank, _zero_sum_slices(grading)):
-        pairs.setdefault(grading.of_exponent(lam), set()).add((t, w))
-    return MappingProxyType({cls: tuple(tuple(r) for r in hnf(sorted(ps)))
-                             for cls, ps in pairs.items()})
+    for cls, supp in slices:
+        v = sum(a * b * adj[i][j] for i, a in supp for j, b in supp)
+        w = worder // stabilizer_order(kind, rank, [i for i, _ in supp])
+        t, rem = divmod(w * v, den)
+        if rem:
+            raise AssertionError("non-integral c2 multiple in the scan")
+        pairs.setdefault(cls, set()).add((t, w))
+    return MappingProxyType({classes[c]: _pair_hnf(ps) for c, ps in pairs.items()})
+
+
+def _pair_hnf(pairs) -> tuple:
+    """The rows `hnf` gives for the lattice the integer pairs span, in one
+    pass: (a, b) with a the gcd of the first entries and (a, b) in the
+    lattice, and (0, d) with d the gcd of the second entries once (a, b)
+    clears the first; b is reduced into [0, d) when d > 0.  Each pair with
+    t != 0 replaces (a, b) by x (a, b) + y (t, w), a x + t y = gcd, and puts
+    (t/g) b - (a/g) w into d: a unimodular step."""
+    a = b = d = 0
+    for t, w in pairs:
+        if t:
+            g, x, y = xgcd(a, t)
+            d = math.gcd(d, t // g * b - a // g * w)
+            a, b = g, x * b + y * w
+        else:
+            d = math.gcd(d, w)
+    if not a:
+        return ((0, d),) if d else ()
+    return ((a, b % d), (0, d)) if d else ((a, b),)
 
 
 def _dec_lattice(model: LatticeModel) -> InvariantLattice:
@@ -574,9 +666,9 @@ def compute_Dec(model: LatticeModel) -> InvariantLattice:
     of the monoid of dominant weights in T*.  A Hilbert basis element is a
     minimal zero-sum sequence of fundamental weights in Lambda/T* (classes
     model.grading.images), so each of its factor slices is empty, zero-sum-free
-    or minimal zero-sum there.  The scan takes every such slice from a
-    depth-first search per factor (_zero_sum_slices), keys it by its class in
-    Lambda/T*, and folds the factors over partial class sums (_dec_lattice):
+    or minimal zero-sum there.  The scan takes every such slice, with its
+    class in Lambda/T* and its support, from one depth-first search per
+    factor (_slice_walk), and folds the factors over partial class sums (_dec_lattice):
     exact, mode 'hilbert', and polynomial in the number of factors.  Where
     dec_table has a closed form for the spec, the scan is checked against it:
     DecMismatchError on any disagreement, mode 'both' on agreement.

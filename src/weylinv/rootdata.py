@@ -115,8 +115,9 @@ def cartan_rows(kind: str, n: int) -> list[list[int]]:
 
 
 def weyl_order(kind: str, n: int) -> int:
-    """Order of the Weyl group: that of the whole diagram's component."""
-    return _component_order(kind, n, frozenset(range(n)))
+    """Order of the Weyl group: the stabilizer of the weight 0, whose support
+    is empty."""
+    return stabilizer_order(kind, n, ())
 
 
 def center_group(kind: str, n: int):
@@ -196,28 +197,54 @@ def killing_coeffs(kind: str, n: int) -> dict[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _component_order(kind: str, rank: int, comp: frozenset) -> int:
-    """Weyl group order of the sub-diagram spanned by `comp` (connected)."""
-    size = len(comp)
-    edges = [(i, j) for i, j in diagram_edges(kind, rank) if i in comp and j in comp]
-    if kind in ("B", "C") and (rank - 2, rank - 1) in edges:
+def _neighbours(kind: str, rank: int) -> tuple:
+    """Per node, the tuple of its neighbours in the Dynkin diagram."""
+    out = [[] for _ in range(rank)]
+    for i, j in diagram_edges(kind, rank):
+        out[i].append(j)
+        out[j].append(i)
+    return tuple(map(tuple, out))
+
+
+def _series_order(series: str, size: int) -> int:
+    """Weyl group order of the connected diagram of type A, B (or C) or D of
+    the given size; D2 = A1 x A1 and D3 = A3 fit the D formula."""
+    if series == "A":
+        return math.factorial(size + 1)
+    if series == "B":
         return (1 << size) * math.factorial(size)
+    return (1 << (size - 1)) * math.factorial(size)
+
+
+def _arms_order(arms) -> int:
+    """Weyl group order of the connected diagram of one node and three paths
+    of the given lengths (increasing, each >= 1) hanging off it: D, E6 or E7."""
+    if arms[1] == 1:
+        return _series_order("D", 1 + sum(arms))
+    if arms == [1, 2, 2]:
+        return 51840     # E6
+    if arms == [1, 2, 3]:
+        return 2903040   # E7
+    raise ValueError(f"unrecognized diagram arms {arms}")
+
+
+@lru_cache(maxsize=None)
+def _component_order(kind: str, rank: int, comp: frozenset) -> int:
+    """Weyl group order of the sub-diagram spanned by `comp` (connected), in
+    O(|comp|) over the neighbour table."""
+    size = len(comp)
+    if kind in ("B", "C") and rank - 2 in comp and rank - 1 in comp:
+        return _series_order("B", size)   # the double bond lies in comp
     if kind in ("A", "B", "C"):
-        return math.factorial(size + 1)
-    deg = {i: 0 for i in comp}
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
-    tri = [i for i in comp if deg[i] == 3]
+        return _series_order("A", size)
+    nbrs = _neighbours(kind, rank)
+    adj = {i: [j for j in nbrs[i] if j in comp] for i in comp}
+    tri = [i for i, js in adj.items() if len(js) == 3]
     if not tri:
-        return math.factorial(size + 1)
+        return _series_order("A", size)
     if len(tri) != 1:
         raise ValueError("unexpected diagram shape")
     t = tri[0]
-    adj = {i: [] for i in comp}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
     lengths = []
     for start in adj[t]:
         ln, prev, cur = 1, t, start
@@ -228,42 +255,78 @@ def _component_order(kind: str, rank: int, comp: frozenset) -> int:
             prev, cur = cur, nxt[0]
             ln += 1
         lengths.append(ln)
-    lengths.sort()
-    if lengths[0] == 1 and lengths[1] == 1:
-        return (1 << (size - 1)) * math.factorial(size)
-    if lengths == [1, 2, 2]:
-        return 51840     # E6
-    if lengths == [1, 2, 3]:
-        return 2903040   # E7
-    raise ValueError(f"unrecognized diagram component {sorted(comp)}")
+    return _arms_order(sorted(lengths))
 
 
 @lru_cache(maxsize=None)
 def parabolic_order(kind: str, rank: int, zeros: frozenset) -> int:
-    """Order of the parabolic Weyl subgroup generated by the given nodes."""
-    if not zeros:
-        return 1
+    """Order of the parabolic Weyl subgroup generated by the given nodes: the
+    product of its components' orders, the components found over the
+    neighbour table in O(|zeros|)."""
+    nbrs = _neighbours(kind, rank)
     seen = set()
     total = 1
-    adj = {i: [] for i in zeros}
-    for i, j in diagram_edges(kind, rank):
-        if i in zeros and j in zeros:
-            adj[i].append(j)
-            adj[j].append(i)
     for start in zeros:
         if start in seen:
             continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
+        seen.add(start)
+        comp = [start]
+        for x in comp:   # grows while it is read
+            for y in nbrs[x]:
+                if y in zeros and y not in seen:
+                    seen.add(y)
+                    comp.append(y)
         total *= _component_order(kind, rank, frozenset(comp))
     return total
+
+
+@lru_cache(maxsize=None)
+def _leaf(kind: str, rank: int):
+    """(leaf, branch) for a diagram with a node of degree 3 (D, E6, E7): the
+    last neighbour of degree 1 of that node, and the node; (None, None) for a
+    path.  The other nodes, in increasing order, form a path (the chain) in
+    every type here."""
+    nbrs = _neighbours(kind, rank)
+    branch = next((v for v, ns in enumerate(nbrs) if len(ns) == 3), None)
+    if branch is None:
+        return None, None
+    return max(u for u in nbrs[branch] if len(nbrs[u]) == 1), branch
+
+
+def stabilizer_order(kind: str, rank: int, support) -> int:
+    """Order of the stabilizer in W of a dominant weight whose support is the
+    increasing node sequence `support`: the parabolic subgroup on the nodes
+    off it, in O(|support|).
+
+    Off the support, the chain of nodes other than the leaf (_leaf) falls
+    into runs between consecutive support nodes, each of type A except:
+    for B and C the last run, of length g, ends at the double bond, so it is
+    of type B_g (B_1 = A_1); and when the leaf is off the support, it joins
+    the run through the branch node if there is one, whose arms from the
+    branch node then have lengths 1, l and r (_arms_order, or type
+    A_{l+r+2} when l or r is 0), and is a component of type A_1 if not.
+    """
+    leaf, branch = _leaf(kind, rank)
+    if leaf is None:
+        out, prev = 1, -1
+        for s in support:
+            out *= math.factorial(s - prev)   # the run prev+1..s-1, of type A
+            prev = s
+        return out * _series_order("A" if kind == "A" else "B", rank - 1 - prev)
+    b = branch - (branch > leaf)   # chain positions skip the leaf
+    free = leaf not in support
+    out, prev = 1, -1
+    for s in (*support, rank):   # node rank closes the last run
+        if s == leaf:
+            continue
+        s -= s > leaf
+        if free and prev < b < s:   # the run prev+1..s-1 through the branch node
+            arms = sorted((1, b - prev - 1, s - 1 - b))
+            out *= _arms_order(arms) if arms[0] else _series_order("A", s - prev)
+        else:
+            out *= math.factorial(s - prev)
+        prev = s
+    return out * (2 if free and branch in support else 1)
 
 
 def congruence_grading(congruences, n: int) -> Grading:

@@ -5,14 +5,18 @@ import importlib.util
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from operator import mul
 from pathlib import Path
 
 from weylinv.fuzz import _divisor_or_lead
 from weylinv.generators import GeneratorSet, _rho_tilde_w
-from weylinv.intlinalg import congruence_kernel, hnf, hnf_with_transform, snf_with_left
+from weylinv.intlinalg import (
+    _eliminate, congruence_kernel, hnf, hnf_with_transform, snf_with_left,
+)
 from weylinv.invariants import (
-    InvariantLattice, QuotientRing, _dominant_pairs, _is_diag_kernel, _symplectic_like, c2,
+    InvariantLattice, QuotientRing, _is_diag_kernel, _symplectic_like, c2,
     killing_decompose,
 )
 from weylinv.laurent import (
@@ -20,8 +24,8 @@ from weylinv.laurent import (
     reduce_coefficients,
 )
 from weylinv.rootdata import (
-    GroupSpec, SimpleFactor, cartan_rows, compile_spec, diagram_edges, killing_coeffs,
-    orbit_poly, residue_functionals,
+    GroupSpec, SimpleFactor, _component_order, cartan_rows, compile_spec, diagram_edges,
+    killing_coeffs, killing_gram, orbit_poly, residue_functionals, weyl_order,
 )
 from weylinv.spec import SpecParseError
 from weylinv.syzygy import (
@@ -447,6 +451,115 @@ def bounded_weights(rank, total, prefix=()):
         return
     for x in range(total + 1):
         yield from bounded_weights(rank - 1, total - x, prefix + (x,))
+
+
+# --------------------------------------------------------------------------
+# the Dec scan as it was before its per-factor setup followed the Dynkin tree:
+# a dense elimination for adj K, the parabolic order read over every diagram
+# edge, and two passes (the slices, then their pairs); the oracles of the
+# tree adjugate, of parabolic_order and stabilizer_order, and of _factor_buckets
+
+
+def parabolic_order_oracle(kind, rank, zeros):
+    """Order of the parabolic Weyl subgroup generated by the given nodes, its
+    components found over every edge of the diagram."""
+    if not zeros:
+        return 1
+    seen = set()
+    total = 1
+    adj = {i: [] for i in zeros}
+    for i, j in diagram_edges(kind, rank):
+        if i in zeros and j in zeros:
+            adj[i].append(j)
+            adj[j].append(i)
+    for start in zeros:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        total *= _component_order(kind, rank, frozenset(comp))
+    return total
+
+
+@lru_cache(maxsize=None)
+def eliminated_adjugate(kind, rank):
+    """(adj K, det K) for K = killing_gram(kind, rank), from one dense
+    Bareiss elimination, with its positive-definiteness and K adj K = det K I
+    checks over the whole matrix."""
+    k = killing_gram(kind, rank)
+    det, adj, minors = _eliminate(k)
+    if minors is None or min(minors) <= 0:
+        raise AssertionError("Killing Gram matrix is not positive definite")
+    if any(sum(k[i][m] * adj[m][j] for m in range(rank)) != det * (i == j)
+           for i in range(rank) for j in range(rank)):
+        raise AssertionError("K adj(K) != det(K) I")
+    return tuple(map(tuple, adj)), det
+
+
+def _zero_sum_slices(grading: Grading) -> list:
+    """Count vectors a of the multisets of basis vectors that can be one
+    factor's slice of a minimal zero-sum sequence over the grading's group,
+    where basis vector j has class grading.images[j]: the empty multiset,
+    every zero-sum-free one and every minimal zero-sum one, by the
+    depth-first search of invariants._slice_walk."""
+    images = grading.images
+    rank = len(images)
+    elems, number = [grading.zero], {grading.zero: 0}
+    for c in elems:
+        for g in images:
+            if (s := grading.add(c, g)) not in number:
+                number[s] = len(elems)
+                elems.append(s)
+    plus = [[number[grading.add(c, g)] for c in elems] for g in images]
+    negs = [p.index(0) for p in plus]
+    out = []
+
+    def walk(a, start, cls, sums):
+        out.append(a)
+        for j in range(start, rank):
+            p = plus[j]
+            b = a[:j] + (a[j] + 1,) + a[j + 1:]
+            if p[0] and negs[j] not in sums:
+                walk(b, j, p[cls], sums.union([p[0]], map(p.__getitem__, sums)))
+            elif p[cls] == 0:
+                out.append(b)
+
+    walk((0,) * rank, 0, 0, frozenset())
+    return out
+
+
+def _dominant_pairs(kind, rank, weights):
+    """Yield (lam, t, |W lam|) with c2(rho-bar(lam)) = +- t * q for each
+    dominant local weight lam in weights:
+    t = |W lam| lam^T adj(K) lam / (rank det K), over the whole of lam."""
+    adj, det = eliminated_adjugate(kind, rank)
+    den = rank * det
+    worder = weyl_order(kind, rank)
+    for a in weights:
+        v = sum(x * sum(map(mul, adj[i], a)) for i, x in enumerate(a) if x)
+        w = worder // parabolic_order_oracle(
+            kind, rank, frozenset(i for i, x in enumerate(a) if not x))
+        t, rem = divmod(w * v, den)
+        if rem:
+            raise AssertionError("non-integral c2 multiple in the scan")
+        yield a, t, w
+
+
+def two_pass_buckets(kind, rank, images, moduli):
+    """invariants._factor_buckets from _zero_sum_slices and then
+    _dominant_pairs, each slice keyed by Grading.of_exponent."""
+    grading = Grading(moduli, images)
+    pairs = {}
+    for lam, t, w in _dominant_pairs(kind, rank, _zero_sum_slices(grading)):
+        pairs.setdefault(grading.of_exponent(lam), set()).add((t, w))
+    return {cls: tuple(tuple(r) for r in hnf(sorted(ps))) for cls, ps in pairs.items()}
 
 
 def box_dec_rows(md):

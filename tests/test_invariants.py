@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,17 +11,17 @@ from hypothesis import example, given, settings, strategies as st
 from weylinv import intlinalg, invariants, rootdata
 from weylinv.cli import main, parse_spec
 from weylinv.generators import build_generators
-from weylinv.intlinalg import hnf
+from weylinv.intlinalg import _eliminate, hnf
 from weylinv.invariants import (
     DecMismatchError,
     InvariantLattice,
     KillingDecomposeError,
     QuotientRing,
     TruncatedForm,
-    _dominant_pairs,
     _factor_buckets,
     _killing_adjugate,
-    _zero_sum_slices,
+    _pair_hnf,
+    _slice_walk,
     c2,
     compute_Dec,
     compute_Q,
@@ -32,17 +33,18 @@ from weylinv.invariants import (
     pgo8_model,
     pgo8_parity_check,
 )
-from weylinv.laurent import LaurentPoly, augmentation, dot
+from weylinv.laurent import Grading, LaurentPoly, augmentation, dot
 from weylinv.rootdata import (
     GroupSpec, LatticeModel, SimpleFactor, center_group, compile_spec,
     fundamental_orbit_sums, killing_coeffs, killing_gram, orbit_poly, orbit_size,
 )
 
 from _helpers import (
-    _bench_inputs, bounded_weights, box_dec_rows, c2_orbit, center_residues, davenport_bound,
-    element_rows, explicit_elements, fac_c, factor_davenport, fraction_det, fundamental_weight,
-    in_tstar, lattice_from_congruence, model, oracle_specs, q_oracle, quotient_mul,
-    quotient_reduction, residue_allowed, tstar_basis, witness_rows, zero_class,
+    _bench_inputs, _dominant_pairs, _zero_sum_slices, bounded_weights, box_dec_rows, c2_orbit,
+    center_residues, davenport_bound, element_rows, explicit_elements, fac_c, factor_davenport,
+    fraction_det, fundamental_weight, in_tstar, lattice_from_congruence, model, oracle_specs,
+    q_oracle, quotient_mul, quotient_reduction, residue_allowed, tstar_basis, two_pass_buckets,
+    witness_rows, zero_class,
 )
 
 
@@ -52,6 +54,27 @@ SMALL_FACTORS = {"SL(2)": (SimpleFactor("A", 1), (2,), 2),
                  "SL(4)": (SimpleFactor("A", 3), (2, 4), 4),
                  "Sp(4)": (SimpleFactor("C", 2), (2,), 2),
                  "Spin(5)": (SimpleFactor("B", 2), (2,), 2)}
+
+
+# every simple factor up to rank 7, for the scan's hypothesis tests
+SCAN_FACTORS = ([("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 8)]
+                + [("C", r) for r in range(2, 8)] + [("D", r) for r in range(4, 8)]
+                + [("E6", 6), ("E7", 7)])
+
+
+def _walked(grading):
+    """The count vectors of _slice_walk's slices, in its order, each checked
+    to lie in the class the walk numbered."""
+    classes, slices = _slice_walk(grading)
+    out = []
+    for cls, supp in slices:
+        a = [0] * len(grading.images)
+        for j, x in supp:
+            a[j] = x
+        assert [j for j, _ in supp] == sorted({j for j, _ in supp})
+        assert classes[cls] == grading.of_exponent(a)
+        out.append(tuple(a))
+    return out
 
 
 def sign_free(vec, expect):
@@ -485,6 +508,28 @@ class TestDecEngine:
         zero = [a for a in slices if md.grading.of_exponent(a) == md.grading.zero]
         assert len(slices) == 1 + free + minimal
         assert len(set(slices)) == len(slices) and len(zero) == 1 + minimal
+        assert _walked(md.grading) == slices
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(SCAN_FACTORS), st.data())
+    def test_buckets_match_the_two_pass_scan(self, factor, data):
+        # one walk per factor (class number and support per slice, c2 read
+        # over the support) against _zero_sum_slices, keyed by of_exponent,
+        # then _dominant_pairs, on a random grading of the factor
+        kind, rank = factor
+        moduli = tuple(data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=2)))
+        images = tuple(tuple(data.draw(st.integers(0, m - 1)) for m in moduli)
+                       for _ in range(rank))
+        assert _walked(Grading(moduli, images)) == _zero_sum_slices(Grading(moduli, images))
+        want = two_pass_buckets(kind, rank, images, moduli)
+        assert list(_factor_buckets.__wrapped__(kind, rank, images, moduli).items()) \
+            == list(want.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.tuples(st.one_of(st.just(0), st.integers(-40, 40)), st.integers(-40, 40)),
+                   max_size=7))
+    def test_pair_hnf_is_the_hnf(self, pairs):
+        assert _pair_hnf(pairs) == tuple(tuple(r) for r in hnf(sorted(pairs)))
 
     @pytest.mark.parametrize("n", [12, 16])
     def test_large_pgl_squares(self, n):
@@ -541,6 +586,76 @@ class TestClosedFormC2:
         monkeypatch.setattr(inv, "killing_gram", lambda kind, rank: gram)
         with pytest.raises(AssertionError, match="not positive definite"):
             inv._killing_adjugate.__wrapped__("A", len(gram))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([("A", 1), ("B", 2), ("C", 2), ("D", 4)]), st.integers(0, 39))
+    @example(("A", 1), 39)
+    @example(("D", 4), 36)
+    def test_tree_adjugate_matches_the_elimination(self, kind_lo, extra):
+        # det K and adj K along the Dynkin tree against the dense Bareiss
+        # elimination, at ranks 1-40 of every series
+        kind, lo = kind_lo
+        rank = min(lo + extra, 40)
+        det, adj, minors = _eliminate(killing_gram(kind, rank))
+        assert min(minors) > 0
+        assert _killing_adjugate(kind, rank) == (tuple(map(tuple, adj)), det)
+
+    @pytest.mark.parametrize("kind, rank", [("E6", 6), ("E7", 7)])
+    def test_tree_adjugate_of_e(self, kind, rank):
+        det, adj, _ = _eliminate(killing_gram(kind, rank))
+        assert _killing_adjugate(kind, rank) == (tuple(map(tuple, adj)), det)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tree_adjugate_of_random_forests(self, data):
+        # a symmetric matrix on a random forest, positive definite or not:
+        # the elimination's adjugate when every leading minor is positive,
+        # else the positive-definiteness error
+        n = data.draw(st.integers(1, 9))
+        perm = data.draw(st.permutations(range(n)))
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[perm[i]][perm[i]] = data.draw(st.integers(-2, 12))
+            p = data.draw(st.integers(-1, i - 1))   # -1 starts a new tree
+            if p >= 0:
+                x = data.draw(st.integers(-3, 3).filter(bool))
+                gram[perm[i]][perm[p]] = gram[perm[p]][perm[i]] = x
+        det, adj, minors = _eliminate(gram)
+        with mock.patch.object(invariants, "killing_gram", lambda kind, rank: gram):
+            if minors is not None and min(minors) > 0:
+                assert invariants._killing_adjugate.__wrapped__("A", n) == (
+                    tuple(map(tuple, adj)), det)
+            else:
+                with pytest.raises(AssertionError, match="not positive definite"):
+                    invariants._killing_adjugate.__wrapped__("A", n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_cycle_raises(self, data):
+        # a positive definite (diagonally dominant) matrix whose graph is a
+        # random tree plus one more edge is refused, not given a wrong adjugate
+        n = data.draw(st.integers(3, 9))
+        edges = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+        extra = data.draw(st.sampled_from(sorted(
+            (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges)))
+        gram = [[0] * n for _ in range(n)]
+        for i, j in edges | {extra}:
+            gram[i][j] = gram[j][i] = data.draw(st.integers(-3, 3).filter(bool))
+        for i in range(n):
+            gram[i][i] = 1 + sum(abs(x) for x in gram[i])
+        assert min(_eliminate(gram)[2]) > 0
+        with mock.patch.object(invariants, "killing_gram", lambda kind, rank: gram):
+            with pytest.raises(AssertionError, match="cycle"):
+                invariants._killing_adjugate.__wrapped__("A", n)
+
+    def test_a_cartan_matrix_is_refused(self, monkeypatch):
+        # the tree formulas read K_ij = K_ji; the unsymmetrised B3 Cartan
+        # matrix, positive leading minors and all, is refused
+        gram = rootdata.cartan_rows("B", 3)
+        assert min(_eliminate(gram)[2]) > 0
+        monkeypatch.setattr(invariants, "killing_gram", lambda kind, rank: gram)
+        with pytest.raises(AssertionError, match="not symmetric"):
+            invariants._killing_adjugate.__wrapped__("B", 3)
 
     @pytest.mark.parametrize("kind, rank", SUPPORTED_FACTORS)
     def test_adjugate(self, kind, rank):

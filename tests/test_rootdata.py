@@ -27,13 +27,15 @@ from weylinv.rootdata import (
     orbit_size,
     parabolic_order,
     residue_functionals,
+    stabilizer_order,
     weyl_orbit,
     weyl_order,
 )
 
 from _helpers import (
     center_residues, fundamental_weight, in_tstar, killing_value, lattice_grading, model,
-    oracle_factors, oracle_specs, reflect_local, residue_allowed, standard_e_basis,
+    oracle_factors, oracle_specs, parabolic_order_oracle, reflect_local, residue_allowed,
+    standard_e_basis,
     table_cartan_rows, table_center_group, table_diag_entry, table_killing_coeffs,
     table_weyl_order, tstar_basis,
 )
@@ -257,12 +259,33 @@ class TestOrbits:
         assert len(weyl_orbit(m, w)) == orbit_size(m, w) == 10080
 
     def test_parabolic_order_full(self):
-        # weyl_order is the order of the whole diagram's component, so this
-        # checks only the component split; TestClosedFormTables checks the
-        # orders against the closed formulas
+        # weyl_order reads the stabilizer of the empty support, so this checks
+        # the component split against the runs of stabilizer_order;
+        # TestClosedFormTables checks the orders against the closed formulas
         assert parabolic_order("E7", 7, frozenset(range(7))) == weyl_order("E7", 7)
         assert parabolic_order("B", 4, frozenset(range(4))) == weyl_order("B", 4)
         assert parabolic_order("D", 5, frozenset(range(5))) == weyl_order("D", 5)
+
+    @pytest.mark.parametrize("kind, rank", [
+        (k, r) for k, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for r in range(lo, 8)]
+        + [("E6", 6), ("E7", 7)])
+    def test_parabolic_order_matches_the_edge_scan(self, kind, rank):
+        # every zero set: the neighbour table against the scan of every
+        # diagram edge, and the orbit size per support against both
+        for k in range(rank + 1):
+            for zeros in itertools.combinations(range(rank), k):
+                want = parabolic_order_oracle(kind, rank, frozenset(zeros))
+                assert parabolic_order(kind, rank, frozenset(zeros)) == want
+                support = [i for i in range(rank) if i not in zeros]
+                assert stabilizer_order(kind, rank, support) == want, support
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from("ABCD"), st.integers(40, 200), st.floats(0, 1), st.randoms())
+    def test_parabolic_order_at_large_rank(self, kind, rank, density, rng):
+        zeros = frozenset(i for i in range(rank) if rng.random() < density)
+        want = parabolic_order_oracle(kind, rank, zeros)
+        assert parabolic_order.__wrapped__(kind, rank, zeros) == want
+        assert stabilizer_order(kind, rank, sorted(set(range(rank)) - zeros)) == want
 
     def test_product_orbit(self):
         m = model(SimpleFactor("A", 1), SimpleFactor("A", 1))
