@@ -208,25 +208,16 @@ def _tuple_proves(gs: GeneratorSet, f, combo: dict, goal: tuple) -> bool:
                for x, y, fj, gj in zip(xs, ys, f, goal))
 
 
-@lru_cache(maxsize=128)
-def _checked_set(model: LatticeModel, lambda0: tuple) -> GeneratorSet:
-    """`build_generators(model, lambda0)`, built and checked once per model
-    and lambda0 (the 128 most recent) for `_accepted`."""
-    return build_generators(model, lambda0)
-
-
 def _accepted(model: LatticeModel, gs: GeneratorSet | None) -> GeneratorSet:
     """The generator set a reduction reads: `build_generators(model)` for
     None, else gs if it equals `build_generators(model, gs.lambda0)`, and
     ValueError if not.  The default set holds the fill's own objects, so it
-    equals the fill's fields by identity tests, without a second build; a set
-    of another lambda0 is compared with `_checked_set`, so only its first
-    reduction builds and checks it."""
+    equals the fill's fields by identity tests, without a second build."""
     if gs is None:
         return build_generators(model)
     chain, rho, _, h2, h3, h2_rows, h3_rows, h1, h1_rows, lambda0 = _model_generators(model)
     if (gs != (model, chain, lambda0, h1, h2, h3, rho, h1_rows, h2_rows, h3_rows)
-            and (gs.model is not model or gs != _checked_set(model, tuple(gs.lambda0)))):
+            and (gs.model is not model or gs != build_generators(model, gs.lambda0))):
         raise ValueError("the generator set is not the model's")
     return gs
 

@@ -196,16 +196,6 @@ def killing_coeffs(kind: str, n: int) -> dict[tuple[int, int], int]:
 # parabolic subgroup orders (stabilizers of dominant weights)
 
 
-@lru_cache(maxsize=None)
-def _neighbours(kind: str, rank: int) -> tuple:
-    """Per node, the tuple of its neighbours in the Dynkin diagram."""
-    out = [[] for _ in range(rank)]
-    for i, j in diagram_edges(kind, rank):
-        out[i].append(j)
-        out[j].append(i)
-    return tuple(map(tuple, out))
-
-
 def _series_order(series: str, size: int) -> int:
     """Weyl group order of the connected diagram of type A, B (or C) or D of
     the given size; D2 = A1 x A1 and D3 = A3 fit the D formula."""
@@ -228,56 +218,10 @@ def _arms_order(arms) -> int:
     raise ValueError(f"unrecognized diagram arms {arms}")
 
 
-@lru_cache(maxsize=None)
-def _component_order(kind: str, rank: int, comp: frozenset) -> int:
-    """Weyl group order of the sub-diagram spanned by `comp` (connected), in
-    O(|comp|) over the neighbour table."""
-    size = len(comp)
-    if kind in ("B", "C") and rank - 2 in comp and rank - 1 in comp:
-        return _series_order("B", size)   # the double bond lies in comp
-    if kind in ("A", "B", "C"):
-        return _series_order("A", size)
-    nbrs = _neighbours(kind, rank)
-    adj = {i: [j for j in nbrs[i] if j in comp] for i in comp}
-    tri = [i for i, js in adj.items() if len(js) == 3]
-    if not tri:
-        return _series_order("A", size)
-    if len(tri) != 1:
-        raise ValueError("unexpected diagram shape")
-    t = tri[0]
-    lengths = []
-    for start in adj[t]:
-        ln, prev, cur = 1, t, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            ln += 1
-        lengths.append(ln)
-    return _arms_order(sorted(lengths))
-
-
-@lru_cache(maxsize=None)
 def parabolic_order(kind: str, rank: int, zeros: frozenset) -> int:
     """Order of the parabolic Weyl subgroup generated by the given nodes: the
-    product of its components' orders, the components found over the
-    neighbour table in O(|zeros|)."""
-    nbrs = _neighbours(kind, rank)
-    seen = set()
-    total = 1
-    for start in zeros:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        for x in comp:   # grows while it is read
-            for y in nbrs[x]:
-                if y in zeros and y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-        total *= _component_order(kind, rank, frozenset(comp))
-    return total
+    stabilizer of a dominant weight supported off them."""
+    return stabilizer_order(kind, rank, [i for i in range(rank) if i not in zeros])
 
 
 @lru_cache(maxsize=None)
@@ -286,7 +230,10 @@ def _leaf(kind: str, rank: int):
     last neighbour of degree 1 of that node, and the node; (None, None) for a
     path.  The other nodes, in increasing order, form a path (the chain) in
     every type here."""
-    nbrs = _neighbours(kind, rank)
+    nbrs = [[] for _ in range(rank)]
+    for i, j in diagram_edges(kind, rank):
+        nbrs[i].append(j)
+        nbrs[j].append(i)
     branch = next((v for v, ns in enumerate(nbrs) if len(ns) == 3), None)
     if branch is None:
         return None, None
@@ -488,8 +435,8 @@ class LatticeModel:
     def orbit_size_local(self, fi, local) -> int:
         dom = self.dominant_local(fi, local)
         f = self.factors[fi]
-        zeros = frozenset(i for i, a in enumerate(dom) if a == 0)
-        return weyl_order(f.kind, f.rank) // parabolic_order(f.kind, f.rank, zeros)
+        support = [i for i, a in enumerate(dom) if a]
+        return weyl_order(f.kind, f.rank) // stabilizer_order(f.kind, f.rank, support)
 
 
 def compile_spec(spec: GroupSpec) -> LatticeModel:

@@ -24,7 +24,7 @@ from weylinv.laurent import (
     reduce_coefficients,
 )
 from weylinv.rootdata import (
-    GroupSpec, SimpleFactor, _component_order, cartan_rows, compile_spec, diagram_edges,
+    GroupSpec, SimpleFactor, cartan_rows, compile_spec, diagram_edges,
     killing_coeffs, killing_gram, orbit_poly, residue_functionals, weyl_order,
 )
 from weylinv.spec import SpecParseError
@@ -460,6 +460,50 @@ def bounded_weights(rank, total, prefix=()):
 # tree adjugate, of parabolic_order and stabilizer_order, and of _factor_buckets
 
 
+def component_order_oracle(kind, rank, comp):
+    """Weyl group order of the sub-diagram spanned by `comp` (connected), read
+    off the diagram edges inside it: its type from the double bond and the
+    arm lengths at a node of degree 3."""
+    size = len(comp)
+    edges = [(i, j) for i, j in diagram_edges(kind, rank) if i in comp and j in comp]
+    if kind in ("B", "C") and (rank - 2, rank - 1) in edges:
+        return (1 << size) * math.factorial(size)
+    if kind in ("A", "B", "C"):
+        return math.factorial(size + 1)
+    deg = {i: 0 for i in comp}
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    tri = [i for i in comp if deg[i] == 3]
+    if not tri:
+        return math.factorial(size + 1)
+    if len(tri) != 1:
+        raise ValueError("unexpected diagram shape")
+    t = tri[0]
+    adj = {i: [] for i in comp}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    lengths = []
+    for start in adj[t]:
+        ln, prev, cur = 1, t, start
+        while True:
+            nxt = [x for x in adj[cur] if x != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            ln += 1
+        lengths.append(ln)
+    lengths.sort()
+    if lengths[0] == 1 and lengths[1] == 1:
+        return (1 << (size - 1)) * math.factorial(size)
+    if lengths == [1, 2, 2]:
+        return 51840     # E6
+    if lengths == [1, 2, 3]:
+        return 2903040   # E7
+    raise ValueError(f"unrecognized diagram component {sorted(comp)}")
+
+
 def parabolic_order_oracle(kind, rank, zeros):
     """Order of the parabolic Weyl subgroup generated by the given nodes, its
     components found over every edge of the diagram."""
@@ -484,7 +528,7 @@ def parabolic_order_oracle(kind, rank, zeros):
                     comp.add(y)
                     stack.append(y)
         seen |= comp
-        total *= _component_order(kind, rank, frozenset(comp))
+        total *= component_order_oracle(kind, rank, frozenset(comp))
     return total
 
 

@@ -12,7 +12,6 @@ from weylinv.cli import parse_spec
 from weylinv.fuzz import random_graded_poly
 from weylinv.generators import (
     GeneratorSet,
-    _check_family,
     _model_generators,
     build_generators,
     combination_to_tuple,
@@ -620,34 +619,12 @@ class TestTupleProof:
         gs = build_generators(m)
         f = combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(4, 1, 0)})
         builds = []
-        generators._checked_set.cache_clear()
         monkeypatch.setattr(generators, "build_generators",
                             lambda *args: builds.append(args) or build_generators(*args))
         reduce_to_generators(m, f, gs)
         assert builds == []
         reduce_to_generators(m, f, build_generators(m, [-x for x in gs.lambda0]))
         assert builds == [(m, tuple(-x for x in gs.lambda0))]
-
-    @pytest.mark.parametrize("make", [sp4xsp4, sl4xsl6])
-    def test_a_set_of_another_lambda0_is_checked_once(self, make, monkeypatch):
-        # the first reduction with the set builds and checks it once; a second
-        # with the same set, or an equal one, runs no _check_family
-        m = make()
-        default = build_generators(m)
-        gs = build_generators(m, [-x for x in default.lambda0])
-        assert gs.lambda0 != default.lambda0
-        f = combination_to_tuple(gs, {"h2[1]": LaurentPoly.const(m.total_rank, 1, 0)})
-        checks = []
-        generators._checked_set.cache_clear()
-        monkeypatch.setattr(generators, "_check_family",
-                            lambda *args: checks.append(args[0]) or _check_family(*args))
-        first = reduce_to_generators(m, f, gs)
-        assert checks == ["h1"]
-        assert reduce_to_generators(m, f, gs) == first
-        assert reduce_to_generators(m, f, build_generators(m, gs.lambda0)) == first
-        assert checks == ["h1", "h1"]   # the last build_generators call's own check
-        with pytest.raises(ValueError, match="not the model's"):
-            reduce_to_generators(m, f, gs._replace(h2=gs.h2 + gs.h2[:1]))
 
     @staticmethod
     def _koszul_row(gs, m):

@@ -648,6 +648,16 @@ class TestClosedFormC2:
             with pytest.raises(AssertionError, match="cycle"):
                 invariants._killing_adjugate.__wrapped__("A", n)
 
+    @pytest.mark.parametrize("kind, rank", [("A", 1), ("C", 5), ("D", 6), ("E7", 7)])
+    def test_a_wrong_determinant_is_caught(self, kind, rank, monkeypatch):
+        # det K one more than the product of the components' determinants:
+        # the pivots stay positive and the tree formulas run on, and only the
+        # K adj(K) = det(K) I check sees it
+        monkeypatch.setattr(invariants, "math",
+                            SimpleNamespace(prod=lambda xs: math.prod(xs) + 1))
+        with pytest.raises(AssertionError, match=r"K adj\(K\) != det\(K\) I"):
+            invariants._killing_adjugate.__wrapped__(kind, rank)
+
     def test_a_cartan_matrix_is_refused(self, monkeypatch):
         # the tree formulas read K_ij = K_ji; the unsymmetrised B3 Cartan
         # matrix, positive leading minors and all, is refused

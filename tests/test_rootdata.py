@@ -259,8 +259,8 @@ class TestOrbits:
         assert len(weyl_orbit(m, w)) == orbit_size(m, w) == 10080
 
     def test_parabolic_order_full(self):
-        # weyl_order reads the stabilizer of the empty support, so this checks
-        # the component split against the runs of stabilizer_order;
+        # parabolic_order and weyl_order both read stabilizer_order of the
+        # empty support, so this checks only that they agree;
         # TestClosedFormTables checks the orders against the closed formulas
         assert parabolic_order("E7", 7, frozenset(range(7))) == weyl_order("E7", 7)
         assert parabolic_order("B", 4, frozenset(range(4))) == weyl_order("B", 4)
@@ -270,8 +270,8 @@ class TestOrbits:
         (k, r) for k, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for r in range(lo, 8)]
         + [("E6", 6), ("E7", 7)])
     def test_parabolic_order_matches_the_edge_scan(self, kind, rank):
-        # every zero set: the neighbour table against the scan of every
-        # diagram edge, and the orbit size per support against both
+        # every zero set: the runs of stabilizer_order against the components
+        # found over every diagram edge, named by the closed forms
         for k in range(rank + 1):
             for zeros in itertools.combinations(range(rank), k):
                 want = parabolic_order_oracle(kind, rank, frozenset(zeros))
@@ -284,7 +284,7 @@ class TestOrbits:
     def test_parabolic_order_at_large_rank(self, kind, rank, density, rng):
         zeros = frozenset(i for i in range(rank) if rng.random() < density)
         want = parabolic_order_oracle(kind, rank, zeros)
-        assert parabolic_order.__wrapped__(kind, rank, zeros) == want
+        assert parabolic_order(kind, rank, zeros) == want
         assert stabilizer_order(kind, rank, sorted(set(range(rank)) - zeros)) == want
 
     def test_product_orbit(self):
