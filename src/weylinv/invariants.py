@@ -2,9 +2,9 @@
 
 Pipeline: the degree-2 truncation of the exponential ring map (c2), exact
 computation of Q(G) from integrality of the Killing forms on generators of
-the cocharacter lattice, the decomposable subgroup Dec(G) from per-factor
-minimal zero-sum sequences in Lambda/T* folded over the factors, with
-closed-form checks, the semi-decomposable subgroup Sdec(G) on one path (a
+the cocharacter lattice, the decomposable subgroup Dec(G) from the
+class-graded closure of each factor's fundamental orbit sums folded over the
+factors, with closed-form checks, the semi-decomposable subgroup Sdec(G) on one path (a
 closed form, else a lower bound from the index-2 generator set or Dec
 itself), factor groups via Smith normal form, and the adjoint D4 check: its
 parity report and the quotient group ring (Z/m)[Lambda/Lambda'] it reads.
@@ -33,7 +33,7 @@ from .intlinalg import (
     snf_with_left,
     xgcd,
 )
-from .laurent import Grading, LaurentPoly, augmentation, dot, graded_components
+from .laurent import LaurentPoly, augmentation, dot, graded_components
 from .rootdata import (
     GroupSpec,
     LatticeModel,
@@ -55,7 +55,7 @@ class KillingDecomposeError(AssertionError):
 
 
 class DecMismatchError(AssertionError):
-    """The Hilbert-basis and closed-form decomposable groups disagree."""
+    """The computed and closed-form decomposable groups disagree."""
 
 
 # --------------------------------------------------------------------------
@@ -309,8 +309,8 @@ def compute_Q(model: LatticeModel) -> InvariantLattice:
 
 
 # --------------------------------------------------------------------------
-# Dec(G): c2 over a Hilbert basis from zero-sum slices, cross-checked against
-# closed forms
+# Dec(G): c2 over the monomials of class 0 in the fundamental orbit sums,
+# graded by Lambda/T* and closed per factor, cross-checked against closed forms
 
 
 @lru_cache(maxsize=None)
@@ -398,83 +398,50 @@ def _killing_adjugate(kind: str, rank: int):
     return tuple(map(tuple, adj)), det
 
 
-def _slice_walk(grading: Grading):
-    """(classes, slices) for the multisets of basis vectors that can be one
-    factor's slice of a minimal zero-sum sequence over the grading's group,
-    where basis vector j has class grading.images[j]: the empty multiset,
-    every zero-sum-free one and every minimal zero-sum one.  `classes` lists
-    the classes the images generate, the zero class first; a slice is the
-    number of its class there and its support, the increasing tuple of the
-    pairs (j, a_j) with a_j > 0.
-
-    A proper part of a minimal zero-sum sequence is zero-sum-free, and a
-    zero-sum sequence is minimal exactly when dropping one term leaves it
-    zero-sum-free.  So a depth-first search over nondecreasing index
-    sequences, carrying the running class and the set of nonempty subset sums,
-    extends only the zero-sum-free multisets and stops a branch once 0 is a
-    subset sum.
-    """
-    images = grading.images
-    rank = len(images)
-    # the classes the images generate, numbered from 0 (the zero class), and
-    # plus[j][c] = the number of class c + images[j]
-    elems, number, rows = [grading.zero], {grading.zero: 0}, []
-    for c in elems:
-        row = []
-        for g in images:
-            if (s := grading.add(c, g)) not in number:
-                number[s] = len(elems)
-                elems.append(s)
-            row.append(number[s])
-        rows.append(row)
-    plus = list(zip(*rows))
-    negs = [p.index(0) for p in plus]
-    out = []
-
-    def walk(supp, start, cls, sums):
-        out.append((cls, supp))
-        for j in range(start, rank):
-            p = plus[j]
-            # p[0] is the number of images[j]; 0 becomes a subset sum when it
-            # is the zero class or its negative already is a subset sum
-            grow = p[0] and negs[j] not in sums
-            if grow or p[cls] == 0:   # else the closed sequence is not minimal
-                b = (supp[:-1] + ((j, supp[-1][1] + 1),) if supp and j == start
-                     else supp + ((j, 1),))
-                if grow:
-                    walk(b, j, p[cls], sums.union([p[0]], map(p.__getitem__, sums)))
-                else:  # a zero-sum-free multiset plus a term that closes it
-                    out.append((0, b))
-
-    walk((), 0, 0, frozenset())
-    return elems, out
-
-
 @lru_cache(maxsize=None)
 def _factor_buckets(kind: str, rank: int, images: tuple, moduli: tuple):
-    """Read-only {class: hnf rows}: the rows (at most two, _pair_hnf) span
-    the pairs (t, |W lam|) over the factor's zero-sum slices lam
-    (_slice_walk) of that class in Lambda/T*, where local fundamental weight
-    j has class images[j] in (+)_i Z/moduli[i], and c2(rho-bar(lam)) = +- t q.
+    """Read-only {class: _pair_hnf rows}: per class c in Lambda/T*, the
+    lattice L_c of the pairs (t, c0(x)), c2(x) = +- t q, over the factor's
+    W-invariants x of class c, where local fundamental weight j has class
+    images[j] in (+)_i Z/moduli[i].
 
-    sum_{chi in W lam} chi chi^T is W-invariant and the reflection
-    representation is irreducible, so it is c K / 2 (K = killing_gram); its
-    trace against 2 K^-1 gives t = c / 2 = |W lam| lam^T adj(K) lam / (rank
-    det K).  Both factors are read over the support of lam: lam^T adj(K) lam
-    in O(|support|^2), and |W lam| = |W| / stabilizer_order."""
+    L_c is spanned by the pairs of the monomials of class c in the
+    fundamental orbit sums rho(omega_j) (compute_Dec), and a product maps to
+    (a, b) * (t, w) = (b t + w a, b w).  So the L_c are the least lattices
+    with (0, 1) in L_0 and L_c * (t_j, w_j) in L_{c + images[j]}: a class
+    whose lattice grows is queued, once while it waits, and multiplied by
+    every (t_j, w_j) again, until none grows, which happens, since an
+    ascending chain of sublattices of Z^2 stops.  * is bilinear, so the
+    (t_j, w_j) of one class act through the rows they span.
+
+    rho(omega_j) maps to (t_j, w_j), w_j = |W omega_j| = |W| / stabilizer_order
+    and t_j = w_j adj(K)_jj / (rank det K): sum_{chi in W lam} chi chi^T is
+    W-invariant and the reflection representation is irreducible, so it is
+    c K / 2 (K = killing_gram), and its trace against 2 K^-1 gives t = c / 2."""
     adj, det = _killing_adjugate(kind, rank)
-    den = rank * det
     worder = weyl_order(kind, rank)
-    classes, slices = _slice_walk(Grading(moduli, images))
-    pairs = {}
-    for cls, supp in slices:
-        v = sum(a * b * adj[i][j] for i, a in supp for j, b in supp)
-        w = worder // stabilizer_order(kind, rank, [i for i, _ in supp])
-        t, rem = divmod(w * v, den)
+    by_class = {}
+    for j, g in enumerate(images):
+        w = worder // stabilizer_order(kind, rank, [j])
+        t, rem = divmod(w * adj[j][j], rank * det)
         if rem:
-            raise AssertionError("non-integral c2 multiple in the scan")
-        pairs.setdefault(cls, set()).add((t, w))
-    return MappingProxyType({classes[c]: _pair_hnf(ps) for c, ps in pairs.items()})
+            raise AssertionError("non-integral c2 multiple")
+        by_class.setdefault(g, []).append((t, w))
+    gens = [(g, _pair_hnf(pairs)) for g, pairs in by_class.items()]
+    zero = (0,) * len(moduli)
+    lattices, grown = {zero: ((0, 1),)}, [zero]
+    while grown:
+        c = grown.pop()
+        rows = lattices[c]
+        for g, span in gens:
+            cls = tuple((x + y) % m for x, y, m in zip(c, g, moduli))
+            old = lattices.get(cls, ())
+            new = _pair_hnf((*old, *((b * t + w * a, b * w) for a, b in rows for t, w in span)))
+            if new != old:
+                lattices[cls] = new
+                if cls not in grown:
+                    grown.append(cls)
+    return MappingProxyType(lattices)
 
 
 def _pair_hnf(pairs) -> tuple:
@@ -498,12 +465,12 @@ def _pair_hnf(pairs) -> tuple:
 
 
 def _dec_lattice(model: LatticeModel) -> InvariantLattice:
-    """c2(rho-bar(lam)) over the dominant lam in T* with zero-sum factor slices
-    (_factor_buckets), folded over the factors: per partial class sum in
-    Lambda/T*, vectors (W, v) over the factors so far, W = prod_j |W lam_j| and
-    v_i = t_i W / |W lam_i|, from (1) in class 0, in HNF once they outnumber
-    their coordinates.  A bucket row (t, w) maps (W, v) to (W w, v w, W t), the
-    last factor's into class 0 only; W is then dropped.  The map is bilinear,
+    """c2 of the W-invariants in Z[T*], from each factor's lattices of pairs
+    (t, c0) per class in Lambda/T* (_factor_buckets), folded over the factors:
+    per partial class sum in Lambda/T*, vectors (W, v) over the factors so
+    far, W = prod_j w_j and v_i = t_i W / w_i, from (1) in class 0, in HNF
+    once they outnumber their coordinates.  A bucket row (t, w) maps (W, v)
+    to (W w, v w, W t), the last factor's into class 0 only; W is then dropped.  The map is bilinear,
     so HNF rows lose nothing: exact, one small HNF per class and factor.  The
     buckets are keyed by the coordinates a factor's images touch, not its place."""
     grading = model.grading
@@ -662,16 +629,16 @@ def dec_table(model: LatticeModel):
 def compute_Dec(model: LatticeModel) -> InvariantLattice:
     """Decomposable subgroup, generated by c2(rho-bar(lam)) over dominant lam in T*.
 
-    c2 is a ring map, so Dec is generated by the images of a Hilbert basis
-    of the monoid of dominant weights in T*.  A Hilbert basis element is a
-    minimal zero-sum sequence of fundamental weights in Lambda/T* (classes
-    model.grading.images), so each of its factor slices is empty, zero-sum-free
-    or minimal zero-sum there.  The scan takes every such slice, with its
-    class in Lambda/T* and its support, from one depth-first search per
-    factor (_slice_walk), and folds the factors over partial class sums (_dec_lattice):
-    exact, mode 'hilbert', and polynomial in the number of factors.  Where
-    dec_table has a closed form for the spec, the scan is checked against it:
-    DecMismatchError on any disagreement, mode 'both' on agreement.
+    These orbit sums span Z[T*]^W, the class-0 part of Z[Lambda]^W graded by
+    Lambda/T* (classes model.grading.images).  Z[Lambda]^W is the polynomial
+    ring on the fundamental orbit sums (Bourbaki, Lie Groups, ch. VI, 3.4,
+    Thm 1), so Z[T*]^W is spanned by their monomials of class 0, and c2 is a
+    ring map modulo degree 3.  Each factor's (c2, c0) images of its monomials
+    are closed per class (_factor_buckets) and the factors folded over partial
+    class sums (_dec_lattice): exact, mode 'hilbert', and polynomial in the
+    number of factors.  Where dec_table has a closed form for the spec, the
+    closure is checked against it: DecMismatchError on any disagreement, mode
+    'both' on agreement.
     """
     hilbert = _dec_lattice(model)
     table_rows = dec_table(model)

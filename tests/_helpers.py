@@ -422,7 +422,7 @@ def element_rows(md, dec):
 
 # -- the Davenport-box Dec scan ---------------------------------------------
 #
-# The scan the zero-sum slice search replaced, kept as its oracle: every
+# A scan kept as an oracle of Dec: every
 # dominant weight whose coordinate sum is at most the Davenport constant of
 # the factor's image in Lambda/T*, bucketed by centre residue and combined
 # under residue_allowed.
@@ -454,10 +454,10 @@ def bounded_weights(rank, total, prefix=()):
 
 
 # --------------------------------------------------------------------------
-# the Dec scan as it was before its per-factor setup followed the Dynkin tree:
-# a dense elimination for adj K, the parabolic order read over every diagram
-# edge, and two passes (the slices, then their pairs); the oracles of the
-# tree adjugate, of parabolic_order and stabilizer_order, and of _factor_buckets
+# the Dec scan over the minimal zero-sum slices in Lambda/T*, with a dense
+# elimination for adj K, the parabolic order read over every diagram edge, and
+# two passes (the slices, then their pairs); the oracles of the tree adjugate,
+# of parabolic_order and stabilizer_order, and of the closure in _factor_buckets
 
 
 def component_order_oracle(kind, rank, comp):
@@ -551,8 +551,14 @@ def _zero_sum_slices(grading: Grading) -> list:
     """Count vectors a of the multisets of basis vectors that can be one
     factor's slice of a minimal zero-sum sequence over the grading's group,
     where basis vector j has class grading.images[j]: the empty multiset,
-    every zero-sum-free one and every minimal zero-sum one, by the
-    depth-first search of invariants._slice_walk."""
+    every zero-sum-free one and every minimal zero-sum one.
+
+    A proper part of a minimal zero-sum sequence is zero-sum-free, and a
+    zero-sum sequence is minimal exactly when dropping one term leaves it
+    zero-sum-free.  So a depth-first search over nondecreasing index
+    sequences, carrying the running class and the set of nonempty subset
+    sums, extends only the zero-sum-free multisets and stops a branch once 0
+    is a subset sum."""
     images = grading.images
     rank = len(images)
     elems, number = [grading.zero], {grading.zero: 0}
@@ -597,8 +603,10 @@ def _dominant_pairs(kind, rank, weights):
 
 
 def two_pass_buckets(kind, rank, images, moduli):
-    """invariants._factor_buckets from _zero_sum_slices and then
-    _dominant_pairs, each slice keyed by Grading.of_exponent."""
+    """{class: hnf rows} of the pairs (t, |W lam|) over the zero-sum slices
+    lam (_zero_sum_slices, then _dominant_pairs), each slice keyed by
+    Grading.of_exponent: a sublattice of invariants._factor_buckets' lattice
+    of each class, which gives the same Dec."""
     grading = Grading(moduli, images)
     pairs = {}
     for lam, t, w in _dominant_pairs(kind, rank, _zero_sum_slices(grading)):

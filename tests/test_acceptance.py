@@ -251,7 +251,7 @@ def test_criterion_6_dec_enumerate_equals_table():
         checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0, f"Dec suite took {elapsed:.1f}s"
-    print(f"\n[PASS] criterion 6: Hilbert-basis Dec == closed form on {checked} specs "
+    print(f"\n[PASS] criterion 6: computed Dec == closed form on {checked} specs "
           f"({elapsed:.1f}s < 600s)")
 
 

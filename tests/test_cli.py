@@ -375,7 +375,7 @@ class TestRun:
         ("(SL(4) x Sp(4))/mu(2)", "generators", [2]),
         ("(SL(2) x SL(2) x SL(2))/mu(2)", "table", [2, 2])])
     def test_sdec_stays_lower_bound_without_dec_closed_form(self, spec, sdec_mode, factors):
-        # Dec is exact from the Hilbert-basis scan, but no Dec closed form
+        # Dec is exact from the closure of the orbit sums, but no Dec closed form
         # covers these specs, so their Sdec is still only a lower bound
         code, out = run_cli("invariants", "--spec", spec, "--json")
         assert code == 0
@@ -399,7 +399,7 @@ class TestRun:
 
     def test_pgl2_factor_has_a_dec_closed_form(self):
         # PGL(2) = PGSp(2) is PGSp(2r) at r = 1: Dec = 4 // gcd(2, 1) q = 4q.
-        # The closed form checks the Hilbert-basis Dec, and the per-factor
+        # The closed form checks the computed Dec, and the per-factor
         # Sdec = Dec is then exact, as for PGSp(4) x PGSp(8)
         code, out = run_cli("invariants", "--spec", "PGL(2) x PGSp(8)", "--json")
         assert code == 0
@@ -410,7 +410,7 @@ class TestRun:
         assert data["inv_sd"]["factors"] == []
 
     def test_high_rank_factors_scan_their_own_bound(self):
-        # Lambda/T* is (Z/6)^3, but each factor's slice only needs D(Z/6) = 6
+        # Lambda/T* is (Z/6)^3, but each factor's closure runs over its own Z/6
         code, out = run_cli("invariants", "--spec", "PGL(6) x PGL(6) x PGL(6)", "--json")
         assert code == 0
         data = json.loads(out)

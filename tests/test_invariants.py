@@ -11,17 +11,17 @@ from hypothesis import example, given, settings, strategies as st
 from weylinv import intlinalg, invariants, rootdata
 from weylinv.cli import main, parse_spec
 from weylinv.generators import build_generators
-from weylinv.intlinalg import _eliminate, hnf
+from weylinv.intlinalg import _eliminate, hnf, lattice_contains
 from weylinv.invariants import (
     DecMismatchError,
     InvariantLattice,
     KillingDecomposeError,
     QuotientRing,
     TruncatedForm,
+    _dec_lattice,
     _factor_buckets,
     _killing_adjugate,
     _pair_hnf,
-    _slice_walk,
     c2,
     compute_Dec,
     compute_Q,
@@ -33,7 +33,7 @@ from weylinv.invariants import (
     pgo8_model,
     pgo8_parity_check,
 )
-from weylinv.laurent import Grading, LaurentPoly, augmentation, dot
+from weylinv.laurent import LaurentPoly, augmentation, dot
 from weylinv.rootdata import (
     GroupSpec, LatticeModel, SimpleFactor, center_group, compile_spec,
     fundamental_orbit_sums, killing_coeffs, killing_gram, orbit_poly, orbit_size,
@@ -62,19 +62,51 @@ SCAN_FACTORS = ([("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 8)
                 + [("E6", 6), ("E7", 7)])
 
 
-def _walked(grading):
-    """The count vectors of _slice_walk's slices, in its order, each checked
-    to lie in the class the walk numbered."""
-    classes, slices = _slice_walk(grading)
-    out = []
-    for cls, supp in slices:
-        a = [0] * len(grading.images)
-        for j, x in supp:
-            a[j] = x
-        assert [j for j, _ in supp] == sorted({j for j, _ in supp})
-        assert classes[cls] == grading.of_exponent(a)
-        out.append(tuple(a))
-    return out
+@st.composite
+def random_products(draw):
+    """Products of one to four factors of every type, of total rank <= 8,
+    and one or two kernel generators, each a random element of every
+    factor's centre."""
+    factors, total = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        if total < 8:
+            kind, rank = draw(st.sampled_from([f for f in SCAN_FACTORS if f[1] <= 8 - total]))
+            factors.append(SimpleFactor(kind, rank))
+            total += rank
+
+    def entry(f):
+        grp = center_group(f.kind, f.rank)
+        xs = tuple(draw(st.integers(0, m - 1)) for m in grp)
+        return xs if len(grp) > 1 else xs[0]
+
+    gens = [tuple(entry(f) for f in factors) for _ in range(draw(st.integers(1, 2)))]
+    return GroupSpec(tuple(factors), tuple(gens))
+
+
+@st.composite
+def central_gradings(draw):
+    """(kind, rank, images, moduli) for a factor of SCAN_FACTORS graded
+    through its centre by a random homomorphism to one or two cyclic groups
+    whose orders divide the centre's exponent: W fixes the classes of such a
+    grading, and of no other."""
+    kind, rank = draw(st.sampled_from(SCAN_FACTORS))
+    funcs = rootdata.residue_functionals(kind, rank)
+    exponent = math.lcm(*(m for _, m in funcs))
+    moduli = tuple(draw(st.lists(st.sampled_from(
+        [d for d in range(2, exponent + 1) if exponent % d == 0]), min_size=1, max_size=2)))
+    # a homomorphism Z/m -> Z/n is x -> x u with n | m u
+    coeffs = [[draw(st.integers(0, n - 1)) * (n // math.gcd(n, m)) for _, m in funcs]
+              for n in moduli]
+    images = tuple(tuple(sum(u * vec[j] for u, (vec, _) in zip(row, funcs)) % n
+                         for row, n in zip(coeffs, moduli)) for j in range(rank))
+    return kind, rank, images, moduli
+
+
+def scan_dec_rows(md):
+    """Dec of md folded over the two-pass scan's buckets (_helpers), not the
+    closure's."""
+    with mock.patch.object(invariants, "_factor_buckets", two_pass_buckets):
+        return _dec_lattice(md).rows
 
 
 def sign_free(vec, expect):
@@ -394,7 +426,7 @@ class TestComputeDec:
                          "(E6 x E6 x E6) / mu(3)"])))
     def test_closed_form_families_agree_with_hilbert(self, text):
         # the closed form covers every spec of these families, and compute_Dec
-        # raises DecMismatchError unless it equals the Hilbert-basis lattice
+        # raises DecMismatchError unless it equals the computed lattice
         lat = compute_Dec(compile_spec(parse_spec(text)))
         assert lat.exact and lat.mode == "both", text
 
@@ -467,8 +499,8 @@ class TestDecEngine:
     @pytest.mark.parametrize("text", list(dict.fromkeys(
         oracle_specs() + [f"PGL({n}) x PGL({n})" for n in range(2, 9)])))
     def test_matches_davenport_box(self, text):
-        # the zero-sum slices keyed by Lambda/T* class against every weight of
-        # each factor's D(H_i) box keyed by centre residue
+        # the closure's Dec against every weight of each factor's D(H_i) box
+        # keyed by centre residue
         md = compile_spec(parse_spec(text))
         assert compute_Dec(md).rows == box_dec_rows(md)
 
@@ -508,22 +540,63 @@ class TestDecEngine:
         zero = [a for a in slices if md.grading.of_exponent(a) == md.grading.zero]
         assert len(slices) == 1 + free + minimal
         assert len(set(slices)) == len(slices) and len(zero) == 1 + minimal
-        assert _walked(md.grading) == slices
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(SCAN_FACTORS), st.data())
-    def test_buckets_match_the_two_pass_scan(self, factor, data):
-        # one walk per factor (class number and support per slice, c2 read
-        # over the support) against _zero_sum_slices, keyed by of_exponent,
-        # then _dominant_pairs, on a random grading of the factor
-        kind, rank = factor
-        moduli = tuple(data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=2)))
-        images = tuple(tuple(data.draw(st.integers(0, m - 1)) for m in moduli)
-                       for _ in range(rank))
-        assert _walked(Grading(moduli, images)) == _zero_sum_slices(Grading(moduli, images))
-        want = two_pass_buckets(kind, rank, images, moduli)
-        assert list(_factor_buckets.__wrapped__(kind, rank, images, moduli).items()) \
-            == list(want.items())
+    @given(central_gradings())
+    def test_scan_rows_lie_in_the_closure(self, grading):
+        # the closure spans every monomial of a class, not only the minimal
+        # zero-sum slices, so each scan row lies in the closure's lattice of
+        # its class
+        closure = _factor_buckets.__wrapped__(*grading)
+        for cls, rows in two_pass_buckets(*grading).items():
+            assert all(lattice_contains([list(r) for r in closure[cls]], list(row))
+                       for row in rows), cls
+
+    @settings(max_examples=150, deadline=None)
+    @given(central_gradings())
+    def test_the_closure_is_closed(self, grading):
+        # (0, 1) lies in class 0, and each class's rows times each
+        # fundamental orbit sum's pair (the scan's pair of omega_j) lie in
+        # the lattice of the class omega_j leads to
+        kind, rank, images, moduli = grading
+        closure = _factor_buckets.__wrapped__(*grading)
+        assert lattice_contains([list(r) for r in closure[(0,) * len(moduli)]], [0, 1])
+        units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+        for (_, t, w), g in zip(_dominant_pairs(kind, rank, units), images):
+            for cls, rows in closure.items():
+                target = [list(r) for r in closure[tuple((x + y) % m
+                                                         for x, y, m in zip(cls, g, moduli))]]
+                assert all(lattice_contains(target, [b * t + w * a, b * w]) for a, b in rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_products())
+    def test_dec_matches_the_two_pass_scan(self, spec):
+        # the fold over the closure's buckets against the fold over the scan's
+        md = compile_spec(spec)
+        assert _dec_lattice(md).rows == scan_dec_rows(md)
+
+    @pytest.mark.parametrize("n", range(3, 16, 2))
+    def test_closure_runs_to_its_fixpoint(self, n):
+        # a closure that stops short of its fixpoint, e.g. one that never
+        # multiplies a grown class again, gets Dec(PGL(n)) wrong; the scan
+        # and the fixpoint give n for odd n
+        md = compile_spec(parse_spec(f"PGL({n})"))
+        assert compute_Dec(md).rows == scan_dec_rows(md) == ((n,),)
+
+    @pytest.mark.parametrize("kind, rank", [("A", 1), ("C", 5), ("D", 6), ("E6", 6)])
+    def test_a_wrong_determinant_gives_a_non_integral_c2_multiple(self, kind, rank, monkeypatch):
+        # det K one too high leaves some t_j = |W omega_j| adj(K)_jj /
+        # (rank det K) off the integers
+        adj, det = _killing_adjugate(kind, rank)
+        monkeypatch.setattr(invariants, "_killing_adjugate", lambda kind, rank: (adj, det + 1))
+        with pytest.raises(AssertionError, match="non-integral c2 multiple"):
+            _factor_buckets.__wrapped__(kind, rank, ((0,),) * rank, (2,))
+
+    def test_a_wrong_orbit_size_gives_a_non_integral_c2_multiple(self, monkeypatch):
+        # |W omega| = 3 on SL(2), one more than the true 2: t = 3/2
+        monkeypatch.setattr(invariants, "weyl_order", lambda kind, rank: 3)
+        with pytest.raises(AssertionError, match="non-integral c2 multiple"):
+            _factor_buckets.__wrapped__("A", 1, ((1,),), (2,))
 
     @settings(max_examples=300, deadline=None)
     @given(st.sets(st.tuples(st.one_of(st.just(0), st.integers(-40, 40)), st.integers(-40, 40)),
