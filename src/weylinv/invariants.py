@@ -58,6 +58,10 @@ class DecMismatchError(AssertionError):
     """The computed and closed-form decomposable groups disagree."""
 
 
+class NotASublatticeError(ValueError):
+    """The sub lattice of a factor group is not contained in its super."""
+
+
 # --------------------------------------------------------------------------
 # truncated characteristic map
 
@@ -182,11 +186,10 @@ class InvariantLattice(namedtuple("InvariantLattice", "dim rows exact mode",
 
     @staticmethod
     def from_rows(dim, rows, exact=True, mode="exact"):
-        return InvariantLattice(dim, tuple(tuple(r) for r in hnf([list(r) for r in rows])),
-                                exact, mode)
+        return InvariantLattice(dim, tuple(map(tuple, hnf(rows))), exact, mode)
 
     def contains(self, vec):
-        return lattice_contains([list(r) for r in self.rows], list(vec))
+        return lattice_contains(self.rows, vec)
 
     def includes(self, other: "InvariantLattice"):
         return all(self.contains(r) for r in other.rows)
@@ -218,16 +221,17 @@ def _smith_coordinates(sub: InvariantLattice, super_: InvariantLattice):
 
     Returns (diag, U, basis) with super/sub = (+)_i Z/d_i (plus a free part
     when sub has lower rank); column i of U^-1, read in the basis rows,
-    generates the i-th summand.
+    generates the i-th summand.  NotASublatticeError when sub is not
+    contained in super: these coordinates are the inclusion check.
     """
-    basis = [list(r) for r in super_.rows]
+    basis = super_.rows
     if len(basis) != super_.dim:
         raise ValueError("factor groups need full-rank lattices")
     coords = []
     for r in sub.rows:
         x = lattice_coordinates(basis, r)
         if x is None:
-            raise ValueError("sub is not contained in super")
+            raise NotASublatticeError("sub is not contained in super")
         coords.append(x)
     cols = [[row[j] for row in coords] for j in range(super_.dim)]
     diag, u = snf_with_left(cols)
@@ -279,7 +283,8 @@ def compute_Q(model: LatticeModel) -> InvariantLattice:
       q(u_c):      sum_i d_i v_ci . K_i v_ci == 0 mod 2 m_c^2;
       B(u_c, u_c'): sum_i d_i v_ci . K_i v_c'i == 0 mod m_c m_c'.
     Each is reduced by the gcd of its coefficients with its modulus and
-    deduplicated before the kernel is taken.
+    deduplicated before the kernel is taken.  congruence_kernel returns
+    canonical HNF rows, so they are Q's rows as they come.
     """
     m = len(model.factors)
     congs = model.congruences
@@ -305,7 +310,7 @@ def compute_Q(model: LatticeModel) -> InvariantLattice:
             mod = 2 * mc * mc if c2 == c else mc * congs[c2][1]
             add([sum(map(mul, s, kv)) for (s, _), (_, kv) in zip(slices[c], slices[c2])], mod)
     rows = congruence_kernel(sorted(out), m)
-    return InvariantLattice.from_rows(m, rows, True, "exact")
+    return InvariantLattice(m, tuple(map(tuple, rows)), True, "exact")
 
 
 # --------------------------------------------------------------------------
@@ -842,14 +847,33 @@ class InvariantReport(namedtuple("InvariantReport", "spec Q Dec Sdec inv_ind inv
 
 
 def invariants_of(model: LatticeModel) -> InvariantReport:
+    """Q, Dec and Sdec of the model, checked to form a chain Dec <= Sdec <= Q,
+    and the factor groups Q/Dec and Sdec/Dec.
+
+    The coordinates of Dec's rows in Q's basis, which Q/Dec's Smith form
+    reads, are also the check that Q contains Dec.  Lattices are equal
+    exactly when their canonical HNF rows are, so when Sdec's rows equal
+    Dec's, Dec <= Sdec holds and Sdec <= Q is Dec <= Q, just checked: Sdec/Dec
+    is trivial (for a Dec of full rank, which factor_group requires of its
+    super).  When they equal Q's, Sdec <= Q holds and Dec <= Sdec is
+    Dec <= Q: Sdec/Dec is Q/Dec.  Otherwise both inclusions are checked row
+    by row and Sdec/Dec takes its own Smith form.
+    """
     q = compute_Q(model)
     dec = compute_Dec(model)
     sdec = compute_Sdec(model, dec, q)
-    if not q.includes(dec):
-        raise AssertionError("Dec is not contained in Q")
-    if not q.includes(sdec) or not sdec.includes(dec):
-        raise AssertionError("inclusion chain Dec <= Sdec <= Q violated")
+    try:
+        inv_ind = factor_group(dec, q)
+    except NotASublatticeError:
+        raise AssertionError("Dec is not contained in Q") from None
+    if sdec.same_rows(dec) and len(dec.rows) == dec.dim:
+        inv_sd = FactorGroup(())
+    elif sdec.same_rows(q):
+        inv_sd = inv_ind
+    else:
+        if not q.includes(sdec) or not sdec.includes(dec):
+            raise AssertionError("inclusion chain Dec <= Sdec <= Q violated")
+        inv_sd = factor_group(dec, sdec)
     if q.same_rows(dec):  # Dec <= Sdec <= Q leaves no room: Sdec is exact
         sdec = InvariantLattice(sdec.dim, sdec.rows, True, sdec.mode)
-    return InvariantReport(model.spec, q, dec, sdec, factor_group(dec, q),
-                           factor_group(dec, sdec))
+    return InvariantReport(model.spec, q, dec, sdec, inv_ind, inv_sd)

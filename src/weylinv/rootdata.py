@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate, product as iproduct
 from operator import mul
 
-from .intlinalg import hnf, lattice_coordinates, snf_with_left
+from .intlinalg import hnf, snf_with_left
 from .laurent import Grading, LaurentPoly, embed
 
 KINDS = ("A", "B", "C", "D", "E6", "E7")
@@ -120,10 +120,19 @@ def weyl_order(kind: str, n: int) -> int:
     return stabilizer_order(kind, n, ())
 
 
+@lru_cache(maxsize=None)
 def center_group(kind: str, n: int):
     """Invariant factors of the center character group of the factor: the
-    moduli of residue_functionals()."""
+    moduli of residue_functionals(), computed once per (kind, n)."""
     return tuple(m for _, m in residue_functionals(kind, n))
+
+
+@lru_cache(maxsize=None)
+def _type_tuples(kind: str, n: int) -> tuple:
+    """(Cartan rows, residue forms) of one (kind, n) factor as nested tuples,
+    built once per process: every model with such a factor shares them."""
+    return (tuple(map(tuple, cartan_rows(kind, n))),
+            tuple((tuple(v), m) for v, m in residue_functionals(kind, n)))
 
 
 def center_order(kind: str, n: int, entry) -> int:
@@ -283,25 +292,40 @@ def congruence_grading(congruences, n: int) -> Grading:
     identifies Z^n / L with S / M Z^k, S = C Z^n + M Z^k.  On the HNF basis P
     of S the columns of M have coordinates R, a k x k matrix whose Smith form
     U R V = diag(d) gives S / M Z^k = (+)_i Z/d_i, and e_j goes to
-    U coords_P(C e_j) mod d_i.  Z/1 summands are dropped.  This is O(n k^2)
-    work for k congruences, where a basis of L and its Smith form are n x n.
+    U coords_P(C e_j) mod d_i.  Z/1 summands are dropped.
+
+    Column j of C is read mod M first (entry c mod m_c where m_c > 0): that
+    changes neither S nor, mod d, the image, since U R = diag(d) V^-1 sends
+    every column of M to 0 mod d.  So each distinct reduced column, at most
+    prod m_c of them on the rows with m_c > 0, is solved once, all of them
+    with the columns of M in one pass over P.  This is O(k^2) work per
+    distinct column, where a basis of L and its Smith form are n x n.
     ValueError when L is not of finite index (a modulus-0 row whose vector is
     not 0).
     """
-    cols = [[v[j] for v, _ in congruences] for j in range(n)]
-    mcols = [[m * (i == c) for i in range(len(congruences))]
-             for c, (_, m) in enumerate(congruences)]
-    basis = hnf(cols + mcols)
-    r = [lattice_coordinates(basis, col) for col in mcols]
-    diag, u = snf_with_left([list(row) for row in zip(*r)])
+    k = len(congruences)
+    reduced = [[x % m for x in v] if m else v for v, m in congruences]
+    cols = list(zip(*reduced)) if k else [()] * n
+    distinct = list(dict.fromkeys(cols))
+    mcols = [[m * (i == c) for i in range(k)] for c, (_, m) in enumerate(congruences)]
+    basis = hnf(distinct + mcols)
+    todo = [list(v) for v in (*mcols, *distinct)]
+    coords = [[] for _ in todo]
+    for row in basis:
+        col = next(j for j, x in enumerate(row) if x)
+        for v, x in zip(todo, coords):
+            # exact: v lies in S, and the rows above cleared v left of col
+            q = v[col] // row[col]
+            x.append(q)
+            if q:
+                v[col:] = [a - q * b for a, b in zip(v[col:], row[col:])]
+    diag, u = snf_with_left([list(row) for row in zip(*coords[:k])])
     if len(diag) < len(basis):
         raise ValueError("sublattice is not of finite index")
     forms = [(row, d) for row, d in zip(u, diag) if d > 1]
-    images = []
-    for col in cols:
-        x = lattice_coordinates(basis, col)
-        images.append(tuple(sum(map(mul, row, x)) % d for row, d in forms))
-    return Grading(tuple(d for _, d in forms), images)
+    image = {col: tuple(sum(map(mul, row, x)) % d for row, d in forms)
+             for col, x in zip(distinct, coords[k:])}
+    return Grading(tuple(d for _, d in forms), [image[col] for col in cols])
 
 
 # --------------------------------------------------------------------------
@@ -322,10 +346,10 @@ class LatticeModel:
         put = self.__dict__.update   # the instance refuses attribute assignment
         factors = tuple(spec.factors)
         ends = tuple(accumulate((f.rank for f in factors), initial=0))
+        per_type = [_type_tuples(f.kind, f.rank) for f in factors]
         put(spec=spec, factors=factors, offsets=ends[:-1], total_rank=ends[-1],
-            _cartan=tuple(tuple(map(tuple, cartan_rows(f.kind, f.rank))) for f in factors),
-            _residue=tuple(tuple((tuple(v), m) for v, m in residue_functionals(f.kind, f.rank))
-                           for f in factors),
+            _cartan=tuple(cartan for cartan, _ in per_type),
+            _residue=tuple(residue for _, residue in per_type),
             _center=tuple(center_group(f.kind, f.rank) for f in factors))
         self._validate_kernel()
         put(congruences=self._build_congruences())

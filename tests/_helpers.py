@@ -2,6 +2,7 @@
 reference implementations and the benchmark's spec lists."""
 
 import importlib.util
+import json
 import math
 import operator
 from fractions import Fraction
@@ -13,7 +14,7 @@ from pathlib import Path
 from weylinv.fuzz import _divisor_or_lead
 from weylinv.generators import GeneratorSet, _rho_tilde_w
 from weylinv.intlinalg import (
-    _eliminate, congruence_kernel, hnf, hnf_with_transform, snf_with_left,
+    _eliminate, congruence_kernel, hnf, hnf_with_transform, lattice_coordinates, snf_with_left,
 )
 from weylinv.invariants import (
     InvariantLattice, QuotientRing, _is_diag_kernel, _symplectic_like, c2,
@@ -143,6 +144,31 @@ def lattice_grading(basis) -> Grading:
     rows = [u[i] for i, d in enumerate(diag) if d > 1]
     return Grading(tuple(moduli),
                    [tuple(r[j] % d for r, d in zip(rows, moduli)) for j in range(n)])
+
+
+# -- the per-column grading ---------------------------------------------------
+#
+# rootdata.congruence_grading as it was before it read each distinct column
+# once: one lattice_coordinates call per column of the congruence matrix,
+# kept as its oracle.
+
+def per_column_grading(congruences, n: int) -> Grading:
+    """Quotient map Z^n -> Z^n / L for L = {a : v . a == 0 mod m for each (v, m)},
+    solving the coordinates of every column of the congruence matrix on its own."""
+    cols = [[v[j] for v, _ in congruences] for j in range(n)]
+    mcols = [[m * (i == c) for i in range(len(congruences))]
+             for c, (_, m) in enumerate(congruences)]
+    basis = hnf(cols + mcols)
+    r = [lattice_coordinates(basis, col) for col in mcols]
+    diag, u = snf_with_left([list(row) for row in zip(*r)])
+    if len(diag) < len(basis):
+        raise ValueError("sublattice is not of finite index")
+    forms = [(row, d) for row, d in zip(u, diag) if d > 1]
+    images = []
+    for col in cols:
+        x = lattice_coordinates(basis, col)
+        images.append(tuple(sum(map(mul, row, x)) % d for row, d in forms))
+    return Grading(tuple(d for _, d in forms), images)
 
 
 def q_oracle(md, basis=None):
@@ -653,6 +679,15 @@ def oracle_specs():
     out += ["PGL(5) x PGL(5)", "PGL(6) x PGL(6) x PGL(6)", "HSpin(16)",
             "(SL(4) x Sp(4)) / mu(2)", "(E6 x E6) / mu(3)[1,2]"]
     return list(dict.fromkeys(out))
+
+
+def golden_specs():
+    """The spec of every golden command line with a `--spec`, in first-seen
+    order; every spec of the golden `table` families is among them."""
+    cases = json.loads((Path(__file__).resolve().parent / "data"
+                        / "golden_outputs.json").read_text())
+    return list(dict.fromkeys(case["argv"][case["argv"].index("--spec") + 1]
+                              for case in cases if "--spec" in case["argv"]))
 
 
 # -- tuple-keyed reference arithmetic -------------------------------------

@@ -211,6 +211,33 @@ def test_congruence_kernel_matches_congruences(system):
         assert abs(det_int(rows)) == len(image)
 
 
+@st.composite
+def kernel_systems(draw):
+    """(congruences, n) for n <= 4: up to four rows with moduli 0-12, then a
+    row of modulus 0, one of modulus 1, a zero row and a repeat of a row,
+    each drawn in or out, in any order."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+    congs = draw(st.lists(st.tuples(vec, st.integers(0, 12)), max_size=4))
+    for m in (0, 1):
+        if draw(st.booleans()):
+            congs.append((draw(vec), m))
+    if draw(st.booleans()):
+        congs.append(([0] * n, draw(st.integers(0, 12))))
+    if congs and draw(st.booleans()):
+        congs.append(congs[draw(st.integers(0, len(congs) - 1))])
+    return draw(st.permutations(congs)), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_systems())
+def test_congruence_kernel_rows_are_canonical_hnf(system):
+    # compute_Q takes these rows as Q's canonical rows without another hnf
+    congs, n = system
+    rows = congruence_kernel(congs, n)
+    assert rows == hnf(rows)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(congruence_systems())
 def test_kernel_matches_equations(system):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -42,7 +43,8 @@ from weylinv.rootdata import (
 from _helpers import (
     _bench_inputs, _dominant_pairs, _zero_sum_slices, bounded_weights, box_dec_rows, c2_orbit,
     center_residues, davenport_bound, element_rows, explicit_elements, fac_c, factor_davenport,
-    fraction_det, fundamental_weight, in_tstar, lattice_from_congruence, model, oracle_specs,
+    fraction_det, fundamental_weight, golden_specs, in_tstar, lattice_from_congruence, model,
+    oracle_specs,
     q_oracle, quotient_mul, quotient_reduction, residue_allowed, tstar_basis, two_pass_buckets,
     witness_rows, zero_class,
 )
@@ -991,3 +993,55 @@ class TestPipeline:
         rep = invariants_of(model(fac_c(2), fac_c(2), kernel=[(1, 1)]))
         assert rep.inv_ind.invariant_factors == (2,)
         assert rep.inv_sd.invariant_factors == (2,)
+
+
+def _assert_refused(text, message, capsys):
+    """invariants_of raises AssertionError(message) on the spec, and
+    `weylinv invariants` exits 2 with it on stderr and no traceback."""
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        invariants_of(compile_spec(parse_spec(text)))
+    assert main(["invariants", "--spec", text]) == 2
+    assert capsys.readouterr() == ("", f"verification failure: {message}\n")
+
+
+def _assert_smith_forms(rep):
+    """The report's inclusions hold and its factor groups are the Smith forms."""
+    assert rep.Q.includes(rep.Sdec) and rep.Sdec.includes(rep.Dec)
+    assert rep.inv_ind == factor_group(rep.Dec, rep.Q)
+    assert rep.inv_sd == factor_group(rep.Dec, rep.Sdec)
+
+
+class TestPipelineChecks:
+    # Q = [[1, 7], [0, 8]] > Sdec = [[2, 6], [0, 8]] > Dec = [[4, 4], [0, 8]]
+    STRICT = "(Spin(10) x Spin(10)) / mu(4)"
+
+    # Sdec/Dec with its own Smith form, Sdec = Q, Sdec = Dec; Q is never Z^2
+    @pytest.mark.parametrize("text", [STRICT, "(SL(4) x SL(4)) / mu(2)",
+                                      "(Spin(5) x Spin(7)) / mu(2)"])
+    def test_a_dec_outside_q_is_refused(self, text, monkeypatch, capsys):
+        outside = InvariantLattice.from_rows(2, [[1, 0], [0, 1]])
+        monkeypatch.setattr(invariants, "compute_Dec", lambda model: outside)
+        _assert_refused(text, "Dec is not contained in Q", capsys)
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [0, 1]],    # outside Q
+                                      [[8, 8], [0, 16]]])  # inside Q, missing Dec
+    def test_an_sdec_off_the_chain_is_refused(self, rows, monkeypatch, capsys):
+        bad = InvariantLattice.from_rows(2, rows)
+        monkeypatch.setattr(invariants, "compute_Sdec", lambda model, dec=None, q=None: bad)
+        _assert_refused(self.STRICT, "inclusion chain Dec <= Sdec <= Q violated", capsys)
+
+    def test_golden_factor_groups_are_the_smith_forms(self):
+        # equal canonical rows stand in for Sdec/Dec's Smith form; every
+        # branch is taken on the golden specs
+        branches = set()
+        for text in golden_specs():
+            rep = invariants_of(compile_spec(parse_spec(text)))
+            _assert_smith_forms(rep)
+            branches.add("Dec" if rep.Sdec.rows == rep.Dec.rows else
+                         "Q" if rep.Sdec.rows == rep.Q.rows else "own")
+        assert branches == {"Dec", "Q", "own"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_products())
+    def test_random_factor_groups_are_the_smith_forms(self, spec):
+        _assert_smith_forms(invariants_of(compile_spec(spec)))

@@ -28,7 +28,7 @@ from weylinv import (
     parse_spec,
 )
 from weylinv.invariants import InvariantReport
-from weylinv.rootdata import frozen_setattr
+from weylinv.rootdata import cartan_rows, frozen_setattr, residue_functionals
 
 # (type, fields, defaults of the trailing fields, frozen)
 RECORDS = [
@@ -83,6 +83,24 @@ def test_lattice_model_is_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'offsets'"):
         del model.offsets
     assert model.offsets == (0, 1)
+
+
+def test_models_share_their_per_type_tuples():
+    # the Cartan, residue and centre tuples are built once per (kind, rank)
+    a = compile_spec(parse_spec("(SL(2) x Spin(10)) / mu(2)"))
+    b = compile_spec(parse_spec("Spin(10) x SL(2) x Spin(10)"))
+    for name in ("_cartan", "_residue", "_center"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x[0] is y[1] and x[1] is y[0] is y[2], name
+    for model in (a, b):
+        for f, cartan, residue, center in zip(model.factors, model._cartan, model._residue,
+                                              model._center):
+            assert cartan == tuple(map(tuple, cartan_rows(f.kind, f.rank)))
+            assert residue == tuple((tuple(v), m) for v, m in residue_functionals(f.kind, f.rank))
+            assert center == tuple(m for _, m in residue)
+    assert b._cartan[0][3] == (0, 0, -1, 2, 0)
+    assert b._residue == ((((2, 0, 2, 1, 3), 4),), (((1,), 2),), (((2, 0, 2, 1, 3), 4),))
+    assert b._center == ((4,), (2,), (4,))
 
 
 # repr text as the dataclasses printed it

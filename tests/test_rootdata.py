@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylinv.cli import parse_spec
 from weylinv.intlinalg import congruence_kernel, det_int
+from weylinv.invariants import QuotientRing, pgo8_lambda_prime, pgo8_model
 from weylinv.laurent import LaurentPoly, augmentation
 from weylinv import spec as spec_module
 from weylinv.rootdata import (
@@ -33,9 +34,9 @@ from weylinv.rootdata import (
 )
 
 from _helpers import (
-    center_residues, fundamental_weight, in_tstar, killing_value, lattice_grading, model,
-    oracle_factors, oracle_specs, parabolic_order_oracle, reflect_local, residue_allowed,
-    standard_e_basis,
+    center_residues, fundamental_weight, golden_specs, in_tstar, killing_value, lattice_grading,
+    model, oracle_factors, oracle_specs, parabolic_order_oracle, per_column_grading,
+    reflect_local, residue_allowed, standard_e_basis,
     table_cartan_rows, table_center_group, table_diag_entry, table_killing_coeffs,
     table_weyl_order, tstar_basis,
 )
@@ -83,7 +84,54 @@ def congruence_systems(draw):
     return n, draw(st.permutations(rows))
 
 
+@st.composite
+def column_systems(draw):
+    """(n, congruences) on Z^n, n in 1..8, with k <= 3 rows of moduli 0-12
+    whose columns repeat and vanish: each column is one of at most three
+    drawn columns or the zero column."""
+    k = draw(st.integers(1, 3))
+    moduli = draw(st.lists(st.integers(0, 12), min_size=k, max_size=k))
+    col = st.tuples(*[st.integers(-12, 12)] * k)
+    pool = draw(st.lists(col, min_size=1, max_size=3)) + [(0,) * k]
+    cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return len(cols), [([c[i] for c in cols], m) for i, m in enumerate(moduli)]
+
+
+def _moduli_images(grading_of, congs, n):
+    g = grading_of(congs, n)
+    return g.moduli, g.images
+
+
 class TestCongruenceGrading:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(column_systems())
+    def test_distinct_columns_match_the_per_column_oracle(self, system):
+        n, congs = system
+        assert _outcome(_moduli_images, congruence_grading, congs, n) == \
+            _outcome(_moduli_images, per_column_grading, congs, n)
+
+    def test_every_golden_model_matches_the_per_column_oracle(self):
+        for text in golden_specs():
+            md = compile_spec(parse_spec(text))
+            old = per_column_grading(md.congruences, md.total_rank)
+            assert (md.grading.moduli, md.grading.images) == (old.moduli, old.images), text
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(column_systems(), st.sampled_from([0, 2, 4, 16]))
+    def test_quotient_rings_match_the_per_column_oracle(self, system, modulus):
+        n, congs = system
+        ring_grading = lambda congs, n: QuotientRing(n, congs, modulus).grading
+        assert _outcome(_moduli_images, ring_grading, congs, n) == \
+            _outcome(_moduli_images, per_column_grading, congs, n)
+
+    def test_the_adjoint_d4_gradings_match_the_per_column_oracle(self):
+        md = pgo8_model()
+        for congs in (pgo8_lambda_prime(), md.congruences):
+            old = per_column_grading(congs, 4)
+            ring = QuotientRing(4, congs, 16)
+            assert (ring.moduli, ring.grading.images) == (old.moduli, old.images)
+        assert (md.grading.moduli, md.grading.images) == (old.moduli, old.images)
+
     @settings(max_examples=200, deadline=None)
     @given(congruence_systems(), st.lists(st.lists(st.integers(-30, 30), min_size=6,
                                                    max_size=6), max_size=20))
