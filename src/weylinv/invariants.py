@@ -4,10 +4,12 @@ Pipeline: the degree-2 truncation of the exponential ring map (c2), exact
 computation of Q(G) from integrality of the Killing forms on generators of
 the cocharacter lattice, the decomposable subgroup Dec(G) from the
 class-graded closure of each factor's fundamental orbit sums folded over the
-factors, with closed-form checks, the semi-decomposable subgroup Sdec(G) on one path (a
-closed form, else a lower bound from the index-2 generator set or Dec
-itself), factor groups via Smith normal form, and the adjoint D4 check: its
-parity report and the quotient group ring (Z/m)[Lambda/Lambda'] it reads.
+factors into every class of Lambda/T*, with closed-form checks, the
+semi-decomposable subgroup Sdec(G) on one path (a closed form, else Dec
+joined with c2 of the augmented invariants of the fold's nonzero classes, a
+lower bound read off the same fold), factor groups via Smith normal form,
+and the adjoint D4 check: its parity report and the quotient group ring
+(Z/m)[Lambda/Lambda'] it reads.
 
 Sign convention: the truncated ring map gives c2(rho-bar(lambda)) =
 +1/2 sum chi^2 while the orbit formula (the tests' c2_orbit) is
@@ -79,9 +81,6 @@ class TruncatedForm(namedtuple("TruncatedForm", "c0 c1 c2")):
     def __rmul__(self, other):
         # not a sequence: refuse `3 * form` instead of repeating the tuple
         return NotImplemented
-
-    def c2_dict(self):
-        return dict(self.c2)
 
     def __add__(self, other):
         c2 = dict(self.c2)
@@ -469,33 +468,46 @@ def _pair_hnf(pairs) -> tuple:
     return ((a, b % d), (0, d)) if d else ((a, b),)
 
 
-def _dec_lattice(model: LatticeModel) -> InvariantLattice:
-    """c2 of the W-invariants in Z[T*], from each factor's lattices of pairs
-    (t, c0) per class in Lambda/T* (_factor_buckets), folded over the factors:
-    per partial class sum in Lambda/T*, vectors (W, v) over the factors so
-    far, W = prod_j w_j and v_i = t_i W / w_i, from (1) in class 0, in HNF
-    once they outnumber their coordinates.  A bucket row (t, w) maps (W, v)
-    to (W w, v w, W t), the last factor's into class 0 only; W is then dropped.  The map is bilinear,
-    so HNF rows lose nothing: exact, one small HNF per class and factor.  The
-    buckets are keyed by the coordinates a factor's images touch, not its place."""
+@lru_cache(maxsize=None)
+def _class_fold(model: LatticeModel):
+    """(states, last): each factor's lattices of pairs (t, c0) per class in
+    Lambda/T* (_factor_buckets) folded over every factor but the last, and
+    the last factor's buckets keyed by their classes in Lambda/T*.  Per
+    partial class sum, states holds vectors (W, v) over the factors so far,
+    W = prod_j w_j and v_i = t_i W / w_i, from (1) in class 0, in HNF once
+    they outnumber their coordinates.  Each step is a _fold_step, and the
+    last runs per caller: into class 0 for Dec, into the other classes for
+    Sdec's witness.  Read-only, once per model.  The buckets are keyed by
+    the coordinates a factor's images touch, not its place."""
     grading = model.grading
-    zero, last = grading.zero, len(model.factors) - 1
-    vecs = {zero: {(1,)}}
+    zero = grading.zero
+    states, last = {zero: ((1,),)}, ()
     for s, (f, off) in enumerate(zip(model.factors, model.offsets)):
+        if s:
+            states = {c: hnf(vs) if len(vs) > s + 1 else vs
+                      for c, vs in _fold_step(grading, states, last).items()}
         images = grading.images[off:off + f.rank]
         keep = [i for i in range(len(zero)) if any(g[i] for g in images)]
         buckets = _factor_buckets(f.kind, f.rank, tuple(tuple(g[i] for i in keep) for g in images),
                                   tuple(grading.moduli[i] for i in keep))
-        states = {c: hnf(vs) if len(vs) > s + 1 else vs for c, vs in vecs.items()}
-        vecs = {}
-        for local, rows in buckets.items():
-            cls = tuple(dict(zip(keep, local)).get(i, 0) for i in range(len(zero)))
-            for c, state in states.items():
-                total = grading.add(c, cls)
-                if s < last or total == zero:
-                    vecs.setdefault(total, set()).update((big * w, *(x * w for x in v), big * t)
-                                                         for big, *v in state for t, w in rows)
-    return InvariantLattice.from_rows(last + 1, [r[1:] for r in vecs[zero]], True, "hilbert")
+        last = tuple((tuple(dict(zip(keep, local)).get(i, 0) for i in range(len(zero))), rows)
+                     for local, rows in buckets.items())
+    return MappingProxyType({c: tuple(map(tuple, vs)) for c, vs in states.items()}), last
+
+
+def _fold_step(grading, states, buckets, into=None) -> dict:
+    """{class: vectors} after one fold step: a bucket row (t, w) of class g
+    maps each vector (W, v) of class c to (W w, v w, W t) of class c + g,
+    kept where into(c + g) holds (everywhere when into is None).  The map is
+    bilinear, so HNF rows of the states lose nothing: the fold is exact."""
+    out = {}
+    for g, rows in buckets:
+        for c, state in states.items():
+            total = grading.add(c, g)
+            if into is None or into(total):
+                out.setdefault(total, set()).update(
+                    (big * w, *(x * w for x in v), big * t) for big, *v in state for t, w in rows)
+    return out
 
 
 def _is_diag_kernel(model):
@@ -640,12 +652,14 @@ def compute_Dec(model: LatticeModel) -> InvariantLattice:
     Thm 1), so Z[T*]^W is spanned by their monomials of class 0, and c2 is a
     ring map modulo degree 3.  Each factor's (c2, c0) images of its monomials
     are closed per class (_factor_buckets) and the factors folded over partial
-    class sums (_dec_lattice): exact, mode 'hilbert', and polynomial in the
-    number of factors.  Where dec_table has a closed form for the spec, the
+    class sums (_class_fold, _fold_step): exact, mode 'hilbert', and
+    polynomial in the number of factors.  Where dec_table has a closed form for the spec, the
     closure is checked against it: DecMismatchError on any disagreement, mode
     'both' on agreement.
     """
-    hilbert = _dec_lattice(model)
+    zero = model.grading.zero
+    vecs = _fold_step(model.grading, *_class_fold(model), lambda c: c == zero)[zero]
+    hilbert = InvariantLattice.from_rows(len(model.factors), [r[1:] for r in vecs], True, "hilbert")
     table_rows = dec_table(model)
     if table_rows is None:
         return hilbert
@@ -715,47 +729,39 @@ def sdec_table(model: LatticeModel, dec: InvariantLattice,
     return None
 
 
-def _generator_images(model: LatticeModel, gs) -> list:
-    """Killing coordinates of c2 of each generator of gs, in gs.labeled() order.
-
-    g = sum_j row_j rho-bar_j (build_generators checks it), and c2 is additive
-    and multiplicative modulo degree 3; with c0 = c1 = 0 on each rho-bar_j
-    (checked here), c2(g) = sum_j aug(row_j) c2(rho-bar_j)."""
-    per_rho = []
-    for j, r in enumerate(gs.rho):
-        tf = c2(r)
-        if tf.c0 != 0 or any(tf.c1):
-            raise AssertionError(f"rho[{j + 1}]: nonzero degree <=1 image")
-        per_rho.append(killing_decompose(model, tf.c2_dict()))
-    return [tuple(sum(augmentation(c) * v[i] for c, v in zip(row, per_rho))
-                  for i in range(len(model.factors)))
-            for row in gs.h1_rows + gs.h2_rows + gs.h3_rows]
-
-
 def compute_Sdec(model: LatticeModel, dec: InvariantLattice | None = None,
                  q: InvariantLattice | None = None) -> InvariantLattice:
     """Semi-decomposable subgroup, by the first case that applies:
 
     - sdec_table has a closed form: mode 'table', exact only where compute_Dec
       checked Dec against a closed form too (Dec mode 'both');
-    - an index-2 grading with every factor of type A or C: Dec joined with the
-      c2 images of the build_generators set, read off c2 of the orbit sums
-      (_generator_images), mode 'generators';
-    - otherwise Dec itself, mode 'dec'.
+    - otherwise Dec joined with c2 of the augmented W-invariants of each
+      nonzero class in Lambda/T*, mode 'closure': exact when the join is Q,
+      a lower bound otherwise.
 
-    Only the first can be exact; the other two are lower bounds.  dec and q,
-    when given, are compute_Dec(model) and compute_Q(model).
+    The closure's witness.  The Dec fold (_class_fold), run into every
+    class, spans the (c0(x), c2(x)) of the W-invariants x of each class c of
+    Lambda/T*.  Take c != 0, x of class c
+    with c0(x) = aug(x) = 0, and mu any weight of class -c.  Then e^mu x
+    lies in Z[T*] and in I Z[Lambda], I the augmentation ideal of
+    Z[Lambda]^W, and c2(e^mu x) = c2(x), since c0(x) = c1(x) = 0.  c2 of
+    the intersection of Z[T*] and I Z[Lambda] lies in Sdec (Merkurjev,
+    Degree three cohomological invariants of semisimple groups, JEMS 18
+    (2016)), so the W = 0 HNF rows of every nonzero class lie in Sdec, and
+    Dec <= join <= Sdec <= Q.  No generator set is built.  dec and q, when
+    given, are compute_Dec(model) and compute_Q(model).
     """
     if dec is None:
         dec = compute_Dec(model)
     table = sdec_table(model, dec, q)
     if table is not None:
         return InvariantLattice(table.dim, table.rows, dec.mode == "both", "table")
-    if model.grading.moduli != (2,) or any(f.kind not in ("A", "C") for f in model.factors):
-        return InvariantLattice(dec.dim, dec.rows, False, "dec")
-    from .generators import build_generators
-    vecs = _generator_images(model, build_generators(model))
-    return InvariantLattice(dec.dim, dec.join(vecs).rows, False, "generators")
+    if q is None:
+        q = compute_Q(model)
+    zero = model.grading.zero
+    witness = _fold_step(model.grading, *_class_fold(model), lambda c: c != zero)
+    join = dec.join([r[1:] for vs in witness.values() for r in hnf(vs) if not r[0]])
+    return InvariantLattice(dec.dim, join.rows, join.same_rows(q), "closure")
 
 
 # --------------------------------------------------------------------------

@@ -432,7 +432,7 @@ def witness_rows(md, dec, witnesses):
     for name, h in witnesses:
         tf = c2(h)
         assert tf.c0 == 0 and not any(tf.c1), name
-        vecs.append(killing_decompose(md, tf.c2_dict()))
+        vecs.append(killing_decompose(md, tf.c2))
     return dec.join(vecs).rows
 
 
@@ -444,6 +444,25 @@ def element_rows(md, dec):
         assert set(graded_components(y, md.grading)) <= {md.grading.zero}, name
         assert augmentation(z) == 0, name
     return witness_rows(md, dec, [(name, z) for name, z, _ in elements])
+
+
+def _generator_images(model, gs) -> list:
+    """Killing coordinates of c2 of each generator of gs, in gs.labeled() order.
+
+    g = sum_j row_j rho-bar_j (build_generators checks it), and c2 is additive
+    and multiplicative modulo degree 3; with c0 = c1 = 0 on each rho-bar_j
+    (checked here), c2(g) = sum_j aug(row_j) c2(rho-bar_j).  The oracle of
+    compute_Sdec's closure witness on index-2 A/C gradings, where it was the
+    witness before."""
+    per_rho = []
+    for j, r in enumerate(gs.rho):
+        tf = c2(r)
+        if tf.c0 != 0 or any(tf.c1):
+            raise AssertionError(f"rho[{j + 1}]: nonzero degree <=1 image")
+        per_rho.append(killing_decompose(model, tf.c2))
+    return [tuple(sum(augmentation(c) * v[i] for c, v in zip(row, per_rho))
+                  for i in range(len(model.factors)))
+            for row in gs.h1_rows + gs.h2_rows + gs.h3_rows]
 
 
 # -- the Davenport-box Dec scan ---------------------------------------------
@@ -1005,7 +1024,7 @@ def c2_orbit(md, weight):
     ring = c2(orbit_poly(md, weight, augmented=True))
     if any(ring.c1):
         raise AssertionError("augmented orbit sum has a degree-1 image")
-    if ring.c2_dict() != half:
+    if dict(ring.c2) != half:
         raise AssertionError("ring-map and orbit-formula c2 disagree beyond sign")
     vec = killing_decompose(md, half)
     return tuple(-x for x in vec)

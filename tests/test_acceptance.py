@@ -294,7 +294,7 @@ def test_criterion_7_factor_group_tables():
     # (m, n) and its c2 image generates the quotient in the mixed cases as
     # well, so the verified value is Z/2 throughout (the closed form equals
     # Dec joined with c2 of the elements and of the generator set; see
-    # TestSdecWitnesses in test_invariants.py).
+    # TestSdecWitnesses and TestClosureWitness in test_invariants.py).
     for (mm, nn) in [(1, 1), (2, 2), (2, 3), (4, 4), (4, 2), (4, 1), (3, 3),
                      (6, 6), (5, 6), (4, 8)]:
         md = model(fac_c(mm), fac_c(nn), kernel=[(1, 1)])
@@ -372,7 +372,7 @@ def test_criterion_8_semidecomposable_elements():
             - orbit_poly(md, fundamental_weight(md, 1, 0), augmented=True).scale(mm // g)
         tf = c2(z)
         assert tf.c0 == 0 and not any(tf.c1)
-        vec = killing_decompose(md, tf.c2_dict())
+        vec = killing_decompose(md, tf.c2)
         expect = (nn // g, -(mm // g))
         assert vec == expect or vec == tuple(-x for x in expect), (mm, nn, vec)
         # membership of y = e^{e1} z in Z[T*], via the grading
@@ -396,7 +396,7 @@ def test_criterion_8_semidecomposable_elements():
     z = orbit_poly(md, (0, 1, 0, 0), augmented=True) \
         - orbit_poly(md, (0, 0, 0, 1), augmented=True)
     tf = c2(z)
-    vec = killing_decompose(md, tf.c2_dict())
+    vec = killing_decompose(md, tf.c2)
     assert vec in ((1, -1), (-1, 1))
     y = LaurentPoly.monomial(4, (0, 1, 0, 0)) * z
     assert set(graded_components(y, md.grading)) <= {md.grading.zero}

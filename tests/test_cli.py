@@ -371,17 +371,18 @@ class TestRun:
         assert data["inv_ind"]["factors"] == [2]
         assert data["inv_sd"]["factors"] == [2]
 
-    @pytest.mark.parametrize("spec, sdec_mode, factors", [
-        ("(SL(4) x Sp(4))/mu(2)", "generators", [2]),
-        ("(SL(2) x SL(2) x SL(2))/mu(2)", "table", [2, 2])])
-    def test_sdec_stays_lower_bound_without_dec_closed_form(self, spec, sdec_mode, factors):
+    @pytest.mark.parametrize("spec, sdec_labels, factors", [
+        ("(SL(4) x Sp(4))/mu(2)", ("exact", "closure"), [2]),
+        ("(SL(2) x SL(2) x SL(2))/mu(2)", ("lower-bound", "table"), [2, 2])])
+    def test_sdec_labels_without_dec_closed_form(self, spec, sdec_labels, factors):
         # Dec is exact from the closure of the orbit sums, but no Dec closed form
-        # covers these specs, so their Sdec is still only a lower bound
+        # covers these specs, so a table Sdec is only a lower bound; the
+        # closure witness is exact where it reaches Q
         code, out = run_cli("invariants", "--spec", spec, "--json")
         assert code == 0
         data = json.loads(out)
         assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", "hilbert")
-        assert (data["Sdec"]["exactness"], data["Sdec"]["mode"]) == ("lower-bound", sdec_mode)
+        assert (data["Sdec"]["exactness"], data["Sdec"]["mode"]) == sdec_labels
         assert data["inv_ind"]["factors"] == data["inv_sd"]["factors"] == factors
 
     @pytest.mark.parametrize("spec", ["PGL(2)", "HSpin(8)"])
@@ -605,21 +606,28 @@ class TestRun:
         assert code == 1
         assert err.splitlines() == [message]
 
-    def test_killing_decompose_failure_exit_code(self, monkeypatch, capsys):
+    def test_a_closure_witness_outside_q_is_refused(self, monkeypatch, capsys):
+        # no closed form covers this spec, so its Sdec is Dec joined with the
+        # W = 0 rows of the Dec fold's nonzero class; a row (1, 0) there lies
+        # outside Q = [[1, 1], [0, 2]] and must fail the chain check
         import weylinv.invariants
-        from weylinv.invariants import KillingDecomposeError
+        from weylinv.invariants import _fold_step
+        from weylinv.rootdata import compile_spec
 
-        def broken(*args, **kwargs):
-            raise KillingDecomposeError("factor 0: block not proportional to its Killing form")
+        def skewed(grading, states, buckets, into=None):
+            out = _fold_step(grading, states, buckets, into)
+            if into is not None and (1,) in out:   # the witness step
+                out[(1,)].add((0, 1, 0))
+            return out
 
-        monkeypatch.setattr(weylinv.invariants, "killing_decompose", broken)
-        # no closed form covers this spec, so its Sdec is the generator witness,
-        # whose c2 images go through killing_decompose
-        code = main(["invariants", "--spec", "(SL(4) x Sp(4))/mu(2)"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.splitlines() == [
-            "verification failure: factor 0: block not proportional to its Killing form"]
+        spec = "(SL(4) x Sp(4))/mu(2)"
+        md = compile_spec(parse_spec(spec))
+        monkeypatch.setattr(weylinv.invariants, "_fold_step", skewed)
+        message = "inclusion chain Dec <= Sdec <= Q violated"
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            weylinv.invariants.invariants_of(md)
+        code = main(["invariants", "--spec", spec])
+        assert (code, *capsys.readouterr()) == (2, "", f"verification failure: {message}\n")
 
     @pytest.mark.parametrize("height", ["0", "-1"])
     @pytest.mark.parametrize("spec", ["(Sp(4) x Sp(4))/mu(2)", "(SL(2) x Spin(7))/mu(2)"])
@@ -679,20 +687,6 @@ class TestRun:
 
     def test_zero_cases(self):
         assert run_cli("fuzz-syzygy", "--cases", "0") == (0, "0 cases, 0 failures\n")
-
-    def test_sdec_fallback_does_not_swallow_failed_checks(self, monkeypatch, capsys):
-        # no Sdec closed form covers this spec, so the chain reaches generators,
-        # whose failed internal check must surface instead of being skipped
-        import weylinv.generators
-
-        def broken(*args, **kwargs):
-            raise AssertionError("generator check failed")
-
-        monkeypatch.setattr(weylinv.generators, "build_generators", broken)
-        code = main(["invariants", "--spec", "(SL(4) x Sp(4))/mu(2)"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.splitlines() == ["verification failure: generator check failed"]
 
     def test_reduce_missing_input(self, tmp_path, capsys):
         code = main(["reduce", "--spec", "(Sp(4) x Sp(4))/mu(2)",

@@ -4,7 +4,7 @@ generators` on the reduce workload's specs (on four of them also with each
 degree-1 `--lambda0`), of `weylinv reduce` on fixed
 f-tuples, of `weylinv pgo8-check` and `weylinv fuzz-syzygy` at seed 0 and of
 `weylinv verify-flatness --dump-poly` on A1-A8 and C2-C8 must stay
-byte-identical.  The `verify-flatness` outputs are held as sha256 digests of
+byte-identical, and no `invariants` or `table` run fills a generator set.  The `verify-flatness` outputs are held as sha256 digests of
 stdout (`stdout_sha256`), since C8 alone prints about 260 KB.
 
 The data file holds each command line with its output, so the spec list does
@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from weylinv.cli import main
+from weylinv.generators import _model_generators
 
 DATA = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
 ROOT = DATA.parents[2]
@@ -64,6 +65,17 @@ def test_output_is_unchanged(case):
         assert (code, digest(stdout)) == (case["code"], case["stdout_sha256"])
     else:
         assert (code, stdout) == (case["code"], case["stdout"])
+
+
+def test_invariants_fill_no_generator_set():
+    # Sdec's witness is read off the Dec fold: no golden invariants or table
+    # run calls the per-model generator fill, filled or cached
+    _model_generators.cache_clear()
+    for case in CASES:
+        if case["argv"][0] in ("invariants", "table"):
+            run(case["argv"])
+    info = _model_generators.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 if __name__ == "__main__":

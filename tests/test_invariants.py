@@ -19,8 +19,9 @@ from weylinv.invariants import (
     KillingDecomposeError,
     QuotientRing,
     TruncatedForm,
-    _dec_lattice,
+    _class_fold,
     _factor_buckets,
+    _fold_step,
     _killing_adjugate,
     _pair_hnf,
     c2,
@@ -33,6 +34,7 @@ from weylinv.invariants import (
     killing_decompose,
     pgo8_model,
     pgo8_parity_check,
+    sdec_table,
 )
 from weylinv.laurent import LaurentPoly, augmentation, dot
 from weylinv.rootdata import (
@@ -40,11 +42,12 @@ from weylinv.rootdata import (
     fundamental_orbit_sums, killing_coeffs, killing_gram, orbit_poly, orbit_size,
 )
 
+import _helpers
 from _helpers import (
-    _bench_inputs, _dominant_pairs, _zero_sum_slices, bounded_weights, box_dec_rows, c2_orbit,
-    center_residues, davenport_bound, element_rows, explicit_elements, fac_c, factor_davenport,
-    fraction_det, fundamental_weight, golden_specs, in_tstar, lattice_from_congruence, model,
-    oracle_specs,
+    _bench_inputs, _dominant_pairs, _generator_images, _zero_sum_slices, bounded_weights,
+    box_dec_rows, c2_orbit, center_residues, davenport_bound, element_rows, explicit_elements,
+    fac_c, factor_davenport, fraction_det, fundamental_weight, golden_specs, in_tstar,
+    lattice_from_congruence, model, oracle_specs,
     q_oracle, quotient_mul, quotient_reduction, residue_allowed, tstar_basis, two_pass_buckets,
     witness_rows, zero_class,
 )
@@ -104,11 +107,19 @@ def central_gradings(draw):
     return kind, rank, images, moduli
 
 
+def fold_dec_rows(md):
+    """Dec's rows from a fresh fold of md, past _class_fold's per-model cache,
+    over whatever buckets _factor_buckets names."""
+    zero = md.grading.zero
+    vecs = _fold_step(md.grading, *_class_fold.__wrapped__(md), lambda c: c == zero)[zero]
+    return InvariantLattice.from_rows(len(md.factors), [r[1:] for r in vecs]).rows
+
+
 def scan_dec_rows(md):
     """Dec of md folded over the two-pass scan's buckets (_helpers), not the
     closure's."""
     with mock.patch.object(invariants, "_factor_buckets", two_pass_buckets):
-        return _dec_lattice(md).rows
+        return fold_dec_rows(md)
 
 
 def sign_free(vec, expect):
@@ -132,7 +143,7 @@ class TestC2:
         f = LaurentPoly(1, 0, {(1,): 1, (-1,): 1, (0,): -2})
         tf = c2(f)
         assert tf.c0 == 0 and not any(tf.c1)
-        assert tf.c2_dict() == {(0, 0): 1}
+        assert dict(tf.c2) == {(0, 0): 1}
 
     def test_multiplicative_mod_truncation(self):
         rng = random.Random(17)
@@ -157,7 +168,7 @@ class TestC2:
             lhs = c2(g * h)
             rhs_scale = augmentation(g)
             rhs = {k: rhs_scale * v for k, v in c2(h).c2}
-            assert lhs.c2_dict() == {k: v for k, v in rhs.items() if v}
+            assert dict(lhs.c2) == {k: v for k, v in rhs.items() if v}
 
 
 class TestC2Orbit:
@@ -528,6 +539,7 @@ class TestDecEngine:
         # each factor's buckets are keyed by the Lambda/T* coordinates its
         # images touch, not by where it sits in the product
         _factor_buckets.cache_clear()
+        _class_fold.cache_clear()
         compute_Dec(compile_spec(parse_spec("PGL(8) x PGL(8)")))
         info = _factor_buckets.cache_info()
         assert (info.misses, info.hits) == (1, 1)
@@ -575,7 +587,7 @@ class TestDecEngine:
     def test_dec_matches_the_two_pass_scan(self, spec):
         # the fold over the closure's buckets against the fold over the scan's
         md = compile_spec(spec)
-        assert _dec_lattice(md).rows == scan_dec_rows(md)
+        assert fold_dec_rows(md) == scan_dec_rows(md)
 
     @pytest.mark.parametrize("n", range(3, 16, 2))
     def test_closure_runs_to_its_fixpoint(self, n):
@@ -775,6 +787,35 @@ _VECTOR_SPECS = list(dict.fromkeys(
 # Sdec = Q of a diagonal type-A quotient: the witness has index 2 in it
 _GENERATOR_GAPS = {"(SL(8) x SL(8)) / mu(2)": ((1, 1), (0, 2))}
 
+# where the closure join is checked against Dec joined with c2 of the
+# generator set: every golden index-2 A/C spec and the reduce workload's specs
+_GOLDEN_AC_SPECS = list(dict.fromkeys(
+    [text for text in golden_specs() if _index2_type_ac(compile_spec(parse_spec(text)))]
+    + [spec for spec, _ in _bench_inputs().REDUCE_SPECS]))
+
+# the index-2 type-A/C factors: SL(2k) and Sp(2r), by name and rank
+_AC_MU2_FACTORS = {**{f"SL({2 * k})": 2 * k - 1 for k in range(1, 6)},
+                   **{f"Sp({2 * r})": r for r in range(2, 6)}}
+
+
+def closure_sdec(md):
+    """compute_Sdec's closure join on md, whether or not sdec_table covers it."""
+    with mock.patch.object(invariants, "sdec_table", lambda model, dec, q=None: None):
+        return compute_Sdec(md)
+
+
+@st.composite
+def ac_products_mod_mu2(draw):
+    """Products of one to three SL(2k) and Sp(2r) factors of total rank <= 10,
+    modulo the diagonal mu(2)."""
+    names, total = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        fits = [n for n, r in _AC_MU2_FACTORS.items() if total + r <= 10]
+        if fits:
+            names.append(draw(st.sampled_from(fits)))
+            total += _AC_MU2_FACTORS[names[-1]]
+    return compile_spec(parse_spec(f"({' x '.join(names)}) / mu(2)"))
+
 
 class TestSdec:
     def test_modes_agree_on_type_c(self):
@@ -788,10 +829,14 @@ class TestSdec:
             assert tab.rows == element_rows(md, dec)
             assert tab.rows == witness_rows(md, dec, build_generators(md).labeled())
 
-    def test_only_table_mode_is_exact(self):
+    def test_exact_from_a_checked_table_or_a_closure_at_q(self):
+        # a table is exact where a Dec closed form checked Dec; a closure
+        # join is exact where it reaches Q
         for text, labels in [("(Sp(4) x Sp(4))/mu(2)", (True, "table")),
-                             ("(SL(4) x Sp(4))/mu(2)", (False, "generators")),
-                             ("(Spin(5) x Sp(4))/mu(2)", (False, "dec"))]:
+                             ("(SL(2) x SL(2) x SL(2))/mu(2)", (False, "table")),
+                             ("(SL(4) x Sp(4))/mu(2)", (True, "closure")),
+                             ("(Spin(5) x Sp(4))/mu(2)", (True, "closure")),
+                             ("(SL(4) x Spin(10))/mu(4)", (False, "closure"))]:
             sd = invariants_of(compile_spec(parse_spec(text))).Sdec
             assert (sd.exact, sd.mode) == labels, text
 
@@ -846,13 +891,14 @@ class TestSdecWitnesses:
         for name, h in gs.labeled():
             tf = c2(h)
             assert tf.c0 == 0 and not any(tf.c1), name
-            dense.append(killing_decompose(md, tf.c2_dict()))
-        assert invariants._generator_images(md, gs) == dense
+            dense.append(killing_decompose(md, tf.c2))
+        assert _generator_images(md, gs) == dense
 
-    def test_a_degree_one_image_of_an_orbit_sum_is_refused(self, monkeypatch, capsys):
-        text = "(SL(4) x Sp(4)) / mu(2)"
-        md = compile_spec(parse_spec(text))
-        rho2, real = fundamental_orbit_sums(md)[1], invariants.c2
+    def test_a_degree_one_image_of_an_orbit_sum_is_refused(self, monkeypatch):
+        # the generator oracle reads c2(g) off the orbit sums only when no
+        # rho-bar_j has an image in degree <= 1
+        md = compile_spec(parse_spec("(SL(4) x Sp(4)) / mu(2)"))
+        rho2, real = fundamental_orbit_sums(md)[1], _helpers.c2
 
         def skewed(f):
             # rho[2] gets c1 = (1, 0, ...) on top of its true image
@@ -861,21 +907,53 @@ class TestSdecWitnesses:
                 return tf
             return TruncatedForm(tf.c0, tuple(x + (i == 0) for i, x in enumerate(tf.c1)), tf.c2)
 
-        monkeypatch.setattr(invariants, "c2", skewed)
+        monkeypatch.setattr(_helpers, "c2", skewed)
         with pytest.raises(AssertionError, match=r"^rho\[2\]: nonzero degree <=1 image$"):
-            compute_Sdec(md)
-        assert main(["invariants", "--spec", text, "--json"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "rho[2]: nonzero degree <=1 image" in err
+            _generator_images(md, build_generators(md))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.sampled_from(["SL(2)", "SL(4)", "SL(6)", "Sp(4)", "Sp(6)"]),
                     min_size=2, max_size=3))
-    def test_index2_type_ac_takes_table_or_generators(self, names):
-        # the generator witness runs unguarded: any error in it propagates
+    def test_index2_type_ac_takes_table_or_closure(self, names):
+        # the closure witness runs unguarded: any error in it propagates
         rep = invariants_of(compile_spec(parse_spec(f"({' x '.join(names)}) / mu(2)")))
         assert rep.Q.includes(rep.Sdec) and rep.Sdec.includes(rep.Dec)
-        assert rep.Sdec.mode in ("table", "generators")
+        assert rep.Sdec.mode in ("table", "closure")
+
+
+class TestClosureWitness:
+    """compute_Sdec's witness, Dec joined with the W = 0 rows of the Dec fold's
+    nonzero classes, against the generator set's and the closed forms."""
+
+    @pytest.mark.parametrize("text", _GOLDEN_AC_SPECS)
+    def test_closure_equals_generator_witness(self, text):
+        md = compile_spec(parse_spec(text))
+        want = compute_Dec(md).join(_generator_images(md, build_generators(md)))
+        assert closure_sdec(md).rows == want.rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(ac_products_mod_mu2())
+    def test_closure_equals_generator_witness_on_random_products(self, md):
+        # a counterexample is a finding about the witness, not a case to skip
+        want = compute_Dec(md).join(_generator_images(md, build_generators(md)))
+        assert closure_sdec(md).rows == want.rows
+
+    def test_every_table_value_contains_the_closure_join(self):
+        # on the golden specs and every table family at the table_warm caps
+        strict = {}
+        for text in dict.fromkeys(golden_specs() + oracle_specs()):
+            md = compile_spec(parse_spec(text))
+            table = sdec_table(md, compute_Dec(md))
+            if table is None:
+                continue
+            join = closure_sdec(md)
+            assert table.includes(join), text
+            if not table.same_rows(join):
+                strict[text] = table.rows, join.rows
+        # the one strict case: the type-A closed form Sdec = Q against a
+        # witness of index 2 in it, open until an upper bound decides it
+        # (ROADMAP.md, item 3)
+        assert strict == {"(SL(8) x SL(8)) / mu(2)": (((1, 0), (0, 1)), ((1, 1), (0, 2)))}
 
 
 class TestFactorGroup:

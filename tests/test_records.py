@@ -219,7 +219,7 @@ print(out)
 
 
 def test_import_footprint():
-    # the Sdec fallback chain (the first two specs) and the generator
+    # the Sdec closure witness (the first two specs) and the generator
     # reduction run without them too
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT % (HEAVY,)],
                           capture_output=True, text=True)

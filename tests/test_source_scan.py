@@ -10,6 +10,9 @@ named in `pyproject.toml`.
 
 No `src` check is an `assert` statement, which `python -O` strips: each one
 raises its AssertionError explicitly.
+
+`invariants` imports nothing from `generators`: Sdec's witness is read off
+the Dec fold, with no generator set.
 """
 
 import ast
@@ -202,3 +205,33 @@ def test_the_exemptions_come_from_the_benchmark_and_the_console_script():
     assert (f"{PACKAGE}.generators", "combination_to_tuple") in exempt
     assert (f"{PACKAGE}.intlinalg", "hnf_with_transform") in exempt
     assert (f"{PACKAGE}.rootdata", "LatticeModel.orbit_local") in exempt
+
+
+def generators_imports(tree):
+    """Sorted line numbers of the imports in tree that reach the generators
+    module: `from .generators import ...`, `from . import generators` or
+    `import weylinv.generators`."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "generators" for name in names):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_invariants_imports_nothing_from_generators():
+    # Sdec's witness is read off the Dec fold: invariants builds no generator set
+    assert generators_imports(_modules()[f"{PACKAGE}.invariants"][1]) == []
+
+
+def test_the_scan_sees_a_generators_import():
+    for line in ["from .generators import build_generators",
+                 "from weylinv.generators import build_generators",
+                 "from . import generators", "import weylinv.generators"]:
+        source = f"def compute_Sdec(model):\n    {line}\n"
+        assert generators_imports(ast.parse(source)) == [2], line
