@@ -5,7 +5,8 @@ Matrices are row-major; lattices are given by their rows.
 
 One elimination core, `_echelon` (a row HNF carrying any transform columns
 along), does every reduction: the kernels take one HNF, the Smith form
-alternates row and column HNFs and then fixes divisibility by a gcd/lcm step.
+alternates row and column HNFs until the row HNF is diagonal and then fixes
+divisibility by a gcd/lcm step.
 Determinants, adjugates and leading principal minors are a separate
 routine, `_eliminate` (fraction-free Bareiss Gauss-Jordan, for every square
 matrix), behind `det_adjugate`.
@@ -137,9 +138,11 @@ def snf_with_left(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 
     A row HNF of [A | U] (U following A's row operations) alternates with a
     column HNF of A's nonzero rows (a row HNF of their transpose; V is not
-    kept) until A is diagonal (Kannan-Bachem).  Then each pair i < j with
-    d_i not dividing d_j becomes (g, d_i d_j / g), g = gcd = x d_i + y d_j,
-    by the unimodular row step [[x, y], [-d_j/g, d_i/g]] on rows i, j of U.
+    kept) until the row HNF is diagonal, one nonzero entry per row
+    (Kannan-Bachem); a column pass would then make no row operation.  Then
+    each pair i < j with d_i not dividing d_j becomes (g, d_i d_j / g),
+    g = gcd = x d_i + y d_j, by the unimodular row step
+    [[x, y], [-d_j/g, d_i/g]] on rows i, j of U.
     """
     nrows = len(matrix)
     if not matrix or not matrix[0]:
@@ -148,13 +151,14 @@ def snf_with_left(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     m = [list(r) + [int(i == j) for j in range(nrows)] for i, r in enumerate(matrix)]
     while True:
         rank = _echelon(m, ncols)
+        entries = [[x for x in row[:ncols] if x] for row in m[:rank]]
+        if all(len(xs) == 1 for xs in entries):
+            break
         at = [list(col) for col in zip(*(row[:ncols] for row in m[:rank]))]
         _echelon(at, rank)
-        if not any(any(at[i][i + 1:]) for i in range(rank)):
-            break
         for i in range(rank):
             m[i][:ncols] = [at[j][i] for j in range(ncols)]
-    diag = [at[i][i] for i in range(rank)]
+    diag = [xs[0] for xs in entries]
     u = [row[ncols:] for row in m]
     for i in range(rank):
         for j in range(i + 1, rank):

@@ -206,14 +206,6 @@ class FactorGroup(namedtuple("FactorGroup", "invariant_factors free_rank", defau
     __slots__ = ()
     __setattr__ = __delattr__ = frozen_setattr
 
-    def order(self):
-        if self.free_rank:
-            return 0
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
 
 def _smith_coordinates(sub: InvariantLattice, super_: InvariantLattice):
     """Smith form of sub written in the coordinates of super's basis.
@@ -512,11 +504,10 @@ def _fold_step(grading, states, buckets, into=None) -> dict:
 
 def _is_diag_kernel(model):
     """Diagonal mu_k kernel: a single generator of equal order on all factors."""
-    spec = model.spec
-    if len(spec.center_kernel) != 1:
+    if len(model.kernel_residues) != 1:
         return None
-    orders = [center_order(f.kind, f.rank, t)
-              for f, t in zip(model.factors, spec.center_kernel[0])]
+    orders = [center_order(f.kind, f.rank, tt)
+              for f, tt in zip(model.factors, model.kernel_residues[0])]
     if len(set(orders)) == 1 and orders[0] > 1:
         return orders[0]
     return None
@@ -524,26 +515,17 @@ def _is_diag_kernel(model):
 
 def _per_factor_kernels(model):
     """True when every kernel generator is supported on a single factor."""
-    for gen in model.spec.center_kernel:
-        support = 0
-        for fi, t in enumerate(gen):
-            tt = model._entry_tuple(t, fi)
-            if any(tt):
-                support += 1
-        if support > 1:
-            return False
-    return True
+    return all(sum(map(any, gen)) <= 1 for gen in model.kernel_residues)
 
 
-def _single_factor_dec(kind, rank, kernel_entry, model, fi):
-    """Closed-form Dec for one factor with its own central kernel, if known."""
-    tt = model._entry_tuple(kernel_entry, fi) if kernel_entry is not None else None
-    trivial = tt is None or not any(tt)
+def _single_factor_dec(kind, rank, tt):
+    """Closed-form Dec for one factor whose kernel is generated by the
+    nonzero residue tuple tt (None: no kernel on the factor), if known."""
     if kind == "E6":
         return 6
     if kind == "E7":
         return 12
-    if trivial:
+    if tt is None:
         if kind == "A":
             return 1
         if kind == "C":
@@ -565,7 +547,6 @@ def dec_table(model: LatticeModel):
     m = len(model.factors)
     kinds = [f.kind for f in model.factors]
     ranks = [f.rank for f in model.factors]
-    spec = model.spec
 
     def diag_rows(vals):
         return [[vals[i] * int(i == j) for j in range(m)] for i in range(m)]
@@ -628,14 +609,14 @@ def dec_table(model: LatticeModel):
     if _per_factor_kernels(model):
         vals = []
         per_factor = [None] * m
-        for gen in spec.center_kernel:
-            for fi, t in enumerate(gen):
-                if any(model._entry_tuple(t, fi)):
+        for gen in model.kernel_residues:
+            for fi, tt in enumerate(gen):
+                if any(tt):
                     if per_factor[fi] is not None:
                         return None
-                    per_factor[fi] = t
-        for fi, f in enumerate(model.factors):
-            v = _single_factor_dec(f.kind, f.rank, per_factor[fi], model, fi)
+                    per_factor[fi] = tt
+        for f, tt in zip(model.factors, per_factor):
+            v = _single_factor_dec(f.kind, f.rank, tt)
             if v is None:
                 return None
             vals.append(v)

@@ -532,16 +532,6 @@ class Grading:
         mask, weight = self._parity
         return bound * self._ones, mask, bound * weight & 1
 
-    def _classifier(self, rank, bound):
-        """Map from the codes of rank `rank` with every |e_i| <= bound to classes:
-        by parity on one Z/2, else `of_exponent` on the unpacked code."""
-        parity = self._parity_reader(rank, bound)
-        if parity is not None:
-            lift, mask, flip = parity
-            return lambda key: ((((key + lift) & mask).bit_count() ^ flip) & 1,)
-        unpack, of_exponent = _codec(rank)[1], self.of_exponent
-        return lambda key: of_exponent(unpack(key))
-
     def add(self, c1, c2):
         return tuple((a + b) % m for a, b, m in zip(c1, c2, self.moduli))
 
@@ -553,19 +543,18 @@ def homogeneous_component(f: LaurentPoly, grading: Grading, cls) -> LaurentPoly:
     m, each in [0, m).
     """
     cls = tuple(cls)
-    items = f._packed.items()
     parity = grading._parity_reader(f.rank, f._bound)
     if len(cls) != len(grading.moduli) or not all(
             0 <= c < m for c, m in zip(cls, grading.moduli)):
         raise ValueError(f"{cls} is not a class of a grading with moduli {grading.moduli}")
-    if parity is not None:
-        # mod 2: compare the parity of the masked bits with the one it must have
-        lift, mask, flip = parity
-        want = (cls[0] + flip) & 1
-        kept = {k: c for k, c in items if ((k + lift) & mask).bit_count() & 1 == want}
-        return _trusted(f.rank, f.modulus, kept, f._bound)
-    class_of = grading._classifier(f.rank, f._bound)
-    kept = {k: c for k, c in items if class_of(k) == cls}
+    if parity is None:
+        return (graded_components(f, grading).get(cls)
+                or _trusted(f.rank, f.modulus, {}, f._bound))
+    # mod 2: compare the parity of the masked bits with the one it must have
+    lift, mask, flip = parity
+    want = (cls[0] + flip) & 1
+    kept = {k: c for k, c in f._packed.items()
+            if ((k + lift) & mask).bit_count() & 1 == want}
     return _trusted(f.rank, f.modulus, kept, f._bound)
 
 
@@ -583,10 +572,13 @@ def parity_split(f: LaurentPoly, grading: Grading) -> tuple:
 
 
 def graded_components(f: LaurentPoly, grading: Grading) -> dict:
-    class_of = grading._classifier(f.rank, f._bound)
-    out = {}
+    """{class: component} over the classes of f's terms: by `parity_split`
+    on one Z/2, else `of_exponent` on each unpacked code."""
+    if grading._parity_reader(f.rank, f._bound) is not None:
+        return {(c,): part for c, part in enumerate(parity_split(f, grading)) if part}
+    unpack, out = _codec(f.rank)[1], {}
     for k, c in f._packed.items():
-        out.setdefault(class_of(k), {})[k] = c
+        out.setdefault(grading.of_exponent(unpack(k)), {})[k] = c
     return {cls: _trusted(f.rank, f.modulus, t, f._bound)
             for cls, t in out.items()}
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate, product as iproduct
 from operator import mul
 
-from .intlinalg import hnf, snf_with_left
+from .intlinalg import hnf, lattice_coordinates, snf_with_left
 from .laurent import Grading, LaurentPoly, embed
 
 KINDS = ("A", "B", "C", "D", "E6", "E7")
@@ -297,9 +297,11 @@ def congruence_grading(congruences, n: int) -> Grading:
     Column j of C is read mod M first (entry c mod m_c where m_c > 0): that
     changes neither S nor, mod d, the image, since U R = diag(d) V^-1 sends
     every column of M to 0 mod d.  So each distinct reduced column, at most
-    prod m_c of them on the rows with m_c > 0, is solved once, all of them
-    with the columns of M in one pass over P.  This is O(k^2) work per
-    distinct column, where a basis of L and its Smith form are n x n.
+    prod m_c of them on the rows with m_c > 0, and each column of M is
+    solved once for its coordinates on P by `intlinalg.lattice_coordinates`,
+    the solver behind every lattice membership test.  This is O(k^2) work per
+    distinct column, where a basis of L and its Smith form are n x n.  Every
+    such vector generates S, so one the solver rejects is an AssertionError.
     ValueError when L is not of finite index (a modulus-0 row whose vector is
     not 0).
     """
@@ -309,16 +311,9 @@ def congruence_grading(congruences, n: int) -> Grading:
     distinct = list(dict.fromkeys(cols))
     mcols = [[m * (i == c) for i in range(k)] for c, (_, m) in enumerate(congruences)]
     basis = hnf(distinct + mcols)
-    todo = [list(v) for v in (*mcols, *distinct)]
-    coords = [[] for _ in todo]
-    for row in basis:
-        col = next(j for j, x in enumerate(row) if x)
-        for v, x in zip(todo, coords):
-            # exact: v lies in S, and the rows above cleared v left of col
-            q = v[col] // row[col]
-            x.append(q)
-            if q:
-                v[col:] = [a - q * b for a, b in zip(v[col:], row[col:])]
+    coords = [lattice_coordinates(basis, v) for v in (*mcols, *distinct)]
+    if None in coords:
+        raise AssertionError("a generator of S is not in the span of its HNF basis")
     diag, u = snf_with_left([list(row) for row in zip(*coords[:k])])
     if len(diag) < len(basis):
         raise ValueError("sublattice is not of finite index")
@@ -338,6 +333,11 @@ class LatticeModel:
     Immutable once constructed (`compile_spec` hands one model to every
     caller of a spec): assignment and deletion raise
     `dataclasses.FrozenInstanceError`, and the per-factor data are tuples.
+
+    `kernel_residues` holds each kernel generator with every entry read once
+    as its residue tuple in the factor's centre (`_entry_tuple`: an int as a
+    1-tuple, a D-even pair reduced mod 2 entrywise); the congruences and the
+    closed forms read the kernel only through it.
     """
 
     __setattr__ = __delattr__ = frozen_setattr
@@ -352,6 +352,8 @@ class LatticeModel:
             _residue=tuple(residue for _, residue in per_type),
             _center=tuple(center_group(f.kind, f.rank) for f in factors))
         self._validate_kernel()
+        put(kernel_residues=tuple(tuple(self._entry_tuple(t, fi) for fi, t in enumerate(gen))
+                                  for gen in spec.center_kernel))
         put(congruences=self._build_congruences())
         grading = congruence_grading(self.congruences, self.total_rank)
         put(grading=grading, tstar_index=math.prod(grading.moduli),
@@ -379,28 +381,18 @@ class LatticeModel:
 
     def _build_congruences(self):
         out = []
-        n = self.total_rank
-        for gen in self.spec.center_kernel:
-            dens = []
-            for fi, t in enumerate(gen):
-                tt = self._entry_tuple(t, fi)
-                for x, (_, m) in zip(tt, self._residue[fi]):
-                    if x:
-                        dens.append(m // math.gcd(x, m))
-            if not dens:
+        for gen in self.kernel_residues:
+            big = math.lcm(*(center_order(f.kind, f.rank, tt)
+                             for f, tt in zip(self.factors, gen)))
+            if big == 1:
                 continue
-            big = math.lcm(*dens)
-            vec = [0] * n
-            for fi, t in enumerate(gen):
-                tt = self._entry_tuple(t, fi)
-                off = self.offsets[fi]
-                for x, (fvec, m) in zip(tt, self._residue[fi]):
-                    if x:
-                        scale = big * x // m
-                        for j, coeff in enumerate(fvec):
-                            vec[off + j] += scale * coeff
-                vec = [v % big for v in vec]
-            out.append((tuple(vec), big))
+            vec = [0] * self.total_rank
+            for tt, residue, off in zip(gen, self._residue, self.offsets):
+                for x, (fvec, m) in zip(tt, residue):
+                    scale = big * x // m
+                    for j, coeff in enumerate(fvec):
+                        vec[off + j] += scale * coeff
+            out.append((tuple(v % big for v in vec), big))
         return tuple(out)
 
     # -- weight utilities ----------------------------------------------------

@@ -14,7 +14,8 @@ from pathlib import Path
 from weylinv.fuzz import _divisor_or_lead
 from weylinv.generators import GeneratorSet, _rho_tilde_w
 from weylinv.intlinalg import (
-    _eliminate, congruence_kernel, hnf, hnf_with_transform, lattice_coordinates, snf_with_left,
+    _echelon, _eliminate, congruence_kernel, hnf, hnf_with_transform, lattice_coordinates,
+    snf_with_left, xgcd,
 )
 from weylinv.invariants import (
     InvariantLattice, QuotientRing, _is_diag_kernel, _symplectic_like, c2,
@@ -46,6 +47,12 @@ def fac_c(r):
 
 def lattice_from_congruence(dim, vec, mod):
     return InvariantLattice.from_rows(dim, congruence_kernel([(list(vec), mod)], dim))
+
+
+def group_order(fg):
+    """Order of a FactorGroup: 0 (infinite) with a free part, else the product
+    of its invariant factors."""
+    return 0 if fg.free_rank else math.prod(fg.invariant_factors)
 
 
 def P(rank, terms, modulus=0):
@@ -123,6 +130,42 @@ def three_hnf_congruence_kernel(congruences, n):
     big = [list(v) + [m * int(i == j) for j in range(len(rows))]
            for i, (v, m) in enumerate(rows)]
     return hnf([row[:n] for row in three_hnf_kernel(big)])
+
+
+# -- the Smith form to a diagonal column pass ---------------------------------
+#
+# intlinalg.snf_with_left as it was before its Kannan-Bachem loop stopped at
+# the first diagonal row HNF: every round ends with a column pass, and the
+# loop stops once that pass leaves A diagonal.  Kept as its oracle.
+
+def column_pass_snf_with_left(matrix):
+    """(diag, U) of snf_with_left, by row and column HNFs until a column HNF
+    is diagonal, then the gcd/lcm step on rows of U."""
+    nrows = len(matrix)
+    if not matrix or not matrix[0]:
+        return [], [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    ncols = len(matrix[0])
+    m = [list(r) + [int(i == j) for j in range(nrows)] for i, r in enumerate(matrix)]
+    while True:
+        rank = _echelon(m, ncols)
+        at = [list(col) for col in zip(*(row[:ncols] for row in m[:rank]))]
+        _echelon(at, rank)
+        if not any(any(at[i][i + 1:]) for i in range(rank)):
+            break
+        for i in range(rank):
+            m[i][:ncols] = [at[j][i] for j in range(ncols)]
+    diag = [at[i][i] for i in range(rank)]
+    u = [row[ncols:] for row in m]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            di, dj = diag[i], diag[j]
+            if dj % di:
+                g, x, y = xgcd(di, dj)
+                ui, uj = u[i], u[j]
+                u[i] = [x * a + y * b for a, b in zip(ui, uj)]
+                u[j] = [(di * b - dj * a) // g for a, b in zip(ui, uj)]
+                diag[i], diag[j] = g, di * dj // g
+    return diag, u
 
 
 # -- the Smith-form grading ---------------------------------------------------

@@ -4,8 +4,9 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from weylinv import intlinalg
 from weylinv.intlinalg import (
     _eliminate,
     congruence_kernel,
@@ -22,7 +23,8 @@ from weylinv.intlinalg import (
 )
 
 from _helpers import (
-    fraction_det, fraction_inverse, kernel, three_hnf_congruence_kernel, three_hnf_kernel,
+    column_pass_snf_with_left, fraction_det, fraction_inverse, kernel,
+    three_hnf_congruence_kernel, three_hnf_kernel,
 )
 
 
@@ -169,6 +171,47 @@ def test_snf_with_left_matches_minors(a):
     for i, row in enumerate(u):
         ua = [sum(x * a[k][j] for k, x in enumerate(row)) for j in range(ncols)]
         assert all(v % diag[i] == 0 for v in ua) if i < r else not any(ua)
+
+
+@st.composite
+def row_form_matrices(draw):
+    """Matrices up to 4 x 4, entries in [-20, 20]: general ones, and ones
+    with one nonzero entry per row at increasing columns (diagonal row forms,
+    zero rows last), 1 x 1 among both."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return [[draw(st.integers(-20, 20)) for _ in range(ncols)] for _ in range(nrows)]
+    cols = sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=min(nrows, ncols))))
+    a = [[0] * ncols for _ in range(nrows)]
+    for i, j in enumerate(cols):
+        a[i][j] = draw(st.integers(1, 20))
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_form_matrices())
+@example([[6]])
+@example([[0, 4], [0, 0]])
+@example([[2, 0], [0, 3]])
+def test_snf_with_left_matches_the_column_pass_oracle(a):
+    # leaving at the first diagonal row HNF changes neither diag nor U
+    assert snf_with_left(a) == column_pass_snf_with_left(a)
+
+
+def test_a_diagonal_row_form_takes_one_elimination(monkeypatch):
+    calls = []
+    real = intlinalg._echelon
+
+    def counted(m, ncols):
+        calls.append(ncols)
+        return real(m, ncols)
+
+    monkeypatch.setattr(intlinalg, "_echelon", counted)
+    # a one-congruence grading's 1 x 1 R, and a matrix already diagonal
+    for a in ([[12]], [[2, 0], [0, 3]]):
+        calls.clear()
+        snf_with_left(a)
+        assert len(calls) == 1, a
 
 
 @st.composite

@@ -2,7 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 from unittest import mock
 
@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from weylinv import intlinalg, invariants, rootdata
 from weylinv.cli import main, parse_spec
 from weylinv.generators import build_generators
-from weylinv.intlinalg import _eliminate, hnf, lattice_contains
+from weylinv.intlinalg import _eliminate, hnf, lattice_contains, smallest_prime_factor
 from weylinv.invariants import (
     DecMismatchError,
     InvariantLattice,
@@ -46,8 +46,8 @@ import _helpers
 from _helpers import (
     _bench_inputs, _dominant_pairs, _generator_images, _zero_sum_slices, bounded_weights,
     box_dec_rows, c2_orbit, center_residues, davenport_bound, element_rows, explicit_elements,
-    fac_c, factor_davenport, fraction_det, fundamental_weight, golden_specs, in_tstar,
-    lattice_from_congruence, model, oracle_specs,
+    fac_c, factor_davenport, fraction_det, fundamental_weight, golden_specs, group_order,
+    in_tstar, lattice_from_congruence, model, oracle_specs,
     q_oracle, quotient_mul, quotient_reduction, residue_allowed, tstar_basis, two_pass_buckets,
     witness_rows, zero_class,
 )
@@ -401,6 +401,49 @@ class TestComputeQ:
 _SYMPLECTIC = ["SL(2)"] + [f"Sp({2 * a})" for a in range(1, 7)]
 _SL_PRIMARY = [(k, m, n) for k, top in ((2, 6), (3, 6), (4, 8))
                for m in range(k, top + 1, k) for n in range(k, top + 1, k)]
+
+
+def entry_residues(md):
+    """Every kernel entry of md read by _entry_tuple, generator by generator."""
+    return tuple(tuple(md._entry_tuple(t, fi) for fi, t in enumerate(gen))
+                 for gen in md.spec.center_kernel)
+
+
+class TestKernelResidues:
+    """LatticeModel.kernel_residues: each kernel entry normalised once, the one
+    reading of the kernel behind the congruences and the closed forms."""
+
+    @pytest.mark.parametrize("text", golden_specs())
+    def test_golden_specs(self, text):
+        md = compile_spec(parse_spec(text))
+        assert md.kernel_residues == entry_residues(md)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_products())
+    def test_random_products(self, spec):
+        md = compile_spec(spec)
+        assert md.kernel_residues == entry_residues(md)
+
+    def test_raw_entries_are_read_as_residues(self):
+        # a negative int, an out-of-range int and a D-even pair outside {0, 1}^2
+        spec = GroupSpec((SimpleFactor("A", 3), SimpleFactor("D", 4), SimpleFactor("D", 5)),
+                         ((-1, (3, -1), 6),))
+        assert compile_spec(spec).kernel_residues == (((3,), (1, 1), (2,)),)
+
+    @pytest.mark.parametrize("raw,reduced", [
+        (((3, 0, 0), (0, -1, 0), (0, 0, 5)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        (((5, 2, 4),), ((1, 0, 0),)),
+    ])
+    def test_closed_forms_read_residues(self, raw, reduced):
+        # SL(2) x Sp(4) x Spin(7) with per-factor kernels, each entry written
+        # outside its residue range: the closed form reads its residues
+        factors = (SimpleFactor("A", 1), SimpleFactor("C", 2), SimpleFactor("B", 3))
+        got, want = (compile_spec(GroupSpec(factors, k)) for k in (raw, reduced))
+        assert got.kernel_residues == want.kernel_residues
+        assert got.congruences == want.congruences
+        assert dec_table(want) is not None
+        assert dec_table(got) == dec_table(want)
+        assert compute_Dec(got) == compute_Dec(want)
 
 
 class TestComputeDec:
@@ -955,12 +998,40 @@ class TestClosureWitness:
         # (ROADMAP.md, item 3)
         assert strict == {"(SL(8) x SL(8)) / mu(2)": (((1, 0), (0, 1)), ((1, 1), (0, 2)))}
 
+    def test_type_a_strict_cases_follow_a_prime_power_pattern(self):
+        # ROADMAP.md item 3's type-A family: pairs up to SL(32) and triples up
+        # to SL(12), modulo every diagonal mu(k).  The closed form Sdec = Q is
+        # strictly above the closure join exactly when, for a prime p | k,
+        # every n_i is divisible by p^(v_p(k) + 2) for p = 2 and by
+        # p^(v_p(k) + 1) for odd p; a spec off that pattern is a finding
+        def v(p, n):
+            return next(e for e in range(n.bit_length()) if n % p ** (e + 1))
+
+        def pattern(ns, k):
+            return any(all(n % p ** (v(p, k) + (2 if p == 2 else 1)) == 0 for n in ns)
+                       for p in range(2, k + 1) if k % p == 0 and smallest_prime_factor(p) == p)
+
+        specs = [(ns, k) for size, top in ((2, 32), (3, 12))
+                 for ns in combinations_with_replacement(range(2, top + 1), size)
+                 for k in range(2, math.gcd(*ns) + 1) if math.gcd(*ns) % k == 0]
+        strict, off = [], {}
+        for ns, k in specs:
+            text = f"({' x '.join(f'SL({n})' for n in ns)}) / mu({k})"
+            md = compile_spec(parse_spec(text))
+            table, join = sdec_table(md, compute_Dec(md)), closure_sdec(md)
+            assert table.includes(join), text
+            if not table.same_rows(join):
+                strict.append(text)
+            if (not table.same_rows(join)) != pattern(ns, k):
+                off[text] = table.rows, join.rows
+        assert (len(specs), len(strict), off) == (429, 26, {})
+
 
 class TestFactorGroup:
     def test_trivial(self):
         lat = InvariantLattice.from_rows(2, [[2, 0], [0, 2]])
         fg = factor_group(lat, lat)
-        assert fg.invariant_factors == () and fg.order() == 1
+        assert fg.invariant_factors == () and group_order(fg) == 1
 
     def test_smith_factors(self):
         sup = InvariantLattice.from_rows(2, [[1, 0], [0, 1]])

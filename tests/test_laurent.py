@@ -603,14 +603,15 @@ def classifier_cases(draw):
 
 
 def assert_reads_like_of_exponent(grading, bound, exps, c):
-    """The classifier, homogeneous_component, graded_components and, under
-    one Z/2, parity_split agree with Grading.of_exponent on every exponent of
-    a polynomial whose bound is `bound`."""
+    """graded_components, on each monomial and on their sum,
+    homogeneous_component and, under one Z/2, parity_split agree with
+    Grading.of_exponent on every exponent of a polynomial whose bound is
+    `bound`."""
     rank = len(grading.images)
     pack = _codec(rank)[0]
-    class_of = grading._classifier(rank, bound)
     for e in exps:
-        assert class_of(pack(e)) == grading.of_exponent(e)
+        monomial = LaurentPoly._trusted(rank, 0, {pack(e): c}, bound)
+        assert list(graded_components(monomial, grading)) == [grading.of_exponent(e)]
     # a polynomial whose bound is `bound`, read through both entry points
     terms = {pack(e): c for e in exps}
     f = LaurentPoly._trusted(rank, 0, terms, bound)
@@ -643,6 +644,8 @@ class TestArithmeticClassifier:
             g = Grading(moduli, [(1,) * len(moduli), (0,) * len(moduli)])
             with pytest.raises(RankMismatchError):
                 homogeneous_component(f, g, g.zero)
+            with pytest.raises(RankMismatchError):   # before the class is checked
+                homogeneous_component(f, g, (9,) * (len(moduli) + 1))
             with pytest.raises(RankMismatchError):
                 graded_components(f, g)
             with pytest.raises(RankMismatchError):
@@ -694,3 +697,42 @@ class TestParityReader:
         # and apply of_exponent
         assert (grading._parity_reader(rank, bound) is None) == (moduli != (2,))
         assert_reads_like_of_exponent(grading, bound, exps, c)
+
+
+def per_term_components(f, grading):
+    """graded_components as a loop over f.terms: one of_exponent per term."""
+    out = {}
+    for e, c in f.terms.items():
+        out.setdefault(grading.of_exponent(e), {})[e] = c
+    return out
+
+
+class TestGradedComponents:
+    @pytest.mark.parametrize("moduli", [(2,), (4,), (2, 2), (3, 6)],
+                             ids=["Z2", "Z4", "Z2xZ2", "Z3xZ6"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), c=st.integers(1, 5))
+    def test_matches_the_per_term_oracle(self, moduli, data, c):
+        grading, bound, exps = data.draw(graded_cases(moduli))
+        rank = len(grading.images)
+        pack = _codec(rank)[0]
+        f = LaurentPoly._trusted(rank, 0, {pack(e): c for e in exps}, bound)
+        parts = graded_components(f, grading)
+        assert {cls: dict(p.terms) for cls, p in parts.items()} == per_term_components(f, grading)
+        # homogeneous_component is graded_components' component, zero when absent
+        for cls in classes(grading):
+            assert homogeneous_component(f, grading, cls) == parts.get(cls, P(rank, {}))
+
+    def test_one_z2_reads_parities(self, monkeypatch):
+        # on one Z/2 the classes come from parity_split, never of_exponent
+        g = Grading((2,), [(1,), (0,), (1,)])
+        f = P(3, {(1, 0, 0): 1, (1, 0, 1): 2, (0, 5, 0): 3, (-1, 0, 2): 4})
+        want = dict(zip(((0,), (1,)), parity_split(f, g)))
+
+        def refuse(self, exp):
+            raise AssertionError("of_exponent read on one Z/2")
+
+        monkeypatch.setattr(Grading, "of_exponent", refuse)
+        assert graded_components(f, g) == want
+        assert graded_components(P(3, {(1, 1, 1): 1}), g) == {(0,): P(3, {(1, 1, 1): 1})}
+        assert graded_components(P(3, {}), g) == {}

@@ -11,7 +11,7 @@ from weylinv.cli import parse_spec
 from weylinv.intlinalg import congruence_kernel, det_int
 from weylinv.invariants import QuotientRing, pgo8_lambda_prime, pgo8_model
 from weylinv.laurent import LaurentPoly, augmentation
-from weylinv import spec as spec_module
+from weylinv import rootdata, spec as spec_module
 from weylinv.rootdata import (
     GroupSpec,
     LatticeModel,
@@ -165,6 +165,17 @@ class TestCongruenceGrading:
             congruence_grading([([1, 1], 0)], 2)
         assert congruence_grading([([0, 0], 0)], 2).moduli == ()
         assert congruence_grading([], 3).images == ((), (), ())
+
+    @pytest.mark.parametrize("congs,n", [
+        ([([1, 2, 3], 4)], 3), ([([1, 2, 3, 0], 4), ([0, 1, 1, 1], 2)], 4),
+        ([([2, 0, 1], 6), ([0, 3, 3], 9)], 3)])
+    def test_a_basis_that_misses_a_generator_raises(self, monkeypatch, congs, n):
+        # every column of C and M lies in S: one its HNF basis cannot solve is
+        # an internal error, not a grading
+        real = rootdata.hnf
+        monkeypatch.setattr(rootdata, "hnf", lambda rows: real(rows)[:-1])
+        with pytest.raises(AssertionError, match="is not in the span of its HNF basis"):
+            congruence_grading(congs, n)
 
 
 class TestCompile:

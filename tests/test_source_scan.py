@@ -2,8 +2,9 @@
 every imported name is read.
 
 A top-level function or class, or a non-dunder method, that no other `src`
-code names (an `ast.Name` or an `ast.Attribute`, its own body not counted)
-runs only for the tests, and belongs in `tests/_helpers.py`.  Exempt are the
+code names (an `ast.Name` or an `ast.Attribute`; for a method that is not a
+property, a call `x.name(...)`; its own body not counted) runs only for the
+tests, and belongs in `tests/_helpers.py`.  Exempt are the
 names the benchmark reads (`weylbench/spans.py`'s `LAYERS` and the
 `from weylinv... import` lines of `weylbench/*.py`) and the console script
 named in `pyproject.toml`.
@@ -53,15 +54,25 @@ def _definitions(tree):
 
 
 def _reads(tree):
-    """Counters of the names read by Name nodes and the attributes read by
-    Attribute nodes of tree."""
-    names, attrs = Counter(), Counter()
+    """Counters of the names read by Name nodes, the attributes read by
+    Attribute nodes and the attributes called (`x.name(...)`) of tree."""
+    names, attrs, calls = Counter(), Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             attrs[node.attr] += 1
-    return names, attrs
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            calls[node.func.attr] += 1
+    return names, attrs, calls
+
+
+def _is_property(node):
+    """Is the method node decorated as a property (`@property`, or the
+    setter or deleter of one)?"""
+    return any((isinstance(d, ast.Name) and d.id == "property")
+               or (isinstance(d, ast.Attribute) and d.attr in ("setter", "deleter"))
+               for d in node.decorator_list)
 
 
 def _package_imports(tree):
@@ -109,8 +120,10 @@ def unreferenced(modules):
     """Sorted 'module.qualname' of the routines no other src code names.
 
     A top-level routine is named by an Attribute anywhere, or by a Name in its
-    own module or in a module that imports it from the package; a method only
-    by an Attribute.  Reads inside the routine's own body do not count."""
+    own module or in a module that imports it from the package; a property
+    only by an Attribute; any other method only by a call `x.name(...)`, so
+    reading a field of the same name elsewhere does not count.  Reads inside
+    the routine's own body do not count."""
     exempt = _exempt(modules)
     reads = {module: _reads(tree) for module, (_, tree) in modules.items()}
     imports = {module: _package_imports(tree) for module, (_, tree) in modules.items()}
@@ -120,12 +133,15 @@ def unreferenced(modules):
             if (module, qualname) in exempt:
                 continue
             name = qualname.rpartition(".")[2]
-            own_names, own_attrs = _reads(node)
+            own = _reads(node)
+            called = "." in qualname and not _is_property(node)
 
             def named(other):
-                names, attrs = reads[other]
+                names, attrs, calls = reads[other]
                 if other == module:
-                    names, attrs = names - own_names, attrs - own_attrs
+                    names, attrs, calls = (a - b for a, b in zip(reads[other], own))
+                if called:
+                    return calls[name] > 0
                 if attrs[name]:
                     return True
                 if "." in qualname:
@@ -185,6 +201,21 @@ def test_the_scan_sees_an_uncalled_routine_and_an_unread_import():
     modules[f"{PACKAGE}.intlinalg"] = (source, ast.parse(source))
     assert unreferenced(modules) == [f"{PACKAGE}.intlinalg._uncalled"]
     assert unused_imports(modules) == [f"{PACKAGE}.intlinalg: json"]
+
+
+def test_a_method_counts_as_called_and_a_property_as_read():
+    # a method needs a call and a property an attribute read: a field of the
+    # same name read elsewhere does not count as a use of the method
+    modules = _modules()
+    source = modules[f"{PACKAGE}.intlinalg"][0] + (
+        "\n\nclass _Probe:\n"
+        "    def called(self):\n        return 0\n\n"
+        "    def read(self):\n        return 0\n\n"
+        "    @property\n    def field(self):\n        return 0\n"
+        "\n\ndef _use(p=_Probe()):\n    return p.called(), p.read, p.field\n")
+    modules[f"{PACKAGE}.intlinalg"] = (source, ast.parse(source))
+    assert unreferenced(modules) == [f"{PACKAGE}.intlinalg._Probe.read",
+                                     f"{PACKAGE}.intlinalg._use"]
 
 
 def test_no_src_check_is_an_assert_statement():
