@@ -80,16 +80,17 @@ def _check_family(name, gens, rows, rho, grading):
 
 @lru_cache(maxsize=None)
 def _model_generators(model: LatticeModel) -> tuple:
-    """(chain, rho, h1_cores, h2, h3, h2_rows, h3_rows, h1, h1_rows, lambda0): what
-    `build_generators` and `reduce_to_generators` read of the model, computed
-    and checked once per model and process.
+    """(gs, h1_cores, rho_tilde_w1): the generator set of the default
+    lambda0 = omega_{o_1}, the lambda0-free h1 cores and rho~(omega_1), what
+    `build_generators` and `reduce_to_generators` read of the model,
+    computed and checked once per model and process.
 
     h1[i] is e^{lambda0} * P_i for the lambda0-free core
     P_i = (r_i/s_i) rho_w(i) - (r_i/d_{i+1}) rho~_w(i+1); `h1_cores[i]` is
-    (P_i, c) with h1_rows[i][j] = c[j] e^{lambda0}.  The h2 and h3 families
-    do not depend on lambda0 and are checked here; so is the h1 family of the
-    default lambda0 (the last three fields), which `build_generators` returns
-    when its twist equals it.
+    (P_i, c) with h1_rows[i][j] = c[j] e^{lambda0}.  rho~(omega_1) is a
+    factor of each h2 generator and of step 2's h3 coefficients.  The h2 and
+    h3 families do not depend on lambda0 and are checked here; so is gs's
+    h1 family, which `build_generators` returns when its twist equals it.
     """
     chain, rho_nat, _ = reduction_data(model)
     n = model.total_rank
@@ -113,10 +114,10 @@ def _model_generators(model: LatticeModel) -> tuple:
             coeffs[chain.order[j]] = -(r_i // d_next) * chain.bezout[i + 1][j]
         h1_cores.append((core, tuple(coeffs)))
     h2, h2_rows = [], []
-    rho_tilde_w0 = _rho_tilde_w(chain, rho_ord, 0)
+    rho_tilde_w1 = _rho_tilde_w(chain, rho_ord, 0)
     for i in range(np_):
         s_i = chain.sizes[i]
-        gen = rho_w_ord[i] * rho_tilde_w0 - LaurentPoly.const(n, d * s_i, 0)
+        gen = rho_w_ord[i] * rho_tilde_w1 - LaurentPoly.const(n, d * s_i, 0)
         h2.append(gen)
         row = [zero] * n
         for j in range(np_):
@@ -138,8 +139,9 @@ def _model_generators(model: LatticeModel) -> tuple:
     _check_family("h1", h1, h1_rows, rho_nat, model.grading)
     _check_family("h2", h2, h2_rows, rho_nat, model.grading)
     _check_family("h3", h3, h3_rows, rho_nat, model.grading)
-    return (chain, rho_nat, tuple(h1_cores), tuple(h2), tuple(h3),
-            tuple(h2_rows), tuple(h3_rows), h1, h1_rows, lambda0)
+    gs = GeneratorSet(model, chain, lambda0, h1, tuple(h2), tuple(h3), rho_nat,
+                      h1_rows, tuple(h2_rows), tuple(h3_rows))
+    return gs, tuple(h1_cores), rho_tilde_w1
 
 
 def _twist(n, lambda0, h1_cores):
@@ -157,23 +159,18 @@ def build_generators(model: LatticeModel, lambda0=None) -> GeneratorSet:
 
     The h2 and h3 families and the h1 cores come from `_model_generators`;
     each call twists the cores by e^{lambda0}.  A twist equal to the fill's
-    default-lambda0 family returns the fill's own tuples, which the fill
-    checked; any other h1 family is checked here.
+    checked default set's h1 family returns that set with this lambda0 (for
+    n' = 1 every twist is empty); any other h1 family is checked here.
     """
-    (chain, rho, h1_cores, h2, h3, h2_rows, h3_rows,
-     h1_default, h1_rows_default, lambda0_default) = _model_generators(model)
-    if lambda0 is None:
-        lambda0 = lambda0_default
-    lambda0 = tuple(lambda0)
+    default, h1_cores, _ = _model_generators(model)
+    lambda0 = default.lambda0 if lambda0 is None else tuple(lambda0)
     if model.grade_of_weight(lambda0) != (1,):
         raise ValueError("lambda0 must have degree 1")
-
     h1, h1_rows = _twist(model.total_rank, lambda0, h1_cores)
-    if h1 == h1_default and h1_rows == h1_rows_default:
-        h1, h1_rows = h1_default, h1_rows_default
-    else:
-        _check_family("h1", h1, h1_rows, rho, model.grading)
-    return GeneratorSet(model, chain, lambda0, h1, h2, h3, rho, h1_rows, h2_rows, h3_rows)
+    if h1 == default.h1 and h1_rows == default.h1_rows:
+        return default._replace(lambda0=lambda0)
+    _check_family("h1", h1, h1_rows, default.rho, model.grading)
+    return default._replace(lambda0=lambda0, h1=h1, h1_rows=h1_rows)
 
 
 def expand_combination(gs: GeneratorSet, combo: dict) -> LaurentPoly:
@@ -212,12 +209,11 @@ def _accepted(model: LatticeModel, gs: GeneratorSet | None) -> GeneratorSet:
     """The generator set a reduction reads: `build_generators(model)` for
     None, else gs if it equals `build_generators(model, gs.lambda0)`, and
     ValueError if not.  The default set holds the fill's own objects, so it
-    equals the fill's fields by identity tests, without a second build."""
+    equals the fill's default set by identity tests, without a second build."""
     if gs is None:
         return build_generators(model)
-    chain, rho, _, h2, h3, h2_rows, h3_rows, h1, h1_rows, lambda0 = _model_generators(model)
-    if (gs != (model, chain, lambda0, h1, h2, h3, rho, h1_rows, h2_rows, h3_rows)
-            and (gs.model is not model or gs != build_generators(model, gs.lambda0))):
+    if gs != _model_generators(model)[0] and (
+            gs.model is not model or gs != build_generators(model, gs.lambda0)):
         raise ValueError("the generator set is not the model's")
     return gs
 
@@ -228,7 +224,8 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     gs must equal `build_generators(model, lambda0)` for some lambda0
     (ValueError otherwise); None reads the default set.  After the degree
     test, read off the graded parts (`syzygy.graded_parts`), and the
-    coefficient normalization to g0, four elimination steps take f to 0.
+    coefficient normalization to g0, which returns g0's wrong-degree parts
+    w_i = g0_i^(1-|i|), four elimination steps take f to 0.
     After each step that changed the state, and as the final re-expansion,
     one tuple equality proves sum f_i rho_i + sum c_g g = sum g0_i rho_i; a
     failed proof raises.  A step that changed nothing leaves the state the
@@ -243,6 +240,13 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     every family it returns) and K(rho) . rho = 0, so sum f_i rho_i +
     sum c_g g = sum F_j rho_j = sum g0_j rho_j, the input's sum: g0 is f or
     passed the normalization's combination check.
+
+    Steps 1-2 read w, not f, and w stays f's wrong-degree part: step 1 at
+    chain position i subtracts only the degree-1 terms c rho_w(i) a_j at
+    chain positions (c = w_{o_i}/d; rho_w(i) is an orbit sum of degree 1)
+    and the c d = w_{o_i} that clears o_i, never a position >= n'; step 2
+    at k = o_i, i >= n', subtracts c rho_k a_j at chain positions and
+    c d = w_k at k alone.
     """
     gs = _accepted(model, gs)
     chain = gs.chain
@@ -257,7 +261,7 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     if deg1:
         raise ValueError("the combination is not in R[T*]")
 
-    goal = _normalized(model, f_in, wrong)
+    goal, wrong = _normalized(model, f_in, wrong)
     f = list(goal)
     result: dict[str, LaurentPoly] = {}
     changed = False  # since the last verified state
@@ -280,7 +284,7 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     # step 1: kill f_i^(0) for chain positions i <= n'
     for i in range(np_):
         gi = chain.order[i]
-        comp0 = homogeneous_component(f[gi], grading, (0,))
+        comp0 = wrong[gi]
         if comp0.is_zero():
             continue
         c = _exact_div(comp0, d, "step 1")
@@ -297,13 +301,12 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     koszul = None
     for i in range(np_, n):
         gi = chain.order[i]
-        comp1 = homogeneous_component(f[gi], grading, (1,))
+        comp1 = wrong[gi]
         if comp1.is_zero():
             continue
         c = _exact_div(comp1, d, "step 2")
         if koszul is None:
-            rho_ord = tuple(rho[chain.order[k]] for k in range(n))
-            rho_tilde_w1 = _rho_tilde_w(chain, rho_ord, 0)
+            rho_tilde_w1 = _model_generators(model)[2]
             koszul = _empty_cert(n, n, 0)
         add_coeff(f"h3[{i - np_ + 1}]", c * rho_tilde_w1)
         for j in range(np_):
@@ -332,11 +335,11 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     e_l0_inv = LaurentPoly.monomial(n, tuple(-x for x in gs.lambda0))
     for i in range(np_ - 1):
         gi = chain.order[i]
-        if homogeneous_component(f[gi], grading, (0,)):
-            raise AssertionError("step 4 precondition broken: degree-0 part present")
         comp1 = f[gi]
         if comp1.is_zero():
             continue
+        if homogeneous_component(comp1, grading, (0,)):
+            raise AssertionError("step 4 precondition broken: degree-0 part present")
         s_i = chain.sizes[i]
         d_next = chain.d_chain[i + 1]
         r_i = s_i * d_next // math.gcd(s_i, d_next)

@@ -771,7 +771,7 @@ def normalize_coefficients(model: LatticeModel, f):
     deg1, wrong = graded_parts(model, f, rho, rho_wrong)
     if deg1:
         raise ValueError("the combination is not of degree 0")
-    return _normalized(model, f, wrong)
+    return _normalized(model, f, wrong)[0]
 
 
 def graded_parts(model: LatticeModel, f: tuple, rho: tuple, rho_wrong: tuple) -> tuple:
@@ -786,8 +786,9 @@ def graded_parts(model: LatticeModel, f: tuple, rho: tuple, rho_wrong: tuple) ->
                        = w_i rho_i + (f_i^(|i|) - w_i) s_i,
     from one parity split of each f_i.  One factor of each product is w_i,
     small, or s_i, a constant or zero.  `wrong` is (w_i)_i, the tuple the
-    normalization reduces mod d.  Raises first what `dot(f, rho)` raises
-    (rings, exponent range), at the pair where it raises.
+    normalization reduces mod d and the reduction's steps 1-2 read.  Raises
+    first what `dot(f, rho)` raises (rings, exponent range), at the pair
+    where it raises.
     """
     check_dot(f, rho)
     xs, ys, wrong = [], [], []
@@ -800,36 +801,28 @@ def graded_parts(model: LatticeModel, f: tuple, rho: tuple, rho_wrong: tuple) ->
     return dot(xs, ys), tuple(wrong)
 
 
-def _wrong_degree_mod(model: LatticeModel, f, d) -> tuple:
-    """(f_i^{(1-|i|)} mod d)_i: each entry's component of the degree its
-    weight's class does not call for, reduced mod d."""
-    return tuple(
-        reduce_coefficients(homogeneous_component(
-            p, model.grading, ((1 - model.fw_degrees[i][0]) % 2,)), d)
-        for i, p in enumerate(f))
-
-
 def _normalized(model: LatticeModel, f: tuple, wrong: tuple) -> tuple:
-    """`normalize_coefficients` past its input checks: f is an integral
-    tuple of the model's length with deg(sum f_i rho_i) = 0, and `wrong` is
-    its tuple of wrong-degree components f_i^(1-|i|) (`graded_parts`).
+    """(g, g's wrong-degree components): `normalize_coefficients` past its
+    input checks.  f is an integral tuple of the model's length with
+    deg(sum f_i rho_i) = 0, and `wrong` is its tuple of wrong-degree
+    components f_i^(1-|i|) (`graded_parts`).
 
     Raises FlatnessError unless the model is A/C, before anything is filled.
-    The mod-d syzygy is `wrong` reduced mod d.  A zero one returns f itself
+    The mod-d syzygy is `wrong` reduced mod d.  A zero one returns (f, wrong)
     and reads no transform, and no check is skipped: its certificate is
     empty and lifts to h = 0, so g is f, which has the same combination;
     and the component check on g is the syzygy just found to be zero.  A
     nonzero syzygy reads `modular_transform(model)`, whose fill-time checks
     then run once per model, and checks the output: the same combination,
     as sum h_i rho_i = 0 for g = f - h, which needs no sum f_i rho_i, and
-    every wrong-degree component zero mod d.
+    every wrong-degree component of g (`graded_parts`) zero mod d.
     """
     _blocks(model)  # FlatnessError unless A/C
-    chain, rho, _ = reduction_data(model)
+    chain, rho, rho_wrong = reduction_data(model)
     d = chain.d
     syz = tuple(reduce_coefficients(w, d) for w in wrong)
     if all(s.is_zero() for s in syz):
-        return f
+        return f, wrong
     try:
         rho_d, rows, inverse, image = modular_transform(model)
         cert = _trivialize_through(rho_d, rows, inverse, image, syz)
@@ -843,6 +836,7 @@ def _normalized(model: LatticeModel, f: tuple, wrong: tuple) -> tuple:
     g = tuple(a - b for a, b in zip(f, h))
     if dot(h, rho):
         raise AssertionError("normalization changed the combination")
-    if not all(s.is_zero() for s in _wrong_degree_mod(model, g, d)):
+    parts = graded_parts(model, g, rho, rho_wrong)[1]
+    if any(reduce_coefficients(w, d) for w in parts):
         raise AssertionError("normalized component does not vanish mod d")
-    return g
+    return g, parts

@@ -22,8 +22,8 @@ from weylinv.invariants import (
     killing_decompose,
 )
 from weylinv.laurent import (
-    Grading, LaurentPoly, augmentation, dot, graded_components, homogeneous_component,
-    reduce_coefficients,
+    Grading, LaurentPoly, augmentation, dot, from_text, graded_components,
+    homogeneous_component, reduce_coefficients,
 )
 from weylinv.rootdata import (
     GroupSpec, SimpleFactor, cartan_rows, compile_spec, diagram_edges,
@@ -752,6 +752,20 @@ def golden_specs():
                               for case in cases if "--spec" in case["argv"]))
 
 
+def golden_reduce_inputs():
+    """(spec, f) of every `weylinv reduce` golden entry: the reduce workload's
+    ops of seed 1, pass 0, and the Koszul-perturbed tuples."""
+    data = Path(__file__).resolve().parent / "data"
+    out = []
+    for case in json.loads((data / "golden_outputs.json").read_text()):
+        argv = case["argv"]
+        if argv[0] == "reduce":
+            spec = argv[argv.index("--spec") + 1]
+            texts = json.loads((data.parents[1] / argv[argv.index("--input") + 1]).read_text())
+            out.append((spec, tuple(from_text(t, len(texts)) for t in texts)))
+    return out
+
+
 # -- tuple-keyed reference arithmetic -------------------------------------
 #
 # The exponent-tuple dict arithmetic that the packed Laurent core replaced,
@@ -910,6 +924,20 @@ def full_normalized(model, f, combo):
         if not reduce_coefficients(comp, d).is_zero():
             raise AssertionError("normalized component does not vanish mod d")
     return g
+
+
+# -- the wrong-degree components ---------------------------------------------
+#
+# syzygy._wrong_degree_mod as it was before the normalization returned the
+# parts `graded_parts` split: one `homogeneous_component` per entry.  Kept as
+# the oracle of those parts (d None) and of their reduction mod d.
+
+def wrong_degree_mod(model, f, d=None):
+    """(f_i^{(1-|i|)})_i, each entry's component of the degree its weight's
+    class does not call for, reduced mod d unless d is None."""
+    parts = tuple(homogeneous_component(p, model.grading, ((1 - model.fw_degrees[i][0]) % 2,))
+                  for i, p in enumerate(f))
+    return parts if d is None else tuple(reduce_coefficients(p, d) for p in parts)
 
 
 # -- readers only the tests call ---------------------------------------------

@@ -33,7 +33,7 @@ from weylinv.laurent import (
 from weylinv.rootdata import GroupSpec, SimpleFactor, compile_spec, orbit_poly
 from weylinv.syzygy import FlatnessError, normalize_coefficients, reduction_data
 
-from _helpers import _bench_inputs, dense_build_generators, reflect_local
+from _helpers import _bench_inputs, dense_build_generators, golden_reduce_inputs, reflect_local
 
 REDUCE_SPECS = [spec for spec, _ in _bench_inputs().REDUCE_SPECS]
 # the specs with an h3 position, a degree-0 fundamental weight, where step 2 can act
@@ -195,10 +195,10 @@ class TestModelGenerators:
         # but no longer equals its row's expansion over rho
         m = sp4xsp4()
         y = self._degree_one_augmented(m)
-        fill = _model_generators(m)
-        cores = tuple((core + y, coeffs) for core, coeffs in fill[2])
+        default, h1_cores, rho_tilde_w1 = _model_generators(m)
+        cores = tuple((core + y, coeffs) for core, coeffs in h1_cores)
         monkeypatch.setattr(generators, "_model_generators",
-                            lambda model: fill[:2] + (cores,) + fill[3:])
+                            lambda model: (default, cores, rho_tilde_w1))
         with pytest.raises(AssertionError, match="h1 expansion over rho is wrong"):
             build_generators(m)
 
@@ -218,12 +218,13 @@ class TestModelGenerators:
         gs = build_generators(m)
         again = build_generators(m, gs.lambda0)
         assert (gs.h1, gs.h1_rows) == (again.h1, again.h1_rows)
-        assert gs.h1 is again.h1 is fill[7] and gs.h1_rows is again.h1_rows is fill[8]
+        assert gs.h1 is again.h1 is fill[0].h1 and gs.h1_rows is again.h1_rows is fill[0].h1_rows
+        assert gs == again == fill[0]
         assert checked == []
         ones = [m._basis_vec(k) for k in range(m.total_rank)
                 if m.grade_of_weight(m._basis_vec(k)) == (1,)]
         other = build_generators(m, ones[1])
-        assert checked == ["h1"] and other.h1 != fill[7]
+        assert checked == ["h1"] and other.h1 != fill[0].h1
 
 
 class TestReduce:
@@ -467,9 +468,12 @@ class TestChecksFire:
         combo = reduce_to_generators(m, f, gs)
         assert list(combo) == ["h3[1]"]
         assert expand_combination(gs, combo) == dot(f, gs.rho)
-        real = generators._rho_tilde_w
-        monkeypatch.setattr(generators, "_rho_tilde_w",
-                            lambda *a: real(*a) + LaurentPoly.const(n, 1, 0))
+        # step 2 reads rho~(omega_1) off the warm fill and builds none
+        monkeypatch.setattr(generators, "_rho_tilde_w", None)
+        assert reduce_to_generators(m, f, gs) == combo
+        default, h1_cores, rho_tilde_w1 = _model_generators(m)
+        monkeypatch.setattr(generators, "_model_generators", lambda model: (
+            default, h1_cores, rho_tilde_w1 + LaurentPoly.const(n, 1, 0)))
         with pytest.raises(AssertionError, match="running combination equality broken"):
             reduce_to_generators(m, f, gs)
 
@@ -487,7 +491,8 @@ class TestChecksFire:
         one = LaurentPoly.const(4, 1, 0)
         m, gs, f = self._case({"h2[1]": one})
         wrong = syzygy.graded_parts(m, f, *reduction_data(m)[1:])[1]
-        assert syzygy._normalized(m, f, wrong) is f
+        g0, parts = syzygy._normalized(m, f, wrong)
+        assert g0 is f and parts is wrong
         bad = gs._replace(rho=(gs.rho[0] + one,) + gs.rho[1:])
         other = build_generators(compile_spec(parse_spec("(SL(2) x SL(4)) / mu(2)")))
         for foreign in (bad, other):
@@ -502,13 +507,16 @@ class TestChecksFire:
             reduce_to_generators(m, f, bad)
 
 
-def _reduce_variant(old, new):
-    """(reduce_to_generators with `old` in its source replaced by `new`, its
-    globals): a copy of the function, run in a copy of the module namespace."""
+def _reduce_variant(edits):
+    """(reduce_to_generators with each `old` of {old: new} in its source
+    replaced by `new`, its globals): a copy of the function, run in a copy of
+    the module namespace."""
     src = textwrap.dedent(inspect.getsource(generators.reduce_to_generators))
-    assert src.count(old) == 1, old
+    for old, new in edits.items():
+        assert src.count(old) == 1, old
+        src = src.replace(old, new)
     ns = dict(vars(generators))
-    exec(compile(src.replace(old, new), generators.__file__, "exec"), ns)
+    exec(compile(src, generators.__file__, "exec"), ns)
     return ns["reduce_to_generators"], ns
 
 
@@ -688,14 +696,99 @@ class TestTupleProof:
         else:
             f = combination_to_tuple(
                 gs, {k: LaurentPoly.const(4, c, 0) for k, c in combo.items()})
-        mutant, ns = _reduce_variant(old, new)
+        mutant, ns = _reduce_variant({old: new})
         ns["_tuple_proves"], log = _recording(ns["_tuple_proves"])
         with pytest.raises(AssertionError, match=message):
             mutant(m, f, gs)
         # the tuples differed, so the proof failed and raised
         assert log and log[-1][3] is False
         # the same input passes the unmutated reduction
-        ref, ns = _reduce_variant(old, old)
+        ref, ns = _reduce_variant({old: old})
         ns["_tuple_proves"], log = _recording(ns["_tuple_proves"])
         ref(m, f, gs)
         assert log and all(verdict for *_, verdict in log)
+
+
+@st.composite
+def step_inputs(draw):
+    """(model, f) in R[T*]: a generator combination of a reduce-workload spec,
+    drawn as the workload draws it, plus, where the spec has an h3 position,
+    a step-2 tuple of a random degree-1 monomial, and one or two Koszul
+    terms c e^mu (rho_j at i, -rho_i at j) with c odd, which often make the
+    normalization's syzygy nonzero."""
+    m = compile_spec(parse_spec(draw(st.sampled_from(REDUCE_SPECS))))
+    gs = build_generators(m)
+    n, chain = m.total_rank, gs.chain
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    combo = _bench_inputs().random_combination(rng, m, [name for name, _ in gs.labeled()])
+    f = list(combination_to_tuple(gs, combo))
+    if chain.nprime < n:
+        e = draw(st.sampled_from([m._basis_vec(k) for k in range(n)
+                                  if m.fw_degrees[k] == (1,)]))
+        k = chain.order[draw(st.integers(chain.nprime, n - 1))]
+        f = [a + b for a, b in zip(f, _step2_tuple(gs, LaurentPoly.monomial(n, e), k))]
+    index = st.integers(0, n - 1)
+    mu = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+    odd = st.sampled_from([-3, -1, 1, 3])
+    for i, j, c, e in draw(st.lists(st.tuples(index, index, odd, mu), min_size=1, max_size=2)):
+        if i != j:
+            coeff = LaurentPoly.monomial(n, e, c)
+            f[i], f[j] = f[i] + coeff * gs.rho[j], f[j] - coeff * gs.rho[i]
+    return m, tuple(f)
+
+
+class TestStepsReadTheNormalizedParts:
+    """Steps 1-2 read the wrong-degree parts that `_normalized` returns, not
+    a new split of f: each part read equals the current coefficient's
+    component of that degree, and a wrong part fails a later check."""
+
+    PROBED = {"comp0 = wrong[gi]": "comp0 = _probe(wrong[gi], f[gi], (0,))",
+              "comp1 = wrong[gi]": "comp1 = _probe(wrong[gi], f[gi], (1,))"}
+
+    def _reads_current_parts(self, m, f):
+        """The probed reduction's output, after checking that it reads one
+        part per position, each the current f_i's component."""
+        probed, ns = _reduce_variant(self.PROBED)
+        log = []
+        ns["_probe"] = lambda part, state, cls: log.append((part, state, cls)) or part
+        out = probed(m, f)
+        assert len(log) == m.total_rank
+        for part, state, cls in log:
+            assert part == homogeneous_component(state, m.grading, cls)
+        return out
+
+    def test_golden_reduce_inputs(self):
+        for spec, f in golden_reduce_inputs():
+            m = compile_spec(parse_spec(spec))
+            assert self._reads_current_parts(m, f) == reduce_to_generators(m, f)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(step_inputs())
+    def test_drawn_inputs(self, case):
+        m, f = case
+        out = self._reads_current_parts(m, f)
+        assert expand_combination(build_generators(m), out) == dot(f, build_generators(m).rho)
+
+    @pytest.mark.parametrize("old, combo, message", [
+        # step 1 clears twice its part: a degree-0 part is left at a chain position
+        ("comp0 = wrong[gi]", {"h2[1]": 1}, "step 4 precondition broken: degree-0 part present"),
+        # step 2 clears twice its part (None: the step-2 tuple of c = e^{lambda0})
+        ("comp1 = wrong[gi]", None, "step 2 left a degree-1 component behind"),
+    ])
+    def test_a_doubled_part_fails_a_later_check(self, old, combo, message):
+        m = sp4xsp4()
+        gs = build_generators(m)
+        if combo is None:
+            f = _step2_tuple(gs, LaurentPoly.monomial(4, gs.lambda0),
+                             gs.chain.order[gs.chain.nprime])
+        else:
+            f = combination_to_tuple(
+                gs, {k: LaurentPoly.const(4, c, 0) for k, c in combo.items()})
+        mutant, ns = _reduce_variant({old: old + ".scale(2)"})
+        ns["_tuple_proves"], log = _recording(ns["_tuple_proves"])
+        with pytest.raises(AssertionError, match=message):
+            mutant(m, f, gs)
+        # the coefficients and the subtractions agree, so every tuple proof
+        # held: the class check after the step raised
+        assert log and all(verdict for *_, verdict in log)
+        reduce_to_generators(m, f, gs)

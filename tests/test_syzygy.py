@@ -39,7 +39,10 @@ from weylinv.syzygy import (
     vec_mat,
 )
 
-from _helpers import P, _bench_inputs, degree_one_gcd, full_normalized, fundamental_weight, is_empty
+from _helpers import (
+    P, _bench_inputs, degree_one_gcd, full_normalized, fundamental_weight, golden_reduce_inputs,
+    is_empty, wrong_degree_mod,
+)
 
 
 class TestFlatness:
@@ -366,26 +369,9 @@ class TestNormalizeCoefficients:
             normalize_coefficients(m, (zero,) * (n - 1))
 
 
-def golden_reduce_inputs():
-    """(spec, f) of every `weylinv reduce` golden entry: the reduce workload's
-    ops of seed 1, pass 0, and the Koszul-perturbed tuples."""
-    data = Path(__file__).resolve().parent / "data"
-    out = []
-    for case in json.loads((data / "golden_outputs.json").read_text()):
-        argv = case["argv"]
-        if argv[0] == "reduce":
-            spec = argv[argv.index("--spec") + 1]
-            texts = json.loads((data.parents[1] / argv[argv.index("--input") + 1]).read_text())
-            out.append((spec, tuple(from_text(t, len(texts)) for t in texts)))
-    return out
-
-
 def syzygy_is_zero(m, f):
     """Whether every wrong-degree component of f vanishes mod d."""
-    d = reduction_data(m)[0].d
-    return all(reduce_coefficients(homogeneous_component(
-        f[i], m.grading, ((1 - m.fw_degrees[i][0]) % 2,)), d).is_zero()
-        for i in range(m.total_rank))
+    return all(s.is_zero() for s in wrong_degree_mod(m, f, reduction_data(m)[0].d))
 
 
 @st.composite
@@ -414,8 +400,9 @@ def koszul_perturbed(draw):
 
 
 class TestNormalizedShortcut:
-    """`_normalized` returns what the full normalization returns, and runs
-    the trivialization exactly when the mod-d syzygy is nonzero."""
+    """`_normalized` returns what the full normalization returns, with its
+    wrong-degree parts, and runs the trivialization exactly when the mod-d
+    syzygy is nonzero."""
 
     @staticmethod
     def normalized_and_calls(m, f):
@@ -430,9 +417,12 @@ class TestNormalizedShortcut:
         combo = dot(f, rho)
         wrong = syzygy_module.graded_parts(m, f, rho, rho_wrong)[1]
         with mock.patch.object(syzygy_module, "_trivialize_through", counting):
-            g = syzygy_module._normalized(m, f, wrong)
+            g, parts = syzygy_module._normalized(m, f, wrong)
         assert g == full_normalized(m, f, combo)
+        assert parts == wrong_degree_mod(m, g)
         assert len(calls) == (0 if syzygy_is_zero(m, f) else 1)
+        if not calls:
+            assert g is f and parts is wrong
         return g, len(calls)
 
     def test_golden_reduce_inputs(self):
@@ -444,6 +434,17 @@ class TestNormalizedShortcut:
         # the workload's 49 ops and the 2 step-2 tuples have zero syzygies,
         # the 4 Koszul tuples not
         assert (len(cases), calls.count(0), calls.count(1)) == (55, 51, 4)
+
+    def test_parts_of_every_golden_reduce_input(self):
+        # SL(12)'s inputs included: their syzygies are zero, so no transform is filled
+        cases = golden_reduce_inputs()
+        assert len(cases) == 56
+        for spec, f in cases:
+            m = compile_spec(parse_spec(spec))
+            wrong = syzygy_module.graded_parts(m, f, *reduction_data(m)[1:])[1]
+            g, parts = syzygy_module._normalized(m, f, wrong)
+            assert parts == wrong_degree_mod(m, g)
+            assert all(p.is_zero() for p in wrong_degree_mod(m, g, reduction_data(m)[0].d))
 
     def test_zero_syzygy_returns_f_itself(self):
         spec, f = golden_reduce_inputs()[0]
@@ -466,6 +467,20 @@ class TestNormalizedShortcut:
         with pytest.raises(AssertionError, match="normalized component does not vanish mod d"):
             syzygy_module._normalized(
                 m, f, syzygy_module.graded_parts(m, f, *reduction_data(m)[1:])[1])
+
+    def test_output_component_check_reads_the_returned_parts(self, monkeypatch):
+        # a corrupted split of g's parts fails the mod-d check on the parts
+        # it would return
+        spec, f = next((spec, f) for spec, f in golden_reduce_inputs()
+                       if not syzygy_is_zero(compile_spec(parse_spec(spec)), f))
+        m = compile_spec(parse_spec(spec))
+        wrong = syzygy_module.graded_parts(m, f, *reduction_data(m)[1:])[1]
+        real = syzygy_module.graded_parts
+        one = LaurentPoly.const(m.total_rank, 1, 0)
+        monkeypatch.setattr(syzygy_module, "graded_parts", lambda *args: (
+            real(*args)[0], tuple(w + one for w in real(*args)[1])))
+        with pytest.raises(AssertionError, match="normalized component does not vanish mod d"):
+            syzygy_module._normalized(m, f, wrong)
 
 
 # the reduce workload's A/C specs and an index-2 model of type B
