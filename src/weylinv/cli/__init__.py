@@ -140,12 +140,19 @@ def run_reduce(args) -> int:
             entries = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read --input {args.input!r}: {exc.strerror}") from exc
+    except ValueError as exc:   # not JSON, or not UTF-8
+        raise ValueError(f"cannot parse --input {args.input!r}: {exc}") from exc
     if not isinstance(entries, list) or len(entries) != model.total_rank \
             or not all(isinstance(e, str) for e in entries):
         raise ValueError(f"input must be a JSON array of {model.total_rank} polynomial strings")
-    f = tuple(from_text(s, model.total_rank, 0) for s in entries)
+    f = []
+    for i, s in enumerate(entries, 1):
+        try:
+            f.append(from_text(s, model.total_rank, 0))
+        except ValueError as exc:
+            raise ValueError(f"entry {i} of --input {args.input!r}: {exc}") from exc
     gs = build_generators(model)
-    combo = reduce_to_generators(model, f, gs)
+    combo = reduce_to_generators(model, tuple(f), gs)
     payload = {
         "spec": spec_to_text(spec),
         "combination": {name: to_text(c) for name, c in sorted(combo.items())},
@@ -205,7 +212,7 @@ def run_pgo8_check(args) -> int:
     e1 = (1, 0, 0, 0)
     e2 = (-1, 1, 0, 0)
     img1 = ring.reduce(rho[0])
-    ok = img1 == {ring.class_of(e1): 2, ring.class_of(e2): 2}
+    ok = img1 == {ring.grading.of_exponent(e1): 2, ring.grading.of_exponent(e2): 2}
     print(f"rho_1 -> 2 e^[e1] + 2 e^[e2] in (Z/4)[L/L']: {'ok' if ok else 'FAIL'}")
     for i in (1, 2, 3):
         good = ring.reduce(rho[i]) == {}

@@ -7,9 +7,8 @@ One elimination core, `_echelon` (a row HNF carrying any transform columns
 along), does every reduction: the kernels take one HNF, the Smith form
 alternates row and column HNFs until the row HNF is diagonal and then fixes
 divisibility by a gcd/lcm step.
-Determinants, adjugates and leading principal minors are a separate
-routine, `_eliminate` (fraction-free Bareiss Gauss-Jordan, for every square
-matrix), behind `det_adjugate`.
+Determinants and adjugates are a separate routine, `det_adjugate`
+(fraction-free Bareiss Gauss-Jordan, for every square matrix).
 """
 
 from __future__ import annotations
@@ -199,37 +198,28 @@ def lattice_contains(hnf_rows: list[list[int]], vec: list[int]) -> bool:
     return lattice_coordinates(hnf_rows, vec) is not None
 
 
-def _eliminate(matrix: list[list[int]]):
-    """(det M, adj M, minors) of a square integer matrix M: adj is None when
-    det M = 0, minors the leading principal minors of M, or None when a row
-    was swapped.
+def det_adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det M, adj M) of a square integer matrix M; adj is None when det M = 0.
 
     Fraction-free (Bareiss) Gauss-Jordan on [M | I] with row pivoting ends at
-    [c I | c M^-1] with c = +-det M, the sign of the row swaps; before any
-    swap, pivot k is the leading (k+1)-minor.  Every division is exact.
+    [c I | c M^-1] with c = +-det M, the sign of the row swaps.  Every
+    division is exact.
     """
     n = len(matrix)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    prev, sign, minors = 1, 1, []
+    prev, sign = 1, 1
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c]), None)
         if piv is None:
-            return 0, None, None
+            return 0, None
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
-            sign, minors = -sign, None
+            sign = -sign
         p = a[c][c]
-        if minors is not None:
-            minors.append(p)
         a = [row if i == c else [(p * x - row[c] * y) // prev for x, y in zip(row, a[c])]
              for i, row in enumerate(a)]
         prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in a], minors
-
-
-def det_adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]] | None]:
-    """(det M, adj M) of a square integer matrix M; adj is None when det M = 0."""
-    return _eliminate(matrix)[:2]
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def det_int(matrix: list[list[int]]) -> int:

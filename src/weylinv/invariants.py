@@ -558,7 +558,7 @@ def dec_table(model: LatticeModel):
         return diag_rows([12] * m)
 
     # PGO8 = D4 / full center: the kernel is all of (Z/2)^2, of order |Lambda/T*|
-    if m == 1 and kinds[0] == "D" and ranks[0] == 4 and model.tstar_index == 4:
+    if m == 1 and kinds[0] == "D" and ranks[0] == 4 and math.prod(model.grading.moduli) == 4:
         return [[4]]
 
     k = _is_diag_kernel(model)
@@ -659,10 +659,9 @@ def _symplectic_like(f: SimpleFactor):
     return f.kind == "C" or (f.kind == "A" and f.rank == 1)
 
 
-def sdec_table(model: LatticeModel, dec: InvariantLattice,
-               q: InvariantLattice | None = None):
-    """Closed-form Sdec where a known case analysis covers the spec; q is
-    compute_Q(model), computed here when not given and needed."""
+def sdec_table(model: LatticeModel, dec: InvariantLattice, q: InvariantLattice):
+    """Closed-form Sdec where a known case analysis covers the spec; dec and q
+    are compute_Dec(model) and compute_Q(model)."""
     m = len(model.factors)
     kinds = [f.kind for f in model.factors]
     ranks = [f.rank for f in model.factors]
@@ -675,8 +674,6 @@ def sdec_table(model: LatticeModel, dec: InvariantLattice,
     if _per_factor_kernels(model):
         return dec  # kernels do not couple factors; products of simple pieces
     if k is not None and all(x == "A" for x in kinds):
-        if q is None:
-            q = compute_Q(model)
         return InvariantLattice(m, q.rows, True, "table")  # Q = Sdec, type A diagonal
     if k == 2 and all(x == "B" for x in kinds):
         vecs = []
@@ -734,11 +731,11 @@ def compute_Sdec(model: LatticeModel, dec: InvariantLattice | None = None,
     """
     if dec is None:
         dec = compute_Dec(model)
+    if q is None:
+        q = compute_Q(model)
     table = sdec_table(model, dec, q)
     if table is not None:
         return InvariantLattice(table.dim, table.rows, dec.mode == "both", "table")
-    if q is None:
-        q = compute_Q(model)
     zero = model.grading.zero
     witness = _fold_step(model.grading, *_class_fold(model), lambda c: c != zero)
     join = dec.join([r[1:] for vs in witness.values() for r in hnf(vs) if not r[0]])
@@ -756,10 +753,6 @@ class QuotientRing:
         self.rank = rank
         self.modulus = modulus
         self.grading = congruence_grading(congruences, rank)
-        self.moduli = self.grading.moduli
-
-    def class_of(self, vec):
-        return self.grading.of_exponent(vec)
 
     def reduce(self, f: LaurentPoly) -> dict:
         """{class: nonzero coefficient}: the image of f, each class's stored
@@ -778,7 +771,6 @@ class QuotientRing:
 # the adjoint D4 check
 
 
-@lru_cache(maxsize=None)
 def pgo8_model() -> LatticeModel:
     return compile_spec(GroupSpec(
         (SimpleFactor("D", 4),), (((1, 0),), ((0, 1),))

@@ -487,7 +487,7 @@ def bounded_divide(f: LaurentPoly, p: LaurentPoly, axis: int, d: int):
 class Grading:
     """Homomorphism Z^rank -> (+)_i Z/moduli[i], given on basis vectors."""
 
-    __slots__ = ("moduli", "images", "_forms", "_ones", "_parity")
+    __slots__ = ("moduli", "images", "_forms", "_parity")
 
     def __init__(self, moduli: tuple[int, ...], images):
         self.moduli = tuple(moduli)
@@ -497,13 +497,13 @@ class Grading:
         # into [0, m)
         self._forms = tuple((tuple(img[i] % m for img in self.images), m)
                             for i, m in enumerate(self.moduli))
-        self._ones = _ones(rank)
-        # mod 2: (mask, weight), the low bit of each field whose coefficient is
-        # odd and how many such fields there are
+        # mod 2 only: (ones, mask, weight), a 1 in every field, the low bit of
+        # each field whose coefficient is odd and how many such fields there are
         self._parity = None
         if self.moduli == (2,):
             odd = [j for j, c in enumerate(self._forms[0][0]) if c]
-            self._parity = (sum(1 << (_WIDTH * (rank - 1 - j)) for j in odd), len(odd))
+            self._parity = (_ones(rank), sum(1 << (_WIDTH * (rank - 1 - j)) for j in odd),
+                            len(odd))
 
     @property
     def zero(self):
@@ -529,33 +529,28 @@ class Grading:
                                     f"{len(self.images)} grading")
         if self._parity is None:
             return None
-        mask, weight = self._parity
-        return bound * self._ones, mask, bound * weight & 1
+        ones, mask, weight = self._parity
+        return bound * ones, mask, bound * weight & 1
 
     def add(self, c1, c2):
         return tuple((a + b) % m for a, b, m in zip(c1, c2, self.moduli))
 
 
 def homogeneous_component(f: LaurentPoly, grading: Grading, cls) -> LaurentPoly:
-    """Sub-polynomial of terms whose exponent maps to the given class.
+    """Sub-polynomial of terms whose exponent maps to the given class: its
+    entry in `graded_components`, zero when f has no term of that class.
 
-    ValueError unless `cls` is a class of the grading: one entry per modulus
-    m, each in [0, m).
+    RankMismatchError unless f's rank is the grading's, then ValueError
+    unless `cls` is a class of the grading: one entry per modulus m, each in
+    [0, m).
     """
     cls = tuple(cls)
-    parity = grading._parity_reader(f.rank, f._bound)
+    grading._parity_reader(f.rank, f._bound)   # the rank check comes first
     if len(cls) != len(grading.moduli) or not all(
             0 <= c < m for c, m in zip(cls, grading.moduli)):
         raise ValueError(f"{cls} is not a class of a grading with moduli {grading.moduli}")
-    if parity is None:
-        return (graded_components(f, grading).get(cls)
-                or _trusted(f.rank, f.modulus, {}, f._bound))
-    # mod 2: compare the parity of the masked bits with the one it must have
-    lift, mask, flip = parity
-    want = (cls[0] + flip) & 1
-    kept = {k: c for k, c in f._packed.items()
-            if ((k + lift) & mask).bit_count() & 1 == want}
-    return _trusted(f.rank, f.modulus, kept, f._bound)
+    return (graded_components(f, grading).get(cls)
+            or _trusted(f.rank, f.modulus, {}, f._bound))
 
 
 def parity_split(f: LaurentPoly, grading: Grading) -> tuple:

@@ -349,15 +349,12 @@ class LatticeModel:
         per_type = [_type_tuples(f.kind, f.rank) for f in factors]
         put(spec=spec, factors=factors, offsets=ends[:-1], total_rank=ends[-1],
             _cartan=tuple(cartan for cartan, _ in per_type),
-            _residue=tuple(residue for _, residue in per_type),
-            _center=tuple(center_group(f.kind, f.rank) for f in factors))
+            _residue=tuple(residue for _, residue in per_type))
         self._validate_kernel()
         put(kernel_residues=tuple(tuple(self._entry_tuple(t, fi) for fi, t in enumerate(gen))
                                   for gen in spec.center_kernel))
         put(congruences=self._build_congruences())
-        grading = congruence_grading(self.congruences, self.total_rank)
-        put(grading=grading, tstar_index=math.prod(grading.moduli),
-            fw_degrees=grading.images)
+        put(grading=congruence_grading(self.congruences, self.total_rank))
 
     # -- construction helpers ----------------------------------------------
     def _basis_vec(self, i):
@@ -367,17 +364,17 @@ class LatticeModel:
         for gen in self.spec.center_kernel:
             if len(gen) != len(self.factors):
                 raise ValueError("kernel tuple length != number of factors")
-            for t, grp in zip(gen, self._center):
-                if len(grp) == 1:
+            for t, residue in zip(gen, self._residue):
+                if len(residue) == 1:
                     if not isinstance(t, int):
                         raise ValueError(f"kernel entry {t!r} must be an int")
                 else:
-                    if not (isinstance(t, tuple) and len(t) == len(grp)):
-                        raise ValueError(f"kernel entry {t!r} must be a {len(grp)}-tuple")
+                    if not (isinstance(t, tuple) and len(t) == len(residue)):
+                        raise ValueError(f"kernel entry {t!r} must be a {len(residue)}-tuple")
 
     def _entry_tuple(self, t, fi):
-        grp = self._center[fi]
-        return (t % grp[0],) if len(grp) == 1 else tuple(x % m for x, m in zip(t, grp))
+        residue = self._residue[fi]
+        return tuple(x % m for x, (_, m) in zip((t,) if len(residue) == 1 else t, residue))
 
     def _build_congruences(self):
         out = []

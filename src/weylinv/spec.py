@@ -131,7 +131,7 @@ def parse_spec(text: str) -> GroupSpec:
             split_at = i
             break
     prod_text = s if split_at is None else s[:split_at]
-    center_text = None if split_at is None else s[split_at + 1:]
+    center_text = None if split_at is None else s[split_at + 1:].strip()
 
     p = prod_text.replace(" ", "")
     if p.startswith("(") and p.endswith(")"):

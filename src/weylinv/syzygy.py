@@ -646,7 +646,7 @@ def block_inverse_mod(kind: str, n: int, d: int):
 
 def degree_one_orbits(model: LatticeModel) -> tuple:
     """(indices, orbit sizes) of the degree-1 fundamental weights, in index order."""
-    deg1 = tuple(i for i in range(model.total_rank) if model.fw_degrees[i] == (1,))
+    deg1 = tuple(i for i in range(model.total_rank) if model.grading.images[i] == (1,))
     return deg1, tuple(orbit_size(model, model._basis_vec(i)) for i in deg1)
 
 
@@ -671,7 +671,7 @@ def gcd_chain(model: LatticeModel) -> GcdChain:
     if model.grading.moduli != (2,):
         raise ValueError("gcd chain requires an index-2 grading")
     deg1, sizes = degree_one_orbits(model)
-    order = deg1 + tuple(i for i in range(model.total_rank) if model.fw_degrees[i] == (0,))
+    order = deg1 + tuple(i for i in range(model.total_rank) if model.grading.images[i] == (0,))
     np_ = len(deg1)
     d_chain = [0] * np_
     bez = [[0] * np_ for _ in range(np_)]
@@ -716,7 +716,7 @@ def reduction_data(model: LatticeModel) -> tuple:
     """
     chain, rho = gcd_chain(model), fundamental_orbit_sums(model)
     rho_wrong = tuple(homogeneous_component(r, model.grading, ((1 - deg) % 2,))
-                      for r, (deg,) in zip(rho, model.fw_degrees))
+                      for r, (deg,) in zip(rho, model.grading.images))
     return chain, rho, rho_wrong
 
 
@@ -792,7 +792,7 @@ def graded_parts(model: LatticeModel, f: tuple, rho: tuple, rho_wrong: tuple) ->
     """
     check_dot(f, rho)
     xs, ys, wrong = [], [], []
-    for p, r, s, (deg,) in zip(f, rho, rho_wrong, model.fw_degrees):
+    for p, r, s, (deg,) in zip(f, rho, rho_wrong, model.grading.images):
         p0, p1 = parity_split(p, model.grading)
         w, right = (p1, p0) if deg == 0 else (p0, p1)
         xs += (w, right - w)

@@ -14,8 +14,8 @@ from pathlib import Path
 from weylinv.fuzz import _divisor_or_lead
 from weylinv.generators import GeneratorSet, _rho_tilde_w
 from weylinv.intlinalg import (
-    _echelon, _eliminate, congruence_kernel, hnf, hnf_with_transform, lattice_coordinates,
-    snf_with_left, xgcd,
+    _echelon, congruence_kernel, det_adjugate, det_int, hnf, hnf_with_transform,
+    lattice_coordinates, snf_with_left, xgcd,
 )
 from weylinv.invariants import (
     InvariantLattice, QuotientRing, _is_diag_kernel, _symplectic_like, c2,
@@ -620,14 +620,20 @@ def parabolic_order_oracle(kind, rank, zeros):
     return total
 
 
+def leading_minors(m):
+    """The leading principal minors of a square integer matrix, each the
+    det_int of its leading block."""
+    return [det_int([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
 @lru_cache(maxsize=None)
 def eliminated_adjugate(kind, rank):
     """(adj K, det K) for K = killing_gram(kind, rank), from one dense
-    Bareiss elimination, with its positive-definiteness and K adj K = det K I
-    checks over the whole matrix."""
+    Bareiss elimination, with its positive-definiteness (every leading
+    minor positive) and K adj K = det K I checks over the whole matrix."""
     k = killing_gram(kind, rank)
-    det, adj, minors = _eliminate(k)
-    if minors is None or min(minors) <= 0:
+    det, adj = det_adjugate(k)
+    if min(leading_minors(k)) <= 0:
         raise AssertionError("Killing Gram matrix is not positive definite")
     if any(sum(k[i][m] * adj[m][j] for m in range(rank)) != det * (i == j)
            for i in range(rank) for j in range(rank)):
@@ -906,7 +912,7 @@ def full_normalized(model, f, combo):
     transform_d = model_transform(model)[1].reduce(d)
     syz = []
     for i in range(n):
-        want = ((1 - model.fw_degrees[i][0]) % 2,)
+        want = ((1 - model.grading.images[i][0]) % 2,)
         comp = homogeneous_component(f[i], model.grading, want)
         syz.append(reduce_coefficients(comp, d))
     try:
@@ -919,7 +925,7 @@ def full_normalized(model, f, combo):
     if dot(g, rho) != combo:
         raise AssertionError("normalization changed the combination")
     for i in range(n):
-        want = ((1 - model.fw_degrees[i][0]) % 2,)
+        want = ((1 - model.grading.images[i][0]) % 2,)
         comp = homogeneous_component(g[i], model.grading, want)
         if not reduce_coefficients(comp, d).is_zero():
             raise AssertionError("normalized component does not vanish mod d")
@@ -935,7 +941,7 @@ def full_normalized(model, f, combo):
 def wrong_degree_mod(model, f, d=None):
     """(f_i^{(1-|i|)})_i, each entry's component of the degree its weight's
     class does not call for, reduced mod d unless d is None."""
-    parts = tuple(homogeneous_component(p, model.grading, ((1 - model.fw_degrees[i][0]) % 2,))
+    parts = tuple(homogeneous_component(p, model.grading, ((1 - model.grading.images[i][0]) % 2,))
                   for i, p in enumerate(f))
     return parts if d is None else tuple(reduce_coefficients(p, d) for p in parts)
 

@@ -279,11 +279,18 @@ class TestParse:
     def test_bad_residues(self, center, capsys):
         # digits, '-' and ',' that do not split into integers
         text = f"(SL(2) x SL(2)) / {center}"
-        with pytest.raises(SpecParseError, match=re.escape(f"bad residues in center ' {center}'")):
+        with pytest.raises(SpecParseError, match=re.escape(f"bad residues in center '{center}'")):
             parse_spec(text)
         assert main(["invariants", "--spec", text]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: bad residues in center ' {center}'"]
+            f"error: bad residues in center '{center}'"]
+
+    def test_bad_center_quotes_the_stripped_text(self, capsys):
+        text = "(SL(2) x SL(2)) / mu(2)[1,"
+        with pytest.raises(SpecParseError, match=re.escape("bad center 'mu(2)[1,'")):
+            parse_spec(text)
+        assert main(["invariants", "--spec", text]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: bad center 'mu(2)[1,'"]
 
     def test_round_trip(self):
         for text in ["SL(2)", "(SL(8) x SL(8)) / mu(2)", "PGO(8)",
@@ -596,15 +603,21 @@ class TestRun:
         ("(Sp(4) x Sp(4))/mu(2)", ["1 * x1", "0", "0", "0"],
          "error: the combination is not in R[T*]"),
         ("(Sp(4) x Sp(4))/mu(2)", ["1 * x1^4294967296", "0", "0", "0"],
-         "error: exponent (4294967296, 0, 0, 0) is outside the packed range +-2147483647"),
-    ], ids=["non-AC-factor", "not-degree-0", "exponent-out-of-range"])
+         "error: entry 1 of --input {path!r}: "
+         "exponent (4294967296, 0, 0, 0) is outside the packed range +-2147483647"),
+        ("(Sp(4) x Sp(4))/mu(2)", ["1", "1", "1 * x1^a", "1"],
+         "error: entry 3 of --input {path!r}: invalid literal for int() with base 10: 'a'"),
+        ("(Sp(4) x Sp(4))/mu(2)", ["1", "x9", "1", "1"],
+         "error: entry 2 of --input {path!r}: variable x9 out of rank 4"),
+    ], ids=["non-AC-factor", "not-degree-0", "exponent-out-of-range", "bad-exponent-text",
+            "variable-out-of-rank"])
     def test_reduce_bad_input_is_a_usage_error(self, tmp_path, capsys, spec, entries, message):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(entries))
         code = main(["reduce", "--spec", spec, "--input", str(path)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.splitlines() == [message]
+        assert err.splitlines() == [message.format(path=str(path))]
 
     def test_a_closure_witness_outside_q_is_refused(self, monkeypatch, capsys):
         # no closed form covers this spec, so its Sdec is Dec joined with the
@@ -694,6 +707,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot read")
+
+    def test_reduce_input_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text("not json")
+        code = main(["reduce", "--spec", "(Sp(4) x Sp(4))/mu(2)", "--input", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot parse --input {str(path)!r}: "
+            "Expecting value: line 1 column 1 (char 0)"]
 
     def test_reduce_non_string_entries(self, tmp_path, capsys):
         path = tmp_path / "f.json"

@@ -38,7 +38,7 @@ from _helpers import _bench_inputs, dense_build_generators, golden_reduce_inputs
 REDUCE_SPECS = [spec for spec, _ in _bench_inputs().REDUCE_SPECS]
 # the specs with an h3 position, a degree-0 fundamental weight, where step 2 can act
 STEP2_SPECS = [spec for spec in REDUCE_SPECS
-               if (0,) in compile_spec(parse_spec(spec)).fw_degrees]
+               if (0,) in compile_spec(parse_spec(spec)).grading.images]
 
 
 def pgsp4():
@@ -330,7 +330,7 @@ class TestErrorOrder:
         b = spin5xspin5()
         n = b.total_rank
         zero = LaurentPoly.zero(n, 0)
-        deg1 = next(i for i in range(n) if b.fw_degrees[i] == (1,))
+        deg1 = next(i for i in range(n) if b.grading.images[i] == (1,))
         outside = tuple(LaurentPoly.const(n, 1, 0) if i == deg1 else zero for i in range(n))
         top = tuple(LaurentPoly.monomial(n, (EXPONENT_LIMIT,) + (0,) * (n - 1)) if i == deg1
                     else zero for i in range(n))
@@ -724,7 +724,7 @@ def step_inputs(draw):
     f = list(combination_to_tuple(gs, combo))
     if chain.nprime < n:
         e = draw(st.sampled_from([m._basis_vec(k) for k in range(n)
-                                  if m.fw_degrees[k] == (1,)]))
+                                  if m.grading.images[k] == (1,)]))
         k = chain.order[draw(st.integers(chain.nprime, n - 1))]
         f = [a + b for a, b in zip(f, _step2_tuple(gs, LaurentPoly.monomial(n, e), k))]
     index = st.integers(0, n - 1)

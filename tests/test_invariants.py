@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from weylinv import intlinalg, invariants, rootdata
 from weylinv.cli import main, parse_spec
 from weylinv.generators import build_generators
-from weylinv.intlinalg import _eliminate, hnf, lattice_contains, smallest_prime_factor
+from weylinv.intlinalg import det_adjugate, hnf, lattice_contains, smallest_prime_factor
 from weylinv.invariants import (
     DecMismatchError,
     InvariantLattice,
@@ -45,9 +45,9 @@ from weylinv.rootdata import (
 import _helpers
 from _helpers import (
     _bench_inputs, _dominant_pairs, _generator_images, _zero_sum_slices, bounded_weights,
-    box_dec_rows, c2_orbit, center_residues, davenport_bound, element_rows, explicit_elements,
-    fac_c, factor_davenport, fraction_det, fundamental_weight, golden_specs, group_order,
-    in_tstar, lattice_from_congruence, model, oracle_specs,
+    box_dec_rows, c2_orbit, center_residues, davenport_bound, eliminated_adjugate, element_rows,
+    explicit_elements, fac_c, factor_davenport, fraction_det, fundamental_weight, golden_specs,
+    group_order, in_tstar, lattice_from_congruence, leading_minors, model, oracle_specs,
     q_oracle, quotient_mul, quotient_reduction, residue_allowed, tstar_basis, two_pass_buckets,
     witness_rows, zero_class,
 )
@@ -726,13 +726,12 @@ class TestClosedFormC2:
         # elimination, at ranks 1-40 of every series
         kind, lo = kind_lo
         rank = min(lo + extra, 40)
-        det, adj, minors = _eliminate(killing_gram(kind, rank))
-        assert min(minors) > 0
-        assert _killing_adjugate(kind, rank) == (tuple(map(tuple, adj)), det)
+        # eliminated_adjugate also checks that every leading minor is positive
+        assert _killing_adjugate(kind, rank) == eliminated_adjugate(kind, rank)
 
     @pytest.mark.parametrize("kind, rank", [("E6", 6), ("E7", 7)])
     def test_tree_adjugate_of_e(self, kind, rank):
-        det, adj, _ = _eliminate(killing_gram(kind, rank))
+        det, adj = det_adjugate(killing_gram(kind, rank))
         assert _killing_adjugate(kind, rank) == (tuple(map(tuple, adj)), det)
 
     @settings(max_examples=200, deadline=None)
@@ -750,9 +749,9 @@ class TestClosedFormC2:
             if p >= 0:
                 x = data.draw(st.integers(-3, 3).filter(bool))
                 gram[perm[i]][perm[p]] = gram[perm[p]][perm[i]] = x
-        det, adj, minors = _eliminate(gram)
+        det, adj = det_adjugate(gram)
         with mock.patch.object(invariants, "killing_gram", lambda kind, rank: gram):
-            if minors is not None and min(minors) > 0:
+            if min(leading_minors(gram)) > 0:
                 assert invariants._killing_adjugate.__wrapped__("A", n) == (
                     tuple(map(tuple, adj)), det)
             else:
@@ -773,7 +772,7 @@ class TestClosedFormC2:
             gram[i][j] = gram[j][i] = data.draw(st.integers(-3, 3).filter(bool))
         for i in range(n):
             gram[i][i] = 1 + sum(abs(x) for x in gram[i])
-        assert min(_eliminate(gram)[2]) > 0
+        assert min(leading_minors(gram)) > 0
         with mock.patch.object(invariants, "killing_gram", lambda kind, rank: gram):
             with pytest.raises(AssertionError, match="cycle"):
                 invariants._killing_adjugate.__wrapped__("A", n)
@@ -792,7 +791,7 @@ class TestClosedFormC2:
         # the tree formulas read K_ij = K_ji; the unsymmetrised B3 Cartan
         # matrix, positive leading minors and all, is refused
         gram = rootdata.cartan_rows("B", 3)
-        assert min(_eliminate(gram)[2]) > 0
+        assert min(leading_minors(gram)) > 0
         monkeypatch.setattr(invariants, "killing_gram", lambda kind, rank: gram)
         with pytest.raises(AssertionError, match="not symmetric"):
             invariants._killing_adjugate.__wrapped__("B", 3)
@@ -986,7 +985,7 @@ class TestClosureWitness:
         strict = {}
         for text in dict.fromkeys(golden_specs() + oracle_specs()):
             md = compile_spec(parse_spec(text))
-            table = sdec_table(md, compute_Dec(md))
+            table = sdec_table(md, compute_Dec(md), compute_Q(md))
             if table is None:
                 continue
             join = closure_sdec(md)
@@ -1018,7 +1017,7 @@ class TestClosureWitness:
         for ns, k in specs:
             text = f"({' x '.join(f'SL({n})' for n in ns)}) / mu({k})"
             md = compile_spec(parse_spec(text))
-            table, join = sdec_table(md, compute_Dec(md)), closure_sdec(md)
+            table, join = sdec_table(md, compute_Dec(md), compute_Q(md)), closure_sdec(md)
             assert table.includes(join), text
             if not table.same_rows(join):
                 strict.append(text)
@@ -1051,7 +1050,7 @@ def reduce_oracle(ring, f):
     oracle."""
     out = {}
     for e, c in f.terms.items():
-        cls = ring.class_of(e)
+        cls = ring.grading.of_exponent(e)
         v = out.get(cls, 0) + c
         if ring.modulus:
             v %= ring.modulus
@@ -1118,7 +1117,7 @@ class TestQuotientReduction:
         md = model(SimpleFactor("C", 3))
         cong = [(list(v), m) for v, m in md._residue[0]]
         ring = QuotientRing(3, cong, 0)
-        cls1 = ring.class_of((1, 0, 0))
+        cls1 = ring.grading.of_exponent((1, 0, 0))
         for i in range(3):
             rho_b = orbit_poly(md, fundamental_weight(md, 0, i), augmented=True)
             img = ring.reduce(rho_b)

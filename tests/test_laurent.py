@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylinv import laurent
 from weylinv.fuzz import random_poly
 from weylinv.laurent import (
     EXPONENT_LIMIT,
@@ -650,6 +651,34 @@ class TestArithmeticClassifier:
                 graded_components(f, g)
             with pytest.raises(RankMismatchError):
                 parity_split(f, g)
+
+    def test_one_z2_reads_classes_only_through_parity_split(self, monkeypatch):
+        # on one Z/2 a component is its part of parity_split's one pass: no
+        # exponent is unpacked, and the rank and class checks read no class
+        g = Grading((2,), [(1,), (0,), (1,)])
+        f = P(3, {(0, 0, 0): 1, (1, 0, 0): 2, (1, 1, 1): 3, (0, 5, 1): 4, (-3, 2, 0): 5})
+        want = {cls: P(3, {e: c for e, c in f.terms.items() if g.of_exponent(e) == cls})
+                for cls in classes(g)}
+        calls = []
+        split = laurent.parity_split
+        monkeypatch.setattr(laurent, "parity_split",
+                            lambda *args: calls.append(args) or split(*args))
+        monkeypatch.setattr(Grading, "of_exponent", lambda *args: pytest.fail("of_exponent"))
+        for cls, part in want.items():
+            assert homogeneous_component(f, g, cls) == part
+        assert len(calls) == 2
+        with pytest.raises(RankMismatchError):   # before the class is checked
+            homogeneous_component(P(2, {(0, 0): 1}), g, (9, 9))
+        with pytest.raises(ValueError, match="is not a class"):
+            homogeneous_component(f, g, (2,))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("moduli", [(), (3,), (4,), (2, 2), (2, 3)])
+    def test_only_one_z2_holds_parity_data(self, moduli):
+        images = [tuple(range(1, len(moduli) + 1))] * 3
+        assert Grading(moduli, images)._parity is None
+        z2 = Grading((2,), [(1,), (0,), (1,)])
+        assert z2._parity is not None and not hasattr(z2, "_ones")
 
     @pytest.mark.parametrize("moduli,bad", [
         ((2,), [(2,), (3,), (-1,), (0, 0), ()]),

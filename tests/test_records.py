@@ -28,7 +28,7 @@ from weylinv import (
     parse_spec,
 )
 from weylinv.invariants import InvariantReport
-from weylinv.rootdata import cartan_rows, frozen_setattr, residue_functionals
+from weylinv.rootdata import cartan_rows, center_group, frozen_setattr, residue_functionals
 
 # (type, fields, defaults of the trailing fields, frozen)
 RECORDS = [
@@ -70,10 +70,8 @@ def test_lattice_model_is_immutable():
     assert model.offsets == (0, 1)
     assert model._cartan[1][3] == (0, 0, -1, 2, 0)
     assert model._residue == ((((1,), 2),), (((2, 0, 2, 1, 3), 4),))
-    assert model._center == ((2,), (4,))
-    for name in ("offsets", "_cartan", "_residue", "_center", "factors",
-                 "congruences", "fw_degrees"):
-        value = getattr(model, name)
+    for name in ("offsets", "_cartan", "_residue", "factors", "congruences", "grading.images"):
+        value = model.grading.images if name == "grading.images" else getattr(model, name)
         assert isinstance(value, tuple), name
         assert all(not isinstance(x, (list, dict, set)) for x in value), name
     for name in ("offsets", "grading", "spec", "not_a_field"):
@@ -86,21 +84,21 @@ def test_lattice_model_is_immutable():
 
 
 def test_models_share_their_per_type_tuples():
-    # the Cartan, residue and centre tuples are built once per (kind, rank)
+    # the Cartan and residue tuples are built once per (kind, rank); the
+    # residue moduli are the centre's invariant factors
     a = compile_spec(parse_spec("(SL(2) x Spin(10)) / mu(2)"))
     b = compile_spec(parse_spec("Spin(10) x SL(2) x Spin(10)"))
-    for name in ("_cartan", "_residue", "_center"):
+    for name in ("_cartan", "_residue"):
         x, y = getattr(a, name), getattr(b, name)
         assert x[0] is y[1] and x[1] is y[0] is y[2], name
     for model in (a, b):
-        for f, cartan, residue, center in zip(model.factors, model._cartan, model._residue,
-                                              model._center):
+        for f, cartan, residue in zip(model.factors, model._cartan, model._residue):
             assert cartan == tuple(map(tuple, cartan_rows(f.kind, f.rank)))
             assert residue == tuple((tuple(v), m) for v, m in residue_functionals(f.kind, f.rank))
-            assert center == tuple(m for _, m in residue)
+            assert tuple(m for _, m in residue) == center_group(f.kind, f.rank)
     assert b._cartan[0][3] == (0, 0, -1, 2, 0)
     assert b._residue == ((((2, 0, 2, 1, 3), 4),), (((1,), 2),), (((2, 0, 2, 1, 3), 4),))
-    assert b._center == ((4,), (2,), (4,))
+    assert tuple(tuple(m for _, m in r) for r in b._residue) == ((4,), (2,), (4,))
 
 
 # repr text as the dataclasses printed it

@@ -292,7 +292,7 @@ class TestNormalizeCoefficients:
     def test_degree_one_gcd(self):
         m = self._model()
         sizes = [orbit_size(m, m._basis_vec(i))
-                 for i in range(4) if m.fw_degrees[i] == (1,)]
+                 for i in range(4) if m.grading.images[i] == (1,)]
         assert degree_one_gcd(m) == math.gcd(*sizes) == 4
 
     def test_zero_syzygy_branch(self):
@@ -303,7 +303,7 @@ class TestNormalizeCoefficients:
         # divisible by d, so the mod-d syzygy is zero and f is unchanged
         f = []
         for i in range(n):
-            cls = m.fw_degrees[i]
+            cls = m.grading.images[i]
             terms = {}
             for e in [(1, 0, 1, 0), (0, 1, 0, 0)]:
                 if m.grade_of_weight(e) == cls:
@@ -343,7 +343,7 @@ class TestNormalizeCoefficients:
                 combo2 = combo2 + gi * ri
             assert combo2 == combo
             for i in range(n):
-                want = ((1 - m.fw_degrees[i][0]) % 2,)
+                want = ((1 - m.grading.images[i][0]) % 2,)
                 comp = homogeneous_component(g[i], m.grading, want)
                 assert reduce_coefficients(comp, d).is_zero()
 
@@ -358,7 +358,7 @@ class TestNormalizeCoefficients:
         m = self._model()
         n = m.total_rank
         zero = LaurentPoly.zero(n, 0)
-        deg1 = next(i for i in range(n) if m.fw_degrees[i] == (1,))
+        deg1 = next(i for i in range(n) if m.grading.images[i] == (1,))
         # 1 * rho_i of a degree-1 fundamental weight is a degree-1 combination
         f = tuple(LaurentPoly.const(n, 1, 0) if i == deg1 else zero for i in range(n))
         with pytest.raises(ValueError, match="the combination is not of degree 0"):
@@ -526,7 +526,7 @@ class TestGradedParts:
         deg1, wrong = syzygy_module.graded_parts(m, f, rho, rho_wrong)
         assert deg1 == homogeneous_component(dot(f, rho), m.grading, (1,))
         assert wrong == tuple(
-            homogeneous_component(p, m.grading, ((1 - m.fw_degrees[i][0]) % 2,))
+            homogeneous_component(p, m.grading, ((1 - m.grading.images[i][0]) % 2,))
             for i, p in enumerate(f))
 
     @pytest.mark.parametrize("spec", GRADED_PARTS_SPECS)
@@ -536,9 +536,9 @@ class TestGradedParts:
         m = compile_spec(parse_spec(spec))
         _, rho, rho_wrong = reduction_data(m)
         for i, (r, s) in enumerate(zip(rho, rho_wrong)):
-            assert s == homogeneous_component(r, m.grading, ((1 - m.fw_degrees[i][0]) % 2,))
+            assert s == homogeneous_component(r, m.grading, ((1 - m.grading.images[i][0]) % 2,))
             size = orbit_size(m, m._basis_vec(i))
-            want = -size if m.fw_degrees[i] == (1,) else 0
+            want = -size if m.grading.images[i] == (1,) else 0
             assert s == LaurentPoly.const(m.total_rank, want, 0)
 
 
@@ -599,7 +599,7 @@ class TestReductionData:
         assert chain == gcd_chain(m) and d == degree_one_gcd(m) == 2
         assert rho == fundamental_orbit_sums(m)
         assert rho_wrong == tuple(
-            homogeneous_component(r, m.grading, ((1 - m.fw_degrees[i][0]) % 2,))
+            homogeneous_component(r, m.grading, ((1 - m.grading.images[i][0]) % 2,))
             for i, r in enumerate(rho))
         assert rho_d == tuple(reduce_coefficients(r, d) for r in rho)
         # the transform over Z reduced mod d, its inverse, and the checked flat image
