@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .laurent import LaurentPoly, augmentation, dot, homogeneous_component
+from .laurent import LaurentPoly, augmentation, dot, dots, homogeneous_component
 from .rootdata import LatticeModel
 from .syzygy import (  # noqa: F401  (GcdChain and gcd_chain are public here too)
     GcdChain,
@@ -180,29 +180,25 @@ def expand_combination(gs: GeneratorSet, combo: dict) -> LaurentPoly:
                LaurentPoly.zero(gs.model.total_rank, 0))
 
 
-def combination_to_tuple(gs: GeneratorSet, combo: dict) -> tuple:
-    """Rewrite a generator combination as an f-tuple with sum f_i rho_i."""
-    n = gs.model.total_rank
-    rows = [gs.rows_for(name) for name in combo]
-    zero = LaurentPoly.zero(n, 0)
-    return tuple(dot(combo.values(), [r[j] for r in rows], zero) for j in range(n))
-
-
-def _tuple_proves(gs: GeneratorSet, f, combo: dict, goal: tuple) -> bool:
-    """Whether F_j = f_j + sum_g c_g row_g[j] equals goal_j for every j.
-
-    One pass over each row's nonzero entries sorts the pairs (c_g, row_g[j])
-    by position; each position's pairs are then summed onto f_j by `dot`,
-    with its ring and exponent-range checks.
-    """
-    xs, ys = [[] for _ in f], [[] for _ in f]
+def _row_terms(gs: GeneratorSet, combo: dict):
+    """(j, c_g, row_g[j]) for each nonzero entry of each combination row."""
     for name, c in combo.items():
         for j, r in enumerate(gs.rows_for(name)):
             if r:
-                xs[j].append(c)
-                ys[j].append(r)
-    return all((dot(x, y, fj) if x else fj) == gj
-               for x, y, fj, gj in zip(xs, ys, f, goal))
+                yield j, c, r
+
+
+def combination_to_tuple(gs: GeneratorSet, combo: dict) -> tuple:
+    """Rewrite a generator combination as an f-tuple with sum f_i rho_i."""
+    zero = LaurentPoly.zero(gs.model.total_rank, 0)
+    return tuple(dots(_row_terms(gs, combo), [zero] * gs.model.total_rank))
+
+
+def _tuple_proves(gs: GeneratorSet, f, combo: dict, goal: tuple) -> bool:
+    """Whether F_j = f_j + sum_g c_g row_g[j] equals goal_j for every j:
+    `dots` sums the rows' nonzero entries onto f, with dot's ring and
+    exponent-range checks."""
+    return dots(_row_terms(gs, combo), f) == list(goal)
 
 
 def _accepted(model: LatticeModel, gs: GeneratorSet | None) -> GeneratorSet:
@@ -257,7 +253,7 @@ def reduce_to_generators(model: LatticeModel, f, gs: GeneratorSet | None = None)
     d = chain.d
     grading = model.grading
 
-    deg1, wrong = graded_parts(model, f_in, rho, reduction_data(model)[2])
+    deg1, wrong = graded_parts(model, f_in)
     if deg1:
         raise ValueError("the combination is not in R[T*]")
 

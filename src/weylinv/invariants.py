@@ -750,7 +750,6 @@ class QuotientRing:
     """(Z/m)[Lambda / Lambda'] for a finite-index sublattice of Z^n."""
 
     def __init__(self, rank: int, congruences, modulus: int = 0):
-        self.rank = rank
         self.modulus = modulus
         self.grading = congruence_grading(congruences, rank)
 
@@ -787,7 +786,10 @@ def pgo8_lambda_prime():
 
 
 def pgo8_parity_check(f_tuple) -> dict:
-    """Parity report for x = sum f_i rho_i on the adjoint D4 lattice."""
+    """Parity report for x = sum f_i rho_i on the adjoint D4 lattice:
+    whether x lies in Z[T*] (`in_tstar`), whether f_1, f_3 and f_4 have even
+    augmentation (`parities_even`), and whether x is constant in
+    (Z/16)[Lambda/T*] (`z16_constant`)."""
     model = pgo8_model()
     n = model.total_rank
     f_tuple = tuple(f_tuple)
@@ -795,23 +797,12 @@ def pgo8_parity_check(f_tuple) -> dict:
         raise ValueError("expected a 4-tuple")
     x = dot(f_tuple, fundamental_orbit_sums(model), LaurentPoly.zero(n, 0))
     comps = graded_components(x, model.grading)
-    in_tstar = set(comps) <= {model.grading.zero}
-    report = {
-        "in_tstar": in_tstar,
-        "augmentations": tuple(augmentation(fi) for fi in f_tuple),
+    return {
+        "in_tstar": set(comps) <= {model.grading.zero},
         "parities_even": tuple(augmentation(f_tuple[i]) % 2 == 0 for i in (0, 2, 3)),
+        "z16_constant": all(augmentation(comp) % 16 == 0
+                            for cls, comp in comps.items() if cls != model.grading.zero),
     }
-    comp_sums = []
-    for i in (0, 2, 3):
-        sums = {}
-        for cls, comp in graded_components(f_tuple[i], model.grading).items():
-            sums[cls] = augmentation(comp)
-        comp_sums.append(sums)
-    report["component_sums"] = tuple(comp_sums)
-    # the image of x in (Z/16)[Lambda/T*] is constant
-    report["z16_constant"] = all(augmentation(comp) % 16 == 0
-                                 for cls, comp in comps.items() if cls != model.grading.zero)
-    return report
 
 
 # --------------------------------------------------------------------------

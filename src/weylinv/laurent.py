@@ -396,6 +396,21 @@ def dot(xs, ys, start=None) -> LaurentPoly:
     return _trusted(rank, m, out, bound)
 
 
+def dots(triples, starts) -> list:
+    """[starts[j] + sum of x * y over the triples (j, x, y)] for each position j.
+
+    One pass sorts the triples by position, keeping their order; a position
+    with pairs is one `dot` from its start, so each check and error is dot's,
+    raised at the same pair, positions in order, and a position with none
+    returns its start.
+    """
+    xs, ys = [[] for _ in starts], [[] for _ in starts]
+    for j, x, y in triples:
+        xs[j].append(x)
+        ys[j].append(y)
+    return [dot(x, y, s) if x else s for x, y, s in zip(xs, ys, starts)]
+
+
 def check_dot(xs, ys) -> None:
     """Raise what `dot(xs, ys)` raises, at the pair where it raises, without
     forming a product: dot's multiplications raise nothing, so its errors are

@@ -120,17 +120,17 @@ def weyl_order(kind: str, n: int) -> int:
     return stabilizer_order(kind, n, ())
 
 
-@lru_cache(maxsize=None)
 def center_group(kind: str, n: int):
     """Invariant factors of the center character group of the factor: the
-    moduli of residue_functionals(), computed once per (kind, n)."""
-    return tuple(m for _, m in residue_functionals(kind, n))
+    moduli of its residue forms, read off `_type_tuples`."""
+    return tuple(m for _, m in _type_tuples(kind, n)[1])
 
 
 @lru_cache(maxsize=None)
 def _type_tuples(kind: str, n: int) -> tuple:
     """(Cartan rows, residue forms) of one (kind, n) factor as nested tuples,
-    built once per process: every model with such a factor shares them."""
+    built once per process: every model with such a factor, and every
+    per-type reader (`center_group`, `center_order`, `killing_gram`), shares them."""
     return (tuple(map(tuple, cartan_rows(kind, n))),
             tuple((tuple(v), m) for v, m in residue_functionals(kind, n)))
 
@@ -139,7 +139,7 @@ def center_order(kind: str, n: int, entry) -> int:
     """Order of a kernel entry (an int, or a pair for D-even) in center_group()."""
     entries = entry if isinstance(entry, tuple) else (entry,)
     order = 1
-    for x, m in zip(entries, center_group(kind, n)):
+    for x, (_, m) in zip(entries, _type_tuples(kind, n)[1]):
         order = math.lcm(order, m // math.gcd(x, m))
     return order
 
@@ -181,7 +181,7 @@ def killing_gram(kind: str, n: int) -> tuple:
     The diagram is a tree whose edge list reaches one new node per edge, so d
     spreads from node 0 along it.
     """
-    c = cartan_rows(kind, n)
+    c = _type_tuples(kind, n)[0]
     d = [1] + [0] * (n - 1)
     for a, b in diagram_edges(kind, n):
         i, j = (a, b) if d[a] else (b, a)   # i is reached, j is new
@@ -334,10 +334,14 @@ class LatticeModel:
     caller of a spec): assignment and deletion raise
     `dataclasses.FrozenInstanceError`, and the per-factor data are tuples.
 
-    `kernel_residues` holds each kernel generator with every entry read once
-    as its residue tuple in the factor's centre (`_entry_tuple`: an int as a
-    1-tuple, a D-even pair reduced mod 2 entrywise); the congruences and the
-    closed forms read the kernel only through it.
+    `kernel_residues` is the kernel as the subgroup it generates, read once:
+    each generator's entries become residue tuples in the factors' centres
+    (`_entry_tuple`: an int as a 1-tuple, a D-even pair reduced mod 2
+    entrywise), and the row HNF of these rows stacked on the centre moduli,
+    reduced mod the moduli and with zero rows dropped, is split back into
+    per-factor residue tuples.  Two generating sets of one subgroup give one
+    value, and no row is zero; the congruences and the closed forms read the
+    kernel only through it.
     """
 
     __setattr__ = __delattr__ = frozen_setattr
@@ -351,8 +355,7 @@ class LatticeModel:
             _cartan=tuple(cartan for cartan, _ in per_type),
             _residue=tuple(residue for _, residue in per_type))
         self._validate_kernel()
-        put(kernel_residues=tuple(tuple(self._entry_tuple(t, fi) for fi, t in enumerate(gen))
-                                  for gen in spec.center_kernel))
+        put(kernel_residues=self._kernel_subgroup())
         put(congruences=self._build_congruences())
         put(grading=congruence_grading(self.congruences, self.total_rank))
 
@@ -376,13 +379,24 @@ class LatticeModel:
         residue = self._residue[fi]
         return tuple(x % m for x, (_, m) in zip((t,) if len(residue) == 1 else t, residue))
 
+    def _kernel_subgroup(self):
+        moduli = [m for residue in self._residue for _, m in residue]
+        rows = [[x for fi, t in enumerate(gen) for x in self._entry_tuple(t, fi)]
+                for gen in self.spec.center_kernel]
+        rows += [[m * (i == c) for i in range(len(moduli))] for c, m in enumerate(moduli)]
+        out = []
+        for row in hnf(rows):
+            row = [x % m for x, m in zip(row, moduli)]
+            if any(row):
+                flat = iter(row)
+                out.append(tuple(tuple(next(flat) for _ in residue) for residue in self._residue))
+        return tuple(out)
+
     def _build_congruences(self):
         out = []
         for gen in self.kernel_residues:
             big = math.lcm(*(center_order(f.kind, f.rank, tt)
                              for f, tt in zip(self.factors, gen)))
-            if big == 1:
-                continue
             vec = [0] * self.total_rank
             for tt, residue, off in zip(gen, self._residue, self.offsets):
                 for x, (fvec, m) in zip(tt, residue):

@@ -21,6 +21,7 @@ from .laurent import (
     check_dot,
     degrees,
     dot,
+    dots,
     embed,
     homogeneous_component,
     is_divisor,
@@ -115,15 +116,10 @@ class SyzygyCertificate(namedtuple("SyzygyCertificate", "length rank modulus ent
         if len(t) != self.length:
             raise ValueError("tuple length mismatch")
         # entry (i, j) adds g t_j at i and -g t_i at j
-        xs = [[] for _ in range(self.length)]
-        ys = [[] for _ in range(self.length)]
-        for (i, j), g in self.entries.items():
-            xs[i].append(g)
-            ys[i].append(t[j])
-            xs[j].append(-g)
-            ys[j].append(t[i])
+        triples = (term for (i, j), g in self.entries.items()
+                   for term in ((i, g, t[j]), (j, -g, t[i])))
         zero = LaurentPoly.zero(self.rank, self.modulus)
-        return tuple(dot(x, y, zero) for x, y in zip(xs, ys))
+        return tuple(dots(triples, [zero] * self.length))
 
 
 def _empty_cert(n, rank, modulus):
@@ -296,8 +292,9 @@ def _minors(rows, one):
 
     Returns det_on(mask): the determinant of the last popcount(mask) rows on
     the columns in mask, by Laplace expansion along the first of those rows
-    with the minors memoised on the column bitmask (the rows are implied by
-    its popcount).  It only multiplies and adds, so it is valid over Z/m.  It
+    (one `dot` of its signed entries against the smaller minors) with the
+    minors memoised on the column bitmask (the rows are implied by its
+    popcount).  It only multiplies and adds, so it is valid over Z/m.  It
     skips zero entries, and a column subset on which the bottom rows have an
     all-zero column is a zero minor without expansion.  So a block-diagonal
     matrix only reaches unions of per-block column sets, and the Newton
@@ -320,26 +317,17 @@ def _minors(rows, one):
         if mask & ~support[k]:
             return zero
         row = rows[n - k]
-        pos = neg = None
+        xs, ys = [], []
         rest, odd = mask, False
         while rest:
             low = rest & -rest
             rest ^= low
             a = row[low.bit_length() - 1]
-            if a:
-                sub = det_on(mask ^ low)
-                if sub:
-                    t = a * sub
-                    if odd:
-                        neg = t if neg is None else neg + t
-                    else:
-                        pos = t if pos is None else pos + t
+            if a and (sub := det_on(mask ^ low)):
+                xs.append(-a if odd else a)
+                ys.append(sub)
             odd = not odd
-        if neg is None:
-            acc = zero if pos is None else pos
-        else:
-            acc = -neg if pos is None else pos - neg
-        memo[mask] = acc
+        memo[mask] = acc = dot(xs, ys, zero)
         return acc
 
     return det_on
@@ -365,25 +353,21 @@ def is_unit_monomial(p: LaurentPoly) -> bool:
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    rank, modulus = a[0][0].rank, a[0][0].modulus
-    zero = LaurentPoly.zero(rank, modulus)
-    return [[dot(a[i], [b[s][j] for s in range(k)], zero) for j in range(m)]
-            for i in range(n)]
+    return [vec_mat(row, b) for row in a]
 
 
 def vec_mat(vec, a):
-    n, m = len(a), len(a[0])
-    rank, modulus = a[0][0].rank, a[0][0].modulus
-    zero = LaurentPoly.zero(rank, modulus)
-    return [dot(vec, [a[i][j] for i in range(n)], zero) for j in range(m)]
+    """vec * a, one `dots` over a's nonzero entries."""
+    zero = LaurentPoly.zero(a[0][0].rank, a[0][0].modulus)
+    return dots(((j, v, x) for v, row in zip(vec, a) for j, x in enumerate(row) if x),
+                [zero] * len(a[0]))
 
 
 def mat_inverse_unit(rows) -> list:
     """Inverse of a Laurent-matrix with monomial-unit determinant (adjugate).
 
     The minors that drop row i share one memo over column subsets; the
-    determinant is the Laplace expansion of row 0 against its cofactors.
+    determinant is row 0 dotted with its cofactors, adj's column 0.
     """
     n = len(rows)
     one = _one(rows)
@@ -394,12 +378,8 @@ def mat_inverse_unit(rows) -> list:
         for j in range(n):
             cof = det_on(full ^ (1 << j))
             adj[j][i] = -cof if (i + j) % 2 else cof
-    det = None
-    for j in range(n):
-        if rows[0][j] and adj[j][0]:
-            t = rows[0][j] * adj[j][0]
-            det = t if det is None else det + t
-    if det is None or not is_unit_monomial(det):
+    det = dot(rows[0], [r[0] for r in adj])
+    if not is_unit_monomial(det):
         raise ValueError("matrix determinant is not a unit monomial")
     ((dexp, dc),) = det.terms.items()
     dc_inv = pow(dc, -1, one.modulus) if one.modulus else dc  # +-1 over Z
@@ -432,7 +412,8 @@ def _trivialize_through(q, a, inverse, image, f) -> SyzygyCertificate:
     n = len(q)
     # g = A^{-1} f^t  (row convention: g_i = sum_j inverse[i][j] f_j)
     zero = LaurentPoly.zero(q[0].rank, q[0].modulus)
-    g = tuple(dot(inverse[i], f, zero) for i in range(n))
+    g = dots(((i, x, fj) for i, row in enumerate(inverse) for x, fj in zip(row, f) if x),
+             [zero] * n)
     cert_r = _trivialize_flat(*image, g)
     out = _empty_cert(n, q[0].rank, q[0].modulus)
     for (i, j), c in cert_r.entries.items():
@@ -766,18 +747,17 @@ def normalize_coefficients(model: LatticeModel, f):
     if model.grading.moduli != (2,):
         raise ValueError("coefficient normalization needs an index-2 grading")
     f = _model_tuple(model, f)
-    _, rho, rho_wrong = reduction_data(model)
     _blocks(model)  # FlatnessError unless A/C
-    deg1, wrong = graded_parts(model, f, rho, rho_wrong)
+    deg1, wrong = graded_parts(model, f)
     if deg1:
         raise ValueError("the combination is not of degree 0")
     return _normalized(model, f, wrong)[0]
 
 
-def graded_parts(model: LatticeModel, f: tuple, rho: tuple, rho_wrong: tuple) -> tuple:
+def graded_parts(model: LatticeModel, f: tuple) -> tuple:
     """(deg_1(sum f_i rho_i), wrong) for an integral tuple f of the model's
-    length, without forming the sum; rho and rho_wrong are the model's
-    (`reduction_data`).
+    length, without forming the sum; rho and rho_wrong are read from
+    `reduction_data(model)`.
 
     The class-c component of x y is sum_{a+b=c} x^(a) y^(b) for any grading.
     With w_i = f_i^(1-|i|), f_i's wrong-degree component, and
@@ -790,6 +770,7 @@ def graded_parts(model: LatticeModel, f: tuple, rho: tuple, rho_wrong: tuple) ->
     first what `dot(f, rho)` raises (rings, exponent range), at the pair
     where it raises.
     """
+    _, rho, rho_wrong = reduction_data(model)
     check_dot(f, rho)
     xs, ys, wrong = [], [], []
     for p, r, s, (deg,) in zip(f, rho, rho_wrong, model.grading.images):
@@ -818,7 +799,7 @@ def _normalized(model: LatticeModel, f: tuple, wrong: tuple) -> tuple:
     every wrong-degree component of g (`graded_parts`) zero mod d.
     """
     _blocks(model)  # FlatnessError unless A/C
-    chain, rho, rho_wrong = reduction_data(model)
+    chain, rho, _ = reduction_data(model)
     d = chain.d
     syz = tuple(reduce_coefficients(w, d) for w in wrong)
     if all(s.is_zero() for s in syz):
@@ -836,7 +817,7 @@ def _normalized(model: LatticeModel, f: tuple, wrong: tuple) -> tuple:
     g = tuple(a - b for a, b in zip(f, h))
     if dot(h, rho):
         raise AssertionError("normalization changed the combination")
-    parts = graded_parts(model, g, rho, rho_wrong)[1]
+    parts = graded_parts(model, g)[1]
     if any(reduce_coefficients(w, d) for w in parts):
         raise AssertionError("normalized component does not vanish mod d")
     return g, parts

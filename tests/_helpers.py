@@ -621,9 +621,23 @@ def parabolic_order_oracle(kind, rank, zeros):
 
 
 def leading_minors(m):
-    """The leading principal minors of a square integer matrix, each the
-    det_int of its leading block."""
-    return [det_int([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+    """The leading principal minors of a square integer matrix: the pivots of
+    one fraction-free (Bareiss) elimination without row swaps, whose k-th
+    pivot is the k-th leading minor, and from the first zero pivot on, the
+    det_int of each remaining leading block."""
+    n = len(m)
+    a = [list(row) for row in m]
+    out, prev = [], 1
+    for k in range(n):
+        p = a[k][k]
+        out.append(p)
+        if not p:
+            return out + [det_int([row[:j] for row in m[:j]]) for j in range(k + 2, n + 1)]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    return out
 
 
 @lru_cache(maxsize=None)

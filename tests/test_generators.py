@@ -490,7 +490,7 @@ class TestChecksFire:
         # check on the generator set, rho included, stands in for it
         one = LaurentPoly.const(4, 1, 0)
         m, gs, f = self._case({"h2[1]": one})
-        wrong = syzygy.graded_parts(m, f, *reduction_data(m)[1:])[1]
+        wrong = syzygy.graded_parts(m, f)[1]
         g0, parts = syzygy._normalized(m, f, wrong)
         assert g0 is f and parts is wrong
         bad = gs._replace(rho=(gs.rho[0] + one,) + gs.rho[1:])

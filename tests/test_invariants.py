@@ -409,26 +409,93 @@ def entry_residues(md):
                  for gen in md.spec.center_kernel)
 
 
+def generated_subgroup(md, gens):
+    """The elements of the product of md's centres, as flat residue tuples,
+    that the per-factor residue rows gens generate: a closure under adding
+    a generator."""
+    moduli = [m for f in md.factors for m in center_group(f.kind, f.rank)]
+    flat = [[x for tt in gen for x in tt] for gen in gens]
+    todo = [(0,) * len(moduli)]
+    seen = set(todo)
+    while todo:
+        v = todo.pop()
+        for g in flat:
+            w = tuple((a + b) % m for a, b, m in zip(v, g, moduli))
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def add_entries(g, h):
+    """The entrywise sum of two kernel generators, D-even pairs entrywise."""
+    return tuple(tuple(map(sum, zip(a, b))) if isinstance(a, tuple) else a + b
+                 for a, b in zip(g, h))
+
+
 class TestKernelResidues:
-    """LatticeModel.kernel_residues: each kernel entry normalised once, the one
-    reading of the kernel behind the congruences and the closed forms."""
+    """LatticeModel.kernel_residues: the kernel read once as the subgroup it
+    generates, the one reading of the kernel behind the congruences and the
+    closed forms."""
 
     @pytest.mark.parametrize("text", golden_specs())
     def test_golden_specs(self, text):
+        # every golden kernel is written as its subgroup's canonical generators
         md = compile_spec(parse_spec(text))
         assert md.kernel_residues == entry_residues(md)
 
     @settings(max_examples=100, deadline=None)
     @given(random_products())
     def test_random_products(self, spec):
+        # the subgroup the entries' residues generate, with no zero generator
         md = compile_spec(spec)
-        assert md.kernel_residues == entry_residues(md)
+        assert (generated_subgroup(md, md.kernel_residues)
+                == generated_subgroup(md, entry_residues(md)))
+        assert all(any(map(any, gen)) for gen in md.kernel_residues)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_products(), st.data())
+    def test_rewritten_generators_give_one_report(self, spec, data):
+        # zero, repeated and summed generators, in any order, generate the
+        # same subgroup: one kernel and one report, labels included
+        gens = list(spec.center_kernel)
+        zero = tuple((0, 0) if isinstance(t, tuple) else 0 for t in gens[0])
+        for how in data.draw(st.lists(st.sampled_from(["zero", "repeat", "sum"]),
+                                      min_size=1, max_size=3)):
+            i, j = (data.draw(st.integers(0, len(gens) - 1)) for _ in range(2))
+            gens.append({"zero": zero, "repeat": gens[i],
+                         "sum": add_entries(gens[i], gens[j])}[how])
+        other = GroupSpec(spec.factors, tuple(data.draw(st.permutations(gens))))
+        md, md2 = compile_spec(spec), compile_spec(other)
+        assert md2.kernel_residues == md.kernel_residues
+        assert invariants_of(md2)[1:] == invariants_of(md)[1:]
+
+    @pytest.mark.parametrize("text,same", [
+        ("(PGL(2) x PGL(2)) / mu(2)", "PGL(2) x PGL(2)"),
+        ("SO(7) / mu(2)", "SO(7)"),
+    ])
+    def test_one_subgroup_written_two_ways(self, text, same):
+        # the whole centre, and mu(2) twice, read as the one subgroup
+        got, want = (invariants_of(compile_spec(parse_spec(t))) for t in (text, same))
+        assert got[1:] == want[1:]
+
+    def test_a7_pair_with_a_repeated_or_zero_generator(self):
+        # the diagonal mu(2) of SL(8) x SL(8), written with a repeated or a
+        # zero generator, gets the table's exact Sdec
+        a7 = (SimpleFactor("A", 7),) * 2
+        want = invariants_of(compile_spec(parse_spec("(SL(8) x SL(8)) / mu(2)")))
+        assert want.Sdec == InvariantLattice(2, ((1, 0), (0, 1)), True, "table")
+        for kernel in (((4, 4), (4, 4)), ((4, 4), (0, 0))):
+            assert invariants_of(compile_spec(GroupSpec(a7, kernel)))[1:] == want[1:]
 
     def test_raw_entries_are_read_as_residues(self):
         # a negative int, an out-of-range int and a D-even pair outside {0, 1}^2
-        spec = GroupSpec((SimpleFactor("A", 3), SimpleFactor("D", 4), SimpleFactor("D", 5)),
-                         ((-1, (3, -1), 6),))
-        assert compile_spec(spec).kernel_residues == (((3,), (1, 1), (2,)),)
+        # read as the residues (3, (1, 1), 2); the subgroup they generate has
+        # the canonical generator 3 (3, (1, 1), 2) = (1, (1, 1), 2)
+        factors = (SimpleFactor("A", 3), SimpleFactor("D", 4), SimpleFactor("D", 5))
+        raw, read = (compile_spec(GroupSpec(factors, (k,)))
+                     for k in ((-1, (3, -1), 6), (3, (1, 1), 2)))
+        assert raw.kernel_residues == read.kernel_residues == (((1,), (1, 1), (2,)),)
 
     @pytest.mark.parametrize("raw,reduced", [
         (((3, 0, 0), (0, -1, 0), (0, 0, 5)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
@@ -1093,6 +1160,21 @@ class TestQuotientReduction:
                   for _ in range(4))
         img = reduce_oracle(ring, dot(f, fundamental_orbit_sums(md)))
         assert pgo8_parity_check(f)["z16_constant"] == (set(img) <= {zero_class(ring)})
+
+    def test_pgo8_report_has_exactly_three_keys(self):
+        # x = e^{omega_2} rho_1 is outside Z[T*], f_1 has odd augmentation and
+        # x is not constant mod 16; 2 rho_3 is constant mod 16 but not in Z[T*]
+        zero = LaurentPoly.zero(4, 0)
+        rep = pgo8_parity_check((LaurentPoly.monomial(4, (0, 1, 0, 0)), zero, zero, zero))
+        assert list(rep) == ["in_tstar", "parities_even", "z16_constant"]
+        assert rep == {"in_tstar": False, "parities_even": (False, True, True),
+                       "z16_constant": False}
+        rep = pgo8_parity_check((zero, zero, LaurentPoly.const(4, 2, 0), zero))
+        assert rep == {"in_tstar": False, "parities_even": (True, True, True),
+                       "z16_constant": True}
+        # a ring holds its modulus and grading, no second name for the rank
+        ring = QuotientRing(4, pgo8_model().congruences, 16)
+        assert not hasattr(ring, "rank") and len(ring.grading.images) == 4
 
     def test_constants(self):
         f = LaurentPoly.const(2, 5, 0)

@@ -20,6 +20,7 @@ from weylinv.laurent import (
     check_dot,
     degrees,
     dot,
+    dots,
     embed,
     from_text,
     graded_components,
@@ -559,14 +560,6 @@ class TestDot:
     def test_check_dot_raises_what_dot_raises(self, case):
         # the same error and message, from the same pair, or none at all
         xs, ys = case
-
-        def raised(fn):
-            try:
-                fn()
-            except ValueError as exc:
-                return type(exc), str(exc)
-            return None
-
         assert raised(lambda: check_dot(xs, ys)) == raised(lambda: dot(xs, ys))
         assert raised(lambda: check_dot([], [])) == raised(lambda: dot([], []))
 
@@ -588,6 +581,61 @@ class TestDot:
             dot([], [])
         start = P(3, {(1, 2, 3): 4}, 5)
         assert dot([], [], start) == start
+
+
+def raised(fn):
+    """(type, message) of the ValueError fn raises, or None."""
+    try:
+        fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def dots_cases(draw, cases):
+    """(triples, starts): the pairs of a drawn dot case spread over one to
+    four positions, each start the zero of the first operand's ring or that
+    operand itself."""
+    xs, ys = draw(cases)
+    n = draw(st.integers(1, 4))
+    js = draw(st.lists(st.integers(0, n - 1), min_size=len(xs), max_size=len(xs)))
+    zero = LaurentPoly.zero(xs[0].rank, xs[0].modulus)
+    starts = draw(st.lists(st.sampled_from((zero, xs[0])), min_size=n, max_size=n))
+    return list(zip(js, xs, ys)), starts
+
+
+def per_position(triples, starts, sum_from):
+    """Position j's pairs, in order, summed from starts[j] by sum_from(xs, ys,
+    start); positions in order."""
+    return [sum_from([x for k, x, _ in triples if k == j], [y for k, _, y in triples if k == j],
+                     start)
+            for j, start in enumerate(starts)]
+
+
+class TestDots:
+    @settings(max_examples=100, deadline=None)
+    @given(dots_cases(dot_cases()))
+    def test_matches_the_per_position_fold(self, case):
+        triples, starts = case
+        assert dots(triples, starts) == per_position(triples, starts, fold)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dots_cases(mixed_dot_cases()))
+    def test_errors_match_the_per_position_dot(self, case):
+        # mixed rings and ranks and exponents at the range's edge: the same
+        # error and message, from the same pair, or none at all
+        triples, starts = case
+        assert raised(lambda: dots(triples, starts)) == raised(
+            lambda: per_position(triples, starts, dot))
+
+    def test_a_position_without_pairs_returns_its_start(self):
+        x, y = P(2, {(1, 0): 3}, 5), P(2, {(0, -1): 2}, 5)
+        starts = [P(2, {(0, 0): 1}, 5), LaurentPoly.zero(2, 5), P(2, {(2, 2): 4}, 5)]
+        got = dots([(1, x, y)], starts)
+        assert got[0] is starts[0] and got[2] is starts[2]
+        assert got[1] == x * y
+        assert dots([], starts) == starts
 
 
 @st.composite

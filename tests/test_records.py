@@ -101,6 +101,28 @@ def test_models_share_their_per_type_tuples():
     assert tuple(tuple(m for _, m in r) for r in b._residue) == ((4,), (2,), (4,))
 
 
+def test_per_type_readers_read_the_type_tuples(monkeypatch):
+    # center_group, center_order and killing_gram read the one per-type
+    # cache: with the tables unreadable, a (kind, rank) already in it still
+    # gives all three
+    from weylinv import rootdata
+
+    def readers():
+        return (rootdata.center_group("D", 6), rootdata.center_order("D", 6, (1, 1)),
+                rootdata.killing_gram("D", 6))
+
+    want = readers()
+    rootdata._type_tuples("D", 6)
+
+    def unreadable(kind, n):
+        raise AssertionError("a per-type table was read again")
+
+    monkeypatch.setattr(rootdata, "cartan_rows", unreadable)
+    monkeypatch.setattr(rootdata, "residue_functionals", unreadable)
+    rootdata.killing_gram.cache_clear()
+    assert readers() == want
+
+
 # repr text as the dataclasses printed it
 PINNED_REPRS = [
     (FactorGroup((2,), 0), "FactorGroup(invariant_factors=(2,), free_rank=0)"),

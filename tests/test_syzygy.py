@@ -413,9 +413,8 @@ class TestNormalizedShortcut:
             calls.append(args)
             return real(*args)
 
-        _, rho, rho_wrong = reduction_data(m)
-        combo = dot(f, rho)
-        wrong = syzygy_module.graded_parts(m, f, rho, rho_wrong)[1]
+        combo = dot(f, reduction_data(m)[1])
+        wrong = syzygy_module.graded_parts(m, f)[1]
         with mock.patch.object(syzygy_module, "_trivialize_through", counting):
             g, parts = syzygy_module._normalized(m, f, wrong)
         assert g == full_normalized(m, f, combo)
@@ -441,7 +440,7 @@ class TestNormalizedShortcut:
         assert len(cases) == 56
         for spec, f in cases:
             m = compile_spec(parse_spec(spec))
-            wrong = syzygy_module.graded_parts(m, f, *reduction_data(m)[1:])[1]
+            wrong = syzygy_module.graded_parts(m, f)[1]
             g, parts = syzygy_module._normalized(m, f, wrong)
             assert parts == wrong_degree_mod(m, g)
             assert all(p.is_zero() for p in wrong_degree_mod(m, g, reduction_data(m)[0].d))
@@ -466,7 +465,7 @@ class TestNormalizedShortcut:
                             lambda t, cert: SyzygyCertificate(n, n, 0, {}))
         with pytest.raises(AssertionError, match="normalized component does not vanish mod d"):
             syzygy_module._normalized(
-                m, f, syzygy_module.graded_parts(m, f, *reduction_data(m)[1:])[1])
+                m, f, syzygy_module.graded_parts(m, f)[1])
 
     def test_output_component_check_reads_the_returned_parts(self, monkeypatch):
         # a corrupted split of g's parts fails the mod-d check on the parts
@@ -474,7 +473,7 @@ class TestNormalizedShortcut:
         spec, f = next((spec, f) for spec, f in golden_reduce_inputs()
                        if not syzygy_is_zero(compile_spec(parse_spec(spec)), f))
         m = compile_spec(parse_spec(spec))
-        wrong = syzygy_module.graded_parts(m, f, *reduction_data(m)[1:])[1]
+        wrong = syzygy_module.graded_parts(m, f)[1]
         real = syzygy_module.graded_parts
         one = LaurentPoly.const(m.total_rank, 1, 0)
         monkeypatch.setattr(syzygy_module, "graded_parts", lambda *args: (
@@ -522,9 +521,8 @@ class TestGradedParts:
     def test_matches_the_dense_product(self, spec, data):
         m = compile_spec(parse_spec(spec))
         f = data.draw(graded_parts_tuples(m))
-        _, rho, rho_wrong = reduction_data(m)
-        deg1, wrong = syzygy_module.graded_parts(m, f, rho, rho_wrong)
-        assert deg1 == homogeneous_component(dot(f, rho), m.grading, (1,))
+        deg1, wrong = syzygy_module.graded_parts(m, f)
+        assert deg1 == homogeneous_component(dot(f, reduction_data(m)[1]), m.grading, (1,))
         assert wrong == tuple(
             homogeneous_component(p, m.grading, ((1 - m.grading.images[i][0]) % 2,))
             for i, p in enumerate(f))
@@ -656,8 +654,9 @@ class TestReductionData:
             reduce_to_generators(compile_spec(parse_spec(self.SPEC)), k)
         info = modular_transform.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-        # three degree tests, three normalizations and the one transform fill
-        assert reduction_data.cache_info().hits == hits + 7
+        # three degree tests, three normalizations, the one transform fill
+        # and the three output checks on g's wrong-degree parts
+        assert reduction_data.cache_info().hits == hits + 10
 
     def test_zero_syzygy_golden_inputs_fill_no_transform(self):
         from weylinv.generators import reduce_to_generators
@@ -783,6 +782,57 @@ def laurent_matrices(draw):
     elif shape == "zero-row":
         rows[draw(st.integers(0, n - 1))] = [zero] * n
     return shape, rows
+
+
+@st.composite
+def sparse_matrix(draw, modulus, n, m):
+    """An n x m matrix over Z or Z/modulus, about half its entries zero."""
+    zero = P(MAT_RANK, {}, modulus)
+    entry = st.one_of(st.just(zero), laurent_polys(modulus))
+    return [[draw(entry) for _ in range(m)] for _ in range(n)]
+
+
+def dense_product(a, b):
+    """a * b as the fold of every product a[i][s] * b[s][j], zeros included."""
+    zero = P(MAT_RANK, {}, b[0][0].modulus)
+
+    def entry(row, j):
+        acc = zero
+        for x, col in zip(row, b):
+            acc = acc + x * col[j]
+        return acc
+
+    return [[entry(row, j) for j in range(len(b[0]))] for row in a]
+
+
+class TestMatProducts:
+    """vec_mat, mat_mul and the memoised minors against the dense products on
+    sparse matrices over Z and Z/m."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_vec_mat_and_mat_mul_match_the_dense_product(self, data):
+        modulus = data.draw(st.sampled_from([0, 4, 6]))
+        n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+        a = data.draw(sparse_matrix(modulus, n, k))
+        b = data.draw(sparse_matrix(modulus, k, m))
+        assert mat_mul(a, b) == dense_product(a, b)
+        assert vec_mat(a[0], b) == dense_product(a[:1], b)[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_minors_match_leibniz(self, data):
+        # det_on(mask): the bottom popcount(mask) rows on the columns in mask
+        modulus = data.draw(st.sampled_from([0, 4, 6]))
+        n = data.draw(st.integers(1, 4))
+        rows = data.draw(sparse_matrix(modulus, n, n))
+        one = LaurentPoly.const(MAT_RANK, 1, modulus)
+        det_on = syzygy_module._minors(rows, one)
+        for mask in range(1, 1 << n):
+            cols = [j for j in range(n) if mask >> j & 1]
+            bottom = [[row[j] for j in cols] for row in rows[n - len(cols):]]
+            assert det_on(mask) == leibniz_det(bottom)
+        assert det_on(0) == one
 
 
 class TestMatDet:
