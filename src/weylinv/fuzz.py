@@ -7,6 +7,9 @@ a seed always yields the same inputs.  `weylinv fuzz-syzygy` and
 
 from __future__ import annotations
 
+import math
+from itertools import product
+
 from .laurent import LaurentPoly, is_divisor
 from .syzygy import SyzygyCertificate, newton_transform, reduce_coefficients
 
@@ -67,9 +70,16 @@ def random_graded_poly(rng, grading, max_tries=None):
     """Integer polynomial of grading degree zero with up to two exponents in [-1, 1]^n.
 
     Draws exponents until two of degree zero are found, or until max_tries
-    draws when it is given.
+    draws when it is given.  Without max_tries, ValueError, before any draw,
+    when 0 is the only such exponent.
     """
     n = len(grading.images)
+    # a nonzero v of degree zero is a - b for two distinct 0/1 vectors of one
+    # degree (its positive and negative parts): there is one when 2^n >
+    # |Lambda/T*| (pigeonhole), and otherwise when two of the 2^n collide
+    if max_tries is None and 2 ** n <= math.prod(grading.moduli) and len(
+            {grading.of_exponent(e) for e in product((0, 1), repeat=n)}) == 2 ** n:
+        raise ValueError("0 is the only exponent of degree zero in [-1, 1]^n")
     terms = {}
     tries = 0
     while len(terms) < 2 and (max_tries is None or tries < max_tries):

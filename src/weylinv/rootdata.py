@@ -334,14 +334,13 @@ class LatticeModel:
     caller of a spec): assignment and deletion raise
     `dataclasses.FrozenInstanceError`, and the per-factor data are tuples.
 
-    `kernel_residues` is the kernel as the subgroup it generates, read once:
-    each generator's entries become residue tuples in the factors' centres
-    (`_entry_tuple`: an int as a 1-tuple, a D-even pair reduced mod 2
-    entrywise), and the row HNF of these rows stacked on the centre moduli,
-    reduced mod the moduli and with zero rows dropped, is split back into
-    per-factor residue tuples.  Two generating sets of one subgroup give one
-    value, and no row is zero; the congruences and the closed forms read the
-    kernel only through it.
+    `kernel_residues` is the kernel as the subgroup it generates, read once
+    (`_kernel_subgroup`): each generator becomes one row of its entries (an
+    int on a cyclic centre, a D-even pair entrywise), and the row HNF of
+    these rows stacked on the centre moduli, reduced mod the moduli and with
+    zero rows dropped, is split back into per-factor residue tuples.  Two
+    generating sets of one subgroup give one value, and no row is zero; the
+    congruences and the closed forms read the kernel only through it.
     """
 
     __setattr__ = __delattr__ = frozen_setattr
@@ -354,7 +353,6 @@ class LatticeModel:
         put(spec=spec, factors=factors, offsets=ends[:-1], total_rank=ends[-1],
             _cartan=tuple(cartan for cartan, _ in per_type),
             _residue=tuple(residue for _, residue in per_type))
-        self._validate_kernel()
         put(kernel_residues=self._kernel_subgroup())
         put(congruences=self._build_congruences())
         put(grading=congruence_grading(self.congruences, self.total_rank))
@@ -363,26 +361,25 @@ class LatticeModel:
     def _basis_vec(self, i):
         return tuple(int(j == i) for j in range(self.total_rank))
 
-    def _validate_kernel(self):
+    def _kernel_subgroup(self):
+        """The canonical rows of the kernel subgroup, once every generator's
+        shape is checked: an int on a cyclic centre, a tuple on D-even's."""
+        rows = []
         for gen in self.spec.center_kernel:
             if len(gen) != len(self.factors):
                 raise ValueError("kernel tuple length != number of factors")
+            row = []
             for t, residue in zip(gen, self._residue):
                 if len(residue) == 1:
                     if not isinstance(t, int):
                         raise ValueError(f"kernel entry {t!r} must be an int")
+                    row.append(t)
+                elif isinstance(t, tuple) and len(t) == len(residue):
+                    row += t
                 else:
-                    if not (isinstance(t, tuple) and len(t) == len(residue)):
-                        raise ValueError(f"kernel entry {t!r} must be a {len(residue)}-tuple")
-
-    def _entry_tuple(self, t, fi):
-        residue = self._residue[fi]
-        return tuple(x % m for x, (_, m) in zip((t,) if len(residue) == 1 else t, residue))
-
-    def _kernel_subgroup(self):
+                    raise ValueError(f"kernel entry {t!r} must be a {len(residue)}-tuple")
+            rows.append(row)
         moduli = [m for residue in self._residue for _, m in residue]
-        rows = [[x for fi, t in enumerate(gen) for x in self._entry_tuple(t, fi)]
-                for gen in self.spec.center_kernel]
         rows += [[m * (i == c) for i in range(len(moduli))] for c, m in enumerate(moduli)]
         out = []
         for row in hnf(rows):

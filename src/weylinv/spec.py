@@ -28,15 +28,22 @@ class SpecParseError(ValueError):
     pass
 
 
+# in the order `_name` tries them: of the names that fit, the first prints,
+# so SL(2) and PGL(2) stand for their A1 aliases
 _FACTOR_NAMES = ("SL", "Spin", "Sp", "PGL", "PGSp", "SO", "PSO", "PGO", "HSpin")
 
 
 def _factor_token(tok: str, pos: int):
-    """(SimpleFactor, per-factor kernel entry or None) for one grammar token:
-    E6, E7, or a factor name with a nonempty run of decimal digits in
-    parentheses."""
+    """(SimpleFactor, kernel entries) for one grammar token: E6, E7, or a
+    factor name with a nonempty run of decimal digits in parentheses.  The
+    entries are the per-factor kernel generators the name puts on its
+    factor, in order: none for a simply connected name, one for a quotient
+    by a cyclic subgroup, and PGO(8)'s pair.
+
+    This is the grammar's one map between names and factors: `_name` reads
+    it backwards."""
     if tok in ("E6", "E7"):
-        return SimpleFactor(tok, int(tok[1])), None
+        return SimpleFactor(tok, int(tok[1])), ()
     name, paren, rest = tok.partition("(")
     digits = rest[:-1]
     if not (paren and name in _FACTOR_NAMES and rest.endswith(")") and digits.isdecimal()):
@@ -53,32 +60,47 @@ def _factor_token(tok: str, pos: int):
     if name in ("SL", "PGL"):
         if num < 2:
             raise SpecParseError(f"{tok} needs n >= 2 at position {pos}")
-        return SimpleFactor("A", num - 1), (1 if name == "PGL" else None)
+        return SimpleFactor("A", num - 1), ((1,) if name == "PGL" else ())
     if name in ("Sp", "PGSp"):
         if num % 2 or num < 2:
             raise SpecParseError(f"{tok} needs an even argument >= 2 at position {pos}")
         r = num // 2
         f = SimpleFactor("A", 1) if r == 1 else SimpleFactor("C", r)
-        return f, (1 if name == "PGSp" else None)
+        return f, ((1,) if name == "PGSp" else ())
     if name == "Spin":
-        return spin_factor(num), None
+        return spin_factor(num), ()
     if name == "SO":
         f = spin_factor(num)
-        return f, _diag_entry(f, 2)
+        return f, (_diag_entry(f, 2),)
     if name == "PSO":
         if num != 6:
             raise SpecParseError(f"{tok} not supported at position {pos}: only PSO(6) is")
-        return SimpleFactor("A", 3), 1   # SL(4) / mu(4), the kernel of PGL(4)
+        return SimpleFactor("A", 3), (1,)   # SL(4) / mu(4), the kernel of PGL(4)
     if name == "PGO":
         if num != 8:
             raise SpecParseError(f"{tok} not supported at position {pos}: only PGO(8) is")
-        return SimpleFactor("D", 4), "full"
+        return SimpleFactor("D", 4), ((1, 0), (0, 1))
     if name == "HSpin":
         f = spin_factor(num)
         if f.kind != "D" or f.rank % 2:
             raise SpecParseError(f"{tok} needs 2n with n even, n >= 4 at position {pos}")
-        return f, (0, 1)
+        return f, ((0, 1),)
     raise SpecParseError(f"bad factor {tok!r}")
+
+
+def _name(f: SimpleFactor, entries):
+    """The first token that `_factor_token` reads as f with these kernel
+    entries, or None: each of `_FACTOR_NAMES` in order, with the argument
+    rank + 1, 2 rank and 2 rank + 1, then E6 and E7."""
+    n = f.rank
+    for tok in [f"{name}({num})" for name in _FACTOR_NAMES
+                for num in (n + 1, 2 * n, 2 * n + 1)] + ["E6", "E7"]:
+        try:
+            if _factor_token(tok, 0) == (f, entries):
+                return tok
+        except SpecParseError:
+            pass
+    return None
 
 
 def _zero_entry(f: SimpleFactor):
@@ -117,59 +139,37 @@ def _split_center(c: str):
     return k, res
 
 
+def _first_at_depth_zero(s: str, char: str):
+    """Index of the first `char` in s at parenthesis depth 0,
+    the depth after it, or None: the grammar's one depth scan."""
+    depth = 0
+    for i, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if not depth and ch == char:
+            return i
+    return None
+
+
 def parse_spec(text: str) -> GroupSpec:
     """Parse the group-spec grammar into a GroupSpec."""
     s = text.strip()
-    depth = 0
-    split_at = None
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            split_at = i
-            break
+    split_at = _first_at_depth_zero(s, "/")
     prod_text = s if split_at is None else s[:split_at]
     center_text = None if split_at is None else s[split_at + 1:].strip()
 
     p = prod_text.replace(" ", "")
-    if p.startswith("(") and p.endswith(")"):
-        depth = 0
-        wraps = True
-        for i, ch in enumerate(p):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(p) - 1:
-                    wraps = False
-                    break
-        if wraps:
-            p = p[1:-1]
+    # outer parentheses wrap the whole product unless the depth returns to 0
+    # before its end
+    if p.startswith("(") and p.endswith(")") \
+            and _first_at_depth_zero(p, ")") in (None, len(p) - 1):
+        p = p[1:-1]
     # factor names contain no bare 'x'; split on it
     toks = p.split("x")
     if not toks or not all(toks):
         raise SpecParseError(f"empty factor in {text!r}")
-    factors, entries = [], []
-    for i, tok in enumerate(toks):
-        f, e = _factor_token(tok, i)
-        factors.append(f)
-        entries.append(e)
-
-    kernel = []
-    for fi, e in enumerate(entries):
-        if e is None:
-            continue
-        if e == "full":
-            for gen_entry in ((1, 0), (0, 1)):
-                gen = [_zero_entry(f) for f in factors]
-                gen[fi] = gen_entry
-                kernel.append(tuple(gen))
-            continue
-        gen = [_zero_entry(f) for f in factors]
-        gen[fi] = e
-        kernel.append(tuple(gen))
+    factors, entries = zip(*[_factor_token(tok, i) for i, tok in enumerate(toks)])
+    zero = tuple(map(_zero_entry, factors))
+    kernel = [zero[:fi] + (e,) + zero[fi + 1:] for fi, es in enumerate(entries) for e in es]
 
     if center_text is not None:
         parts = _split_center(center_text.replace(" ", ""))
@@ -200,34 +200,7 @@ def parse_spec(text: str) -> GroupSpec:
         else:
             kernel.append(tuple(_diag_entry(f, k, f"{tok} at position {i}")
                                 for i, (f, tok) in enumerate(zip(factors, toks))))
-    return GroupSpec(tuple(factors), tuple(kernel))
-
-
-def _factor_name(f: SimpleFactor):
-    if f.kind == "A":
-        return f"SL({f.rank + 1})"
-    if f.kind == "B":
-        return f"Spin({2 * f.rank + 1})"
-    if f.kind == "C":
-        return f"Sp({2 * f.rank})"
-    if f.kind == "D":
-        return f"Spin({2 * f.rank})"
-    return f.kind
-
-
-def _quotient_factor_name(f: SimpleFactor, e):
-    """Grammar name of factor f modulo its kernel entry e, or None if it has none."""
-    if f.kind == "A" and e == 1:
-        return f"PGL({f.rank + 1})"
-    if f.kind == "C" and e == 1:
-        return f"PGSp({2 * f.rank})"
-    if f.kind in ("B", "D") and e == _diag_entry(f, 2):
-        return _factor_name(f).replace("Spin", "SO")
-    if f.kind == "A" and f.rank == 3 and e == 2:
-        return "SO(6)"
-    if f.kind == "D" and f.rank % 2 == 0 and e == (0, 1):
-        return f"HSpin({2 * f.rank})"
-    return None
+    return GroupSpec(factors, tuple(kernel))
 
 
 def spec_to_text(spec: GroupSpec) -> str:
@@ -249,24 +222,25 @@ def spec_to_text(spec: GroupSpec) -> str:
 
 
 def _render(spec: GroupSpec) -> str:
-    names = [_factor_name(f) for f in spec.factors]
-    kernel = spec.center_kernel
+    factors, kernel = spec.factors, spec.center_kernel
+    names = [_name(f, ()) for f in factors]
+    if None in names:
+        raise ValueError("spec not expressible in the grammar")
     last_named = -1   # the grammar lists per-factor generators in factor order
     shared = None
     k = 0
     while k < len(kernel):
         gen = kernel[k]
         k += 1
-        support = [i for i, (f, e) in enumerate(zip(spec.factors, gen))
-                   if e != _zero_entry(f)]
+        support = [i for i, (f, e) in enumerate(zip(factors, gen)) if e != _zero_entry(f)]
         if shared is None and len(support) == 1 and support[0] > last_named:
             i = support[0]
-            name = _quotient_factor_name(spec.factors[i], gen[i])
+            name = _name(factors[i], (gen[i],))
             # PGO(8) is SO(8)'s generator followed by HSpin(8)'s.  In a product
             # whose kernel ends with that pair, the second one prints as the
             # centre instead: (SL(2) x SO(8)) / mu(2)[0,1].
             if name == "SO(8)" and kernel[k:k + 1] == (gen[:i] + ((0, 1),) + gen[i + 1:],) \
-                    and (len(spec.factors) == 1 or k + 1 < len(kernel)):
+                    and (len(factors) == 1 or k + 1 < len(kernel)):
                 name, k = "PGO(8)", k + 1
             # SO(6) is SL(4) / mu(2), which prints as the centre unless a
             # later generator takes it: (SO(6) x Sp(4)) / mu(2)
@@ -288,23 +262,17 @@ def _render(spec: GroupSpec) -> str:
         prod = f"({prod})"
     # residues that kill the centre, as in SL(2) / mu(2)[2], print under mu(2)
     order = max(2, math.lcm(*(center_order(f.kind, f.rank, e)
-                              for f, e in zip(spec.factors, shared))))
-    diag = tuple(_diag_entry(f, order) if _embeddable(f, order) else None
-                 for f in spec.factors)
+                              for f, e in zip(factors, shared))))
+    try:   # the diagonal mu(order), when it embeds in every factor
+        diag = tuple(_diag_entry(f, order) for f in factors)
+    except SpecParseError:
+        diag = None
     if diag == shared:
         return f"{prod} / mu({order})"
     vals = []
-    for f, e in zip(spec.factors, shared):
+    for f, e in zip(factors, shared):
         if f.kind == "D" and f.rank % 2 == 0:
             vals.append(str(e[0] * 2 + e[1]))
         else:
             vals.append(str(e))
     return f"{prod} / mu({order})[{','.join(vals)}]"
-
-
-def _embeddable(f, k):
-    try:
-        _diag_entry(f, k)
-        return True
-    except SpecParseError:
-        return False

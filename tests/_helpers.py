@@ -377,6 +377,15 @@ def center_residues(md, weight):
         for fi, f in enumerate(md.factors))
 
 
+def entry_tuple(md, t, fi):
+    """Kernel entry t of factor fi of md as its residue tuple in the factor's
+    centre: an int as a 1-tuple, a D-even pair entrywise.  The reading that
+    `LatticeModel` once made per entry, kept as an oracle for the canonical
+    rows of `kernel_residues`."""
+    residue = md._residue[fi]
+    return tuple(x % m for x, (_, m) in zip((t,) if len(residue) == 1 else t, residue))
+
+
 def residue_allowed(md, residues):
     """Does a tuple of per-factor centre classes satisfy all kernel relations?"""
     funcs = [residue_functionals(f.kind, f.rank) for f in md.factors]
@@ -384,7 +393,7 @@ def residue_allowed(md, residues):
         # sum x * r / m is an integer iff sum x * r * (big / m) == 0 mod big
         terms = [(x * r, m)
                  for fi, t in enumerate(gen)
-                 for x, r, (_, m) in zip(md._entry_tuple(t, fi), residues[fi], funcs[fi])]
+                 for x, r, (_, m) in zip(entry_tuple(md, t, fi), residues[fi], funcs[fi])]
         big = math.lcm(*(m for _, m in terms))
         if sum(xr * (big // m) for xr, m in terms) % big:
             return False

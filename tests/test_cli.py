@@ -305,7 +305,9 @@ class TestParse:
 
 SPEC_FACTORS = ["SL(2)", "SL(3)", "SL(4)", "PGL(2)", "PGL(4)", "Sp(4)", "PGSp(6)", "SO(5)",
                 "Spin(7)", "SO(10)", "SO(12)", "HSpin(16)", "Spin(8)", "SO(8)", "HSpin(8)",
-                "PGO(8)", "E6", "E7", "Spin(6)", "SO(6)", "PSO(6)"]
+                "PGO(8)", "E6", "E7", "Spin(6)", "SO(6)", "PSO(6)",
+                # A1 aliases: the name order decides which token prints
+                "Sp(2)", "PGSp(2)", "SO(3)", "Spin(3)"]
 
 
 @st.composite
@@ -342,6 +344,24 @@ class TestSpecRoundTrip:
             assert tuple(kernel) != spec.center_kernel
         else:
             assert parse_spec(text) == permuted
+
+    @pytest.mark.parametrize("text, want", [
+        # PGO(8)'s pair at the end of a product's kernel prints as SO(8) and
+        # the centre; a later generator lets the first pair print as PGO(8)
+        ("SL(2) x PGO(8)", "(SL(2) x SO(8)) / mu(2)[0,1]"),
+        ("PGO(8) x SL(2)", "(SO(8) x SL(2)) / mu(2)[1,0]"),
+        ("PGO(8) x PGO(8)", "(PGO(8) x SO(8)) / mu(2)[0,1]"),
+        # SO(6)'s generator at the end of the kernel prints as the centre
+        ("SO(6) x Sp(4)", "(SL(4) x Sp(4)) / mu(2)[2,0]"),
+        ("SO(3)", "PGL(2)"), ("PSO(6)", "PGL(4)"), ("Spin(6)", "SL(4)"),
+        # residues that kill the centre print under mu(2)
+        ("SL(2) / mu(2)[2]", "SL(2) / mu(2)[2]"),
+        ("(SL(2) x SL(2)) / mu(4)[2,2]", "(SL(2) x SL(2)) / mu(2)[2,2]"),
+    ])
+    def test_render_edge_cases(self, text, want):
+        spec = parse_spec(text)
+        assert spec_to_text(spec) == want
+        assert parse_spec(want) == spec
 
     def test_swapped_adjoint_kernel(self):
         a1 = SimpleFactor("A", 1)

@@ -45,7 +45,7 @@ from weylinv.rootdata import (
 import _helpers
 from _helpers import (
     _bench_inputs, _dominant_pairs, _generator_images, _zero_sum_slices, bounded_weights,
-    box_dec_rows, c2_orbit, center_residues, davenport_bound, eliminated_adjugate, element_rows,
+    box_dec_rows, c2_orbit, center_residues, davenport_bound, entry_tuple, eliminated_adjugate, element_rows,
     explicit_elements, fac_c, factor_davenport, fraction_det, fundamental_weight, golden_specs,
     group_order, in_tstar, lattice_from_congruence, leading_minors, model, oracle_specs,
     q_oracle, quotient_mul, quotient_reduction, residue_allowed, tstar_basis, two_pass_buckets,
@@ -404,8 +404,8 @@ _SL_PRIMARY = [(k, m, n) for k, top in ((2, 6), (3, 6), (4, 8))
 
 
 def entry_residues(md):
-    """Every kernel entry of md read by _entry_tuple, generator by generator."""
-    return tuple(tuple(md._entry_tuple(t, fi) for fi, t in enumerate(gen))
+    """Every kernel entry of md read by entry_tuple, generator by generator."""
+    return tuple(tuple(entry_tuple(md, t, fi) for fi, t in enumerate(gen))
                  for gen in md.spec.center_kernel)
 
 

@@ -34,7 +34,7 @@ from weylinv.rootdata import (
 )
 
 from _helpers import (
-    center_residues, fundamental_weight, golden_specs, in_tstar, killing_value, lattice_grading,
+    center_residues, entry_tuple, fundamental_weight, golden_specs, in_tstar, killing_value, lattice_grading,
     model, oracle_factors, oracle_specs, parabolic_order_oracle, per_column_grading,
     reflect_local, residue_allowed, standard_e_basis,
     table_cartan_rows, table_center_group, table_diag_entry, table_killing_coeffs,
@@ -200,6 +200,22 @@ class TestCompile:
         with pytest.raises(ValueError, match="kernel tuple length"):
             compile_spec(GroupSpec(d4, [(0, 1)]))
 
+    @pytest.mark.parametrize("factors, kernel, message", [
+        (("A1",), (((1,),),), r"kernel entry \(1,\) must be an int"),
+        (("D4",), (((1, 0, 0),),), r"kernel entry \(1, 0, 0\) must be a 2-tuple"),
+        (("A1", "D4"), ((1, (1, 0)), (1, 1)), "kernel entry 1 must be a 2-tuple"),
+        (("A1", "D4"), ((1, (1, 0)), (1,)), "kernel tuple length != number of factors"),
+    ])
+    def test_entry_shapes_are_checked_before_the_hnf(self, factors, kernel, message, monkeypatch):
+        # every generator, the last one too, is checked before any elimination
+        def no_hnf(rows):
+            raise AssertionError("hnf ran before the shape checks")
+
+        monkeypatch.setattr(rootdata, "hnf", no_hnf)
+        spec = GroupSpec(tuple(SimpleFactor(f[0], int(f[1])) for f in factors), kernel)
+        with pytest.raises(ValueError, match=message):
+            LatticeModel(spec)
+
     def test_simply_connected_trivial(self):
         m = model(SimpleFactor("C", 2))
         assert m.congruences == ()
@@ -271,7 +287,7 @@ class TestCompile:
             expect = all(
                 sum(Fraction(x * r, mod)
                     for fi, (t, fs) in enumerate(zip(gen, funcs))
-                    for x, r, (_, mod) in zip(m._entry_tuple(t, fi), residues[fi], fs)
+                    for x, r, (_, mod) in zip(entry_tuple(m, t, fi), residues[fi], fs)
                     ).denominator == 1
                 for gen in m.spec.center_kernel)
             assert residue_allowed(m, residues) == expect, residues
