@@ -310,9 +310,9 @@ def compute_Q(model: LatticeModel) -> InvariantLattice:
 
 
 @lru_cache(maxsize=None)
-def _killing_adjugate(kind: str, rank: int):
-    """(adj K, det K) for K = killing_gram(kind, rank), by elimination along
-    the forest that K's nonzero off-diagonal entries span, leaves first.
+def _killing_diagonal(kind: str, rank: int):
+    """(diag adj K, det K) for K = killing_gram(kind, rank), by elimination
+    along the forest that K's nonzero off-diagonal entries span, leaves first.
 
     Each component is rooted at its least node; a neighbour met twice closes
     a cycle, which raises.  For an edge (j, u), S(j->u) is det K on the side
@@ -324,11 +324,13 @@ def _killing_adjugate(kind: str, rank: int):
     positive.  Root first, cutting the edge (p, v) splits det K of the
     component as S(v->p) S(p->v) - K_pv^2 (P_p / S(p->v)) R_v.  Cofactors
     sum over the paths from i to j of (-1)^length, the path's entries and
-    det K off the path.  A forest has one path or none, so adj_ij = 0 across
-    components, adj_ii = P_i det K / (det K on i's component), and
-        adj_iu = -K_ju adj_ij (P_u / S(u->j)) / S(j->u)
-    for u a neighbour of j beyond it from i; every division is exact.
-    K adj K = det K I is checked over K's nonzero entries: O(rank^2).
+    det K off the path.  A forest has one path or none, so
+    adj_ii = P_i det K / (det K on i's component), and for a neighbour u of i
+        adj_iu = -K_iu adj_ii (P_u / S(u->i)) / S(i->u);
+    every division is exact.  Each adj_ii is checked by row i of
+    K adj K = det K I at column i, K_ii adj_ii + sum_{u ~ i} K_iu adj_ui =
+    det K, over the neighbour entries above.  Past the one scan of K for
+    its nonzero entries, every pass is O(rank).
     """
     k = killing_gram(kind, rank)
     nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(k)]
@@ -366,32 +368,15 @@ def _killing_adjugate(kind: str, rank: int):
         if p >= 0:
             up[v] = (comp_det[comp[v]] + k[p][v] ** 2 * (every[p] // down[v]) * kids[v]) // down[v]
         every[v] = kids[v] * up[v]
-    steps = []   # per j: (u, -K_ju, P_u / S(u->j), S(j->u)) over its neighbours u
-    for j, js in enumerate(nbrs):
-        steps.append([(u, -k[j][u], every[u] // up[u], down[u]) if parent[u] == j
-                      else (u, -k[j][u], every[u] // down[j], up[j]) for u in js])
-    adj = []
-    for i in range(rank):
-        row = [0] * rank
-        row[i] = every[i] * (det // comp_det[comp[i]])
-        stack = [(i, -1)]
-        while stack:
-            j, back = stack.pop()
-            x = row[j]
-            for u, c, t, s in steps[j]:
-                if u != back:
-                    row[u] = c * x * t // s
-                    stack.append((u, j))
-        adj.append(row)
-    for i, js in enumerate(nbrs):
-        acc = [k[i][i] * x for x in adj[i]]
-        for j in js:
-            c = k[i][j]
-            acc = [a + c * x for a, x in zip(acc, adj[j])]
-        acc[i] -= det
-        if any(acc):
+    diag = tuple(every[i] * (det // comp_det[comp[i]]) for i in range(rank))
+    for i, (a, js) in enumerate(zip(diag, nbrs)):
+        acc = k[i][i] * a
+        for u in js:   # S(u->i) and S(i->u)
+            s_ui, s_iu = (up[u], down[u]) if parent[u] == i else (down[i], up[i])
+            acc += k[i][u] * (-k[i][u] * a * (every[u] // s_ui) // s_iu)
+        if acc != det:
             raise AssertionError("K adj(K) != det(K) I")
-    return tuple(map(tuple, adj)), det
+    return diag, det
 
 
 @lru_cache(maxsize=None)
@@ -413,13 +398,15 @@ def _factor_buckets(kind: str, rank: int, images: tuple, moduli: tuple):
     rho(omega_j) maps to (t_j, w_j), w_j = |W omega_j| = |W| / stabilizer_order
     and t_j = w_j adj(K)_jj / (rank det K): sum_{chi in W lam} chi chi^T is
     W-invariant and the reflection representation is irreducible, so it is
-    c K / 2 (K = killing_gram), and its trace against 2 K^-1 gives t = c / 2."""
-    adj, det = _killing_adjugate(kind, rank)
+    c K / 2 (K = killing_gram), and its trace against 2 K^-1 gives t = c / 2.
+    Only the diagonal of adj K and det K are read, and `_killing_diagonal`
+    computes just those, once per (kind, rank)."""
+    diag, det = _killing_diagonal(kind, rank)
     worder = weyl_order(kind, rank)
     by_class = {}
     for j, g in enumerate(images):
         w = worder // stabilizer_order(kind, rank, [j])
-        t, rem = divmod(w * adj[j][j], rank * det)
+        t, rem = divmod(w * diag[j], rank * det)
         if rem:
             raise AssertionError("non-integral c2 multiple")
         by_class.setdefault(g, []).append((t, w))

@@ -78,6 +78,11 @@ class GroupSpec(namedtuple("GroupSpec", "factors center_kernel", defaults=((),))
             return prod
         return f"({prod}) / <{len(self.center_kernel)} kernel generator(s)>"
 
+    def as_tuples(self) -> "GroupSpec":
+        """This spec with its sequences read as tuples: a spec built from
+        lists then compares equal, and hashes, as the tuple-built one."""
+        return GroupSpec(tuple(self.factors), tuple(map(tuple, self.center_kernel)))
+
 
 # --------------------------------------------------------------------------
 # per-type static data: the Dynkin diagram and the centre's residue forms;
@@ -470,7 +475,7 @@ def compile_spec(spec: GroupSpec) -> LatticeModel:
     model (immutable, see `LatticeModel`) whether they were built from tuples
     or lists.
     """
-    spec = GroupSpec(tuple(spec.factors), tuple(map(tuple, spec.center_kernel)))
+    spec = spec.as_tuples()
     try:
         hash(spec)
     except TypeError:   # an unhashable kernel entry, which the model rejects

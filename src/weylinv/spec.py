@@ -33,12 +33,13 @@ class SpecParseError(ValueError):
 _FACTOR_NAMES = ("SL", "Spin", "Sp", "PGL", "PGSp", "SO", "PSO", "PGO", "HSpin")
 
 
-def _factor_token(tok: str, pos: int):
+def _factor_token(tok: str, pos: int, factor: SimpleFactor | None = None):
     """(SimpleFactor, kernel entries) for one grammar token: E6, E7, or a
     factor name with a nonempty run of decimal digits in parentheses.  The
     entries are the per-factor kernel generators the name puts on its
     factor, in order: none for a simply connected name, one for a quotient
-    by a cyclic subgroup, and PGO(8)'s pair.
+    by a cyclic subgroup, and PGO(8)'s pair.  Given `factor`, a factor name
+    read as another factor gives None before its entries are computed.
 
     This is the grammar's one map between names and factors: `_name` reads
     it backwards."""
@@ -49,54 +50,48 @@ def _factor_token(tok: str, pos: int):
     if not (paren and name in _FACTOR_NAMES and rest.endswith(")") and digits.isdecimal()):
         raise SpecParseError(f"bad factor {tok!r} at position {pos}")
     num = int(digits)
-
-    def spin_factor(n):
-        if n in (3, 6):   # Spin(3) = SL(2), Spin(6) = SL(4)
-            return SimpleFactor("A", n // 2)
-        if n < (5 if n % 2 else 8):
-            raise SpecParseError(f"{tok} not supported at position {pos}")
-        return SimpleFactor("B", (n - 1) // 2) if n % 2 else SimpleFactor("D", n // 2)
-
     if name in ("SL", "PGL"):
         if num < 2:
             raise SpecParseError(f"{tok} needs n >= 2 at position {pos}")
-        return SimpleFactor("A", num - 1), ((1,) if name == "PGL" else ())
-    if name in ("Sp", "PGSp"):
+        f = SimpleFactor("A", num - 1)
+    elif name in ("Sp", "PGSp"):
         if num % 2 or num < 2:
             raise SpecParseError(f"{tok} needs an even argument >= 2 at position {pos}")
-        r = num // 2
-        f = SimpleFactor("A", 1) if r == 1 else SimpleFactor("C", r)
-        return f, ((1,) if name == "PGSp" else ())
-    if name == "Spin":
-        return spin_factor(num), ()
-    if name == "SO":
-        f = spin_factor(num)
-        return f, (_diag_entry(f, 2),)
-    if name == "PSO":
+        f = SimpleFactor("A", 1) if num == 2 else SimpleFactor("C", num // 2)
+    elif name == "PSO":
         if num != 6:
             raise SpecParseError(f"{tok} not supported at position {pos}: only PSO(6) is")
-        return SimpleFactor("A", 3), (1,)   # SL(4) / mu(4), the kernel of PGL(4)
-    if name == "PGO":
+        f = SimpleFactor("A", 3)   # SL(4) / mu(4), the kernel of PGL(4)
+    elif name == "PGO":
         if num != 8:
             raise SpecParseError(f"{tok} not supported at position {pos}: only PGO(8) is")
-        return SimpleFactor("D", 4), ((1, 0), (0, 1))
-    if name == "HSpin":
-        f = spin_factor(num)
-        if f.kind != "D" or f.rank % 2:
-            raise SpecParseError(f"{tok} needs 2n with n even, n >= 4 at position {pos}")
-        return f, ((0, 1),)
-    raise SpecParseError(f"bad factor {tok!r}")
+        f = SimpleFactor("D", 4)
+    elif num in (3, 6):   # Spin(3) = SL(2), Spin(6) = SL(4)
+        f = SimpleFactor("A", num // 2)
+    elif num < (5 if num % 2 else 8):
+        raise SpecParseError(f"{tok} not supported at position {pos}")
+    else:
+        f = SimpleFactor("B", (num - 1) // 2) if num % 2 else SimpleFactor("D", num // 2)
+    if name == "HSpin" and (f.kind != "D" or f.rank % 2):
+        raise SpecParseError(f"{tok} needs 2n with n even, n >= 4 at position {pos}")
+    if factor not in (None, f):
+        return None
+    if name == "SO":
+        return f, (_diag_entry(f, 2),)
+    return f, {"PGL": (1,), "PGSp": (1,), "PSO": (1,), "PGO": ((1, 0), (0, 1)),
+               "HSpin": ((0, 1),)}.get(name, ())
 
 
 def _name(f: SimpleFactor, entries):
     """The first token that `_factor_token` reads as f with these kernel
     entries, or None: each of `_FACTOR_NAMES` in order, with the argument
-    rank + 1, 2 rank and 2 rank + 1, then E6 and E7."""
+    rank + 1, 2 rank and 2 rank + 1, then E6 and E7.  A token read as
+    another factor is passed over before its entries are computed."""
     n = f.rank
     for tok in [f"{name}({num})" for name in _FACTOR_NAMES
                 for num in (n + 1, 2 * n, 2 * n + 1)] + ["E6", "E7"]:
         try:
-            if _factor_token(tok, 0) == (f, entries):
+            if _factor_token(tok, 0, f) == (f, entries):
                 return tok
         except SpecParseError:
             pass
@@ -211,6 +206,7 @@ def spec_to_text(spec: GroupSpec) -> str:
     such as one with two generators that no factor name carries, raises
     ValueError.
     """
+    spec = spec.as_tuples()
     text = _render(spec)
     try:
         back = parse_spec(text)

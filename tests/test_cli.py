@@ -15,7 +15,7 @@ from weylinv.fuzz import syzygy_case
 from weylinv.intlinalg import lattice_contains
 from weylinv.laurent import to_text
 from weylinv.rootdata import GroupSpec, SimpleFactor
-from weylinv import spec as spec_module
+from weylinv import rootdata, spec as spec_module
 from weylinv.syzygy import trivialize_syzygy
 
 
@@ -371,6 +371,34 @@ class TestSpecRoundTrip:
         assert parse_spec(spec_to_text(swapped)) == swapped
         with pytest.raises(ValueError, match="not expressible"):
             spec_to_text(GroupSpec((a1, a1), ((1, 1), (1, 0))))
+
+    @pytest.mark.parametrize("spec, want", [
+        (GroupSpec([SimpleFactor("A", 1)], [(1,)]), "PGL(2)"),
+        (GroupSpec([SimpleFactor("A", 1)], [[1]]), "PGL(2)"),
+        (GroupSpec([SimpleFactor("A", 3), SimpleFactor("C", 2)], [[2, 0], [2, 1]]),
+         "(SO(6) x Sp(4)) / mu(2)"),
+        (GroupSpec([SimpleFactor("D", 4)], [[(1, 0)], [(0, 1)]]), "PGO(8)"),
+        (GroupSpec([SimpleFactor("A", 1), SimpleFactor("D", 4)], [[0, (0, 1)], [1, (1, 0)]]),
+         "(SL(2) x HSpin(8)) / mu(2)"),
+    ])
+    def test_list_built_specs_print_as_tuple_built_ones(self, spec, want):
+        # the sequences are read as tuples before the parse-back comparison
+        assert spec_to_text(spec) == want
+        assert parse_spec(want) == spec.as_tuples()
+
+    def test_names_read_only_the_factor_they_print(self, monkeypatch):
+        # a token read as another factor (SO(201) as B100, SO(401) as B200)
+        # is passed over before its kernel entries read that factor's centre
+        read = []
+
+        def center_group(kind, n):
+            read.append((kind, n))
+            return rootdata.center_group(kind, n)
+
+        spec = parse_spec("HSpin(400)")
+        monkeypatch.setattr(spec_module, "center_group", center_group)
+        assert spec_to_text(spec) == "HSpin(400)"
+        assert read and set(read) == {("D", 200)}
 
 
 def koszul_input(tmp_path):

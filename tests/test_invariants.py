@@ -22,7 +22,7 @@ from weylinv.invariants import (
     _class_fold,
     _factor_buckets,
     _fold_step,
-    _killing_adjugate,
+    _killing_diagonal,
     _pair_hnf,
     c2,
     compute_Dec,
@@ -711,8 +711,8 @@ class TestDecEngine:
     def test_a_wrong_determinant_gives_a_non_integral_c2_multiple(self, kind, rank, monkeypatch):
         # det K one too high leaves some t_j = |W omega_j| adj(K)_jj /
         # (rank det K) off the integers
-        adj, det = _killing_adjugate(kind, rank)
-        monkeypatch.setattr(invariants, "_killing_adjugate", lambda kind, rank: (adj, det + 1))
+        diag, det = _killing_diagonal(kind, rank)
+        monkeypatch.setattr(invariants, "_killing_diagonal", lambda kind, rank: (diag, det + 1))
         with pytest.raises(AssertionError, match="non-integral c2 multiple"):
             _factor_buckets.__wrapped__(kind, rank, ((0,),) * rank, (2,))
 
@@ -760,6 +760,17 @@ SUPPORTED_FACTORS = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(
                      + [("E6", 6), ("E7", 7)])
 
 
+# the factors the tree's adjugate diagonal is checked on against the dense
+# elimination: ranks 1-40 of every series, E6 and E7
+TREE_FACTORS = ([("A", r) for r in range(1, 41)] + [("B", r) for r in range(2, 41)]
+                + [("C", r) for r in range(2, 41)] + [("D", r) for r in range(4, 41)]
+                + [("E6", 6), ("E7", 7)])
+
+
+def _diagonal(adj, det):
+    return tuple(row[i] for i, row in enumerate(adj)), det
+
+
 class TestClosedFormC2:
     @pytest.mark.parametrize("kind, rank", SUPPORTED_FACTORS)
     def test_matches_c2_orbit(self, kind, rank):
@@ -782,31 +793,21 @@ class TestClosedFormC2:
         import weylinv.invariants as inv
         monkeypatch.setattr(inv, "killing_gram", lambda kind, rank: gram)
         with pytest.raises(AssertionError, match="not positive definite"):
-            inv._killing_adjugate.__wrapped__("A", len(gram))
+            inv._killing_diagonal.__wrapped__("A", len(gram))
 
-    @settings(max_examples=120, deadline=None)
-    @given(st.sampled_from([("A", 1), ("B", 2), ("C", 2), ("D", 4)]), st.integers(0, 39))
-    @example(("A", 1), 39)
-    @example(("D", 4), 36)
-    def test_tree_adjugate_matches_the_elimination(self, kind_lo, extra):
-        # det K and adj K along the Dynkin tree against the dense Bareiss
-        # elimination, at ranks 1-40 of every series
-        kind, lo = kind_lo
-        rank = min(lo + extra, 40)
-        # eliminated_adjugate also checks that every leading minor is positive
-        assert _killing_adjugate(kind, rank) == eliminated_adjugate(kind, rank)
-
-    @pytest.mark.parametrize("kind, rank", [("E6", 6), ("E7", 7)])
-    def test_tree_adjugate_of_e(self, kind, rank):
-        det, adj = det_adjugate(killing_gram(kind, rank))
-        assert _killing_adjugate(kind, rank) == (tuple(map(tuple, adj)), det)
+    @pytest.mark.parametrize("kind, rank", TREE_FACTORS)
+    def test_tree_diagonal_matches_the_elimination(self, kind, rank):
+        # diag adj K and det K along the Dynkin tree against the dense
+        # Bareiss elimination, which also checks that every leading minor is
+        # positive and the whole of K adj K = det K I
+        assert _killing_diagonal(kind, rank) == _diagonal(*eliminated_adjugate(kind, rank))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_tree_adjugate_of_random_forests(self, data):
+    def test_tree_diagonal_of_random_forests(self, data):
         # a symmetric matrix on a random forest, positive definite or not:
-        # the elimination's adjugate when every leading minor is positive,
-        # else the positive-definiteness error
+        # the elimination's adjugate diagonal and determinant when every
+        # leading minor is positive, else the positive-definiteness error
         n = data.draw(st.integers(1, 9))
         perm = data.draw(st.permutations(range(n)))
         gram = [[0] * n for _ in range(n)]
@@ -819,17 +820,16 @@ class TestClosedFormC2:
         det, adj = det_adjugate(gram)
         with mock.patch.object(invariants, "killing_gram", lambda kind, rank: gram):
             if min(leading_minors(gram)) > 0:
-                assert invariants._killing_adjugate.__wrapped__("A", n) == (
-                    tuple(map(tuple, adj)), det)
+                assert invariants._killing_diagonal.__wrapped__("A", n) == _diagonal(adj, det)
             else:
                 with pytest.raises(AssertionError, match="not positive definite"):
-                    invariants._killing_adjugate.__wrapped__("A", n)
+                    invariants._killing_diagonal.__wrapped__("A", n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_a_cycle_raises(self, data):
         # a positive definite (diagonally dominant) matrix whose graph is a
-        # random tree plus one more edge is refused, not given a wrong adjugate
+        # random tree plus one more edge is refused, not given a wrong diagonal
         n = data.draw(st.integers(3, 9))
         edges = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
         extra = data.draw(st.sampled_from(sorted(
@@ -842,17 +842,17 @@ class TestClosedFormC2:
         assert min(leading_minors(gram)) > 0
         with mock.patch.object(invariants, "killing_gram", lambda kind, rank: gram):
             with pytest.raises(AssertionError, match="cycle"):
-                invariants._killing_adjugate.__wrapped__("A", n)
+                invariants._killing_diagonal.__wrapped__("A", n)
 
     @pytest.mark.parametrize("kind, rank", [("A", 1), ("C", 5), ("D", 6), ("E7", 7)])
     def test_a_wrong_determinant_is_caught(self, kind, rank, monkeypatch):
         # det K one more than the product of the components' determinants:
         # the pivots stay positive and the tree formulas run on, and only the
-        # K adj(K) = det(K) I check sees it
+        # diagonal of the K adj(K) = det(K) I check sees it
         monkeypatch.setattr(invariants, "math",
                             SimpleNamespace(prod=lambda xs: math.prod(xs) + 1))
         with pytest.raises(AssertionError, match=r"K adj\(K\) != det\(K\) I"):
-            invariants._killing_adjugate.__wrapped__(kind, rank)
+            invariants._killing_diagonal.__wrapped__(kind, rank)
 
     def test_a_cartan_matrix_is_refused(self, monkeypatch):
         # the tree formulas read K_ij = K_ji; the unsymmetrised B3 Cartan
@@ -861,12 +861,15 @@ class TestClosedFormC2:
         assert min(leading_minors(gram)) > 0
         monkeypatch.setattr(invariants, "killing_gram", lambda kind, rank: gram)
         with pytest.raises(AssertionError, match="not symmetric"):
-            invariants._killing_adjugate.__wrapped__("B", 3)
+            invariants._killing_diagonal.__wrapped__("B", 3)
 
     @pytest.mark.parametrize("kind, rank", SUPPORTED_FACTORS)
     def test_adjugate(self, kind, rank):
+        # the whole of K adj K = det K I on the dense oracle, whose diagonal
+        # and determinant the tree gives
         k = killing_gram(kind, rank)
-        adj, det = _killing_adjugate(kind, rank)
+        det, adj = det_adjugate(k)
+        assert _killing_diagonal(kind, rank) == _diagonal(adj, det)
         assert det == fraction_det(k) > 0
         assert [[sum(k[i][m] * adj[m][j] for m in range(rank)) for j in range(rank)]
                 for i in range(rank)] == [[det * (i == j) for j in range(rank)]
