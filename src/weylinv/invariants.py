@@ -265,7 +265,7 @@ def compute_Q(model: LatticeModel) -> InvariantLattice:
     by the coroot lattice Z^n and u_c = v_c / m_c, one per congruence; a form
     is integral on a lattice iff it and its polar form B are integral on a
     generating set.  q = sum d_i q_i with q_i(x) = x_i^T K_i x_i / 2
-    (K_i = killing_gram, even diagonal) is integral on Z^n, and B(e_a, e_b)
+    (K_i = killing_gram, sparse, even diagonal) is integral on Z^n, and B(e_a, e_b)
     is an entry of some K_i.  B(e_a, u_c) is integral too, for every d: T*
     contains the root lattice, so u_c is a coweight, and for a coroot
     alpha^v and any x, W-invariance gives B(alpha^v, x) =
@@ -286,7 +286,8 @@ def compute_Q(model: LatticeModel) -> InvariantLattice:
         row = []
         for f, off in zip(model.factors, model.offsets):
             s = v[off:off + f.rank]
-            row.append((s, [sum(map(mul, k, s)) for k in killing_gram(f.kind, f.rank)]))
+            row.append((s, [kii * s[i] + sum(x * s[j] for j, x in nb)
+                            for i, (kii, nb) in enumerate(killing_gram(f.kind, f.rank))]))
         slices.append(row)
     out = set()
 
@@ -312,7 +313,7 @@ def compute_Q(model: LatticeModel) -> InvariantLattice:
 @lru_cache(maxsize=None)
 def _killing_diagonal(kind: str, rank: int):
     """(diag adj K, det K) for K = killing_gram(kind, rank), by elimination
-    along the forest that K's nonzero off-diagonal entries span, leaves first.
+    along the forest that K's off-diagonal entries span, leaves first.
 
     Each component is rooted at its least node; a neighbour met twice closes
     a cycle, which raises.  For an edge (j, u), S(j->u) is det K on the side
@@ -329,12 +330,11 @@ def _killing_diagonal(kind: str, rank: int):
         adj_iu = -K_iu adj_ii (P_u / S(u->i)) / S(i->u);
     every division is exact.  Each adj_ii is checked by row i of
     K adj K = det K I at column i, K_ii adj_ii + sum_{u ~ i} K_iu adj_ui =
-    det K, over the neighbour entries above.  Past the one scan of K for
-    its nonzero entries, every pass is O(rank).
+    det K, over the neighbour entries above.  K's rows are sparse, so every
+    pass is O(rank).
     """
     k = killing_gram(kind, rank)
-    nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(k)]
-    if any(k[j][i] != k[i][j] for i, js in enumerate(nbrs) for j in js):
+    if any(dict(k[j][1]).get(i) != x for i, (_, row) in enumerate(k) for j, x in row):
         raise AssertionError("Killing Gram matrix is not symmetric")
     parent, comp, order, roots = [None] * rank, [None] * rank, [], []
     for r in range(rank):
@@ -345,7 +345,7 @@ def _killing_diagonal(kind: str, rank: int):
         while stack:
             v = stack.pop()
             order.append(v)   # every node after its parent
-            for u in nbrs[v]:
+            for u, _ in k[v][1]:
                 if u != parent[v]:
                     if comp[u] is not None:
                         raise AssertionError("the graph of the Killing Gram matrix has a cycle")
@@ -354,8 +354,8 @@ def _killing_diagonal(kind: str, rank: int):
     down, kids = [0] * rank, [1] * rank   # S(parent->v) and R_v
     for v in reversed(order):
         r, p = kids[v], parent[v]
-        down[v] = k[v][v] * r - sum(k[v][c] ** 2 * kids[c] * (r // down[c])
-                                    for c in nbrs[v] if c != p)
+        down[v] = k[v][0] * r - sum(x ** 2 * kids[c] * (r // down[c])
+                                    for c, x in k[v][1] if c != p)
         if down[v] <= 0:
             raise AssertionError("Killing Gram matrix is not positive definite")
         if p >= 0:
@@ -364,16 +364,16 @@ def _killing_diagonal(kind: str, rank: int):
     det = math.prod(comp_det)
     up, every = [1] * rank, [0] * rank   # S(v->parent) and P_v
     for v in order:
-        p = parent[v]
-        if p >= 0:
-            up[v] = (comp_det[comp[v]] + k[p][v] ** 2 * (every[p] // down[v]) * kids[v]) // down[v]
         every[v] = kids[v] * up[v]
+        for c, x in k[v][1]:
+            if c != parent[v]:
+                up[c] = (comp_det[comp[c]] + x ** 2 * (every[v] // down[c]) * kids[c]) // down[c]
     diag = tuple(every[i] * (det // comp_det[comp[i]]) for i in range(rank))
-    for i, (a, js) in enumerate(zip(diag, nbrs)):
-        acc = k[i][i] * a
-        for u in js:   # S(u->i) and S(i->u)
+    for i, (a, (kii, row)) in enumerate(zip(diag, k)):
+        acc = kii * a
+        for u, x in row:   # S(u->i) and S(i->u)
             s_ui, s_iu = (up[u], down[u]) if parent[u] == i else (down[i], up[i])
-            acc += k[i][u] * (-k[i][u] * a * (every[u] // s_ui) // s_iu)
+            acc += x * (-x * a * (every[u] // s_ui) // s_iu)
         if acc != det:
             raise AssertionError("K adj(K) != det(K) I")
     return diag, det
@@ -500,6 +500,15 @@ def _is_diag_kernel(model):
     return None
 
 
+def _vector_entries(model):
+    """True when the one kernel generator is the vector element (1, 0), the
+    entry bare mu(2) writes, on every D-even factor of rank >= 6: the all-D
+    closed forms read only the kernel's order, and hold only there.  D4's
+    triality permutes its three nonzero centre elements, so any entry does."""
+    return all(tt == (1, 0) for f, tt in zip(model.factors, model.kernel_residues[0])
+               if f.kind == "D" and f.rank % 2 == 0 and f.rank >= 6)
+
+
 def _per_factor_kernels(model):
     """True when every kernel generator is supported on a single factor."""
     return all(sum(map(any, gen)) <= 1 for gen in model.kernel_residues)
@@ -580,7 +589,7 @@ def dec_table(model: LatticeModel):
             return diag_rows([2, 4])
         return diag_rows([4, 2])
 
-    if all(x == "D" for x in kinds) and m >= 2 and k is not None:
+    if all(x == "D" for x in kinds) and m >= 2 and k is not None and _vector_entries(model):
         if k == 4 and all(r % 2 == 1 for r in ranks):
             rows = [[0] * m for _ in range(m)]
             for i in range(1, m):
@@ -680,7 +689,7 @@ def sdec_table(model: LatticeModel, dec: InvariantLattice, q: InvariantLattice):
                 v[i], v[j] = ranks[j] // g, -(ranks[i] // g)
                 vecs.append(v)
         return dec.join(vecs)
-    if all(x == "D" for x in kinds) and k is not None:
+    if all(x == "D" for x in kinds) and k is not None and _vector_entries(model):
         if k == 2:
             return dec
         if k == 4 and all(r % 2 for r in ranks):

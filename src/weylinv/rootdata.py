@@ -5,11 +5,13 @@ Conventions (fixed, not configurable):
     tuple over the concatenated bases of the factors), so all arithmetic is
     integral even for spin weights;
   * type A_{n} models SL(n+1) on the quotient presentation of Z^{n+1};
-  * the per-type data are two tables, the Dynkin diagram (`diagram_edges`,
-    with the direction of the B/C double bond in `cartan_rows`) and the
-    centre's residue forms (`residue_functionals`); the Cartan matrix, the
-    Killing form, the centre and the Weyl order derive from them, and types
-    B/C/D use the usual e_i presentations only implicitly through these;
+  * the per-type data are two tables, the Dynkin diagram (`diagram_edges`)
+    and the centre's residue forms (`residue_functionals`); `_type_tuples`
+    reads the diagram once into a weighted tree, per node its Cartan entries
+    over its neighbours and its symmetrizer, and the Killing form, the Weyl
+    action, the centre and the Weyl order are read off that tree and the
+    forms, with no rank x rank table; types B/C/D use the usual e_i
+    presentations only implicitly through these;
   * E6/E7 use the node numbering in which the Killing form has cross terms
     exactly on diagram edges (chain 1-3-4-5-6(-7) with node 2 hanging off 4).
 """
@@ -91,32 +93,18 @@ class GroupSpec(namedtuple("GroupSpec", "factors center_kernel", defaults=((),))
 
 
 def diagram_edges(kind: str, n: int) -> list[tuple[int, int]]:
+    """The edges (a, b) of the Dynkin diagram, a tree, in an order that
+    reaches it from node 0: each b is new, and each a is node 0 or an
+    earlier b."""
     if kind in ("A", "B", "C"):
         return [(i, i + 1) for i in range(n - 1)]
     if kind == "D":
         return [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
     if kind == "E6":
-        return [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
+        return [(0, 2), (2, 3), (3, 4), (4, 5), (3, 1)]
     if kind == "E7":
-        return [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)]
+        return [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 1)]
     raise ValueError(kind)
-
-
-def cartan_rows(kind: str, n: int) -> list[list[int]]:
-    """M[i][j] = <alpha_i, alpha_j^vee>; row i gives alpha_i in fw coordinates.
-
-    2I minus the adjacency matrix of the diagram; the B/C double bond between
-    the last two nodes is -2 at (n-2, n-1) for B and at (n-1, n-2) for C.
-    """
-    m = [[0] * n for _ in range(n)]   # a huge rank fails here, before any loop
-    for i in range(n):
-        m[i][i] = 2
-    for i, j in diagram_edges(kind, n):
-        m[i][j] = m[j][i] = -1
-    if kind in ("B", "C") and n >= 2:
-        i, j = (n - 2, n - 1) if kind == "B" else (n - 1, n - 2)
-        m[i][j] = -2
-    return m
 
 
 def weyl_order(kind: str, n: int) -> int:
@@ -133,10 +121,29 @@ def center_group(kind: str, n: int):
 
 @lru_cache(maxsize=None)
 def _type_tuples(kind: str, n: int) -> tuple:
-    """(Cartan rows, residue forms) of one (kind, n) factor as nested tuples,
+    """(Dynkin tree, residue forms) of one (kind, n) factor as nested tuples,
     built once per process: every model with such a factor, and every
-    per-type reader (`center_group`, `center_order`, `killing_gram`), shares them."""
-    return (tuple(map(tuple, cartan_rows(kind, n))),
+    per-type reader (`center_group`, `center_order`, `killing_gram`), shares them.
+
+    Node i of the tree is (d_i, ((j, c_ij), ...)): the Cartan entries
+    c_ij = <alpha_i, alpha_j^vee> over i's diagram neighbours j (c_ii = 2),
+    and the symmetrizer d, the least positive integers with d_i c_ij = d_j c_ji.
+    The entries are -1 but at the B/C double bond, -2 at (n-2, n-1) for B
+    and at (n-1, n-2) for C.  Each edge (a, b) of `diagram_edges` reaches
+    the new node b from a, so d spreads from node 0 along the list:
+    d_b / d_a = c_ab / c_ba = 2^(c_ba - c_ab), a power of 2 at each node.
+    """
+    nbrs = [()] * n   # a huge rank fails here, before any loop
+    twos = [0] * n    # log2 d, up to one shift
+    bond = {"B": (n - 2, n - 1), "C": (n - 1, n - 2)}.get(kind)
+    for a, b in diagram_edges(kind, n):
+        c_ab = -2 if (a, b) == bond else -1
+        c_ba = -2 if (b, a) == bond else -1
+        nbrs[a] += ((b, c_ab),)
+        nbrs[b] += ((a, c_ba),)
+        twos[b] = twos[a] + c_ba - c_ab
+    low = min(twos)
+    return (tuple((1 << (t - low), row) for t, row in zip(twos, nbrs)),
             tuple((tuple(v), m) for v, m in residue_functionals(kind, n)))
 
 
@@ -179,31 +186,19 @@ def residue_functionals(kind: str, n: int) -> list[tuple[list[int], int]]:
 
 @lru_cache(maxsize=None)
 def killing_gram(kind: str, n: int) -> tuple:
-    """Integer Gram matrix K of the normalized Killing form, q(x) = x^T K x / 2.
-
-    K = D C is the symmetrised Cartan matrix: C = cartan_rows and D the
-    diagonal of the smallest positive integers d with d_i c_ij = d_j c_ji.
-    The diagram is a tree whose edge list reaches one new node per edge, so d
-    spreads from node 0 along it.
-    """
-    c = _type_tuples(kind, n)[0]
-    d = [1] + [0] * (n - 1)
-    for a, b in diagram_edges(kind, n):
-        i, j = (a, b) if d[a] else (b, a)   # i is reached, j is new
-        # d_j / d_i = c_ij / c_ji: scale the reached nodes by -c_ji, then set d_j
-        di = d[i]
-        d = [x * -c[j][i] for x in d]
-        d[j] = di * -c[i][j]
-    g = math.gcd(*d)
-    return tuple(tuple(d[i] // g * x for x in row) for i, row in enumerate(c))
+    """Sparse rows (K_ii, ((j, K_ij), ...)) of the integer Gram matrix K of
+    the normalized Killing form, q(x) = x^T K x / 2, over each node's diagram
+    neighbours j: K = D C is the symmetrised Cartan matrix, K_ii = 2 d_i and
+    K_ij = d_i c_ij, read off the Dynkin tree (`_type_tuples`)."""
+    return tuple((2 * d, tuple((j, d * c) for j, c in row))
+                 for d, row in _type_tuples(kind, n)[0])
 
 
 def killing_coeffs(kind: str, n: int) -> dict[tuple[int, int], int]:
     """Normalized Killing form as {(i, j): c} with i <= j, fw coordinates:
     K_ii / 2 on the diagonal and K_ij above it, for K = killing_gram."""
-    k = killing_gram(kind, n)
-    return {(i, j): k[i][j] // 2 if i == j else k[i][j]
-            for i in range(n) for j in range(i, n) if k[i][j]}
+    return {(i, j): x for i, (kii, row) in enumerate(killing_gram(kind, n))
+            for j, x in ((i, kii // 2), *row) if j >= i}
 
 
 # --------------------------------------------------------------------------
@@ -244,14 +239,11 @@ def _leaf(kind: str, rank: int):
     last neighbour of degree 1 of that node, and the node; (None, None) for a
     path.  The other nodes, in increasing order, form a path (the chain) in
     every type here."""
-    nbrs = [[] for _ in range(rank)]
-    for i, j in diagram_edges(kind, rank):
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    branch = next((v for v, ns in enumerate(nbrs) if len(ns) == 3), None)
+    tree = _type_tuples(kind, rank)[0]
+    branch = next((v for v, (_, row) in enumerate(tree) if len(row) == 3), None)
     if branch is None:
         return None, None
-    return max(u for u in nbrs[branch] if len(nbrs[u]) == 1), branch
+    return max(u for u, _ in tree[branch][1] if len(tree[u][1]) == 1), branch
 
 
 def stabilizer_order(kind: str, rank: int, support) -> int:
@@ -356,7 +348,7 @@ class LatticeModel:
         ends = tuple(accumulate((f.rank for f in factors), initial=0))
         per_type = [_type_tuples(f.kind, f.rank) for f in factors]
         put(spec=spec, factors=factors, offsets=ends[:-1], total_rank=ends[-1],
-            _cartan=tuple(cartan for cartan, _ in per_type),
+            _tree=tuple(tree for tree, _ in per_type),
             _residue=tuple(residue for _, residue in per_type))
         put(kernel_residues=self._kernel_subgroup())
         put(congruences=self._build_congruences())
@@ -425,16 +417,13 @@ class LatticeModel:
     # -- Weyl group action ---------------------------------------------------
     def dominant_local(self, fi, local):
         cur = list(local)
-        rows = self._cartan[fi]
-        n = len(cur)
+        tree = self._tree[fi]
         while True:
-            for i in range(n):
-                if cur[i] < 0:
-                    a_i = cur[i]
-                    row = rows[i]
-                    for j in range(n):
-                        if row[j]:
-                            cur[j] -= a_i * row[j]
+            for i, a_i in enumerate(cur):
+                if a_i < 0:   # s_i: v_i = -a_i, v_j -= a_i c_ij over i's neighbours
+                    cur[i] = -a_i
+                    for j, c in tree[i][1]:
+                        cur[j] -= a_i * c
                     break
             else:
                 return tuple(cur)
@@ -442,19 +431,19 @@ class LatticeModel:
     def orbit_local(self, fi, local):
         """Full Weyl orbit of a local weight (descent from the dominant point)."""
         dom = self.dominant_local(fi, local)
-        rows = self._cartan[fi]
-        n = len(dom)
+        tree = self._tree[fi]
         seen = {dom}
         frontier = [dom]
         while frontier:
             nxt = []
             for w in frontier:
-                for i in range(n):
-                    if w[i] > 0:
-                        a_i = w[i]
-                        row = rows[i]
-                        v = tuple(a - a_i * row[j] if row[j] else a
-                                  for j, a in enumerate(w))
+                for i, a_i in enumerate(w):
+                    if a_i > 0:
+                        v = list(w)
+                        v[i] = -a_i
+                        for j, c in tree[i][1]:
+                            v[j] -= a_i * c
+                        v = tuple(v)
                         if v not in seen:
                             seen.add(v)
                             nxt.append(v)

@@ -26,8 +26,8 @@ from weylinv.laurent import (
     homogeneous_component, reduce_coefficients,
 )
 from weylinv.rootdata import (
-    GroupSpec, SimpleFactor, cartan_rows, compile_spec, diagram_edges,
-    killing_coeffs, killing_gram, orbit_poly, residue_functionals, weyl_order,
+    GroupSpec, SimpleFactor, compile_spec, diagram_edges, killing_coeffs, orbit_poly,
+    residue_functionals, weyl_order,
 )
 from weylinv.spec import SpecParseError
 from weylinv.syzygy import (
@@ -310,6 +310,28 @@ def table_killing_coeffs(kind, n):
     return q
 
 
+def table_killing_gram(kind, n):
+    """Dense Gram matrix K of the normalized Killing form, q(x) = x^T K x / 2,
+    from table_killing_coeffs: 2c on the diagonal, c off it."""
+    q = table_killing_coeffs(kind, n)
+    return [[2 * q[(i, i)] if i == j else q.get((min(i, j), max(i, j)), 0) for j in range(n)]
+            for i in range(n)]
+
+
+def sparse_rows(matrix):
+    """(M_ii, ((j, M_ij), ...)) over the nonzero off-diagonal entries of each
+    row of a square matrix: the shape of `rootdata.killing_gram`'s rows."""
+    return tuple((row[i], tuple((j, x) for j, x in enumerate(row) if x and j != i))
+                 for i, row in enumerate(matrix))
+
+
+def dense_rows(rows):
+    """The square matrix whose sparse rows (see sparse_rows) are `rows`."""
+    n = len(rows)
+    return [[x if i == j else dict(off).get(j, 0) for j in range(n)]
+            for i, (x, off) in enumerate(rows)]
+
+
 def table_center_group(kind, n):
     """Invariant factors of the center character group of the factor."""
     if kind == "A":
@@ -403,7 +425,7 @@ def residue_allowed(md, residues):
 def reflect_local(md, fi, local, i):
     """Simple reflection s_i of a local weight of factor fi."""
     f = md.factors[fi]
-    a_i, row = local[i], cartan_rows(f.kind, f.rank)[i]
+    a_i, row = local[i], table_cartan_rows(f.kind, f.rank)[i]
     return tuple(a - a_i * r for a, r in zip(local, row))
 
 
@@ -651,10 +673,10 @@ def leading_minors(m):
 
 @lru_cache(maxsize=None)
 def eliminated_adjugate(kind, rank):
-    """(adj K, det K) for K = killing_gram(kind, rank), from one dense
+    """(adj K, det K) for K = table_killing_gram(kind, rank), from one dense
     Bareiss elimination, with its positive-definiteness (every leading
     minor positive) and K adj K = det K I checks over the whole matrix."""
-    k = killing_gram(kind, rank)
+    k = table_killing_gram(kind, rank)
     det, adj = det_adjugate(k)
     if min(leading_minors(k)) <= 0:
         raise AssertionError("Killing Gram matrix is not positive definite")

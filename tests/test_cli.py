@@ -51,7 +51,7 @@ def test_closed_stdout_exits_1_without_traceback(argv, capsys):
 
 
 def test_out_of_memory_exits_1_without_traceback(monkeypatch, capsys):
-    # as `invariants --spec "SL(99999999999)"` does in its n x n Cartan matrix
+    # as `invariants --spec "SL(99999999999)"` does in its per-node root data
     def exhausted(spec):
         raise MemoryError
 
@@ -452,6 +452,25 @@ class TestRun:
         assert data["Dec"]["hnf"] == data["Q"]["hnf"] == data["Sdec"]["hnf"]
         assert (data["Dec"]["exactness"], data["Dec"]["mode"]) == ("exact", dec_mode)
         assert (data["Sdec"]["exactness"], data["Sdec"]["mode"]) == ("exact", "table")
+
+    @pytest.mark.parametrize("spec, want", [
+        ("(Spin(12) x Spin(12)) / mu(2)[1,1]",
+         '{"Dec": {"exactness": "exact", "hnf": [[4, 0], [0, 4]], "mode": "hilbert"}, '
+         '"Q": {"exactness": "exact", "hnf": [[1, 3], [0, 4]], "mode": "exact"}, '
+         '"Sdec": {"exactness": "lower-bound", "hnf": [[2, 2], [0, 4]], "mode": "closure"}, '
+         '"inv_ind": {"factors": [4]}, "inv_sd": {"factors": [2]}, '
+         '"spec": "(Spin(12) x Spin(12)) / mu(2)[1,1]"}'),
+        ("(Spin(8) x Spin(12)) / mu(2)[1,1]",
+         '{"Dec": {"exactness": "exact", "hnf": [[2, 0], [0, 4]], "mode": "hilbert"}, '
+         '"Q": {"exactness": "exact", "hnf": [[1, 2], [0, 4]], "mode": "exact"}, '
+         '"Sdec": {"exactness": "lower-bound", "hnf": [[2, 0], [0, 4]], "mode": "closure"}, '
+         '"inv_ind": {"factors": [2]}, "inv_sd": {"factors": []}, '
+         '"spec": "(Spin(8) x Spin(12)) / mu(2)[1,1]"}')])
+    def test_half_spin_kernels_on_d_even_factors(self, spec, want):
+        # the all-D closed forms hold only for the vector element on every
+        # D-even factor of rank >= 6; these half-spin kernels exited 2 with a
+        # Dec mismatch while the forms read only the kernel's order
+        assert run_cli("invariants", "--spec", spec, "--json") == (0, want + "\n")
 
     def test_pgl2_factor_has_a_dec_closed_form(self):
         # PGL(2) = PGSp(2) is PGSp(2r) at r = 1: Dec = 4 // gcd(2, 1) q = 4q.
@@ -863,6 +882,19 @@ class TestConsoleScript:
         assert data["Dec"] == {"exactness": "exact", "hnf": rows + [[0] * (k - 1) + [2 * n]],
                                "mode": "hilbert"}
         assert data["inv_ind"]["factors"] == [n] * (k - 1)
+
+    def test_a_huge_rank_runs_out_of_memory_at_once(self):
+        # the per-node root data is allocated whole before any loop over the
+        # nodes, so under a 1 GiB address-space limit, set in the child only,
+        # SL(99999999999) fails at once with the usage error
+        script = ("import resource, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                  "from weylinv.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", script, "invariants",
+                               "--spec", "SL(99999999999)"],
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr == "error: out of memory; is a rank too large?\n"
 
     def test_fuzz_syzygy_checks_the_lift_under_optimize(self):
         # the lift round trip raises its AssertionError explicitly, so

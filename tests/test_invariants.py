@@ -39,7 +39,7 @@ from weylinv.invariants import (
 from weylinv.laurent import LaurentPoly, augmentation, dot
 from weylinv.rootdata import (
     GroupSpec, LatticeModel, SimpleFactor, center_group, compile_spec,
-    fundamental_orbit_sums, killing_coeffs, killing_gram, orbit_poly, orbit_size,
+    fundamental_orbit_sums, killing_coeffs, orbit_poly, orbit_size,
 )
 
 import _helpers
@@ -48,8 +48,8 @@ from _helpers import (
     box_dec_rows, c2_orbit, center_residues, davenport_bound, entry_tuple, eliminated_adjugate, element_rows,
     explicit_elements, fac_c, factor_davenport, fraction_det, fundamental_weight, golden_specs,
     group_order, in_tstar, lattice_from_congruence, leading_minors, model, oracle_specs,
-    q_oracle, quotient_mul, quotient_reduction, residue_allowed, tstar_basis, two_pass_buckets,
-    witness_rows, zero_class,
+    q_oracle, quotient_mul, quotient_reduction, residue_allowed, sparse_rows, table_cartan_rows,
+    table_killing_gram, tstar_basis, two_pass_buckets, witness_rows, zero_class,
 )
 
 
@@ -65,6 +65,17 @@ SMALL_FACTORS = {"SL(2)": (SimpleFactor("A", 1), (2,), 2),
 SCAN_FACTORS = ([("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 8)]
                 + [("C", r) for r in range(2, 8)] + [("D", r) for r in range(4, 8)]
                 + [("E6", 6), ("E7", 7)])
+
+
+# the factors of the all-D closed forms' census: D4-D8, and B3, A3 and C2
+CENSUS_FACTORS = ([SimpleFactor("D", r) for r in range(4, 9)]
+                  + [SimpleFactor("B", 3), SimpleFactor("A", 3), SimpleFactor("C", 2)])
+
+
+def centre_elements(f):
+    """Every kernel entry of the factor: an int, or a pair on D-even."""
+    grp = center_group(f.kind, f.rank)
+    return list(product(*map(range, grp))) if len(grp) > 1 else list(range(grp[0]))
 
 
 @st.composite
@@ -553,6 +564,26 @@ class TestComputeDec:
         lat = compute_Dec(compile_spec(parse_spec(text)))
         assert lat.exact and lat.mode == "both", text
 
+    def test_closed_forms_on_every_one_generator_kernel(self):
+        # every one-generator kernel on every pair of CENSUS_FACTORS: where
+        # dec_table answers it is the fold, and where sdec_table answers it
+        # contains the closure join.  The all-D closed forms once read only
+        # the kernel's order, so a half-spin entry on a D-even factor of rank
+        # >= 6 made compute_Dec raise on 36 of these kernels
+        specs = [GroupSpec((a, b), ((x, y),))
+                 for a, b in combinations_with_replacement(CENSUS_FACTORS, 2)
+                 for x in centre_elements(a) for y in centre_elements(b)]
+        assert len(specs) == 444
+        for spec in specs:
+            md = compile_spec(spec)
+            dec = InvariantLattice(2, fold_dec_rows(md))
+            table = dec_table(md)
+            if table is not None:
+                assert InvariantLattice.from_rows(2, table).same_rows(dec), spec
+            sdec = sdec_table(md, dec, compute_Q(md))
+            if sdec is not None:
+                assert sdec.includes(closure_sdec(md)), spec
+
     def test_mismatch_raises(self, monkeypatch):
         import weylinv.invariants as inv
         md = model(fac_c(2), fac_c(2), kernel=[(1, 1)])
@@ -791,7 +822,7 @@ class TestClosedFormC2:
     ])
     def test_positive_determinant_is_not_enough(self, gram, monkeypatch):
         import weylinv.invariants as inv
-        monkeypatch.setattr(inv, "killing_gram", lambda kind, rank: gram)
+        monkeypatch.setattr(inv, "killing_gram", lambda kind, rank: sparse_rows(gram))
         with pytest.raises(AssertionError, match="not positive definite"):
             inv._killing_diagonal.__wrapped__("A", len(gram))
 
@@ -818,7 +849,7 @@ class TestClosedFormC2:
                 x = data.draw(st.integers(-3, 3).filter(bool))
                 gram[perm[i]][perm[p]] = gram[perm[p]][perm[i]] = x
         det, adj = det_adjugate(gram)
-        with mock.patch.object(invariants, "killing_gram", lambda kind, rank: gram):
+        with mock.patch.object(invariants, "killing_gram", lambda kind, rank: sparse_rows(gram)):
             if min(leading_minors(gram)) > 0:
                 assert invariants._killing_diagonal.__wrapped__("A", n) == _diagonal(adj, det)
             else:
@@ -840,7 +871,7 @@ class TestClosedFormC2:
         for i in range(n):
             gram[i][i] = 1 + sum(abs(x) for x in gram[i])
         assert min(leading_minors(gram)) > 0
-        with mock.patch.object(invariants, "killing_gram", lambda kind, rank: gram):
+        with mock.patch.object(invariants, "killing_gram", lambda kind, rank: sparse_rows(gram)):
             with pytest.raises(AssertionError, match="cycle"):
                 invariants._killing_diagonal.__wrapped__("A", n)
 
@@ -857,9 +888,9 @@ class TestClosedFormC2:
     def test_a_cartan_matrix_is_refused(self, monkeypatch):
         # the tree formulas read K_ij = K_ji; the unsymmetrised B3 Cartan
         # matrix, positive leading minors and all, is refused
-        gram = rootdata.cartan_rows("B", 3)
+        gram = table_cartan_rows("B", 3)
         assert min(leading_minors(gram)) > 0
-        monkeypatch.setattr(invariants, "killing_gram", lambda kind, rank: gram)
+        monkeypatch.setattr(invariants, "killing_gram", lambda kind, rank: sparse_rows(gram))
         with pytest.raises(AssertionError, match="not symmetric"):
             invariants._killing_diagonal.__wrapped__("B", 3)
 
@@ -867,7 +898,7 @@ class TestClosedFormC2:
     def test_adjugate(self, kind, rank):
         # the whole of K adj K = det K I on the dense oracle, whose diagonal
         # and determinant the tree gives
-        k = killing_gram(kind, rank)
+        k = table_killing_gram(kind, rank)
         det, adj = det_adjugate(k)
         assert _killing_diagonal(kind, rank) == _diagonal(adj, det)
         assert det == fraction_det(k) > 0

@@ -28,7 +28,9 @@ from weylinv import (
     parse_spec,
 )
 from weylinv.invariants import InvariantReport
-from weylinv.rootdata import cartan_rows, center_group, frozen_setattr, residue_functionals
+from weylinv.rootdata import center_group, frozen_setattr, residue_functionals
+
+from _helpers import dense_rows, table_cartan_rows
 
 # (type, fields, defaults of the trailing fields, frozen)
 RECORDS = [
@@ -68,9 +70,9 @@ def test_lattice_model_is_immutable():
     model = compile_spec(parse_spec("(SL(2) x Spin(10)) / mu(2)"))
     assert LatticeModel.__setattr__ is LatticeModel.__delattr__ is frozen_setattr
     assert model.offsets == (0, 1)
-    assert model._cartan[1][3] == (0, 0, -1, 2, 0)
+    assert model._tree[1][3] == (1, ((2, -1),))
     assert model._residue == ((((1,), 2),), (((2, 0, 2, 1, 3), 4),))
-    for name in ("offsets", "_cartan", "_residue", "factors", "congruences", "grading.images"):
+    for name in ("offsets", "_tree", "_residue", "factors", "congruences", "grading.images"):
         value = model.grading.images if name == "grading.images" else getattr(model, name)
         assert isinstance(value, tuple), name
         assert all(not isinstance(x, (list, dict, set)) for x in value), name
@@ -84,19 +86,19 @@ def test_lattice_model_is_immutable():
 
 
 def test_models_share_their_per_type_tuples():
-    # the Cartan and residue tuples are built once per (kind, rank); the
-    # residue moduli are the centre's invariant factors
+    # the Dynkin trees and residue tuples are built once per (kind, rank);
+    # the residue moduli are the centre's invariant factors
     a = compile_spec(parse_spec("(SL(2) x Spin(10)) / mu(2)"))
     b = compile_spec(parse_spec("Spin(10) x SL(2) x Spin(10)"))
-    for name in ("_cartan", "_residue"):
+    for name in ("_tree", "_residue"):
         x, y = getattr(a, name), getattr(b, name)
         assert x[0] is y[1] and x[1] is y[0] is y[2], name
     for model in (a, b):
-        for f, cartan, residue in zip(model.factors, model._cartan, model._residue):
-            assert cartan == tuple(map(tuple, cartan_rows(f.kind, f.rank)))
+        for f, tree, residue in zip(model.factors, model._tree, model._residue):
+            assert dense_rows([(2, row) for _, row in tree]) == table_cartan_rows(f.kind, f.rank)
             assert residue == tuple((tuple(v), m) for v, m in residue_functionals(f.kind, f.rank))
             assert tuple(m for _, m in residue) == center_group(f.kind, f.rank)
-    assert b._cartan[0][3] == (0, 0, -1, 2, 0)
+    assert b._tree[0][3] == (1, ((2, -1),))
     assert b._residue == ((((2, 0, 2, 1, 3), 4),), (((1,), 2),), (((2, 0, 2, 1, 3), 4),))
     assert tuple(tuple(m for _, m in r) for r in b._residue) == ((4,), (2,), (4,))
 
@@ -117,7 +119,7 @@ def test_per_type_readers_read_the_type_tuples(monkeypatch):
     def unreadable(kind, n):
         raise AssertionError("a per-type table was read again")
 
-    monkeypatch.setattr(rootdata, "cartan_rows", unreadable)
+    monkeypatch.setattr(rootdata, "diagram_edges", unreadable)
     monkeypatch.setattr(rootdata, "residue_functionals", unreadable)
     rootdata.killing_gram.cache_clear()
     assert readers() == want

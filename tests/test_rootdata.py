@@ -16,7 +16,6 @@ from weylinv.rootdata import (
     GroupSpec,
     LatticeModel,
     SimpleFactor,
-    cartan_rows,
     center_group,
     compile_spec,
     congruence_grading,
@@ -34,11 +33,11 @@ from weylinv.rootdata import (
 )
 
 from _helpers import (
-    center_residues, entry_tuple, fundamental_weight, golden_specs, in_tstar, killing_value, lattice_grading,
+    center_residues, dense_rows, entry_tuple, fundamental_weight, golden_specs, in_tstar, killing_value, lattice_grading,
     model, oracle_factors, oracle_specs, parabolic_order_oracle, per_column_grading,
     reflect_local, residue_allowed, standard_e_basis,
     table_cartan_rows, table_center_group, table_diag_entry, table_killing_coeffs,
-    table_weyl_order, tstar_basis,
+    table_killing_gram, table_weyl_order, tstar_basis,
 )
 
 
@@ -55,13 +54,20 @@ class TestClosedFormTables:
 
     @pytest.mark.parametrize("f", oracle_factors(), ids=str)
     def test_derived_data_equal_the_tables(self, f):
+        # the edge list reaches the diagram from node 0, one new node per
+        # edge, as the tree's one pass for the symmetrizer reads it; the tree
+        # expanded (c_ii = 2 and the entries over each node's neighbours) and
+        # K's sparse rows
         kind, n = f
-        assert cartan_rows(kind, n) == table_cartan_rows(kind, n)
-        q = table_killing_coeffs(kind, n)
-        assert killing_coeffs(kind, n) == q
-        assert killing_gram(kind, n) == tuple(
-            tuple(2 * q[(i, i)] if i == j else q.get((min(i, j), max(i, j)), 0)
-                  for j in range(n)) for i in range(n))
+        reached = [0]
+        for a, b in rootdata.diagram_edges(kind, n):
+            assert a in reached and b not in reached, (a, b)
+            reached.append(b)
+        assert sorted(reached) == list(range(n))
+        tree = rootdata._type_tuples(kind, n)[0]
+        assert dense_rows([(2, row) for _, row in tree]) == table_cartan_rows(kind, n)
+        assert dense_rows(killing_gram(kind, n)) == table_killing_gram(kind, n)
+        assert killing_coeffs(kind, n) == table_killing_coeffs(kind, n)
         assert center_group(kind, n) == table_center_group(kind, n)
         assert weyl_order(kind, n) == table_weyl_order(kind, n)
 
@@ -255,7 +261,7 @@ class TestCompile:
         for kind, rank in [("A", 4), ("B", 3), ("C", 4), ("D", 4), ("D", 5),
                            ("E6", 6), ("E7", 7)]:
             m = model(SimpleFactor(kind, rank))
-            rows = cartan_rows(kind, rank)
+            rows = table_cartan_rows(kind, rank)
             for alpha in rows:
                 res = center_residues(m, tuple(alpha))
                 assert all(x == 0 for x in res[0]), (kind, rank, alpha, res)
@@ -362,6 +368,27 @@ class TestOrbits:
         assert parabolic_order(kind, rank, zeros) == want
         assert stabilizer_order(kind, rank, sorted(set(range(rank)) - zeros)) == want
 
+    @pytest.mark.parametrize("kind, rank", [("A", r) for r in range(1, 7)]
+                             + [(k, r) for k in "BC" for r in range(2, 6)]
+                             + [("D", r) for r in range(4, 7)] + [("E6", 6), ("E7", 7)])
+    def test_orbit_local_lists_the_dense_closure(self, kind, rank):
+        # each fundamental orbit, from the dominant point and from its least
+        # point, against its closure under every simple reflection of the
+        # table's dense Cartan rows
+        m = model(SimpleFactor(kind, rank))
+        rows = table_cartan_rows(kind, rank)
+        for j in range(rank):
+            start = tuple(int(i == j) for i in range(rank))
+            seen, todo = {start}, [start]
+            while todo:
+                w = todo.pop()
+                for a_i, row in zip(w, rows):
+                    v = tuple(a - a_i * r for a, r in zip(w, row))
+                    if v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+            assert m.orbit_local(0, start) == m.orbit_local(0, min(seen)) == seen, j
+
     def test_product_orbit(self):
         m = model(SimpleFactor("A", 1), SimpleFactor("A", 1))
         orb = weyl_orbit(m, (1, 1))
@@ -464,7 +491,7 @@ class TestKillingForms:
         for kind, rank in [("A", 3), ("B", 2), ("B", 4), ("C", 2), ("C", 4),
                            ("D", 4), ("D", 5), ("E6", 6), ("E7", 7)]:
             q = killing_coeffs(kind, rank)
-            rows = cartan_rows(kind, rank)
+            rows = table_cartan_rows(kind, rank)
             for k in range(rank):
                 assert self._reflect_symbols(q, rows, k) == q, (kind, rank, k)
 
@@ -489,7 +516,7 @@ class TestKillingForms:
         rng = random.Random(5)
         for kind, rank in [("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 5),
                            ("E6", 6), ("E7", 7)]:
-            k, q = killing_gram(kind, rank), killing_coeffs(kind, rank)
+            k, q = dense_rows(killing_gram(kind, rank)), killing_coeffs(kind, rank)
             assert all(k[i][j] == k[j][i] for i in range(rank) for j in range(rank))
             for _ in range(5):
                 x = [rng.randint(-3, 3) for _ in range(rank)]
