@@ -26,6 +26,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .intlinalg import (
+    _echelon,
     congruence_kernel,
     det_adjugate,
     hnf,
@@ -44,11 +45,10 @@ from .rootdata import (
     compile_spec,
     congruence_grading,
     frozen_setattr,
+    fundamental_orbit_sizes,
     fundamental_orbit_sums,
     killing_coeffs,
     killing_gram,
-    stabilizer_order,
-    weyl_order,
 )
 
 
@@ -395,17 +395,15 @@ def _factor_buckets(kind: str, rank: int, images: tuple, moduli: tuple):
     ascending chain of sublattices of Z^2 stops.  * is bilinear, so the
     (t_j, w_j) of one class act through the rows they span.
 
-    rho(omega_j) maps to (t_j, w_j), w_j = |W omega_j| = |W| / stabilizer_order
+    rho(omega_j) maps to (t_j, w_j), w_j = |W omega_j| (fundamental_orbit_sizes)
     and t_j = w_j adj(K)_jj / (rank det K): sum_{chi in W lam} chi chi^T is
     W-invariant and the reflection representation is irreducible, so it is
     c K / 2 (K = killing_gram), and its trace against 2 K^-1 gives t = c / 2.
     Only the diagonal of adj K and det K are read, and `_killing_diagonal`
     computes just those, once per (kind, rank)."""
     diag, det = _killing_diagonal(kind, rank)
-    worder = weyl_order(kind, rank)
     by_class = {}
-    for j, g in enumerate(images):
-        w = worder // stabilizer_order(kind, rank, [j])
+    for j, (g, w) in enumerate(zip(images, fundamental_orbit_sizes(kind, rank))):
         t, rem = divmod(w * diag[j], rank * det)
         if rem:
             raise AssertionError("non-integral c2 multiple")
@@ -484,9 +482,14 @@ def _fold_step(grading, states, buckets, into=None) -> dict:
         for c, state in states.items():
             total = grading.add(c, g)
             if into is None or into(total):
-                out.setdefault(total, set()).update(
-                    (big * w, *(x * w for x in v), big * t) for big, *v in state for t, w in rows)
+                out.setdefault(total, set()).update(_fold_pairs(state, rows))
     return out
+
+
+def _fold_pairs(state, rows):
+    """The vectors (W w, v w, W t) that a bucket's rows (t, w) make of a
+    state's vectors (W, v)."""
+    return ((big * w, *(x * w for x in v), big * t) for big, *v in state for t, w in rows)
 
 
 def _is_diag_kernel(model):
@@ -634,8 +637,12 @@ def compute_Dec(model: LatticeModel) -> InvariantLattice:
     closure is checked against it: DecMismatchError on any disagreement, mode
     'both' on agreement.
     """
-    zero = model.grading.zero
-    vecs = _fold_step(model.grading, *_class_fold(model), lambda c: c == zero)[zero]
+    states, last = _class_fold(model)
+    moduli = model.grading.moduli
+    # the last fold step into class 0: a bucket of class g meets only class -g
+    vecs = set()
+    for g, rows in last:
+        vecs.update(_fold_pairs(states.get(tuple(-x % m for x, m in zip(g, moduli)), ()), rows))
     hilbert = InvariantLattice.from_rows(len(model.factors), [r[1:] for r in vecs], True, "hilbert")
     table_rows = dec_table(model)
     if table_rows is None:
@@ -721,7 +728,7 @@ def compute_Sdec(model: LatticeModel, dec: InvariantLattice | None = None,
     Z[Lambda]^W, and c2(e^mu x) = c2(x), since c0(x) = c1(x) = 0.  c2 of
     the intersection of Z[T*] and I Z[Lambda] lies in Sdec (Merkurjev,
     Degree three cohomological invariants of semisimple groups, JEMS 18
-    (2016)), so the W = 0 HNF rows of every nonzero class lie in Sdec, and
+    (2016)), so the W = 0 vectors of every nonzero class lie in Sdec, and
     Dec <= join <= Sdec <= Q.  No generator set is built.  dec and q, when
     given, are compute_Dec(model) and compute_Q(model).
     """
@@ -734,7 +741,12 @@ def compute_Sdec(model: LatticeModel, dec: InvariantLattice | None = None,
         return InvariantLattice(table.dim, table.rows, dec.mode == "both", "table")
     zero = model.grading.zero
     witness = _fold_step(model.grading, *_class_fold(model), lambda c: c != zero)
-    join = dec.join([r[1:] for vs in witness.values() for r in hnf(vs) if not r[0]])
+    rows = []
+    for vs in witness.values():
+        # one elimination on the W column: the rows past its pivot span W = 0
+        m = [list(v) for v in vs]
+        rows += (r[1:] for r in m[_echelon(m, 1):])
+    join = dec.join(rows)
     return InvariantLattice(dec.dim, join.rows, join.same_rows(q), "closure")
 
 

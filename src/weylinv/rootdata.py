@@ -69,10 +69,24 @@ class GroupSpec(namedtuple("GroupSpec", "factors center_kernel", defaults=((),))
     (A_n, B, C, D-odd, E6, E7), and a pair (s, v) of bits for D-even.
     `factors` is a tuple of SimpleFactor, `center_kernel` a tuple of such
     generators (one entry per factor).
+
+    The kernel is stored as the subgroup it generates (`_canonical_kernel`),
+    so two generating sets of one subgroup build equal specs: a spec is its
+    group.  Every constructor reads the kernel through `_make`, which
+    namedtuple's `_replace` calls too.
     """
 
     __slots__ = ()
     __setattr__ = __delattr__ = frozen_setattr
+
+    def __new__(cls, factors, center_kernel=()):
+        return cls._make((factors, center_kernel))
+
+    @classmethod
+    def _make(cls, iterable):
+        factors, kernel = iterable
+        factors = tuple(factors)
+        return tuple.__new__(cls, (factors, _canonical_kernel(factors, kernel)))
 
     def __str__(self):
         prod = " x ".join(str(f) for f in self.factors)
@@ -80,10 +94,44 @@ class GroupSpec(namedtuple("GroupSpec", "factors center_kernel", defaults=((),))
             return prod
         return f"({prod}) / <{len(self.center_kernel)} kernel generator(s)>"
 
-    def as_tuples(self) -> "GroupSpec":
-        """This spec with its sequences read as tuples: a spec built from
-        lists then compares equal, and hashes, as the tuple-built one."""
-        return GroupSpec(tuple(self.factors), tuple(map(tuple, self.center_kernel)))
+
+def _canonical_kernel(factors, kernel) -> tuple:
+    """The canonical generators of the subgroup that `kernel` generates in
+    the product of the factors' centres, once every generator's shape is
+    checked: an int on a cyclic centre, a tuple on D-even's.
+
+    Each generator becomes one row of its entries (a D-even pair entrywise);
+    the row HNF of these rows stacked on the centre moduli, reduced mod the
+    moduli and with zero rows dropped, is split back into entries.  The HNF
+    of a lattice is unique, so two generating sets of one subgroup give one
+    value, and no row is zero.
+    """
+    residues = [_type_tuples(f.kind, f.rank)[1] for f in factors]
+    rows = []
+    for gen in kernel:
+        if len(gen) != len(factors):
+            raise ValueError("kernel tuple length != number of factors")
+        row = []
+        for t, residue in zip(gen, residues):
+            if len(residue) == 1:
+                if not isinstance(t, int):
+                    raise ValueError(f"kernel entry {t!r} must be an int")
+                row.append(t)
+            elif isinstance(t, tuple) and len(t) == len(residue):
+                row += t
+            else:
+                raise ValueError(f"kernel entry {t!r} must be a {len(residue)}-tuple")
+        rows.append(row)
+    moduli = [m for residue in residues for _, m in residue]
+    rows += [[m * (i == c) for i in range(len(moduli))] for c, m in enumerate(moduli)]
+    out = []
+    for row in hnf(rows):
+        row = [x % m for x, m in zip(row, moduli)]
+        if any(row):
+            flat = iter(row)
+            out.append(tuple(next(flat) if len(residue) == 1 else (next(flat), next(flat))
+                             for residue in residues))
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -282,6 +330,29 @@ def stabilizer_order(kind: str, rank: int, support) -> int:
     return out * (2 if free and branch in support else 1)
 
 
+@lru_cache(maxsize=None)
+def fundamental_orbit_sizes(kind: str, rank: int) -> tuple:
+    """|W omega_j| for every node j, in one pass along the chain.
+
+    On A_n, |W omega_j| = C(n + 1, j + 1); on B_n and C_n it is
+    2^(j+1) C(n, j + 1), and on D_n too but at the two spin nodes n-2 and
+    n-1, where it is 2^(n-1) (Bourbaki, Lie Groups, ch. VI, Plates I-IV).
+    The binomials are a running product, one small multiplication and one
+    exact division per node, where |W| / stabilizer_order costs two
+    factorials of the rank per node.  E6 and E7 read stabilizer_order.
+    """
+    if kind in ("E6", "E7"):
+        return tuple(weyl_order(kind, rank) // stabilizer_order(kind, rank, [j])
+                     for j in range(rank))
+    top, out, b = rank + (kind == "A"), [], 1
+    for j in range(rank):
+        b = b * (top - j) // (j + 1)
+        out.append(b if kind == "A" else b << (j + 1))
+    if kind == "D":
+        out[-2:] = [1 << (rank - 1)] * 2
+    return tuple(out)
+
+
 def congruence_grading(congruences, n: int) -> Grading:
     """Quotient map Z^n -> Z^n / L for L = {a : v . a == 0 mod m for each (v, m)}.
 
@@ -331,12 +402,9 @@ class LatticeModel:
     caller of a spec): assignment and deletion raise
     `dataclasses.FrozenInstanceError`, and the per-factor data are tuples.
 
-    `kernel_residues` is the kernel as the subgroup it generates, read once
-    (`_kernel_subgroup`): each generator becomes one row of its entries (an
-    int on a cyclic centre, a D-even pair entrywise), and the row HNF of
-    these rows stacked on the centre moduli, reduced mod the moduli and with
-    zero rows dropped, is split back into per-factor residue tuples.  Two
-    generating sets of one subgroup give one value, and no row is zero; the
+    `kernel_residues` is the spec's kernel, already the canonical generators
+    of its subgroup (`GroupSpec`), with each entry as its residue tuple in its
+    factor's centre: an int as a 1-tuple, a D-even pair as it is.  The
     congruences and the closed forms read the kernel only through it.
     """
 
@@ -344,47 +412,20 @@ class LatticeModel:
 
     def __init__(self, spec: GroupSpec):
         put = self.__dict__.update   # the instance refuses attribute assignment
-        factors = tuple(spec.factors)
+        factors = spec.factors
         ends = tuple(accumulate((f.rank for f in factors), initial=0))
         per_type = [_type_tuples(f.kind, f.rank) for f in factors]
         put(spec=spec, factors=factors, offsets=ends[:-1], total_rank=ends[-1],
             _tree=tuple(tree for tree, _ in per_type),
-            _residue=tuple(residue for _, residue in per_type))
-        put(kernel_residues=self._kernel_subgroup())
+            _residue=tuple(residue for _, residue in per_type),
+            kernel_residues=tuple(tuple(t if isinstance(t, tuple) else (t,) for t in gen)
+                                  for gen in spec.center_kernel))
         put(congruences=self._build_congruences())
         put(grading=congruence_grading(self.congruences, self.total_rank))
 
     # -- construction helpers ----------------------------------------------
     def _basis_vec(self, i):
         return tuple(int(j == i) for j in range(self.total_rank))
-
-    def _kernel_subgroup(self):
-        """The canonical rows of the kernel subgroup, once every generator's
-        shape is checked: an int on a cyclic centre, a tuple on D-even's."""
-        rows = []
-        for gen in self.spec.center_kernel:
-            if len(gen) != len(self.factors):
-                raise ValueError("kernel tuple length != number of factors")
-            row = []
-            for t, residue in zip(gen, self._residue):
-                if len(residue) == 1:
-                    if not isinstance(t, int):
-                        raise ValueError(f"kernel entry {t!r} must be an int")
-                    row.append(t)
-                elif isinstance(t, tuple) and len(t) == len(residue):
-                    row += t
-                else:
-                    raise ValueError(f"kernel entry {t!r} must be a {len(residue)}-tuple")
-            rows.append(row)
-        moduli = [m for residue in self._residue for _, m in residue]
-        rows += [[m * (i == c) for i in range(len(moduli))] for c, m in enumerate(moduli)]
-        out = []
-        for row in hnf(rows):
-            row = [x % m for x, m in zip(row, moduli)]
-            if any(row):
-                flat = iter(row)
-                out.append(tuple(tuple(next(flat) for _ in residue) for residue in self._residue))
-        return tuple(out)
 
     def _build_congruences(self):
         out = []
@@ -458,17 +499,10 @@ class LatticeModel:
 
 
 def compile_spec(spec: GroupSpec) -> LatticeModel:
-    """The model of `spec`, compiled once per spec and process.
-
-    The spec's sequences are read as tuples first, so equal specs share one
-    model (immutable, see `LatticeModel`) whether they were built from tuples
-    or lists.
-    """
-    spec = spec.as_tuples()
-    try:
-        hash(spec)
-    except TypeError:   # an unhashable kernel entry, which the model rejects
-        return LatticeModel(spec)
+    """The model of `spec`, compiled once per group and process: the spec
+    holds its kernel's canonical generators, so equal groups are equal specs
+    and share one model (immutable, see `LatticeModel`), found with no
+    elimination."""
     return _compiled(spec)
 
 

@@ -14,7 +14,10 @@ Adjoint/special factor forms expand to per-factor kernel generators; a mu(k)
 center adds one kernel generator across the whole product, and explicit
 residues must have an order dividing k.  For factors of type D with even
 rank, a residue integer r encodes the pair (r // 2, r % 2) in the (spinor,
-vector) coordinates of the center character group.
+vector) coordinates of the center character group.  The GroupSpec holds
+the subgroup these generators generate, not the generators as written, so
+every writing of one group parses to one spec and prints as one text
+(`spec_to_text`).
 """
 
 from __future__ import annotations
@@ -146,7 +149,8 @@ def _first_at_depth_zero(s: str, char: str):
 
 
 def parse_spec(text: str) -> GroupSpec:
-    """Parse the group-spec grammar into a GroupSpec."""
+    """Parse the group-spec grammar into a GroupSpec: the kernel generators
+    the text writes, read as their subgroup's canonical generators."""
     s = text.strip()
     split_at = _first_at_depth_zero(s, "/")
     prod_text = s if split_at is None else s[:split_at]
@@ -199,14 +203,16 @@ def parse_spec(text: str) -> GroupSpec:
 
 
 def spec_to_text(spec: GroupSpec) -> str:
-    """Canonical grammar text with parse_spec(spec_to_text(s)) == s.
+    """The one canonical text of the spec's group, with
+    parse_spec(spec_to_text(s)) == s.
 
-    The grammar fixes the order of the kernel generators: per-factor ones in
-    factor order, then at most one centre.  A spec it cannot write that way,
-    such as one with two generators that no factor name carries, raises
-    ValueError.
+    The spec holds its kernel's canonical generators (`GroupSpec`), so every
+    writing of one group prints the same text, by one rule: each factor takes
+    the first name that `_factor_token` reads back with the kernel rows on
+    that factor alone, all of them or else the first alone; every other row
+    prints as the centre.  A spec with more than one such row, say two that
+    each couple factors, is not expressible and raises ValueError.
     """
-    spec = spec.as_tuples()
     text = _render(spec)
     try:
         back = parse_spec(text)
@@ -219,56 +225,40 @@ def spec_to_text(spec: GroupSpec) -> str:
 
 def _render(spec: GroupSpec) -> str:
     factors, kernel = spec.factors, spec.center_kernel
-    names = [_name(f, ()) for f in factors]
-    if None in names:
-        raise ValueError("spec not expressible in the grammar")
-    last_named = -1   # the grammar lists per-factor generators in factor order
-    shared = None
-    k = 0
-    while k < len(kernel):
-        gen = kernel[k]
-        k += 1
-        support = [i for i, (f, e) in enumerate(zip(factors, gen)) if e != _zero_entry(f)]
-        if shared is None and len(support) == 1 and support[0] > last_named:
-            i = support[0]
-            name = _name(factors[i], (gen[i],))
-            # PGO(8) is SO(8)'s generator followed by HSpin(8)'s.  In a product
-            # whose kernel ends with that pair, the second one prints as the
-            # centre instead: (SL(2) x SO(8)) / mu(2)[0,1].
-            if name == "SO(8)" and kernel[k:k + 1] == (gen[:i] + ((0, 1),) + gen[i + 1:],) \
-                    and (len(factors) == 1 or k + 1 < len(kernel)):
-                name, k = "PGO(8)", k + 1
-            # SO(6) is SL(4) / mu(2), which prints as the centre unless a
-            # later generator takes it: (SO(6) x Sp(4)) / mu(2)
-            if name == "SO(6)" and k == len(kernel):
-                name = None
+    zero = tuple(map(_zero_entry, factors))
+    own = [[] for _ in factors]   # the rows on one factor, by factor
+    shared = []
+    for gen in kernel:
+        support = [i for i, (e, z) in enumerate(zip(gen, zero)) if e != z]
+        if len(support) == 1:
+            own[support[0]].append(gen)
+        else:
+            shared.append(gen)
+    names = []
+    for i, (f, rows) in enumerate(zip(factors, own)):
+        # the most of the factor's rows, from the first, that a name carries
+        for k in range(len(rows), -1, -1):
+            name = _name(f, tuple(gen[i] for gen in rows[:k]))
             if name is not None:
-                names[i] = name
-                last_named = i
-                continue
-        # a generator no factor name carries, e.g. the mu(2) of SL(4) / mu(2)
-        # or the zero one of SL(2) / mu(2)[0], is printed as the centre
-        if shared is not None:
+                break
+        else:
             raise ValueError("spec not expressible in the grammar")
-        shared = gen
+        names.append(name)
+        shared += rows[k:]
+    if len(shared) > 1:
+        raise ValueError("spec not expressible in the grammar")
     prod = " x ".join(names)
-    if shared is None:
+    if not shared:
         return prod
     if len(names) > 1:
         prod = f"({prod})"
-    # residues that kill the centre, as in SL(2) / mu(2)[2], print under mu(2)
-    order = max(2, math.lcm(*(center_order(f.kind, f.rank, e)
-                              for f, e in zip(factors, shared))))
+    (gen,) = shared
+    order = math.lcm(*(center_order(f.kind, f.rank, e) for f, e in zip(factors, gen)))
     try:   # the diagonal mu(order), when it embeds in every factor
         diag = tuple(_diag_entry(f, order) for f in factors)
     except SpecParseError:
         diag = None
-    if diag == shared:
+    if diag == gen:
         return f"{prod} / mu({order})"
-    vals = []
-    for f, e in zip(factors, shared):
-        if f.kind == "D" and f.rank % 2 == 0:
-            vals.append(str(e[0] * 2 + e[1]))
-        else:
-            vals.append(str(e))
+    vals = [str(e[0] * 2 + e[1]) if isinstance(e, tuple) else str(e) for e in gen]
     return f"{prod} / mu({order})[{','.join(vals)}]"

@@ -334,29 +334,32 @@ class TestSpecRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(parsed_specs(), st.randoms(use_true_random=False))
     def test_permuted_kernels_round_trip_or_raise(self, spec, rng):
+        # a spec is its group: a permuted kernel builds the same spec
         kernel = list(spec.center_kernel)
         rng.shuffle(kernel)
         permuted = GroupSpec(spec.factors, tuple(kernel))
-        try:
-            text = spec_to_text(permuted)
-        except ValueError as exc:
-            assert str(exc) == "spec not expressible in the grammar"
-            assert tuple(kernel) != spec.center_kernel
-        else:
-            assert parse_spec(text) == permuted
+        assert permuted == spec
+        assert spec_to_text(permuted) == spec_to_text(spec)
 
     @pytest.mark.parametrize("text, want", [
-        # PGO(8)'s pair at the end of a product's kernel prints as SO(8) and
-        # the centre; a later generator lets the first pair print as PGO(8)
-        ("SL(2) x PGO(8)", "(SL(2) x SO(8)) / mu(2)[0,1]"),
-        ("PGO(8) x SL(2)", "(SO(8) x SL(2)) / mu(2)[1,0]"),
-        ("PGO(8) x PGO(8)", "(PGO(8) x SO(8)) / mu(2)[0,1]"),
-        # SO(6)'s generator at the end of the kernel prints as the centre
-        ("SO(6) x Sp(4)", "(SL(4) x Sp(4)) / mu(2)[2,0]"),
+        # the rows on one factor take the first name that carries them;
+        # every writing of one group prints as that group's one text
+        ("SL(2) x PGO(8)", "SL(2) x PGO(8)"),
+        ("(SL(2) x SO(8)) / mu(2)[0,1]", "SL(2) x PGO(8)"),
+        ("PGO(8) x SL(2)", "PGO(8) x SL(2)"),
+        ("PGO(8) x PGO(8)", "PGO(8) x PGO(8)"),
+        ("SO(6) x Sp(4)", "SO(6) x Sp(4)"),
+        ("SL(4) / mu(2)", "SO(6)"),
+        ("(SO(6) x Sp(4)) / mu(2)", "SO(6) x PGSp(4)"),
+        ("(PGL(2) x PGL(2)) / mu(2)", "PGL(2) x PGL(2)"),
         ("SO(3)", "PGL(2)"), ("PSO(6)", "PGL(4)"), ("Spin(6)", "SL(4)"),
-        # residues that kill the centre print under mu(2)
-        ("SL(2) / mu(2)[2]", "SL(2) / mu(2)[2]"),
-        ("(SL(2) x SL(2)) / mu(4)[2,2]", "(SL(2) x SL(2)) / mu(2)[2,2]"),
+        # residues that kill the centre generate the trivial subgroup
+        ("SL(2) / mu(2)[2]", "SL(2)"),
+        ("(SL(2) x SL(2)) / mu(4)[2,2]", "SL(2) x SL(2)"),
+        # a row on one factor that no name carries prints as the centre
+        ("SO(12) / mu(2)[1]", "SO(12) / mu(2)[1]"),
+        ("Spin(8) / mu(2)[3]", "Spin(8) / mu(2)[3]"),
+        ("(SL(2) x SO(6)) / mu(4)[1,1]", "(SL(2) x SO(6)) / mu(4)[1,1]"),
     ])
     def test_render_edge_cases(self, text, want):
         spec = parse_spec(text)
@@ -366,25 +369,25 @@ class TestSpecRoundTrip:
     def test_swapped_adjoint_kernel(self):
         a1 = SimpleFactor("A", 1)
         assert spec_to_text(GroupSpec((a1, a1), ((1, 0), (0, 1)))) == "PGL(2) x PGL(2)"
-        swapped = GroupSpec((a1, a1), ((0, 1), (1, 0)))
-        assert spec_to_text(swapped) == "(SL(2) x PGL(2)) / mu(2)[1,0]"
-        assert parse_spec(spec_to_text(swapped)) == swapped
+        for swapped in (((0, 1), (1, 0)), ((1, 1), (1, 0))):
+            assert GroupSpec((a1, a1), swapped) == GroupSpec((a1, a1), ((1, 0), (0, 1)))
+            assert spec_to_text(GroupSpec((a1, a1), swapped)) == "PGL(2) x PGL(2)"
         with pytest.raises(ValueError, match="not expressible"):
-            spec_to_text(GroupSpec((a1, a1), ((1, 1), (1, 0))))
+            spec_to_text(GroupSpec((a1,) * 3, ((1, 1, 0), (0, 1, 1))))
 
     @pytest.mark.parametrize("spec, want", [
         (GroupSpec([SimpleFactor("A", 1)], [(1,)]), "PGL(2)"),
         (GroupSpec([SimpleFactor("A", 1)], [[1]]), "PGL(2)"),
         (GroupSpec([SimpleFactor("A", 3), SimpleFactor("C", 2)], [[2, 0], [2, 1]]),
-         "(SO(6) x Sp(4)) / mu(2)"),
+         "SO(6) x PGSp(4)"),
         (GroupSpec([SimpleFactor("D", 4)], [[(1, 0)], [(0, 1)]]), "PGO(8)"),
         (GroupSpec([SimpleFactor("A", 1), SimpleFactor("D", 4)], [[0, (0, 1)], [1, (1, 0)]]),
          "(SL(2) x HSpin(8)) / mu(2)"),
     ])
     def test_list_built_specs_print_as_tuple_built_ones(self, spec, want):
-        # the sequences are read as tuples before the parse-back comparison
+        # GroupSpec reads the sequences as tuples
         assert spec_to_text(spec) == want
-        assert parse_spec(want) == spec.as_tuples()
+        assert parse_spec(want) == spec
 
     def test_names_read_only_the_factor_they_print(self, monkeypatch):
         # a token read as another factor (SO(201) as B100, SO(401) as B200)
@@ -495,7 +498,7 @@ class TestRun:
     def test_single_factor_modulo_part_of_its_centre(self):
         code, out = run_cli("invariants", "--spec", "SL(4) / mu(2)", "--json")
         assert code == 0
-        assert json.loads(out)["spec"] == "SL(4) / mu(2)"
+        assert json.loads(out)["spec"] == "SO(6)"
 
     @pytest.mark.parametrize("alias, name", [("Spin(6)", "SL(4)"), ("SO(6)", "SL(4) / mu(2)"),
                                              ("PSO(6)", "PGL(4)")])

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from weylinv import intlinalg, invariants, rootdata
 from weylinv.cli import main, parse_spec
+from weylinv.spec import spec_to_text
 from weylinv.generators import build_generators
 from weylinv.intlinalg import det_adjugate, hnf, lattice_contains, smallest_prime_factor
 from weylinv.invariants import (
@@ -79,10 +80,10 @@ def centre_elements(f):
 
 
 @st.composite
-def random_products(draw):
-    """Products of one to four factors of every type, of total rank <= 8,
-    and one or two kernel generators, each a random element of every
-    factor's centre."""
+def random_generators(draw, most=2):
+    """(factors, generators): products of one to four factors of every type,
+    of total rank <= 8, and one to `most` kernel generators, each a random
+    element of every factor's centre."""
     factors, total = [], 0
     for _ in range(draw(st.integers(1, 4))):
         if total < 8:
@@ -95,8 +96,13 @@ def random_products(draw):
         xs = tuple(draw(st.integers(0, m - 1)) for m in grp)
         return xs if len(grp) > 1 else xs[0]
 
-    gens = [tuple(entry(f) for f in factors) for _ in range(draw(st.integers(1, 2)))]
-    return GroupSpec(tuple(factors), tuple(gens))
+    return tuple(factors), [tuple(entry(f) for f in factors)
+                            for _ in range(draw(st.integers(1, most)))]
+
+
+def random_products():
+    """GroupSpecs of random_generators' factors and generators."""
+    return random_generators().map(lambda drawn: GroupSpec(*drawn))
 
 
 @st.composite
@@ -414,10 +420,10 @@ _SL_PRIMARY = [(k, m, n) for k, top in ((2, 6), (3, 6), (4, 8))
                for m in range(k, top + 1, k) for n in range(k, top + 1, k)]
 
 
-def entry_residues(md):
-    """Every kernel entry of md read by entry_tuple, generator by generator."""
-    return tuple(tuple(entry_tuple(md, t, fi) for fi, t in enumerate(gen))
-                 for gen in md.spec.center_kernel)
+def entry_residues(md, gens):
+    """Every entry of the kernel generators gens of md read by entry_tuple,
+    generator by generator."""
+    return tuple(tuple(entry_tuple(md, t, fi) for fi, t in enumerate(gen)) for gen in gens)
 
 
 def generated_subgroup(md, gens):
@@ -438,9 +444,10 @@ def generated_subgroup(md, gens):
     return seen
 
 
-def add_entries(g, h):
-    """The entrywise sum of two kernel generators, D-even pairs entrywise."""
-    return tuple(tuple(map(sum, zip(a, b))) if isinstance(a, tuple) else a + b
+def add_entries(g, h, k=1):
+    """The entrywise sum g + k h of two kernel generators, D-even pairs
+    entrywise."""
+    return tuple(tuple(x + k * y for x, y in zip(a, b)) if isinstance(a, tuple) else a + k * b
                  for a, b in zip(g, h))
 
 
@@ -453,24 +460,62 @@ class TestKernelResidues:
     def test_golden_specs(self, text):
         # every golden kernel is written as its subgroup's canonical generators
         md = compile_spec(parse_spec(text))
-        assert md.kernel_residues == entry_residues(md)
+        assert md.kernel_residues == entry_residues(md, md.spec.center_kernel)
 
     @settings(max_examples=100, deadline=None)
-    @given(random_products())
-    def test_random_products(self, spec):
-        # the subgroup the entries' residues generate, with no zero generator
-        md = compile_spec(spec)
+    @given(random_generators())
+    def test_random_products(self, drawn):
+        # the subgroup the drawn entries' residues generate, with no zero
+        # generator
+        md = compile_spec(GroupSpec(*drawn))
         assert (generated_subgroup(md, md.kernel_residues)
-                == generated_subgroup(md, entry_residues(md)))
+                == generated_subgroup(md, entry_residues(md, drawn[1])))
         assert all(any(map(any, gen)) for gen in md.kernel_residues)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_generators(most=3), st.data())
+    def test_one_group_one_spec_one_model_one_text(self, drawn, data):
+        # generating sets of one subgroup: the drawn one rewritten by
+        # unimodular steps g_i += k g_j and by a zero, a repeated and a
+        # multiplied generator, in any order, build one GroupSpec, compile to
+        # one model object and print as one text, which parses back to the
+        # spec; or none of them is expressible
+        factors, gens = drawn
+        zero = tuple((0, 0) if isinstance(t, tuple) else 0 for t in gens[0])
+        writings = [gens]
+        for _ in range(3):
+            other = list(gens)
+            for _ in range(data.draw(st.integers(0, 3))):
+                i, j = (data.draw(st.integers(0, len(other) - 1)) for _ in range(2))
+                k = data.draw(st.integers(-3, 3))
+                if i != j:
+                    other[i] = add_entries(other[i], other[j], k)
+                else:
+                    other.append(data.draw(st.sampled_from(
+                        [zero, other[i], add_entries(zero, other[i], k)])))
+            writings.append(data.draw(st.permutations(other)))
+        specs = [GroupSpec(factors, w) for w in writings]
+        assert all(spec == specs[0] for spec in specs)
+        assert len({id(compile_spec(spec)) for spec in specs}) == 1
+        texts = set()
+        for spec in specs:
+            try:
+                texts.add(spec_to_text(spec))
+            except ValueError as exc:
+                assert str(exc) == "spec not expressible in the grammar"
+                texts.add(None)
+        assert len(texts) == 1
+        text = texts.pop()
+        assert text is None or parse_spec(text) == specs[0]
 
     @settings(max_examples=60, deadline=None)
     @given(random_products(), st.data())
     def test_rewritten_generators_give_one_report(self, spec, data):
         # zero, repeated and summed generators, in any order, generate the
         # same subgroup: one kernel and one report, labels included
-        gens = list(spec.center_kernel)
-        zero = tuple((0, 0) if isinstance(t, tuple) else 0 for t in gens[0])
+        zero = tuple((0, 0) if len(center_group(f.kind, f.rank)) > 1 else 0
+                     for f in spec.factors)
+        gens = list(spec.center_kernel) or [zero]
         for how in data.draw(st.lists(st.sampled_from(["zero", "repeat", "sum"]),
                                       min_size=1, max_size=3)):
             i, j = (data.draw(st.integers(0, len(gens) - 1)) for _ in range(2))
@@ -749,7 +794,7 @@ class TestDecEngine:
 
     def test_a_wrong_orbit_size_gives_a_non_integral_c2_multiple(self, monkeypatch):
         # |W omega| = 3 on SL(2), one more than the true 2: t = 3/2
-        monkeypatch.setattr(invariants, "weyl_order", lambda kind, rank: 3)
+        monkeypatch.setattr(invariants, "fundamental_orbit_sizes", lambda kind, rank: (3,))
         with pytest.raises(AssertionError, match="non-integral c2 multiple"):
             _factor_buckets.__wrapped__("A", 1, ((1,),), (2,))
 
@@ -1062,6 +1107,17 @@ class TestSdecWitnesses:
         rep = invariants_of(compile_spec(parse_spec(f"({' x '.join(names)}) / mu(2)")))
         assert rep.Q.includes(rep.Sdec) and rep.Sdec.includes(rep.Dec)
         assert rep.Sdec.mode in ("table", "closure")
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_products())
+    def test_closure_matches_the_full_hnf_witness(self, spec):
+        # the rows past one elimination on the W column span what the W = 0
+        # rows of each class's full hnf span
+        md = compile_spec(spec)
+        zero = md.grading.zero
+        witness = _fold_step(md.grading, *_class_fold(md), lambda c: c != zero)
+        rows = [r[1:] for vs in witness.values() for r in hnf(vs) if not r[0]]
+        assert closure_sdec(md).rows == compute_Dec(md).join(rows).rows
 
 
 class TestClosureWitness:

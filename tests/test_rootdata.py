@@ -11,7 +11,7 @@ from weylinv.cli import parse_spec
 from weylinv.intlinalg import congruence_kernel, det_int
 from weylinv.invariants import QuotientRing, pgo8_lambda_prime, pgo8_model
 from weylinv.laurent import LaurentPoly, augmentation
-from weylinv import rootdata, spec as spec_module
+from weylinv import intlinalg, rootdata, spec as spec_module
 from weylinv.rootdata import (
     GroupSpec,
     LatticeModel,
@@ -20,6 +20,7 @@ from weylinv.rootdata import (
     compile_spec,
     congruence_grading,
     factor_orbit_sums,
+    fundamental_orbit_sizes,
     fundamental_orbit_sums,
     killing_coeffs,
     killing_gram,
@@ -197,8 +198,32 @@ class TestCompile:
         assert m.grading.moduli == fresh.grading.moduli == (2,)
         assert m.grading.images == fresh.grading.images == ((1,), (1,))
 
+    def test_the_kernel_is_eliminated_once(self, monkeypatch):
+        # GroupSpec reads the kernel as its subgroup; the model reads those
+        # rows with no elimination over the centre's 3 columns, only the
+        # grading's over the k = 1 congruence, and compile_spec finds a
+        # compiled spec's model with no elimination at all
+        spec = parse_spec("(SL(4) x Spin(10) x SL(2)) / mu(2)")
+        widths = []
+
+        def echelon(m, ncols):
+            widths.append(ncols)
+            return eliminate(m, ncols)
+
+        eliminate = intlinalg._echelon
+        monkeypatch.setattr(intlinalg, "_echelon", echelon)
+        md = LatticeModel(spec)
+        assert len(md.congruences) == 1 and widths and set(widths) == {1}
+        compiled = compile_spec(spec)
+        widths.clear()
+        assert compile_spec(parse_spec("(SL(4) x Spin(10) x SL(2)) / mu(2)")) is compiled
+        assert widths == [3]   # the parse's, over the centre's columns
+        widths.clear()
+        assert compile_spec(spec) is compiled
+        assert widths == []
+
     def test_invalid_specs_are_rejected_as_before(self):
-        # a list kernel entry cannot be a cache key; the model still rejects it
+        # GroupSpec checks every entry's shape as it reads the kernel
         d4 = (SimpleFactor("D", 4),)
         with pytest.raises(ValueError, match=r"kernel entry \[1, 0\] must be a 2-tuple"):
             compile_spec(GroupSpec(d4, [[[1, 0]]]))
@@ -218,9 +243,8 @@ class TestCompile:
             raise AssertionError("hnf ran before the shape checks")
 
         monkeypatch.setattr(rootdata, "hnf", no_hnf)
-        spec = GroupSpec(tuple(SimpleFactor(f[0], int(f[1])) for f in factors), kernel)
         with pytest.raises(ValueError, match=message):
-            LatticeModel(spec)
+            GroupSpec(tuple(SimpleFactor(f[0], int(f[1])) for f in factors), kernel)
 
     def test_simply_connected_trivial(self):
         m = model(SimpleFactor("C", 2))
@@ -388,6 +412,14 @@ class TestOrbits:
                         seen.add(v)
                         todo.append(v)
             assert m.orbit_local(0, start) == m.orbit_local(0, min(seen)) == seen, j
+
+    @pytest.mark.parametrize("kind, rank", [
+        (k, r) for k, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+        for r in [*range(lo, 13), 200, 1000]] + [("E6", 6), ("E7", 7)])
+    def test_fundamental_orbit_sizes_are_the_stabilizer_quotients(self, kind, rank):
+        worder = weyl_order(kind, rank)
+        assert fundamental_orbit_sizes(kind, rank) == tuple(
+            worder // stabilizer_order(kind, rank, [j]) for j in range(rank))
 
     def test_product_orbit(self):
         m = model(SimpleFactor("A", 1), SimpleFactor("A", 1))
