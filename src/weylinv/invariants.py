@@ -482,14 +482,9 @@ def _fold_step(grading, states, buckets, into=None) -> dict:
         for c, state in states.items():
             total = grading.add(c, g)
             if into is None or into(total):
-                out.setdefault(total, set()).update(_fold_pairs(state, rows))
+                out.setdefault(total, set()).update(
+                    (big * w, *(x * w for x in v), big * t) for big, *v in state for t, w in rows)
     return out
-
-
-def _fold_pairs(state, rows):
-    """The vectors (W w, v w, W t) that a bucket's rows (t, w) make of a
-    state's vectors (W, v)."""
-    return ((big * w, *(x * w for x in v), big * t) for big, *v in state for t, w in rows)
 
 
 def _is_diag_kernel(model):
@@ -637,12 +632,8 @@ def compute_Dec(model: LatticeModel) -> InvariantLattice:
     closure is checked against it: DecMismatchError on any disagreement, mode
     'both' on agreement.
     """
-    states, last = _class_fold(model)
-    moduli = model.grading.moduli
-    # the last fold step into class 0: a bucket of class g meets only class -g
-    vecs = set()
-    for g, rows in last:
-        vecs.update(_fold_pairs(states.get(tuple(-x % m for x, m in zip(g, moduli)), ()), rows))
+    zero = model.grading.zero
+    vecs = _fold_step(model.grading, *_class_fold(model), lambda c: c == zero)[zero]
     hilbert = InvariantLattice.from_rows(len(model.factors), [r[1:] for r in vecs], True, "hilbert")
     table_rows = dec_table(model)
     if table_rows is None:

@@ -90,9 +90,8 @@ def _name(f: SimpleFactor, entries):
     entries, or None: each of `_FACTOR_NAMES` in order, with the argument
     rank + 1, 2 rank and 2 rank + 1, then E6 and E7.  A token read as
     another factor is passed over before its entries are computed."""
-    n = f.rank
     for tok in [f"{name}({num})" for name in _FACTOR_NAMES
-                for num in (n + 1, 2 * n, 2 * n + 1)] + ["E6", "E7"]:
+                for num in (f.rank + 1, 2 * f.rank, 2 * f.rank + 1)] + ["E6", "E7"]:
         try:
             if _factor_token(tok, 0, f) == (f, entries):
                 return tok
@@ -184,18 +183,15 @@ def parse_spec(text: str) -> GroupSpec:
                 raise SpecParseError(f"bad residues in center {center_text!r}") from None
             if len(vals) != len(factors):
                 raise SpecParseError("residue tuple length != number of factors")
-            gen = []
-            for f, v in zip(factors, vals):
-                if f.kind == "D" and f.rank % 2 == 0:
-                    gen.append((v // 2 % 2, v % 2))
-                else:
-                    gen.append(v)
-            order = math.lcm(*(center_order(f.kind, f.rank, e) for f, e in zip(factors, gen)))
+            # r is (r // 2, r % 2) on D-even's 2x2 centre
+            gen = tuple((v // 2 % 2, v % 2) if isinstance(z, tuple) else v
+                        for z, v in zip(zero, vals))
+            order = _order(factors, gen)
             if k % order:
                 raise SpecParseError(
                     f"mu({k})[{parts[1]}] is not a map from mu({k}): "
                     f"its residues have order {order}")
-            kernel.append(tuple(gen))
+            kernel.append(gen)
         else:
             kernel.append(tuple(_diag_entry(f, k, f"{tok} at position {i}")
                                 for i, (f, tok) in enumerate(zip(factors, toks))))
@@ -208,10 +204,14 @@ def spec_to_text(spec: GroupSpec) -> str:
 
     The spec holds its kernel's canonical generators (`GroupSpec`), so every
     writing of one group prints the same text, by one rule: each factor takes
-    the first name that `_factor_token` reads back with the kernel rows on
-    that factor alone, all of them or else the first alone; every other row
-    prints as the centre.  A spec with more than one such row, say two that
-    each couple factors, is not expressible and raises ValueError.
+    the first name that `_factor_token` reads back with the canonical
+    generators of the kernel's elements on that factor alone
+    (`_factor_rows`), all of them or else the first alone; the rest of the
+    kernel prints as the centre, as one element of greatest order modulo
+    what the names carry (`_cyclic_generator`).  It generates the rest
+    exactly when the rest is cyclic, so every cyclic kernel and every parsed
+    spec prints; a spec whose rest is not cyclic, say two rows that each
+    couple factors, is not expressible and raises ValueError.
     """
     text = _render(spec)
     try:
@@ -224,36 +224,27 @@ def spec_to_text(spec: GroupSpec) -> str:
 
 
 def _render(spec: GroupSpec) -> str:
-    factors, kernel = spec.factors, spec.center_kernel
-    zero = tuple(map(_zero_entry, factors))
-    own = [[] for _ in factors]   # the rows on one factor, by factor
-    shared = []
-    for gen in kernel:
-        support = [i for i, (e, z) in enumerate(zip(gen, zero)) if e != z]
-        if len(support) == 1:
-            own[support[0]].append(gen)
-        else:
-            shared.append(gen)
-    names = []
-    for i, (f, rows) in enumerate(zip(factors, own)):
-        # the most of the factor's rows, from the first, that a name carries
-        for k in range(len(rows), -1, -1):
-            name = _name(f, tuple(gen[i] for gen in rows[:k]))
-            if name is not None:
-                break
-        else:
-            raise ValueError("spec not expressible in the grammar")
-        names.append(name)
-        shared += rows[k:]
-    if len(shared) > 1:
-        raise ValueError("spec not expressible in the grammar")
+    factors = spec.factors
+    names, mods = [], []   # mods: per centre coordinate, the d whose multiples the names carry
+    for i, f in enumerate(factors):
+        rows = _factor_rows(spec, i)
+        # the most of the factor's rows, from the first, that a name carries;
+        # every factor has a name for none of them.  What a name carries is,
+        # coordinate by coordinate, the multiples of a divisor of the modulus
+        k = next(k for k in range(len(rows), -1, -1) if _name(f, rows[:k]))
+        names.append(_name(f, rows[:k]))
+        mods += [math.gcd(m, *(_flat(e)[j] for e in rows[:k]))
+                 for j, m in enumerate(center_group(f.kind, f.rank))]
     prod = " x ".join(names)
-    if not shared:
+    flat = _cyclic_generator([[x for e in gen for x in _flat(e)] for gen in spec.center_kernel],
+                             mods)
+    if flat is None:
         return prod
-    if len(names) > 1:
-        prod = f"({prod})"
-    (gen,) = shared
-    order = math.lcm(*(center_order(f.kind, f.rank, e) for f, e in zip(factors, gen)))
+    prod = f"({prod})" if len(names) > 1 else prod
+    flat = iter(flat)
+    gen = tuple((next(flat), next(flat)) if isinstance(z, tuple) else next(flat)
+                for z in map(_zero_entry, factors))
+    order = _order(factors, gen)
     try:   # the diagonal mu(order), when it embeds in every factor
         diag = tuple(_diag_entry(f, order) for f in factors)
     except SpecParseError:
@@ -262,3 +253,42 @@ def _render(spec: GroupSpec) -> str:
         return f"{prod} / mu({order})"
     vals = [str(e[0] * 2 + e[1]) if isinstance(e, tuple) else str(e) for e in gen]
     return f"{prod} / mu({order})[{','.join(vals)}]"
+
+
+def _flat(e) -> tuple:
+    return e if isinstance(e, tuple) else (e,)
+
+
+def _factor_rows(spec: GroupSpec, i: int) -> tuple:
+    """The canonical generators of the kernel's elements on factor i alone:
+    the rows of the kernel's HNF with factor i's columns last that vanish on
+    every other factor."""
+    moved = [j for j in range(len(spec.factors)) if j != i] + [i]
+    spec = GroupSpec([spec.factors[j] for j in moved],
+                     [[gen[j] for j in moved] for gen in spec.center_kernel])
+    zero = tuple(map(_zero_entry, spec.factors[:-1]))
+    return tuple(gen[-1] for gen in spec.center_kernel if gen[:-1] == zero)
+
+
+def _order(factors, gen) -> int:
+    return math.lcm(*(center_order(f.kind, f.rank, e) for f, e in zip(factors, gen)))
+
+
+def _cyclic_generator(rows, mods):
+    """An element of greatest order in the group that the flat rows span in
+    the product of the Z/d over d in mods, each coordinate in [0, d), or
+    None when that group is trivial: it generates the group exactly when
+    the group is cyclic.  Each row merges into the element so far.  Of
+    orders m and n, split lcm(m, n) into coprime a | m and b | n; (m/a) gen
+    has order a, (n/b) row has order b, and their sum has order lcm(m, n)."""
+    gen, m = None, 1
+    for row in rows:
+        n = math.lcm(*(d // math.gcd(x, d) for x, d in zip(row, mods)))
+        if n > 1 and gen is not None:
+            a, b = m, n // math.gcd(m, n)
+            while (d := math.gcd(a, b)) > 1:
+                a, b = a // d, b * d
+            row, n = [m // a * x + n // b * y for x, y in zip(gen, row)], math.lcm(m, n)
+        if n > 1:
+            gen, m = [x % d for x, d in zip(row, mods)], n
+    return gen

@@ -305,7 +305,7 @@ class TestParse:
 
 SPEC_FACTORS = ["SL(2)", "SL(3)", "SL(4)", "PGL(2)", "PGL(4)", "Sp(4)", "PGSp(6)", "SO(5)",
                 "Spin(7)", "SO(10)", "SO(12)", "HSpin(16)", "Spin(8)", "SO(8)", "HSpin(8)",
-                "PGO(8)", "E6", "E7", "Spin(6)", "SO(6)", "PSO(6)",
+                "PGO(8)", "E6", "E7", "Spin(6)", "SO(6)", "PSO(6)", "SL(6)", "SL(8)",
                 # A1 aliases: the name order decides which token prints
                 "Sp(2)", "PGSp(2)", "SO(3)", "Spin(3)"]
 
@@ -316,9 +316,9 @@ def parsed_specs(draw):
     factors = draw(st.lists(st.sampled_from(SPEC_FACTORS), min_size=1, max_size=3))
     text = " x ".join(factors)
     if draw(st.booleans()):
-        text = f"({text}) / mu({draw(st.sampled_from([2, 3, 4]))})"
+        text = f"({text}) / mu({draw(st.sampled_from([2, 3, 4, 6, 8]))})"
         if draw(st.booleans()):
-            text = text[:-1] + f")[{','.join(str(draw(st.integers(0, 3))) for _ in factors)}]"
+            text = text[:-1] + f")[{','.join(str(draw(st.integers(0, 9))) for _ in factors)}]"
     try:
         return parse_spec(text)
     except SpecParseError:
@@ -360,6 +360,15 @@ class TestSpecRoundTrip:
         ("SO(12) / mu(2)[1]", "SO(12) / mu(2)[1]"),
         ("Spin(8) / mu(2)[3]", "Spin(8) / mu(2)[3]"),
         ("(SL(2) x SO(6)) / mu(4)[1,1]", "(SL(2) x SO(6)) / mu(4)[1,1]"),
+        # the rows left for the centre span a cyclic subgroup, which prints as
+        # one generator: rows ((1,0),(0,1)), ((2,0),(0,3)) and ((1,1),(0,2))
+        ("(E6 x E7) / mu(6)[1,1]", "(E6 x E7) / mu(6)[1,1]"),
+        ("(SL(6) x SL(6)) / mu(6)[2,3]", "(SL(6) x SL(6)) / mu(6)[2,3]"),
+        ("(SL(2) x SL(6)) / mu(6)[1,1]", "(SL(2) x SL(6)) / mu(6)[1,1]"),
+        # SO(6)'s 2 is no canonical row, (1,1) and (0,2) are: a factor's name
+        # reads the kernel's elements on that factor, and the centre is
+        # printed modulo what the names carry
+        ("(SO(6) x SL(8)) / mu(8)[3,9]", "(SO(6) x SL(8)) / mu(8)[1,1]"),
     ])
     def test_render_edge_cases(self, text, want):
         spec = parse_spec(text)
