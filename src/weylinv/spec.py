@@ -90,8 +90,9 @@ def _name(f: SimpleFactor, entries):
     entries, or None: each of `_FACTOR_NAMES` in order, with the argument
     rank + 1, 2 rank and 2 rank + 1, then E6 and E7.  A token read as
     another factor is passed over before its entries are computed."""
+    n = f.rank
     for tok in [f"{name}({num})" for name in _FACTOR_NAMES
-                for num in (f.rank + 1, 2 * f.rank, 2 * f.rank + 1)] + ["E6", "E7"]:
+                for num in (n + 1, 2 * n, 2 * n + 1)] + ["E6", "E7"]:
         try:
             if _factor_token(tok, 0, f) == (f, entries):
                 return tok
@@ -213,12 +214,8 @@ def spec_to_text(spec: GroupSpec) -> str:
     spec prints; a spec whose rest is not cyclic, say two rows that each
     couple factors, is not expressible and raises ValueError.
     """
-    text = _render(spec)
-    try:
-        back = parse_spec(text)
-    except SpecParseError:
-        back = None
-    if back != spec:
+    text = _render(spec)   # names, residues and mu(k) that parse_spec reads
+    if parse_spec(text) != spec:
         raise ValueError("spec not expressible in the grammar")
     return text
 
@@ -240,7 +237,8 @@ def _render(spec: GroupSpec) -> str:
                              mods)
     if flat is None:
         return prod
-    prod = f"({prod})" if len(names) > 1 else prod
+    if len(names) > 1:
+        prod = f"({prod})"
     flat = iter(flat)
     gen = tuple((next(flat), next(flat)) if isinstance(z, tuple) else next(flat)
                 for z in map(_zero_entry, factors))
